@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race cover bench bench-json bench-scale bench-compare fuzz figures alpha examples smoke smoke-metrics soak fmt vet lint clean
+.PHONY: all build test test-short race cover bench bench-json bench-scale bench-compare bench-pair fuzz figures alpha examples smoke smoke-metrics soak fmt vet lint clean
 
 all: build vet test
 
@@ -43,6 +43,14 @@ BENCH_COMPARE_OUT ?= BENCH_scale.json
 bench-compare:
 	$(GO) run ./cmd/benchjson -suite scale -compare -out $(BENCH_COMPARE_OUT) \
 		-maxregress 'p1023_parallel_intervals_per_sec=10,p1023_parallel_latency_p99_ms>150'
+
+# Paired, alternating benchmark runs of a parent commit against this checkout:
+# per metric, both medians, quartiles and pairs won (scripts/bench_pair.sh;
+# BENCH_SECONDS and BENCH_SEED0 pass through the environment).
+#   make bench-pair PARENT=HEAD~1 WORKLOAD=paced_latency
+PAIRS ?= 10
+bench-pair:
+	./scripts/bench_pair.sh $(PARENT) $(WORKLOAD) $(PAIRS)
 
 # Short fuzz passes over the wire codecs. Patterns are anchored: a bare
 # FuzzDecodeReport would match both FuzzDecodeReport and FuzzDecodeReportV2,

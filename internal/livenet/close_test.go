@@ -2,6 +2,9 @@ package livenet
 
 import (
 	"context"
+	"math/rand/v2"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -130,4 +133,64 @@ func TestShutdownDeadline(t *testing.T) {
 	if err := c.Shutdown(context.Background()); err != nil {
 		t.Fatalf("Shutdown after stopped = %v, want nil", err)
 	}
+}
+
+// stableByNodeSeq is teardown's ordering as it was first written: one stable
+// sort of the whole list by (node, Agg.Seq). sortDetections must reproduce
+// it exactly.
+func stableByNodeSeq(dets []Detection) []Detection {
+	out := append([]Detection(nil), dets...)
+	sort.SliceStable(out, func(i, j int) bool {
+		if out[i].Node != out[j].Node {
+			return out[i].Node < out[j].Node
+		}
+		return out[i].Det.Agg.Seq < out[j].Det.Agg.Seq
+	})
+	return out
+}
+
+// TestTeardownOrderMatchesStableSort pins Close's one-pass bucketing by node
+// to the stable sort it replaced, on a run whose schedule has a kill, two
+// adoptions and re-reported aggregates in it, and on a synthetic list whose
+// per-node runs are not in Seq order and repeat Seqs (the fallback path).
+func TestTeardownOrderMatchesStableSort(t *testing.T) {
+	const phase1, phase2, victim = 8, 8, 1
+	topo := tree.Balanced(2, 3)
+	e := workload.Generate(workload.Config{Topology: topo, Rounds: phase1 + phase2, Seed: 6, PGlobal: 1})
+	repaired := make(chan int, 8)
+	c := New(Config{
+		Topology: topo, Seed: 11, KeepMembers: true,
+		HbEvery: 300 * time.Microsecond, ResendLastOnAdopt: true,
+		OnRepair: func(orphan, newParent int) { repaired <- orphan },
+	})
+	feedRange(c, e, 0, phase1)
+	c.Drain()
+	awaitRepairs(t, repaired, c.Kill(victim))
+	c.Drain()
+	feedRange(c, e, phase1, phase1+phase2)
+	c.Drain()
+	c.mu.Lock()
+	recorded := append([]Detection(nil), c.dets...)
+	c.mu.Unlock()
+	c.Close()
+	if len(recorded) == 0 || len(c.Repairs()) == 0 {
+		t.Fatalf("run recorded %d detections and %d repairs; the schedule did not happen", len(recorded), len(c.Repairs()))
+	}
+	if got, want := c.Detections(), stableByNodeSeq(recorded); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Close ordered %d detections differently from the stable (node, seq) sort", len(got))
+	}
+
+	rng := rand.New(rand.NewPCG(3, 4))
+	synthetic := make([]Detection, 5000)
+	for i := range synthetic {
+		synthetic[i].Node = rng.IntN(40) * 3 // sparse ids: some runs are empty
+		synthetic[i].Det.Agg.Seq = rng.IntN(50)
+		synthetic[i].Det.Agg.Origin = i // tells equal (node, seq) entries apart
+	}
+	want := stableByNodeSeq(synthetic)
+	sortDetections(synthetic)
+	if !reflect.DeepEqual(synthetic, want) {
+		t.Fatal("sortDetections differs from the stable (node, seq) sort on unsorted runs")
+	}
+	sortDetections(nil)
 }

@@ -79,8 +79,13 @@ type Config struct {
 	// Topology is the spanning tree; one detector node runs per alive node.
 	Topology *tree.Topology
 	// MaxDelay bounds the random per-message delivery delay (default 200µs;
-	// larger values force more reordering). The timer wheel quantizes delays
-	// to its tick (MaxDelay/8, clamped to [20µs, 1ms]).
+	// larger values force more reordering). The timer wheel rounds delays up
+	// to its tick (MaxDelay/8, clamped to [20µs, 1ms]) and, where the
+	// platform gives it a sub-millisecond sleep (Linux), delivers on that
+	// tick even when the process is otherwise idle; elsewhere an idle
+	// process wakes on whole milliseconds and delivers the ticks it missed
+	// in a burst. Delays from 32 ticks up — timers, not messages — are
+	// rounded up further, by at most an eighth and 1 ms (see wheel.go).
 	MaxDelay time.Duration
 	// Seed drives the delay distribution.
 	Seed int64
@@ -245,8 +250,10 @@ type Cluster struct {
 	workers int
 	// shared is the substrate this cluster rides (Config.Scheduler), with
 	// seat the cluster's DRR run-queue client on it; both nil in private
-	// mode. halted flips at Stop so the shared wheel stops re-arming this
-	// cluster's recurring ticks.
+	// mode. halted mirrors state == clusterStopped (set with it, under mu;
+	// the state is terminal) for the paths that must not take mu to ask: the
+	// wheel stops re-arming this cluster's recurring ticks, and drains drop
+	// what is left of them.
 	shared *SharedScheduler
 	seat   *schedClient
 	halted atomic.Bool
@@ -627,6 +634,7 @@ func (c *Cluster) quiesceLocked(ctx context.Context) bool {
 		c.cond.Wait()
 	}
 	c.state = clusterStopped
+	c.halted.Store(true)
 	return true
 }
 
@@ -635,7 +643,6 @@ func (c *Cluster) quiesceLocked(ctx context.Context) bool {
 // nothing can be lost from here) and returns the final sorted detection
 // list, also stashing it for Detections.
 func (c *Cluster) teardown() []Detection {
-	c.halted.Store(true)
 	if c.shared != nil {
 		// Shared substrate: the wheel and pools belong to the substrate and
 		// keep running for the other clusters. cancel removes this cluster's
@@ -679,16 +686,55 @@ func (c *Cluster) teardown() []Detection {
 	out := c.dets
 	c.dets = nil
 	c.mu.Unlock()
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Node != out[j].Node {
-			return out[i].Node < out[j].Node
-		}
-		return out[i].Det.Agg.Seq < out[j].Det.Agg.Seq
-	})
+	sortDetections(out)
 	c.mu.Lock()
 	c.final = out
 	c.mu.Unlock()
 	return out
+}
+
+// sortDetections orders dets by node id, then by Agg.Seq, keeping the
+// recorded order of equals — exactly what sort.SliceStable with that
+// comparator produces, which at 10⁵ detections was most of Close's time. The
+// list is the nodes' streams interleaved, each recorded in its own Agg.Seq
+// order, so one stable counting pass by node id (applied in place: the list
+// is far larger than the index it takes) leaves every node's run already
+// sorted; a run found otherwise is sorted on its own.
+func sortDetections(dets []Detection) {
+	maxNode := 0
+	for i := range dets {
+		maxNode = max(maxNode, dets[i].Node)
+	}
+	// int32 throughout: the index is the pass's only allocation, and Close's
+	// allocations are the workload's (2³¹ detections do not fit in memory).
+	pos := make([]int32, maxNode+1) // pos[n]: where node n's next detection goes
+	for i := range dets {
+		pos[dets[i].Node]++
+	}
+	sum := int32(0)
+	for n, count := range pos {
+		pos[n], sum = sum, sum+count
+	}
+	dest := make([]int32, len(dets)) // dest[i] is where dets[i] belongs
+	for i := range dets {
+		dest[i] = pos[dets[i].Node]
+		pos[dets[i].Node]++
+	}
+	for i := range dets {
+		for j := dest[i]; int(j) != i; j = dest[i] {
+			dets[i], dets[j] = dets[j], dets[i]
+			dest[i], dest[j] = dest[j], j
+		}
+	}
+	begin := int32(0) // pos[n] has come to rest on the end of node n's run
+	for _, end := range pos {
+		run := dets[begin:end]
+		bySeq := func(i, j int) bool { return run[i].Det.Agg.Seq < run[j].Det.Agg.Seq }
+		if !sort.SliceIsSorted(run, bySeq) {
+			sort.SliceStable(run, bySeq)
+		}
+		begin = end
+	}
 }
 
 // Detections returns the final detection list — ordered by node id, then

@@ -500,7 +500,7 @@ func (c *Cluster) registerFamilies() {
 		})
 	c.reg.Func("hierdet_wheel_entries", "Timer entries currently queued on the wheel.",
 		obsv.KindGauge, nil, func(emit func(float64, ...string)) { emit(float64(c.wheel.entries())) })
-	c.reg.Func("hierdet_wheel_ticks_total", "Wheel advances processed.",
+	c.reg.Func("hierdet_wheel_ticks_total", "Wheel slots expired (occupied ones; empty slots are slept or stepped over).",
 		obsv.KindCounter, nil, func(emit func(float64, ...string)) { emit(float64(c.wheel.ticksTotal.Load())) })
 
 	// Lifecycle ledger.

@@ -115,9 +115,7 @@ func (c *Cluster) runNode(ln *liveNode) int {
 	// messages left are uncredited heartbeat ticks from the wheel's last
 	// turns; dropping them keeps post-Stop callbacks (child drops, repairs,
 	// detections) from firing into a cluster the caller believes final.
-	c.mu.Lock()
-	stopped := c.state == clusterStopped
-	c.mu.Unlock()
+	stopped := c.halted.Load()
 
 	down := ln.down.Load()
 	for i := range batch {

@@ -29,9 +29,10 @@ import (
 type SharedSchedulerConfig struct {
 	// Workers sizes the shared worker pool (default GOMAXPROCS).
 	Workers int
-	// Tick is the shared wheel's quantization tick, clamped to [20µs, 1ms]
-	// (default 25µs — the tick a standalone cluster derives from the
-	// default MaxDelay).
+	// Tick is the shared wheel's tick, clamped to [20µs, 1ms] (default 25µs
+	// — the tick a standalone cluster derives from the default MaxDelay).
+	// Delays are rounded up to it; how closely deliveries then follow it is
+	// the platform's doing (see Config.MaxDelay).
 	Tick time.Duration
 	// Quantum is the DRR quantum in messages: how many messages one cluster
 	// may drain before the ring rotates past it (default 256).
@@ -143,7 +144,7 @@ func (s *SharedScheduler) WheelTick() time.Duration { return s.wheel.tick }
 // WheelLagNanos returns how far past its deadline the last advance ran.
 func (s *SharedScheduler) WheelLagNanos() int64 { return s.wheel.lagNanos.Load() }
 
-// WheelTicks returns total wheel advances processed.
+// WheelTicks returns how many occupied wheel slots have expired.
 func (s *SharedScheduler) WheelTicks() int64 { return s.wheel.ticksTotal.Load() }
 
 // register attaches a cluster, returning its run-queue seat. Called from New.

@@ -1,6 +1,7 @@
 package livenet
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,9 +26,22 @@ import (
 // rounds counter absorbing delays longer than one rotation. The goroutine
 // sleeps until the next slot boundary (absolute deadlines against the wheel
 // epoch, so processing jitter never accumulates), expires the slot, and
-// re-arms recurring entries. When the wheel empties it parks on a channel
-// and the epoch restarts on the next insert — an idle cluster burns no
-// timer wakeups at all.
+// re-arms recurring entries.
+//
+// Wake-ups follow due work, not elapsed ticks. Long timers (coarseTicks and
+// up: heartbeat ticks, seek timeouts, batch-window flushes) are rounded up
+// to a coarse boundary, so a cluster's worth of them shares a few slots; and
+// when the napMinTicks slots ahead of the cursor are all empty — nothing but
+// such timers pending — the goroutine naps to the next occupied slot in one
+// sleep instead of ticking through the gap. An insert that lands inside a
+// nap positions itself against the clock (the cursor is stale) and wakes
+// the goroutine if it is due before the nap ends. An empty wheel is the
+// limiting case, a nap with no end: the epoch restarts on the next insert,
+// and an idle cluster without heartbeats burns no timer wake-ups at all.
+//
+// Sleeps shorter than timerSleepMin go through a tickSleeper where there is
+// one (see wheel_sleep_linux.go for why a time.Timer will not do); longer
+// ones start on a time.Timer and finish on the sleeper.
 //
 // Lifecycle: entries that deliver credited messages hold their ledger credit
 // from insertion (the caller takes it) until the delivery is handled, so
@@ -45,24 +59,32 @@ type wheel struct {
 	cursor int       // slot the next advance will expire
 	count  int       // live entries across all slots
 	epoch  time.Time // time of tick 0 of the current busy period
-	ticked int64     // advances processed this busy period
-	parked bool      // goroutine is waiting on kick
+	ticked int64     // ticks the cursor has passed this busy period
+	// napUntil is the tick by whose deadline the goroutine will be up: the
+	// one it is sleeping toward across empty slots (math.MaxInt64: the wheel
+	// is empty), lowered by each insert that wakes it for an earlier one — so
+	// a burst of inserts wakes it once — or awake while it is ticking slot by
+	// slot.
+	napUntil int64
 	// free is the entry freelist: expired one-shot and cancelled entries
 	// recycle here instead of churning the allocator — at scale the wheel
 	// turns over one entry per delayed message, the hottest allocation site
 	// of the whole delivery plane.
 	free *wheelEntry
 
-	kick    chan struct{} // insert-into-empty-wheel wakeup (capacity 1)
+	kick    chan struct{} // wake's token: ends a sleep on the timer (capacity 1)
+	sleeper *tickSleeper  // short sleeps; nil where there is none
 	stopped chan struct{}
 	done    chan struct{} // closed when the wheel goroutine has exited
 
-	// lagObserve, when set before the goroutine starts, receives each
-	// advance's lag in seconds (the shared substrate feeds a histogram).
+	// lagObserve, when set before the goroutine starts, receives in seconds
+	// how far past its deadline each slot that fired an entry was expired
+	// (the shared substrate feeds a histogram).
 	lagObserve func(float64)
 
-	// Scrape-safe observability mirrors: how far past its deadline the last
-	// advance ran, and total advances across all busy periods.
+	// Scrape-safe observability mirrors: the last such lag, and total slots
+	// expired across all busy periods (slots a nap or a catch-up skipped as
+	// empty are not counted).
 	lagNanos   atomic.Int64
 	ticksTotal atomic.Int64
 }
@@ -85,6 +107,30 @@ type wheelEntry struct {
 // microsecond tick) ride the rounds counter.
 const wheelSlots = 512
 
+const (
+	// awake is napUntil while the goroutine expires one slot per tick.
+	awake = -1
+	// coarseTicks is the delay from which an entry's deadline is rounded up
+	// to a multiple of coarseCap or an eighth of the delay, whichever is
+	// less: it fires at most 12.5 % (and 1 ms) late, on a boundary it shares
+	// with the other long timers. Message delays, at most 8 ticks, stay exact.
+	coarseTicks = 32
+	coarseCap   = time.Millisecond
+	// napMinTicks is how many empty slots ahead of the cursor make a nap.
+	// Message delays span at most 8 ticks, so a gap this long means no
+	// message is in flight and inserts that cut the nap short are rare;
+	// shorter gaps are ticked through, which costs inserts nothing.
+	napMinTicks = 8
+	// timerOvershoot is how late a time.Timer can fire when every P is idle
+	// (the runtime's poller rounds its timeout up to whole milliseconds), and
+	// timerSleepMin the wait from which one takes the first part all the
+	// same: it can be woken through a channel, and stopped short by its
+	// overshoot it still covers half the wait.
+	timerOvershoot = time.Millisecond
+	timerSleepMin  = 2 * timerOvershoot
+	forever        = time.Duration(math.MaxInt64)
+)
+
 func newWheel(tick time.Duration) *wheel {
 	if tick < 20*time.Microsecond {
 		tick = 20 * time.Microsecond
@@ -93,13 +139,14 @@ func newWheel(tick time.Duration) *wheel {
 		tick = time.Millisecond
 	}
 	return &wheel{
-		tick:    tick,
-		slots:   make([]*wheelEntry, wheelSlots),
-		mask:    wheelSlots - 1,
-		parked:  true,
-		kick:    make(chan struct{}, 1),
-		stopped: make(chan struct{}),
-		done:    make(chan struct{}),
+		tick:     tick,
+		slots:    make([]*wheelEntry, wheelSlots),
+		mask:     wheelSlots - 1,
+		napUntil: math.MaxInt64,
+		kick:     make(chan struct{}, 1),
+		sleeper:  newTickSleeper(),
+		stopped:  make(chan struct{}),
+		done:     make(chan struct{}),
 	}
 }
 
@@ -115,34 +162,71 @@ func (w *wheel) schedule(ln *liveNode, msg message, d, period time.Duration) {
 	} else {
 		e = &wheelEntry{ln: ln, msg: msg, period: period}
 	}
-	w.insertLocked(e, d)
-	wake := w.parked
+	wake := w.insertLocked(e, d)
 	w.mu.Unlock()
 	if wake {
-		select {
-		case w.kick <- struct{}{}:
-		default:
-		}
+		w.wake()
 	}
 }
 
-// insertLocked places e due in d ticks from now. Caller holds mu.
-func (w *wheel) insertLocked(e *wheelEntry, d time.Duration) {
-	if w.count == 0 {
-		// Empty wheel: restart the epoch so the loop does not spin through
-		// the ticks that elapsed while it was parked.
-		w.epoch = time.Now()
-		w.ticked = 0
+// wake cuts the goroutine's sleep short, whichever way it is sleeping: the
+// token for the timer, then the interrupt for the sleeper (in that order;
+// see sleep). The half that finds nobody waiting may make a later sleep
+// return early once; the loop re-reads the clock after every sleep, so that
+// costs one pass.
+func (w *wheel) wake() {
+	select {
+	case w.kick <- struct{}{}:
+	default:
 	}
-	ticks := int((d + w.tick - 1) / w.tick)
+	w.sleeper.interrupt()
+}
+
+// insertLocked places e due in d from now and reports whether the goroutine
+// must be woken for it. Caller holds mu.
+func (w *wheel) insertLocked(e *wheelEntry, d time.Duration) (wake bool) {
+	ticks := int64((d + w.tick - 1) / w.tick)
 	if ticks < 1 {
 		ticks = 1
 	}
-	idx := (w.cursor + ticks - 1) & w.mask
-	e.rounds = (ticks - 1) / wheelSlots
+	from := w.ticked // the tick e is counted from: the cursor's, if it is current
+	switch {
+	case w.count == 0:
+		// Empty wheel: restart the epoch so the loop does not spin through
+		// the ticks that elapsed while it was parked.
+		w.epoch = time.Now()
+		w.ticked, from = 0, 0
+		if w.napUntil != awake {
+			// Ticks are renumbered, so a nap toward an entry that cancel
+			// removed since is, like a parked wheel, ended by this insert.
+			w.napUntil = math.MaxInt64
+		}
+	case w.napUntil != awake:
+		// The cursor stands where the nap began; the clock says where it
+		// would be had it ticked.
+		if now := int64(time.Since(w.epoch) / w.tick); now > from {
+			from = now
+		}
+	}
+	due := from + ticks - 1 // e fires when this tick expires, at epoch+(due+1)×tick
+	if ticks >= coarseTicks {
+		g := ticks / 8
+		if c := int64(coarseCap / w.tick); g > c {
+			g = c
+		}
+		due += g - 1 - due%g
+	}
+	ahead := int(due - w.ticked)
+	idx := (w.cursor + ahead) & w.mask
+	e.rounds = ahead / wheelSlots
 	e.next = w.slots[idx]
 	w.slots[idx] = e
 	w.count++
+	if due < w.napUntil {
+		w.napUntil = due
+		return true
+	}
+	return false
 }
 
 // releaseLocked recycles an entry that is out of every slot list. Caller
@@ -156,53 +240,110 @@ func (w *wheel) releaseLocked(e *wheelEntry) {
 // any cluster's worker WaitGroup): Stop must know the wheel is fully gone
 // before it sends the workers their stop sentinels, because an advancing
 // wheel pushes nodes onto the run queue.
+//
+// Every pass reads the clock afresh and either sleeps — then starts over,
+// trusting no sleep to have lasted as asked — or finds the cursor slot's
+// deadline behind it and expires the slot.
 func (w *wheel) run() {
 	defer close(w.done)
+	defer w.sleeper.close()
 	timer := time.NewTimer(time.Hour)
 	defer timer.Stop()
 	for {
 		w.mu.Lock()
-		if w.count == 0 {
-			w.parked = true
-			w.mu.Unlock()
-			select {
-			case <-w.kick:
+		wait, until := forever, int64(math.MaxInt64)
+		if w.count > 0 {
+			now := time.Now()
+			gap := w.emptyAhead()
+			// Empty slots whose deadlines have passed — a nap's worth, or
+			// what a late wake-up missed — are stepped over, not expired.
+			if late := int(int64(now.Sub(w.epoch)/w.tick) - w.ticked); gap > 0 && late > 0 {
+				skip := min(gap, late)
+				w.cursor = (w.cursor + skip) & w.mask
+				w.ticked += int64(skip)
+				gap -= skip
+			}
+			target := w.ticked // the tick to sleep through: the cursor's
+			until = awake
+			if gap >= napMinTicks {
+				target += int64(gap)
+				until = target
+			}
+			deadline := w.epoch.Add(time.Duration(target+1) * w.tick)
+			if wait = deadline.Sub(now); wait <= 0 {
+				w.napUntil = awake
+				// A slot that only counts a round down (an entry put there
+				// during a nap, due a rotation later) kept nobody waiting.
+				if w.advanceLocked() {
+					w.lagNanos.Store(int64(-wait))
+					if w.lagObserve != nil {
+						w.lagObserve((-wait).Seconds())
+					}
+				}
 				continue
-			case <-w.stopped:
-				return
 			}
 		}
-		w.parked = false
-		deadline := w.epoch.Add(time.Duration(w.ticked+1) * w.tick)
+		w.napUntil = until
 		w.mu.Unlock()
-
-		if wait := time.Until(deadline); wait > 0 {
-			timer.Reset(wait)
-			select {
-			case <-timer.C:
-			case <-w.stopped:
-				w.drain()
-				return
-			}
+		if w.sleep(wait, timer) {
+			w.drain()
+			return
 		}
-		lag := time.Since(deadline)
-		w.lagNanos.Store(int64(lag))
-		if w.lagObserve != nil {
-			w.lagObserve(lag.Seconds())
-		}
-		w.advance()
 	}
 }
 
-// advance expires the cursor slot: due entries are collected under the lock
-// and delivered outside it (delivery takes mailbox locks), not-yet-due
-// entries decrement rounds and stay, recurring entries re-arm after firing.
-// Delivery routes through each entry's own cluster, so one wheel can carry
-// many clusters' timers.
-func (w *wheel) advance() {
-	var due *wheelEntry
-	w.mu.Lock()
-	var keep *wheelEntry
+// emptyAhead counts the empty slots from the cursor to the first occupied
+// one. Caller holds mu and has checked count > 0.
+func (w *wheel) emptyAhead() int {
+	gap := 0
+	for w.slots[(w.cursor+gap)&w.mask] == nil {
+		gap++
+	}
+	return gap
+}
+
+// sleep waits for d, less if wake is called meanwhile, and reports whether
+// the wheel was stopped.
+func (w *wheel) sleep(d time.Duration, timer *time.Timer) (stopped bool) {
+	if w.sleeper != nil && d < timerSleepMin {
+		// arm overwrites the read deadline, and with it an interrupt that
+		// came first. wake sends its token before it interrupts: a wake whose
+		// interrupt arm could have overwritten has its token here by now.
+		w.sleeper.arm(d)
+		select {
+		case <-w.kick:
+		default:
+			w.sleeper.wait()
+		}
+	} else {
+		if w.sleeper != nil {
+			// Stop short by what the timer may run over; the next pass
+			// sleeps the last stretch on the sleeper.
+			d -= timerOvershoot
+		}
+		timer.Reset(d)
+		select {
+		case <-timer.C:
+		case <-w.kick:
+		case <-w.stopped:
+		}
+	}
+	select {
+	case <-w.stopped:
+		return true
+	default:
+		return false
+	}
+}
+
+// advanceLocked expires the cursor slot: due entries are collected under the
+// lock — the caller's, released here — and delivered outside it (delivery
+// takes mailbox locks), not-yet-due entries decrement rounds and stay,
+// recurring entries re-arm after firing. Delivery routes through each entry's
+// own cluster, so one wheel can carry many clusters' timers. Reports whether
+// any entry was due.
+func (w *wheel) advanceLocked() (fired bool) {
+	var due, keep *wheelEntry
 	for e := w.slots[w.cursor]; e != nil; {
 		next := e.next
 		if e.rounds > 0 {
@@ -246,7 +387,7 @@ func (w *wheel) advance() {
 		w.mu.Lock()
 		for e := rearm; e != nil; {
 			next := e.next
-			w.insertLocked(e, e.period)
+			w.insertLocked(e, e.period) // the goroutine is this one: no wake
 			e = next
 		}
 		for e := spent; e != nil; {
@@ -256,6 +397,7 @@ func (w *wheel) advance() {
 		}
 		w.mu.Unlock()
 	}
+	return due != nil
 }
 
 // entries reads the wheel's live entry count.
@@ -272,6 +414,7 @@ func (w *wheel) entries() int {
 // returned so no ledger accounting is ever lost.
 func (w *wheel) stop() {
 	close(w.stopped)
+	w.sleeper.interrupt()
 }
 
 // cancel removes every entry belonging to one cluster — the shared-wheel

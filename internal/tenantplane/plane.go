@@ -619,7 +619,7 @@ func (p *Multiplexer) registerFamilies() {
 		obsv.KindGauge, nil, func(emit func(float64, ...string)) {
 			emit(float64(p.sched.WheelEntries()))
 		})
-	p.reg.Func("hierdet_plane_wheel_ticks_total", "Shared timer wheel advances processed.",
+	p.reg.Func("hierdet_plane_wheel_ticks_total", "Shared timer wheel slots expired (occupied ones; empty slots are slept or stepped over).",
 		obsv.KindCounter, nil, func(emit func(float64, ...string)) {
 			emit(float64(p.sched.WheelTicks()))
 		})
