@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race cover bench bench-json bench-scale bench-compare bench-pair fuzz figures alpha examples smoke smoke-metrics soak fmt vet lint clean
+.PHONY: all build test test-short race cover bench bench-json bench-scale bench-compare bench-pair fuzz figures alpha examples smoke smoke-metrics soak loc fmt vet lint clean
 
 all: build vet test
 
@@ -96,6 +96,11 @@ SOAK_DURATION ?= 60s
 SOAK_OUT ?= chaos-artifacts
 soak:
 	$(GO) run ./cmd/hierdet-chaos -duration $(SOAK_DURATION) -out $(SOAK_OUT)
+
+# Non-test Go lines of the live runtime's layers (ROADMAP item 2's budget);
+# `./scripts/loc.sh <ref>` counts a commit instead of the working tree.
+loc:
+	@./scripts/loc.sh
 
 fmt:
 	gofmt -w .

@@ -26,11 +26,11 @@
 // and comparisons, wire encode/decode (v1 vs v2, pooled), interval
 // aggregation and queue, detector node work, TCP loopback, and the
 // simulator's Figure 4/5 byte-volume sweeps. The scale suite runs the live
-// runtime's p ∈ {127, 511, 1023} lanes (BenchmarkLiveScale: legacy seed
-// plane vs sharded vs batched vs parallel) plus the batched report encode
-// path, and summarizes each size's lane speedups — including the parallel
-// engine's ratio over the batched sequential baseline, the current
-// acceptance headline.
+// runtime's p ∈ {127, 511, 1023} lanes (BenchmarkLiveScale: the sharded
+// sequential oracle and the parallel current path; entries up to PR 10b also
+// carry the legacy and batched lanes since deleted) plus the batched report
+// encode path, and summarizes each size's lanes — p=1023 parallel throughput
+// and p99 latency are the gated headline.
 //
 // Files recorded in the old single-run format are migrated in place: the
 // previous run becomes the trajectory's first entry.
@@ -461,16 +461,14 @@ func summarizeHotpath(suites []suiteOut) map[string]float64 {
 	return sum
 }
 
-// summarizeScale derives the scale-lane headlines: per-size throughput for
-// every lane, each size's speedups over the recorded baselines (legacy for
-// the delivery-plane lanes, batched-sequential for the parallel engine —
-// both measured in the same run), goroutine high-water marks, per-lane
-// worst-node comparison counts, the parallel lane's comparison-pruning
+// summarizeScale derives the scale-lane headlines: per-size throughput,
+// latency quantiles, goroutine high-water marks and worst-node comparison
+// counts for both lanes, the parallel lane's comparison-pruning
 // effectiveness (digest filter rate and memo hit rate), and the batched
 // encode path's allocation count.
 func summarizeScale(suites []suiteOut) map[string]float64 {
 	sum := map[string]float64{}
-	lanes := []string{"legacy", "sharded", "batched", "parallel"}
+	lanes := []string{"sharded", "parallel"}
 	for _, p := range []int{127, 511, 1023} {
 		for _, lane := range lanes {
 			name := fmt.Sprintf("BenchmarkLiveScale/p=%d/%s", p, lane)
@@ -498,19 +496,6 @@ func summarizeScale(suites []suiteOut) map[string]float64 {
 		}
 		if v, ok := metric(suites, "./internal/livenet", parName, "memo-hit-rate"); ok {
 			sum[fmt.Sprintf("p%d_memo_hit_rate", p)] = v
-		}
-		base := sum[fmt.Sprintf("p%d_legacy_intervals_per_sec", p)]
-		if base > 0 {
-			for _, lane := range lanes[1:] {
-				if v := sum[fmt.Sprintf("p%d_%s_intervals_per_sec", p, lane)]; v > 0 {
-					sum[fmt.Sprintf("p%d_speedup_%s_vs_legacy", p, lane)] = v / base
-				}
-			}
-		}
-		if batched := sum[fmt.Sprintf("p%d_batched_intervals_per_sec", p)]; batched > 0 {
-			if par := sum[fmt.Sprintf("p%d_parallel_intervals_per_sec", p)]; par > 0 {
-				sum[fmt.Sprintf("p%d_speedup_parallel_vs_batched", p)] = par / batched
-			}
 		}
 	}
 	if a, ok := metric(suites, "./internal/wire", "BenchmarkAppendReportBatch", "allocs/op"); ok {

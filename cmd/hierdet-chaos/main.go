@@ -56,7 +56,7 @@ func main() {
 		n          = flag.Int("n", 15, "processes per run")
 		out        = flag.String("out", "chaos-artifacts", "directory for trace artifacts (failures are kept)")
 		replayPath = flag.String("replay", "", "replay one trace file instead of soaking")
-		plane      = flag.String("plane", "", "delivery plane override (legacy|sharded|batched|parallel); default: recorded plane when replaying, random per verification otherwise")
+		plane      = flag.String("plane", "", "delivery plane override (sharded|parallel); default: recorded plane when replaying, random per verification otherwise")
 		speed      = flag.Float64("speed", 0, "replay pacing as a recorded-time multiplier (2 = twice as fast; 0 = as fast as the barriers allow)")
 		links      = flag.String("links", "mixed", "link graphs for chaos runs: tree|full|mixed")
 	)

@@ -99,10 +99,11 @@ func TestStopAfterClosePanics(t *testing.T) {
 func TestShutdownDeadline(t *testing.T) {
 	topo := tree.Chain(2)
 	e := workload.Generate(workload.Config{Topology: topo, Rounds: 4, Seed: 9, PGlobal: 1})
-	// A long batch window parks child 1's report credit on the flush timer,
-	// so quiescence is provably not reachable within the short deadline.
+	// A long MaxDelay parks the credits of child 1's two reports on the wheel
+	// (the seed fixes their delays: 36 and 87 ms), so quiescence is provably
+	// not reachable within the short deadline.
 	c := New(Config{Topology: topo, Seed: 9, Strict: true, KeepMembers: true,
-		BatchWindow: 300 * time.Millisecond, SequentialDetect: true})
+		MaxDelay: 600 * time.Millisecond, SequentialDetect: true})
 	for p := range e.Streams {
 		c.ObserveBatch(p, e.Streams[p][:2])
 	}
@@ -161,7 +162,7 @@ func TestTeardownOrderMatchesStableSort(t *testing.T) {
 	c := New(Config{
 		Topology: topo, Seed: 11, KeepMembers: true,
 		HbEvery: 300 * time.Microsecond, ResendLastOnAdopt: true,
-		OnRepair: func(orphan, newParent int) { repaired <- orphan },
+		Events: testSink(nil, repaired),
 	})
 	feedRange(c, e, 0, phase1)
 	c.Drain()

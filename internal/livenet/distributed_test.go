@@ -5,6 +5,8 @@ import (
 	"testing"
 	"time"
 
+	"hierdet/internal/core"
+	"hierdet/internal/obsv"
 	"hierdet/internal/transport"
 	"hierdet/internal/transport/tcptransport"
 	"hierdet/internal/tree"
@@ -23,6 +25,20 @@ func (l *detLog) add(d Detection) {
 	l.mu.Lock()
 	l.dets = append(l.dets, d)
 	l.mu.Unlock()
+}
+
+// testSink builds an Events sink for tests: every SolutionFound is added to
+// log and every RepairConcluded sends its orphan to repaired; either may be
+// nil.
+func testSink(log *detLog, repaired chan<- int) func(obsv.Event) {
+	return func(e obsv.Event) {
+		switch {
+		case e.Kind == obsv.SolutionFound && log != nil:
+			log.add(Detection{Node: e.Node, AtRoot: e.AtRoot, Det: core.Detection{Agg: e.Agg, Set: e.Set}})
+		case e.Kind == obsv.RepairConcluded && repaired != nil:
+			repaired <- e.Node
+		}
+	}
 }
 
 func (l *detLog) rootSpan(span int) int {
@@ -87,8 +103,8 @@ func TestDistributedParityAndFailover(t *testing.T) {
 	refRepaired := make(chan int, 8)
 	ref := New(Config{
 		Topology: build(), Seed: 11, Strict: true, KeepMembers: true,
-		HbEvery:  300 * time.Microsecond,
-		OnRepair: func(orphan, newParent int) { refRepaired <- orphan },
+		HbEvery: 300 * time.Microsecond,
+		Events:  testSink(nil, refRepaired),
 	})
 	feedRange(ref, e, 0, phase1)
 	ref.Drain()
@@ -113,8 +129,7 @@ func TestDistributedParityAndFailover(t *testing.T) {
 			StartupGrace: 5 * time.Millisecond,
 			Transport:    net.Endpoint(id),
 			LocalNodes:   []int{id},
-			OnDetect:     log.add,
-			OnRepair:     func(orphan, newParent int) { repaired <- orphan },
+			Events:       testSink(&log, repaired),
 		})
 	}
 
@@ -192,7 +207,7 @@ func TestDistributedRedeliveryAndCorruptFrames(t *testing.T) {
 		return New(Config{
 			Topology: build(), Seed: 3, Strict: true, KeepMembers: true,
 			HbEvery: time.Millisecond, Transport: ep, LocalNodes: []int{id},
-			OnDetect: log.add,
+			Events: testSink(&log, nil),
 		})
 	}
 	root, leaf := mk(0, epRoot), mk(1, epLeaf)
@@ -269,8 +284,7 @@ func TestDistributedOverTCP(t *testing.T) {
 			StartupGrace: 20 * time.Millisecond,
 			Transport:    trs[id],
 			LocalNodes:   []int{id},
-			OnDetect:     log.add,
-			OnRepair:     func(orphan, newParent int) { repaired <- orphan },
+			Events:       testSink(&log, repaired),
 		})
 	}
 
@@ -300,10 +314,11 @@ func TestDistributedOverTCP(t *testing.T) {
 	}
 }
 
-// TestDistributedBatchWindow: with report coalescing on, child→parent
+// TestDistributedBatchWindow: with report coalescing on (AdaptiveFlush, the
+// one coalescing policy; the test's name is older than that), child→parent
 // traffic crosses the transport as KindReportBatch frames — and detection
 // output is unchanged. The tap on every endpoint proves batch frames
-// actually traveled (coalescing engaged, not just degenerated to singles).
+// actually traveled.
 func TestDistributedBatchWindow(t *testing.T) {
 	const rounds = 10
 	build := func() *tree.Topology { return tree.Balanced(2, 2) }
@@ -326,12 +341,12 @@ func TestDistributedBatchWindow(t *testing.T) {
 		}
 		clusters[id] = New(Config{
 			Topology: build(), Seed: 13, Strict: true, KeepMembers: true,
-			HbEvery:      time.Millisecond,
-			StartupGrace: 5 * time.Millisecond,
-			BatchWindow:  500 * time.Microsecond,
-			Transport:    ep,
-			LocalNodes:   []int{id},
-			OnDetect:     log.add,
+			HbEvery:       time.Millisecond,
+			StartupGrace:  5 * time.Millisecond,
+			AdaptiveFlush: true,
+			Transport:     ep,
+			LocalNodes:    []int{id},
+			Events:        testSink(&log, nil),
 		})
 	}
 

@@ -6,6 +6,7 @@ import (
 
 	"hierdet/internal/interval"
 	"hierdet/internal/monitor"
+	"hierdet/internal/obsv"
 	"hierdet/internal/simnet"
 	"hierdet/internal/tree"
 	"hierdet/internal/workload"
@@ -117,8 +118,8 @@ func TestLiveClusterFailover(t *testing.T) {
 	topo := build()
 	c := New(Config{
 		Topology: topo, Seed: 11, Strict: true, KeepMembers: true,
-		HbEvery:  300 * time.Microsecond,
-		OnRepair: func(orphan, newParent int) { repaired <- orphan },
+		HbEvery: 300 * time.Microsecond,
+		Events:  testSink(nil, repaired),
 	})
 	feedRange(c, e, 0, phase1)
 	c.Drain()
@@ -184,7 +185,7 @@ func TestLiveClusterFailoverResendLast(t *testing.T) {
 	c := New(Config{
 		Topology: topo, Seed: 15, Strict: true, KeepMembers: true,
 		HbEvery: 300 * time.Microsecond, ResendLastOnAdopt: true,
-		OnRepair: func(orphan, newParent int) { repaired <- orphan },
+		Events: testSink(nil, repaired),
 	})
 	feedRange(c, e, 0, phase1)
 	c.Drain()
@@ -206,7 +207,7 @@ func TestLiveClusterFailoverResendLast(t *testing.T) {
 
 // TestLiveClusterPartition: with tree-only links, killing a chain's middle
 // strands the tail subtree. Its root exhausts the seek rounds, declares
-// itself a partition root (OnRepair reports tree.None) and keeps detecting
+// itself a partition root (RepairConcluded reports tree.None) and keeps detecting
 // the partial predicate over its own span.
 func TestLiveClusterPartition(t *testing.T) {
 	const phase1, phase2 = 4, 4
@@ -222,8 +223,12 @@ func TestLiveClusterPartition(t *testing.T) {
 	topo := build()
 	c := New(Config{
 		Topology: topo, Seed: 21, Strict: true, KeepMembers: true,
-		HbEvery:  300 * time.Microsecond,
-		OnRepair: func(orphan, newParent int) { repaired <- RepairEvent{orphan, newParent} },
+		HbEvery: 300 * time.Microsecond,
+		Events: func(e obsv.Event) {
+			if e.Kind == obsv.RepairConcluded {
+				repaired <- RepairEvent{e.Node, e.Peer}
+			}
+		},
 	})
 	feedRange(c, e, 0, phase1)
 	c.Drain()

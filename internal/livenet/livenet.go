@@ -3,26 +3,29 @@
 // processes, asynchronous non-FIFO message passing — and complements
 // internal/simnet, which trades real concurrency for determinism.
 //
-// The delivery plane is built for scale: every node owns a bounded mailbox
-// shard, a small worker pool drains the shards (one worker per node at a
-// time, so detector state stays single-writer), and a single hashed timer
-// wheel carries every delayed message, repair timeout and heartbeat tick.
-// Steady-state goroutine count is the pool plus the wheel — independent of
-// the process count and of the number of in-flight messages — where the seed
-// design spent one goroutine per node plus one per in-flight message.
-// Messages on one link still genuinely race and arrive out of order (the
-// wheel quantizes each message's pseudo-random delay); the same per-link
-// sequence numbers and resequencers as the simulated runtime (shared via
-// internal/repair) restore queue order at the receiver.
+// There is one delivery plane. Every node owns a bounded mailbox shard; a
+// node with mail takes a place in its cluster's seat on a scheduler substrate
+// (SharedScheduler), whose worker pool drains the shards in deficit-round-
+// robin order over seats (one worker per node at a time, so detector state
+// stays single-writer); and the substrate's single hashed timer wheel carries
+// every delayed message, repair timeout and heartbeat tick. A tenant plane
+// hands many clusters one substrate (Config.Scheduler); a standalone cluster
+// builds a substrate of its own and is its only seat — the path is the same.
+// Steady-state goroutine count is the pool plus the wheel, independent of the
+// process count and of the number of in-flight messages. Messages on one link
+// still genuinely race and arrive out of order (the wheel quantizes each
+// message's pseudo-random delay); the same per-link sequence numbers and
+// resequencers as the simulated runtime (shared via internal/repair) restore
+// queue order at the receiver.
 //
-// With Config.BatchWindow > 0 each node coalesces the reports it owes its
-// parent and flushes them as one message (one wire frame, in distributed
-// mode) per window — the live runtime's port of the simulator's BatchWindow,
-// trading up to one window of detection latency for per-message overhead.
-// Arrivals batch symmetrically: runs of in-order reports released together
-// by a resequencer feed the detector through core.Node's batch ingestion
-// (OnIntervals), which runs the elimination loop once per exposed head
-// rather than once per arrival (Algorithm 1 line 2).
+// A report leaves for the parent at one of two moments: at once (the paper's
+// Algorithm 1 lines 18-22), or, with Config.AdaptiveFlush, at the end of the
+// mailbox drain that produced it, together with every other report of that
+// drain as one message (one wire frame in distributed mode). Arrivals batch
+// symmetrically: runs of in-order reports released together by a resequencer
+// feed the detector through core.Node's batch ingestion (OnIntervals), which
+// runs the elimination loop once per exposed head rather than once per
+// arrival (Algorithm 1 line 2).
 //
 // With heartbeats enabled (Config.HbEvery > 0) the cluster is fault
 // tolerant per the paper's §III-F: Kill crashes a process, its tree
@@ -37,11 +40,10 @@
 // cluster state machine (running → stopping → stopped) and a message-credit
 // ledger; every message holds exactly one credit from before it is sent
 // until after it is handled, timers take their credit when armed, and Stop
-// waits on a condition variable until the ledger drains before tearing the
-// pool and the wheel down. There is no sleep-polling, no unsynchronized
-// flag, and — unlike the seed's per-message sleep goroutines — nothing left
-// sleeping after Stop returns: the wheel cancels its remaining (uncredited)
-// entries instead of firing them.
+// waits on a condition variable until the ledger drains before leaving the
+// substrate. There is no sleep-polling, no unsynchronized flag, and nothing
+// left sleeping after Stop returns: the wheel cancels the cluster's remaining
+// (uncredited) entries instead of firing them.
 //
 // With Config.Transport set the cluster becomes one participant of a
 // distributed deployment: it hosts only Config.LocalNodes, traffic between
@@ -59,7 +61,6 @@ package livenet
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -100,55 +101,36 @@ type Config struct {
 	// bound, pushing back on the workload. Internal cascade traffic is not
 	// bounded (a blocked worker could deadlock the pool). Zero means 4096.
 	MailboxBound int
-	// BatchWindow coalesces each node's child→parent reports and flushes
-	// them as one message (one wire frame in distributed mode) per window.
-	// Zero sends every report immediately, the paper's per-detection
-	// behaviour.
-	BatchWindow time.Duration
-	// AdaptiveFlush coalesces reports per worker drain instead of per fixed
-	// time window: reports a node emits while its worker drains one mailbox
-	// swap leave as a single message at the end of that drain. The coalescing
-	// unit is the actual burst — a detection cascade triggered by one batch of
-	// deliveries flushes as one frame with zero added latency, while an
-	// isolated report still leaves within its own drain — so the policy adapts
-	// to load where a static BatchWindow must pick one point on the
-	// latency/frame-count trade-off for every node and every phase of the run.
-	// Mutually exclusive with BatchWindow and incompatible with
-	// LegacyDelivery (whose per-message channel loop has no drain boundary,
-	// and which is a frozen baseline anyway).
+	// AdaptiveFlush coalesces reports per worker drain: reports a node emits
+	// while its worker drains one mailbox swap leave as a single message at
+	// the end of that drain. The coalescing unit is the actual burst — a
+	// detection cascade triggered by one batch of deliveries flushes as one
+	// frame with zero added latency, while an isolated report still leaves
+	// within its own drain — so the policy adapts to load. Off, every report
+	// is sent the moment it is produced, the paper's per-detection behaviour.
 	AdaptiveFlush bool
-	// LegacyDelivery restores the seed's delivery plane in full: one inbox
-	// channel and one goroutine per node, one sleeping goroutine per delayed
-	// message, one time.AfterFunc per repair timer and a per-node heartbeat
-	// ticker, instead of the mailbox shards, worker pool and timer wheel. It
-	// exists so the scale benchmarks can measure the rebuilt plane against
-	// the pre-change baseline forever; production configurations leave it
-	// off. LegacyDelivery implies SequentialDetect: the seed plane is a
-	// baseline, and baselines do not silently absorb later engine work.
-	LegacyDelivery bool
 
 	// SequentialDetect restores the single-threaded in-node detection
 	// engine — the paper's Algorithm 1 loop exactly as it ran before the
 	// parallel engine landed. It is the property-test oracle and the
-	// benchmark baseline lane (the role LegacyDelivery plays for the
-	// delivery plane); production configurations leave it off and get the
-	// partitioned engine with flat aggregate storage.
+	// benchmark baseline lane; production configurations leave it off and get
+	// the partitioned engine with flat aggregate storage.
 	SequentialDetect bool
 	// DetectWorkers sizes the comparison worker set the parallel detection
 	// engine shares across every hosted node (core.Pool). Zero means
-	// GOMAXPROCS. Ignored under SequentialDetect/LegacyDelivery.
+	// GOMAXPROCS.
 	DetectWorkers int
 
-	// Scheduler attaches the cluster to a shared scheduler substrate (see
-	// NewSharedScheduler): the substrate's worker pool drains the mailbox
-	// shards, its timer wheel carries the delayed messages and heartbeat
-	// ticks, its comparison pool backs the parallel detection engine and its
-	// clock arena supplies the aggregate storage — the cluster spawns no
-	// delivery goroutines of its own. Workers and DetectWorkers are then
-	// ignored (the substrate's pools are sized once, at its creation);
-	// MailboxBound still applies per cluster. Nil (the default) keeps a
-	// private pool and wheel — a standalone cluster behaves exactly as
-	// before. Incompatible with LegacyDelivery.
+	// Scheduler seats the cluster on a scheduler substrate the caller owns
+	// (see NewSharedScheduler) next to any number of other clusters: the
+	// substrate's worker pool drains the mailbox shards, its timer wheel
+	// carries the delayed messages and heartbeat ticks, its comparison pool
+	// backs the parallel detection engine and its clock arena supplies the
+	// aggregate storage. Workers and DetectWorkers are then ignored (the
+	// substrate's pools are sized once, at its creation); MailboxBound still
+	// applies per cluster. Nil (the default) gives the cluster a substrate of
+	// its own — Workers, DetectWorkers and a wheel tick of MaxDelay/8 — which
+	// it closes when it stops.
 	Scheduler *SharedScheduler
 
 	// HbEvery enables failure handling: on this period every node publishes
@@ -172,28 +154,20 @@ type Config struct {
 	// to the dead parent are lost, but the latest solution the subtree
 	// found is not.
 	ResendLastOnAdopt bool
-	// OnRepair, when set, is called once per concluded reattachment:
-	// newParent is the adopting node, or tree.None when the orphan
-	// exhausted its candidates and continues as a partition root. It runs
-	// off the cluster's locks (Metrics and Repairs may be called from it;
-	// Stop may not).
-	OnRepair func(orphan, newParent int)
-	// OnDetect, when set, is called for every detection as it is recorded —
-	// the streaming complement of Stop's batch return, which a long-running
-	// process (cmd/hierdet-node) needs. It runs off the cluster's locks but
-	// on worker goroutines, so it must be quick and must not call Stop.
-	OnDetect func(Detection)
 
 	// Events, when set, receives the cluster's full lifecycle stream —
 	// every interval observed, report sent and received, solution found,
 	// interval pruned, node suspected, repair concluded and transport
-	// redial (see obsv.EventKind). It subsumes OnDetect and OnRepair:
-	// every detection arrives as a SolutionFound event and every concluded
-	// repair as a RepairConcluded event, in the same order the deprecated
-	// callbacks would have seen them. Events for one node are delivered in
-	// that node's causal order; events of different nodes interleave, so
-	// the sink must be safe for concurrent calls. Like OnDetect it runs on
-	// runtime goroutines: keep it quick and never call Stop from it.
+	// redial (see obsv.EventKind). Every detection arrives as a
+	// SolutionFound event as it is recorded — the streaming complement of
+	// Stop's batch return — and every concluded repair as a RepairConcluded
+	// event (Peer is the adopting node, or tree.None when the orphan
+	// exhausted its candidates and continues as a partition root). Events
+	// for one node are delivered in that node's causal order; events of
+	// different nodes interleave, so the sink must be safe for concurrent
+	// calls. It runs on runtime goroutines, off the cluster's locks (Metrics
+	// and Repairs may be called from it): keep it quick and never call Stop
+	// from it.
 	Events func(obsv.Event)
 
 	// Transport switches the cluster to distributed mode: it hosts only
@@ -240,26 +214,21 @@ const (
 // intervals with Observe or ObserveBatch, optionally crash processes with
 // Kill, then call Stop to drain and collect every detection.
 type Cluster struct {
-	cfg     Config
-	nodes   map[int]*liveNode
-	wg      sync.WaitGroup // worker pool (private mode only)
-	wheel   *wheel
-	runq    chan *liveNode // private mode: the channel behind sched
-	sched   runQueue       // where enqueue schedules nodes (see sched.go)
-	bound   int            // mailbox bound for external producers
-	workers int
-	// shared is the substrate this cluster rides (Config.Scheduler), with
-	// seat the cluster's DRR run-queue client on it; both nil in private
-	// mode. halted mirrors state == clusterStopped (set with it, under mu;
-	// the state is terminal) for the paths that must not take mu to ask: the
-	// wheel stops re-arming this cluster's recurring ticks, and drains drop
-	// what is left of them.
-	shared *SharedScheduler
+	cfg   Config
+	nodes map[int]*liveNode
+	bound int // mailbox bound for external producers
+	// sched is the substrate this cluster runs on — the caller's
+	// (Config.Scheduler) or, that being nil, one New built for this cluster
+	// alone and teardown closes — and seat the cluster's DRR run-queue
+	// client on it. halted mirrors state == clusterStopped (set with it,
+	// under mu; the state is terminal) for the paths that must not take mu
+	// to ask: the wheel stops re-arming this cluster's recurring ticks, and
+	// drains drop what is left of them.
+	sched  *SharedScheduler
 	seat   *schedClient
 	halted atomic.Bool
-	// detectPool is the comparison worker set shared by every hosted node's
-	// parallel detection engine; nil under SequentialDetect/LegacyDelivery,
-	// substrate-owned when shared is set (Stop then must not close it).
+	// detectPool is the substrate's comparison worker set, shared by every
+	// hosted node's parallel detection engine; nil under SequentialDetect.
 	detectPool *core.Pool
 	remote     bool      // distributed mode: Transport is set
 	startAt    time.Time // StartupGrace reference point
@@ -315,20 +284,24 @@ func New(cfg Config) *Cluster {
 	if cfg.Transport != nil && cfg.StartupGrace == 0 {
 		cfg.StartupGrace = 2 * cfg.HbTimeout
 	}
-	if cfg.Scheduler != nil && cfg.LegacyDelivery {
-		panic("livenet: Scheduler is incompatible with LegacyDelivery")
-	}
-	if cfg.AdaptiveFlush && cfg.LegacyDelivery {
-		panic("livenet: AdaptiveFlush is incompatible with LegacyDelivery")
-	}
-	if cfg.AdaptiveFlush && cfg.BatchWindow > 0 {
-		panic("livenet: AdaptiveFlush and BatchWindow are mutually exclusive coalescing policies")
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
 	if cfg.MailboxBound <= 0 {
 		cfg.MailboxBound = 4096
+	}
+	hosted := cfg.Topology.AliveNodes()
+	if cfg.Transport != nil && len(cfg.LocalNodes) > 0 {
+		hosted = cfg.LocalNodes
+	}
+	// Checked before anything is started, so the panic leaves nothing running.
+	for _, id := range hosted {
+		if !cfg.Topology.Alive(id) {
+			panic(fmt.Sprintf("livenet: LocalNodes lists dead or unknown node %d", id))
+		}
+	}
+	sched := cfg.Scheduler
+	if sched == nil {
+		sched = NewSharedScheduler(SharedSchedulerConfig{
+			Workers: cfg.Workers, Tick: cfg.MaxDelay / 8, DetectWorkers: cfg.DetectWorkers,
+		})
 	}
 	c := &Cluster{
 		cfg:     cfg,
@@ -336,54 +309,24 @@ func New(cfg Config) *Cluster {
 		startAt: time.Now(),
 		topo:    cfg.Topology,
 		bound:   cfg.MailboxBound,
-		workers: cfg.Workers,
-		shared:  cfg.Scheduler,
+		sched:   sched,
+		seat:    sched.register(),
 		nodes:   make(map[int]*liveNode),
 		killed:  make(map[int]bool),
 		seeking: make(map[int]bool),
 	}
 	c.cond = sync.NewCond(&c.mu)
-	if c.shared != nil {
-		// Shared substrate: adopt its wheel, pools and clock arena; the
-		// cluster's only seat on it is a DRR run-queue client.
-		c.wheel = c.shared.wheel
-		c.workers = c.shared.workers
-		c.seat = c.shared.register()
-		c.sched = c.seat
-		if !cfg.SequentialDetect {
-			c.detectPool = c.shared.detect
-		}
-	} else {
-		c.wheel = newWheel(cfg.MaxDelay / 8)
-		if !cfg.SequentialDetect && !cfg.LegacyDelivery {
-			dw := cfg.DetectWorkers
-			if dw <= 0 {
-				dw = runtime.GOMAXPROCS(0)
-			}
-			c.detectPool = core.NewPool(dw)
-		}
+	if !cfg.SequentialDetect {
+		c.detectPool = sched.detect
 	}
 	c.reg = obsv.NewRegistry()
-	hosted := cfg.Topology.AliveNodes()
-	if c.remote && len(cfg.LocalNodes) > 0 {
-		hosted = cfg.LocalNodes
-	}
 	// One slab for all hosted processes: the node structs dominate a
 	// cluster's construction allocations, and a plane registering hundreds
 	// of tenants pays that bill hundreds of times over.
 	slab := make([]liveNode, len(hosted))
 	for i, id := range hosted {
-		if !cfg.Topology.Alive(id) {
-			panic(fmt.Sprintf("livenet: LocalNodes lists dead or unknown node %d", id))
-		}
 		initLiveNode(&slab[i], c, id)
 		c.nodes[id] = &slab[i]
-	}
-	if c.shared == nil {
-		// Sentinel stops (one nil per worker) ride the same queue as work, so
-		// the capacity covers every node being scheduled at once plus them.
-		c.runq = make(chan *liveNode, len(c.nodes)+c.workers)
-		c.sched = chanQueue{ch: c.runq}
 	}
 	c.registerFamilies()
 	if c.remote {
@@ -396,33 +339,15 @@ func New(cfg Config) *Cluster {
 			inst.Instrument(c.reg, c.emitEvent)
 		}
 		if err := cfg.Transport.Start(c.onFrame); err != nil {
+			c.leaveSched()
 			panic(fmt.Sprintf("livenet: transport start: %v", err))
-		}
-	}
-	if c.shared == nil {
-		go c.wheel.run()
-		if cfg.LegacyDelivery {
-			// The seed delivery plane, whole: one goroutine and one inbox
-			// channel per node, heartbeats on per-node tickers (in runLegacy),
-			// delayed messages on fresh sleeping goroutines (in post). The
-			// wheel stays up but idle so Stop's teardown is uniform.
-			for _, ln := range c.nodes {
-				ln.inbox = make(chan message, 256)
-				c.wg.Add(1)
-				go ln.runLegacy()
-			}
-			return c
-		}
-		for i := 0; i < c.workers; i++ {
-			c.wg.Add(1)
-			go c.worker()
 		}
 	}
 	if cfg.HbEvery > 0 {
 		for _, ln := range c.nodes {
 			// Stagger first beats so the cluster does not pulse in lockstep.
 			first := 1 + time.Duration(ln.rng.Int64N(int64(cfg.HbEvery)))
-			c.wheel.schedule(ln, message{kind: msgHbTick}, first, cfg.HbEvery)
+			c.sched.wheel.schedule(ln, message{kind: msgHbTick}, first, cfg.HbEvery)
 		}
 	}
 	return c
@@ -485,8 +410,8 @@ func (c *Cluster) admit(p, credits int) *liveNode {
 // Kill crashes process node (crash-stop: it stops beating, handling and
 // sending forever; queued and in-flight messages to it are discarded). It
 // returns the number of orphan subtrees the crash created — the number of
-// OnRepair callbacks that will eventually fire as each orphan reattaches or
-// gives up. Killing requires heartbeats (Config.HbEvery > 0); killing an
+// RepairConcluded events that will eventually fire as each orphan reattaches
+// or gives up. Killing requires heartbeats (Config.HbEvery > 0); killing an
 // already-dead process returns 0.
 func (c *Cluster) Kill(node int) int {
 	if c.cfg.HbEvery <= 0 {
@@ -513,8 +438,8 @@ func (c *Cluster) Kill(node int) int {
 
 // Drain blocks until the message-credit ledger is empty: every observation
 // fed so far, and the whole report cascade it triggered, has been handled.
-// Armed repair timers and pending batch-window flushes hold credits too, so
-// after the survivors have begun a reattachment Drain also covers its
+// Armed repair timers and reports buffered for a drain-end flush hold credits
+// too, so after the survivors have begun a reattachment Drain also covers its
 // conclusion. It does not stop anything; Observe may be called again
 // afterwards.
 func (c *Cluster) Drain() {
@@ -535,9 +460,10 @@ func (c *Cluster) Drain() {
 // every message acquires its credit under mu before it is sent — timers at
 // arm time — a drained ledger means no credited delivery can be
 // outstanding, so moving to stopped and cancelling the wheel (teardown)
-// cannot lose work. The wheel's surviving entries are the uncredited
-// heartbeat ticks; they are discarded, the workers take their stop
-// sentinels, and nothing is left sleeping or running when Stop returns.
+// cannot lose work. The wheel's surviving entries of this cluster are the
+// uncredited heartbeat ticks; they are discarded, the seat waits out the
+// drains still on workers, and nothing of the cluster is left sleeping or
+// running when Stop returns.
 //
 // Stop is the original teardown entry point, kept as a compatibility alias:
 // it is exactly Close followed by Detections, except that stopping an
@@ -643,36 +569,7 @@ func (c *Cluster) quiesceLocked(ctx context.Context) bool {
 // nothing can be lost from here) and returns the final sorted detection
 // list, also stashing it for Detections.
 func (c *Cluster) teardown() []Detection {
-	if c.shared != nil {
-		// Shared substrate: the wheel and pools belong to the substrate and
-		// keep running for the other clusters. cancel removes this cluster's
-		// remaining (uncredited, recurring) wheel entries, and detach waits
-		// until no shared worker is still inside one of its drains — the
-		// role the sentinel/WaitGroup protocol plays in private mode.
-		c.wheel.cancel(c)
-		c.shared.detach(c.seat)
-	} else {
-		// Order matters: the wheel must be fully gone before the stop
-		// sentinels go out, because an advancing wheel pushes nodes onto the
-		// run queue.
-		c.wheel.stop()
-		<-c.wheel.done
-		if c.cfg.LegacyDelivery {
-			// Seed teardown: the drained ledger means no send can be in
-			// flight, so closing the inboxes cannot race one.
-			for _, ln := range c.nodes {
-				close(ln.inbox)
-			}
-		} else {
-			for i := 0; i < c.workers; i++ {
-				c.runq <- nil
-			}
-		}
-		c.wg.Wait()
-		// With the delivery workers gone no detection can be in flight, so
-		// the comparison pool can be torn down without a round mid-fanout.
-		c.detectPool.Close()
-	}
+	c.leaveSched()
 	if c.remote {
 		// Incoming frames have been dropped (not credited) since the state
 		// reached stopped; Close additionally waits out any receive callback
@@ -691,6 +588,20 @@ func (c *Cluster) teardown() []Detection {
 	c.final = out
 	c.mu.Unlock()
 	return out
+}
+
+// leaveSched gives the cluster's seat up. The wheel and the pools belong to
+// the substrate and may be serving other clusters: cancel removes this
+// cluster's remaining (uncredited, recurring) wheel entries, and detach
+// returns once no worker is still inside one of its drains, so no detection
+// can be in flight afterwards. A substrate New built for this cluster has no
+// other seat and closes with it.
+func (c *Cluster) leaveSched() {
+	c.sched.wheel.cancel(c)
+	c.sched.detach(c.seat)
+	if c.cfg.Scheduler == nil {
+		c.sched.Close()
+	}
 }
 
 // sortDetections orders dets by node id, then by Agg.Seq, keeping the
@@ -749,16 +660,17 @@ func (c *Cluster) Detections() []Detection {
 }
 
 // Workers returns the size of the worker pool draining this cluster's
-// mailbox shards — the private pool's size, or the shared substrate's when
-// the cluster rides one.
-func (c *Cluster) Workers() int { return c.workers }
+// mailbox shards.
+func (c *Cluster) Workers() int { return c.sched.workers }
 
 // MailboxBound returns the per-node mailbox bound applied to external
 // producers.
 func (c *Cluster) MailboxBound() int { return c.bound }
 
-// Shared reports whether the cluster rides a shared scheduler substrate.
-func (c *Cluster) Shared() bool { return c.shared != nil }
+// Shared reports whether the cluster sits on a substrate the caller supplied
+// (Config.Scheduler), possibly next to other clusters, rather than on one of
+// its own.
+func (c *Cluster) Shared() bool { return c.cfg.Scheduler != nil }
 
 // Failed returns the processes killed so far, ascending.
 func (c *Cluster) Failed() []int {
@@ -783,9 +695,7 @@ func (c *Cluster) Repairs() []RepairEvent {
 // pending credit first. During stopping the internal cascade is still
 // allowed — Stop drains it; only after stopped (ledger empty, so nothing can
 // legally be in flight) is the message dropped. Zero-delay messages enqueue
-// directly; delayed ones ride the wheel — or, under LegacyDelivery, a fresh
-// sleeping goroutine, the seed behaviour the scale benchmarks baseline
-// against.
+// directly; delayed ones ride the wheel.
 func (c *Cluster) post(to int, msg message, delay time.Duration) {
 	dst, ok := c.nodes[to]
 	if !ok {
@@ -798,27 +708,11 @@ func (c *Cluster) post(to int, msg message, delay time.Duration) {
 	}
 	c.pending++
 	c.mu.Unlock()
-	switch {
-	case delay <= 0:
+	if delay <= 0 {
 		c.enqueue(dst, msg, false)
-	case c.cfg.LegacyDelivery:
-		// Kept out of line: a closure here would capture msg and force every
-		// zero-delay post — the hot path — to heap-allocate the message.
-		c.postLegacy(dst, msg, delay)
-	default:
-		c.wheel.schedule(dst, msg, delay, 0)
+	} else {
+		c.sched.wheel.schedule(dst, msg, delay, 0)
 	}
-}
-
-// postLegacy delivers a delayed message the seed way: a fresh sleeping
-// goroutine per message.
-//
-//go:noinline
-func (c *Cluster) postLegacy(dst *liveNode, msg message, delay time.Duration) {
-	go func() {
-		time.Sleep(delay)
-		c.enqueue(dst, msg, false)
-	}()
 }
 
 // armTimer schedules a timer message, taking its pending credit at arm time:
@@ -832,20 +726,15 @@ func (c *Cluster) armTimer(ln *liveNode, d time.Duration, msg message) {
 	}
 	c.pending++
 	c.mu.Unlock()
-	if c.cfg.LegacyDelivery {
-		c.armLegacy(ln, d, msg)
-		return
-	}
-	c.wheel.schedule(ln, msg, d, 0)
+	c.sched.wheel.schedule(ln, msg, d, 0)
 }
 
 // takeFlushCredit reserves one ledger credit for an AdaptiveFlush drain-end
-// flush — armTimer's role for the batch-window timer, without a timer. A
-// buffered report must keep the ledger non-zero until its flush, or Drain and
-// Stop could observe quiescence with reports still sitting in outBuf. The
-// credit is released by runNode after the flush runs (or after the buffer is
-// discarded because the node went down). Returns false after stopped, when
-// nothing may enter the ledger anymore.
+// flush. A buffered report must keep the ledger non-zero until its flush, or
+// Drain and Stop could observe quiescence with reports still sitting in
+// outBuf. The credit is released by runNode after the flush runs (or after
+// the buffer is discarded because the node went down). Returns false after
+// stopped, when nothing may enter the ledger anymore.
 func (c *Cluster) takeFlushCredit() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -854,14 +743,6 @@ func (c *Cluster) takeFlushCredit() bool {
 	}
 	c.pending++
 	return true
-}
-
-// armLegacy is postLegacy's timer twin, out of line for the same reason: the
-// AfterFunc closure must not make wheel-mode armTimer heap-allocate msg.
-//
-//go:noinline
-func (c *Cluster) armLegacy(ln *liveNode, d time.Duration, msg message) {
-	time.AfterFunc(d, func() { c.enqueue(ln, msg, false) })
 }
 
 // done returns one message's credit to the ledger.
@@ -882,21 +763,15 @@ func (c *Cluster) record(d Detection) {
 	c.mu.Unlock()
 	c.emitEvent(obsv.Event{Kind: obsv.SolutionFound, Node: d.Node, Peer: obsv.NoPeer,
 		Seq: d.Det.Agg.Seq, Count: 1, AtRoot: d.AtRoot, Agg: d.Det.Agg, Set: d.Det.Set})
-	if c.cfg.OnDetect != nil {
-		c.cfg.OnDetect(d)
-	}
 }
 
-// notifyRepair records a concluded reattachment and runs the user callback
-// outside the cluster lock.
+// notifyRepair records a concluded reattachment and tells the sink, outside
+// the cluster lock.
 func (c *Cluster) notifyRepair(orphan, newParent int) {
 	c.mu.Lock()
 	c.repairs = append(c.repairs, RepairEvent{Orphan: orphan, NewParent: newParent})
 	c.mu.Unlock()
 	c.emitEvent(obsv.Event{Kind: obsv.RepairConcluded, Node: orphan, Peer: newParent, Count: 1})
-	if c.cfg.OnRepair != nil {
-		c.cfg.OnRepair(orphan, newParent)
-	}
 }
 
 // send routes a message: through the in-process mailbox when this cluster

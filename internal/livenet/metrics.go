@@ -66,8 +66,8 @@ type Metrics struct {
 	// BadFrames counts transport frames addressed to this node that failed
 	// wire decoding and were dropped (distributed mode only).
 	BadFrames int `json:"badFrames"`
-	// BatchFlushes counts batch-window flushes this node sent its parent
-	// (Config.BatchWindow > 0 only); MsgsOut counts each flush as one
+	// BatchFlushes counts drain-end flushes this node sent its parent
+	// (Config.AdaptiveFlush only); MsgsOut counts each flush as one
 	// message, so reports-per-flush is the coalescing win.
 	BatchFlushes int `json:"batchFlushes"`
 	// MailboxDepth is the node's current mailbox shard depth;
@@ -292,7 +292,7 @@ type ClusterMetrics struct {
 func (c *Cluster) ClusterMetrics() ClusterMetrics {
 	out := ClusterMetrics{
 		Nodes:   len(c.nodes),
-		Workers: c.workers,
+		Workers: c.sched.workers,
 	}
 	for _, ln := range c.nodes {
 		m := ln.snapshotMetrics()
@@ -336,11 +336,11 @@ func (c *Cluster) ClusterMetrics() ClusterMetrics {
 		out.DetectTasks = p.Tasks()
 	}
 	out.WorkersBusy = int(c.busyWorkers.Load())
-	out.RunqDepth = c.sched.depth()
+	out.RunqDepth = c.seat.depth()
 	out.Drains = c.drains.Load()
 	out.MessagesDrained = c.drained.Load()
-	out.WheelEntries = c.wheel.entries()
-	out.WheelLagNanos = c.wheel.lagNanos.Load()
+	out.WheelEntries = c.sched.wheel.entries()
+	out.WheelLagNanos = c.sched.wheel.lagNanos.Load()
 	c.mu.Lock()
 	out.PendingCredits = c.pending
 	out.KilledProcesses = len(c.killed)
@@ -437,7 +437,7 @@ func (c *Cluster) registerFamilies() {
 		func(ln *liveNode) float64 { return float64(ln.m.heartbeats.Load()) })
 	perNode("hierdet_node_bad_frames_total", "Transport frames that failed wire decoding.", obsv.KindCounter,
 		func(ln *liveNode) float64 { return float64(ln.m.badFrames.Load()) })
-	perNode("hierdet_node_batch_flushes_total", "Batch-window flushes sent to the parent.", obsv.KindCounter,
+	perNode("hierdet_node_batch_flushes_total", "Coalesced report flushes sent to the parent.", obsv.KindCounter,
 		func(ln *liveNode) float64 { return float64(ln.m.batchFlushes.Load()) })
 	perNode("hierdet_node_reseq_buffered", "Reports held back by resequencers awaiting a gap.", obsv.KindGauge,
 		func(ln *liveNode) float64 { return float64(ln.m.reseqBuffered.Load()) })
@@ -470,12 +470,12 @@ func (c *Cluster) registerFamilies() {
 
 	// Scheduler plane: pool size and bound are fixed gauges; occupancy and
 	// throughput are func-backed reads of the pool's atomics.
-	c.reg.Gauge("hierdet_sched_workers", "Size of the worker pool draining the mailbox shards.").Set(float64(c.workers))
+	c.reg.Gauge("hierdet_sched_workers", "Size of the worker pool draining the mailbox shards.").Set(float64(c.sched.workers))
 	c.reg.Gauge("hierdet_sched_mailbox_bound", "Mailbox bound applied to external producers.").Set(float64(c.bound))
 	c.reg.Func("hierdet_sched_workers_busy", "Workers currently draining a shard (utilization = busy/workers).",
 		obsv.KindGauge, nil, func(emit func(float64, ...string)) { emit(float64(c.busyWorkers.Load())) })
 	c.reg.Func("hierdet_sched_runq_depth", "Nodes queued for a worker.",
-		obsv.KindGauge, nil, func(emit func(float64, ...string)) { emit(float64(c.sched.depth())) })
+		obsv.KindGauge, nil, func(emit func(float64, ...string)) { emit(float64(c.seat.depth())) })
 	c.reg.Func("hierdet_sched_drains_total", "Mailbox shard drains executed by the pool.",
 		obsv.KindCounter, nil, func(emit func(float64, ...string)) { emit(float64(c.drains.Load())) })
 	c.reg.Func("hierdet_sched_messages_handled_total", "Messages handled across all shard drains.",
@@ -493,15 +493,15 @@ func (c *Cluster) registerFamilies() {
 
 	// Timer wheel: lag is how far behind its deadline the last advance ran
 	// — the single number that says whether delayed delivery is keeping up.
-	c.reg.Gauge("hierdet_wheel_tick_seconds", "The wheel's quantization tick.").Set(c.wheel.tick.Seconds())
+	c.reg.Gauge("hierdet_wheel_tick_seconds", "The wheel's quantization tick.").Set(c.sched.wheel.tick.Seconds())
 	c.reg.Func("hierdet_wheel_lag_seconds", "How far past its deadline the last wheel advance ran.",
 		obsv.KindGauge, nil, func(emit func(float64, ...string)) {
-			emit(float64(c.wheel.lagNanos.Load()) / 1e9)
+			emit(float64(c.sched.wheel.lagNanos.Load()) / 1e9)
 		})
 	c.reg.Func("hierdet_wheel_entries", "Timer entries currently queued on the wheel.",
-		obsv.KindGauge, nil, func(emit func(float64, ...string)) { emit(float64(c.wheel.entries())) })
+		obsv.KindGauge, nil, func(emit func(float64, ...string)) { emit(float64(c.sched.wheel.entries())) })
 	c.reg.Func("hierdet_wheel_ticks_total", "Wheel slots expired (occupied ones; empty slots are slept or stepped over).",
-		obsv.KindCounter, nil, func(emit func(float64, ...string)) { emit(float64(c.wheel.ticksTotal.Load())) })
+		obsv.KindCounter, nil, func(emit func(float64, ...string)) { emit(float64(c.sched.wheel.ticksTotal.Load())) })
 
 	// Lifecycle ledger.
 	c.reg.Gauge("hierdet_cluster_nodes", "Detector nodes hosted by this cluster.").Set(float64(len(c.nodes)))

@@ -38,35 +38,25 @@ func (l *eventLog) ofKind(k obsv.EventKind) []obsv.Event {
 	return out
 }
 
-// TestEventsSubsumeCallbacks runs one failover workload with the deprecated
-// OnDetect/OnRepair callbacks AND the Events sink installed, and checks the
-// stream carries everything the callbacks saw: one SolutionFound per
-// OnDetect with the same node, root flag and aggregate; one RepairConcluded
-// per OnRepair with the same orphan and adopter.
-func TestEventsSubsumeCallbacks(t *testing.T) {
+// TestEventsMatchResults runs one failover workload with the Events sink
+// installed and checks the stream carries everything the cluster hands back
+// at the end: one SolutionFound per detection Stop returns, with the same
+// node, root flag and aggregate; one RepairConcluded per Repairs entry, with
+// the same orphan and adopter.
+func TestEventsMatchResults(t *testing.T) {
 	const phase1, phase2, victim = 6, 6, 1
 	topo := tree.Balanced(2, 2)
 	e := workload.Generate(workload.Config{Topology: topo, Rounds: phase1 + phase2, Seed: 8, PGlobal: 1})
 
 	var log eventLog
-	var cbMu sync.Mutex
-	var cbDets []Detection
-	var cbRepairs []RepairEvent
 	repaired := make(chan int, 8)
+	repairs := testSink(nil, repaired)
 	c := New(Config{
 		Topology: topo, Seed: 13, Strict: true, KeepMembers: true,
 		HbEvery: 300 * time.Microsecond,
-		Events:  log.sink,
-		OnDetect: func(d Detection) {
-			cbMu.Lock()
-			cbDets = append(cbDets, d)
-			cbMu.Unlock()
-		},
-		OnRepair: func(orphan, newParent int) {
-			cbMu.Lock()
-			cbRepairs = append(cbRepairs, RepairEvent{Orphan: orphan, NewParent: newParent})
-			cbMu.Unlock()
-			repaired <- orphan
+		Events: func(e obsv.Event) {
+			log.sink(e)
+			repairs(e)
 		},
 	})
 	feedRange(c, e, 0, phase1)
@@ -75,11 +65,12 @@ func TestEventsSubsumeCallbacks(t *testing.T) {
 	awaitRepairs(t, repaired, orphans)
 	c.Drain()
 	feedRange(c, e, phase1, phase1+phase2)
-	c.Stop()
+	dets := c.Stop()
+	concluded := c.Repairs()
 
 	found := log.ofKind(obsv.SolutionFound)
-	if len(found) != len(cbDets) {
-		t.Fatalf("SolutionFound events = %d, OnDetect calls = %d", len(found), len(cbDets))
+	if len(found) != len(dets) {
+		t.Fatalf("SolutionFound events = %d, detections = %d", len(found), len(dets))
 	}
 	// Both are appended from the same worker call sites, so they pair up in
 	// order for a single-node view; across nodes order can differ, so match
@@ -89,13 +80,13 @@ func TestEventsSubsumeCallbacks(t *testing.T) {
 		atRoot          bool
 	}
 	count := map[detKey]int{}
-	for _, d := range cbDets {
+	for _, d := range dets {
 		count[detKey{d.Node, d.Det.Agg.Seq, len(d.Det.Agg.Span), d.AtRoot}]++
 	}
 	for _, ev := range found {
 		k := detKey{ev.Node, ev.Agg.Seq, len(ev.Agg.Span), ev.AtRoot}
 		if count[k] == 0 {
-			t.Fatalf("SolutionFound %+v has no matching OnDetect call", k)
+			t.Fatalf("SolutionFound %+v has no matching detection", k)
 		}
 		count[k]--
 		if ev.Seq != ev.Agg.Seq || ev.Count != 1 || ev.Peer != obsv.NoPeer {
@@ -107,17 +98,17 @@ func TestEventsSubsumeCallbacks(t *testing.T) {
 	}
 
 	reps := log.ofKind(obsv.RepairConcluded)
-	if len(reps) != len(cbRepairs) {
-		t.Fatalf("RepairConcluded events = %d, OnRepair calls = %d", len(reps), len(cbRepairs))
+	if len(reps) != len(concluded) {
+		t.Fatalf("RepairConcluded events = %d, Repairs entries = %d", len(reps), len(concluded))
 	}
 	repCount := map[RepairEvent]int{}
-	for _, r := range cbRepairs {
+	for _, r := range concluded {
 		repCount[r]++
 	}
 	for _, ev := range reps {
 		r := RepairEvent{Orphan: ev.Node, NewParent: ev.Peer}
 		if repCount[r] == 0 {
-			t.Fatalf("RepairConcluded %+v has no matching OnRepair call", r)
+			t.Fatalf("RepairConcluded %+v has no matching Repairs entry", r)
 		}
 		repCount[r]--
 	}
@@ -189,8 +180,8 @@ func TestMetricsSnapshotsDuringFailover(t *testing.T) {
 	repaired := make(chan int, 8)
 	c := New(Config{
 		Topology: topo, Seed: 31, Strict: true, KeepMembers: true,
-		HbEvery:  300 * time.Microsecond,
-		OnRepair: func(orphan, newParent int) { repaired <- orphan },
+		HbEvery: 300 * time.Microsecond,
+		Events:  testSink(nil, repaired),
 	})
 
 	stop := make(chan struct{})
@@ -327,7 +318,7 @@ func TestClusterMetricsJSONStable(t *testing.T) {
 func TestPrometheusExpositionCoversPlanes(t *testing.T) {
 	topo := tree.Balanced(2, 2)
 	e := workload.Generate(workload.Config{Topology: topo, Rounds: 8, Seed: 3, PGlobal: 1})
-	c := New(Config{Topology: topo, Seed: 12, BatchWindow: 200 * time.Microsecond})
+	c := New(Config{Topology: topo, Seed: 12, AdaptiveFlush: true})
 	feed(c, e, topo)
 	c.Stop()
 
@@ -341,6 +332,7 @@ func TestPrometheusExpositionCoversPlanes(t *testing.T) {
 		"# TYPE hierdet_node_intervals_in_total counter",
 		"# TYPE hierdet_node_mailbox_depth gauge",
 		`hierdet_node_detections_total{node="0"}`,
+		"# TYPE hierdet_node_batch_flushes_total counter",
 		"# TYPE hierdet_sched_workers gauge",
 		"hierdet_sched_drains_total",
 		"hierdet_sched_drain_batch_size_bucket",

@@ -2,15 +2,16 @@ package livenet
 
 import "sync"
 
-// sched.go — the delivery plane's mailbox shards and worker pool.
+// sched.go — the delivery plane's mailbox shards and their drain.
 //
 // Every node owns one bounded mailbox shard: a mutex-guarded slice the
 // producers append to and a worker drains in one swap. A node is "scheduled"
-// while its shard is non-empty and at most one worker runs a node at a time,
-// so all per-node detector state stays single-writer exactly as it was when
-// each node had its own goroutine — but the steady-state goroutine count is
-// now the worker pool plus the timer wheel, independent of both p and the
-// number of in-flight messages.
+// — queued under its cluster's seat on the substrate (shared.go) — while its
+// shard is non-empty, and at most one worker runs a node at a time, so all
+// per-node detector state stays single-writer as if each node had its own
+// goroutine — but the steady-state goroutine count is the substrate's worker
+// pool plus the timer wheel, independent of both p and the number of
+// in-flight messages.
 //
 // Backpressure is asymmetric on purpose. External producers (Observe,
 // ObserveBatch) block while the destination shard is at its bound — the
@@ -19,23 +20,6 @@ import "sync"
 // a sibling's full shard could deadlock the pool, and cascade volume is
 // bounded by the detection math (each accepted interval triggers a bounded
 // report cascade), so the shards stay near the bound even under stress.
-
-// runQueue is where enqueue puts a newly scheduled node for a worker to
-// pick up. A standalone cluster's queue is its private channel drained by
-// its private pool (chanQueue, exactly the pre-substrate behaviour); a
-// cluster on a shared scheduler submits into the substrate's deficit-
-// round-robin queue instead (schedClient in shared.go).
-type runQueue interface {
-	submit(ln *liveNode)
-	depth() int
-}
-
-// chanQueue is the private run queue: the cluster-owned channel its own
-// worker pool ranges over.
-type chanQueue struct{ ch chan *liveNode }
-
-func (q chanQueue) submit(ln *liveNode) { q.ch <- ln }
-func (q chanQueue) depth() int          { return len(q.ch) }
 
 // mailbox is one node's delivery shard.
 type mailbox struct {
@@ -49,15 +33,9 @@ type mailbox struct {
 
 func (mb *mailbox) init() { mb.notFull.L = &mb.mu }
 
-// enqueue appends msg to ln's shard and schedules the node on the run queue
-// if it was idle. external marks producer traffic subject to the bound.
+// enqueue appends msg to ln's shard and queues the node under the cluster's
+// seat if it was idle. external marks producer traffic subject to the bound.
 func (c *Cluster) enqueue(ln *liveNode, msg message, external bool) {
-	if c.cfg.LegacyDelivery {
-		// The seed's channel send: per-message handoff to the node goroutine,
-		// backpressure from the channel capacity.
-		ln.inbox <- msg
-		return
-	}
 	mb := &ln.mb
 	mb.mu.Lock()
 	if external {
@@ -73,30 +51,16 @@ func (c *Cluster) enqueue(ln *liveNode, msg message, external bool) {
 	mb.scheduled = true
 	mb.mu.Unlock()
 	if schedule {
-		c.sched.submit(ln)
+		c.seat.submit(ln)
 	}
 }
 
-// worker is one pool goroutine: pop a scheduled node, drain its shard once,
-// re-queue it if producers kept it non-empty. One drain per pop keeps the
-// pool fair across nodes while still handing the detector whole batches. A
-// nil pop is Stop's sentinel: the queue is never closed (late requeues must
-// stay legal), each worker instead consumes exactly one sentinel and exits.
-func (c *Cluster) worker() {
-	defer c.wg.Done()
-	for ln := range c.runq {
-		if ln == nil {
-			return
-		}
-		c.runNode(ln)
-	}
-}
-
-// runNode drains one swap of ln's mailbox, returning the number of messages
-// handled (the shared substrate charges the drain against the cluster's
-// round-robin deficit). The scheduled flag stays set from the pop until the
-// shard is observed empty, so no second worker can claim the node
-// concurrently.
+// runNode drains one swap of ln's mailbox — one drain per pop keeps the pool
+// fair across nodes while still handing the detector whole batches —
+// returning the number of messages handled (the substrate charges the drain
+// against the cluster's round-robin deficit). The scheduled flag stays set
+// from the pop until the shard is observed empty, so no second worker can
+// claim the node concurrently.
 func (c *Cluster) runNode(ln *liveNode) int {
 	c.busyWorkers.Add(1)
 	defer c.busyWorkers.Add(-1)
@@ -155,15 +119,14 @@ func (c *Cluster) runNode(ln *liveNode) int {
 	}
 	mb.mu.Unlock()
 	if requeue {
-		c.sched.submit(ln)
+		c.seat.submit(ln)
 	}
 	return len(batch)
 }
 
 // creditedKind reports whether a message kind holds a ledger credit. Only
 // heartbeat ticks are uncredited: they are periodic background work that
-// must not keep an idle cluster from stopping (the seed runtime used a
-// per-node ticker for the same reason).
+// must not keep an idle cluster from stopping.
 func creditedKind(k msgKind) bool { return k != msgHbTick }
 
 // depths reads the shard's current depth and its high-water mark.

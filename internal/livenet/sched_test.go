@@ -111,47 +111,9 @@ func TestSteadyStateGoroutinesBounded(t *testing.T) {
 
 	// Pool + wheel + 127 feeder goroutines + the sampler + slack. The point
 	// is the order of magnitude: tens, not thousands.
-	budget := base + c.workers + 1 + topo.N() + 1 + 16
+	budget := base + c.Workers() + 1 + topo.N() + 1 + 16
 	if peak > budget {
 		t.Fatalf("peak goroutines = %d, budget %d (delivery plane must not scale with in-flight messages)", peak, budget)
-	}
-}
-
-// TestBatchWindowMatchesUnbatched: batch-window coalescing may delay reports
-// but must not change what is detected. Verify against the unbatched run on
-// the same workload, and confirm coalescing actually happened.
-func TestBatchWindowMatchesUnbatched(t *testing.T) {
-	topo := tree.Balanced(2, 2)
-	e := workload.Generate(workload.Config{Topology: topo, Rounds: 12, Seed: 4, PGlobal: 1})
-
-	run := func(window time.Duration) (map[int]int, map[int]Metrics) {
-		c := New(Config{Topology: topo, Seed: 6, Strict: true, KeepMembers: true, BatchWindow: window})
-		feed(c, e, topo)
-		dets := c.Stop()
-		perNode := map[int]int{}
-		for _, d := range dets {
-			perNode[d.Node]++
-		}
-		return perNode, c.Metrics()
-	}
-
-	plain, _ := run(0)
-	batched, m := run(300 * time.Microsecond)
-	for node, want := range plain {
-		if batched[node] != want {
-			t.Errorf("node %d: batched %d detections, unbatched %d", node, batched[node], want)
-		}
-	}
-	flushes, out := 0, 0
-	for _, nm := range m {
-		flushes += nm.BatchFlushes
-		out += nm.MsgsOut
-	}
-	if flushes == 0 {
-		t.Fatal("BatchWindow run recorded no batch flushes")
-	}
-	if out > flushes {
-		t.Fatalf("MsgsOut = %d > BatchFlushes = %d: non-root reports bypassed the window", out, flushes)
 	}
 }
 
@@ -233,25 +195,6 @@ func TestObserveBatchMatchesObserve(t *testing.T) {
 		if one[node] != many[node] {
 			t.Errorf("node %d: ObserveBatch %d detections, Observe %d", node, many[node], one[node])
 		}
-	}
-}
-
-// TestLegacyDeliveryStillCorrect keeps the benchmark baseline honest: the
-// goroutine-per-message path must remain semantically identical to the
-// wheel, or scale comparisons against it measure a broken runtime.
-func TestLegacyDeliveryStillCorrect(t *testing.T) {
-	topo := tree.Balanced(2, 2)
-	e := workload.Generate(workload.Config{Topology: topo, Rounds: 10, Seed: 5, PGlobal: 1})
-	c := New(Config{Topology: topo, Seed: 4, Strict: true, KeepMembers: true, LegacyDelivery: true})
-	feed(c, e, topo)
-	roots := 0
-	for _, d := range c.Stop() {
-		if d.AtRoot {
-			roots++
-		}
-	}
-	if roots != 10 {
-		t.Fatalf("root detections = %d, want 10", roots)
 	}
 }
 

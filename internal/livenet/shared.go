@@ -10,11 +10,12 @@ import (
 	"hierdet/internal/vclock"
 )
 
-// shared.go — the shared scheduler substrate. One worker pool, one timer
-// wheel, one comparison pool and one clock arena serve any number of
-// clusters, so a tenant plane's steady-state goroutine count is the pool
-// plus the wheel — independent of the tenant count, the same collapse the
-// sharded delivery plane performed for the process count inside one cluster.
+// shared.go — the scheduler substrate. One worker pool, one timer wheel, one
+// comparison pool and one clock arena serve any number of clusters — one, for
+// a standalone cluster, which builds its own (see New) — so a tenant plane's
+// steady-state goroutine count is the pool plus the wheel, independent of the
+// tenant count: the same collapse the mailbox shards perform for the process
+// count inside one cluster.
 //
 // Fairness is deficit round robin over clusters: each cluster with scheduled
 // nodes is one client on an active ring, a worker serves the ring head while
@@ -22,15 +23,15 @@ import (
 // each drain's message count is charged against the deficit. A hot tenant
 // flooding its mailboxes therefore costs a quiet tenant at most one ring
 // rotation of latency, not a starvation wait behind the hot tenant's entire
-// backlog — the multiplexed analogue of the per-cluster pool the clusters
-// gave up.
+// backlog. With a single seat the ring has one member and the discipline is
+// plain FIFO over that cluster's scheduled nodes.
 
 // SharedSchedulerConfig parameterizes a substrate.
 type SharedSchedulerConfig struct {
 	// Workers sizes the shared worker pool (default GOMAXPROCS).
 	Workers int
-	// Tick is the shared wheel's tick, clamped to [20µs, 1ms] (default 25µs
-	// — the tick a standalone cluster derives from the default MaxDelay).
+	// Tick is the wheel's tick, clamped to [20µs, 1ms] (default 25µs — an
+	// eighth of the default Config.MaxDelay).
 	// Delays are rounded up to it; how closely deliveries then follow it is
 	// the platform's doing (see Config.MaxDelay).
 	Tick time.Duration
@@ -67,9 +68,8 @@ type SharedScheduler struct {
 }
 
 // schedClient is one cluster's seat on the substrate: its FIFO of scheduled
-// nodes and its round-robin deficit. It implements runQueue, so a cluster
-// submits into it exactly where a standalone cluster submits into its
-// private channel. All fields are guarded by the scheduler's mutex.
+// nodes and its round-robin deficit. All fields are guarded by the
+// scheduler's mutex.
 type schedClient struct {
 	s       *SharedScheduler
 	nodes   []*liveNode
@@ -267,16 +267,6 @@ func (s *SharedScheduler) worker() {
 		s.busy.Add(-1)
 		s.charge(cl, msgs)
 	}
-}
-
-// clockArena is the chunk arena newLiveNode threads into core.Config: the
-// substrate's shared slabs when the cluster rides one, nil (per-store chunks)
-// otherwise.
-func (c *Cluster) clockArena() *vclock.Arena {
-	if c.shared != nil {
-		return c.shared.arena
-	}
-	return nil
 }
 
 // Close tears the substrate down: the wheel goroutine, then the workers,

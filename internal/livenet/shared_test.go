@@ -9,16 +9,19 @@ import (
 	"hierdet/internal/workload"
 )
 
-// TestSharedSchedulerParity: a cluster riding the shared substrate must
+// TestSharedSchedulerParity: a cluster seated on a caller's substrate must
 // detect exactly what a standalone cluster detects on the same workload —
-// the substrate changes who drains the mailboxes and carries the timers,
-// never what the detectors compute.
+// whose substrate it is changes who closes it, never what the detectors
+// compute — and Shared tells the two apart.
 func TestSharedSchedulerParity(t *testing.T) {
 	topo := tree.Balanced(2, 3)
 	e := workload.Generate(workload.Config{Topology: topo, Rounds: 12, Seed: 21, PGlobal: 1})
 
 	run := func(s *SharedScheduler) int {
 		c := New(Config{Topology: topo, Seed: 4, Strict: true, KeepMembers: true, Scheduler: s})
+		if c.Shared() != (s != nil) {
+			t.Fatalf("Shared() = %v with Config.Scheduler %v", c.Shared(), s)
+		}
 		feed(c, e, topo)
 		roots := 0
 		for _, d := range c.Stop() {
@@ -29,12 +32,12 @@ func TestSharedSchedulerParity(t *testing.T) {
 		return roots
 	}
 
-	private := run(nil)
+	standalone := run(nil)
 	s := NewSharedScheduler(SharedSchedulerConfig{})
 	defer s.Close()
 	shared := run(s)
-	if private != 12 || shared != 12 {
-		t.Fatalf("root detections: private=%d shared=%d, want 12 both", private, shared)
+	if standalone != 12 || shared != 12 {
+		t.Fatalf("root detections: standalone=%d shared=%d, want 12 both", standalone, shared)
 	}
 }
 
@@ -116,7 +119,7 @@ func TestSharedSchedulerStopIsolation(t *testing.T) {
 
 // TestSharedSchedulerFailover: the §III-F repair protocol — heartbeat ticks,
 // suspicion, seek timeouts — runs entirely on the shared wheel, so a crash
-// under the substrate must repair exactly as it does on a private plane.
+// under a caller's substrate must repair exactly as it does standalone.
 func TestSharedSchedulerFailover(t *testing.T) {
 	s := NewSharedScheduler(SharedSchedulerConfig{})
 	defer s.Close()
@@ -124,7 +127,7 @@ func TestSharedSchedulerFailover(t *testing.T) {
 	repaired := make(chan int, 8)
 	c := New(Config{Topology: topo, Seed: 3, Strict: true, KeepMembers: true,
 		Scheduler: s, HbEvery: 200 * time.Microsecond,
-		OnRepair: func(orphan, newParent int) { repaired <- orphan }})
+		Events: testSink(nil, repaired)})
 	orphans := c.Kill(1)
 	if orphans != 2 {
 		t.Fatalf("Kill(1) orphans = %d, want 2", orphans)
@@ -147,17 +150,4 @@ func TestSharedSchedulerFailover(t *testing.T) {
 			t.Fatalf("orphan %d partitioned; want reattachment", r.Orphan)
 		}
 	}
-}
-
-// TestSharedSchedulerRejectsLegacy: the seed delivery plane cannot ride the
-// substrate — it has no mailbox shards to drain.
-func TestSharedSchedulerRejectsLegacy(t *testing.T) {
-	s := NewSharedScheduler(SharedSchedulerConfig{})
-	defer s.Close()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Scheduler+LegacyDelivery did not panic")
-		}
-	}()
-	New(Config{Topology: tree.Balanced(2, 1), Scheduler: s, LegacyDelivery: true})
 }

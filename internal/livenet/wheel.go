@@ -8,18 +8,16 @@ import (
 )
 
 // wheel is a hashed timer wheel: every delayed message, repair timeout and
-// heartbeat tick it carries is one entry in one ring driven by one goroutine.
-// The seed design slept a fresh goroutine per delayed message and armed a
-// time.AfterFunc per repair timer, so the goroutine count scaled with the
-// number of in-flight messages; the wheel caps the delivery plane at a single
-// goroutine regardless of load, which is what lets the scale benchmarks run
-// p ≥ 512 trees without drowning the scheduler.
+// heartbeat tick it carries is one entry in one ring driven by one goroutine,
+// so the timer side of the delivery plane costs a single goroutine regardless
+// of load — which is what lets the scale benchmarks run p ≥ 512 trees
+// without drowning the scheduler.
 //
-// A wheel is not tied to one cluster: each entry remembers its node, and a
-// node knows its cluster, so one wheel can serve a whole tenant plane (the
-// shared scheduler substrate) exactly as it serves a standalone cluster's
-// private instance. cancel(c) surgically removes one cluster's entries when
-// that cluster stops underneath a shared wheel that keeps running.
+// A wheel belongs to a scheduler substrate, not to a cluster: each entry
+// remembers its node, and a node knows its cluster, so one wheel serves a
+// whole tenant plane exactly as it serves a standalone cluster's one-seat
+// substrate. cancel(c) surgically removes one cluster's entries when that
+// cluster stops underneath a wheel that keeps running.
 //
 // Layout: a power-of-two ring of slots, each a linked list of entries. An
 // entry due in d is placed ceil(d/tick)-1 slots ahead of the cursor, with a
@@ -29,7 +27,7 @@ import (
 // re-arms recurring entries.
 //
 // Wake-ups follow due work, not elapsed ticks. Long timers (coarseTicks and
-// up: heartbeat ticks, seek timeouts, batch-window flushes) are rounded up
+// up: heartbeat ticks, seek timeouts) are rounded up
 // to a coarse boundary, so a cluster's worth of them shares a few slots; and
 // when the napMinTicks slots ahead of the cursor are all empty — nothing but
 // such timers pending — the goroutine naps to the next occupied slot in one
@@ -45,11 +43,10 @@ import (
 //
 // Lifecycle: entries that deliver credited messages hold their ledger credit
 // from insertion (the caller takes it) until the delivery is handled, so
-// Cluster.Stop's drain covers everything the wheel still owes. stop() — or,
-// for one cluster under a shared wheel, cancel(c) — runs after the drain: by
-// then only uncredited recurring entries (heartbeat ticks) remain, and they
-// are discarded without firing — the clean cancellation the seed's sleeping
-// goroutines could not offer.
+// Cluster.Stop's drain covers everything the wheel still owes. cancel(c) —
+// and, once every cluster has left, the substrate's stop() — runs after the
+// drain: by then only uncredited recurring entries (heartbeat ticks) remain,
+// and they are discarded without firing.
 type wheel struct {
 	tick time.Duration
 
@@ -237,9 +234,9 @@ func (w *wheel) releaseLocked(e *wheelEntry) {
 }
 
 // run is the wheel goroutine. It signals exit on its own done channel (not
-// any cluster's worker WaitGroup): Stop must know the wheel is fully gone
-// before it sends the workers their stop sentinels, because an advancing
-// wheel pushes nodes onto the run queue.
+// the worker pool's WaitGroup): SharedScheduler.Close waits for the wheel to
+// be fully gone before it waits for the workers, because an advancing wheel
+// pushes nodes onto the run queue.
 //
 // Every pass reads the clock afresh and either sleeps — then starts over,
 // trusting no sleep to have lasted as asked — or finds the cursor slot's
@@ -407,9 +404,8 @@ func (w *wheel) entries() int {
 	return w.count
 }
 
-// stop cancels the wheel. It runs after the owning cluster's ledger drained
-// (or, for a shared wheel, after every client cluster detached), so the
-// surviving entries are uncredited (recurring ticks); credited strays —
+// stop cancels the wheel. It runs after every client cluster detached, so
+// any surviving entries are uncredited (recurring ticks); credited strays —
 // impossible by the drain argument, but cheap to honor — have their credits
 // returned so no ledger accounting is ever lost.
 func (w *wheel) stop() {
@@ -417,10 +413,9 @@ func (w *wheel) stop() {
 	w.sleeper.interrupt()
 }
 
-// cancel removes every entry belonging to one cluster — the shared-wheel
-// counterpart of stop, run by Cluster.Stop after that cluster's ledger
-// drained while other clusters' timers keep running. Credited strays return
-// their credits, same argument as drain.
+// cancel removes every entry belonging to one cluster, run by that cluster's
+// teardown after its ledger drained while other clusters' timers keep
+// running. Credited strays return their credits, same argument as drain.
 func (w *wheel) cancel(c *Cluster) {
 	w.mu.Lock()
 	defer w.mu.Unlock()

@@ -12,23 +12,32 @@ import (
 	"hierdet/internal/tree"
 )
 
-// fireLog stands in for a cluster's run queue under a bare wheel: enqueue
-// calls submit on the wheel goroutine, inside the advance that fired the
-// entry, so the stamp taken here is the entry's fire time. The message's seq
-// names the entry.
+// fireLog records when a bare wheel fires its entries. The wheel delivers
+// into the mailbox of the log's one stub node, whose seat is dead (nothing
+// drains it), and calls collect through its lag hook — on the wheel
+// goroutine, at the end of the advance that fired the slot — so the stamp
+// taken there is the fire time of everything found in the mailbox. The
+// message's seq names the entry.
 type fireLog struct {
+	ln    *liveNode
 	mu    sync.Mutex
 	fires map[int][]time.Time
 	fired chan struct{} // one token per fire while there is room, for tests that wait on each
 }
 
+// newFireLog builds a log and its stub node: a node of a cluster that has
+// nothing but a mailbox, enough for the wheel to deliver to.
 func newFireLog() *fireLog {
-	return &fireLog{fires: make(map[int][]time.Time), fired: make(chan struct{}, 1<<16)}
+	c := &Cluster{bound: 1 << 30, seat: &schedClient{s: &SharedScheduler{}, dead: true}}
+	c.cond = sync.NewCond(&c.mu)
+	ln := &liveNode{c: c}
+	ln.mb.init()
+	return &fireLog{ln: ln, fires: make(map[int][]time.Time), fired: make(chan struct{}, 1<<16)}
 }
 
-func (q *fireLog) submit(ln *liveNode) {
+func (q *fireLog) collect() {
 	at := time.Now()
-	mb := &ln.mb
+	mb := &q.ln.mb
 	mb.mu.Lock()
 	batch := mb.buf
 	mb.buf, mb.scheduled = nil, false
@@ -46,37 +55,25 @@ func (q *fireLog) submit(ln *liveNode) {
 	}
 }
 
-func (q *fireLog) depth() int { return 0 }
-
-// stubNode is a node of a cluster that has nothing but q for a run queue:
-// enough for the wheel to deliver to.
-func (q *fireLog) stubNode() *liveNode {
-	c := &Cluster{bound: 1 << 30, sched: q}
-	c.cond = sync.NewCond(&c.mu)
-	ln := &liveNode{c: c}
-	ln.mb.init()
-	return ln
-}
-
 func (q *fireLog) of(seq int) []time.Time {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return append([]time.Time(nil), q.fires[seq]...)
 }
 
-// bareWheel starts a wheel whose entries fire into a fireLog through one
+// bareWheel starts a wheel whose entries fire into a fireLog through its
 // stub node, and stops it when the test ends.
 func bareWheel(t *testing.T) (w *wheel, ln *liveNode, q *fireLog) {
 	t.Helper()
 	q = newFireLog()
-	ln = q.stubNode()
 	w = newWheel(25 * time.Microsecond)
+	w.lagObserve = func(float64) { q.collect() }
 	go w.run()
 	t.Cleanup(func() {
 		w.stop()
 		<-w.done
 	})
-	return w, ln, q
+	return w, q.ln, q
 }
 
 // TestWheelNeverEarly: whatever the wheel is doing when an entry arrives —
@@ -112,7 +109,7 @@ func TestWheelNeverEarly(t *testing.T) {
 			}
 			var entries []sched
 			add := func(d, period time.Duration) {
-				kind := msgFlush
+				kind := msgSeekTimeout
 				if period > 0 {
 					kind = msgHbTick // recurring entries are uncredited
 				}
@@ -203,7 +200,7 @@ func TestWheelIdlePrecision(t *testing.T) {
 	for i := range late {
 		time.Sleep(300 * time.Microsecond) // let the process go idle
 		at := time.Now()
-		w.schedule(ln, message{kind: msgFlush, seq: i}, d, 0)
+		w.schedule(ln, message{kind: msgSeekTimeout, seq: i}, d, 0)
 		<-q.fired
 		late[i] = q.of(i)[0].Sub(at) - d
 	}
@@ -222,11 +219,11 @@ func TestWheelIdleWakeBudget(t *testing.T) {
 	defer c.Close()
 	time.Sleep(15 * time.Millisecond) // every first beat, staggered over one period, has fired
 	const window = 250 * time.Millisecond
-	start, before := time.Now(), c.wheel.ticksTotal.Load()
+	start, before := time.Now(), c.sched.wheel.ticksTotal.Load()
 	time.Sleep(window)
-	expired, took := c.wheel.ticksTotal.Load()-before, time.Since(start)
+	expired, took := c.sched.wheel.ticksTotal.Load()-before, time.Since(start)
 	perSec := float64(expired) / took.Seconds()
-	t.Logf("%d slots expired in %v: %.0f/s for %d heartbeat entries", expired, took, perSec, c.wheel.entries())
+	t.Logf("%d slots expired in %v: %.0f/s for %d heartbeat entries", expired, took, perSec, c.sched.wheel.entries())
 	if perSec > 2000 {
 		t.Errorf("idle wheel expired %.0f slots/s, want <= 2000", perSec)
 	}
@@ -243,8 +240,8 @@ func openFDs() int {
 }
 
 // TestWheelHygiene: a wheel owns one goroutine and at most one descriptor,
-// and gives both back — on Close for a private wheel, and never leaks them
-// per client for a shared one; stop() does not wait out the sleep it finds
+// and gives both back — on Close for a cluster's own, and never leaks them
+// per client for a caller's; stop() does not wait out the sleep it finds
 // the goroutine in.
 func TestWheelHygiene(t *testing.T) {
 	goroutines, fds := runtime.NumGoroutine(), openFDs()
@@ -282,7 +279,7 @@ func TestWheelHygiene(t *testing.T) {
 	for _, d := range []time.Duration{1500 * time.Microsecond, 50 * time.Millisecond} {
 		w := newWheel(25 * time.Microsecond)
 		go w.run()
-		w.schedule(newFireLog().stubNode(), message{kind: msgHbTick}, d, 0)
+		w.schedule(newFireLog().ln, message{kind: msgHbTick}, d, 0)
 		time.Sleep(300 * time.Microsecond) // the goroutine is asleep toward d
 		at := time.Now()
 		w.stop()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -175,7 +176,7 @@ func TestRecordReplayPartitionKill(t *testing.T) {
 		t.Fatal("partition kill on tree links classified nondeterministic")
 	}
 	replayOn(t, tr, PlaneSharded)
-	replayOn(t, tr, PlaneLegacy)
+	replayOn(t, tr, PlaneParallel)
 }
 
 // TestAdoptionKillClassifiedNondeterministic: killing an inner node on a
@@ -217,6 +218,35 @@ func TestAdoptionKillClassifiedNondeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkSound(t, res) // soundness must hold even where parity cannot
+}
+
+// TestRemovedPlaneTraces: a trace recorded when there were four planes may
+// name one that is gone. It still decodes; replaying it on its recorded plane
+// fails with a *ConfigError that names the planes there are; and under an
+// explicit plane it replays to byte parity — the outcome never depended on
+// the plane.
+func TestRemovedPlaneTraces(t *testing.T) {
+	for _, gone := range []string{"legacy", "batched"} {
+		t.Run(gone, func(t *testing.T) {
+			tr := recordQuick(t)
+			tr.Plane = gone
+			decoded, err := DecodeTrace(AppendTrace(nil, tr))
+			if err != nil {
+				t.Fatalf("trace naming plane %q does not decode: %v", gone, err)
+			}
+			_, err = NewReplayer(decoded, ReplayerConfig{})
+			var ce *ConfigError
+			if !errors.As(err, &ce) || ce.Field != "Plane" {
+				t.Fatalf("NewReplayer on recorded plane %q: error %v, want a *ConfigError on Plane", gone, err)
+			}
+			for _, have := range Planes() {
+				if !strings.Contains(ce.Reason, have) {
+					t.Errorf("error %q does not name the valid plane %q", ce, have)
+				}
+			}
+			replayOn(t, decoded, PlaneParallel)
+		})
+	}
 }
 
 // TestReplaySpeedPacing: a paced replay honours the recorded step offsets.

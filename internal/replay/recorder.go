@@ -42,7 +42,7 @@ type RecorderConfig struct {
 	// Schedule is the step sequence to execute. Step.At is ignored on
 	// input; the recorder stamps actual offsets.
 	Schedule []Step
-	// Plane names the delivery plane (PlaneLegacy … PlaneParallel).
+	// Plane names the delivery plane (PlaneSharded or PlaneParallel).
 	Plane string
 	// Delivery and Failure group the runtime knobs.
 	Delivery DeliveryOptions

@@ -3,9 +3,9 @@
 // declared schedule of observation phases and crash-stops, capturing the
 // workload inputs, the causally-ordered obsv event stream and the canonical
 // detection outcome into a compact versioned binary Trace; a Replayer feeds
-// a Trace back through any of the four delivery planes (legacy / sharded /
-// batched / parallel) at adjustable speed and checks the outcome
-// byte-for-byte against the recording.
+// a Trace back through either delivery plane (sharded / parallel) at
+// adjustable speed and checks the outcome byte-for-byte against the
+// recording.
 //
 // # Determinism model
 //
@@ -124,11 +124,11 @@ type Trace struct {
 
 // Planes lists the delivery planes a trace can be recorded on or replayed
 // through, in the order the scale benchmarks use.
-func Planes() []string { return []string{"legacy", "sharded", "batched", "parallel"} }
+func Planes() []string { return []string{PlaneSharded, PlaneParallel} }
 
-// ConfigError is the typed misuse error of the replay API, mirroring the
-// facade's FlatConfigError pattern: Field names the offending RecorderConfig
-// or ReplayerConfig field, Reason says what about it.
+// ConfigError is the typed misuse error of the replay API: Field names the
+// offending RecorderConfig or ReplayerConfig field, Reason says what about
+// it.
 type ConfigError struct {
 	Field  string
 	Reason string

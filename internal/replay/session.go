@@ -13,6 +13,7 @@ package replay
 import (
 	"context"
 	"fmt"
+	"strings"
 	"time"
 
 	"hierdet/internal/livenet"
@@ -23,32 +24,27 @@ import (
 )
 
 // Delivery plane names (livenet lane presets, mirroring the scale
-// benchmarks' lanes).
+// benchmarks' lanes): the current path, and the sequential engine with
+// per-report sends that stands as its oracle.
 const (
-	PlaneLegacy   = "legacy"
 	PlaneSharded  = "sharded"
-	PlaneBatched  = "batched"
 	PlaneParallel = "parallel"
 )
 
 // planePreset translates a plane name into the livenet knobs the lane is
 // defined by. batchFeed lanes take their observations through ObserveBatch.
+// Traces recorded on the planes since removed ("legacy", "batched") carry a
+// name that lands in the default case: they replay under an explicit
+// ReplayerConfig.Plane.
 func planePreset(plane string) (cfg livenet.Config, batchFeed bool, err error) {
 	switch plane {
-	case PlaneLegacy:
-		cfg.LegacyDelivery = true
-		cfg.SequentialDetect = true
 	case PlaneSharded:
 		cfg.SequentialDetect = true
-	case PlaneBatched:
-		cfg.BatchWindow = 200 * time.Microsecond
-		cfg.SequentialDetect = true
-		batchFeed = true
 	case PlaneParallel:
 		cfg.AdaptiveFlush = true
 		batchFeed = true
 	default:
-		err = &ConfigError{Field: "Plane", Reason: fmt.Sprintf("unknown delivery plane %q (have legacy, sharded, batched, parallel)", plane)}
+		err = &ConfigError{Field: "Plane", Reason: fmt.Sprintf("unknown delivery plane %q (have %s)", plane, strings.Join(Planes(), ", "))}
 	}
 	return cfg, batchFeed, err
 }

@@ -25,9 +25,9 @@ func tenantFootprint(b *testing.B, tenants int) (goroutines int, bytesPerTenant 
 	}
 	for k := 0; k < tenants; k++ {
 		if _, err := plane.RegisterPredicate(fmt.Sprintf("fp-%03d", k), Spec{
-			Topology: tree.Balanced(2, 5),
-			Seed:     int64(k + 1),
-			Workers:  1, SequentialDetect: true,
+			Topology:         tree.Balanced(2, 5),
+			Seed:             int64(k + 1),
+			SequentialDetect: true,
 		}); err != nil {
 			b.Fatal(err)
 		}
@@ -74,9 +74,9 @@ func BenchmarkMultiTenant(b *testing.B) {
 				handles := make([]*Handle, tenants)
 				for k := range handles {
 					h, err := plane.RegisterPredicate(fmt.Sprintf("bench-%03d", k), Spec{
-						Topology: tree.Balanced(2, 5),
-						Seed:     int64(i*tenants + k + 1),
-						Workers:  1, SequentialDetect: true,
+						Topology:         tree.Balanced(2, 5),
+						Seed:             int64(i*tenants + k + 1),
+						SequentialDetect: true,
 					})
 					if err != nil {
 						b.Fatal(err)

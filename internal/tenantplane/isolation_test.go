@@ -164,7 +164,11 @@ func runIsolatedPair(t *testing.T, e *workload.Execution, kill bool) []livenet.D
 			Topology: build(), Seed: spec.Seed, Strict: spec.Strict, KeepMembers: spec.KeepMembers,
 			HbEvery: spec.HbEvery, StartupGrace: spec.StartupGrace,
 			Transport: tr, LocalNodes: local,
-			OnRepair: func(orphan, newParent int) { repaired <- orphan },
+			Events: func(e obsv.Event) {
+				if e.Kind == obsv.RepairConcluded {
+					repaired <- e.Node
+				}
+			},
 		})
 	}
 	c1, c2 := mkRef(tr1, nodes1), mkRef(tr2, nodes2)
@@ -388,7 +392,7 @@ func Test256TenantsSharedMesh(t *testing.T) {
 	spec := func(seed int64) Spec {
 		return Spec{
 			Topology: build(), Seed: seed, Strict: true, KeepMembers: true,
-			Workers: 1, SequentialDetect: true,
+			SequentialDetect: true,
 		}
 	}
 
@@ -403,7 +407,7 @@ func Test256TenantsSharedMesh(t *testing.T) {
 		mk := func(id int) *livenet.Cluster {
 			return livenet.New(livenet.Config{
 				Topology: build(), Seed: sp.Seed, Strict: sp.Strict, KeepMembers: sp.KeepMembers,
-				Workers: sp.Workers, SequentialDetect: sp.SequentialDetect,
+				Workers: 1, SequentialDetect: sp.SequentialDetect,
 				Transport: net.Endpoint(id), LocalNodes: []int{id},
 			})
 		}

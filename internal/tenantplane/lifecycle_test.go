@@ -20,7 +20,7 @@ func registerAndFeed(t *testing.T, p *Multiplexer, name string, seed int64) int 
 	topo := tree.Balanced(2, 2)
 	h, err := p.RegisterPredicate(name, Spec{
 		Topology: tree.Balanced(2, 2), Seed: seed,
-		Workers: 1, SequentialDetect: true,
+		SequentialDetect: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -70,6 +70,33 @@ func TestMultiplexerCloseEqualsStop(t *testing.T) {
 	}
 }
 
+// TestCloseAfterTenantClusterClosed: Handle.Cluster is exported, so a tenant's
+// cluster can be closed without the plane hearing of it. Tearing the plane
+// down afterwards must neither panic (the deprecated Cluster.Stop did, with
+// "Stop called twice") nor lose that tenant's detections.
+func TestCloseAfterTenantClusterClosed(t *testing.T) {
+	p, err := NewMultiplexer(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rounds := registerAndFeed(t, p, "early", 9)
+	if err := p.Tenant("early").Cluster().Close(); err != nil {
+		t.Fatalf("Cluster().Close: %v", err)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	roots := 0
+	for _, d := range p.Detections()["early"] {
+		if d.AtRoot {
+			roots++
+		}
+	}
+	if roots != rounds {
+		t.Fatalf("root detections of the early-closed tenant = %d, want %d", roots, rounds)
+	}
+}
+
 // TestMultiplexerShutdown: a clean Shutdown equals Close; Detections serves
 // the result afterwards.
 func TestMultiplexerShutdown(t *testing.T) {
@@ -103,11 +130,12 @@ func TestMultiplexerShutdownDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A tenant with a long batch window parks report credits on flush
-	// timers, guaranteeing the bounded Shutdown cannot quiesce in time.
+	// A tenant with a long MaxDelay parks its reports' credits on the wheel
+	// (the seed fixes the first at 161 ms), guaranteeing the bounded Shutdown
+	// cannot quiesce in time.
 	h, err := p.RegisterPredicate("gamma", Spec{
 		Topology: tree.Chain(2), Seed: 3,
-		Workers: 1, SequentialDetect: true, BatchWindow: 300 * time.Millisecond,
+		SequentialDetect: true, MaxDelay: 600 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -35,16 +35,14 @@ type Config struct {
 	// Workers sizes the plane's shared worker pool: one pool drains every
 	// tenant's mailbox shards, with deficit-round-robin fairness across
 	// tenants, so the plane's steady-state goroutine count is independent of
-	// the tenant count. Zero means GOMAXPROCS. The deprecated per-tenant
-	// Spec.Workers is ignored on a plane (see Spec.Workers).
+	// the tenant count. Zero means GOMAXPROCS.
 	Workers int
 	// MailboxBound is the plane-wide default per-node mailbox bound applied
 	// to each tenant's external producers. A tenant's Spec.MailboxBound
 	// overrides it; zero for both inherits livenet's default (4096).
 	MailboxBound int
 	// DetectWorkers sizes the plane's shared comparison pool backing every
-	// tenant's parallel detection engine. Zero means GOMAXPROCS. The
-	// deprecated per-tenant Spec.DetectWorkers is ignored on a plane.
+	// tenant's parallel detection engine. Zero means GOMAXPROCS.
 	DetectWorkers int
 	// SchedulerQuantum is the deficit-round-robin quantum in messages: how
 	// many messages one tenant may drain before the shared pool rotates to
@@ -77,24 +75,17 @@ type Spec struct {
 	Seed int64
 	// Strict and KeepMembers configure the detector nodes (see core.Config).
 	Strict, KeepMembers bool
-	// MaxDelay, BatchWindow, AdaptiveFlush and SequentialDetect tune the
-	// tenant cluster's delivery and detection planes (see livenet.Config).
-	MaxDelay      time.Duration
-	BatchWindow   time.Duration
-	AdaptiveFlush bool
-	// Workers and DetectWorkers are deprecated on a plane: every tenant's
-	// shards are drained by the plane's one shared pool (Config.Workers) and
-	// its one comparison pool (Config.DetectWorkers), so these per-tenant
-	// values are ignored here. They remain honored by standalone
-	// livenet.Clusters, which keep private pools. Precedence for sizing:
-	// plane Config over Spec, always.
-	Workers int
+	// MaxDelay, AdaptiveFlush and SequentialDetect tune the tenant cluster's
+	// delivery and detection planes (see livenet.Config). The pools are the
+	// plane's (Config.Workers, Config.DetectWorkers), sized once for every
+	// tenant.
+	MaxDelay         time.Duration
+	AdaptiveFlush    bool
+	SequentialDetect bool
 	// MailboxBound caps this tenant's per-node mailbox shards for external
 	// producers. Precedence: Spec.MailboxBound (nonzero) over
 	// Config.MailboxBound (nonzero) over livenet's default (4096).
-	MailboxBound     int
-	SequentialDetect bool
-	DetectWorkers    int
+	MailboxBound int
 	// HbEvery, HbTimeout, SeekTimeout, ResendLastOnAdopt and StartupGrace
 	// configure the tenant's failure handling (see livenet.Config).
 	HbEvery, HbTimeout, SeekTimeout time.Duration
@@ -157,7 +148,11 @@ func (h *Handle) Stop() []livenet.Detection {
 	h.stopMu.Lock()
 	defer h.stopMu.Unlock()
 	if !h.stopped {
-		h.dets = h.c.Stop()
+		// Close, not the deprecated Stop: the cluster is exported through
+		// Cluster(), so it may already have been closed behind the handle's
+		// back, which Stop answers with a panic and Close with nil.
+		h.c.Close()
+		h.dets = h.c.Detections()
 		h.stopped = true
 		h.p.forget(h)
 	}
@@ -393,10 +388,9 @@ func (p *Multiplexer) RegisterPredicate(tenantID string, spec Spec) (*Handle, er
 		}
 		p.emit(e)
 	}
-	// The per-tenant mailbox bound is the one delivery knob that stays per
+	// The per-tenant mailbox bound is the one sizing knob that stays per
 	// cluster on the shared substrate: Spec over plane Config over livenet's
-	// default. Spec.Workers and Spec.DetectWorkers are deliberately not
-	// forwarded — the plane's pools are sized once, at plane construction.
+	// default.
 	bound := spec.MailboxBound
 	if bound == 0 {
 		bound = p.cfg.MailboxBound
@@ -408,7 +402,6 @@ func (p *Multiplexer) RegisterPredicate(tenantID string, spec Spec) (*Handle, er
 		Strict:            spec.Strict,
 		KeepMembers:       spec.KeepMembers,
 		MailboxBound:      bound,
-		BatchWindow:       spec.BatchWindow,
 		AdaptiveFlush:     spec.AdaptiveFlush,
 		SequentialDetect:  spec.SequentialDetect,
 		Scheduler:         p.sched,

@@ -7,12 +7,12 @@ import (
 	"hierdet/internal/tree"
 )
 
-// TestSizingPrecedence pins the deprecation contract for Spec.Workers and
-// Spec.MailboxBound on a plane. Pool sizing is plane-level only — a tenant's
-// Spec.Workers is ignored because its shards are drained by the shared pool —
-// while the mailbox bound stays per-tenant with the documented fallback
-// chain: Spec.MailboxBound over Config.MailboxBound over livenet's default.
-// Standalone clusters keep the old behavior verbatim.
+// TestSizingPrecedence pins what is still decided about sizing on a plane.
+// Pool sizing is plane-level only — a tenant reports the plane pool's size,
+// there being nothing in its Spec to ask otherwise with — while the mailbox
+// bound stays per-tenant with the documented fallback chain:
+// Spec.MailboxBound over Config.MailboxBound over livenet's default.
+// Standalone clusters size their own substrate.
 func TestSizingPrecedence(t *testing.T) {
 	plane, err := NewMultiplexer(Config{Workers: 3, MailboxBound: 128})
 	if err != nil {
@@ -31,17 +31,16 @@ func TestSizingPrecedence(t *testing.T) {
 		return h
 	}
 
-	// Spec.Workers is dead weight on a plane: the cluster rides the shared
-	// substrate and reports the plane pool's size, not its own ask.
-	loud := reg("loud", Spec{Workers: 9})
-	if !loud.Cluster().Shared() {
+	// The cluster rides the plane's substrate and reports its pool's size.
+	plain := reg("plain", Spec{})
+	if !plain.Cluster().Shared() {
 		t.Fatal("plane tenant is not on the shared substrate")
 	}
-	if got := loud.Cluster().Workers(); got != 3 {
-		t.Errorf("tenant with Spec.Workers=9 on a Workers=3 plane: Workers() = %d, want 3 (plane wins)", got)
+	if got := plain.Cluster().Workers(); got != 3 {
+		t.Errorf("tenant on a Workers=3 plane: Workers() = %d, want 3", got)
 	}
 	// Config.MailboxBound is the tenant default…
-	if got := loud.Cluster().MailboxBound(); got != 128 {
+	if got := plain.Cluster().MailboxBound(); got != 128 {
 		t.Errorf("tenant without Spec.MailboxBound: MailboxBound() = %d, want Config's 128", got)
 	}
 	// …and a nonzero Spec.MailboxBound overrides it per tenant.
@@ -64,7 +63,7 @@ func TestSizingPrecedence(t *testing.T) {
 		t.Errorf("tenant on a bare plane: MailboxBound() = %d, want livenet default 4096", got)
 	}
 
-	// Standalone clusters still honor the per-cluster knobs.
+	// Standalone clusters honor the per-cluster knobs.
 	solo := livenet.New(livenet.Config{
 		Topology: tree.Chain(2), Workers: 2, MailboxBound: 77, SequentialDetect: true,
 	})

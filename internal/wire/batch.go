@@ -1,8 +1,8 @@
 package wire
 
-// Report-batch frames: one wire frame carrying a whole batch window's worth
-// of child→parent reports. The batched runtimes (livenet with
-// Config.BatchWindow, mirroring the simulator's) flush each node's window as
+// Report-batch frames: one wire frame carrying a whole flush's worth of
+// child→parent reports. A coalescing runtime (livenet with
+// Config.AdaptiveFlush) sends what a node buffered since its last flush as
 // one message; this frame is its wire form.
 //
 // Layout:
@@ -12,7 +12,7 @@ package wire
 //
 // Each element is a complete, length-prefixed v2 report frame. The first
 // report's Lo is absolute; every later report is delta-chained against its
-// predecessor's Hi *inside the frame* — successive reports of one window sit
+// predecessor's Hi *inside the frame* — successive reports of one flush sit
 // on the same near-monotone stream (Theorem 2 succession), so the chaining
 // wins the same bytes per-connection delta chaining does, but the frame
 // stays fully self-contained: no stream basis, no connection state, safe
@@ -21,7 +21,7 @@ package wire
 //
 // Batch frames are v2-only. A v1 receiver has never seen KindReportBatch and
 // rejects the frame as corrupt, which is the correct rollout behaviour: a
-// mixed-version deployment simply keeps batch windows off.
+// mixed-version deployment simply keeps coalescing off.
 
 import (
 	"encoding/binary"

@@ -44,12 +44,11 @@ const (
 // Event, plus its offset from session start).
 type TraceEvent = replay.EventRec
 
-// Delivery plane names for recording and replay — the same four lanes the
-// scale benchmarks run.
+// Delivery plane names for recording and replay — the same two lanes the
+// scale benchmarks run: the current path (parallel) and its sequential
+// oracle (sharded).
 const (
-	PlaneLegacy   = replay.PlaneLegacy
 	PlaneSharded  = replay.PlaneSharded
-	PlaneBatched  = replay.PlaneBatched
 	PlaneParallel = replay.PlaneParallel
 )
 

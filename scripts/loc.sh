@@ -1,0 +1,32 @@
+#!/usr/bin/env bash
+# loc.sh — non-test Go lines (wc -l: comments and blank lines count) of the
+# live runtime's layers, the budget ROADMAP item 2 ("one delivery plane, one
+# runtime") is held to. With a git ref as argument, counts that commit instead
+# of the working tree.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+ref=${1:-}
+
+files() { # path: the non-test .go files under it, one a line
+    if [ -n "$ref" ]; then
+        git ls-tree -r --name-only "$ref" -- "$1"
+    elif [ -d "$1" ]; then
+        find "$1" -name '*.go'
+    else
+        echo "$1"
+    fi | grep '\.go$' | grep -v '_test\.go$' | sort
+}
+
+lines() { # path: their summed line count
+    files "$1" | while read -r f; do
+        if [ -n "$ref" ]; then git show "$ref:$f"; else cat "$f"; fi
+    done | wc -l
+}
+
+total=0
+for path in internal/livenet internal/tenantplane internal/wire internal/replay live.go; do
+    n=$(lines "$path")
+    printf '%-22s %6d\n' "$path" "$n"
+    total=$((total + n))
+done
+printf '%-22s %6d\n' total "$total"
