@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race cover bench bench-json bench-scale bench-compare bench-pair fuzz figures alpha examples smoke smoke-metrics soak loc fmt vet lint clean
+.PHONY: all build test test-short race cover bench bench-json bench-scale bench-compare bench-pair profile fuzz figures alpha examples smoke smoke-metrics soak loc fmt vet lint clean
 
 all: build vet test
 
@@ -48,9 +48,23 @@ bench-compare:
 # per metric, both medians, quartiles and pairs won (scripts/bench_pair.sh;
 # BENCH_SECONDS and BENCH_SEED0 pass through the environment).
 #   make bench-pair PARENT=HEAD~1 WORKLOAD=paced_latency
+# WORKLOAD=all runs every workload BENCHMARK.json names, a table each, and
+# ends with the (workload, metric) pairs outside their bound or unresolved.
 PAIRS ?= 10
 bench-pair:
 	./scripts/bench_pair.sh $(PARENT) $(WORKLOAD) $(PAIRS)
+
+# Where the live runtime's time and bytes go under steady load: CPU and
+# allocation profiles of BenchmarkLiveSteady (bench/ itself has no profile
+# flag) and their -top listings; the profiles and the test binary stay in
+# $(PROFILE_OUT) for `go tool pprof -list`.
+PROFILE_OUT ?= profile-out
+profile:
+	mkdir -p $(PROFILE_OUT)
+	$(GO) test -run '^$$' -bench BenchmarkLiveSteady -benchtime 20x -o $(PROFILE_OUT)/livenet.test \
+		-outputdir $(PROFILE_OUT) -cpuprofile cpu.prof -memprofile mem.prof ./internal/livenet/
+	$(GO) tool pprof -top -nodecount 40 $(PROFILE_OUT)/livenet.test $(PROFILE_OUT)/cpu.prof
+	$(GO) tool pprof -sample_index=alloc_space -top -nodecount 40 $(PROFILE_OUT)/livenet.test $(PROFILE_OUT)/mem.prof
 
 # Short fuzz passes over the wire codecs. Patterns are anchored: a bare
 # FuzzDecodeReport would match both FuzzDecodeReport and FuzzDecodeReportV2,

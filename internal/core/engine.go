@@ -87,14 +87,21 @@ func (nd *Node) fanoutThreshold() int {
 // eliminate/solution/prune swapped for their partitioned forms and the
 // aggregate materialized flat (interval.AggregateFlat) instead of scratch
 // aggregation plus a compact clone.
+//
+// The result is built in nd.detBuf, which the next call on this node reuses:
+// a fresh slice per call was 214 B per interval of garbage at p=127. The last
+// call's entries are cleared first, so the buffer never keeps a solution slab
+// or clock chunk reachable beyond that.
 func (nd *Node) detectPar(trigger []int) []Detection {
-	var dets []Detection
+	clear(nd.detBuf)
+	dets := nd.detBuf[:0]
 	updated := append(nd.scratchA[:0], trigger...)
 	for {
 		nd.eliminatePar(updated)
 		sol, ok := nd.solutionPar()
 		if !ok {
 			nd.scratchA = updated[:0]
+			nd.detBuf = dets
 			return dets
 		}
 		agg := interval.AggregateFlat(nd.store, sol, nd.id, nd.aggSeq, nd.cfg.KeepMembers)

@@ -187,8 +187,10 @@ type Node struct {
 
 	// Parallel-engine state (nil/empty under the sequential oracle): the
 	// flat bounds store, the pair/verdict/gen scratch of eliminatePar and
-	// prunePar, and the solution-set slab.
+	// prunePar, the solution-set slab, and the buffer detectPar returns its
+	// detections in (valid until the next call; see OnInterval).
 	store          *vclock.Store
+	detBuf         []Detection
 	pairScratch    []cmpTask
 	verdictScratch []cmpVerdict
 	genScratch     []uint64
@@ -307,7 +309,7 @@ func (nd *Node) AddChild(child int) {
 // child may have been the only empty queue — so the node re-runs detection
 // over the remaining sources and returns any solutions found. This is
 // exactly how the algorithm keeps detecting the partial predicate over the
-// surviving processes (paper §III-F).
+// surviving processes (paper §III-F). The result's lifetime is OnInterval's.
 func (nd *Node) RemoveChild(child int) []Detection {
 	q, ok := nd.queues[child]
 	if !ok {
@@ -356,6 +358,13 @@ func (nd *Node) ResetSource(src int) {
 // local-predicate interval, a child id for that child's aggregate — and
 // returns the detections it triggers, in order. Intervals from unknown
 // sources (stale in-flight messages after a failure) are counted and dropped.
+//
+// The returned slice is valid until the next OnInterval, OnIntervals or
+// RemoveChild on this node: the parallel engine builds it in a buffer the
+// node owns and reuses. Consume it or copy the Detection values out before
+// calling into the same node again; calling into another node is fine (an
+// upward cascade only ever does that), and the values themselves — solution
+// sets, aggregates, clocks — stay valid forever.
 func (nd *Node) OnInterval(src int, iv interval.Interval) []Detection {
 	q, ok := nd.queues[src]
 	if !ok {
@@ -393,7 +402,7 @@ func (nd *Node) OnInterval(src int, iv interval.Interval) []Detection {
 // where the sequential path starts a fresh one, so the two paths can
 // classify a discarded interval differently (Eliminated vs Pruned vs still
 // resident), and ExactPrune's Eq. 9 successor peek sees batch-delivered
-// successors earlier.
+// successors earlier. The result's lifetime is OnInterval's.
 func (nd *Node) OnIntervals(src int, ivs []interval.Interval) []Detection {
 	if len(ivs) == 0 {
 		return nil

@@ -231,3 +231,42 @@ func TestParallelEpochInterleaving(t *testing.T) {
 		t.Fatal("detection streams diverge")
 	}
 }
+
+// TestDetectingCallAllocates pins what a detecting call of the parallel
+// engine allocates: clock storage and the solution slab, both a chunk at a
+// time, plus — for a set of more than one member — the aggregate's merged
+// span. The result slice is the node's own buffer (see OnInterval); built
+// fresh per call it was one more allocation on every row below.
+func TestDetectingCallAllocates(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		children int
+		want     float64 // allocations per detection, chunk refills averaged away
+	}{
+		{"leaf", 0, 0},
+		{"two children", 2, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const runs = 2000
+			n := tc.children + 1
+			pulses := benchPulses(n, runs+1) // AllocsPerRun calls once more, to warm up
+			nd := NewNode(0, Config{N: n, Parallel: true}, true)
+			for c := 1; c <= tc.children; c++ {
+				nd.AddChild(c)
+			}
+			next, dets := 0, 0
+			got := testing.AllocsPerRun(runs, func() {
+				for _, iv := range pulses[next] {
+					dets += len(nd.OnInterval(iv.Origin, iv))
+				}
+				next++
+			})
+			if dets != runs+1 {
+				t.Fatalf("%d detections in %d pulses: not every call under measurement detects", dets, runs+1)
+			}
+			if got != tc.want {
+				t.Fatalf("a detecting pulse allocates %v times, want %v", got, tc.want)
+			}
+		})
+	}
+}

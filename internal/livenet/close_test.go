@@ -137,8 +137,8 @@ func TestShutdownDeadline(t *testing.T) {
 }
 
 // stableByNodeSeq is teardown's ordering as it was first written: one stable
-// sort of the whole list by (node, Agg.Seq). sortDetections must reproduce
-// it exactly.
+// sort of the whole list by (node, Agg.Seq). Laying the per-node logs end to
+// end must reproduce it exactly.
 func stableByNodeSeq(dets []Detection) []Detection {
 	out := append([]Detection(nil), dets...)
 	sort.SliceStable(out, func(i, j int) bool {
@@ -150,48 +150,90 @@ func stableByNodeSeq(dets []Detection) []Detection {
 	return out
 }
 
-// TestTeardownOrderMatchesStableSort pins Close's one-pass bucketing by node
-// to the stable sort it replaced, on a run whose schedule has a kill, two
-// adoptions and re-reported aggregates in it, and on a synthetic list whose
-// per-node runs are not in Seq order and repeat Seqs (the fallback path).
+// TestTeardownOrderMatchesStableSort pins Close's concatenation of the
+// per-node logs to the stable sort it replaced, without looking inside the
+// cluster: the SolutionFound stream, in arrival order, stable-sorted by
+// (node, Agg.Seq) is what Detections returns — on a run whose schedule has a
+// kill, two adoptions and re-reported aggregates in it — and logs whose
+// entries are not in Seq order and repeat Seqs (the per-run fallback) come out
+// as the stable sort of the list they were filled from.
 func TestTeardownOrderMatchesStableSort(t *testing.T) {
 	const phase1, phase2, victim = 8, 8, 1
 	topo := tree.Balanced(2, 3)
 	e := workload.Generate(workload.Config{Topology: topo, Rounds: phase1 + phase2, Seed: 6, PGlobal: 1})
 	repaired := make(chan int, 8)
+	var streamed detLog
 	c := New(Config{
 		Topology: topo, Seed: 11, KeepMembers: true,
 		HbEvery: 300 * time.Microsecond, ResendLastOnAdopt: true,
-		Events: testSink(nil, repaired),
+		Events: testSink(&streamed, repaired),
 	})
 	feedRange(c, e, 0, phase1)
 	c.Drain()
 	awaitRepairs(t, repaired, c.Kill(victim))
 	c.Drain()
 	feedRange(c, e, phase1, phase1+phase2)
-	c.Drain()
-	c.mu.Lock()
-	recorded := append([]Detection(nil), c.dets...)
-	c.mu.Unlock()
 	c.Close()
-	if len(recorded) == 0 || len(c.Repairs()) == 0 {
-		t.Fatalf("run recorded %d detections and %d repairs; the schedule did not happen", len(recorded), len(c.Repairs()))
+	arrived := streamed.all()
+	if len(arrived) == 0 || len(c.Repairs()) == 0 {
+		t.Fatalf("run streamed %d detections and %d repairs; the schedule did not happen", len(arrived), len(c.Repairs()))
 	}
-	if got, want := c.Detections(), stableByNodeSeq(recorded); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Close ordered %d detections differently from the stable (node, seq) sort", len(got))
+	if got, want := c.Detections(), stableByNodeSeq(arrived); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Close ordered %d detections differently from the stable (node, seq) sort of the %d streamed", len(got), len(want))
 	}
 
 	rng := rand.New(rand.NewPCG(3, 4))
 	synthetic := make([]Detection, 5000)
+	logs := make([]*detectionLog, 40*3) // sparse ids: two logs in three stay empty
+	for i := range logs {
+		logs[i] = new(detectionLog)
+	}
 	for i := range synthetic {
-		synthetic[i].Node = rng.IntN(40) * 3 // sparse ids: some runs are empty
+		synthetic[i].Node = rng.IntN(40) * 3
 		synthetic[i].Det.Agg.Seq = rng.IntN(50)
 		synthetic[i].Det.Agg.Origin = i // tells equal (node, seq) entries apart
+		logs[synthetic[i].Node].add(synthetic[i])
 	}
-	want := stableByNodeSeq(synthetic)
-	sortDetections(synthetic)
-	if !reflect.DeepEqual(synthetic, want) {
-		t.Fatal("sortDetections differs from the stable (node, seq) sort on unsorted runs")
+	if got, want := concatLogs(logs), stableByNodeSeq(synthetic); !reflect.DeepEqual(got, want) {
+		t.Fatal("concatLogs differs from the stable (node, seq) sort on unsorted runs")
 	}
-	sortDetections(nil)
+	if got := concatLogs(logs); len(got) != 0 {
+		t.Fatalf("concatLogs left %d detections in the logs it emptied", len(got))
+	}
+}
+
+// TestDetectionsWhileRecordingAndClosing reads the cluster from another
+// goroutine through everything the per-node logs go through — nodes
+// recording, Close laying the logs end to end, the list published — under
+// the race detector: ClusterMetrics reads only atomics and the ledger, and
+// Detections answers nil until the final list is there, whole.
+func TestDetectionsWhileRecordingAndClosing(t *testing.T) {
+	topo := tree.Balanced(2, 4)
+	e := workload.Generate(workload.Config{Topology: topo, Rounds: 60, Seed: 3, PGlobal: 1})
+	c := New(Config{Topology: topo, Seed: 3, AdaptiveFlush: true})
+	want := topo.N() * 60
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for {
+			if d := c.Detections(); d != nil && len(d) != want {
+				t.Errorf("Detections returned %d entries before the list was final (%d)", len(d), want)
+			}
+			if cm := c.ClusterMetrics(); cm.Detections > int64(want) {
+				t.Errorf("ClusterMetrics counts %d detections, more than the run has (%d)", cm.Detections, want)
+			}
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+	feedRange(c, e, 0, 60)
+	c.Close()
+	close(stop)
+	<-stopped
+	if got := len(c.Detections()); got != want {
+		t.Fatalf("Detections after Close = %d entries, want %d", got, want)
+	}
 }

@@ -69,7 +69,6 @@ import (
 	"hierdet/internal/core"
 	"hierdet/internal/interval"
 	"hierdet/internal/obsv"
-	"hierdet/internal/repair"
 	"hierdet/internal/transport"
 	"hierdet/internal/tree"
 	"hierdet/internal/wire"
@@ -212,7 +211,8 @@ const (
 
 // Cluster is a running set of detector nodes. Create with New, feed local
 // intervals with Observe or ObserveBatch, optionally crash processes with
-// Kill, then call Stop to drain and collect every detection.
+// Kill, then Close it (or Shutdown, under a deadline) and read every
+// detection with Detections.
 type Cluster struct {
 	cfg   Config
 	nodes map[int]*liveNode
@@ -247,7 +247,8 @@ type Cluster struct {
 	// mu guards everything below: the lifecycle state machine, the
 	// message-credit ledger (pending, see post/armTimer/done), the topology
 	// mirror the repair protocol validates against, and the collected
-	// results. cond signals pending reaching zero.
+	// results. cond signals pending reaching zero. Detections are not here
+	// while the cluster runs: each node logs its own (liveNode.log).
 	mu      sync.Mutex
 	cond    *sync.Cond
 	state   clusterState
@@ -256,7 +257,6 @@ type Cluster struct {
 	killed  map[int]bool
 	seeking map[int]bool // orphan roots currently renegotiating a parent
 	reqSeq  int
-	dets    []Detection
 	final   []Detection // set once by teardown; read by Detections
 	repairs []RepairEvent
 }
@@ -566,8 +566,10 @@ func (c *Cluster) quiesceLocked(ctx context.Context) bool {
 
 // teardown dismantles the delivery plane after a successful quiescence
 // (state is clusterStopped, ledger empty — see Stop's doc comment for why
-// nothing can be lost from here) and returns the final sorted detection
-// list, also stashing it for Detections.
+// nothing can be lost from here) and returns the final detection list, also
+// stashing it for Detections. The list is the nodes' logs laid end to end in
+// node-id order: leaveSched has returned, so no worker is inside a drain and
+// the logs, worker-confined until now, are this goroutine's to read.
 func (c *Cluster) teardown() []Detection {
 	c.leaveSched()
 	if c.remote {
@@ -576,14 +578,12 @@ func (c *Cluster) teardown() []Detection {
 		// already in flight, so nothing touches the cluster after Stop.
 		c.cfg.Transport.Close()
 	}
-	// Ownership transfer, not a copy: teardown runs once (quiescence resolves
-	// exactly once) and nothing records into a stopped cluster, so the
-	// accumulated list can be handed to the caller as-is.
-	c.mu.Lock()
-	out := c.dets
-	c.dets = nil
-	c.mu.Unlock()
-	sortDetections(out)
+	ids := c.NodeIDs()
+	logs := make([]*detectionLog, len(ids))
+	for i, id := range ids {
+		logs[i] = &c.nodes[id].log
+	}
+	out := concatLogs(logs)
 	c.mu.Lock()
 	c.final = out
 	c.mu.Unlock()
@@ -601,50 +601,6 @@ func (c *Cluster) leaveSched() {
 	c.sched.detach(c.seat)
 	if c.cfg.Scheduler == nil {
 		c.sched.Close()
-	}
-}
-
-// sortDetections orders dets by node id, then by Agg.Seq, keeping the
-// recorded order of equals — exactly what sort.SliceStable with that
-// comparator produces, which at 10⁵ detections was most of Close's time. The
-// list is the nodes' streams interleaved, each recorded in its own Agg.Seq
-// order, so one stable counting pass by node id (applied in place: the list
-// is far larger than the index it takes) leaves every node's run already
-// sorted; a run found otherwise is sorted on its own.
-func sortDetections(dets []Detection) {
-	maxNode := 0
-	for i := range dets {
-		maxNode = max(maxNode, dets[i].Node)
-	}
-	// int32 throughout: the index is the pass's only allocation, and Close's
-	// allocations are the workload's (2³¹ detections do not fit in memory).
-	pos := make([]int32, maxNode+1) // pos[n]: where node n's next detection goes
-	for i := range dets {
-		pos[dets[i].Node]++
-	}
-	sum := int32(0)
-	for n, count := range pos {
-		pos[n], sum = sum, sum+count
-	}
-	dest := make([]int32, len(dets)) // dest[i] is where dets[i] belongs
-	for i := range dets {
-		dest[i] = pos[dets[i].Node]
-		pos[dets[i].Node]++
-	}
-	for i := range dets {
-		for j := dest[i]; int(j) != i; j = dest[i] {
-			dets[i], dets[j] = dets[j], dets[i]
-			dest[i], dest[j] = dest[j], j
-		}
-	}
-	begin := int32(0) // pos[n] has come to rest on the end of node n's run
-	for _, end := range pos {
-		run := dets[begin:end]
-		bySeq := func(i, j int) bool { return run[i].Det.Agg.Seq < run[j].Det.Agg.Seq }
-		if !sort.SliceIsSorted(run, bySeq) {
-			sort.SliceStable(run, bySeq)
-		}
-		begin = end
 	}
 }
 
@@ -745,24 +701,15 @@ func (c *Cluster) takeFlushCredit() bool {
 	return true
 }
 
-// done returns one message's credit to the ledger.
-func (c *Cluster) done() {
+// done returns n credits to the ledger: one dropped message's, or a whole
+// drain's (runNode).
+func (c *Cluster) done(n int) {
 	c.mu.Lock()
-	c.pending--
+	c.pending -= n
 	if c.pending == 0 {
 		c.cond.Broadcast()
 	}
 	c.mu.Unlock()
-}
-
-// record stores a detection and notifies the sinks. It runs on the detecting
-// node's worker, so SolutionFound events keep that node's causal order.
-func (c *Cluster) record(d Detection) {
-	c.mu.Lock()
-	c.dets = append(c.dets, d)
-	c.mu.Unlock()
-	c.emitEvent(obsv.Event{Kind: obsv.SolutionFound, Node: d.Node, Peer: obsv.NoPeer,
-		Seq: d.Det.Agg.Seq, Count: 1, AtRoot: d.AtRoot, Agg: d.Det.Agg, Set: d.Det.Set})
 }
 
 // notifyRepair records a concluded reattachment and tells the sink, outside
@@ -805,15 +752,16 @@ func (c *Cluster) send(to int, msg message, delay time.Duration) {
 // destination is hosted here, one self-contained wire batch frame (reports
 // delta-chained against each other inside the frame, encoded through a
 // pooled buffer — the zero-allocation batched encode path) otherwise.
-func (c *Cluster) sendBatch(to, from int, batch []repair.Report, born int64, delay time.Duration) {
+func (c *Cluster) sendBatch(to, from int, batch *reportBatch, born int64, delay time.Duration) {
 	if _, local := c.nodes[to]; local || !c.remote {
-		c.post(to, message{kind: msgReportBatch, from: from, reps: batch, born: born}, delay)
+		c.post(to, message{kind: msgReportBatch, from: from, batch: batch, born: born}, delay)
 		return
 	}
 	buf := wire.GetBuffer()
-	*buf = wire.AppendReportBatch(*buf, batch)
+	*buf = wire.AppendReportBatch(*buf, batch.reps)
 	c.cfg.Transport.Send(to, *buf)
 	wire.PutBuffer(buf)
+	batch.recycle()
 }
 
 // encodeMessage wire-encodes a mailbox message for a remote peer. Timer kinds
@@ -865,7 +813,7 @@ func (c *Cluster) onFrame(to int, frame []byte) {
 			ln.m.badFrames.Add(1)
 			return
 		}
-		msg = message{kind: msgReportBatch, from: batch[0].Iv.Origin, reps: batch}
+		msg = message{kind: msgReportBatch, from: batch[0].Iv.Origin, batch: &reportBatch{reps: batch}}
 	case wire.KindHeartbeat:
 		hb, err := wire.DecodeHeartbeat(frame)
 		if err != nil {

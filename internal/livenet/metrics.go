@@ -35,7 +35,9 @@ type Metrics struct {
 	// (its own plus every child stream); Pruned and Eliminated count queue
 	// heads deleted by the repeated-detection rule (Eq. 10 / Eq. 9) and the
 	// elimination loop respectively — the detector-side visibility the
-	// observability layer adds.
+	// observability layer adds. These, the comparison counters and the queue
+	// gauges below are the detector's own as of the node's last mailbox
+	// drain: exact after Drain or Close.
 	IntervalsIn int `json:"intervalsIn"`
 	Pruned      int `json:"pruned"`
 	Eliminated  int `json:"eliminated"`
@@ -125,8 +127,11 @@ func (ln *liveNode) gaugeReseq() {
 
 // syncCoreStats mirrors the detector's own counters (worker-confined inside
 // core.Node) into the node's atomics so scrapes and snapshots can read them
-// from any goroutine, and emits the IntervalPruned event for heads the last
-// detection deleted. Runs on the node's worker after every detector call.
+// from any goroutine, and emits one IntervalPruned event for the heads the
+// drain's detections deleted. Runs on the node's worker once per mailbox
+// drain (runNode), before the drain's credits return: a scrape shows the
+// counters as of the node's last drain, and after Drain or Close they are
+// exact. After every detector call it was 3.4 % of a saturated run's CPU.
 func (ln *liveNode) syncCoreStats() {
 	st := ln.node.Stats()
 	ln.m.intervalsIn.Store(int64(st.IntervalsIn))
@@ -411,19 +416,19 @@ func (c *Cluster) registerFamilies() {
 		func(ln *liveNode) float64 { return float64(ln.m.msgsIn.Load()) })
 	perNode("hierdet_node_msgs_out_total", "Network messages sent by this node.", obsv.KindCounter,
 		func(ln *liveNode) float64 { return float64(ln.m.msgsOut.Load()) })
-	perNode("hierdet_node_intervals_in_total", "Intervals accepted into the detector's queues.", obsv.KindCounter,
+	perNode("hierdet_node_intervals_in_total", "Intervals accepted into the detector's queues, as of the node's last drain.", obsv.KindCounter,
 		func(ln *liveNode) float64 { return float64(ln.m.intervalsIn.Load()) })
 	perNode("hierdet_node_detections_total", "Solution sets found at this node.", obsv.KindCounter,
 		func(ln *liveNode) float64 { return float64(ln.m.detections.Load()) })
-	perNode("hierdet_node_pruned_total", "Queue heads deleted by the repeated-detection rule (Eq. 10).", obsv.KindCounter,
+	perNode("hierdet_node_pruned_total", "Queue heads deleted by the repeated-detection rule (Eq. 10), as of the node's last drain.", obsv.KindCounter,
 		func(ln *liveNode) float64 { return float64(ln.m.pruned.Load()) })
-	perNode("hierdet_node_eliminated_total", "Queue heads deleted by the elimination loop.", obsv.KindCounter,
+	perNode("hierdet_node_eliminated_total", "Queue heads deleted by the elimination loop, as of the node's last drain.", obsv.KindCounter,
 		func(ln *liveNode) float64 { return float64(ln.m.eliminated.Load()) })
-	perNode("hierdet_node_vec_comparisons_total", "Vector-clock comparisons enumerated by Algorithm 1 at this node.", obsv.KindCounter,
+	perNode("hierdet_node_vec_comparisons_total", "Vector-clock comparisons enumerated by Algorithm 1 at this node, as of its last drain.", obsv.KindCounter,
 		func(ln *liveNode) float64 { return float64(ln.m.vecCmps.Load()) })
-	perNode("hierdet_node_filtered_comparisons_total", "Comparisons refuted by the one-word digest guard without a clock scan.", obsv.KindCounter,
+	perNode("hierdet_node_filtered_comparisons_total", "Comparisons refuted by the one-word digest guard without a clock scan, as of the node's last drain.", obsv.KindCounter,
 		func(ln *liveNode) float64 { return float64(ln.m.filteredCmps.Load()) })
-	perNode("hierdet_node_memo_hits_total", "Comparisons answered from the cross-round verdict memo.", obsv.KindCounter,
+	perNode("hierdet_node_memo_hits_total", "Comparisons answered from the cross-round verdict memo, as of the node's last drain.", obsv.KindCounter,
 		func(ln *liveNode) float64 { return float64(ln.m.memoHits.Load()) })
 	perNode("hierdet_node_duplicates_total", "Reports discarded by resequencers as redeliveries.", obsv.KindCounter,
 		func(ln *liveNode) float64 { return float64(ln.m.duplicates.Load()) })
@@ -447,9 +452,9 @@ func (c *Cluster) registerFamilies() {
 		func(ln *liveNode) float64 { d, _ := ln.mb.depths(); return float64(d) })
 	perNode("hierdet_node_mailbox_high_water", "Deepest the node's mailbox shard has been.", obsv.KindGauge,
 		func(ln *liveNode) float64 { _, h := ln.mb.depths(); return float64(h) })
-	perNode("hierdet_node_queue_depth", "Intervals currently resident across the detector's queues.", obsv.KindGauge,
+	perNode("hierdet_node_queue_depth", "Intervals resident across the detector's queues as of the node's last drain.", obsv.KindGauge,
 		func(ln *liveNode) float64 { return float64(ln.m.queueDepth.Load()) })
-	perNode("hierdet_node_queue_high_water", "Peak concurrent interval residency at this node (not the sum of per-queue peaks).", obsv.KindGauge,
+	perNode("hierdet_node_queue_high_water", "Peak concurrent interval residency at this node (not the sum of per-queue peaks), as of its last drain.", obsv.KindGauge,
 		func(ln *liveNode) float64 { return float64(ln.m.queueHigh.Load()) })
 
 	// Parallel detection engine: pool size is a fixed gauge; occupancy and

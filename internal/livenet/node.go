@@ -48,7 +48,7 @@ type message struct {
 	epoch int
 	iv    interval.Interval
 	ivs   []interval.Interval // msgLocalBatch payload
-	reps  []repair.Report     // msgReportBatch payload
+	batch *reportBatch        // msgReportBatch payload
 	att   repair.Msg
 	hb    hbInfo
 	// born is the Observe wall-clock stamp (UnixNano) of the observation
@@ -78,12 +78,16 @@ type liveNode struct {
 	lastAgg interval.Interval // most recent aggregate, for resend-on-adopt
 	hasAgg  bool              // lastAgg holds a real aggregate
 
+	// log is every detection this node has found, in order. Worker-confined
+	// like everything below; teardown reads it once no worker runs the node.
+	log detectionLog
+
 	// Report coalescing state (Config.AdaptiveFlush). outBuf holds reports
 	// owed to the parent until the worker reaches the end of the current
-	// mailbox drain; drainFlush records that the buffer holds one ledger
-	// credit, taken at first buffer and released by runNode after the
-	// drain-end flush.
-	outBuf     []repair.Report
+	// mailbox drain, when it leaves as the flush's message (nil from then to
+	// the next report); drainFlush records that the buffer holds one ledger
+	// credit, taken at first buffer and released by runNode after the flush.
+	outBuf     *reportBatch
 	drainFlush bool
 	// born is the stamp of the message currently being handled (see
 	// message.born); bufBorn carries the oldest stamp among the reports
@@ -120,6 +124,77 @@ type liveNode struct {
 	// lastPruned is the detector's Pruned count as of the last syncCoreStats,
 	// so the IntervalPruned event can carry the delta. Worker-confined.
 	lastPruned int
+}
+
+// reportBatch is one flush's reports. The sender fills it, the message carries
+// it, and the receiver hands it back to batchPool once every report is copied
+// into a resequencer or a queue (a flush used to make and copy a fresh slice,
+// 179 B per interval at p=127). A batch dropped on the way is just collected.
+type reportBatch struct{ reps []repair.Report }
+
+var batchPool = sync.Pool{New: func() any { return new(reportBatch) }}
+
+// recycle returns an ingested (or encoded) batch to the pool, cleared first so
+// the pool keeps no interval or clock reachable.
+func (b *reportBatch) recycle() {
+	clear(b.reps)
+	b.reps = b.reps[:0]
+	batchPool.Put(b)
+}
+
+// detectionLog is one node's detections in the order it found them. The node's
+// worker is the only writer, so recording takes no lock; teardown lays the
+// logs end to end (concatLogs). Chunks double from detLogMin entries up to
+// detLogMax: a tenant plane has thousands of nodes that find a few dozen
+// detections each, and a fixed large chunk apiece is tens of megabytes, while
+// a busy node soon allocates detLogMax at a time. No entry is ever moved.
+type detectionLog struct {
+	full [][]Detection // filled chunks, oldest first
+	cur  []Detection   // the chunk being filled
+	n    int           // entries in all
+}
+
+const (
+	detLogMin = 4
+	detLogMax = 64 // the unfilled tail of a busy node's last chunk is the log's only waste
+)
+
+func (l *detectionLog) add(d Detection) {
+	if len(l.cur) == cap(l.cur) {
+		if l.cur != nil {
+			l.full = append(l.full, l.cur)
+		}
+		l.cur = make([]Detection, 0, min(max(2*cap(l.cur), detLogMin), detLogMax))
+	}
+	l.cur = append(l.cur, d)
+	l.n++
+}
+
+// concatLogs empties the logs into one exactly-sized list, log after log. The
+// caller passes them in node-id order and each is in its node's Agg.Seq order
+// already (a node numbers its aggregates as it finds them), which makes the
+// result the list sorted by (node, Agg.Seq); a run found out of order is
+// stable-sorted on its own, so that holds whatever was logged.
+func concatLogs(logs []*detectionLog) []Detection {
+	total := 0
+	for _, l := range logs {
+		total += l.n
+	}
+	out := make([]Detection, 0, total)
+	for _, l := range logs {
+		begin := len(out)
+		for _, chunk := range l.full {
+			out = append(out, chunk...)
+		}
+		out = append(out, l.cur...)
+		*l = detectionLog{}
+		run := out[begin:]
+		bySeq := func(i, j int) bool { return run[i].Det.Agg.Seq < run[j].Det.Agg.Seq }
+		if !sort.SliceIsSorted(run, bySeq) {
+			sort.SliceStable(run, bySeq)
+		}
+	}
+	return out
 }
 
 // initLiveNode builds one process in place. The cluster allocates all its
@@ -183,15 +258,17 @@ func (ln *liveNode) handle(msg message) {
 		ln.m.msgsIn.Add(1)
 		rs, ok := ln.reseq[msg.from]
 		if !ok {
-			ln.m.stale.Add(int64(len(msg.reps)))
+			ln.m.stale.Add(int64(len(msg.batch.reps)))
 			return
 		}
+		reps := msg.batch.reps
 		ln.c.emitEvent(obsv.Event{Kind: obsv.ReportRecv, Node: ln.id, Peer: msg.from,
-			Seq: msg.reps[0].LinkSeq, Count: len(msg.reps)})
-		for _, pl := range msg.reps {
+			Seq: reps[0].LinkSeq, Count: len(reps)})
+		for _, pl := range reps {
 			ln.rdyScratch = rs.AcceptInto(pl, ln.rdyScratch[:0])
 			ln.ingest(msg.from, ln.rdyScratch)
 		}
+		msg.batch.recycle()
 		ln.gaugeReseq()
 	case msgAttach:
 		ln.m.msgsIn.Add(1)
@@ -245,8 +322,10 @@ func (ln *liveNode) ingest(from int, ready []repair.Report) {
 	}
 }
 
-// deliver records a batch of detections and reports each aggregate upward,
-// then mirrors the detector's counters into the scrape-safe atomics.
+// deliver logs a batch of detections, tells the sink — on this node's worker,
+// so SolutionFound events keep the node's causal order — and reports each
+// aggregate upward. dets is the detector's own buffer (core.Node.OnInterval):
+// everything kept is copied out here, before the node is called again.
 func (ln *liveNode) deliver(dets []core.Detection) {
 	for _, det := range dets {
 		atRoot := ln.parent == tree.None
@@ -254,12 +333,13 @@ func (ln *liveNode) deliver(dets []core.Detection) {
 		if ln.born > 0 {
 			ln.c.noteLatency(ln.born)
 		}
-		ln.c.record(Detection{Node: ln.id, AtRoot: atRoot, Det: det})
+		ln.log.add(Detection{Node: ln.id, AtRoot: atRoot, Det: det})
+		ln.c.emitEvent(obsv.Event{Kind: obsv.SolutionFound, Node: ln.id, Peer: obsv.NoPeer,
+			Seq: det.Agg.Seq, Count: 1, AtRoot: atRoot, Agg: det.Agg, Set: det.Set})
 		if !atRoot {
 			ln.report(det.Agg)
 		}
 	}
-	ln.syncCoreStats()
 }
 
 // report ships an aggregate to the parent — immediately on a racing delayed
@@ -294,7 +374,10 @@ func (ln *liveNode) emit(agg interval.Interval) {
 		return
 	}
 	ln.bufferBorn()
-	ln.outBuf = append(ln.outBuf, pl)
+	if ln.outBuf == nil {
+		ln.outBuf = batchPool.Get().(*reportBatch)
+	}
+	ln.outBuf.reps = append(ln.outBuf.reps, pl)
 	if !ln.drainFlush && ln.c.takeFlushCredit() {
 		ln.drainFlush = true
 	}
@@ -314,22 +397,21 @@ func (ln *liveNode) bufferBorn() {
 // drain, and synchronously before a parent switch — buffered sequence
 // numbers belong to the old link, so they must go (or be lost) there.
 func (ln *liveNode) flushReports() {
-	if len(ln.outBuf) == 0 {
+	batch := ln.outBuf
+	if batch == nil {
 		return
 	}
+	ln.outBuf = nil
 	if ln.parent == tree.None {
-		ln.outBuf = ln.outBuf[:0]
+		batch.recycle()
 		return
 	}
-	batch := make([]repair.Report, len(ln.outBuf))
-	copy(batch, ln.outBuf)
-	ln.outBuf = ln.outBuf[:0]
 	born := ln.bufBorn
 	ln.bufBorn = 0
 	ln.m.msgsOut.Add(1)
 	ln.m.batchFlushes.Add(1)
 	ln.c.emitEvent(obsv.Event{Kind: obsv.ReportSent, Node: ln.id, Peer: ln.parent,
-		Seq: batch[0].LinkSeq, Count: len(batch)})
+		Seq: batch.reps[0].LinkSeq, Count: len(batch.reps)})
 	ln.c.sendBatch(ln.parent, ln.id, batch, born, ln.delay())
 }
 

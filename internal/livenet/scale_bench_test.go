@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"hierdet/internal/obsv"
 	"hierdet/internal/tree"
 	"hierdet/internal/workload"
 )
@@ -168,5 +169,102 @@ func benchLiveScale(b *testing.B, topo *tree.Topology, e *workload.Execution, to
 	if latObs > 0 {
 		b.ReportMetric(latP50/float64(b.N)*1e3, "latency-p50-ms")
 		b.ReportMetric(latP99/float64(b.N)*1e3, "latency-p99-ms")
+	}
+}
+
+// steadyFeed feeds an execution the way a running system receives one: round
+// by round, every process's interval of a round before any of the next, with
+// at most window rounds that end in a root detection in flight (a root
+// SolutionFound gives the round's token back; rounds that cannot reach the
+// root ride along, there being a bounded number between two that can). One
+// feed may drive several clusters over the same execution — the window is
+// then over (cluster, round) — provided each has sink as its Events.
+type steadyFeed struct {
+	root   int
+	tokens chan struct{}
+}
+
+func newSteadyFeed(topo *tree.Topology, window int) *steadyFeed {
+	f := &steadyFeed{root: topo.Roots()[0], tokens: make(chan struct{}, window)}
+	for i := 0; i < window; i++ {
+		f.tokens <- struct{}{}
+	}
+	return f
+}
+
+func (f *steadyFeed) sink(e obsv.Event) {
+	if e.Kind == obsv.SolutionFound && e.Node == f.root {
+		f.tokens <- struct{}{} // never blocks: the round took it
+	}
+}
+
+// run feeds rounds [0, len(e.Rounds)) to every cluster and returns the number
+// of intervals fed. It does not wait for the last rounds: Close does.
+func (f *steadyFeed) run(clusters []*Cluster, e *workload.Execution) int {
+	fed := 0
+	for r, round := range e.Rounds {
+		reachesRoot := false
+		for _, g := range round.Groups {
+			reachesRoot = reachesRoot || len(g) == e.N
+		}
+		for _, c := range clusters {
+			if reachesRoot {
+				<-f.tokens
+			}
+			for p := range e.Streams {
+				c.Observe(p, e.Streams[p][r])
+			}
+			fed += len(e.Streams)
+		}
+	}
+	return fed
+}
+
+// BenchmarkLiveSteady is the live runtime under the load the repository's
+// benchmark (bench/, which has no profile flag) puts on it, as a go test
+// benchmark so that -cpuprofile and -memprofile apply (make profile): the
+// full current path — Observe, AdaptiveFlush, the parallel engine — fed round-
+// major with 16 root rounds in flight, where BenchmarkLiveScale above hands
+// each process its whole stream at once and measures a burst.
+//
+//	deep  p=127 fan-in 2, every round global: six hops, one report a message
+//	wide  p=273 fan-in 16, global/group/subset/isolated rounds mixed: two
+//	      hops, some forty comparisons an interval
+//
+// One iteration is one cluster's life: New, 300 rounds, Close, Detections.
+// Reports intervals/sec over the whole of it and B/interval allocated.
+func BenchmarkLiveSteady(b *testing.B) {
+	const window, rounds = 16, 300
+	for _, lane := range []struct {
+		name   string
+		topo   *tree.Topology
+		config workload.Config
+	}{
+		{"deep/p=127", tree.Balanced(2, 6), workload.Config{PGlobal: 1}},
+		{"wide/p=273", tree.Balanced(16, 2), workload.Config{PGlobal: .4, PGroup: .3, PSubset: .2}},
+	} {
+		lane.config.Topology, lane.config.Rounds, lane.config.Seed = lane.topo, rounds, 42
+		e := workload.Generate(lane.config)
+		b.Run(lane.name, func(b *testing.B) {
+			fed, found := 0, 0
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				f := newSteadyFeed(lane.topo, window)
+				c := New(Config{Topology: lane.topo, Seed: int64(i + 1), AdaptiveFlush: true, Events: f.sink})
+				fed += f.run([]*Cluster{c}, e)
+				c.Close()
+				found += len(c.Detections())
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			if found == 0 {
+				b.Fatal("no detections: the plane under test is broken")
+			}
+			b.ReportMetric(float64(fed)/b.Elapsed().Seconds(), "intervals/sec")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(fed), "B/interval")
+			b.ReportMetric(float64(found)/float64(b.N), "detections/op")
+		})
 	}
 }

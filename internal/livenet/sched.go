@@ -81,13 +81,16 @@ func (c *Cluster) runNode(ln *liveNode) int {
 	// detections) from firing into a cluster the caller believes final.
 	stopped := c.halted.Load()
 
+	// The drain's credits go back together, after its flush and the counter
+	// mirror: an empty ledger means Metrics shows everything every drain did.
+	credits := 0
 	down := ln.down.Load()
 	for i := range batch {
 		if !down && !stopped {
 			ln.handle(batch[i])
 		}
 		if creditedKind(batch[i].kind) {
-			c.done()
+			credits++
 		}
 		batch[i] = message{} // release interval/clock references
 		down = ln.down.Load()
@@ -102,12 +105,14 @@ func (c *Cluster) runNode(ln *liveNode) int {
 	if ln.drainFlush {
 		ln.drainFlush = false
 		if down || stopped {
-			ln.outBuf = ln.outBuf[:0]
+			ln.outBuf = nil
 		} else {
 			ln.flushReports()
 		}
-		c.done()
+		credits++
 	}
+	ln.syncCoreStats()
+	c.done(credits)
 
 	mb.mu.Lock()
 	if mb.spare == nil || cap(batch) > cap(mb.spare) {

@@ -425,7 +425,7 @@ func (w *wheel) cancel(c *Cluster) {
 			next := e.next
 			if e.ln.c == c {
 				if e.period == 0 && creditedKind(e.msg.kind) {
-					c.done()
+					c.done(1)
 				}
 				w.count--
 				w.releaseLocked(e)
@@ -446,7 +446,7 @@ func (w *wheel) drain() {
 	for i := range w.slots {
 		for e := w.slots[i]; e != nil; e = e.next {
 			if e.period == 0 && creditedKind(e.msg.kind) {
-				e.ln.c.done()
+				e.ln.c.done(1)
 			}
 			w.count--
 		}

@@ -134,8 +134,8 @@ type LiveConfig struct {
 }
 
 // NewLiveCluster builds and starts a live cluster. Feed completed local
-// intervals with Observe (safe from one goroutine per process) and call Stop
-// to drain and collect the detections.
+// intervals with Observe (safe from one goroutine per process), then Close it
+// to drain and read the detections with Detections.
 func NewLiveCluster(cfg LiveConfig) *LiveCluster {
 	return livenet.New(livenet.Config{
 		Topology:          cfg.Topology,

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# bench_pair.sh <parent-ref> <workload> [pairs=10] — the paired, alternating
-# runs a performance claim on this repository has to rest on.
+# bench_pair.sh <parent-ref> <workload|all> [pairs=10] — the paired,
+# alternating runs a performance claim on this repository has to rest on.
 #
 # Unpacks <parent-ref> into a temporary directory, then runs `bench/run.sh
 # --trace 0` on that copy and on this checkout (working tree included) in
@@ -11,13 +11,19 @@
 # metric, both medians and quartiles and the pairs each side won
 # (scripts/pairstats).
 #
+# With `all` for the workload it does so for every workload BENCHMARK.json
+# names, one table each, and ends with one line listing every (workload,
+# metric) whose change-side median is worse than its bound allows or whose
+# runs spread too widely to tell: the no-regression table a claim needs
+# beside it.
+#
 # Environment: BENCH_SECONDS (default: run_seconds in BENCHMARK.json),
-# BENCH_SEED0 (default 1), BENCH_PAIR_OUT (keep the per-run records there;
-# default: a temporary directory, removed).
+# BENCH_SEED0 (default 1), BENCH_PAIR_OUT (keep the per-run records there,
+# under <workload>/ with `all`; default: a temporary directory, removed).
 set -euo pipefail
 
 if [ $# -lt 2 ] || [ $# -gt 3 ]; then
-    echo "usage: $0 <parent-ref> <workload> [pairs=10]" >&2
+    echo "usage: $0 <parent-ref> <workload|all> [pairs=10]" >&2
     exit 2
 fi
 parent=$1 workload=$2 pairs=${3:-10}
@@ -32,29 +38,44 @@ mkdir -p "$tmp/parent" "$out"
 out=$(cd "$out" && pwd)
 git archive "$(git rev-parse --verify "$parent^{commit}")" | tar -x -C "$tmp/parent"
 
-run_side() { # side dir pair seed
-    local dest="$out/$1-$3"
+run_side() { # workload out side dir pair seed
+    local dest="$2/$3-$5"
     mkdir -p "$dest"
-    if ! (cd "$2" && bash bench/run.sh --workload "$workload" --seed "$4" \
+    if ! (cd "$4" && bash bench/run.sh --workload "$1" --seed "$6" \
         --seconds "$seconds" --trace 0 --out "$dest") >"$dest/stdout.json" 2>"$dest/stderr.txt"; then
-        echo "bench_pair: $1 run of pair $3 failed; its output:" >&2
+        echo "bench_pair: $3 run of $1 pair $5 failed; its output:" >&2
         cat "$dest/stderr.txt" >&2
         exit 1
     fi
 }
 
-for ((i = 0; i < pairs; i++)); do
-    seed=$((seed0 + i))
-    if ((i % 2 == 0)); then
-        order=(parent change)
-    else
-        order=(change parent)
-    fi
-    for side in "${order[@]}"; do
-        dir=$PWD
-        [ "$side" = parent ] && dir=$tmp/parent
-        echo "pair $i seed $seed: $side" >&2
-        run_side "$side" "$dir" "$i" "$seed"
+run_pairs() { # workload out: the pairs, then the workload's table
+    for ((i = 0; i < pairs; i++)); do
+        seed=$((seed0 + i))
+        if ((i % 2 == 0)); then
+            order=(parent change)
+        else
+            order=(change parent)
+        fi
+        for side in "${order[@]}"; do
+            dir=$PWD
+            [ "$side" = parent ] && dir=$tmp/parent
+            echo "$1 pair $i seed $seed: $side" >&2
+            run_side "$1" "$2" "$side" "$dir" "$i" "$seed"
+        done
     done
+    go run ./scripts/pairstats BENCHMARK.json "$2" "$1"
+}
+
+if [ "$workload" != all ]; then
+    run_pairs "$workload" "$out"
+    exit
+fi
+flagged=
+for w in $(go run ./scripts/pairstats BENCHMARK.json); do
+    mkdir -p "$out/$w"
+    run_pairs "$w" "$out/$w" | tee "$tmp/table"
+    echo
+    flagged+=$(awk -v w="$w" '/WORSE than the bound|unresolved/ { printf " %s/%s", w, $1 }' "$tmp/table")
 done
-go run ./scripts/pairstats BENCHMARK.json "$out" "$workload"
+echo "outside its bound or unresolved:${flagged:- none}"

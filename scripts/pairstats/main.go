@@ -8,6 +8,7 @@
 // Usage: pairstats BENCHMARK.json DIR WORKLOAD, where DIR holds
 // parent-<i>/ and change-<i>/, each with the run's result record
 // (result-WORKLOAD-trace0.json) and its standard output (stdout.json).
+// With BENCHMARK.json alone it prints the workload names, one a line.
 package main
 
 import (
@@ -28,6 +29,9 @@ type metricDecl struct {
 }
 
 type benchmark struct {
+	Workloads []struct {
+		Name string `json:"name"`
+	} `json:"workloads"`
 	EndToEnd []metricDecl `json:"end_to_end"`
 	PerLayer []metricDecl `json:"per_layer"`
 }
@@ -45,14 +49,31 @@ type resultLine struct {
 }
 
 func main() {
-	if len(os.Args) != 4 {
-		fmt.Fprintln(os.Stderr, "usage: pairstats BENCHMARK.json DIR WORKLOAD")
+	if len(os.Args) != 2 && len(os.Args) != 4 {
+		fmt.Fprintln(os.Stderr, "usage: pairstats BENCHMARK.json [DIR WORKLOAD]")
 		os.Exit(2)
 	}
-	if err := run(os.Args[1], os.Args[2], os.Args[3]); err != nil {
+	var err error
+	if len(os.Args) == 2 {
+		err = listWorkloads(os.Args[1])
+	} else {
+		err = run(os.Args[1], os.Args[2], os.Args[3])
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "pairstats:", err)
 		os.Exit(1)
 	}
+}
+
+func listWorkloads(benchPath string) error {
+	var bm benchmark
+	if err := readJSON(benchPath, &bm); err != nil {
+		return err
+	}
+	for _, w := range bm.Workloads {
+		fmt.Println(w.Name)
+	}
+	return nil
 }
 
 func readJSON(path string, v any) error {
@@ -170,7 +191,7 @@ func run(benchPath, dir, workload string) error {
 		fmt.Printf("%-32s %-6s %-34s %-34s %+7.1f%%  %2d : %-4d %s\n", name, d.Unit,
 			fmt.Sprintf("%.5g [%.5g, %.5g]", pm, pq1, pq3),
 			fmt.Sprintf("%.5g [%.5g, %.5g]", cm, cq1, cq3),
-			100*delta, won, lost, reading(d, pm, cm, math.Abs(pq3-pq1), won, lost, pairs))
+			100*delta, won, lost, reading(d, pm, cm, math.Abs(pq3-pq1), math.Abs(cq3-cq1), won, lost, pairs))
 	}
 	for _, side := range []string{"parent", "change"} {
 		fmt.Printf("%s: %d of %d expected detections missing or surplus\n", side, failed[side].Failed, failed[side].Attempted)
@@ -181,8 +202,10 @@ func run(benchPath, dir, workload string) error {
 // reading applies the claim rule to one metric: a side is better only when it
 // won nine tenths of the pairs and moved the median by more than the parent's
 // quartile distance; for a gated metric, a median worse by more than its
-// bound is called out whatever the pairs say.
-func reading(d metricDecl, pm, cm, parentIQR float64, won, lost, pairs int) string {
+// bound is called out whatever the pairs say, and where neither side is
+// consistently ahead and either side's quartiles lie further apart than the
+// bound, the metric is unresolved: the runs cannot show it stayed within it.
+func reading(d metricDecl, pm, cm, parentIQR, changeIQR float64, won, lost, pairs int) string {
 	if d.Better == "" {
 		return ""
 	}
@@ -199,6 +222,8 @@ func reading(d metricDecl, pm, cm, parentIQR float64, won, lost, pairs int) stri
 		return "worse"
 	case won+lost == 0:
 		return "identical"
+	case d.Bound > 0 && math.Max(parentIQR, changeIQR) > d.Bound*math.Abs(pm):
+		return "unresolved: the runs spread wider than the bound"
 	default:
 		return "no consistent side"
 	}
