@@ -72,6 +72,7 @@ profile:
 fuzz:
 	$(GO) test -run FuzzUnmarshalBinary -fuzz FuzzUnmarshalBinary -fuzztime 30s ./internal/vclock/
 	$(GO) test -run FuzzDecodeDelta -fuzz FuzzDecodeDelta -fuzztime 30s ./internal/vclock/
+	$(GO) test -run FuzzDeltaCodecMatchesReference -fuzz FuzzDeltaCodecMatchesReference -fuzztime 30s ./internal/vclock/
 	$(GO) test -run 'FuzzDecodeReport$$' -fuzz 'FuzzDecodeReport$$' -fuzztime 30s ./internal/wire/
 	$(GO) test -run FuzzDecodeReportV2 -fuzz FuzzDecodeReportV2 -fuzztime 30s ./internal/wire/
 	$(GO) test -run FuzzDecodeReportBatch -fuzz FuzzDecodeReportBatch -fuzztime 30s ./internal/wire/

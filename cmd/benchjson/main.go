@@ -454,9 +454,6 @@ func summarizeHotpath(suites []suiteOut) map[string]float64 {
 		if v2, ok2 := metric(suites, "./internal/transport/tcptransport", "BenchmarkLoopbackRoundTrip/v2", "ns/op"); ok2 && v2 > 0 {
 			sum["loopback_v1_over_v2_speedup"] = v1 / v2
 		}
-		if nc, ok2 := metric(suites, "./internal/transport/tcptransport", "BenchmarkLoopbackRoundTrip/v2-nochain", "ns/op"); ok2 && nc > 0 {
-			sum["loopback_v1_over_v2_nochain_speedup"] = v1 / nc
-		}
 	}
 	return sum
 }

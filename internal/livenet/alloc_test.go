@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"hierdet/internal/transport/tcptransport"
 	"hierdet/internal/tree"
 	"hierdet/internal/workload"
 )
@@ -71,5 +72,91 @@ func TestDetectionPathAllocBudget(t *testing.T) {
 				t.Fatalf("detection path allocates %d B per interval, budget %d", per, tc.budget)
 			}
 		})
+	}
+}
+
+// TestRemoteReportAllocBudget is the same budget for a report that crosses a
+// socket: the p=127 tree hosted by two clusters split by depth parity over
+// loopback TCP, so each of its 126 edges is a wire frame — encoded through a
+// pooled buffer, copied by Send into a recycled one, read in place out of the
+// connection's buffer and decoded into a recycled batch whose clocks come out
+// of the substrate's arena. 500 rounds, 16 in flight: one pass of the
+// benchmark's tcp_split workload. Measured ≈ 2 780 B and 1.7 allocations per
+// interval; was ≈ 3 370 B and 4.3 with a copy per Send, a payload per read, a
+// result slice per frame and two clocks per report each allocated on its own.
+// What remains over the in-process figure above is the decoded clocks
+// (≈ 1 000 B: the other process's clocks have to exist here too) and the
+// redelivery rings filling — 63 destinations × 64 frames is two thirds of the
+// frames a run this short sends; past that a Send allocates nothing
+// (tcptransport's TestSendAllocatesNothingInSteadyState).
+func TestRemoteReportAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("see TestDetectionPathAllocBudget")
+	}
+	const rounds, window, budget, allocBudget = 500, 16, 3050, 2.3
+	topo := tree.Balanced(2, 6)
+	n := topo.N()
+	e := workload.Generate(workload.Config{Topology: topo, Rounds: rounds, Seed: 5, PGlobal: 1})
+	host := make([]int, n)
+	var local [2][]int
+	for v := 0; v < n; v++ {
+		for p := topo.Parent(v); p != tree.None; p = topo.Parent(p) {
+			host[v] ^= 1
+		}
+		local[host[v]] = append(local[host[v]], v)
+	}
+	var trs [2]*tcptransport.Transport
+	for i := range trs {
+		tr, err := tcptransport.New(tcptransport.Config{Listen: "127.0.0.1:0"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		trs[i] = tr
+	}
+	for i, tr := range trs {
+		peers := make(map[int]string)
+		for _, v := range local[1-i] {
+			peers[v] = trs[1-i].Addr()
+		}
+		tr.SetPeers(peers)
+	}
+	feed := newSteadyFeed(topo, window)
+	var cs [2]*Cluster
+	for i := range cs {
+		cs[i] = New(Config{Topology: topo.Clone(), Seed: int64(i + 1), AdaptiveFlush: true,
+			Transport: trs[i], LocalNodes: local[i], Events: feed.sink})
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for r, round := range e.Rounds {
+		if len(round.Groups) == 1 && len(round.Groups[0]) == n {
+			<-feed.tokens
+		}
+		for p := range e.Streams {
+			cs[host[p]].Observe(p, e.Streams[p][r])
+		}
+	}
+	// Close does not see frames inside a connection: every round's token back
+	// means every round reached the root, and so every node below it.
+	for i := 0; i < window; i++ {
+		<-feed.tokens
+	}
+	found := 0
+	for _, c := range cs {
+		c.Close()
+		found += len(c.Detections())
+	}
+	runtime.ReadMemStats(&after)
+	if found != n*rounds {
+		t.Fatalf("%d detections for %d intervals: the run is not the one budgeted", found, n*rounds)
+	}
+	if dials := trs[0].Stats().Dials + trs[1].Stats().Dials; dials != 2 {
+		t.Fatalf("%d dials between two processes, want one per direction", dials)
+	}
+	per := (after.TotalAlloc - before.TotalAlloc) / uint64(n*rounds)
+	allocs := float64(after.Mallocs-before.Mallocs) / float64(n*rounds)
+	t.Logf("%d B and %.1f allocations per interval (budget %d B, %.1f)", per, allocs, budget, allocBudget)
+	if per > budget || allocs > allocBudget {
+		t.Fatalf("a report over TCP allocates %d B in %.1f allocations per interval, budget %d in %.1f", per, allocs, budget, allocBudget)
 	}
 }

@@ -71,6 +71,7 @@ import (
 	"hierdet/internal/obsv"
 	"hierdet/internal/transport"
 	"hierdet/internal/tree"
+	"hierdet/internal/vclock"
 	"hierdet/internal/wire"
 )
 
@@ -232,6 +233,12 @@ type Cluster struct {
 	detectPool *core.Pool
 	remote     bool      // distributed mode: Transport is set
 	startAt    time.Time // StartupGrace reference point
+	// rxClocks holds the *vclock.Store(s) received report batches carve their
+	// clocks from, out of the substrate's arena like the clocks the hosted
+	// nodes aggregate themselves. A pool, not one store, because a store is
+	// single-goroutine and the transport's receive callback runs on one
+	// goroutine per inbound connection.
+	rxClocks sync.Pool
 
 	// Observability plane: the metrics registry every family registers
 	// into, the per-kind event counters (index = obsv.EventKind), and the
@@ -316,6 +323,7 @@ func New(cfg Config) *Cluster {
 		seeking: make(map[int]bool),
 	}
 	c.cond = sync.NewCond(&c.mu)
+	c.rxClocks.New = func() any { return vclock.NewStoreIn(c.topo.N(), c.sched.arena) }
 	if !cfg.SequentialDetect {
 		c.detectPool = sched.detect
 	}
@@ -781,8 +789,10 @@ func encodeMessage(msg message) []byte {
 	}
 }
 
-// onFrame is the transport's receive callback: decode, then hand the message
-// to the addressed node through the same credited post as local traffic.
+// onFrame is the transport's receive callback: decode — nothing decoded
+// refers to frame, which is the transport's again once onFrame returns —
+// then hand the message to the addressed node through the same credited
+// post as local traffic.
 // Frames that fail to decode are counted and dropped — the wire package's
 // typed errors guarantee a corrupt frame cannot crash the node, one of the
 // satellite guarantees of the transport work.
@@ -808,12 +818,19 @@ func (c *Cluster) onFrame(to int, frame []byte) {
 		// origin identifies the sender.
 		msg = message{kind: msgReport, from: r.Iv.Origin, seq: r.LinkSeq, epoch: r.Epoch, iv: r.Iv}
 	case wire.KindReportBatch:
-		batch, err := wire.DecodeReportBatch(frame)
-		if err != nil || len(batch) == 0 {
+		// Decoded into a recycled batch (the receiving node hands it back
+		// after ingest, like one flushed in-process) with its clocks carved
+		// from the substrate's arena. A decoded batch is never empty.
+		batch := batchPool.Get().(*reportBatch)
+		clocks := c.rxClocks.Get().(*vclock.Store)
+		batch.reps, err = wire.AppendDecodedReportBatch(batch.reps[:0], frame, clocks)
+		c.rxClocks.Put(clocks)
+		if err != nil {
+			batch.recycle()
 			ln.m.badFrames.Add(1)
 			return
 		}
-		msg = message{kind: msgReportBatch, from: batch[0].Iv.Origin, batch: &reportBatch{reps: batch}}
+		msg = message{kind: msgReportBatch, from: batch.reps[0].Iv.Origin, batch: batch}
 	case wire.KindHeartbeat:
 		hb, err := wire.DecodeHeartbeat(frame)
 		if err != nil {

@@ -232,7 +232,7 @@ func initLiveNode(ln *liveNode, c *Cluster, id int) {
 	ln.beat.Store(time.Now().UnixNano())
 }
 
-func (ln *liveNode) handle(msg message) {
+func (ln *liveNode) handle(msg *message) {
 	ln.born = msg.born
 	switch msg.kind {
 	case msgLocal:
@@ -251,7 +251,7 @@ func (ln *liveNode) handle(msg message) {
 			return
 		}
 		ln.c.emitEvent(obsv.Event{Kind: obsv.ReportRecv, Node: ln.id, Peer: msg.from, Seq: msg.seq, Count: 1})
-		ln.rdyScratch = rs.AcceptInto(repair.Report{Iv: msg.iv, LinkSeq: msg.seq, Epoch: msg.epoch}, ln.rdyScratch[:0])
+		ln.rdyScratch = rs.AcceptInto(&repair.Report{Iv: msg.iv, LinkSeq: msg.seq, Epoch: msg.epoch}, ln.rdyScratch[:0])
 		ln.ingest(msg.from, ln.rdyScratch)
 		ln.gaugeReseq()
 	case msgReportBatch:
@@ -264,8 +264,12 @@ func (ln *liveNode) handle(msg message) {
 		reps := msg.batch.reps
 		ln.c.emitEvent(obsv.Event{Kind: obsv.ReportRecv, Node: ln.id, Peer: msg.from,
 			Seq: reps[0].LinkSeq, Count: len(reps)})
-		for _, pl := range reps {
-			ln.rdyScratch = rs.AcceptInto(pl, ln.rdyScratch[:0])
+		for i := range reps {
+			if rs.AcceptNext(reps[i].LinkSeq) {
+				ln.ingest(msg.from, reps[i:i+1]) // in order: straight from the batch
+				continue
+			}
+			ln.rdyScratch = rs.AcceptInto(&reps[i], ln.rdyScratch[:0])
 			ln.ingest(msg.from, ln.rdyScratch)
 		}
 		msg.batch.recycle()
@@ -327,13 +331,14 @@ func (ln *liveNode) ingest(from int, ready []repair.Report) {
 // aggregate upward. dets is the detector's own buffer (core.Node.OnInterval):
 // everything kept is copied out here, before the node is called again.
 func (ln *liveNode) deliver(dets []core.Detection) {
-	for _, det := range dets {
+	for i := range dets {
+		det := &dets[i]
 		atRoot := ln.parent == tree.None
 		ln.m.detections.Add(1)
 		if ln.born > 0 {
 			ln.c.noteLatency(ln.born)
 		}
-		ln.log.add(Detection{Node: ln.id, AtRoot: atRoot, Det: det})
+		ln.log.add(Detection{Node: ln.id, AtRoot: atRoot, Det: *det})
 		ln.c.emitEvent(obsv.Event{Kind: obsv.SolutionFound, Node: ln.id, Peer: obsv.NoPeer,
 			Seq: det.Agg.Seq, Count: 1, AtRoot: atRoot, Agg: det.Agg, Set: det.Set})
 		if !atRoot {

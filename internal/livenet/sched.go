@@ -87,7 +87,7 @@ func (c *Cluster) runNode(ln *liveNode) int {
 	down := ln.down.Load()
 	for i := range batch {
 		if !down && !stopped {
-			ln.handle(batch[i])
+			ln.handle(&batch[i])
 		}
 		if creditedKind(batch[i].kind) {
 			credits++

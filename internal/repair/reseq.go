@@ -34,7 +34,19 @@ func NewResequencer() *Resequencer {
 // Accept ingests one report and returns the (possibly empty) batch now
 // deliverable in order.
 func (q *Resequencer) Accept(r Report) []Report {
-	return q.AcceptInto(r, nil)
+	return q.AcceptInto(&r, nil)
+}
+
+// AcceptNext reports whether a report numbered seq is the one deliverable
+// right now — next in order, nothing buffered, what every report on a FIFO
+// link is — and, when it is, counts it delivered: the caller hands on its
+// own copy and spares AcceptInto's.
+func (q *Resequencer) AcceptNext(seq int) bool {
+	if seq != q.next || len(q.pending) != 0 {
+		return false
+	}
+	q.next++
+	return true
 }
 
 // AcceptInto is Accept with a caller-owned result buffer: deliverable
@@ -43,14 +55,13 @@ func (q *Resequencer) Accept(r Report) []Report {
 // hot path reuses one scratch slice per link instead of allocating a
 // single-element slice per report, and skips the pending map entirely when
 // nothing is buffered.
-func (q *Resequencer) AcceptInto(r Report, out []Report) []Report {
+func (q *Resequencer) AcceptInto(r *Report, out []Report) []Report {
 	if r.LinkSeq < q.next {
 		q.dropped++
 		return out // duplicate: already delivered
 	}
-	if r.LinkSeq == q.next && len(q.pending) == 0 {
-		q.next++ // in order, nothing buffered: deliver without touching the map
-		return append(out, r)
+	if q.AcceptNext(r.LinkSeq) {
+		return append(out, *r) // deliver without touching the map
 	}
 	if _, dup := q.pending[r.LinkSeq]; dup {
 		q.dropped++
@@ -59,7 +70,7 @@ func (q *Resequencer) AcceptInto(r Report, out []Report) []Report {
 	if q.pending == nil {
 		q.pending = make(map[int]Report)
 	}
-	q.pending[r.LinkSeq] = r
+	q.pending[r.LinkSeq] = *r
 	for {
 		next, ok := q.pending[q.next]
 		if !ok {

@@ -11,12 +11,12 @@ import (
 // BenchmarkLoopbackRoundTrip measures the full TCP path a deployed report
 // takes: enqueue → coalesced write (with delta rebase) → kernel loopback →
 // read (with un-delta) → decode at the consumer, as any real handler does.
-// Sub-benchmarks send the same near-monotone report stream three ways: v1
-// framing, v2 with per-connection delta chaining (the default), and v2 with
-// chaining disabled (absolute frames pass both sides untouched). Loopback
-// has effectively infinite bandwidth, so this is the adversarial case for
-// the chained codec, whose decode + re-encode is pure overhead here; the
-// bytes-out/frame metric is what it buys on a real link.
+// Sub-benchmarks send the same near-monotone report stream two ways: v1
+// framing (which passes both sides untouched) and v2 with per-connection
+// delta chaining. Loopback has effectively infinite bandwidth, so this is
+// the adversarial case for the chained codec, whose decode + re-encode is
+// pure overhead here; the bytes-out/frame metric is what it buys on a real
+// link.
 func BenchmarkLoopbackRoundTrip(b *testing.B) {
 	stream := reportStream(1, 256, 64)
 	v1 := make([][]byte, len(stream))
@@ -29,10 +29,9 @@ func BenchmarkLoopbackRoundTrip(b *testing.B) {
 		v2[i] = wire.EncodeReportV2(rep)
 	}
 	for _, tc := range []struct {
-		name    string
-		frames  [][]byte
-		nochain bool
-	}{{"v1", v1, false}, {"v2", v2, false}, {"v2-nochain", v2, true}} {
+		name   string
+		frames [][]byte
+	}{{"v1", v1}, {"v2", v2}} {
 		b.Run(tc.name, func(b *testing.B) {
 			sink, err := New(Config{Listen: "127.0.0.1:0"})
 			if err != nil {
@@ -49,7 +48,7 @@ func BenchmarkLoopbackRoundTrip(b *testing.B) {
 			}); err != nil {
 				b.Fatal(err)
 			}
-			src, err := New(Config{Listen: "127.0.0.1:0", Peers: map[int]string{1: sink.Addr()}, NoDeltaChain: tc.nochain})
+			src, err := New(Config{Listen: "127.0.0.1:0", Peers: map[int]string{1: sink.Addr()}})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -99,7 +98,7 @@ func BenchmarkRebase(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out += len(reb.rebase(frames[i%len(frames)]))
+		out += len(reb.rebase(1, frames[i%len(frames)]))
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(out)/float64(b.N), "bytes-out/frame")

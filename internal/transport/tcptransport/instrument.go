@@ -36,64 +36,62 @@ func (t *Transport) Instrument(reg *obsv.Registry, events func(obsv.Event)) {
 	counter("hierdet_transport_redelivered_total", "Frames replayed from the redelivery window after reconnects.", &t.redelivered)
 	counter("hierdet_transport_dials_total", "Successful outbound dials.", &t.dials)
 	counter("hierdet_transport_redials_total", "Reconnects among the successful dials.", &t.redials)
-	counter("hierdet_transport_backlog_dropped_total", "Frames dropped because a peer's queue overflowed MaxBacklog.", &t.backlogDropped)
+	counter("hierdet_transport_backlog_dropped_total", "Frames dropped because a destination's queue overflowed MaxBacklog.", &t.backlogDropped)
 	counter("hierdet_transport_corrupt_frames_total", "Envelopes rejected by a reader (connection dropped).", &t.corruptFrames)
 	counter("hierdet_transport_flushes_total", "Coalesced writes (one flush may carry many frames).", &t.flushes)
 	counter("hierdet_transport_tenant_batches_out_total", "Tenant batch frames packed (runs of tenant-tagged frames coalesced).", &t.tenantBatchesOut)
 	counter("hierdet_transport_tenant_frames_coalesced_total", "Tenant-tagged frames that rode a packed tenant batch.", &t.tenantFramesCoalesced)
 	counter("hierdet_transport_tenant_batches_in_total", "Tenant batch frames unpacked by the readers.", &t.tenantBatchesIn)
 
-	reg.Func("hierdet_transport_peers", "Outbound peer links with a live writer.",
+	reg.Func("hierdet_transport_peers", "Outbound links with a live writer: one per peer address sent to.",
 		obsv.KindGauge, nil, func(emit func(float64, ...string)) {
-			t.mu.Lock()
-			n := len(t.peers)
-			t.mu.Unlock()
-			emit(float64(n))
+			emit(float64(len(t.snapshotLinks())))
 		})
-	reg.Func("hierdet_transport_backlog_depth", "Frames queued across all peer links awaiting a write.",
+	reg.Func("hierdet_transport_backlog_depth", "Frames queued across all links awaiting a write.",
 		obsv.KindGauge, nil, func(emit func(float64, ...string)) {
-			emit(float64(t.queuedFrames()))
+			total := 0
+			for _, l := range t.snapshotLinks() {
+				l.mu.Lock()
+				total += l.depth
+				l.mu.Unlock()
+			}
+			emit(float64(total))
 		})
-	reg.Func("hierdet_transport_redelivery_ring", "Frames held across all redelivery rings for replay.",
+	reg.Func("hierdet_transport_redelivery_ring", "Frames held across all destinations' redelivery rings for replay.",
 		obsv.KindGauge, nil, func(emit func(float64, ...string)) {
 			total := int64(0)
-			for _, p := range t.snapshotPeers() {
-				total += p.ringLen.Load()
+			for _, l := range t.snapshotLinks() {
+				total += l.ringLen.Load()
 			}
 			emit(float64(total))
 		})
 }
 
-// emitRedial reports a successful reconnect to the installed sink, if any.
-// The event is emitted from the peer's writer goroutine, so it is ordered
+// emitRedial reports a successful reconnect to the installed sink, if any:
+// one event per reconnected link, whatever the number of destination ids
+// behind it, carrying the id whose Send first opened the link (link.first).
+// The event is emitted from the link's writer goroutine, so it is ordered
 // per link (see obsv.TransportRedial).
-func (t *Transport) emitRedial(peerID int) {
+func (t *Transport) emitRedial(first int) {
 	t.mu.Lock()
 	sink := t.events
 	t.mu.Unlock()
 	if sink != nil {
-		sink(obsv.Event{Kind: obsv.TransportRedial, Node: peerID, Peer: obsv.NoPeer, Count: 1})
+		sink(obsv.Event{Kind: obsv.TransportRedial, Node: first, Peer: obsv.NoPeer, Count: 1})
 	}
 }
 
-// snapshotPeers copies the peer set out from under the transport lock.
-func (t *Transport) snapshotPeers() []*peer {
+// snapshotLinks copies the link set out from under the transport lock.
+func (t *Transport) snapshotLinks() []*link {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]*peer, 0, len(t.peers))
-	for _, p := range t.peers {
-		out = append(out, p)
-	}
-	return out
+	return t.snapshotLinksLocked()
 }
 
-// queuedFrames sums the per-peer queues.
-func (t *Transport) queuedFrames() int {
-	total := 0
-	for _, p := range t.snapshotPeers() {
-		p.mu.Lock()
-		total += len(p.queue)
-		p.mu.Unlock()
+func (t *Transport) snapshotLinksLocked() []*link {
+	out := make([]*link, 0, len(t.links))
+	for _, l := range t.links {
+		out = append(out, l)
 	}
-	return total
+	return out
 }

@@ -10,9 +10,12 @@ package tcptransport
 // frame — so the chaining lives entirely inside one TCP connection:
 //
 //   - the writer rebases outbound v2 report frames against a per-connection
-//     basis map keyed by origin (a connection serves exactly one destination
-//     node, and TCP keeps it FIFO, so the receiver sees the frames in the
-//     order the bases were chained);
+//     basis map keyed by (destination, tenant, origin): a connection carries
+//     the traffic of every node id behind its address, and an origin that a
+//     repair moved from one parent to another starts a stream of its own to
+//     the new one instead of continuing the old parent's chain (TCP keeps
+//     the connection FIFO, so the receiver sees the frames in the order the
+//     bases were chained);
 //   - the bases reset on every (re)dial, and the redelivery ring stores the
 //     original absolute frames, so replay after a reconnect restarts the
 //     chain from an absolute frame — a receiver that lost its state can
@@ -30,34 +33,36 @@ import (
 	"hierdet/internal/wire"
 )
 
-// rebaser holds one connection's outbound delta state. Owned by the peer's
+// rebaser holds one connection's outbound delta state. Owned by the link's
 // writeLoop; reset on every dial.
 //
-// Bases are keyed by (tenant, origin): with a tenant plane multiplexing many
-// detection trees over one connection, origin ids collide across tenants —
-// every tree numbers its processes from zero — and chaining tenant A's
-// report against tenant B's Hi would corrupt both streams. Single-tenant
-// traffic is all tenant 0, where the pair key degenerates to the origin.
+// Bases are keyed by (to, tenant, origin), the unbaser's key. The tenant is
+// there because a tenant plane multiplexes many detection trees over one
+// connection and origin ids collide across tenants — every tree numbers its
+// processes from zero — so chaining tenant A's report against tenant B's Hi
+// would corrupt both streams; the destination because one origin can have
+// reports in flight to two parents across a repair. Single-tenant traffic is
+// all tenant 0.
 type rebaser struct {
-	bases map[[2]int]vclock.VC // (tenant, origin) → Hi of the last report sent
+	bases map[[3]int]vclock.VC // (to, tenant, origin) → Hi of the last report sent
 	rep   wire.Report          // decode scratch, storage reused across frames
 	buf   []byte               // encode scratch, valid until the next rebase call
 }
 
 func (e *rebaser) reset() {
 	if e.bases == nil {
-		e.bases = make(map[[2]int]vclock.VC)
+		e.bases = make(map[[3]int]vclock.VC)
 	}
 	clear(e.bases)
 }
 
-// rebase returns the bytes to put on the wire for frame: a basis-relative
-// re-encoding when a basis for the frame's origin stream exists, the frame
-// itself otherwise. The returned slice may alias e.buf and is only valid
-// until the next call. Frames the rebaser does not understand pass through
-// verbatim — the transport moves opaque payloads and compression is strictly
-// an optimization.
-func (e *rebaser) rebase(frame []byte) []byte {
+// rebase returns the bytes to put on the wire for a frame to destination
+// `to`: a basis-relative re-encoding when a basis for the frame's origin
+// stream to that destination exists, the frame itself otherwise. The returned
+// slice may alias e.buf and is only valid until the next call. Frames the
+// rebaser does not understand pass through verbatim — the transport moves
+// opaque payloads and compression is strictly an optimization.
+func (e *rebaser) rebase(to int, frame []byte) []byte {
 	if !isAbsoluteV2Report(frame) {
 		return frame
 	}
@@ -66,7 +71,7 @@ func (e *rebaser) rebase(frame []byte) []byte {
 	}
 	// AppendReportV2 round-trips e.rep.Tenant, so a tenant-tagged frame
 	// stays tagged through the basis-relative re-encoding.
-	key := [2]int{int(e.rep.Tenant), e.rep.Iv.Origin}
+	key := [3]int{to, int(e.rep.Tenant), e.rep.Iv.Origin}
 	out := frame
 	if basis := e.bases[key]; basis.Len() == e.rep.Iv.Lo.Len() {
 		e.buf = wire.AppendReportV2(e.buf[:0], e.rep, basis)
@@ -81,21 +86,23 @@ func (e *rebaser) rebase(frame []byte) []byte {
 //
 // Absolute frames are not decoded here: their raw bytes are stashed and the
 // basis they establish is recovered lazily when (if ever) a basis-relative
-// frame follows. A sender with delta chaining disabled therefore costs the
-// receiver one small copy per frame instead of a decode + re-encode.
+// frame follows, so a stream that never chains (a node that reports once a
+// connection) costs the receiver one small copy instead of a decode.
 type unbaser struct {
 	bases   map[[3]int]vclock.VC // (to, tenant, origin) → Hi of the last delta-decoded report
 	pending map[[3]int][]byte    // (to, tenant, origin) → raw bytes of the last absolute frame
 	rep     wire.Report
 	seed    wire.Report
+	out     []byte // the rewritten frame, valid until the next undelta call
 }
 
 // undelta rewrites a basis-relative report frame into an equivalent absolute
-// frame (fresh storage, safe to deliver) and maintains the basis chain.
-// Frames that are not v2 reports, and absolute v2 reports, pass through
-// verbatim. A basis-relative frame whose basis is missing or mismatched
-// returns an error: the stream state is unrecoverable, so the caller must
-// drop the connection and let the peer redial, which resets both ends' bases.
+// frame (in d.out: the receive callback it is delivered to does not keep
+// frames) and maintains the basis chain. Frames that are not v2 reports, and
+// absolute v2 reports, pass through verbatim. A basis-relative frame whose
+// basis is missing or mismatched returns an error: the stream state is
+// unrecoverable, so the caller must drop the connection and let the peer
+// redial, which resets both ends' bases.
 func (d *unbaser) undelta(to int, payload []byte) ([]byte, error) {
 	if !wire.IsReportV2(payload) {
 		return payload, nil
@@ -132,7 +139,7 @@ func (d *unbaser) undelta(to int, payload []byte) ([]byte, error) {
 	if err := wire.DecodeReportInto(payload, &d.rep, basis); err != nil {
 		return nil, err
 	}
-	out := wire.AppendReportV2(make([]byte, 0, wire.ReportSizeV2(d.rep, nil)), d.rep, nil)
+	d.out = wire.AppendReportV2(d.out[:0], d.rep, nil)
 	if d.bases == nil {
 		d.bases = make(map[[3]int]vclock.VC)
 	}
@@ -140,7 +147,7 @@ func (d *unbaser) undelta(to int, payload []byte) ([]byte, error) {
 	if raw := d.pending[key]; raw != nil {
 		d.pending[key] = raw[:0]
 	}
-	return out, nil
+	return d.out, nil
 }
 
 // isAbsoluteV2Report reports whether frame is a v2 report that is not

@@ -245,18 +245,18 @@ func TestBatchFramesPassThrough(t *testing.T) {
 	var rb rebaser
 	rb.reset()
 	single0 := wire.EncodeReportV2(stream[0])
-	rb.rebase(single0) // establishes a basis for origin 3
-	basisBefore := rb.bases[[2]int{0, 3}].Clone()
-	if out := rb.rebase(batch); &out[0] != &batch[0] {
+	rb.rebase(0, single0) // establishes a basis for origin 3
+	basisBefore := rb.bases[[3]int{0, 0, 3}].Clone()
+	if out := rb.rebase(0, batch); &out[0] != &batch[0] {
 		t.Fatal("rebaser re-encoded a batch frame instead of passing it through")
 	}
-	if !rb.bases[[2]int{0, 3}].Equal(basisBefore) {
-		t.Fatalf("rebaser basis moved on a batch frame: %v -> %v", basisBefore, rb.bases[[2]int{0, 3}])
+	if !rb.bases[[3]int{0, 0, 3}].Equal(basisBefore) {
+		t.Fatalf("rebaser basis moved on a batch frame: %v -> %v", basisBefore, rb.bases[[3]int{0, 0, 3}])
 	}
 	// A subsequent single report still delta-encodes against the pre-batch
 	// basis, and the mirrored unbaser recovers it.
 	single1 := wire.EncodeReportV2(stream[1])
-	delta := append([]byte(nil), rb.rebase(single1)...)
+	delta := append([]byte(nil), rb.rebase(0, single1)...)
 	if !wire.ReportIsDelta(delta) {
 		t.Fatal("chain broke: single report after a batch frame is not a delta")
 	}

@@ -6,13 +6,23 @@
 // which is the deployment model the paper assumes ("large-scale networks")
 // and the repository's north star requires.
 //
+// # Addressing
+//
+// A peer is an address, not a destination id. Config.Peers maps every remote
+// node id to the "host:port" of the process hosting it; all ids behind one
+// address share one link — one queue drained by one writer goroutine over
+// one connection — and the envelope's `to` field says which node each frame
+// is for. Two processes hosting hundreds of nodes each talk over two
+// connections (one per direction), and a burst of reports from many nodes to
+// many parents costs one write.
+//
 // # Framing
 //
 // Connections carry length-prefixed envelopes (big endian):
 //
 //	envelope := payloadLen u32 | to u32 | payload [payloadLen]byte
 //
-// `to` is the destination process id — the transport's own addressing, kept
+// `to` is the destination node id — the transport's own addressing, kept
 // outside the wire formats so one listener can host several detector nodes.
 // payload is one internal/wire frame (report, heartbeat or attach). A reader
 // that sees an implausible length (> MaxFrame) treats the stream as corrupt
@@ -20,26 +30,36 @@
 //
 // # Reliability
 //
-// Sends are asynchronous: Send enqueues and returns, a per-peer writer
-// goroutine dials lazily on first use and reconnects with exponential
-// backoff (plus jitter) after failures. All frames queued at write time are
-// written in one buffered flush — write coalescing, so a burst of reports to
-// the same parent costs one syscall. Because a TCP write() success does not
-// mean delivery (data buffered in the kernel dies with a reset connection),
-// the writer keeps the last RedeliveryWindow frames it wrote and replays
-// them after every reconnect. Receivers absorb the duplicates: report
-// streams are deduplicated by the per-link resequencers, and the repair
-// protocol is idempotent by request id. Frames beyond the window on a
-// connection that dies unnoticed are lost — the residual asynchrony the
-// paper's lossless-channel assumption hides; deployments needing more can
-// layer acknowledgements underneath without touching the detector.
+// Sends are asynchronous: Send copies the frame into a recycled buffer,
+// enqueues it and returns; the link's writer goroutine dials lazily on first
+// use and reconnects with exponential backoff (plus jitter) after failures.
+// All frames queued at write time are written in one buffered flush — write
+// coalescing, so a burst of reports costs one syscall. Because a TCP write()
+// success does not mean delivery (data buffered in the kernel dies with a
+// reset connection), the writer keeps the last RedeliveryWindow frames it
+// wrote *to each destination id* and replays them after every reconnect.
+// Receivers absorb the duplicates: report streams are deduplicated by the
+// per-link resequencers, and the repair protocol is idempotent by request
+// id. Frames beyond the window on a connection that dies unnoticed are lost
+// — the residual asynchrony the paper's lossless-channel assumption hides;
+// deployments needing more can layer acknowledgements underneath without
+// touching the detector.
 //
-// Frames to peers that stay unreachable accumulate up to MaxBacklog and
-// then drop oldest-first: messages to a crashed process are lost by the
-// model, and the cap keeps a dead peer from holding the sender's memory.
+// Frames to a destination whose process stays unreachable accumulate up to
+// MaxBacklog *per destination id* and then drop oldest-first: messages to a
+// crashed process are lost by the model, and the cap keeps a dead peer from
+// holding the sender's memory. Both bounds are per destination so that
+// sharing a link weakens neither: a chatty node can neither push a quiet
+// one's last frames out of the replay window nor its queued frames out of
+// the backlog. Per-destination FIFO holds; frames to different destinations
+// may overtake each other, which the contract (transport.Transport) allows.
+//
+// Received frames are handed to the receive callback in the reader's own
+// buffer: the callback must decode or copy before it returns.
 package tcptransport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -58,37 +78,42 @@ import (
 // and starts a new batch, keeping any single wire frame far under MaxFrame.
 const maxPackBytes = 64 << 10
 
+// readBufSize is the buffered reader's size. Frames up to this long are
+// delivered in place out of the read buffer; longer ones (none the detector
+// produces below thousands of processes) get storage of their own.
+const readBufSize = 64 << 10
+
+// maxFreeFrames bounds a link's stock of recycled frame buffers. In steady
+// state buffers cycle — Send takes one, the writer hands it to a redelivery
+// ring, the ring's evictee comes back — and the stock stays at a flush's
+// worth; the bound is for the aftermath of a drained backlog, which would
+// otherwise stay allocated for good.
+const maxFreeFrames = 256
+
 // Config parameterizes a TCP transport.
 type Config struct {
 	// Listen is the local listen address ("127.0.0.1:0" picks a free
 	// port; read the result back with Addr).
 	Listen string
-	// Peers is the address book: process id → "host:port". Ids hosted by
-	// this process itself need no entry (livenet never routes local
-	// traffic through the transport).
+	// Peers is the address book: node id → "host:port" of the process
+	// hosting it. Ids that share an address share one connection. Ids
+	// hosted by this process itself need no entry (livenet never routes
+	// local traffic through the transport).
 	Peers map[int]string
 	// DialBackoff is the first reconnect delay after a failed dial or a
 	// broken connection; it doubles per consecutive failure up to
 	// DialBackoffMax. Defaults: 10ms and 1s.
 	DialBackoff, DialBackoffMax time.Duration
-	// RedeliveryWindow is how many recently-written frames are replayed
-	// after a reconnect (default 64; 0 keeps the default, negative
-	// disables replay).
+	// RedeliveryWindow is how many recently-written frames per destination
+	// id are replayed after a reconnect (default 64; 0 keeps the default,
+	// negative disables replay).
 	RedeliveryWindow int
-	// MaxBacklog caps the frames queued per peer; beyond it the oldest
-	// are dropped (default 4096).
+	// MaxBacklog caps the frames queued per destination id; beyond it the
+	// oldest are dropped (default 4096).
 	MaxBacklog int
 	// MaxFrame caps the payload length a reader accepts before declaring
 	// the stream corrupt (default 1<<24).
 	MaxFrame int
-	// NoDeltaChain disables cross-frame delta compression of outbound v2
-	// report frames (see rebase.go). The chaining trades ~1–2 µs of CPU
-	// per report frame on each side for the smallest wire encoding; on
-	// links where bandwidth is free (loopback, same-host) that trade can
-	// lose, and this knob turns it off. Inbound delta frames are always
-	// understood regardless, so the setting is per-process, not
-	// per-cluster.
-	NoDeltaChain bool
 	// Seed drives the reconnect jitter (0 seeds from the listen address).
 	Seed int64
 }
@@ -100,9 +125,10 @@ type Stats struct {
 	FramesOut, FramesIn int
 	// Redelivered counts frames replayed after a reconnect.
 	Redelivered int
-	// Dials counts successful dials; Redials the reconnects among them.
+	// Dials counts successful dials — one per peer address in a run without
+	// failures; Redials the reconnects among them.
 	Dials, Redials int
-	// BacklogDropped counts frames dropped because a peer's queue
+	// BacklogDropped counts frames dropped because a destination's queue
 	// overflowed MaxBacklog.
 	BacklogDropped int
 	// CorruptFrames counts envelopes rejected by a reader.
@@ -118,8 +144,8 @@ type Stats struct {
 	// delta reconstruction) — the inbound counterpart of BytesOut.
 	BytesIn int
 	// TenantBatchesOut counts tenant batch frames packed by the writers:
-	// runs of ≥2 consecutive tenant-tagged frames to the same peer coalesced
-	// into one wire frame (see internal/wire tenant batch framing).
+	// runs of ≥2 consecutive tenant-tagged frames to the same destination
+	// coalesced into one wire frame (see internal/wire tenant batch framing).
 	// TenantFramesCoalesced counts the inner frames riding them.
 	TenantBatchesOut, TenantFramesCoalesced int
 	// TenantBatchesIn counts tenant batch frames unpacked by the readers.
@@ -132,11 +158,18 @@ type Transport struct {
 	cfg Config
 	ln  net.Listener
 
-	mu     sync.Mutex
-	peers  map[int]*peer
-	conns  map[net.Conn]bool // accepted connections, for teardown
-	recv   func(to int, frame []byte)
-	closed bool
+	// routes maps a destination id to its *dest once the first Send to it
+	// has resolved the id's address to a link: the per-frame path reads it
+	// without taking mu.
+	routes sync.Map
+
+	mu    sync.Mutex
+	links map[string]*link  // address → outbound link
+	conns map[net.Conn]bool // accepted connections, for teardown
+	recv  func(to int, frame []byte)
+	// closed is written under mu (so whoever holds mu sees it settled) and
+	// read without it by the readers, once per frame.
+	closed atomic.Bool
 
 	readers sync.WaitGroup
 	writers sync.WaitGroup
@@ -183,7 +216,7 @@ func New(cfg Config) (*Transport, error) {
 	return &Transport{
 		cfg:   cfg,
 		ln:    ln,
-		peers: make(map[int]*peer),
+		links: make(map[string]*link),
 		conns: make(map[net.Conn]bool),
 	}, nil
 }
@@ -194,8 +227,8 @@ func (t *Transport) Addr() string { return t.ln.Addr().String() }
 // SetPeers installs (or replaces) the address book. It exists for
 // deployments whose listen addresses are only known after every participant
 // has bound ("host:0"): bind all transports with New, exchange Addr values,
-// then SetPeers before the first Send. Peers that already have a live writer
-// keep the address they were created with.
+// then SetPeers before the first Send. Ids that have been sent to already
+// keep the address they resolved to then.
 func (t *Transport) SetPeers(peers map[int]string) {
 	t.mu.Lock()
 	t.cfg.Peers = peers
@@ -216,27 +249,47 @@ func (t *Transport) Start(recv func(to int, frame []byte)) error {
 	return nil
 }
 
-// Send implements transport.Transport: enqueue for the peer's writer.
+// Send implements transport.Transport: enqueue on the link to the process
+// hosting `to`. Frames to ids the address book does not know are dropped,
+// like messages to the dead.
 func (t *Transport) Send(to int, frame []byte) {
+	if d := t.route(to); d != nil {
+		d.link.enqueue(d, frame)
+	}
+}
+
+// route returns the destination record for id, resolving its address and
+// starting the link's writer the first time; nil for an unknown id or a
+// closed transport.
+func (t *Transport) route(to int) *dest {
+	if d, ok := t.routes.Load(to); ok {
+		return d.(*dest)
+	}
 	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return
+	defer t.mu.Unlock()
+	if t.closed.Load() {
+		return nil
 	}
-	p := t.peers[to]
-	if p == nil {
-		addr, ok := t.cfg.Peers[to]
-		if !ok {
-			t.mu.Unlock()
-			return // unknown peer: dropped, like a message to the dead
-		}
-		p = newPeer(t, to, addr)
-		t.peers[to] = p
+	if d, ok := t.routes.Load(to); ok {
+		return d.(*dest) // another Send resolved it meanwhile
+	}
+	addr, ok := t.cfg.Peers[to]
+	if !ok {
+		return nil
+	}
+	l := t.links[addr]
+	if l == nil {
+		l = newLink(t, addr, to)
+		t.links[addr] = l
 		t.writers.Add(1)
-		go p.writeLoop()
+		go l.writeLoop()
 	}
-	t.mu.Unlock()
-	p.enqueue(append([]byte(nil), frame...))
+	d := &dest{id: to, link: l}
+	l.mu.Lock()
+	l.dests = append(l.dests, d)
+	l.mu.Unlock()
+	t.routes.Store(to, d)
+	return d
 }
 
 // Stats snapshots the counters.
@@ -259,31 +312,26 @@ func (t *Transport) Stats() Stats {
 	}
 }
 
-// DisconnectPeer severs the current outbound connection to a peer with a
-// hard reset, as a failing network would. The writer notices on its next
-// write, reconnects with backoff and replays its redelivery window. A
-// fault-injection hook for tests; harmless in production.
+// DisconnectPeer severs the current outbound connection to the process
+// hosting `to` — the link every id behind that address shares — with a hard
+// reset, as a failing network would. The writer notices on its next write,
+// reconnects with backoff and replays each destination's redelivery window.
+// A fault-injection hook for tests; harmless in production.
 func (t *Transport) DisconnectPeer(to int) {
-	t.mu.Lock()
-	p := t.peers[to]
-	t.mu.Unlock()
-	if p != nil {
-		p.abortConn()
+	if d, ok := t.routes.Load(to); ok {
+		d.(*dest).link.abortConn()
 	}
 }
 
 // Close implements transport.Transport.
 func (t *Transport) Close() error {
 	t.mu.Lock()
-	if t.closed {
+	if t.closed.Load() {
 		t.mu.Unlock()
 		return nil
 	}
-	t.closed = true
-	peers := make([]*peer, 0, len(t.peers))
-	for _, p := range t.peers {
-		peers = append(peers, p)
-	}
+	t.closed.Store(true)
+	links := t.snapshotLinksLocked()
 	conns := make([]net.Conn, 0, len(t.conns))
 	for c := range t.conns {
 		conns = append(conns, c)
@@ -291,8 +339,8 @@ func (t *Transport) Close() error {
 	t.mu.Unlock()
 
 	t.ln.Close()
-	for _, p := range peers {
-		p.close()
+	for _, l := range links {
+		l.close()
 	}
 	for _, c := range conns {
 		c.Close()
@@ -312,19 +360,20 @@ func (t *Transport) acceptLoop() {
 			return // listener closed
 		}
 		t.mu.Lock()
-		if t.closed {
+		if t.closed.Load() {
 			t.mu.Unlock()
 			conn.Close()
 			return
 		}
 		t.conns[conn] = true
 		t.readers.Add(1)
+		recv := t.recv // set before the accept loop started
 		t.mu.Unlock()
-		go t.readLoop(conn)
+		go t.readLoop(conn, recv)
 	}
 }
 
-func (t *Transport) readLoop(conn net.Conn) {
+func (t *Transport) readLoop(conn net.Conn, recv func(to int, frame []byte)) {
 	defer func() {
 		conn.Close()
 		t.mu.Lock()
@@ -332,11 +381,12 @@ func (t *Transport) readLoop(conn net.Conn) {
 		t.mu.Unlock()
 		t.readers.Done()
 	}()
+	br := bufio.NewReaderSize(conn, readBufSize)
 	var hdr [8]byte
 	var ub unbaser      // per-connection delta state, mirroring the sender's
 	var inners [][]byte // tenant-batch unpack scratch, reused across frames
 	for {
-		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+		if _, err := io.ReadFull(br, hdr[:]); err != nil {
 			return
 		}
 		size := int(binary.BigEndian.Uint32(hdr[:4]))
@@ -345,8 +395,19 @@ func (t *Transport) readLoop(conn net.Conn) {
 			t.corruptFrames.Add(1)
 			return // stream corrupt: drop the connection, peer redials
 		}
-		payload := make([]byte, size)
-		if _, err := io.ReadFull(conn, payload); err != nil {
+		// The payload is handed on where it lies in the read buffer, valid
+		// until the Discard below; nothing downstream keeps it (the unbaser
+		// copies what it stashes, the receive callback decodes).
+		var payload []byte
+		var err error
+		inPlace := size <= br.Size()
+		if inPlace {
+			payload, err = br.Peek(size)
+		} else {
+			payload = make([]byte, size)
+			_, err = io.ReadFull(br, payload)
+		}
+		if err != nil {
 			return
 		}
 		t.bytesIn.Add(int64(size))
@@ -363,14 +424,15 @@ func (t *Transport) readLoop(conn net.Conn) {
 			}
 			t.tenantBatchesIn.Add(1)
 			for _, inner := range inners {
-				if !t.deliver(to, inner, &ub) {
+				if !t.deliver(recv, to, inner, &ub) {
 					return
 				}
 			}
-			continue
-		}
-		if !t.deliver(to, payload, &ub) {
+		} else if !t.deliver(recv, to, payload, &ub) {
 			return
+		}
+		if inPlace {
+			br.Discard(size) // cannot fail: Peek buffered that much
 		}
 	}
 }
@@ -378,7 +440,7 @@ func (t *Transport) readLoop(conn net.Conn) {
 // deliver runs one frame through the connection's delta state and hands it to
 // the receive callback, returning false when the connection must drop
 // (corrupt stream state or transport closed).
-func (t *Transport) deliver(to int, frame []byte, ub *unbaser) bool {
+func (t *Transport) deliver(recv func(to int, frame []byte), to int, frame []byte, ub *unbaser) bool {
 	frame, err := ub.undelta(to, frame)
 	if err != nil {
 		// Undecodable stream state (e.g. a basis-relative frame whose basis
@@ -387,10 +449,7 @@ func (t *Transport) deliver(to int, frame []byte, ub *unbaser) bool {
 		t.corruptFrames.Add(1)
 		return false
 	}
-	t.mu.Lock()
-	recv, closed := t.recv, t.closed
-	t.mu.Unlock()
-	if closed {
+	if t.closed.Load() {
 		return false
 	}
 	t.framesIn.Add(1)
@@ -400,78 +459,135 @@ func (t *Transport) deliver(to int, frame []byte, ub *unbaser) bool {
 
 // --- outbound path ---
 
-// peer is one outbound link: a queue, a redelivery ring and a writer
-// goroutine that owns the connection.
-type peer struct {
-	t    *Transport
+// dest is one destination id behind a link. The link moves its frames; the
+// bounds the transport promises per destination — MaxBacklog queued,
+// RedeliveryWindow replayed — are kept here.
+type dest struct {
 	id   int
-	addr string
+	link *link
+
+	queue  [][]byte // frames awaiting a write, oldest first; guarded by link.mu
+	queued bool     // on link.ready; guarded by link.mu
+
+	// sent is the redelivery ring: the last RedeliveryWindow frames written,
+	// oldest at head once it is full. Owned by the link's writeLoop.
+	sent [][]byte
+	head int
+}
+
+// outFrame is one frame of a write: the bytes and the destination they are
+// for.
+type outFrame struct {
+	dst  *dest
+	data []byte
+}
+
+// link is the outbound half of one process pair: the queues of every
+// destination id behind one address, and the writer goroutine that owns the
+// connection.
+type link struct {
+	t     *Transport
+	addr  string
+	first int // the id whose Send opened the link: names it in TransportRedial
 
 	mu     sync.Mutex
 	cond   *sync.Cond
-	queue  [][]byte
+	dests  []*dest  // every destination routed over this link
+	ready  []*dest  // those with frames queued, in the order they became so
+	depth  int      // frames queued across all destinations
+	free   [][]byte // recycled frame buffers (see maxFreeFrames)
 	closed bool
-	done   chan struct{} // closed with the peer, wakes backoff sleeps
+	done   chan struct{} // closed with the link, wakes backoff sleeps
 	conn   net.Conn      // current connection, for abortConn; owned by writeLoop
 
-	sent    [][]byte     // redelivery ring, most recent last; writeLoop only
-	ringLen atomic.Int64 // len(sent), mirrored for scrapes
+	ringLen atomic.Int64 // frames across the destinations' redelivery rings, for scrapes
 	rng     *rand.Rand
 
 	// Write-path scratch, owned by writeLoop: the per-connection delta
 	// encoder (reset on every dial, so replayed absolute frames restart the
-	// chain), the coalescing buffer reused across flushes, and the
-	// tenant-batch pack buffer accumulating runs of tenant-tagged frames.
-	reb  rebaser
-	wbuf []byte
-	pbuf []byte
+	// chains), the frames of the write in progress, the coalescing buffer
+	// reused across flushes, the tenant-batch pack buffer accumulating runs
+	// of tenant-tagged frames, and the buffers the rings evicted since the
+	// writer last held mu.
+	reb     rebaser
+	batch   []outFrame
+	wbuf    []byte
+	pbuf    []byte
+	evicted [][]byte
 }
 
-func newPeer(t *Transport, id int, addr string) *peer {
-	p := &peer{
-		t: t, id: id, addr: addr,
+func newLink(t *Transport, addr string, first int) *link {
+	l := &link{
+		t: t, addr: addr, first: first,
 		done: make(chan struct{}),
-		rng:  rand.New(rand.NewSource(t.cfg.Seed ^ int64(id)<<13)),
+		rng:  rand.New(rand.NewSource(t.cfg.Seed ^ int64(first)<<13)),
 	}
-	p.cond = sync.NewCond(&p.mu)
-	return p
+	l.cond = sync.NewCond(&l.mu)
+	return l
 }
 
-func (p *peer) enqueue(frame []byte) {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
+// enqueue copies frame into a recycled buffer and queues it for d.
+func (l *link) enqueue(d *dest, frame []byte) {
+	l.mu.Lock()
+	if l.closed {
+		l.mu.Unlock()
 		return
 	}
-	p.queue = append(p.queue, frame)
-	if over := len(p.queue) - p.t.cfg.MaxBacklog; over > 0 {
-		p.queue = p.queue[over:]
-		p.t.backlogDropped.Add(int64(over))
+	var buf []byte
+	if n := len(l.free); n > 0 {
+		buf, l.free = l.free[n-1], l.free[:n-1]
 	}
-	p.cond.Signal()
-	p.mu.Unlock()
+	d.queue = append(d.queue, append(buf[:0], frame...))
+	l.depth++
+	l.boundBacklogLocked(d)
+	if !d.queued {
+		d.queued = true
+		l.ready = append(l.ready, d)
+	}
+	l.cond.Signal()
+	l.mu.Unlock()
 }
 
-func (p *peer) close() {
-	p.mu.Lock()
-	if !p.closed {
-		p.closed = true
-		close(p.done)
+// boundBacklogLocked drops d's oldest queued frames beyond MaxBacklog.
+func (l *link) boundBacklogLocked(d *dest) {
+	over := len(d.queue) - l.t.cfg.MaxBacklog
+	if over <= 0 {
+		return
 	}
-	if p.conn != nil {
-		p.conn.Close()
+	l.recycleLocked(d.queue[:over])
+	d.queue = d.queue[over:]
+	l.depth -= over
+	l.t.backlogDropped.Add(int64(over))
+}
+
+// recycleLocked returns frame buffers to the free stock, up to its bound.
+func (l *link) recycleLocked(bufs [][]byte) {
+	if room := maxFreeFrames - len(l.free); len(bufs) > room {
+		bufs = bufs[:max(room, 0)]
 	}
-	p.cond.Broadcast()
-	p.mu.Unlock()
+	l.free = append(l.free, bufs...)
+}
+
+func (l *link) close() {
+	l.mu.Lock()
+	if !l.closed {
+		l.closed = true
+		close(l.done)
+	}
+	if l.conn != nil {
+		l.conn.Close()
+	}
+	l.cond.Broadcast()
+	l.mu.Unlock()
 }
 
 // abortConn hard-resets the current connection (SO_LINGER 0 ⇒ RST), so even
 // kernel-buffered data is lost — the failure mode the redelivery window
 // exists for.
-func (p *peer) abortConn() {
-	p.mu.Lock()
-	conn := p.conn
-	p.mu.Unlock()
+func (l *link) abortConn() {
+	l.mu.Lock()
+	conn := l.conn
+	l.mu.Unlock()
 	if conn == nil {
 		return
 	}
@@ -481,169 +597,220 @@ func (p *peer) abortConn() {
 	conn.Close()
 }
 
-// writeLoop owns the peer's connection: dial lazily with backoff, drain the
-// queue in coalesced flushes, replay the redelivery window after reconnects.
-func (p *peer) writeLoop() {
-	defer p.t.writers.Done()
+// writeLoop owns the link's connection: dial lazily with backoff, drain the
+// destinations' queues in coalesced flushes, replay the redelivery windows
+// after reconnects.
+func (l *link) writeLoop() {
+	defer l.t.writers.Done()
 	var failures int
 	dialed := false
 	for {
-		p.mu.Lock()
-		for len(p.queue) == 0 && !p.closed {
-			p.cond.Wait()
+		l.mu.Lock()
+		l.recycleLocked(l.evicted)
+		l.evicted = l.evicted[:0]
+		for len(l.ready) == 0 && !l.closed {
+			l.cond.Wait()
 		}
-		if p.closed {
-			p.mu.Unlock()
+		if l.closed {
+			l.mu.Unlock()
 			return
 		}
-		batch := p.queue
-		p.queue = nil
-		conn := p.conn
-		p.mu.Unlock()
+		// Take everything queued, destination by destination: each
+		// destination's frames stay in order and next to each other, which
+		// is also what lets runs of tenant-tagged frames pack.
+		batch := l.batch[:0]
+		for _, d := range l.ready {
+			for _, f := range d.queue {
+				batch = append(batch, outFrame{d, f})
+			}
+			d.queue, d.queued = d.queue[:0], false
+		}
+		l.ready, l.depth = l.ready[:0], 0
+		conn := l.conn
+		l.mu.Unlock()
+		l.batch = batch
 
+		replayed := 0
 		if conn == nil {
 			var err error
-			conn, err = net.DialTimeout("tcp", p.addr, time.Second)
+			conn, err = net.DialTimeout("tcp", l.addr, time.Second)
 			if err != nil {
-				p.requeueFront(batch)
-				if p.sleepBackoff(&failures) {
+				l.requeueFront(batch)
+				if l.sleepBackoff(&failures) {
 					return
 				}
 				continue
 			}
-			p.t.dials.Add(1)
-			p.reb.reset() // new connection, new stream: bases start over
+			l.t.dials.Add(1)
+			l.reb.reset() // new connection, new stream: bases start over
 			if dialed {
-				p.t.redials.Add(1)
-				p.t.emitRedial(p.id)
+				l.t.redials.Add(1)
+				l.t.emitRedial(l.first)
 				// The previous connection may have died with frames in
-				// the kernel buffer: replay the window ahead of new
-				// traffic and let the receiver's resequencers dedup.
-				if len(p.sent) > 0 {
-					replay := append([][]byte(nil), p.sent...)
-					batch = append(replay, batch...)
-					p.t.redelivered.Add(int64(len(replay)))
-				}
+				// the kernel buffer: replay every destination's window
+				// ahead of new traffic and let the receivers'
+				// resequencers dedup.
+				batch, replayed = l.withReplay(batch)
 			}
 			dialed = true
-			p.mu.Lock()
-			if p.closed {
-				p.mu.Unlock()
+			l.mu.Lock()
+			if l.closed {
+				l.mu.Unlock()
 				conn.Close()
 				return
 			}
-			p.conn = conn
-			p.mu.Unlock()
+			l.conn = conn
+			l.mu.Unlock()
 		}
 
-		if err := p.writeBatch(conn, batch); err != nil {
-			p.mu.Lock()
-			p.conn = nil
-			p.mu.Unlock()
+		// batch[:replayed] came out of the rings and stays there whatever
+		// happens; batch[replayed:] is new.
+		if err := l.writeBatch(conn, batch); err != nil {
+			l.mu.Lock()
+			l.conn = nil
+			l.mu.Unlock()
 			conn.Close()
-			p.requeueFront(batch)
-			if p.sleepBackoff(&failures) {
+			l.requeueFront(batch[replayed:])
+			if l.sleepBackoff(&failures) {
 				return
 			}
 			continue
 		}
 		failures = 0
-		p.t.flushes.Add(1)
-		p.t.framesOut.Add(int64(len(batch)))
-		p.remember(batch)
+		l.t.flushes.Add(1)
+		l.t.framesOut.Add(int64(len(batch)))
+		l.t.redelivered.Add(int64(replayed))
+		l.remember(batch[replayed:])
 	}
+}
+
+// withReplay returns the frames of every destination's redelivery ring,
+// oldest first, followed by batch, and how many came from the rings.
+func (l *link) withReplay(batch []outFrame) ([]outFrame, int) {
+	l.mu.Lock()
+	dests := append([]*dest(nil), l.dests...)
+	l.mu.Unlock()
+	var out []outFrame
+	for _, d := range dests {
+		for i := range d.sent {
+			out = append(out, outFrame{d, d.sent[(d.head+i)%len(d.sent)]})
+		}
+	}
+	replayed := len(out)
+	return append(out, batch...), replayed
 }
 
 // requeueFront puts an unwritten batch back ahead of anything enqueued since.
-func (p *peer) requeueFront(batch [][]byte) {
-	p.mu.Lock()
-	p.queue = append(batch, p.queue...)
-	if over := len(p.queue) - p.t.cfg.MaxBacklog; over > 0 {
-		p.queue = p.queue[over:]
-		p.t.backlogDropped.Add(int64(over))
+func (l *link) requeueFront(batch []outFrame) {
+	l.mu.Lock()
+	for i := 0; i < len(batch); {
+		d := batch[i].dst
+		var front [][]byte
+		for ; i < len(batch) && batch[i].dst == d; i++ {
+			front = append(front, batch[i].data)
+		}
+		d.queue = append(front, d.queue...)
+		l.depth += len(front)
+		l.boundBacklogLocked(d)
+		if !d.queued {
+			d.queued = true
+			l.ready = append(l.ready, d)
+		}
 	}
-	p.mu.Unlock()
+	l.mu.Unlock()
 }
 
 // sleepBackoff waits the current exponential backoff (with jitter),
-// returning true if the peer closed meanwhile.
-func (p *peer) sleepBackoff(failures *int) bool {
-	d := p.t.cfg.DialBackoff << uint(min(*failures, 20))
-	if d > p.t.cfg.DialBackoffMax || d <= 0 {
-		d = p.t.cfg.DialBackoffMax
+// returning true if the link closed meanwhile.
+func (l *link) sleepBackoff(failures *int) bool {
+	d := l.t.cfg.DialBackoff << uint(min(*failures, 20))
+	if d > l.t.cfg.DialBackoffMax || d <= 0 {
+		d = l.t.cfg.DialBackoffMax
 	}
 	*failures++
-	timer := time.NewTimer(d + time.Duration(p.rng.Int63n(int64(d)/4+1)))
+	timer := time.NewTimer(d + time.Duration(l.rng.Int63n(int64(d)/4+1)))
 	defer timer.Stop()
 	select {
 	case <-timer.C:
 		return false
-	case <-p.done:
+	case <-l.done:
 		return true
 	}
 }
 
-// remember appends a written batch to the redelivery ring.
-func (p *peer) remember(batch [][]byte) {
-	w := p.t.cfg.RedeliveryWindow
-	if w <= 0 {
-		return
+// remember moves a written batch into the destinations' redelivery rings. A
+// full ring overwrites its oldest frame in place; the buffer it held goes
+// back to Send through l.evicted.
+func (l *link) remember(batch []outFrame) {
+	w := l.t.cfg.RedeliveryWindow
+	for _, f := range batch {
+		d := f.dst
+		switch {
+		case w <= 0:
+			l.evicted = append(l.evicted, f.data)
+		case len(d.sent) < w:
+			d.sent = append(d.sent, f.data)
+			l.ringLen.Add(1)
+		default:
+			l.evicted = append(l.evicted, d.sent[d.head])
+			d.sent[d.head] = f.data
+			d.head = (d.head + 1) % w
+		}
 	}
-	p.sent = append(p.sent, batch...)
-	if over := len(p.sent) - w; over > 0 {
-		p.sent = append([][]byte(nil), p.sent[over:]...)
-	}
-	p.ringLen.Store(int64(len(p.sent)))
 }
 
 // writeBatch writes every frame of a batch through one buffered flush,
 // delta-rebasing report frames against the connection's stream bases on the
-// way. Runs of ≥2 consecutive tenant-tagged frames — the shape a multi-tenant
-// plane's traffic takes on a shared link — are packed into one tenant batch
-// frame, so the run pays one transport envelope instead of one per frame;
-// the default tenant's bare frames are never packed, keeping the
-// single-tenant byte stream untouched. The coalescing buffers are reused
-// across flushes; the batch itself (the absolute originals) is untouched, so
-// requeueFront and the redelivery ring always hold frames any fresh
-// connection can decode.
-func (p *peer) writeBatch(conn net.Conn, batch [][]byte) error {
-	buf := p.wbuf[:0]
-	pbuf := p.pbuf[:0]
+// way. Runs of ≥2 consecutive tenant-tagged frames to one destination — the
+// shape a multi-tenant plane's traffic takes on a shared link — are packed
+// into one tenant batch frame, so the run pays one transport envelope
+// instead of one per frame; the default tenant's bare frames are never
+// packed, keeping the single-tenant byte stream untouched. The coalescing
+// buffers are reused across flushes; the batch itself (the absolute
+// originals) is untouched, so requeueFront and the redelivery rings always
+// hold frames any fresh connection can decode.
+func (l *link) writeBatch(conn net.Conn, batch []outFrame) error {
+	buf := l.wbuf[:0]
+	pbuf := l.pbuf[:0]
 	var hdr [8]byte
 	payloadBytes := 0
-	emit := func(f []byte) {
+	emit := func(to int, f []byte) {
 		binary.BigEndian.PutUint32(hdr[:4], uint32(len(f)))
-		binary.BigEndian.PutUint32(hdr[4:], uint32(p.id))
+		binary.BigEndian.PutUint32(hdr[4:], uint32(to))
 		buf = append(buf, hdr[:]...)
 		buf = append(buf, f...)
 		payloadBytes += len(f)
 	}
 	// run is the number of tenant-tagged frames accumulated in pbuf (an open
-	// tenant batch); firstOff is where the first inner starts, so a run of
-	// one can be emitted bare — packing only ever pays for itself.
-	run, firstOff := 0, 0
+	// tenant batch, all for runTo — the envelope names one destination);
+	// firstOff is where the first inner starts, so a run of one can be
+	// emitted bare — packing only ever pays for itself.
+	run, runTo, firstOff := 0, 0, 0
 	packedBatches, packedFrames := 0, 0
 	flushRun := func() {
 		if run >= 2 {
-			emit(pbuf)
+			emit(runTo, pbuf)
 			packedBatches++
 			packedFrames += run
 		} else if run == 1 {
-			emit(pbuf[firstOff:])
+			emit(runTo, pbuf[firstOff:])
 		}
 		pbuf = pbuf[:0]
 		run = 0
 	}
-	for _, f := range batch {
-		if !p.t.cfg.NoDeltaChain {
-			f = p.reb.rebase(f)
-		}
+	for _, of := range batch {
+		to := of.dst.id
+		f := l.reb.rebase(to, of.data)
 		if wire.IsTenantTagged(f) {
 			// The rebased frame aliases the rebaser's scratch (valid only
 			// until the next rebase call), so it is copied into the pack
 			// buffer here and now.
+			if run > 0 && runTo != to {
+				flushRun()
+			}
 			if run == 0 {
 				pbuf = wire.AppendTenantBatchHeader(pbuf)
+				runTo = to
 			}
 			pbuf = wire.AppendTenantBatchFrame(pbuf, f)
 			run++
@@ -656,16 +823,16 @@ func (p *peer) writeBatch(conn net.Conn, batch [][]byte) error {
 			continue
 		}
 		flushRun()
-		emit(f)
+		emit(to, f)
 	}
 	flushRun()
-	p.wbuf = buf
-	p.pbuf = pbuf
+	l.wbuf = buf
+	l.pbuf = pbuf
 	_, err := conn.Write(buf)
 	if err == nil {
-		p.t.bytesOut.Add(int64(payloadBytes))
-		p.t.tenantBatchesOut.Add(int64(packedBatches))
-		p.t.tenantFramesCoalesced.Add(int64(packedFrames))
+		l.t.bytesOut.Add(int64(payloadBytes))
+		l.t.tenantBatchesOut.Add(int64(packedBatches))
+		l.t.tenantFramesCoalesced.Add(int64(packedFrames))
 	}
 	return err
 }

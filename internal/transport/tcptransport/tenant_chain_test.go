@@ -39,7 +39,7 @@ func TestTenantStreamsChainIndependently(t *testing.T) {
 	for i := 0; i < count; i++ {
 		for _, tenant := range []uint32{0, 7, 9} { // interleave round-robin
 			sent := wire.EncodeReportV2(streams[tenant][i])
-			onWire := append([]byte(nil), rb.rebase(sent)...)
+			onWire := append([]byte(nil), rb.rebase(0, sent)...)
 			if i > 0 && !wire.ReportIsDelta(onWire) {
 				t.Fatalf("tenant %d frame %d did not chain", tenant, i)
 			}
@@ -65,9 +65,9 @@ func TestTenantStreamsChainIndependently(t *testing.T) {
 	// Tenant envelopes are opaque to the chain on both sides, like batch
 	// frames: pass-through, bases untouched.
 	env := wire.AppendTenantEnvelope(nil, 7, wire.EncodeHeartbeat(wire.Heartbeat{Sender: 1, Epoch: 1}))
-	key := [2]int{7, origin}
+	key := [3]int{0, 7, origin}
 	before := rb.bases[key].Clone()
-	if out := rb.rebase(env); &out[0] != &env[0] {
+	if out := rb.rebase(0, env); &out[0] != &env[0] {
 		t.Fatal("rebaser rewrote a tenant envelope")
 	}
 	if !rb.bases[key].Equal(before) {

@@ -36,7 +36,10 @@ type Transport interface {
 	Send(to int, frame []byte)
 	// Start begins delivery: every frame addressed to a process hosted
 	// behind this transport is handed to recv together with the addressed
-	// process id. Start is called exactly once, before any Send.
+	// process id. The frame is the transport's again when recv returns
+	// (tcptransport delivers out of its read buffer), so recv decodes or
+	// copies and keeps nothing of it — Send's contract, mirrored. Start is
+	// called exactly once, before any Send.
 	Start(recv func(to int, frame []byte)) error
 	// Close tears the transport down. When Close returns, no recv callback
 	// is running or will run again, and subsequent Sends are no-ops.

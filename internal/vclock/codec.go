@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Codec error categories. Consumers (internal/wire, transports) dispatch on
@@ -109,15 +110,43 @@ func (v VC) AppendDelta(buf []byte, base VC) []byte {
 		v.check(base)
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(v)))
-	for k, c := range v {
-		var b uint32
-		if base != nil {
-			b = base[k]
+	// Room for the worst case up front, so the loop stores by index: one
+	// capacity check per clock instead of one per component.
+	at := len(buf)
+	buf = slices.Grow(buf, maxDeltaBytes*len(v))
+	out := buf[at : at+maxDeltaBytes*len(v)]
+	i := 0
+	if base == nil {
+		for _, c := range v {
+			u := uint64(c) << 1 // zig-zag image of a non-negative difference
+			if u < 0x80 {
+				out[i] = byte(u)
+				i++
+				continue
+			}
+			i += binary.PutUvarint(out[i:], u)
 		}
-		buf = binary.AppendVarint(buf, int64(c)-int64(b))
+		return buf[:at+i]
 	}
-	return buf
+	base = base[:len(v)]
+	for k, c := range v {
+		d := int64(c) - int64(base[k])
+		u := uint64(d<<1) ^ uint64(d>>63) // zig-zag, as binary.AppendVarint
+		if u < 0x80 {
+			// The difference fits seven bits: 99 % of the components of a
+			// report stream (EXPERIMENTS.md, PR 16), and one store.
+			out[i] = byte(u)
+			i++
+			continue
+		}
+		i += binary.PutUvarint(out[i:], u)
+	}
+	return buf[:at+i]
 }
+
+// maxDeltaBytes is the longest encoding of one component: the zig-zag image
+// of a difference of two uint32s has 33 bits, five varint bytes.
+const maxDeltaBytes = 5
 
 // ConsumeDelta decodes one delta-varint clock from the front of data into
 // *dst, applying it against base (nil base = zero clock), and returns the
@@ -153,25 +182,60 @@ func ConsumeDeltaSum(data []byte, dst *VC, base VC) (rest []byte, sum uint64, er
 		return nil, 0, fmt.Errorf("vclock: delta of %d components against %d-component base: %w", n, base.Len(), ErrCorrupt)
 	}
 	out := sized(dst, n)
+	// Two copies of one loop, with and without a base: testing base inside
+	// it costs a sixth of the decode. In both, a one-byte varint — the common
+	// case by far (see AppendDelta) — is read without a call or a loop.
+	i := 0
+	if base == nil {
+		for k := range out {
+			var u uint64
+			if i < len(data) && data[i] < 0x80 {
+				u = uint64(data[i])
+				i++
+			} else {
+				var sz int
+				if u, sz = binary.Uvarint(data[i:]); sz <= 0 {
+					return nil, 0, varintErr(sz, "delta component")
+				}
+				i += sz
+			}
+			c := int64(u>>1) ^ -int64(u&1) // undo the zig-zag, as binary.Varint
+			if uint64(c) > maxComponent {
+				return nil, 0, rangeErr(k, c)
+			}
+			out[k] = uint32(c)
+			sum += uint64(c)
+		}
+		*dst = out
+		return data[i:], sum, nil
+	}
+	base = base[:len(out)]
 	for k := range out {
-		d, sz := binary.Varint(data)
-		if sz <= 0 {
-			return nil, 0, varintErr(sz, "delta component")
+		var u uint64
+		if i < len(data) && data[i] < 0x80 {
+			u = uint64(data[i])
+			i++
+		} else {
+			var sz int
+			if u, sz = binary.Uvarint(data[i:]); sz <= 0 {
+				return nil, 0, varintErr(sz, "delta component")
+			}
+			i += sz
 		}
-		data = data[sz:]
-		var b int64
-		if base != nil {
-			b = int64(base[k])
-		}
-		c := b + d
-		if c < 0 || c > maxComponent {
-			return nil, 0, fmt.Errorf("vclock: delta component %d lands at %d, outside the uint32 clock domain: %w", k, c, ErrCorrupt)
+		c := int64(base[k]) + (int64(u>>1) ^ -int64(u&1))
+		if uint64(c) > maxComponent {
+			return nil, 0, rangeErr(k, c)
 		}
 		out[k] = uint32(c)
 		sum += uint64(c)
 	}
 	*dst = out
-	return data, sum, nil
+	return data[i:], sum, nil
+}
+
+// rangeErr reports a decoded component outside the clock domain.
+func rangeErr(k int, c int64) error {
+	return fmt.Errorf("vclock: delta component %d lands at %d, outside the uint32 clock domain: %w", k, c, ErrCorrupt)
 }
 
 // DeltaSize returns the encoded size in bytes of v delta-encoded against

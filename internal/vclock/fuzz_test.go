@@ -2,6 +2,8 @@ package vclock
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"testing"
 )
 
@@ -24,6 +26,171 @@ func FuzzUnmarshalBinary(f *testing.F) {
 		}
 		if !bytes.Equal(out, data) {
 			t.Fatalf("round trip not exact: %x vs %x", data, out)
+		}
+	})
+}
+
+// refAppendDelta and refConsumeDeltaSum are the codec as it stood before the
+// single-byte fast path: one binary.AppendVarint / binary.Varint per
+// component, nothing else. They stay here as the reference the production
+// codec is pinned to — the wire format did not change, so the two must agree
+// on every input, byte for byte and error for error.
+func refAppendDelta(v VC, buf []byte, base VC) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(v)))
+	for k, c := range v {
+		var b uint32
+		if base != nil {
+			b = base[k]
+		}
+		buf = binary.AppendVarint(buf, int64(c)-int64(b))
+	}
+	return buf
+}
+
+func refConsumeDeltaSum(data []byte, dst *VC, base VC) (rest []byte, sum uint64, err error) {
+	n64, sz := binary.Uvarint(data)
+	if sz <= 0 {
+		return nil, 0, varintErr(sz, "component count")
+	}
+	data = data[sz:]
+	if n64 > MaxComponents {
+		return nil, 0, ErrCorrupt
+	}
+	n := int(n64)
+	if len(data) < n {
+		return nil, 0, ErrTruncated
+	}
+	if base != nil && base.Len() != n {
+		return nil, 0, ErrCorrupt
+	}
+	out := sized(dst, n)
+	for k := range out {
+		d, sz := binary.Varint(data)
+		if sz <= 0 {
+			return nil, 0, varintErr(sz, "delta component")
+		}
+		data = data[sz:]
+		var b int64
+		if base != nil {
+			b = int64(base[k])
+		}
+		c := b + d
+		if c < 0 || c > maxComponent {
+			return nil, 0, ErrCorrupt
+		}
+		out[k] = uint32(c)
+		sum += uint64(c)
+	}
+	*dst = out
+	return data, sum, nil
+}
+
+// sentinelOf names the codec sentinel an error wraps ("" for nil).
+func sentinelOf(t *testing.T, err error) string {
+	switch {
+	case err == nil:
+		return ""
+	case errors.Is(err, ErrTruncated):
+		return "truncated"
+	case errors.Is(err, ErrCorrupt):
+		return "corrupt"
+	}
+	t.Fatalf("error %v wraps neither sentinel", err)
+	return ""
+}
+
+// FuzzDeltaCodecMatchesReference pins AppendDelta/ConsumeDeltaSum to the
+// scalar reference above. Decoding arbitrary bytes against an arbitrary base
+// must give the same clock, digest sum, remaining slice and error sentinel,
+// with dst fresh and with dst aliasing base (the in-place patch); encoding
+// the clock the input's bytes spell must give the same bytes.
+func FuzzDeltaCodecMatchesReference(f *testing.F) {
+	const n = 9
+	base := make(VC, n)
+	for k := range base {
+		base[k] = uint32(1000 * (k + 1))
+	}
+	baseBytes := base.AppendBinary(nil)
+	// A delta of every varint width, in both directions, at every position
+	// of an otherwise one-byte clock.
+	for pos := 0; pos < n; pos++ {
+		for _, d := range []int64{63, 64, -64, -65, 1 << 13, -(1 << 13) - 1, 1 << 20, 1 << 27, 1<<32 - 1 - int64(base[pos]), -int64(base[pos])} {
+			enc := binary.AppendUvarint(nil, n)
+			for k := 0; k < n; k++ {
+				if k == pos {
+					enc = binary.AppendVarint(enc, d)
+				} else {
+					enc = binary.AppendVarint(enc, int64(k%3))
+				}
+			}
+			f.Add(enc, baseBytes)
+			f.Add(enc, []byte{}) // absolute: negative deltas land below zero
+		}
+		// Landing one below 0 and one above 2³²−1, and a 10-byte varint.
+		for _, d := range []int64{-int64(base[pos]) - 1, 1<<32 - int64(base[pos]), -1 << 62} {
+			enc := binary.AppendUvarint(nil, n)
+			for k := 0; k < n; k++ {
+				if k == pos {
+					enc = binary.AppendVarint(enc, d)
+				} else {
+					enc = append(enc, 2)
+				}
+			}
+			f.Add(enc, baseBytes)
+			f.Add(enc[:len(enc)-(n-pos)], baseBytes) // and cut inside the wide varint's tail
+		}
+	}
+	f.Add([]byte{}, []byte{})
+	f.Add([]byte{3, 0x80}, []byte{})
+	f.Add([]byte{1, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}, []byte{})
+	f.Fuzz(func(t *testing.T, data, baseBytes []byte) {
+		var base VC
+		if len(baseBytes) > 0 {
+			if _, err := ConsumeBinary(baseBytes, &base); err != nil {
+				base = nil
+			}
+		}
+		for _, alias := range []bool{false, true} {
+			if alias && base == nil {
+				continue
+			}
+			var got, want VC
+			gotBase, wantBase := base, base
+			if alias {
+				gotBase, wantBase = base.Clone(), base.Clone()
+				got, want = gotBase, wantBase
+			}
+			gotRest, gotSum, gotErr := ConsumeDeltaSum(data, &got, gotBase)
+			wantRest, wantSum, wantErr := refConsumeDeltaSum(data, &want, wantBase)
+			if g, w := sentinelOf(t, gotErr), sentinelOf(t, wantErr); g != w {
+				t.Fatalf("alias=%v: error %q (%v), reference %q (%v)", alias, g, gotErr, w, wantErr)
+			}
+			if gotErr != nil {
+				continue
+			}
+			if !got.Equal(want) || gotSum != wantSum {
+				t.Fatalf("alias=%v: decoded %v sum %d, reference %v sum %d", alias, got, gotSum, want, wantSum)
+			}
+			if len(gotRest) != len(wantRest) { // both are tails of data
+				t.Fatalf("alias=%v: %d bytes left, reference %d", alias, len(gotRest), len(wantRest))
+			}
+			if alias && len(got) > 0 && &got[0] != &gotBase[0] {
+				t.Fatal("decode over base left the base's storage")
+			}
+		}
+		// The other direction: data read as little-endian components.
+		v := make(VC, len(data)/4)
+		for k := range v {
+			v[k] = binary.LittleEndian.Uint32(data[4*k:])
+		}
+		if base != nil && base.Len() != v.Len() {
+			base = nil
+		}
+		prefix := []byte("prefix")
+		got := v.AppendDelta(append([]byte(nil), prefix...), base)
+		want := refAppendDelta(v, append([]byte(nil), prefix...), base)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("AppendDelta(%v, base %v) = %x, reference %x", v, base, got, want)
 		}
 	})
 }

@@ -26,6 +26,7 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"hierdet/internal/repair"
 	"hierdet/internal/vclock"
@@ -37,6 +38,11 @@ import (
 // buffer; it allocates only when dst lacks capacity, which is what makes the
 // pooled-buffer flush path allocation-free. Panics on an empty batch (a
 // flush with nothing to flush is a caller bug).
+//
+// Each element is encoded once, behind room left for its length prefix; when
+// the length turns out to need a different number of prefix bytes than its
+// predecessor's did, the element slides into place. Sizing it first
+// (ReportSizeV2) was a second pass over both clocks.
 func AppendReportBatch(dst []byte, reps []repair.Report) []byte {
 	if len(reps) == 0 {
 		panic("wire: empty report batch")
@@ -44,10 +50,23 @@ func AppendReportBatch(dst []byte, reps []repair.Report) []byte {
 	dst = append(dst, magic, verV2, KindReportBatch, 0)
 	dst = binary.AppendUvarint(dst, uint64(len(reps)))
 	var basis vclock.VC
-	for _, pl := range reps {
-		r := Report{Iv: pl.Iv, LinkSeq: pl.LinkSeq, Epoch: pl.Epoch}
-		dst = binary.AppendUvarint(dst, uint64(ReportSizeV2(r, basis)))
-		dst = AppendReportV2(dst, r, basis)
+	var pad [binary.MaxVarintLen32]byte
+	room := 2 // reports of 128 B to 16 KiB, i.e. of 30 to 4000 processes
+	for i := range reps {
+		pl := &reps[i]
+		at := len(dst)
+		dst = append(dst, pad[:room]...)
+		dst = appendReport(dst, &pl.Iv, reportMeta{linkSeq: pl.LinkSeq, epoch: pl.Epoch}, basis)
+		size := len(dst) - at - room
+		if need := uvarintLen(uint64(size)); need != room {
+			if need > room {
+				dst = append(dst, pad[:need-room]...)
+			}
+			copy(dst[at+need:], dst[at+room:at+room+size])
+			dst = dst[:at+need+size]
+			room = need
+		}
+		binary.PutUvarint(dst[at:], uint64(size))
 		basis = pl.Iv.Hi
 	}
 	return dst
@@ -71,51 +90,83 @@ func ReportBatchSize(reps []repair.Report) int {
 // order. Every decode error wraps ErrCorrupt or ErrTruncated, like the rest
 // of the package.
 func DecodeReportBatch(data []byte) ([]repair.Report, error) {
+	return AppendDecodedReportBatch(nil, data, nil)
+}
+
+// minBatchElement is the least a batch element can occupy: its length prefix,
+// the four header bytes, five one-byte fields (the last the length of an
+// empty span) and two empty clocks.
+const minBatchElement = 1 + 4 + 5 + 2
+
+// AppendDecodedReportBatch is DecodeReportBatch appending to dst — a
+// receiver that recycles its batches decodes into the slice it got back —
+// and, with a non-nil clocks, carving each report's Lo/Hi pair from that
+// store when the clocks have its width (see decodeReport). The store is the
+// caller's for the duration of the call. On error the returned slice is dst
+// as it came: nothing of a rejected frame is delivered.
+//
+// What a frame can make the decoder allocate is bounded by the frame's own
+// size: the result grows by at most one report per minBatchElement bytes
+// present whatever count the header claims, and a clock is only made when
+// the bytes that would fill it are there.
+func AppendDecodedReportBatch(dst []repair.Report, data []byte, clocks *vclock.Store) ([]repair.Report, error) {
+	out, err := appendDecodedBatch(dst, data, clocks)
+	if err != nil {
+		clear(out[len(dst):]) // may share dst's array: leave no half-decoded report in it
+		return dst, err
+	}
+	return out, nil
+}
+
+// appendDecodedBatch does AppendDecodedReportBatch's work; on error it
+// returns what it had appended so far.
+func appendDecodedBatch(dst []repair.Report, data []byte, clocks *vclock.Store) ([]repair.Report, error) {
 	if len(data) < 4 {
-		return nil, fmt.Errorf("wire: batch header: %w", ErrTruncated)
+		return dst, fmt.Errorf("wire: batch header: %w", ErrTruncated)
 	}
 	if data[0] != magic || data[1] != verV2 || data[2] != KindReportBatch {
-		return nil, fmt.Errorf("wire: not a report-batch frame: %w", ErrCorrupt)
+		return dst, fmt.Errorf("wire: not a report-batch frame: %w", ErrCorrupt)
 	}
 	if data[3] != 0 {
-		return nil, fmt.Errorf("wire: batch flags 0x%02x: %w", data[3], ErrCorrupt)
+		return dst, fmt.Errorf("wire: batch flags 0x%02x: %w", data[3], ErrCorrupt)
 	}
 	rest := data[4:]
 	count, sz := binary.Uvarint(rest)
 	if sz <= 0 {
-		return nil, uvarintFieldErr(sz)
+		return dst, uvarintFieldErr(sz)
 	}
 	rest = rest[sz:]
 	if count == 0 {
-		return nil, fmt.Errorf("wire: empty report batch: %w", ErrCorrupt)
+		return dst, fmt.Errorf("wire: empty report batch: %w", ErrCorrupt)
 	}
-	// Every element costs at least its length prefix plus a report header,
-	// so a count the remaining bytes cannot back is corrupt, not just big —
-	// reject it before allocating the result.
-	if count > uint64(len(rest)) {
-		return nil, fmt.Errorf("wire: batch of %d reports in %d bytes: %w", count, len(rest), ErrCorrupt)
+	// A count the remaining bytes cannot back is corrupt, not just big —
+	// reject it before growing the result.
+	if count > uint64(len(rest)/minBatchElement) {
+		return dst, fmt.Errorf("wire: batch of %d reports in %d bytes: %w", count, len(rest), ErrCorrupt)
 	}
-	out := make([]repair.Report, 0, count)
+	dst = slices.Grow(dst, int(count))
 	var basis vclock.VC
 	for i := uint64(0); i < count; i++ {
 		n, sz := binary.Uvarint(rest)
 		if sz <= 0 {
-			return nil, uvarintFieldErr(sz)
+			return dst, uvarintFieldErr(sz)
 		}
 		rest = rest[sz:]
 		if n > uint64(len(rest)) {
-			return nil, fmt.Errorf("wire: batch element %d of %d bytes, %d left: %w", i, n, len(rest), ErrTruncated)
+			return dst, fmt.Errorf("wire: batch element %d of %d bytes, %d left: %w", i, n, len(rest), ErrTruncated)
 		}
-		var r Report
-		if err := DecodeReportInto(rest[:n], &r, basis); err != nil {
-			return nil, fmt.Errorf("wire: batch element %d: %w", i, err)
+		dst = append(dst, repair.Report{})
+		pl := &dst[len(dst)-1]
+		m, err := decodeReport(rest[:n], &pl.Iv, basis, clocks)
+		if err != nil {
+			return dst, fmt.Errorf("wire: batch element %d: %w", i, err)
 		}
-		out = append(out, repair.Report{Iv: r.Iv, LinkSeq: r.LinkSeq, Epoch: r.Epoch})
-		basis = r.Iv.Hi
+		pl.LinkSeq, pl.Epoch = m.linkSeq, m.epoch
+		basis = pl.Iv.Hi
 		rest = rest[n:]
 	}
 	if len(rest) != 0 {
-		return nil, fmt.Errorf("wire: %d trailing bytes after batch: %w", len(rest), ErrCorrupt)
+		return dst, fmt.Errorf("wire: %d trailing bytes after batch: %w", len(rest), ErrCorrupt)
 	}
-	return out, nil
+	return dst, nil
 }

@@ -1,8 +1,12 @@
 package wire
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"hierdet/internal/repair"
 	"hierdet/internal/vclock"
@@ -93,6 +97,176 @@ func TestReportBatchRejectsCorruption(t *testing.T) {
 	// And the generic kind dispatch refuses a batch kind in the v1 slot.
 	if _, err := FrameKind([]byte{magic, KindReportBatch, 0}); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("FrameKind accepted v1-framed batch kind: %v", err)
+	}
+}
+
+// refAppendReportBatch is the batch encoder as it stood before the
+// single-pass rewrite: size every element with ReportSizeV2, write the prefix,
+// then encode. Kept as the reference the production encoder is pinned to.
+func refAppendReportBatch(dst []byte, reps []repair.Report) []byte {
+	dst = append(dst, magic, verV2, KindReportBatch, 0)
+	dst = binary.AppendUvarint(dst, uint64(len(reps)))
+	var basis vclock.VC
+	for _, pl := range reps {
+		r := Report{Iv: pl.Iv, LinkSeq: pl.LinkSeq, Epoch: pl.Epoch}
+		dst = binary.AppendUvarint(dst, uint64(ReportSizeV2(r, basis)))
+		dst = AppendReportV2(dst, r, basis)
+		basis = pl.Iv.Hi
+	}
+	return dst
+}
+
+// TestAppendReportBatchMatchesReference: the single-pass encoder leaves room
+// for a length prefix and slides the element when the room was wrong, so the
+// cases that matter are batches whose element sizes cross a prefix-width
+// boundary (127/128 and 16383/16384 bytes) in either direction, anywhere in
+// the batch. Frames must be byte-identical to the two-pass reference.
+func TestAppendReportBatchMatchesReference(t *testing.T) {
+	// A report over n processes: lo sets how many varint bytes a component
+	// costs absolute (the first element of a batch); chained, each costs one.
+	report := func(seq, n int, lo uint32) repair.Report {
+		l, h := make(vclock.VC, n), make(vclock.VC, n)
+		for k := range l {
+			l[k], h[k] = lo+uint32(seq), lo+uint32(seq)+1
+		}
+		r := v2Report(4, seq, seq, 2, l, h)
+		return repair.Report{Iv: r.Iv, LinkSeq: r.LinkSeq, Epoch: r.Epoch}
+	}
+	// Clock widths chosen so that elements are < 128 B (n=8), between
+	// (n=60, n=500) and ≥ 16 KiB (n=8300); every ordered pair of them puts a
+	// shrink or a growth of the prefix at each position.
+	widths := []int{8, 60, 8300, 8, 500, 8300, 8300, 60, 8, 8}
+	for _, lo := range []uint32{1, 1 << 20} {
+		for start := range widths {
+			var reps []repair.Report
+			for i, n := range widths[start:] {
+				reps = append(reps, report(i, n, lo))
+			}
+			got := AppendReportBatch([]byte("prefix"), reps)
+			want := refAppendReportBatch([]byte("prefix"), reps)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("lo=%d widths %v: single-pass frame differs from the reference (%d vs %d bytes)", lo, widths[start:], len(got), len(want))
+			}
+			back, err := DecodeReportBatch(got[len("prefix"):])
+			if err != nil || len(back) != len(reps) {
+				t.Fatalf("widths %v: decoded %d of %d reports: %v", widths[start:], len(back), len(reps), err)
+			}
+		}
+	}
+	// And the sizes right at the 127/128 boundary, one report each way.
+	for n := 50; n < 64; n++ {
+		reps := []repair.Report{report(0, n, 1), report(1, n+1, 1), report(2, n, 1)}
+		if got, want := AppendReportBatch(nil, reps), refAppendReportBatch(nil, reps); !bytes.Equal(got, want) {
+			t.Fatalf("n=%d: single-pass frame differs from the reference", n)
+		}
+	}
+}
+
+// TestDecodeReportBatchAllocationIsBoundedByTheFrame: a header may claim any
+// count and each element any clock width; what the decoder allocates must
+// stay within a small multiple of the bytes actually present. The hostile
+// shapes: a count the frame cannot back (with and without a store to carve
+// clocks from), and a frame full of minimal elements, each of which would
+// cost a carved pair of N-component clocks if pairs were carved on faith.
+func TestDecodeReportBatchAllocationIsBoundedByTheFrame(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector every allocation carries shadow state: not the bytes this bound is about")
+	}
+	const storeN = 1023
+	header := func(count uint64) []byte {
+		return binary.AppendUvarint([]byte{magic, verV2, KindReportBatch, 0}, count)
+	}
+	// The smallest element there is: empty span, two empty clocks.
+	minimal := []byte{11, magic, verV2, KindReport, 0, 1, 0, 0, 0, 0, 0, 0}
+	if len(minimal) != minBatchElement {
+		t.Fatalf("minimal element is %d bytes, minBatchElement says %d", len(minimal), minBatchElement)
+	}
+	// An element claiming storeN components per clock with nothing behind it.
+	wide := append([]byte{11, magic, verV2, KindReport, 0, 1, 0, 0, 0, 0}, binary.AppendUvarint(nil, storeN)...)
+
+	// One report claimed per byte present: 170 bytes of result per byte of
+	// frame, had the count been believed.
+	claimHuge := append(header(1<<16), make([]byte, 1<<16)...)
+	claimFits := header(1 << 12)
+	for i := 0; i < 1<<12; i++ {
+		claimFits = append(claimFits, wide...)
+	}
+	allMinimal := header(1 << 12)
+	for i := 0; i < 1<<12; i++ {
+		allMinimal = append(allMinimal, minimal...)
+	}
+	cases := []struct {
+		name    string
+		frame   []byte
+		wantErr bool
+	}{
+		{"count-beyond-the-frame", claimHuge, true},
+		{"wide-clocks-without-bytes", claimFits, true},
+		{"minimal-elements", allMinimal, false},
+	}
+	for _, tc := range cases {
+		for _, withStore := range []bool{false, true} {
+			var clocks *vclock.Store
+			if withStore {
+				clocks = vclock.NewStore(storeN)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			reps, err := AppendDecodedReportBatch(nil, tc.frame, clocks)
+			runtime.ReadMemStats(&after)
+			if (err != nil) != tc.wantErr {
+				t.Fatalf("%s (store=%v): err = %v", tc.name, withStore, err)
+			}
+			if err != nil && !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrTruncated) {
+				t.Fatalf("%s: untyped error %v", tc.name, err)
+			}
+			// A decoded report is sizeof(repair.Report) = 176 B for at least
+			// minBatchElement = 12 bytes of frame, 15×: the honest ratio of
+			// the format, reached by reports without clocks. 20× leaves room
+			// for size classes and nothing more.
+			if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(20*len(tc.frame)); grew > limit {
+				t.Fatalf("%s (store=%v): decoding a %d-byte frame allocated %d bytes, limit %d", tc.name, withStore, len(tc.frame), grew, limit)
+			}
+			runtime.KeepAlive(reps)
+		}
+	}
+}
+
+// TestAppendDecodedReportBatch covers what the appending form adds: reports
+// land behind what dst held, a store of the clocks' width supplies adjacent
+// Lo/Hi pairs, a store of another width is ignored, and a rejected frame
+// leaves dst as it came with nothing half-decoded behind its length.
+func TestAppendDecodedReportBatch(t *testing.T) {
+	reps := windowReports(5) // 4-component clocks
+	frame := AppendReportBatch(nil, reps)
+	kept := windowReports(2)
+	dst := append(make([]repair.Report, 0, 16), kept...)
+
+	out, err := AppendDecodedReportBatch(dst, frame, vclock.NewStore(4))
+	if err != nil || len(out) != len(kept)+len(reps) {
+		t.Fatalf("decoded to %d reports: %v", len(out), err)
+	}
+	for i, pl := range out[len(kept):] {
+		sameReport(t, Report{Iv: pl.Iv, LinkSeq: pl.LinkSeq, Epoch: pl.Epoch},
+			Report{Iv: reps[i].Iv, LinkSeq: reps[i].LinkSeq, Epoch: reps[i].Epoch}, "appended element")
+		if lo, hi := pl.Iv.Lo, pl.Iv.Hi; unsafe.Add(unsafe.Pointer(&lo[0]), 4*len(lo)) != unsafe.Pointer(&hi[0]) {
+			t.Fatalf("element %d: Lo and Hi were not carved as one adjacent pair", i)
+		}
+	}
+	if out, err = AppendDecodedReportBatch(nil, frame, vclock.NewStore(9)); err != nil || len(out) != len(reps) {
+		t.Fatalf("store of another width: %d reports, %v", len(out), err)
+	}
+
+	cut := frame[:len(frame)-3]
+	dst = append(make([]repair.Report, 0, 16), kept...)
+	out, err = AppendDecodedReportBatch(dst, cut, nil)
+	if !errors.Is(err, ErrTruncated) || len(out) != len(kept) {
+		t.Fatalf("cut frame: %d reports, err %v; want dst back and ErrTruncated", len(out), err)
+	}
+	for _, pl := range out[:cap(out)][len(kept):] {
+		if pl.Iv.Lo != nil || pl.Iv.Span != nil || pl.LinkSeq != 0 {
+			t.Fatalf("rejected frame left a half-decoded report behind dst: %+v", pl)
+		}
 	}
 }
 

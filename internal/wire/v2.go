@@ -42,11 +42,13 @@ package wire
 //go:generate go run ./gen
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
 
+	"hierdet/internal/interval"
 	"hierdet/internal/vclock"
 )
 
@@ -159,39 +161,57 @@ func ReportTenantV2(data []byte) (uint32, error) {
 // otherwise Lo is absolute. The function allocates only when dst lacks
 // capacity.
 func AppendReportV2(dst []byte, r Report, basis vclock.VC) []byte {
+	return appendReport(dst, &r.Iv, reportMeta{r.LinkSeq, r.Epoch, r.Tenant}, basis)
+}
+
+// reportMeta is what a report carries beside its interval. Encoder and
+// decoder work on (*interval.Interval, reportMeta), which both Report here
+// and repair.Report in the batch codec take apart into without a copy of the
+// interval.
+type reportMeta struct {
+	linkSeq, epoch int
+	tenant         uint32
+}
+
+func appendReport(dst []byte, iv *interval.Interval, m reportMeta, basis vclock.VC) []byte {
 	var flags byte
-	if r.Iv.Agg {
+	if iv.Agg {
 		flags |= flagAgg
 	}
 	loBase := vclock.VC(nil)
-	if basis != nil && basis.Len() == r.Iv.Lo.Len() {
+	if basis != nil && basis.Len() == iv.Lo.Len() {
 		flags |= flagDeltaLo
 		loBase = basis
 	}
-	if r.Tenant != 0 {
+	if m.tenant != 0 {
 		flags |= flagTenant
 	}
 	dst = append(dst, magic, verV2, KindReport, flags)
-	if r.Tenant != 0 {
-		dst = binary.AppendUvarint(dst, uint64(r.Tenant))
+	if m.tenant != 0 {
+		dst = binary.AppendUvarint(dst, uint64(m.tenant))
 	}
-	dst = binary.AppendUvarint(dst, uint64(uint32(r.Iv.Origin)))
-	dst = binary.AppendUvarint(dst, uint64(uint32(r.Iv.Seq)))
-	dst = binary.AppendUvarint(dst, uint64(uint32(r.LinkSeq)))
-	dst = binary.AppendUvarint(dst, uint64(uint32(r.Epoch)))
-	dst = binary.AppendUvarint(dst, uint64(len(r.Iv.Span)))
-	for _, p := range r.Iv.Span {
+	dst = binary.AppendUvarint(dst, uint64(uint32(iv.Origin)))
+	dst = binary.AppendUvarint(dst, uint64(uint32(iv.Seq)))
+	dst = binary.AppendUvarint(dst, uint64(uint32(m.linkSeq)))
+	dst = binary.AppendUvarint(dst, uint64(uint32(m.epoch)))
+	dst = binary.AppendUvarint(dst, uint64(len(iv.Span)))
+	for _, p := range iv.Span {
 		dst = binary.AppendUvarint(dst, uint64(uint32(p)))
 	}
-	dst = r.Iv.Lo.AppendDelta(dst, loBase)
-	dst = r.Iv.Hi.AppendDelta(dst, r.Iv.Lo)
+	dst = iv.Lo.AppendDelta(dst, loBase)
+	dst = iv.Hi.AppendDelta(dst, iv.Lo)
 	return dst
 }
 
 // EncodeReportV2 serializes a report in wire format v2 with an absolute Lo
-// (no stream basis) into fresh storage.
+// (no stream basis) into fresh, exactly-sized storage: encoded once through
+// a pooled buffer and copied out, which is cheaper than sizing it first.
 func EncodeReportV2(r Report) []byte {
-	return AppendReportV2(make([]byte, 0, ReportSizeV2(r, nil)), r, nil)
+	buf := GetBuffer()
+	*buf = AppendReportV2(*buf, r, nil)
+	out := bytes.Clone(*buf)
+	PutBuffer(buf)
+	return out
 }
 
 // ReportSizeV2 returns the exact encoded size in bytes of r under v2 framing
@@ -234,98 +254,116 @@ func uvarintLen(x uint64) int {
 // which makes a transport drop the connection — exactly right, since the
 // stream state is unrecoverable and a redial resets both ends' bases.
 func DecodeReportInto(data []byte, r *Report, basis vclock.VC) error {
+	m, err := decodeReport(data, &r.Iv, basis, nil)
+	r.LinkSeq, r.Epoch, r.Tenant = m.linkSeq, m.epoch, m.tenant
+	return err
+}
+
+// decodeReport is DecodeReportInto on an interval and the rest apart. With a
+// non-nil clocks, a v2 report whose clocks have the store's width gets its
+// Lo/Hi pair carved from it (adjacent, like the bounds the detector
+// aggregates itself) instead of two allocations; anything else falls back to
+// iv's own storage. On error iv and the returned meta hold garbage.
+func decodeReport(data []byte, iv *interval.Interval, basis vclock.VC, clocks *vclock.Store) (m reportMeta, err error) {
 	ver, err := FrameVersion(data)
 	if err != nil {
-		return err
+		return m, err
 	}
 	if ver == Version1 {
-		return decodeReportV1(data, r)
+		return decodeReportV1(data, iv)
 	}
 	if len(data) < 4 {
-		return fmt.Errorf("wire: report header: %w", ErrTruncated)
+		return m, fmt.Errorf("wire: report header: %w", ErrTruncated)
 	}
 	if data[2] != KindReport {
-		return fmt.Errorf("wire: v2 kind %d is not a report: %w", data[2], ErrCorrupt)
+		return m, fmt.Errorf("wire: v2 kind %d is not a report: %w", data[2], ErrCorrupt)
 	}
 	flags := data[3]
 	if flags&^(flagAgg|flagDeltaLo|flagTenant) != 0 {
-		return fmt.Errorf("wire: report flags 0x%02x: %w", flags, ErrCorrupt)
+		return m, fmt.Errorf("wire: report flags 0x%02x: %w", flags, ErrCorrupt)
 	}
 	rest := data[4:]
-	r.Tenant = 0
 	if flags&flagTenant != 0 {
 		v, sz := binary.Uvarint(rest)
 		if sz <= 0 {
-			return uvarintFieldErr(sz)
+			return m, uvarintFieldErr(sz)
 		}
 		if v > 1<<32-1 {
-			return fmt.Errorf("wire: report tenant overflows u32: %w", ErrCorrupt)
+			return m, fmt.Errorf("wire: report tenant overflows u32: %w", ErrCorrupt)
 		}
 		if v == 0 {
 			// Tenant 0 is always encoded untagged; a tagged zero is a frame
 			// no encoder produces.
-			return fmt.Errorf("wire: tenant tag carrying the default tenant: %w", ErrCorrupt)
+			return m, fmt.Errorf("wire: tenant tag carrying the default tenant: %w", ErrCorrupt)
 		}
-		r.Tenant, rest = uint32(v), rest[sz:]
+		m.tenant, rest = uint32(v), rest[sz:]
 	}
 	var fields [5]uint64
 	for i := range fields {
 		v, sz := binary.Uvarint(rest)
 		if sz <= 0 {
-			return uvarintFieldErr(sz)
+			return m, uvarintFieldErr(sz)
 		}
 		if v > 1<<32-1 {
-			return fmt.Errorf("wire: report field %d overflows u32: %w", i, ErrCorrupt)
+			return m, fmt.Errorf("wire: report field %d overflows u32: %w", i, ErrCorrupt)
 		}
 		fields[i], rest = v, rest[sz:]
 	}
-	r.Iv.Origin = int(uint32(fields[0]))
-	r.Iv.Seq = int(uint32(fields[1]))
-	r.LinkSeq = int(uint32(fields[2]))
-	r.Epoch = int(uint32(fields[3]))
-	r.Iv.Agg = flags&flagAgg != 0
+	iv.Origin = int(uint32(fields[0]))
+	iv.Seq = int(uint32(fields[1]))
+	m.linkSeq = int(uint32(fields[2]))
+	m.epoch = int(uint32(fields[3]))
+	iv.Agg = flags&flagAgg != 0
 	spanLen := int(fields[4])
 	if spanLen > MaxSpan {
-		return fmt.Errorf("wire: report span of %d ids: %w", spanLen, ErrCorrupt)
+		return m, fmt.Errorf("wire: report span of %d ids: %w", spanLen, ErrCorrupt)
 	}
 	if len(rest) < spanLen { // every id costs at least one byte
-		return fmt.Errorf("wire: report span body: %w", ErrTruncated)
+		return m, fmt.Errorf("wire: report span body: %w", ErrTruncated)
 	}
-	if cap(r.Iv.Span) >= spanLen {
-		r.Iv.Span = r.Iv.Span[:spanLen]
+	if cap(iv.Span) >= spanLen {
+		iv.Span = iv.Span[:spanLen]
 	} else {
-		r.Iv.Span = make([]int, spanLen)
+		iv.Span = make([]int, spanLen)
 	}
-	for i := range r.Iv.Span {
+	for i := range iv.Span {
 		v, sz := binary.Uvarint(rest)
 		if sz <= 0 {
-			return uvarintFieldErr(sz)
+			return m, uvarintFieldErr(sz)
 		}
 		if v > 1<<32-1 {
-			return fmt.Errorf("wire: span id overflows u32: %w", ErrCorrupt)
+			return m, fmt.Errorf("wire: span id overflows u32: %w", ErrCorrupt)
 		}
-		r.Iv.Span[i], rest = int(uint32(v)), rest[sz:]
+		iv.Span[i], rest = int(uint32(v)), rest[sz:]
 	}
 	loBase := vclock.VC(nil)
 	if flags&flagDeltaLo != 0 {
 		if basis == nil {
-			return fmt.Errorf("wire: basis-relative report without stream basis: %w", ErrCorrupt)
+			return m, fmt.Errorf("wire: basis-relative report without stream basis: %w", ErrCorrupt)
 		}
 		loBase = basis
 	}
-	rest, err = consumeDelta(rest, &r.Iv.Lo, loBase)
-	if err != nil {
-		return err
+	if clocks != nil {
+		// Carve only what the frame can back: two clocks of n components are
+		// at least 2n bytes, so a pair costs a corrupt frame at most four
+		// times its own size.
+		if n, sz := binary.Uvarint(rest); sz > 0 && n == uint64(clocks.N()) && uint64(len(rest)) >= 2*n {
+			iv.Lo, iv.Hi = clocks.AllocPair()
+		}
 	}
-	rest, err = consumeDelta(rest, &r.Iv.Hi, r.Iv.Lo)
+	rest, err = consumeDelta(rest, &iv.Lo, loBase)
 	if err != nil {
-		return err
+		return m, err
+	}
+	rest, err = consumeDelta(rest, &iv.Hi, iv.Lo)
+	if err != nil {
+		return m, err
 	}
 	if len(rest) != 0 {
-		return fmt.Errorf("wire: %d trailing bytes: %w", len(rest), ErrCorrupt)
+		return m, fmt.Errorf("wire: %d trailing bytes: %w", len(rest), ErrCorrupt)
 	}
-	finishReport(r)
-	return nil
+	finishReport(iv)
+	return m, nil
 }
 
 // consumeDelta adapts vclock.ConsumeDelta to wire's error taxonomy.
@@ -354,14 +392,14 @@ func uvarintFieldErr(sz int) error {
 }
 
 // finishReport derives the fields not carried on the wire.
-func finishReport(r *Report) {
-	r.Iv.Term = nil
-	r.Iv.Members = nil
-	r.Iv.Bases = 1
-	if r.Iv.Agg {
+func finishReport(iv *interval.Interval) {
+	iv.Term = nil
+	iv.Members = nil
+	iv.Bases = 1
+	if iv.Agg {
 		// Base count is not carried on the wire; span size is the best
 		// lower bound a receiver has.
-		r.Iv.Bases = len(r.Iv.Span)
+		iv.Bases = len(iv.Span)
 	}
 }
 

@@ -155,40 +155,40 @@ func DecodeReport(data []byte) (Report, error) {
 	return r, err
 }
 
-// decodeReportV1 parses a fixed-width v1 report into *r, reusing r's clock
-// and span backing arrays when they have capacity.
-func decodeReportV1(data []byte, r *Report) error {
+// decodeReportV1 parses a fixed-width v1 report into *iv, reusing its clock
+// and span backing arrays when they have capacity. v1 predates tenant
+// tagging: the meta's tenant is always the default, zero.
+func decodeReportV1(data []byte, iv *interval.Interval) (m reportMeta, err error) {
 	rest, err := frameBody(data, KindReport, "report")
 	if err != nil {
-		return err
+		return m, err
 	}
 	if len(rest) < 17 {
-		return fmt.Errorf("wire: report header: %w", ErrTruncated)
+		return m, fmt.Errorf("wire: report header: %w", ErrTruncated)
 	}
-	r.Iv.Origin = int(binary.BigEndian.Uint32(rest))
-	r.Iv.Seq = int(binary.BigEndian.Uint32(rest[4:]))
-	r.LinkSeq = int(binary.BigEndian.Uint32(rest[8:]))
-	r.Epoch = int(binary.BigEndian.Uint32(rest[12:]))
-	r.Tenant = 0 // v1 predates tenant tagging: always the default tenant
-	r.Iv.Agg = rest[16] == 1
+	iv.Origin = int(binary.BigEndian.Uint32(rest))
+	iv.Seq = int(binary.BigEndian.Uint32(rest[4:]))
+	m.linkSeq = int(binary.BigEndian.Uint32(rest[8:]))
+	m.epoch = int(binary.BigEndian.Uint32(rest[12:]))
+	iv.Agg = rest[16] == 1
 	rest = rest[17:]
-	r.Iv.Span, rest, err = consumeIDsInto(r.Iv.Span, rest, "report span")
+	iv.Span, rest, err = consumeIDsInto(iv.Span, rest, "report span")
 	if err != nil {
-		return err
+		return m, err
 	}
-	rest, err = consumeVC(rest, &r.Iv.Lo)
+	rest, err = consumeVC(rest, &iv.Lo)
 	if err != nil {
-		return err
+		return m, err
 	}
-	rest, err = consumeVC(rest, &r.Iv.Hi)
+	rest, err = consumeVC(rest, &iv.Hi)
 	if err != nil {
-		return err
+		return m, err
 	}
 	if len(rest) != 0 {
-		return fmt.Errorf("wire: %d trailing bytes: %w", len(rest), ErrCorrupt)
+		return m, fmt.Errorf("wire: %d trailing bytes: %w", len(rest), ErrCorrupt)
 	}
-	finishReport(r)
-	return nil
+	finishReport(iv)
+	return m, nil
 }
 
 // consumeVC reads one length-prefixed fixed-width clock into *v (reusing its

@@ -17,7 +17,8 @@ type Transport = transport.Transport
 
 // TCPTransport is a Transport over real TCP connections: a listener for
 // inbound frames and one lazily-dialled, backoff-retried connection per peer
-// for outbound ones. See TCPConfig for tuning.
+// address — shared by every node id that address hosts — for outbound ones.
+// See TCPConfig for tuning.
 type TCPTransport = tcptransport.Transport
 
 // TCPConfig parameterizes NewTCPTransport. Only Listen is required; Peers may
