@@ -198,10 +198,7 @@ func runNode(path string, id int, gate string) error {
 	c := hierdet.NewLiveCluster(hierdet.LiveConfig{
 		Topology: topo,
 		Seed:     f.Seed + int64(id),
-		Failure: hierdet.LiveFailureOptions{
-			HbEvery:   time.Duration(f.HbEveryMs) * time.Millisecond,
-			HbTimeout: time.Duration(f.HbTimeoutMs) * time.Millisecond,
-		},
+		Failure:  hierdet.LiveFailureOptions{HbEvery: time.Duration(f.HbEveryMs) * time.Millisecond},
 		Distributed: hierdet.LiveDistributedOptions{
 			Transport:    tr,
 			LocalNodes:   []int{id},
@@ -290,7 +287,6 @@ func runTenants(f *clusterfile.File, topo *hierdet.Topology, tr *hierdet.TCPTran
 			Topology:     topo,
 			Seed:         f.Seed + int64(id*f.Tenants+k),
 			HbEvery:      time.Duration(f.HbEveryMs) * time.Millisecond,
-			HbTimeout:    time.Duration(f.HbTimeoutMs) * time.Millisecond,
 			StartupGrace: time.Duration(f.StartupGraceMs) * time.Millisecond,
 		})
 		if err != nil {

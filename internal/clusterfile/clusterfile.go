@@ -35,9 +35,10 @@ type File struct {
 	Tenants int `json:"tenants,omitempty"`
 
 	// Failure detector timings, in milliseconds (generous defaults for
-	// separate OS processes on one machine; see Normalize).
+	// separate OS processes on one machine; see Normalize). How long silence
+	// may last is learned per link from the beats; a file that still carries
+	// the old hbTimeoutMs key loads, and the key is ignored.
 	HbEveryMs      int `json:"hbEveryMs"`
-	HbTimeoutMs    int `json:"hbTimeoutMs"`
 	StartupGraceMs int `json:"startupGraceMs"`
 	// FeedEveryMs paces each process's interval stream.
 	FeedEveryMs int `json:"feedEveryMs"`
@@ -62,9 +63,6 @@ func (f *File) Normalize() {
 	}
 	if f.HbEveryMs == 0 {
 		f.HbEveryMs = 5
-	}
-	if f.HbTimeoutMs == 0 {
-		f.HbTimeoutMs = 8 * f.HbEveryMs
 	}
 	if f.StartupGraceMs == 0 {
 		// Processes launch one after another; suppress suspicion until the

@@ -1,7 +1,9 @@
 package clusterfile
 
 import (
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"hierdet/internal/tree"
@@ -33,7 +35,7 @@ func TestRoundTrip(t *testing.T) {
 		t.Errorf("round-trip lost fields: %+v", got)
 	}
 	// Save normalized, so the timing defaults must be concrete after Load.
-	if got.HbEveryMs == 0 || got.HbTimeoutMs == 0 || got.StartupGraceMs == 0 || got.FeedEveryMs == 0 {
+	if got.HbEveryMs == 0 || got.StartupGraceMs == 0 || got.FeedEveryMs == 0 {
 		t.Errorf("timings not normalized: %+v", got)
 	}
 	// Tenants defaults to the classic single-predicate node.
@@ -136,5 +138,38 @@ func TestPeers(t *testing.T) {
 	}
 	if peers[0] != "127.0.0.1:9000" {
 		t.Errorf("peers[0] = %q", peers[0])
+	}
+}
+
+// TestLegacyHbTimeoutKeyLoads: the suspicion timeout is learned per link now,
+// but cluster files written before that still carry hbTimeoutMs. They load,
+// the key is ignored, and saving writes it no more.
+func TestLegacyHbTimeoutKeyLoads(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cluster.json")
+	legacy := `{
+  "parents": [-1, 0, 0],
+  "addrs": ["127.0.0.1:9000", "127.0.0.1:9001", "127.0.0.1:9002"],
+  "rounds": 10, "phase1": 5, "seed": 7, "pglobal": 1,
+  "hbEveryMs": 5, "hbTimeoutMs": 40, "startupGraceMs": 2000, "feedEveryMs": 2
+}`
+	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := Load(path)
+	if err != nil {
+		t.Fatalf("a cluster file with the retired hbTimeoutMs key does not load: %v", err)
+	}
+	if f.N() != 3 || f.HbEveryMs != 5 || f.StartupGraceMs != 2000 {
+		t.Errorf("legacy file loaded as %+v", f)
+	}
+	if err := f.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	saved, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(saved), "hbTimeoutMs") {
+		t.Errorf("saved file still carries hbTimeoutMs:\n%s", saved)
 	}
 }

@@ -133,14 +133,13 @@ type Config struct {
 	// it closes when it stops.
 	Scheduler *SharedScheduler
 
-	// HbEvery enables failure handling: on this period every node publishes
-	// a liveness beacon and checks the beacons of its tree neighbours. Zero
-	// (the default) disables heartbeats and failure handling; Kill then
-	// panics.
+	// HbEvery enables failure handling and is its one setting: how often every
+	// node beats and checks its tree neighbours. The silence that makes a
+	// neighbour a suspect is learned per link from the beats seen on it
+	// (repair.Link): eight beats at first, about two once steady, more when
+	// jittery, and never under eight for a peer another participant hosts.
+	// Zero (the default) disables failure handling; Kill then panics.
 	HbEvery time.Duration
-	// HbTimeout is how stale a peer's beacon must be before it is suspected
-	// dead. Default 8×HbEvery.
-	HbTimeout time.Duration
 	// SeekTimeout is how long an orphan root waits for each candidate's
 	// grant before moving on. A willing candidate answers in two message
 	// delays, so the timeout only gates the failure paths (dead or refusing
@@ -183,7 +182,7 @@ type Config struct {
 	// after New: in a multi-process deployment the participants do not start
 	// simultaneously, and without a grace window the early ones would
 	// "repair around" peers that merely have not launched yet. Default
-	// 2×HbTimeout in distributed mode, unused otherwise.
+	// 16×HbEvery in distributed mode, unused otherwise.
 	StartupGrace time.Duration
 }
 
@@ -232,7 +231,7 @@ type Cluster struct {
 	// hosted node's parallel detection engine; nil under SequentialDetect.
 	detectPool *core.Pool
 	remote     bool      // distributed mode: Transport is set
-	startAt    time.Time // StartupGrace reference point
+	startAt    time.Time // zero of the failure detector's clock (now)
 	// rxClocks holds the *vclock.Store(s) received report batches carve their
 	// clocks from, out of the substrate's arena like the clocks the hosted
 	// nodes aggregate themselves. A pool, not one store, because a store is
@@ -276,9 +275,6 @@ func New(cfg Config) *Cluster {
 	if cfg.MaxDelay == 0 {
 		cfg.MaxDelay = 200 * time.Microsecond
 	}
-	if cfg.HbTimeout == 0 {
-		cfg.HbTimeout = 8 * cfg.HbEvery
-	}
 	if cfg.SeekTimeout == 0 {
 		cfg.SeekTimeout = 10 * time.Millisecond
 		if 4*cfg.MaxDelay > cfg.SeekTimeout {
@@ -289,7 +285,7 @@ func New(cfg Config) *Cluster {
 		}
 	}
 	if cfg.Transport != nil && cfg.StartupGrace == 0 {
-		cfg.StartupGrace = 2 * cfg.HbTimeout
+		cfg.StartupGrace = 16 * cfg.HbEvery
 	}
 	if cfg.MailboxBound <= 0 {
 		cfg.MailboxBound = 4096
@@ -360,6 +356,10 @@ func New(cfg Config) *Cluster {
 	}
 	return c
 }
+
+// now reads the failure detector's clock: monotonic nanoseconds since New,
+// never 0 (which repair.Link and the beacons keep for "no beat yet").
+func (c *Cluster) now() int64 { return int64(time.Since(c.startAt)) + 1 }
 
 // Observe feeds one completed local-predicate interval of process p into the
 // cluster. Intervals of one process must be observed in generation order
@@ -837,7 +837,7 @@ func (c *Cluster) onFrame(to int, frame []byte) {
 			ln.m.badFrames.Add(1)
 			return
 		}
-		msg = message{kind: msgHeartbeat, from: hb.Sender, epoch: hb.Epoch,
+		msg = message{kind: msgHeartbeat, from: hb.Sender, epoch: hb.Epoch, born: c.now(),
 			hb: hbInfo{rootSeeking: hb.RootSeeking, covered: hb.Covered}}
 	case wire.KindAttach:
 		a, err := wire.DecodeAttach(frame)

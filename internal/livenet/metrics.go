@@ -108,6 +108,8 @@ type nodeMetrics struct {
 	heartbeats      atomic.Int64
 	badFrames       atomic.Int64
 	batchFlushes    atomic.Int64
+	fdTimeout       atomic.Int64 // ns: the largest timeout among the watched links, as of the last tick
+	fdPauses        atomic.Int64 // ticks that came too late to judge anyone's silence
 }
 
 // gaugeReseq republishes the resequencer-depth gauges after a queue changed.
@@ -444,6 +446,10 @@ func (c *Cluster) registerFamilies() {
 		func(ln *liveNode) float64 { return float64(ln.m.badFrames.Load()) })
 	perNode("hierdet_node_batch_flushes_total", "Coalesced report flushes sent to the parent.", obsv.KindCounter,
 		func(ln *liveNode) float64 { return float64(ln.m.batchFlushes.Load()) })
+	perNode("hierdet_fd_timeout_seconds", "Longest silence this node would currently wait out before suspecting a tree neighbour: how long a crash next to it goes unnoticed.", obsv.KindGauge,
+		func(ln *liveNode) float64 { return float64(ln.m.fdTimeout.Load()) / 1e9 })
+	perNode("hierdet_fd_local_pauses_total", "Heartbeat ticks that arrived too late to judge a neighbour's silence: the silence was this node's own.", obsv.KindCounter,
+		func(ln *liveNode) float64 { return float64(ln.m.fdPauses.Load()) })
 	perNode("hierdet_node_reseq_buffered", "Reports held back by resequencers awaiting a gap.", obsv.KindGauge,
 		func(ln *liveNode) float64 { return float64(ln.m.reseqBuffered.Load()) })
 	perNode("hierdet_node_reseq_high_water", "Deepest the node's resequencers have been.", obsv.KindGauge,

@@ -2,6 +2,7 @@ package livenet
 
 import (
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -25,6 +26,7 @@ const (
 	msgAttach                     // a reattachment-protocol message
 	msgHeartbeat                  // a liveness beat with repair state (distributed mode)
 	msgHbTick                     // the wheel's recurring heartbeat tick (uncredited)
+	msgHbCheck                    // one watched peer's suspicion deadline (from = peer; uncredited)
 	msgSeekTimeout                // per-candidate grant timeout (seq = reqID)
 	msgSeekBackoff                // between-rounds pause (seq = round)
 )
@@ -38,9 +40,9 @@ type hbInfo struct {
 	covered     []int
 }
 
-// message is one mailbox entry. Every message except the heartbeat tick
-// holds one credit in the cluster's pending ledger from before it is sent
-// until after it is handled (see creditedKind).
+// message is one mailbox entry. Every message except the failure detector's
+// two timers holds one credit in the cluster's pending ledger from before it
+// is sent until after it is handled (see creditedKind).
 type message struct {
 	kind  msgKind
 	from  int
@@ -55,9 +57,12 @@ type message struct {
 	// whose causal cascade this message belongs to — stamped at admission,
 	// inherited by every report the handling of this message emits, and
 	// consumed when a detection closes the chain (observe→SolutionFound
-	// latency). Zero on timer/heartbeat kinds and on frames that crossed a
-	// transport (the stamp is deliberately not wire-encoded: wall clocks of
-	// different processes do not subtract meaningfully).
+	// latency). Zero on timer kinds and on frames that crossed a transport
+	// (the stamp is deliberately not wire-encoded: wall clocks of different
+	// processes do not subtract meaningfully). On the failure detector's
+	// messages it is on that detector's clock (Cluster.now): when a heartbeat
+	// reached this cluster — the mailbox wait is no part of the peer's rhythm
+	// — when a tick was due, which deadline a check was armed for.
 	born int64
 }
 
@@ -70,7 +75,7 @@ type liveNode struct {
 	id   int
 	mb   mailbox
 	down atomic.Bool  // crashed: drain messages without handling, stop beating
-	beat atomic.Int64 // liveness beacon: UnixNano of the last published beat
+	beat atomic.Int64 // liveness beacon: Cluster.now() of the last published beat, 0 before the first
 
 	node    *core.Node
 	parent  int
@@ -105,12 +110,16 @@ type liveNode struct {
 	adopter   *repair.Adopter
 	suspected map[int]bool
 
-	// Distributed-mode failure-detector state, maintained from heartbeat
-	// messages (all worker-confined, like everything above): when each peer
-	// was last heard, the covered set each child last reported, and whether
-	// the parent said this tree's root is seeking.
-	lastHeard     map[int]time.Time
+	// Failure-detector state (worker-confined, like everything above): the
+	// parent and the current children, each with the estimate of its beat
+	// rhythm; empty without heartbeats.
+	watched repair.Links
+	// Distributed mode only, fed by heartbeat messages: the covered set each
+	// child last reported, this node's own (built on demand, nil when stale,
+	// never modified once handed out), and whether the parent said this
+	// tree's root is seeking.
 	covered       map[int][]int
+	ownCov        []int
 	rootSeekingHB bool
 
 	// rng drives this node's delivery-delay jitter. PCG rather than the
@@ -215,21 +224,24 @@ func initLiveNode(ln *liveNode, c *Cluster, id int) {
 	ln.reseq = make(map[int]*repair.Resequencer)
 	ln.rng = rand.New(rand.NewPCG(uint64(c.cfg.Seed), uint64(id)<<17|1))
 	ln.mb.init()
-	// The failure-detector maps (suspected, lastHeard, covered) and the
-	// repair state machines (seeker, adopter) build lazily on first touch: a
+	// The failure-detector maps (suspected, covered) and the repair state
+	// machines (seeker, adopter) build lazily on first touch: a
 	// healthy node never pays for them, which at hundreds of tenants is a
 	// visible slice of registration's allocation bill. All of them are
 	// worker-confined, so first-touch construction needs no lock.
+	if ln.parent != tree.None {
+		ln.watched.Add(ln.parent, c.cfg.HbEvery, c.now())
+	}
 	for _, child := range c.topo.Children(id) {
 		ln.node.AddChild(child)
 		ln.reseq[child] = repair.NewResequencer()
+		ln.watched.Add(child, c.cfg.HbEvery, c.now())
 		if c.remote {
 			// Seed each child's covered set from the initial topology (every
 			// participant knows it); the child's heartbeats refresh it.
 			ln.setCovered(child, c.topo.Subtree(child))
 		}
 	}
-	ln.beat.Store(time.Now().UnixNano())
 }
 
 func (ln *liveNode) handle(msg *message) {
@@ -243,6 +255,7 @@ func (ln *liveNode) handle(msg *message) {
 		ln.deliver(ln.node.OnIntervals(ln.id, msg.ivs))
 	case msgReport:
 		ln.m.msgsIn.Add(1)
+		ln.alive(msg.from)
 		rs, ok := ln.reseq[msg.from]
 		if !ok {
 			// Report from a process that is no longer our child (in flight
@@ -256,6 +269,7 @@ func (ln *liveNode) handle(msg *message) {
 		ln.gaugeReseq()
 	case msgReportBatch:
 		ln.m.msgsIn.Add(1)
+		ln.alive(msg.from)
 		rs, ok := ln.reseq[msg.from]
 		if !ok {
 			ln.m.stale.Add(int64(len(msg.batch.reps)))
@@ -276,10 +290,13 @@ func (ln *liveNode) handle(msg *message) {
 		ln.gaugeReseq()
 	case msgAttach:
 		ln.m.msgsIn.Add(1)
+		ln.alive(msg.from)
 		ln.onAttach(msg.from, msg.att)
 	case msgHeartbeat:
 		ln.m.heartbeats.Add(1)
-		ln.heard(msg.from, time.Now())
+		if w := ln.watched.Of(msg.from); w != nil {
+			w.Beat(msg.born)
+		}
 		if msg.from == ln.parent {
 			ln.rootSeekingHB = msg.hb.rootSeeking
 		}
@@ -287,8 +304,12 @@ func (ln *liveNode) handle(msg *message) {
 			ln.setCovered(msg.from, msg.hb.covered)
 		}
 	case msgHbTick:
-		if ln.c.cfg.HbEvery > 0 {
-			ln.heartbeat()
+		ln.born = 0 // no observation's stamp: a child drop may deliver detections
+		ln.heartbeat(msg.born)
+	case msgHbCheck:
+		ln.born = 0
+		if w := ln.watched.Of(msg.from); w != nil {
+			ln.check(w, msg.born+1, 0)
 		}
 	case msgSeekTimeout:
 		ln.getSeeker().OnTimeout(msg.seq)
@@ -425,103 +446,129 @@ func (ln *liveNode) flushReports() {
 func (ln *liveNode) dropChild(child int) []core.Detection {
 	delete(ln.reseq, child)
 	delete(ln.covered, child)
-	delete(ln.lastHeard, child)
+	ln.ownCov = nil
+	ln.watched.Drop(child)
 	ln.epochs.Forget(child)
 	ln.epochs.Bump()
 	ln.gaugeReseq()
 	return ln.node.RemoveChild(child)
 }
 
-// heartbeat publishes this node's liveness beacon and checks the beacons of
-// its tree neighbours (parent and children). In single-process mode beacons
-// are atomic timestamps rather than messages: they model the paper's
-// heartbeat exchange without entangling liveness traffic with the quiescence
-// ledger, so an idle cluster can stop while heartbeats still flow. In
-// distributed mode there is no shared memory to beat through, so beats
-// become real heartbeat messages carrying the repair protocol's state.
-func (ln *liveNode) heartbeat() {
-	if ln.c.remote {
-		ln.heartbeatRemote()
+// alive notes a frame from peer in distributed mode: whatever a neighbour
+// sends shows it alive, though only beats, with their promised cadence, say
+// when the next is due.
+func (ln *liveNode) alive(peer int) {
+	if !ln.c.remote {
 		return
 	}
-	now := time.Now().UnixNano()
-	ln.beat.Store(now)
-	staleAfter := ln.c.cfg.HbTimeout.Nanoseconds()
-	for _, peer := range ln.watchPeers() {
-		pn := ln.c.nodes[peer]
-		if pn == nil || ln.suspected[peer] {
-			continue
-		}
-		if now-pn.beat.Load() > staleAfter {
-			ln.suspect(peer)
-		}
+	if w := ln.watched.Of(peer); w != nil {
+		w.Alive(ln.c.now())
 	}
 }
 
-// heartbeatRemote sends one heartbeat message to every tree neighbour —
-// carrying the node's covered set (fed upward into the parent's) and the
-// root-seeking flag (propagated downward so a dangling tree refuses
-// adoptions) — then suspects neighbours it has not heard from within the
-// timeout. The first check after a peer appears only baselines its clock,
-// and StartupGrace holds all suspicion back while a multi-process deployment
-// is still launching.
-func (ln *liveNode) heartbeatRemote() {
+// heartbeat is one tick of the failure detector: beat, then check every
+// watched neighbour's silence against what its link has earned (repair.Link).
+// In single-process mode beats are atomic timestamps, not messages: the wheel
+// publishes each node's beacon as its tick fires and a checker samples the
+// difference of successive beacon values, so liveness traffic stays out of the
+// quiescence ledger and an idle cluster can stop while beats still flow. In
+// distributed mode beats are heartbeat messages — carrying the covered set
+// (fed upward into the parent's) and the root-seeking flag (propagated
+// downward so a dangling tree refuses adoptions) — and handle samples their
+// inter-arrival.
+//
+// Silence is judged as of when the tick was due: a late tick's own lateness is
+// never the peer's. Silence this node cannot vouch for at all restarts the
+// count: every tick inside StartupGrace (the peer may not have launched), and
+// any tick handled later than a link's slack after it was due — the wheel or
+// the worker was held up, beats may be waiting behind the tick, and what it
+// measured is its own pause (counted in fdPauses).
+func (ln *liveNode) heartbeat(due int64) {
 	c := ln.c
-	beat := message{kind: msgHeartbeat, from: ln.id, epoch: ln.epochs.Peek(),
-		hb: hbInfo{rootSeeking: ln.rootSeekingHB || ln.seeking(), covered: ln.ownCovered()}}
-	for _, peer := range ln.watchPeers() {
-		c.send(peer, beat, 0)
+	now := c.now()
+	if c.remote {
+		beat := message{kind: msgHeartbeat, from: ln.id, epoch: ln.epochs.Peek(), born: now,
+			hb: hbInfo{rootSeeking: ln.rootSeekingHB || ln.seeking(), covered: ln.ownCovered()}}
+		for i := range ln.watched {
+			c.send(ln.watched[i].Peer, beat, 0)
+		}
 	}
-	if time.Since(c.startAt) < c.cfg.StartupGrace {
+	late, next := now-due, due+int64(c.cfg.HbEvery)
+	grace := c.remote && now < int64(c.cfg.StartupGrace)
+	paused, worst := false, int64(0)
+	for i := 0; i < len(ln.watched); {
+		w := &ln.watched[i]
+		extra := ln.unvouched(w)
+		if grace || late > w.Slack()+extra {
+			w.Alive(now)
+			paused = paused || !grace
+		}
+		worst = max(worst, w.Timeout()+extra)
+		peer := w.Peer
+		ln.check(w, due, next)
+		// A suspected child leaves the list, and the next one takes its place.
+		if i < len(ln.watched) && ln.watched[i].Peer == peer {
+			i++
+		}
+	}
+	ln.m.fdTimeout.Store(worst)
+	if paused {
+		ln.m.fdPauses.Add(1)
+	}
+}
+
+// unvouched is the patience owed a peer hosted elsewhere on top of what its
+// link has earned: never less than a fresh link's eight beats in all. Nothing
+// validates that peer's suspicion (see suspect), a wrong one reconfigures the
+// tree for good, and its beats cross goroutine hand-offs a busy process holds
+// up for beats at a time (EXPERIMENTS, PR 23). A hosted peer's suspicion is
+// checked against the kill record, so its link is as quick as it has earned.
+func (ln *liveNode) unvouched(w *repair.Watched) int64 {
+	if _, hosted := ln.c.nodes[w.Peer]; hosted {
+		return 0
+	}
+	return max(8*int64(ln.c.cfg.HbEvery)-w.Timeout(), 0)
+}
+
+// check brings one watched link up to date and acts on its silence as of asOf:
+// past the deadline the peer is suspected. A deadline before next, the tick
+// after this one (0: this is no tick), gets one uncredited one-shot on the
+// wheel for that instant, so a crash is noticed when the silence is long
+// enough, not a tick later; a deadline that close means a beat is overdue, so
+// a healthy fleet arms none. The one-shot carries the deadline it was armed
+// for and suspects if that still stands: whatever arrived before it fired is
+// ahead of it in the mailbox. w may be gone from the list on return.
+func (ln *liveNode) check(w *repair.Watched, asOf, next int64) {
+	c := ln.c
+	if ln.suspected[w.Peer] {
 		return
 	}
-	now := time.Now()
-	for _, peer := range ln.watchPeers() {
-		if ln.suspected[peer] {
-			continue
-		}
-		last, heard := ln.lastHeard[peer]
-		if !heard {
-			ln.heard(peer, now)
-			continue
-		}
-		if now.Sub(last) > c.cfg.HbTimeout {
-			ln.suspect(peer)
-		}
+	if pn := c.nodes[w.Peer]; !c.remote && pn != nil {
+		w.Beat(pn.beat.Load())
+	}
+	switch dl := w.Deadline() + ln.unvouched(w); {
+	case dl < asOf:
+		ln.suspect(w.Peer)
+	case dl < next:
+		c.sched.wheel.schedule(ln, message{kind: msgHbCheck, from: w.Peer, born: dl}, time.Duration(dl-asOf), 0)
 	}
 }
 
-// ownCovered returns this node's covered set: itself plus the last covered
-// set each child reported (or the initial topology's subtree before a
+// ownCovered returns this node's covered set, ascending: itself plus the last
+// covered set each child reported (or the initial topology's subtree before a
 // child's first beat). Distributed mode only; mirrors the simulator's
-// distributed-repair bookkeeping.
+// bookkeeping. Beats and attach requests carry the slice to other nodes, so a
+// change builds a new one.
 func (ln *liveNode) ownCovered() []int {
-	set := map[int]bool{ln.id: true}
-	for _, cov := range ln.covered {
-		for _, p := range cov {
-			set[p] = true
+	if ln.ownCov == nil {
+		out := []int{ln.id}
+		for _, cov := range ln.covered {
+			out = append(out, cov...)
 		}
+		sort.Ints(out)
+		ln.ownCov = slices.Compact(out)
 	}
-	out := make([]int, 0, len(set))
-	for p := range set {
-		out = append(out, p)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// watchPeers returns the neighbours whose liveness this node monitors: its
-// parent and its current children, ascending.
-func (ln *liveNode) watchPeers() []int {
-	out := make([]int, 0, len(ln.reseq)+1)
-	if ln.parent != tree.None {
-		out = append(out, ln.parent)
-	}
-	for c := range ln.reseq {
-		out = append(out, c)
-	}
-	sort.Ints(out)
-	return out
+	return ln.ownCov
 }
 
 // suspect handles a stale beacon or heartbeat silence. For a peer this
@@ -532,8 +579,8 @@ func (ln *liveNode) watchPeers() []int {
 // detector the paper's crash-stop model assumes.) A remote peer offers no
 // such oracle — heartbeat silence is all the evidence there is, which is
 // exactly the paper's model: the timeout plus crash-stop assumption makes
-// the detector perfect, and Config.HbTimeout must absorb real network and
-// scheduling jitter.
+// the detector perfect, and the link's learned timeout (repair.Link) is what
+// absorbs real network and scheduling jitter.
 func (ln *liveNode) suspect(peer int) {
 	c := ln.c
 	if _, hosted := c.nodes[peer]; hosted {
@@ -590,20 +637,17 @@ func (ln *liveNode) getAdopter() *repair.Adopter {
 // forcing the seeker into existence.
 func (ln *liveNode) seeking() bool { return ln.seeker != nil && ln.seeker.Seeking() }
 
-// heard stamps a peer's last-heartbeat time, building the map on first use.
-func (ln *liveNode) heard(peer int, at time.Time) {
-	if ln.lastHeard == nil {
-		ln.lastHeard = make(map[int]time.Time)
-	}
-	ln.lastHeard[peer] = at
-}
-
-// setCovered records a child's covered set, building the map on first use.
+// setCovered records a child's covered set, building the map on first use. A
+// beat that repeats the last one — nearly every beat — changes nothing.
 func (ln *liveNode) setCovered(peer int, cov []int) {
+	if old, ok := ln.covered[peer]; ok && slices.Equal(old, cov) {
+		return
+	}
 	if ln.covered == nil {
 		ln.covered = make(map[int][]int)
 	}
 	ln.covered[peer] = cov
+	ln.ownCov = nil
 }
 
 // delay draws a random per-message delivery delay.

@@ -3,7 +3,6 @@ package livenet
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"hierdet/internal/repair"
 	"hierdet/internal/tree"
@@ -157,12 +156,8 @@ func (ln *liveNode) TryAttach(granter int) bool {
 		}
 		delete(c.seeking, ln.id)
 		c.mu.Unlock()
-		ln.flushReports() // buffered sequence numbers belong to the old link
-		ln.parent = granter
-		ln.outSeq = 0
 		ln.rootSeekingHB = false // refreshed by the new parent's beats
-		ln.heard(granter, time.Now())
-		ln.m.repairs.Add(1)
+		ln.reparent(granter)
 		return true
 	}
 	c.mu.Lock()
@@ -173,11 +168,22 @@ func (ln *liveNode) TryAttach(granter int) bool {
 	c.topo.SetParent(ln.id, granter)
 	delete(c.seeking, ln.id)
 	c.mu.Unlock()
-	ln.flushReports() // buffered sequence numbers belong to the old link
-	ln.parent = granter
-	ln.outSeq = 0
-	ln.m.repairs.Add(1)
+	ln.reparent(granter)
 	return true
+}
+
+// reparent points the node at its new parent (tree.None: it is a root now).
+// Buffered reports go first, their sequence numbers belong to the old link;
+// the old parent's estimate goes with it and the new one starts fresh.
+func (ln *liveNode) reparent(to int) {
+	ln.flushReports()
+	ln.watched.Drop(ln.parent)
+	ln.parent = to
+	ln.outSeq = 0
+	if to != tree.None {
+		ln.watched.Add(to, ln.c.cfg.HbEvery, ln.c.now())
+	}
+	ln.m.repairs.Add(1)
 }
 
 // Attached runs after the adoption was confirmed to the granter.
@@ -195,10 +201,8 @@ func (ln *liveNode) Partitioned() {
 	c.mu.Lock()
 	delete(c.seeking, ln.id)
 	c.mu.Unlock()
-	ln.flushReports() // to the old (dead) parent; a root buffers nothing
-	ln.parent = tree.None
 	ln.rootSeekingHB = false // this node is the root now, and it is done seeking
-	ln.m.repairs.Add(1)
+	ln.reparent(tree.None)
 	c.notifyRepair(ln.id, tree.None)
 }
 
@@ -211,9 +215,9 @@ func (ln *liveNode) HasSource(child int) bool { return ln.node.HasSource(child) 
 func (ln *liveNode) Adopt(child int, covered []int) {
 	ln.node.AddChild(child)
 	ln.reseq[child] = repair.NewResequencer()
+	ln.watched.Add(child, ln.c.cfg.HbEvery, ln.c.now())
 	if ln.c.remote {
 		ln.setCovered(child, covered)
-		ln.heard(child, time.Now())
 	}
 	ln.epochs.Forget(child)
 	ln.epochs.Bump()

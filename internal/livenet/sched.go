@@ -129,10 +129,10 @@ func (c *Cluster) runNode(ln *liveNode) int {
 	return len(batch)
 }
 
-// creditedKind reports whether a message kind holds a ledger credit. Only
-// heartbeat ticks are uncredited: they are periodic background work that
-// must not keep an idle cluster from stopping.
-func creditedKind(k msgKind) bool { return k != msgHbTick }
+// creditedKind reports whether a message kind holds a ledger credit. Only the
+// failure detector's timers, tick and deadline check, are uncredited:
+// background work that must not keep an idle cluster from stopping.
+func creditedKind(k msgKind) bool { return k != msgHbTick && k != msgHbCheck }
 
 // depths reads the shard's current depth and its high-water mark.
 func (mb *mailbox) depths() (current, highWater int) {

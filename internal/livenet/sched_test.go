@@ -41,9 +41,8 @@ func TestStopCancelsDelayedDeliveries(t *testing.T) {
 	e := workload.Generate(workload.Config{Topology: topo, Rounds: 8, Seed: 11, PGlobal: 1})
 	c := New(Config{
 		Topology: topo, Seed: 7, Strict: true, KeepMembers: true,
-		MaxDelay:  30 * time.Millisecond, // every report outlives the feed
-		HbEvery:   500 * time.Microsecond,
-		HbTimeout: time.Hour, // beats flow, suspicion never fires
+		MaxDelay: 30 * time.Millisecond,  // every report outlives the feed
+		HbEvery:  500 * time.Microsecond, // beats flow; nothing is killed, so nothing is suspected
 	})
 	feed(c, e, topo)
 	dets := c.Stop()

@@ -50,13 +50,14 @@ import (
 type wheel struct {
 	tick time.Duration
 
-	mu     sync.Mutex
-	slots  []*wheelEntry
-	mask   int
-	cursor int       // slot the next advance will expire
-	count  int       // live entries across all slots
-	epoch  time.Time // time of tick 0 of the current busy period
-	ticked int64     // ticks the cursor has passed this busy period
+	mu      sync.Mutex
+	inserts int64 // schedule calls so far (re-arms are not inserts)
+	slots   []*wheelEntry
+	mask    int
+	cursor  int       // slot the next advance will expire
+	count   int       // live entries across all slots
+	epoch   time.Time // time of tick 0 of the current busy period
+	ticked  int64     // ticks the cursor has passed this busy period
 	// napUntil is the tick by whose deadline the goroutine will be up: the
 	// one it is sleeping toward across empty slots (math.MaxInt64: the wheel
 	// is empty), lowered by each insert that wakes it for an earlier one — so
@@ -159,6 +160,7 @@ func (w *wheel) schedule(ln *liveNode, msg message, d, period time.Duration) {
 	} else {
 		e = &wheelEntry{ln: ln, msg: msg, period: period}
 	}
+	w.inserts++
 	wake := w.insertLocked(e, d)
 	w.mu.Unlock()
 	if wake {
@@ -341,6 +343,7 @@ func (w *wheel) sleep(d time.Duration, timer *time.Timer) (stopped bool) {
 // any entry was due.
 func (w *wheel) advanceLocked() (fired bool) {
 	var due, keep *wheelEntry
+	deadline := w.epoch.Add(time.Duration(w.ticked+1) * w.tick)
 	for e := w.slots[w.cursor]; e != nil; {
 		next := e.next
 		if e.rounds > 0 {
@@ -349,6 +352,17 @@ func (w *wheel) advanceLocked() (fired bool) {
 			keep = e
 		} else {
 			w.count--
+			if c := e.ln.c; e.msg.kind == msgHbTick {
+				// The tick says when it was due, so its handler knows its own
+				// lateness. The single-process beacon is published at fire
+				// time, not handle time — a node with a backed-up mailbox is
+				// busy, not dead — and before any of the slot's ticks is
+				// delivered, or a checker sharing the slot reads it a beat short.
+				e.msg.born = int64(deadline.Sub(c.startAt)) + 1
+				if !e.ln.down.Load() && !c.remote {
+					e.ln.beat.Store(c.now())
+				}
+			}
 			e.next = due
 			due = e
 		}
@@ -364,12 +378,6 @@ func (w *wheel) advanceLocked() (fired bool) {
 	for e := due; e != nil; {
 		next := e.next
 		c := e.ln.c
-		if e.msg.kind == msgHbTick && !e.ln.down.Load() && !c.remote {
-			// Publish the single-process liveness beacon at fire time, not
-			// handle time: a node whose mailbox is backed up with work is
-			// busy, not dead, and must not be suspected for it.
-			e.ln.beat.Store(time.Now().UnixNano())
-		}
 		c.enqueue(e.ln, e.msg, false)
 		if e.period > 0 && !e.ln.down.Load() && !c.halted.Load() {
 			e.next = rearm

@@ -215,7 +215,7 @@ func TestWheelIdlePrecision(t *testing.T) {
 // only heartbeat ticks, and those share coarse boundaries, so the wheel
 // wakes per boundary (8 per 5 ms period), not per 25 µs tick.
 func TestWheelIdleWakeBudget(t *testing.T) {
-	c := New(Config{Topology: tree.Balanced(2, 6), HbEvery: 5 * time.Millisecond, HbTimeout: time.Hour})
+	c := New(Config{Topology: tree.Balanced(2, 6), HbEvery: 5 * time.Millisecond})
 	defer c.Close()
 	time.Sleep(15 * time.Millisecond) // every first beat, staggered over one period, has fired
 	const window = 250 * time.Millisecond

@@ -13,7 +13,7 @@ package replay
 //	         nNodes uv | parent zz[nNodes] | flags u8 |
 //	         planeLen uv | plane bytes |
 //	         rounds uv | wlSeed zz | pGlobal f64 | pGroup f64 | pSubset f64 |
-//	         maxDelay uv | hbEvery uv | hbTimeout uv | seekTimeout uv |
+//	         maxDelay uv | hbEvery uv | 0 uv | seekTimeout uv |
 //	         deliverySeed zz |
 //	         nSteps uv | step[nSteps] |
 //	         nEvents uv | event[nEvents] |
@@ -79,7 +79,8 @@ func AppendTrace(dst []byte, t *Trace) []byte {
 	for _, p := range [3]float64{t.Workload.PGlobal, t.Workload.PGroup, t.Workload.PSubset} {
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(p))
 	}
-	for _, d := range [4]time.Duration{t.MaxDelay, t.HbEvery, t.HbTimeout, t.SeekTimeout} {
+	// Slot three held the fixed suspicion timeout: written 0, read and ignored.
+	for _, d := range [4]time.Duration{t.MaxDelay, t.HbEvery, 0, t.SeekTimeout} {
 		dst = binary.AppendUvarint(dst, uint64(d))
 	}
 	dst = binary.AppendVarint(dst, t.DeliverySeed)
@@ -177,7 +178,7 @@ func DecodeTrace(data []byte) (*Trace, error) {
 	if d.err == nil && sum > 1 {
 		d.fail("workload probabilities sum to %v: %w", sum, wire.ErrCorrupt)
 	}
-	for _, dur := range [4]*time.Duration{&t.MaxDelay, &t.HbEvery, &t.HbTimeout, &t.SeekTimeout} {
+	for _, dur := range [4]*time.Duration{&t.MaxDelay, &t.HbEvery, new(time.Duration), &t.SeekTimeout} {
 		*dur = time.Duration(d.duration("delivery knob"))
 	}
 	t.DeliverySeed = d.zigzag("delivery seed")

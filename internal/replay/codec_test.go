@@ -3,6 +3,7 @@ package replay
 import (
 	"bytes"
 	"errors"
+	"os"
 	"reflect"
 	"testing"
 	"time"
@@ -23,7 +24,6 @@ func sampleTrace() *Trace {
 		Workload:      WorkloadSpec{Rounds: 12, Seed: -7, PGlobal: 0.5, PGroup: 0.25, PSubset: 0.1},
 		MaxDelay:      150 * time.Microsecond,
 		HbEvery:       2 * time.Millisecond,
-		HbTimeout:     16 * time.Millisecond,
 		SeekTimeout:   40 * time.Millisecond,
 		DeliverySeed:  -3,
 		Schedule: []Step{
@@ -131,6 +131,9 @@ func FuzzDecodeTrace(f *testing.F) {
 	}))
 	f.Add([]byte("HDTR\x01"))
 	f.Add([]byte{})
+	if golden, err := os.ReadFile("testdata/pre_pr23.hdtr"); err == nil {
+		f.Add(golden) // a nonzero value in the retired third duration slot
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := DecodeTrace(data)
 		if err != nil {
@@ -156,4 +159,37 @@ func FuzzDecodeTrace(f *testing.F) {
 		// hostile parent array comes back as an error, not a crash.
 		_, _ = TopologyOf(tr)
 	})
+}
+
+// TestPreLearnedTimeoutTraceReplays: testdata/pre_pr23.hdtr was recorded by
+// the commit before the suspicion timeout became a per-link estimate — seven
+// nodes in one process, a leaf killed after round 3, 2 ms beats and a 12 ms
+// HbTimeout in the header's third duration slot. That slot is still in the
+// format (traceVersion unchanged): the value is read and ignored, everything
+// else decodes as recorded, the trace replays to the recorded outcome on both
+// planes, and re-encoding writes the slot as zero and nothing else differently.
+func TestPreLearnedTimeoutTraceReplays(t *testing.T) {
+	golden, err := os.ReadFile("testdata/pre_pr23.hdtr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := DecodeTrace(golden)
+	if err != nil {
+		t.Fatalf("a pre-change trace does not decode: %v", err)
+	}
+	if len(tr.Parents) != 7 || tr.HbEvery != 2*time.Millisecond || !tr.Deterministic ||
+		tr.Plane != PlaneSharded || tr.Detections != 51 || len(tr.Events) != 204 {
+		t.Fatalf("golden trace decoded as %d nodes, HbEvery %v, deterministic %v, plane %q, %d detections, %d events",
+			len(tr.Parents), tr.HbEvery, tr.Deterministic, tr.Plane, tr.Detections, len(tr.Events))
+	}
+	re := AppendTrace(nil, tr)
+	if len(re) != len(golden)-3 { // 12 ms is a four-byte uvarint, zero a one-byte one
+		t.Errorf("re-encoding is %d bytes for the golden %d, want three fewer (the zeroed slot)", len(re), len(golden))
+	}
+	if again, err := DecodeTrace(re); err != nil || !reflect.DeepEqual(again, tr) {
+		t.Errorf("re-encoded golden trace decodes differently (err %v)", err)
+	}
+	for _, plane := range Planes() {
+		t.Run(plane, func(t *testing.T) { replayOn(t, tr, plane) })
+	}
 }

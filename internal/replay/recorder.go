@@ -25,7 +25,6 @@ type DeliveryOptions struct {
 // schedules containing kills.
 type FailureOptions struct {
 	HbEvery     time.Duration
-	HbTimeout   time.Duration // default 8×HbEvery
 	SeekTimeout time.Duration // default per livenet
 }
 
@@ -195,7 +194,6 @@ func NewRecorder(cfg RecorderConfig) (*Recorder, error) {
 		maxDelay:     cfg.Delivery.MaxDelay,
 		deliverySeed: cfg.Delivery.Seed,
 		hbEvery:      cfg.Failure.HbEvery,
-		hbTimeout:    cfg.Failure.HbTimeout,
 		seekTimeout:  cfg.Failure.SeekTimeout,
 		participants: cfg.Participants,
 		events:       r.recordEvent,
@@ -265,7 +263,6 @@ func (r *Recorder) Run() (*Trace, error) {
 		Workload:      r.cfg.Workload,
 		MaxDelay:      r.cfg.Delivery.MaxDelay,
 		HbEvery:       r.cfg.Failure.HbEvery,
-		HbTimeout:     r.cfg.Failure.HbTimeout,
 		SeekTimeout:   r.cfg.Failure.SeekTimeout,
 		DeliverySeed:  r.cfg.Delivery.Seed,
 		Schedule:      schedule,
@@ -280,6 +277,10 @@ func (r *Recorder) Run() (*Trace, error) {
 
 // Metrics sums ClusterMetrics across the deployment's participants.
 func (r *Recorder) Metrics() livenet.ClusterMetrics { return r.sess.metrics() }
+
+// OffScript reports whether the deployment has shown suspicions or repairs
+// its schedule does not account for (see session.offScript); final after Run.
+func (r *Recorder) OffScript() bool { return r.sess.offScript() }
 
 // Detections returns the deployment's merged, canonically ordered detections
 // — the list Run encoded into the trace's outcome — closing the deployment

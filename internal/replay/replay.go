@@ -109,7 +109,6 @@ type Trace struct {
 	// knobs gate the repair protocol; none of them shape the outcome).
 	MaxDelay     time.Duration
 	HbEvery      time.Duration
-	HbTimeout    time.Duration
 	SeekTimeout  time.Duration
 	DeliverySeed int64
 	// Schedule is the recorded step sequence.

@@ -135,7 +135,6 @@ func NewReplayer(t *Trace, cfg ReplayerConfig) (*Replayer, error) {
 		maxDelay:     t.MaxDelay,
 		deliverySeed: t.DeliverySeed,
 		hbEvery:      hbEvery,
-		hbTimeout:    t.HbTimeout,
 		seekTimeout:  t.SeekTimeout,
 		events:       cfg.Events,
 	})

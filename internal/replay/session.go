@@ -91,7 +91,6 @@ type sessionSpec struct {
 	maxDelay     time.Duration
 	deliverySeed int64
 	hbEvery      time.Duration
-	hbTimeout    time.Duration
 	seekTimeout  time.Duration
 	participants [][]int // nil/len≤1 → single in-process cluster
 	events       func(obsv.Event)
@@ -124,7 +123,6 @@ func startSession(spec sessionSpec) (*session, error) {
 	base.MaxDelay = spec.maxDelay
 	base.Seed = spec.deliverySeed
 	base.HbEvery = spec.hbEvery
-	base.HbTimeout = spec.hbTimeout
 	base.SeekTimeout = spec.seekTimeout
 	base.Strict = true
 	base.KeepMembers = true

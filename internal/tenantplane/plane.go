@@ -86,11 +86,11 @@ type Spec struct {
 	// producers. Precedence: Spec.MailboxBound (nonzero) over
 	// Config.MailboxBound (nonzero) over livenet's default (4096).
 	MailboxBound int
-	// HbEvery, HbTimeout, SeekTimeout, ResendLastOnAdopt and StartupGrace
-	// configure the tenant's failure handling (see livenet.Config).
-	HbEvery, HbTimeout, SeekTimeout time.Duration
-	ResendLastOnAdopt               bool
-	StartupGrace                    time.Duration
+	// HbEvery, SeekTimeout, ResendLastOnAdopt and StartupGrace configure the
+	// tenant's failure handling (see livenet.Config).
+	HbEvery, SeekTimeout time.Duration
+	ResendLastOnAdopt    bool
+	StartupGrace         time.Duration
 	// Events, when set, receives this tenant's cluster events (annotated
 	// with Event.Tenant) in addition to the plane-level Config.Events sink.
 	Events func(obsv.Event)
@@ -406,7 +406,6 @@ func (p *Multiplexer) RegisterPredicate(tenantID string, spec Spec) (*Handle, er
 		SequentialDetect:  spec.SequentialDetect,
 		Scheduler:         p.sched,
 		HbEvery:           spec.HbEvery,
-		HbTimeout:         spec.HbTimeout,
 		SeekTimeout:       spec.SeekTimeout,
 		ResendLastOnAdopt: spec.ResendLastOnAdopt,
 		StartupGrace:      spec.StartupGrace,

@@ -66,15 +66,16 @@ type LiveDeliveryOptions struct {
 	DetectWorkers int
 }
 
-// LiveFailureOptions enables and tunes the paper's §III-F failure handling.
+// LiveFailureOptions enables the paper's §III-F failure handling.
 type LiveFailureOptions struct {
-	// HbEvery enables failure handling: every node publishes a heartbeat
-	// and watches its tree neighbours on this period. Zero disables
-	// failure handling entirely (and Kill panics).
+	// HbEvery enables failure handling and says how often to beat: every
+	// node publishes a heartbeat and watches its tree neighbours on this
+	// period. How soon a crash is noticed follows from each link's own rhythm:
+	// a neighbour is suspected after a silence of two mean beat intervals
+	// plus four mean deviations — eight beats on a fresh link, about two on a
+	// steady one, and never under eight for a neighbour in another process.
+	// Zero disables failure handling entirely (and Kill panics).
 	HbEvery time.Duration
-	// HbTimeout is the silence after which a neighbour is suspected
-	// (default 8×HbEvery).
-	HbTimeout time.Duration
 	// SeekTimeout bounds one attach-request round trip during repair
 	// (defaults generously; the happy path never waits on it).
 	SeekTimeout time.Duration
@@ -98,7 +99,7 @@ type LiveDistributedOptions struct {
 	LocalNodes []int
 	// StartupGrace suppresses failure suspicion for this long after start,
 	// covering the staggered launch of a multi-process deployment (default
-	// 2×HbTimeout in distributed mode).
+	// 16×HbEvery in distributed mode).
 	StartupGrace time.Duration
 }
 
@@ -149,7 +150,6 @@ func NewLiveCluster(cfg LiveConfig) *LiveCluster {
 		SequentialDetect:  cfg.Delivery.SequentialDetect,
 		DetectWorkers:     cfg.Delivery.DetectWorkers,
 		HbEvery:           cfg.Failure.HbEvery,
-		HbTimeout:         cfg.Failure.HbTimeout,
 		SeekTimeout:       cfg.Failure.SeekTimeout,
 		ResendLastOnAdopt: cfg.Failure.ResendLastOnAdopt,
 		Events:            cfg.Events,

@@ -155,6 +155,8 @@ hierdet_detect_inline_rounds_total
 hierdet_detect_tasks_total
 hierdet_detect_workers
 hierdet_events_total
+hierdet_fd_local_pauses_total
+hierdet_fd_timeout_seconds
 hierdet_latency_observe_to_solution_seconds
 hierdet_lease_buckets_owned
 hierdet_lease_monitors_live
