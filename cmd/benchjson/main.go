@@ -460,9 +460,7 @@ func summarizeHotpath(suites []suiteOut) map[string]float64 {
 
 // summarizeScale derives the scale-lane headlines: per-size throughput,
 // latency quantiles, goroutine high-water marks and worst-node comparison
-// counts for both lanes, the parallel lane's comparison-pruning
-// effectiveness (digest filter rate and memo hit rate), and the batched
-// encode path's allocation count.
+// counts for both lanes, and the batched encode path's allocation count.
 func summarizeScale(suites []suiteOut) map[string]float64 {
 	sum := map[string]float64{}
 	lanes := []string{"sharded", "parallel"}
@@ -484,15 +482,6 @@ func summarizeScale(suites []suiteOut) map[string]float64 {
 			if v, ok := metric(suites, "./internal/livenet", name, "latency-p99-ms"); ok {
 				sum[fmt.Sprintf("p%d_%s_latency_p99_ms", p, lane)] = v
 			}
-		}
-		// The comparison-pruning layer's effectiveness, parallel lane only
-		// (the sequential lanes report no digest/memo activity by design).
-		parName := fmt.Sprintf("BenchmarkLiveScale/p=%d/parallel", p)
-		if v, ok := metric(suites, "./internal/livenet", parName, "digest-filter-rate"); ok {
-			sum[fmt.Sprintf("p%d_digest_filter_rate", p)] = v
-		}
-		if v, ok := metric(suites, "./internal/livenet", parName, "memo-hit-rate"); ok {
-			sum[fmt.Sprintf("p%d_memo_hit_rate", p)] = v
 		}
 	}
 	if a, ok := metric(suites, "./internal/wire", "BenchmarkAppendReportBatch", "allocs/op"); ok {

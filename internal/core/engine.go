@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"hierdet/internal/interval"
@@ -10,59 +10,33 @@ import (
 )
 
 // This file implements the parallel detection engine: the same Algorithm 1
-// loop as detect/eliminate/prune, restructured so the O(n)-per-comparison
-// work — the only part that grows with system size — partitions across a
-// bounded worker Pool, and so the aggregates it publishes live in a flat
-// struct-of-arrays vclock.Store instead of per-detection clones.
+// loop as detectSeq/eliminate/prune, with sources addressed by position
+// (nd.qs beside nd.srcs) instead of through the queue map, heads read in
+// place (Queue.HeadRef) instead of copied out, aggregates published from a
+// flat vclock.Store and solution sets carved from a slab — and with the
+// O(n)-per-comparison work, the only part that grows with system size, able
+// to partition across a bounded worker Pool.
 //
-// Equivalence with the sequential engine is structural, not approximate, and
-// the sequential path is kept verbatim as the property-test oracle (Config
-// {Parallel: false}):
-//
-//   - Each elimination round first snapshots the round's head-to-head pairs
-//     in the sequential iteration order, then evaluates the pair verdicts —
-//     inline, or fanned out when the round carries enough components — and
-//     finally applies the verdicts serially in that same pair order. Within a
-//     round no queue mutates (deletions happen after the pair sweep, exactly
-//     like the sequential loop), so the verdicts are a pure function of the
-//     heads and the parallel engine deletes exactly the heads the sequential
-//     engine deletes, in the same order, producing byte-identical detections
-//     and identical Stats.
-//
-//   - Queues stay single-writer: workers read only the pair snapshots (bounds
-//     are immutable once published), and an epoch guard — Queue.Gen sampled
-//     around every fanned-out round — turns any concurrent mutation into an
-//     immediate panic rather than a race. Producers are never blocked by a
-//     cascade: in the live runtime they enqueue into mailboxes, and the
-//     detector drains them only between detect calls.
+// A round has one shape whether it runs on the calling goroutine or fanned
+// out: the list of (position, position) head pairs Algorithm 1 enumerates,
+// one verdict per pair computed straight from the two queue heads, the
+// verdicts applied serially in pair order. No queue mutates inside a round
+// (deletions happen after the pair sweep, exactly like the sequential loop),
+// so a verdict is a pure function of the heads and the engine deletes
+// exactly the heads the sequential engine deletes, in the same order:
+// byte-identical detections and identical Stats, property-tested against the
+// sequential path, which is kept verbatim as the oracle (Config{Parallel:
+// false}). Where a round leaves the owner's goroutine an epoch guard —
+// Queue.Gen sampled around it — turns a concurrent mutation into an
+// immediate panic rather than a race. Producers are never blocked by a
+// cascade: in the live runtime they enqueue into mailboxes, and the detector
+// drains them only between detect calls.
 
-// Pair resolution states: evaluated by a comparison (the only state workers
-// touch), answered from the cross-round memo at snapshot time, or resolved by
-// swapping the verdict of its mirror pair within the round.
-const (
-	pairEval uint8 = iota
-	pairMemo
-	pairMirror
-)
+// pair is one head-to-head check of an elimination round, by source position.
+type pair struct{ a, b int32 }
 
-// cmpTask snapshots one head-to-head pair of an elimination round: the source
-// ids and positions, the four bound clocks plus their digests (so workers
-// never touch queues or maps), the head generations that key the memo store,
-// and the pair's resolution state.
-type cmpTask struct {
-	a, b               int
-	ia, ib             int // positions in nd.srcs (memo indices)
-	xLo, xHi, yLo, yHi vclock.VC
-	dxLo, dxHi         uint64 // digests of xLo/xHi
-	dyLo, dyHi         uint64
-	genX, genY         uint64 // head generations at snapshot
-	xBeforeY, yBeforeX bool   // memo-resolved verdict (state == pairMemo)
-	state              uint8
-	filtered           uint8 // digest-refuted directions (state == pairEval)
-	mirror             int32 // index of the pair this one mirrors
-}
-
-// cmpVerdict holds the two fused Less results for one pair.
+// cmpVerdict holds the two fused Less results for one pair: min(x_a) <
+// max(x_b) and min(x_b) < max(x_a).
 type cmpVerdict struct {
 	xBeforeY, yBeforeX bool
 }
@@ -83,10 +57,9 @@ func (nd *Node) fanoutThreshold() int {
 	return nd.policy.cut()
 }
 
-// detectPar is detect for the parallel engine: the identical outer loop, with
-// eliminate/solution/prune swapped for their partitioned forms and the
-// aggregate materialized flat (interval.AggregateFlat) instead of scratch
-// aggregation plus a compact clone.
+// detectPar is detect for the parallel engine: the identical outer loop over
+// source positions, the aggregate materialized flat (interval.AggregateFlat)
+// instead of scratch aggregation plus a compact clone.
 //
 // The result is built in nd.detBuf, which the next call on this node reuses:
 // a fresh slice per call was 214 B per interval of garbage at p=127. The last
@@ -95,7 +68,10 @@ func (nd *Node) fanoutThreshold() int {
 func (nd *Node) detectPar(trigger []int) []Detection {
 	clear(nd.detBuf)
 	dets := nd.detBuf[:0]
-	updated := append(nd.scratchA[:0], trigger...)
+	updated := nd.scratchA[:0]
+	for _, src := range trigger {
+		updated = append(updated, nd.at(src))
+	}
 	for {
 		nd.eliminatePar(updated)
 		sol, ok := nd.solutionPar()
@@ -104,126 +80,108 @@ func (nd *Node) detectPar(trigger []int) []Detection {
 			nd.detBuf = dets
 			return dets
 		}
-		agg := interval.AggregateFlat(nd.store, sol, nd.id, nd.aggSeq, nd.cfg.KeepMembers)
-		nd.aggSeq++
-		nd.stats.Detections++
-		dets = append(dets, Detection{Node: nd.id, Set: sol, Agg: agg})
+		dets = nd.publish(dets, sol)
 		updated = nd.prunePar(updated[:0])
 	}
 }
 
-// eliminatePar is eliminate with each round split into snapshot → verdicts →
-// serial application. The snapshot walks (cur × srcs) in the sequential
-// order, resolving pairs from the cross-round memo (both head generations
-// unchanged) or from their mirror within the round; only the rest are
-// evaluated — digest-guarded, inline or fanned out — and application replays
-// the sequential addUnique/DeleteHead sequence from the verdicts, tallying
-// the enumerated comparisons exactly as the oracle does.
+// publish aggregates a solution set and appends its Detection.
+func (nd *Node) publish(dets []Detection, sol []interval.Interval) []Detection {
+	agg := interval.AggregateFlat(nd.store, sol, nd.id, nd.aggSeq, nd.cfg.KeepMembers)
+	nd.aggSeq++
+	nd.stats.Detections++
+	return append(dets, Detection{Node: nd.id, Set: sol, Agg: agg})
+}
+
+// passAlone is the one-source path: the node's only queue is empty, so an
+// arriving interval has no other head to be compared with or wait for — it
+// is its own solution set, aggregates to itself (AggregateFlat's singleton
+// aliasing) and is pruned at once as the set's only, hence minimal, member.
+// The queue path reaches exactly that through enqueue → eliminate over no
+// pairs → solution → aggregate → prune over no pairs → delete; this books
+// the same Stats, queue high-water marks and Detection without the round
+// trip. Leaves — most of any tree — ingest nothing else.
+func (nd *Node) passAlone(ivs []interval.Interval) []Detection {
+	k := len(ivs)
+	nd.stats.IntervalsIn += k
+	nd.stats.Pruned += k
+	// A run is all resident before its first detection, as after Enqueue.
+	if q := nd.qs[0]; q.HighWater < k {
+		q.HighWater = k
+	}
+	if nd.residentHigh < k {
+		nd.residentHigh = k
+	}
+	clear(nd.detBuf)
+	dets := nd.detBuf[:0]
+	for i := range ivs {
+		sol := nd.carve(1)
+		sol[0] = ivs[i]
+		dets = nd.publish(dets, sol)
+	}
+	nd.detBuf = dets
+	return dets
+}
+
+// eliminatePar is eliminate as rounds over head pairs. A round lists the
+// pairs (cur × sources) in the sequential order, evaluates them — inline or
+// fanned out — and replays the sequential addUnique/DeleteHead sequence from
+// the verdicts. When both heads of a pair are in cur the sequential loop
+// enumerates it from either side; the second visit would compute the first's
+// two verdicts swapped and re-add what addUnique already holds, so it is
+// counted — VecComparisons tallies what Algorithm 1 enumerates — and not
+// evaluated: after a prune that exposed several heads at once that is close
+// to half the round.
 func (nd *Node) eliminatePar(trigger []int) {
 	cur := append(nd.scratchElimA[:0], trigger...)
 	next := nd.scratchElimB[:0]
-	s := len(nd.srcs)
-	mirror := nd.mirrorScratch
+	qs := nd.qs
+	if len(nd.inRound) < len(qs) {
+		nd.inRound = make([]int32, len(qs))
+	}
+	inRound := nd.inRound
 	for len(cur) > 0 {
 		next = next[:0]
-		pairs := nd.pairScratch[:0]
-		eval := 0
-		for _, a := range cur {
-			qa, ok := nd.queues[a]
-			if !ok || qa.Empty() {
+		for i, a := range cur {
+			inRound[a] = int32(i) + 1
+		}
+		pairs := nd.pairs[:0]
+		enumerated := 0
+		for i, a := range cur {
+			if qs[a].Empty() {
 				continue
 			}
-			x := qa.HeadRef()
-			gx := qa.HeadGen()
-			ia := nd.srcPos[a]
-			for ib, b := range nd.srcs {
-				if b == a {
+			for b, qb := range qs {
+				if b == a || qb.Empty() {
 					continue
 				}
-				qb := nd.queues[b]
-				if qb.Empty() {
-					continue
+				enumerated++
+				if j := int(inRound[b]); j != 0 && j <= i {
+					continue // listed as (b, a) already
 				}
-				y := qb.HeadRef()
-				t := cmpTask{a: a, b: b, ia: ia, ib: ib,
-					xLo: x.Lo, xHi: x.Hi, yLo: y.Lo, yHi: y.Hi,
-					genX: gx, genY: qb.HeadGen()}
-				if m := &nd.elimMemoT[ia*s+ib]; m.valid && m.genA == t.genX && m.genB == t.genY {
-					t.state = pairMemo
-					t.xBeforeY, t.yBeforeX = m.xBeforeY, m.yBeforeX
-				} else if j := mirror[ib*s+ia]; j >= 0 {
-					t.state = pairMirror
-					t.mirror = j
-				} else {
-					// Digests are consulted only from a head's second
-					// evaluation on: a head evaluated once costs two O(n)
-					// sums to guard a single comparison, which is more than
-					// the guard can save, while memo and mirror resolution
-					// already make repeat evaluations of an unchanged *pair*
-					// free. A side whose head is seen for the first time
-					// carries the conservative sentinel sums (Lo 0, Hi max),
-					// under which neither direction can refute, so the
-					// comparison kernel and its verdicts are untouched.
-					t.dxLo, t.dxHi = digestNone.Lo, digestNone.Hi
-					t.dyLo, t.dyHi = digestNone.Lo, digestNone.Hi
-					if nd.digestSeen[ia] == gx+1 {
-						dx := qa.HeadDigests()
-						t.dxLo, t.dxHi = dx.Lo, dx.Hi
-					} else {
-						nd.digestSeen[ia] = gx + 1
-					}
-					if gy := t.genY; nd.digestSeen[ib] == gy+1 {
-						dy := qb.HeadDigests()
-						t.dyLo, t.dyHi = dy.Lo, dy.Hi
-					} else {
-						nd.digestSeen[ib] = gy + 1
-					}
-					mirror[ia*s+ib] = int32(len(pairs))
-					eval++
-				}
-				pairs = append(pairs, t)
+				pairs = append(pairs, pair{int32(a), int32(b)})
 			}
 		}
-		if cap(nd.verdictScratch) < len(pairs) {
-			nd.verdictScratch = make([]cmpVerdict, len(pairs))
+		for _, a := range cur {
+			inRound[a] = 0
 		}
-		verdicts := nd.verdictScratch[:len(pairs)]
-		for i := range pairs {
-			if pairs[i].state == pairMemo {
-				verdicts[i] = cmpVerdict{pairs[i].xBeforeY, pairs[i].yBeforeX}
-			}
+		nd.stats.VecComparisons += 2 * enumerated
+		if cap(nd.verdicts) < len(pairs) {
+			nd.verdicts = make([]cmpVerdict, len(pairs), 2*len(pairs))
 		}
-		nd.compareAll(pairs, verdicts, eval)
-		for i := range pairs {
-			if pairs[i].state == pairMirror {
-				v := verdicts[pairs[i].mirror]
-				verdicts[i] = cmpVerdict{v.yBeforeX, v.xBeforeY}
+		verdicts := nd.verdicts[:len(pairs)]
+		nd.compareAll(pairs, verdicts)
+		for i, p := range pairs {
+			if !verdicts[i].xBeforeY {
+				next = addUnique(next, int(p.b))
 			}
-		}
-		for i := range pairs {
-			p := &pairs[i]
-			nd.stats.VecComparisons += 2
-			if p.state == pairEval {
-				nd.stats.FilteredComparisons += int(p.filtered)
-			} else {
-				nd.stats.MemoHits += 2
-			}
-			v := verdicts[i]
-			nd.elimMemoT[p.ia*s+p.ib] = elimMemo{genA: p.genX, genB: p.genY,
-				xBeforeY: v.xBeforeY, yBeforeX: v.yBeforeX, valid: true}
-			nd.elimMemoT[p.ib*s+p.ia] = elimMemo{genA: p.genY, genB: p.genX,
-				xBeforeY: v.yBeforeX, yBeforeX: v.xBeforeY, valid: true}
-			mirror[p.ia*s+p.ib] = -1 // restore the at-rest scratch state
-			if !v.xBeforeY {
-				next = addUnique(next, p.b)
-			}
-			if !v.yBeforeX {
-				next = addUnique(next, p.a)
+			if !verdicts[i].yBeforeX {
+				next = addUnique(next, int(p.a))
 			}
 		}
-		nd.pairScratch = pairs[:0]
+		nd.pairs = pairs[:0]
 		for _, c := range next {
-			if q := nd.queues[c]; !q.Empty() {
+			if q := qs[c]; !q.Empty() {
 				q.DeleteHead()
 				nd.noteRemovals(1)
 				nd.stats.Eliminated++
@@ -234,19 +192,23 @@ func (nd *Node) eliminatePar(trigger []int) {
 	nd.scratchElimA, nd.scratchElimB = cur[:0], next[:0]
 }
 
-// compareAll fills verdicts[i] with the digest-guarded fused CompareLess of
-// every still-unresolved pair (state == pairEval; eval counts them), fanning
-// the round out to the pool when the lane decision says so and running it
-// inline otherwise. With a static Config.FanoutThreshold the decision is the
-// historical size cut; by default the adaptive policy decides and measured
-// rounds feed their cost back. Fanned-out rounds are epoch-guarded: every
-// queue's generation is sampled before and after, and a moved generation — a
-// producer mutating a queue mid-round — panics.
-func (nd *Node) compareAll(pairs []cmpTask, verdicts []cmpVerdict, eval int) {
-	comps := eval * nd.cfg.N
+// compare is one pair's verdict, read from the two queue heads.
+func (nd *Node) compare(p pair) cmpVerdict {
+	x, y := nd.qs[p.a].HeadRef(), nd.qs[p.b].HeadRef()
+	xBeforeY, yBeforeX := vclock.CompareLess(x.Lo, y.Hi, y.Lo, x.Hi)
+	return cmpVerdict{xBeforeY, yBeforeX}
+}
+
+// compareAll fills verdicts[i] with the fused CompareLess of pairs[i],
+// fanning the round out to the pool when the lane decision says so and
+// running it inline otherwise. With a static Config.FanoutThreshold the
+// decision is the historical size cut; by default the adaptive policy decides
+// and measured rounds feed their cost back.
+func (nd *Node) compareAll(pairs []pair, verdicts []cmpVerdict) {
+	comps := len(pairs) * nd.cfg.N
 	fan, measure := false, false
 	switch {
-	case nd.cfg.Pool == nil || eval < 2:
+	case nd.cfg.Pool == nil || len(pairs) < 2:
 	case nd.cfg.FanoutThreshold > 0:
 		fan = comps >= nd.cfg.FanoutThreshold
 	default:
@@ -256,82 +218,54 @@ func (nd *Node) compareAll(pairs []cmpTask, verdicts []cmpVerdict, eval int) {
 	if measure {
 		t0 = time.Now()
 	}
-	if !fan {
-		if eval > 0 {
+	if fan {
+		nd.fanOut("comparison", len(pairs), func(i int) { verdicts[i] = nd.compare(pairs[i]) })
+	} else {
+		if len(pairs) > 0 {
 			nd.cfg.Pool.noteInline()
 		}
-		for i := range pairs {
-			p := &pairs[i]
-			if p.state != pairEval {
-				continue
-			}
-			var f int
-			verdicts[i].xBeforeY, verdicts[i].yBeforeX, f = vclock.CompareLessDigest(
-				p.xLo, p.yHi, p.yLo, p.xHi, p.dxLo, p.dyHi, p.dyLo, p.dxHi)
-			p.filtered = uint8(f)
+		for i, p := range pairs {
+			verdicts[i] = nd.compare(p)
 		}
-	} else {
-		gens := nd.genScratch[:0]
-		for _, s := range nd.srcs {
-			gens = append(gens, nd.queues[s].Gen())
-		}
-		nd.cfg.Pool.Run(len(pairs), func(i int) {
-			p := &pairs[i]
-			if p.state != pairEval {
-				return
-			}
-			var f int
-			verdicts[i].xBeforeY, verdicts[i].yBeforeX, f = vclock.CompareLessDigest(
-				p.xLo, p.yHi, p.yLo, p.xHi, p.dxLo, p.dyHi, p.dyLo, p.dxHi)
-			p.filtered = uint8(f)
-		})
-		for i, s := range nd.srcs {
-			if nd.queues[s].Gen() != gens[i] {
-				panic(fmt.Sprintf("core: node %d: queue %d mutated during a parallel comparison round (single-writer contract violated)", nd.id, s))
-			}
-		}
-		nd.genScratch = gens[:0]
 	}
 	if measure {
 		nd.policy.observe(fan, comps, time.Since(t0))
 	}
 }
 
+// fanOut runs fn(0)…fn(n-1) across the pool under the epoch guard: every
+// queue's generation is sampled before and after, and a moved generation — a
+// producer mutating a queue mid-round — panics. fn reads queue heads and
+// writes only its own slot of the round's scratch.
+func (nd *Node) fanOut(what string, n int, fn func(int)) {
+	gens := nd.gens[:0]
+	for _, q := range nd.qs {
+		gens = append(gens, q.Gen())
+	}
+	nd.cfg.Pool.Run(n, fn)
+	for i, q := range nd.qs {
+		if q.Gen() != gens[i] {
+			panic(fmt.Sprintf("core: node %d: queue %d mutated during a parallel %s round (single-writer contract violated)", nd.id, nd.srcs[i], what))
+		}
+	}
+	nd.gens = gens[:0]
+}
+
 // solutionPar is solution with the set carved from a slab instead of a fresh
 // allocation: solution sets escape into Detections, and at production rates
-// one make per detection was measurable. A slab chunk is retained only as
-// long as some detection carved from it.
+// one make per detection was measurable.
 func (nd *Node) solutionPar() ([]interval.Interval, bool) {
-	if len(nd.srcs) == 0 {
+	if len(nd.qs) == 0 {
 		return nil, false
 	}
-	for _, s := range nd.srcs {
-		if nd.queues[s].Empty() {
+	for _, q := range nd.qs {
+		if q.Empty() {
 			return nil, false
 		}
 	}
-	need := len(nd.srcs)
-	if len(nd.solSlab)+need > cap(nd.solSlab) {
-		// Slab chunks double from a few sets up to solSlabChunk: most nodes
-		// publish few detections, so a fixed large chunk would strand memory
-		// per node at scale.
-		c := 2 * cap(nd.solSlab)
-		if c < 2*need {
-			c = 2 * need
-		}
-		if c > solSlabChunk && c > need {
-			c = solSlabChunk
-			if c < need {
-				c = need
-			}
-		}
-		nd.solSlab = make([]interval.Interval, 0, c)
-	}
-	base := len(nd.solSlab)
-	nd.solSlab = nd.solSlab[:base+need]
-	sol := nd.solSlab[base : base+need : base+need]
-	for i, s := range nd.srcs {
-		sol[i] = *nd.queues[s].HeadRef()
+	sol := nd.carve(len(nd.qs))
+	for i, q := range nd.qs {
+		sol[i] = *q.HeadRef()
 	}
 	if nd.cfg.Strict && !interval.OverlapAll(sol) {
 		panic(fmt.Sprintf("core: node %d: solution set fails pairwise overlap", nd.id))
@@ -339,120 +273,96 @@ func (nd *Node) solutionPar() ([]interval.Interval, bool) {
 	return sol, true
 }
 
+// carve returns room for a solution set of need intervals from the slab. A
+// slab chunk is retained only as long as some detection carved from it.
+func (nd *Node) carve(need int) []interval.Interval {
+	if len(nd.solSlab)+need > cap(nd.solSlab) {
+		// Slab chunks double from a few sets up to solSlabChunk: most nodes
+		// publish few detections, so a fixed large chunk would strand memory
+		// per node at scale.
+		c := max(2*cap(nd.solSlab), 2*need)
+		if c > solSlabChunk {
+			c = max(solSlabChunk, need)
+		}
+		nd.solSlab = make([]interval.Interval, 0, c)
+	}
+	base := len(nd.solSlab)
+	nd.solSlab = nd.solSlab[:base+need]
+	return nd.solSlab[base : base+need : base+need]
+}
+
 // solSlabChunk sizes the solution-set slab (in intervals). Sets are d+1
 // intervals, so one chunk serves tens of detections at typical fanouts.
 const solSlabChunk = 256
 
-// prunePar is prune with the per-head keep decisions evaluated concurrently.
-// Each head's decision reads only queue heads (and Eq. 9 successor peeks) and
-// writes its own verdict slot; comparisons — logical, digest-filtered and
-// memo-served — are tallied per head and summed in source order, so Stats
-// match the sequential engine exactly. Small source sets fall through to
-// pruneParSeq, the memoized single-goroutine body — never to the sequential
-// oracle's prune, which stays verbatim.
+// prunePar is prune with each head's keep decision taken by pruneKeep — one
+// after another, or concurrently when the source set is large enough to fan
+// out: a decision reads only queue heads (and Eq. 9 successor peeks) and
+// writes its own slot. Comparisons are tallied per head and summed in source
+// order, so Stats match the sequential engine exactly.
 func (nd *Node) prunePar(removable []int) []int {
-	srcs := nd.srcs
-	if nd.cfg.Pool == nil || len(srcs) < 4 || len(srcs)*(len(srcs)-1)*nd.cfg.N < nd.fanoutThreshold() {
-		return nd.pruneParSeq(removable)
+	qs := nd.qs
+	s := len(qs)
+	if cap(nd.keeps) < s {
+		nd.keeps = make([]pruneVerdict, s)
 	}
-	if cap(nd.keepScratch) < len(srcs) {
-		nd.keepScratch = make([]pruneVerdict, len(srcs))
-	}
-	keeps := nd.keepScratch[:len(srcs)]
-	gens := nd.genScratch[:0]
-	for _, s := range srcs {
-		q := nd.queues[s]
-		gens = append(gens, q.Gen())
-		// Digest caches fill lazily on consult, which is a write; prefill
-		// every digest the fanned-out workers can touch here on the owner
-		// goroutine so the workers are pure readers.
-		q.HeadDigests()
-		if nd.cfg.ExactPrune && q.Len() > 1 {
-			q.DigestsAt(1)
+	keeps := nd.keeps[:s]
+	if nd.cfg.Pool != nil && s >= 4 && s*(s-1)*nd.cfg.N >= nd.fanoutThreshold() {
+		nd.fanOut("pruning", s, func(i int) { keeps[i] = nd.pruneKeep(i) })
+	} else {
+		for i := range keeps {
+			keeps[i] = nd.pruneKeep(i)
 		}
 	}
-	nd.cfg.Pool.Run(len(srcs), func(i int) {
-		keeps[i] = nd.pruneKeep(srcs[i])
-	})
-	for i, s := range srcs {
-		if nd.queues[s].Gen() != gens[i] {
-			panic(fmt.Sprintf("core: node %d: queue %d mutated during a parallel pruning round (single-writer contract violated)", nd.id, s))
-		}
-	}
-	nd.genScratch = gens[:0]
-	for i, a := range srcs {
-		nd.stats.VecComparisons += keeps[i].comparisons
-		nd.stats.FilteredComparisons += keeps[i].filtered
-		nd.stats.MemoHits += keeps[i].memoHits
-		if !keeps[i].keep {
-			removable = append(removable, a)
+	for i, k := range keeps {
+		nd.stats.VecComparisons += k.comparisons
+		if !k.keep {
+			removable = append(removable, i)
 		}
 	}
 	if len(removable) == 0 {
 		panic(fmt.Sprintf("core: node %d: pruning found no removable interval (Theorem 4 violated)", nd.id))
 	}
 	for _, a := range removable {
-		nd.queues[a].DeleteHead()
+		qs[a].DeleteHead()
 		nd.noteRemovals(1)
 		nd.stats.Pruned++
 	}
-	sort.Ints(removable)
+	// The sequential prune hands its sources on sorted by id; positions are
+	// in insertion order, which adoption can leave unsorted.
+	slices.SortFunc(removable, func(a, b int) int { return nd.srcs[a] - nd.srcs[b] })
 	return removable
 }
 
-// pruneVerdict is one head's pruning decision plus the comparison accounting
-// it accrued, so the serial tally reproduces the sequential VecComparisons
-// count and the comparison-pruning breakdown.
+// pruneVerdict is one head's pruning decision plus the comparisons it took,
+// so the serial tally reproduces the sequential VecComparisons count.
 type pruneVerdict struct {
 	keep        bool
 	comparisons int
-	filtered    int
-	memoHits    int
 }
 
-// pruneKeep evaluates Eq. 10 (and, under ExactPrune, Eq. 9) for source a's
-// head — the loop body of the sequential prune, reading queues but mutating
-// nothing except its own memo column: entry (b, a) is touched only by the
-// worker evaluating a, so concurrent evaluations stay independent.
+// pruneKeep evaluates Eq. 10 (and, under ExactPrune, Eq. 9) for the head at
+// position a — the loop body of the sequential prune, mutating nothing. The
+// comparison stays the scalar, early-exit Less: two members of one solution
+// set have concurrent upper bounds, which the first few components refute,
+// and the vector kernel, streaming all n, measured 7 % slower end to end
+// here (EXPERIMENTS, PR 24).
 func (nd *Node) pruneKeep(a int) pruneVerdict {
 	var v pruneVerdict
-	s := len(nd.srcs)
-	qa := nd.queues[a]
-	xa := qa.HeadRef()
-	da := qa.HeadDigests()
-	ga := qa.HeadGen()
-	ia := nd.srcPos[a]
-	for ib, b := range nd.srcs {
+	xa := nd.qs[a].HeadRef()
+	for b, qb := range nd.qs {
 		if b == a {
 			continue
 		}
-		qb := nd.queues[b]
 		v.comparisons++
-		var less bool
-		gb := qb.HeadGen()
-		if m := &nd.pruneMemoT[ib*s+ia]; m.valid && m.genB == gb && m.genA == ga {
-			less = m.less
-			v.memoHits++
-		} else {
-			db := qb.HeadDigests()
-			var filtered bool
-			less, filtered = qb.HeadRef().Hi.LessDigest(xa.Hi, db.Hi, da.Hi)
-			if filtered {
-				v.filtered++
-			}
-			*m = pruneMemo{genB: gb, genA: ga, less: less, valid: true}
-		}
-		if !less {
-			continue
+		if !qb.HeadRef().Hi.Less(xa.Hi) {
+			continue // Eq. 10 certifies x_b cannot revive x_a
 		}
 		if nd.cfg.ExactPrune && qb.Len() > 1 {
+			// x_b's successor is already here: apply Eq. 9 exactly.
 			v.comparisons++
-			sl, sf := qb.At(1).Lo.LessDigest(xa.Hi, qb.DigestsAt(1).Lo, da.Hi)
-			if sf {
-				v.filtered++
-			}
-			if !sl {
-				continue
+			if !qb.At(1).Lo.Less(xa.Hi) {
+				continue // succ(x_b) does not overlap x_a either
 			}
 		}
 		v.keep = true

@@ -23,6 +23,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"hierdet/internal/interval"
@@ -58,20 +59,14 @@ type Stats struct {
 	// elimination loop and the pruning rule. Each comparison costs O(n)
 	// component operations, which is how the paper's O(d²pn²) arises. The
 	// count is of *logical* comparisons — the pairs Algorithm 1 enumerates —
-	// and is identical across engines; FilteredComparisons and MemoHits
-	// break down how many of them the parallel engine's comparison-pruning
-	// layer answered in O(1) instead of an O(n) scan.
+	// and is identical across engines.
 	VecComparisons int
-	// FilteredComparisons counts comparison directions the digest guard
-	// refuted from the one-word component-sum digests (vclock.Sum) without
-	// scanning the clocks. Always zero under the sequential oracle.
+	// FilteredComparisons and MemoHits counted what the digest guard and the
+	// verdict memo answered without a clock scan. Both layers are gone and
+	// both fields are always 0; they stay until the next benchmark-only PR
+	// because bench/ reads them.
 	FilteredComparisons int
-	// MemoHits counts comparisons served from the cross-round verdict memo
-	// — the (source, head-generation) keyed cache of elimination and prune
-	// verdicts — including mirror pairs resolved by swapping an already
-	// evaluated verdict within a round. Always zero under the sequential
-	// oracle.
-	MemoHits int
+	MemoHits            int
 	// Eliminated counts heads deleted by the elimination loop (lines 12–16).
 	Eliminated int
 	// Pruned counts heads deleted by the repeated-detection rule (Eq. 10).
@@ -83,11 +78,8 @@ type Stats struct {
 	Detections int
 }
 
-// Legacy returns s with the comparison-pruning breakdown zeroed — the shape
-// the sequential oracle produces. VecComparisons keeps its historical meaning
-// (the comparisons Algorithm 1 enumerates) in both engines; the breakdown
-// fields only describe how much of that enumerated work was answered in O(1),
-// so oracle-parity checks and legacy dashboards compare Legacy values.
+// Legacy returns s with FilteredComparisons and MemoHits zeroed, which they
+// always are now; the oracle-parity tests compare through it.
 func (s Stats) Legacy() Stats {
 	s.FilteredComparisons, s.MemoHits = 0, 0
 	return s
@@ -118,9 +110,10 @@ type Config struct {
 	ExactPrune bool
 
 	// Parallel switches the node to the partitioned detection engine: the
-	// same Algorithm 1 loop, with comparison rounds snapshotted and fanned
-	// out across Pool, aggregates published from a flat vclock.Store, and
-	// solution sets carved from a slab. Detections and Stats are
+	// same Algorithm 1 loop as rounds over queue heads read in place, fanned
+	// out across Pool when large enough, aggregates published from a flat
+	// vclock.Store, solution sets carved from a slab, and a one-source node
+	// passing intervals straight through. Detections and Stats are
 	// byte-identical to the sequential engine (property-tested); the
 	// sequential path remains available as the oracle when Parallel is off.
 	Parallel bool
@@ -155,8 +148,11 @@ type Node struct {
 	// queues maps source id → pending intervals. The node's own id keys Q_0
 	// when the node hosts a local predicate; child ids key the child queues.
 	queues map[int]*interval.Queue
-	// srcs holds queue keys in deterministic (insertion) order.
+	// srcs holds queue keys in deterministic (insertion) order; qs holds
+	// their queues, position for position, so ingestion and the parallel
+	// engine's rounds address a source without a map lookup.
 	srcs []int
+	qs   []*interval.Queue
 
 	// lastHi tracks, per source, the upper bound of the last accepted
 	// interval, for Strict succession checks.
@@ -177,38 +173,25 @@ type Node struct {
 	aggScratch                 interval.Interval
 	one                        [1]int
 
-	// resident / residentHigh track the node-level interval residency and
-	// its true peak — the maximum number of intervals concurrently queued
-	// across all queues, maintained incrementally at every enqueue and
-	// deletion. Summing per-queue HighWater marks instead (the old
-	// QueueSizes behaviour) overstates the peak because queues peak at
-	// different times.
+	// resident / residentHigh are the node-level interval residency and its
+	// true peak (see QueueSizes), maintained at every enqueue and deletion.
 	resident, residentHigh int
 
 	// Parallel-engine state (nil/empty under the sequential oracle): the
-	// flat bounds store, the pair/verdict/gen scratch of eliminatePar and
-	// prunePar, the solution-set slab, and the buffer detectPar returns its
-	// detections in (valid until the next call; see OnInterval).
-	store          *vclock.Store
-	detBuf         []Detection
-	pairScratch    []cmpTask
-	verdictScratch []cmpVerdict
-	genScratch     []uint64
-	keepScratch    []pruneVerdict
-	solSlab        []interval.Interval
-
-	// Comparison-pruning state (parallel engine only, memo.go): source →
-	// position in srcs, the (position², head-generation keyed) elimination
-	// and prune verdict memos, the per-round mirror index scratch, the
-	// last head generation per source whose evaluation was seen (digests
-	// are consulted only from a head's second evaluation on), and the
-	// adaptive fanout policy.
-	srcPos        map[int]int
-	elimMemoT     []elimMemo
-	pruneMemoT    []pruneMemo
-	mirrorScratch []int32
-	digestSeen    []uint64
-	policy        fanoutPolicy
+	// flat bounds store, the solution-set slab, the buffer detections are
+	// returned in (valid until the next call; see OnInterval), a round's
+	// pairs, verdicts and keep decisions, the per-position mark of which
+	// sources a round was triggered by (1 + index in its trigger list, 0 at
+	// rest), the epoch guard's samples, and the adaptive fanout policy.
+	store    *vclock.Store
+	solSlab  []interval.Interval
+	detBuf   []Detection
+	pairs    []pair
+	verdicts []cmpVerdict
+	keeps    []pruneVerdict
+	inRound  []int32
+	gens     []uint64
+	policy   fanoutPolicy
 }
 
 // NewNode returns a detector for process id in an n-process system. If local
@@ -240,11 +223,9 @@ func (nd *Node) ID() int { return nd.id }
 func (nd *Node) Stats() Stats { return nd.stats }
 
 // QueueSizes returns the node's current interval residency across all queues
-// and its true node-level high-water mark — the maximum number of intervals
-// ever *concurrently* resident, maintained incrementally at every enqueue and
-// deletion. (An earlier version summed the per-queue HighWater marks, which
-// overstates the peak whenever queues peak at different times; per-queue
-// peaks remain available via QueueHighWaters.)
+// and its node-level high-water mark — the most intervals ever *concurrently*
+// resident, which is less than the per-queue peaks (QueueHighWaters) summed
+// whenever queues peak at different times.
 func (nd *Node) QueueSizes() (current, highWater int) {
 	return nd.resident, nd.residentHigh
 }
@@ -291,7 +272,7 @@ func (nd *Node) addSource(src int) {
 	}
 	nd.queues[src] = interval.NewQueue()
 	nd.srcs = append(nd.srcs, src)
-	nd.rebuildMemo()
+	nd.qs = append(nd.qs, nd.queues[src])
 }
 
 // AddChild creates a queue for a (possibly newly adopted) child subtree. The
@@ -318,13 +299,9 @@ func (nd *Node) RemoveChild(child int) []Detection {
 	nd.noteRemovals(q.Len())
 	delete(nd.queues, child)
 	delete(nd.lastHi, child)
-	for i, s := range nd.srcs {
-		if s == child {
-			nd.srcs = append(nd.srcs[:i], nd.srcs[i+1:]...)
-			break
-		}
-	}
-	nd.rebuildMemo()
+	i := nd.at(child)
+	nd.srcs = slices.Delete(nd.srcs, i, i+1)
+	nd.qs = slices.Delete(nd.qs, i, i+1)
 	if len(nd.srcs) == 0 {
 		return nil
 	}
@@ -366,17 +343,17 @@ func (nd *Node) ResetSource(src int) {
 // upward cascade only ever does that), and the values themselves — solution
 // sets, aggregates, clocks — stay valid forever.
 func (nd *Node) OnInterval(src int, iv interval.Interval) []Detection {
-	q, ok := nd.queues[src]
-	if !ok {
+	i := nd.at(src)
+	if i < 0 {
 		nd.stats.Dropped++
 		return nil
 	}
+	q := nd.qs[i]
 	if nd.cfg.Strict {
-		if prev, ok := nd.lastHi[src]; ok && !prev.Hi.Less(iv.Lo) {
-			panic(fmt.Sprintf("core: node %d: succession violated on source %d: prev max %v, next min %v",
-				nd.id, src, prev.Hi, iv.Lo))
-		}
-		nd.lastHi[src] = iv
+		nd.checkSuccession(src, &iv)
+	}
+	if nd.alone(q) {
+		return nd.passAlone([]interval.Interval{iv})
 	}
 	q.Enqueue(iv)
 	nd.noteEnqueue()
@@ -407,20 +384,22 @@ func (nd *Node) OnIntervals(src int, ivs []interval.Interval) []Detection {
 	if len(ivs) == 0 {
 		return nil
 	}
-	q, ok := nd.queues[src]
-	if !ok {
+	i := nd.at(src)
+	if i < 0 {
 		nd.stats.Dropped += len(ivs)
 		return nil
 	}
+	q := nd.qs[i]
+	if nd.cfg.Strict {
+		for k := range ivs {
+			nd.checkSuccession(src, &ivs[k])
+		}
+	}
+	if nd.alone(q) {
+		return nd.passAlone(ivs)
+	}
 	wasEmpty := q.Empty()
 	for _, iv := range ivs {
-		if nd.cfg.Strict {
-			if prev, ok := nd.lastHi[src]; ok && !prev.Hi.Less(iv.Lo) {
-				panic(fmt.Sprintf("core: node %d: succession violated on source %d: prev max %v, next min %v",
-					nd.id, src, prev.Hi, iv.Lo))
-			}
-			nd.lastHi[src] = iv
-		}
 		q.Enqueue(iv)
 		nd.noteEnqueue()
 		nd.stats.IntervalsIn++
@@ -432,6 +411,37 @@ func (nd *Node) OnIntervals(src int, ivs []interval.Interval) []Detection {
 	}
 	nd.one[0] = src
 	return nd.detect(nd.one[:])
+}
+
+// at returns src's position in srcs, or -1 when the node has no such queue.
+// A linear scan: the list is a node's fan-in plus one, and a leaf — most
+// nodes — finds itself at once.
+func (nd *Node) at(src int) int {
+	for i, s := range nd.srcs {
+		if s == src {
+			return i
+		}
+	}
+	return -1
+}
+
+// checkSuccession is Strict's test that iv starts causally after the last
+// interval accepted from src ended.
+func (nd *Node) checkSuccession(src int, iv *interval.Interval) {
+	if prev, ok := nd.lastHi[src]; ok && !prev.Hi.Less(iv.Lo) {
+		panic(fmt.Sprintf("core: node %d: succession violated on source %d: prev max %v, next min %v",
+			nd.id, src, prev.Hi, iv.Lo))
+	}
+	nd.lastHi[src] = *iv
+}
+
+// alone reports that q is this node's only queue and empty, under the
+// parallel engine: whatever arrives takes the one-source path (passAlone).
+// Decided on every call, so adopting a child, losing the last one or a
+// backlog left by either needs no special case — with a second source, or
+// anything still queued, the queue path runs.
+func (nd *Node) alone(q *interval.Queue) bool {
+	return nd.cfg.Parallel && len(nd.qs) == 1 && q.Empty()
 }
 
 // detect runs the elimination loop and, repeatedly, solution extraction and

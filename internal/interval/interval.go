@@ -34,16 +34,6 @@ type Interval struct {
 	// Lo and Hi are the bounding cuts (min(x) and max(x)).
 	Lo, Hi vclock.VC
 
-	// Term is the timestamp of the falsifying event — the first event at
-	// which the predicate was false again after the interval — or nil when
-	// the execution ended with the predicate still true. The local state
-	// "predicate holds" persists from min(x) until just before Term, so
-	// Possibly(Φ) detection must compare against Term, not Hi: two
-	// intervals can coexist in a consistent global state even when
-	// max(x) ≺ min(y), as long as ¬(Term(x) ≺ min(y)). Definitely(Φ)
-	// detection uses Hi per Eq. 2 and ignores Term.
-	Term vclock.VC
-
 	// Origin is the id of the process at which the interval occurred, or —
 	// for an aggregated interval — the id of the subtree root that detected
 	// the solution set and aggregated it.
@@ -67,10 +57,58 @@ type Interval struct {
 	// interval). Used by the complexity experiments.
 	Bases int
 
-	// Members optionally retains the aggregated solution set for ground-truth
-	// verification in tests; production configurations leave it nil.
-	Members []Interval
+	// ext holds what only non-production paths set — the falsifying event
+	// of Possibly-detection and the solution set KeepMembers retains — behind
+	// one pointer, nil everywhere else: every queue slot, solution slab,
+	// detection log entry and report carries an Interval by value, and the
+	// two slice headers were 48 of its 152 bytes. Read through Term and
+	// Members; never modified once set (SetTerm installs a fresh one), so
+	// copies of an Interval share it safely.
+	ext *extra
 }
+
+type extra struct {
+	term    vclock.VC
+	members []Interval
+}
+
+// Term is the timestamp of the falsifying event — the first event at which
+// the predicate was false again after the interval — or nil when the
+// execution ended with the predicate still true (and on every aggregate).
+// The local state "predicate holds" persists from min(x) until just before
+// Term, so Possibly(Φ) detection must compare against Term, not Hi: two
+// intervals can coexist in a consistent global state even when
+// max(x) ≺ min(y), as long as ¬(Term(x) ≺ min(y)). Definitely(Φ) detection
+// uses Hi per Eq. 2 and ignores Term.
+func (x Interval) Term() vclock.VC {
+	if x.ext == nil {
+		return nil
+	}
+	return x.ext.term
+}
+
+// SetTerm records the falsifying event. A nil term on an interval that has
+// none allocates nothing.
+func (x *Interval) SetTerm(term vclock.VC) {
+	if term == nil && x.ext == nil {
+		return
+	}
+	x.ext = &extra{term: term, members: x.Members()}
+}
+
+// Members is the solution set an aggregate was built from, when the
+// aggregation was asked to keep it (ground-truth verification in tests;
+// production configurations never ask), else nil.
+func (x Interval) Members() []Interval {
+	if x.ext == nil {
+		return nil
+	}
+	return x.ext.members
+}
+
+// DropExtra clears Term and Members, for callers that refill an Interval in
+// place from a source carrying neither (the wire decoder).
+func (x *Interval) DropExtra() { x.ext = nil }
 
 // New returns a base interval for process origin with bounds lo and hi.
 func New(origin, seq int, lo, hi vclock.VC) Interval {
@@ -190,10 +228,9 @@ func AggregateInto(dst *Interval, xs []Interval, origin, seq int, keepMembers bo
 	dst.Seq = seq
 	dst.Agg = true
 	dst.Bases = bases
-	dst.Term = nil
-	dst.Members = nil
+	dst.ext = nil
 	if keepMembers {
-		dst.Members = append([]Interval(nil), xs...)
+		dst.ext = &extra{members: append([]Interval(nil), xs...)}
 	}
 }
 
@@ -223,7 +260,7 @@ func AggregateFlat(st *vclock.Store, xs []Interval, origin, seq int, keepMembers
 	}
 	out := Interval{Origin: origin, Seq: seq, Agg: true}
 	if keepMembers {
-		out.Members = append([]Interval(nil), xs...)
+		out.ext = &extra{members: append([]Interval(nil), xs...)}
 	}
 	if len(xs) == 1 {
 		x := &xs[0]
@@ -243,7 +280,8 @@ func AggregateFlat(st *vclock.Store, xs []Interval, origin, seq int, keepMembers
 		spanCap += len(xs[i].Span)
 		bases += xs[i].Bases
 	}
-	out.Span = mergeSpans(xs, spanCap)
+	out.Span = mergeSpans(xs, spanCap, st.LastSpan)
+	st.LastSpan = out.Span
 	out.Bases = bases
 	return out
 }
@@ -256,14 +294,18 @@ func sizedVC(v vclock.VC, n int) vclock.VC {
 	return make(vclock.VC, n)
 }
 
-// insertUnique adds p to a sorted id list, keeping it sorted and duplicate
-// free. Spans are bounded by subtree size and usually tiny, so the linear
-// shift beats a set structure.
 // mergeSpans unions the members' spans. Each Span is sorted and duplicate-
 // free, so a k-way merge builds the union in one linear pass — at a tree
 // root the union covers every process, and inserting BFS-interleaved subtree
 // ids one at a time (insertUnique) degenerated to a quadratic memmove there.
-func mergeSpans(xs []Interval, spanCap int) []int {
+//
+// prev is the span this node's previous aggregate published (nil at first).
+// In a stable tree every round's union is that same set, and at a root it is
+// as large as the two clocks: the merge runs against prev and allocates only
+// from the first element that differs, so a union equal to prev is returned
+// as prev itself — spans are immutable once published, which makes the
+// sharing safe — and anything else is a fresh slice.
+func mergeSpans(xs []Interval, spanCap int, prev []int) []int {
 	var idxArr [8]int
 	var idx []int
 	if len(xs) <= len(idxArr) {
@@ -271,7 +313,8 @@ func mergeSpans(xs []Interval, spanCap int) []int {
 	} else {
 		idx = make([]int, len(xs))
 	}
-	span := make([]int, 0, spanCap)
+	var span []int // nil while the union is still a prefix of prev
+	n, last := 0, 0
 	for {
 		best, bestV := -1, 0
 		for i := range xs {
@@ -282,15 +325,32 @@ func mergeSpans(xs []Interval, spanCap int) []int {
 			}
 		}
 		if best == -1 {
-			return span
+			break
 		}
 		idx[best]++
-		if len(span) == 0 || span[len(span)-1] != bestV {
+		if n > 0 && last == bestV {
+			continue
+		}
+		if span == nil && (n >= len(prev) || prev[n] != bestV) {
+			span = append(make([]int, 0, spanCap), prev[:n]...)
+		}
+		if span != nil {
 			span = append(span, bestV)
 		}
+		n, last = n+1, bestV
 	}
+	if span != nil {
+		return span
+	}
+	if n == len(prev) {
+		return prev
+	}
+	return append(make([]int, 0, n), prev[:n]...) // a proper prefix of prev
 }
 
+// insertUnique adds p to a sorted id list, keeping it sorted and duplicate
+// free. Spans are bounded by subtree size and usually tiny, so the linear
+// shift beats a set structure.
 func insertUnique(s []int, p int) []int {
 	i := len(s)
 	for i > 0 && s[i-1] > p {
@@ -310,11 +370,11 @@ func insertUnique(s []int, p int) []int {
 // keepMembers — otherwise an aggregate is returned as-is. Tests use this to
 // verify a reported detection against raw execution data (paper Eq. 2).
 func BaseIntervals(x Interval) []Interval {
-	if !x.Agg || x.Members == nil {
+	if !x.Agg || x.Members() == nil {
 		return []Interval{x}
 	}
 	var out []Interval
-	for _, m := range x.Members {
+	for _, m := range x.Members() {
 		out = append(out, BaseIntervals(m)...)
 	}
 	return out

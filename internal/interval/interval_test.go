@@ -77,7 +77,7 @@ func TestAggregateBounds(t *testing.T) {
 	if len(agg.Span) != 2 || agg.Span[0] != 0 || agg.Span[1] != 2 {
 		t.Errorf("Span = %v, want [0 2]", agg.Span)
 	}
-	if agg.Members != nil {
+	if agg.Members() != nil {
 		t.Error("Members retained without keepMembers")
 	}
 }
@@ -86,8 +86,8 @@ func TestAggregateKeepsMembers(t *testing.T) {
 	x1 := New(0, 0, vclock.Of(1, 0), vclock.Of(3, 2))
 	x2 := New(1, 0, vclock.Of(0, 1), vclock.Of(2, 3))
 	agg := Aggregate([]Interval{x1, x2}, 5, 0, true)
-	if len(agg.Members) != 2 {
-		t.Fatalf("Members = %d, want 2", len(agg.Members))
+	if len(agg.Members()) != 2 {
+		t.Fatalf("Members = %d, want 2", len(agg.Members()))
 	}
 	bases := BaseIntervals(agg)
 	if len(bases) != 2 {

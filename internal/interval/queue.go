@@ -15,20 +15,7 @@ package interval
 // scale. Queue is not safe for concurrent use; each detector node owns its
 // queues and serializes access.
 type Queue struct {
-	buf []Interval
-	// digs is a parallel ring of per-slot bound digests: digs[i] caches the
-	// component-sum digests (vclock.VC.Sum) of buf[i].Lo and buf[i].Hi,
-	// computed lazily on first consult (HeadDigests/DigestsAt) and retained
-	// until the slot is vacated or overwritten. Laziness matters: queues
-	// whose heads are never compared — every leaf detector's single queue,
-	// and any slot eliminated before the comparison loops reach it — never
-	// pay the two O(n) sums, and slots that are consulted pay them exactly
-	// when the comparison loops are about to stream the same clocks anyway,
-	// so the summing rides cache-warm data. Keeping digests beside the ring
-	// (rather than inside Interval) leaves the Interval wire/value identity
-	// untouched, so the sequential oracle's byte-identity contract is
-	// unaffected.
-	digs       []slotDigest
+	buf        []Interval
 	mask       int // len(buf)-1; valid because len(buf) is a power of two
 	head, size int
 
@@ -42,29 +29,6 @@ type Queue struct {
 	// turns a violation of that contract into an immediate, attributable
 	// failure instead of a silent data race. Reads do not bump it.
 	gen uint64
-
-	// headGen counts head *changes* only: DeleteHead, and an Enqueue that
-	// lands on an empty queue. Tail enqueues leave it alone. Two equal
-	// observations therefore bracket a window in which Head() was the same
-	// interval — the memoization key the cross-round verdict cache is built
-	// on (gen would over-invalidate: a deep queue's tail grows constantly
-	// while its head sits still).
-	headGen uint64
-}
-
-// SlotDigest carries the component-sum digests of one queued interval's
-// bounds.
-type SlotDigest struct {
-	Lo, Hi uint64
-}
-
-// slotDigest is one cache entry in the digest ring: the digests plus a
-// validity bit. ok distinguishes "not yet computed" from a genuine all-zero
-// digest (the zero clock sums to zero), so laziness never re-derives a
-// cached value and never serves a stale one.
-type slotDigest struct {
-	SlotDigest
-	ok bool
 }
 
 // NewQueue returns an empty queue.
@@ -81,24 +45,14 @@ func (q *Queue) Empty() bool { return q.size == 0 }
 // mutation-free window.
 func (q *Queue) Gen() uint64 { return q.gen }
 
-// HeadGen returns the queue's head epoch: it advances exactly when the head
-// interval changes (a deletion, or an enqueue exposing a head on an empty
-// queue), never on tail growth. Equal observations identify an unchanged
-// head, which is what verdict memoization keys on.
-func (q *Queue) HeadGen() uint64 { return q.headGen }
-
 // Enqueue appends x at the tail.
 func (q *Queue) Enqueue(x Interval) {
 	q.gen++
-	if q.size == 0 {
-		q.headGen++
-	}
 	if q.size == len(q.buf) {
 		q.grow()
 	}
 	i := (q.head + q.size) & q.mask
 	q.buf[i] = x
-	q.digs[i] = slotDigest{} // invalidate any stale cache for the slot
 	q.size++
 	if q.size > q.HighWater {
 		q.HighWater = q.size
@@ -116,11 +70,10 @@ func (q *Queue) Head() Interval {
 }
 
 // HeadRef returns a pointer to the interval at the front, valid only until
-// the queue's next mutation. The parallel engine's snapshot loops read heads
-// through it to skip the by-value copy of the full Interval struct that
-// Head() costs on every head-to-head check; the epoch guard (Gen) already
-// polices the no-mutation window the pointer depends on. It panics on an
-// empty queue.
+// the queue's next mutation. The parallel engine's rounds read heads through
+// it instead of copying the whole Interval out on every head-to-head check;
+// no queue mutates inside a round, and the epoch guard (Gen) polices that
+// where a round leaves the owner's goroutine. It panics on an empty queue.
 func (q *Queue) HeadRef() *Interval {
 	if q.size == 0 {
 		panic("interval: HeadRef of empty queue")
@@ -134,48 +87,11 @@ func (q *Queue) DeleteHead() Interval {
 		panic("interval: DeleteHead of empty queue")
 	}
 	q.gen++
-	q.headGen++
 	x := q.buf[q.head]
 	q.buf[q.head] = Interval{} // release references for GC
-	q.digs[q.head] = slotDigest{}
 	q.head = (q.head + 1) & q.mask
 	q.size--
 	return x
-}
-
-// HeadDigests returns the bound digests of the head interval, computing and
-// caching them on first consult. It panics on an empty queue. Like every
-// Queue method it is single-writer: concurrent readers must consult through
-// a serial prefill (the parallel engine prefills heads on the owner
-// goroutine before fanning out its comparison workers).
-func (q *Queue) HeadDigests() SlotDigest {
-	if q.size == 0 {
-		panic("interval: HeadDigests of empty queue")
-	}
-	return q.digestAt(q.head)
-}
-
-// DigestsAt returns the bound digests of the i-th interval from the head,
-// mirroring At, computing and caching them on first consult. The exact
-// pruning rule's successor peek (Eq. 9) guards its comparison with
-// DigestsAt(1).
-func (q *Queue) DigestsAt(i int) SlotDigest {
-	if i < 0 || i >= q.size {
-		panic("interval: Queue.DigestsAt out of range")
-	}
-	return q.digestAt((q.head + i) & q.mask)
-}
-
-// digestAt returns the cached digests of ring slot j, filling the cache from
-// the interval's bounds on first consult.
-func (q *Queue) digestAt(j int) SlotDigest {
-	d := &q.digs[j]
-	if !d.ok {
-		x := &q.buf[j]
-		d.SlotDigest = SlotDigest{Lo: x.Lo.Sum(), Hi: x.Hi.Sum()}
-		d.ok = true
-	}
-	return d.SlotDigest
 }
 
 // At returns the i-th interval from the head (At(0) == Head()). It panics
@@ -199,17 +115,14 @@ func (q *Queue) Snapshot() []Interval {
 }
 
 // grow doubles the ring (minimum 4 slots), keeping the capacity a power of
-// two so mask indexing stays valid. The digest ring moves in lockstep.
+// two so mask indexing stays valid.
 func (q *Queue) grow() {
 	next := make([]Interval, max(4, 2*len(q.buf)))
-	nextDigs := make([]slotDigest, len(next))
 	for i := 0; i < q.size; i++ {
 		j := (q.head + i) & q.mask
 		next[i] = q.buf[j]
-		nextDigs[i] = q.digs[j]
 	}
 	q.buf = next
-	q.digs = nextDigs
 	q.mask = len(next) - 1
 	q.head = 0
 }

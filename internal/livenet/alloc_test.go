@@ -15,19 +15,18 @@ import (
 // and returned. Measured, in bytes per interval, around feed + Close +
 // Detections with the clusters already built. Clock storage, solution sets
 // and the harness's own round trip are in the figure too (runs this short
-// leave half of a node's last clock chunk unused), so the budgets sit some
-// 10 % above what the runs measure and well below what they measured with
-// one cluster-wide slice regrown under the cluster lock, a result slice per
-// detecting call and a copy per flush:
+// leave half of a node's last clock chunk unused), so the budgets sit 8 %
+// above what the runs measure. Before the 112-byte Interval and the shared
+// span they measured ≈ 1 720 and ≈ 1 570; before per-node logs and the
+// detector-owned result buffer ≈ 2 760 and ≈ 2 060.
 //
-//	one p=127 cluster, 200 rounds       ≈ 1 720; was ≈ 2 760. One log of 200
-//	                                    per node, what the deep_saturate
-//	                                    workload does in a fifth of a pass
-//	64 p=63 clusters, 40 rounds each    ≈ 1 570; was ≈ 2 060. 4 032 logs of 40
-//	                                    on one substrate (the tenant_fanout
-//	                                    shape): a log must not cost a large
-//	                                    chunk (128 entries: ≈ 1 940) before it
-//	                                    has the detections to fill it
+//	one p=127 cluster, 200 rounds       ≈ 1 440. One log of 200 per node, what
+//	                                    the deep_saturate workload does in a
+//	                                    fifth of a pass
+//	64 p=63 clusters, 40 rounds each    ≈ 1 250. 4 032 logs of 40 on one
+//	                                    substrate (the tenant_fanout shape): a
+//	                                    log must not cost a large chunk before
+//	                                    it has the detections to fill it
 func TestDetectionPathAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under the race detector sync.Pool drops a quarter of what it is handed and every allocation carries shadow state: not the bytes this budget is about")
@@ -38,8 +37,8 @@ func TestDetectionPathAllocBudget(t *testing.T) {
 		rounds, window   int    // fed round-major, window rounds in flight (steadyFeed)
 		budget           uint64 // bytes per interval
 	}{
-		{"one p=127 cluster", 1, 6, 200, 16, 1900},
-		{"64 p=63 clusters on one substrate", 64, 5, 40, 64, 1700},
+		{"one p=127 cluster", 1, 6, 200, 16, 1560},
+		{"64 p=63 clusters on one substrate", 64, 5, 40, 64, 1350},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			topo := tree.Balanced(2, tc.height)
@@ -81,8 +80,9 @@ func TestDetectionPathAllocBudget(t *testing.T) {
 // pooled buffer, copied by Send into a recycled one, read in place out of the
 // connection's buffer and decoded into a recycled batch whose clocks come out
 // of the substrate's arena. 500 rounds, 16 in flight: one pass of the
-// benchmark's tcp_split workload. Measured ≈ 2 780 B and 1.7 allocations per
-// interval; was ≈ 3 370 B and 4.3 with a copy per Send, a payload per read, a
+// benchmark's tcp_split workload. Measured ≈ 2 560 B and 1.2 allocations per
+// interval (≈ 2 780 and 1.7 with the 152-byte Interval and a span per
+// aggregate); was ≈ 3 370 B and 4.3 with a copy per Send, a payload per read, a
 // result slice per frame and two clocks per report each allocated on its own.
 // What remains over the in-process figure above is the decoded clocks
 // (≈ 1 000 B: the other process's clocks have to exist here too) and the
@@ -93,7 +93,7 @@ func TestRemoteReportAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("see TestDetectionPathAllocBudget")
 	}
-	const rounds, window, budget, allocBudget = 500, 16, 3050, 2.3
+	const rounds, window, budget, allocBudget = 500, 16, 2780, 1.7
 	topo := tree.Balanced(2, 6)
 	n := topo.N()
 	e := workload.Generate(workload.Config{Topology: topo, Rounds: rounds, Seed: 5, PGlobal: 1})

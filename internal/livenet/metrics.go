@@ -4,7 +4,6 @@ import (
 	"sort"
 	"strconv"
 	"sync/atomic"
-	"time"
 
 	"hierdet/internal/obsv"
 )
@@ -42,14 +41,8 @@ type Metrics struct {
 	Pruned      int `json:"pruned"`
 	Eliminated  int `json:"eliminated"`
 	// VecComparisons counts the vector-clock comparisons Algorithm 1
-	// enumerated at this node's detector; FilteredComparisons and MemoHits
-	// break out how many of those the comparison-pruning layer answered
-	// without scanning clocks — refuted by a one-word digest compare, or
-	// served from the cross-round verdict memo. Both breakdowns are zero
-	// under SequentialDetect (the oracle runs unpruned).
-	VecComparisons      int `json:"vecComparisons"`
-	FilteredComparisons int `json:"filteredComparisons"`
-	MemoHits            int `json:"memoHits"`
+	// enumerated at this node's detector.
+	VecComparisons int `json:"vecComparisons"`
 	// QueueDepth is the detector's current interval residency across its
 	// queues; QueueHighWater is the node-level peak — the most intervals
 	// ever *concurrently* resident, not the sum of per-queue peaks (queues
@@ -99,8 +92,6 @@ type nodeMetrics struct {
 	pruned          atomic.Int64
 	eliminated      atomic.Int64
 	vecCmps         atomic.Int64
-	filteredCmps    atomic.Int64
-	memoHits        atomic.Int64
 	queueDepth      atomic.Int64
 	queueHigh       atomic.Int64
 	repairs         atomic.Int64
@@ -140,8 +131,6 @@ func (ln *liveNode) syncCoreStats() {
 	ln.m.eliminated.Store(int64(st.Eliminated))
 	ln.m.pruned.Store(int64(st.Pruned))
 	ln.m.vecCmps.Store(int64(st.VecComparisons))
-	ln.m.filteredCmps.Store(int64(st.FilteredComparisons))
-	ln.m.memoHits.Store(int64(st.MemoHits))
 	depth, high := ln.node.QueueSizes()
 	ln.m.queueDepth.Store(int64(depth))
 	ln.m.queueHigh.Store(int64(high))
@@ -154,26 +143,24 @@ func (ln *liveNode) syncCoreStats() {
 // snapshot reads the counters.
 func (m *nodeMetrics) snapshot() Metrics {
 	return Metrics{
-		MsgsIn:              int(m.msgsIn.Load()),
-		MsgsOut:             int(m.msgsOut.Load()),
-		StaleReports:        int(m.stale.Load()),
-		Duplicates:          int(m.duplicates.Load()),
-		ReseqBuffered:       int(m.reseqBuffered.Load()),
-		ReseqHighWater:      int(m.reseqHigh.Load()),
-		Detections:          int(m.detections.Load()),
-		IntervalsIn:         int(m.intervalsIn.Load()),
-		Pruned:              int(m.pruned.Load()),
-		Eliminated:          int(m.eliminated.Load()),
-		VecComparisons:      int(m.vecCmps.Load()),
-		FilteredComparisons: int(m.filteredCmps.Load()),
-		MemoHits:            int(m.memoHits.Load()),
-		QueueDepth:          int(m.queueDepth.Load()),
-		QueueHighWater:      int(m.queueHigh.Load()),
-		Repairs:             int(m.repairs.Load()),
-		ChildDrops:          int(m.childDrops.Load()),
-		Heartbeats:          int(m.heartbeats.Load()),
-		BadFrames:           int(m.badFrames.Load()),
-		BatchFlushes:        int(m.batchFlushes.Load()),
+		MsgsIn:         int(m.msgsIn.Load()),
+		MsgsOut:        int(m.msgsOut.Load()),
+		StaleReports:   int(m.stale.Load()),
+		Duplicates:     int(m.duplicates.Load()),
+		ReseqBuffered:  int(m.reseqBuffered.Load()),
+		ReseqHighWater: int(m.reseqHigh.Load()),
+		Detections:     int(m.detections.Load()),
+		IntervalsIn:    int(m.intervalsIn.Load()),
+		Pruned:         int(m.pruned.Load()),
+		Eliminated:     int(m.eliminated.Load()),
+		VecComparisons: int(m.vecCmps.Load()),
+		QueueDepth:     int(m.queueDepth.Load()),
+		QueueHighWater: int(m.queueHigh.Load()),
+		Repairs:        int(m.repairs.Load()),
+		ChildDrops:     int(m.childDrops.Load()),
+		Heartbeats:     int(m.heartbeats.Load()),
+		BadFrames:      int(m.badFrames.Load()),
+		BatchFlushes:   int(m.batchFlushes.Load()),
 	}
 }
 
@@ -244,15 +231,11 @@ type ClusterMetrics struct {
 	QueueDepth     int64 `json:"queueDepth"`     // sum of current detector residencies
 	QueueHighWater int64 `json:"queueHighWater"` // max node-level peak across nodes
 
-	// Comparison-pruning layer: comparisons Algorithm 1 enumerated across
-	// every detector, how many were answered by the digest guard or the
-	// verdict memo (zero under SequentialDetect), and the single worst
-	// node's enumerated share — the hot-spot the hierarchy is supposed to
+	// Comparisons Algorithm 1 enumerated across every detector, and the
+	// single worst node's share — the hot-spot the hierarchy is supposed to
 	// flatten.
-	VecComparisons      int64 `json:"vecComparisons"`
-	FilteredComparisons int64 `json:"filteredComparisons"`
-	MemoHits            int64 `json:"memoHits"`
-	WorstNodeCmps       int64 `json:"worstNodeCmps"` // max VecComparisons across nodes
+	VecComparisons int64 `json:"vecComparisons"`
+	WorstNodeCmps  int64 `json:"worstNodeCmps"` // max VecComparisons across nodes
 
 	MailboxDepth     int `json:"mailboxDepth"`     // sum of current depths
 	MailboxHighWater int `json:"mailboxHighWater"` // max across nodes
@@ -325,8 +308,6 @@ func (c *Cluster) ClusterMetrics() ClusterMetrics {
 			out.QueueHighWater = int64(m.QueueHighWater)
 		}
 		out.VecComparisons += int64(m.VecComparisons)
-		out.FilteredComparisons += int64(m.FilteredComparisons)
-		out.MemoHits += int64(m.MemoHits)
 		if int64(m.VecComparisons) > out.WorstNodeCmps {
 			out.WorstNodeCmps = int64(m.VecComparisons)
 		}
@@ -373,18 +354,6 @@ func (c *Cluster) ClusterMetrics() ClusterMetrics {
 // reads. The registry is created in New and stays valid after Stop.
 func (c *Cluster) Registry() *obsv.Registry { return c.reg }
 
-// noteLatency records one observe→SolutionFound measurement: a detection was
-// just recorded whose triggering cascade began with an Observe stamped at
-// born (UnixNano). Runs on the detecting node's worker.
-func (c *Cluster) noteLatency(born int64) {
-	if c.latHist == nil {
-		return
-	}
-	if d := time.Now().UnixNano() - born; d > 0 {
-		c.latHist.Observe(float64(d) / 1e9)
-	}
-}
-
 // emitEvent counts e and hands it to the configured sink, if any. Callers
 // emit from the goroutine that owns the event's node, which is what gives
 // the stream its per-node causal order.
@@ -428,10 +397,6 @@ func (c *Cluster) registerFamilies() {
 		func(ln *liveNode) float64 { return float64(ln.m.eliminated.Load()) })
 	perNode("hierdet_node_vec_comparisons_total", "Vector-clock comparisons enumerated by Algorithm 1 at this node, as of its last drain.", obsv.KindCounter,
 		func(ln *liveNode) float64 { return float64(ln.m.vecCmps.Load()) })
-	perNode("hierdet_node_filtered_comparisons_total", "Comparisons refuted by the one-word digest guard without a clock scan, as of the node's last drain.", obsv.KindCounter,
-		func(ln *liveNode) float64 { return float64(ln.m.filteredCmps.Load()) })
-	perNode("hierdet_node_memo_hits_total", "Comparisons answered from the cross-round verdict memo, as of the node's last drain.", obsv.KindCounter,
-		func(ln *liveNode) float64 { return float64(ln.m.memoHits.Load()) })
 	perNode("hierdet_node_duplicates_total", "Reports discarded by resequencers as redeliveries.", obsv.KindCounter,
 		func(ln *liveNode) float64 { return float64(ln.m.duplicates.Load()) })
 	perNode("hierdet_node_stale_reports_total", "Reports dropped because the sender is no longer a child.", obsv.KindCounter,

@@ -100,6 +100,10 @@ type liveNode struct {
 	// observation that has been waiting longest. Worker-confined.
 	born    int64
 	bufBorn int64
+	// foundAt is the wall clock (UnixNano) read for the message currently
+	// being handled, 0 until its first detection asks: every detection of
+	// one handle is stamped with the same reading.
+	foundAt int64
 
 	ivScratch  []interval.Interval // reused batch-ingestion staging
 	rdyScratch []repair.Report     // reused resequencer release staging
@@ -245,7 +249,7 @@ func initLiveNode(ln *liveNode, c *Cluster, id int) {
 }
 
 func (ln *liveNode) handle(msg *message) {
-	ln.born = msg.born
+	ln.born, ln.foundAt = msg.born, 0
 	switch msg.kind {
 	case msgLocal:
 		ln.c.emitEvent(obsv.Event{Kind: obsv.IntervalObserved, Node: ln.id, Peer: obsv.NoPeer, Count: 1})
@@ -356,15 +360,31 @@ func (ln *liveNode) deliver(dets []core.Detection) {
 		det := &dets[i]
 		atRoot := ln.parent == tree.None
 		ln.m.detections.Add(1)
-		if ln.born > 0 {
-			ln.c.noteLatency(ln.born)
-		}
+		ln.noteLatency()
 		ln.log.add(Detection{Node: ln.id, AtRoot: atRoot, Det: *det})
 		ln.c.emitEvent(obsv.Event{Kind: obsv.SolutionFound, Node: ln.id, Peer: obsv.NoPeer,
 			Seq: det.Agg.Seq, Count: 1, AtRoot: atRoot, Agg: det.Agg, Set: det.Set})
 		if !atRoot {
 			ln.report(det.Agg)
 		}
+	}
+}
+
+// noteLatency records one observe→SolutionFound measurement: a detection was
+// just found whose triggering cascade began with an Observe stamped at
+// ln.born (UnixNano). The clock is read once per handled message, not per
+// detection — a handle's detections are microseconds apart, and the read was
+// 3 % of a wide node's CPU.
+func (ln *liveNode) noteLatency() {
+	h := ln.c.latHist
+	if h == nil || ln.born <= 0 {
+		return
+	}
+	if ln.foundAt == 0 {
+		ln.foundAt = time.Now().UnixNano()
+	}
+	if d := ln.foundAt - ln.born; d > 0 {
+		h.Observe(float64(d) / 1e9)
 	}
 }
 

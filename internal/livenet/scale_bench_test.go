@@ -19,10 +19,9 @@ import (
 //	         one Observe call per interval, every report sent on its own —
 //	         the paper's Algorithm 1 as written, the yardstick
 //	parallel ObserveBatch ingestion, drain-end adaptive report coalescing
-//	         (Config.AdaptiveFlush) and the parallel detection engine with
-//	         its comparison-pruning layer: partitioned comparison rounds,
-//	         digest-guarded and memoized verdicts, flat aggregate storage,
-//	         slab-carved solution sets — the full current path
+//	         (Config.AdaptiveFlush) and the parallel detection engine:
+//	         rounds over queue heads, flat aggregate storage, slab-carved
+//	         solution sets, the one-source path — the full current path
 //
 // The lanes since deleted — legacy (the seed's goroutine-per-node plane) and
 // batched (a fixed 200 µs batch window on the sequential engine) — live on
@@ -37,14 +36,8 @@ import (
 //	detections/op   sanity: every lane must detect every round at the root
 //	worst-node-cmps/run  the busiest detector's enumerated comparisons —
 //	                the hot-spot the hierarchy is supposed to flatten
-//	cmps/interval   fleet-wide enumerated comparisons per observed interval;
-//	                the enumeration ledger is engine-independent, so the
-//	                sequential lanes' value doubles as the pre-pruning-layer
-//	                baseline
-//	digest-filter-rate / memo-hit-rate  the comparison-pruning layer's
-//	                share of enumerated comparisons answered by the one-word
-//	                digest guard / the cross-round verdict memo (zero on the
-//	                sequential lanes)
+//	cmps/interval   fleet-wide enumerated comparisons per observed interval
+//	                (the enumeration ledger is engine-independent)
 //	latency-p50-ms / latency-p99-ms  observe→SolutionFound latency quantiles
 //	                (ClusterMetrics.LatencyP50/P99, averaged over iterations)
 //	                — how long an interval's cascade takes to conclude
@@ -89,7 +82,7 @@ type benchMode struct {
 func benchLiveScale(b *testing.B, topo *tree.Topology, e *workload.Execution, total, rounds int, mode benchMode) {
 	peak := 0
 	roots := 0
-	var worstCmps, vecCmps, filtered, memo, latObs int64
+	var worstCmps, vecCmps, latObs int64
 	var latP50, latP99 float64
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -147,8 +140,6 @@ func benchLiveScale(b *testing.B, topo *tree.Topology, e *workload.Execution, to
 		cm := c.ClusterMetrics()
 		worstCmps += cm.WorstNodeCmps
 		vecCmps += cm.VecComparisons
-		filtered += cm.FilteredComparisons
-		memo += cm.MemoHits
 		latObs += cm.LatencyCount
 		latP50 += cm.LatencyP50
 		latP99 += cm.LatencyP99
@@ -163,8 +154,6 @@ func benchLiveScale(b *testing.B, topo *tree.Topology, e *workload.Execution, to
 	b.ReportMetric(float64(worstCmps)/float64(b.N), "worst-node-cmps/run")
 	if vecCmps > 0 {
 		b.ReportMetric(float64(vecCmps)/float64(b.N)/float64(total), "cmps/interval")
-		b.ReportMetric(float64(filtered)/float64(vecCmps), "digest-filter-rate")
-		b.ReportMetric(float64(memo)/float64(vecCmps), "memo-hit-rate")
 	}
 	if latObs > 0 {
 		b.ReportMetric(latP50/float64(b.N)*1e3, "latency-p50-ms")

@@ -199,10 +199,11 @@ func (d *PossiblyDetector) OnInterval(p int, iv interval.Interval) bool {
 // sent at x's last true event and received at y's first). Intervals with no
 // falsifying event (end of trace) persist forever and precede nothing.
 func wholeBefore(x, y interval.Interval) bool {
-	if x.Term == nil {
+	term := x.Term()
+	if term == nil {
 		return false
 	}
-	return x.Term.Less(y.Lo)
+	return term.Less(y.Lo)
 }
 
 // eliminatePossibly deletes head x whenever some head y satisfies

@@ -106,7 +106,7 @@ func TestPossiblyEliminatesPrecedingInterval(t *testing.T) {
 	// — causally after the falsification (P1 heard of 3 events of P0), so
 	// they can never coexist: x0 must be eliminated, no detection yet.
 	x0 := interval.New(0, 0, vclock.Of(1, 0), vclock.Of(2, 0))
-	x0.Term = vclock.Of(3, 0)
+	x0.SetTerm(vclock.Of(3, 0))
 	d.OnInterval(0, x0)
 	if d.OnInterval(1, interval.New(1, 0, vclock.Of(3, 1), vclock.Of(3, 2))) {
 		t.Fatal("false Possibly for sequential intervals")
@@ -124,11 +124,11 @@ func TestPossiblyEliminatesPrecedingInterval(t *testing.T) {
 func TestPossiblyStatePersistsPastLastTrueEvent(t *testing.T) {
 	d := NewPossibly([]int{0, 1})
 	x0 := interval.New(0, 0, vclock.Of(1, 0), vclock.Of(2, 0)) // event 2 = send
-	x0.Term = vclock.Of(3, 2)                                  // falsified much later
+	x0.SetTerm(vclock.Of(3, 2))                                // falsified much later
 	d.OnInterval(0, x0)
 	// P1 true at the receive of that send: min = [2 1].
 	x1 := interval.New(1, 0, vclock.Of(2, 1), vclock.Of(2, 2))
-	x1.Term = vclock.Of(2, 3)
+	x1.SetTerm(vclock.Of(2, 3))
 	if !d.OnInterval(1, x1) {
 		t.Fatal("missed Possibly: state persists past the last true event")
 	}

@@ -139,7 +139,7 @@ func (p *Process) observe() {
 
 func (p *Process) complete(term vclock.VC) {
 	iv := interval.New(p.id, p.seq, p.lo, p.lastTrue)
-	iv.Term = term
+	iv.SetTerm(term)
 	p.seq++
 	p.lo, p.lastTrue = nil, nil
 	if p.emit != nil {

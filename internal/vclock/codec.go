@@ -62,35 +62,26 @@ func (v *VC) UnmarshalBinary(data []byte) error {
 // unconsumed remainder. The length claimed by the prefix is validated against
 // the bytes actually present before anything is allocated.
 func ConsumeBinary(data []byte, dst *VC) (rest []byte, err error) {
-	rest, _, err = ConsumeBinarySum(data, dst)
-	return rest, err
-}
-
-// ConsumeBinarySum is ConsumeBinary with the decoded clock's component-sum
-// digest (see VC.Sum) accumulated in the same pass, so decode paths that feed
-// the comparison-pruning layer never rescan the clock just to digest it.
-func ConsumeBinarySum(data []byte, dst *VC) (rest []byte, sum uint64, err error) {
 	if len(data) < 4 {
-		return nil, 0, fmt.Errorf("vclock: %d-byte buffer lacks length prefix: %w", len(data), ErrTruncated)
+		return nil, fmt.Errorf("vclock: %d-byte buffer lacks length prefix: %w", len(data), ErrTruncated)
 	}
 	n := int(binary.BigEndian.Uint32(data))
 	if n > MaxComponents {
-		return nil, 0, fmt.Errorf("vclock: %d components: %w", n, ErrCorrupt)
+		return nil, fmt.Errorf("vclock: %d components: %w", n, ErrCorrupt)
 	}
 	if len(data) < 4+8*n {
-		return nil, 0, fmt.Errorf("vclock: want %d bytes for %d components, have %d: %w", 4+8*n, n, len(data), ErrTruncated)
+		return nil, fmt.Errorf("vclock: want %d bytes for %d components, have %d: %w", 4+8*n, n, len(data), ErrTruncated)
 	}
 	out := sized(dst, n)
 	for k := range out {
 		c := binary.BigEndian.Uint64(data[4+8*k:])
 		if c > maxComponent {
-			return nil, 0, fmt.Errorf("vclock: component %d value %d exceeds the uint32 clock domain: %w", k, c, ErrCorrupt)
+			return nil, fmt.Errorf("vclock: component %d value %d exceeds the uint32 clock domain: %w", k, c, ErrCorrupt)
 		}
 		out[k] = uint32(c)
-		sum += c
 	}
 	*dst = out
-	return data[4+8*n:], sum, nil
+	return data[4+8*n:], nil
 }
 
 // maxComponent is the largest value a clock component can hold.
@@ -157,29 +148,20 @@ const maxDeltaBytes = 5
 // encoded length, else the encoding is rejected as corrupt — a delta against
 // the wrong clock domain can never decode meaningfully.
 func ConsumeDelta(data []byte, dst *VC, base VC) (rest []byte, err error) {
-	rest, _, err = ConsumeDeltaSum(data, dst, base)
-	return rest, err
-}
-
-// ConsumeDeltaSum is ConsumeDelta with the decoded clock's component-sum
-// digest (see VC.Sum) accumulated in the same pass. The hot wire path decodes
-// every inbound bound clock exactly once; returning the digest here lets the
-// comparison-pruning layer have it without a second O(n) scan.
-func ConsumeDeltaSum(data []byte, dst *VC, base VC) (rest []byte, sum uint64, err error) {
 	n64, sz := binary.Uvarint(data)
 	if sz <= 0 {
-		return nil, 0, varintErr(sz, "component count")
+		return nil, varintErr(sz, "component count")
 	}
 	data = data[sz:]
 	if n64 > MaxComponents {
-		return nil, 0, fmt.Errorf("vclock: %d components: %w", n64, ErrCorrupt)
+		return nil, fmt.Errorf("vclock: %d components: %w", n64, ErrCorrupt)
 	}
 	n := int(n64)
 	if len(data) < n {
-		return nil, 0, fmt.Errorf("vclock: %d bytes cannot hold %d delta components: %w", len(data), n, ErrTruncated)
+		return nil, fmt.Errorf("vclock: %d bytes cannot hold %d delta components: %w", len(data), n, ErrTruncated)
 	}
 	if base != nil && base.Len() != n {
-		return nil, 0, fmt.Errorf("vclock: delta of %d components against %d-component base: %w", n, base.Len(), ErrCorrupt)
+		return nil, fmt.Errorf("vclock: delta of %d components against %d-component base: %w", n, base.Len(), ErrCorrupt)
 	}
 	out := sized(dst, n)
 	// Two copies of one loop, with and without a base: testing base inside
@@ -195,19 +177,18 @@ func ConsumeDeltaSum(data []byte, dst *VC, base VC) (rest []byte, sum uint64, er
 			} else {
 				var sz int
 				if u, sz = binary.Uvarint(data[i:]); sz <= 0 {
-					return nil, 0, varintErr(sz, "delta component")
+					return nil, varintErr(sz, "delta component")
 				}
 				i += sz
 			}
 			c := int64(u>>1) ^ -int64(u&1) // undo the zig-zag, as binary.Varint
 			if uint64(c) > maxComponent {
-				return nil, 0, rangeErr(k, c)
+				return nil, rangeErr(k, c)
 			}
 			out[k] = uint32(c)
-			sum += uint64(c)
 		}
 		*dst = out
-		return data[i:], sum, nil
+		return data[i:], nil
 	}
 	base = base[:len(out)]
 	for k := range out {
@@ -218,19 +199,18 @@ func ConsumeDeltaSum(data []byte, dst *VC, base VC) (rest []byte, sum uint64, er
 		} else {
 			var sz int
 			if u, sz = binary.Uvarint(data[i:]); sz <= 0 {
-				return nil, 0, varintErr(sz, "delta component")
+				return nil, varintErr(sz, "delta component")
 			}
 			i += sz
 		}
 		c := int64(base[k]) + (int64(u>>1) ^ -int64(u&1))
 		if uint64(c) > maxComponent {
-			return nil, 0, rangeErr(k, c)
+			return nil, rangeErr(k, c)
 		}
 		out[k] = uint32(c)
-		sum += uint64(c)
 	}
 	*dst = out
-	return data[i:], sum, nil
+	return data[i:], nil
 }
 
 // rangeErr reports a decoded component outside the clock domain.

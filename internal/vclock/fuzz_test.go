@@ -30,7 +30,7 @@ func FuzzUnmarshalBinary(f *testing.F) {
 	})
 }
 
-// refAppendDelta and refConsumeDeltaSum are the codec as it stood before the
+// refAppendDelta and refConsumeDelta are the codec as it stood before the
 // single-byte fast path: one binary.AppendVarint / binary.Varint per
 // component, nothing else. They stay here as the reference the production
 // codec is pinned to — the wire format did not change, so the two must agree
@@ -47,27 +47,27 @@ func refAppendDelta(v VC, buf []byte, base VC) []byte {
 	return buf
 }
 
-func refConsumeDeltaSum(data []byte, dst *VC, base VC) (rest []byte, sum uint64, err error) {
+func refConsumeDelta(data []byte, dst *VC, base VC) (rest []byte, err error) {
 	n64, sz := binary.Uvarint(data)
 	if sz <= 0 {
-		return nil, 0, varintErr(sz, "component count")
+		return nil, varintErr(sz, "component count")
 	}
 	data = data[sz:]
 	if n64 > MaxComponents {
-		return nil, 0, ErrCorrupt
+		return nil, ErrCorrupt
 	}
 	n := int(n64)
 	if len(data) < n {
-		return nil, 0, ErrTruncated
+		return nil, ErrTruncated
 	}
 	if base != nil && base.Len() != n {
-		return nil, 0, ErrCorrupt
+		return nil, ErrCorrupt
 	}
 	out := sized(dst, n)
 	for k := range out {
 		d, sz := binary.Varint(data)
 		if sz <= 0 {
-			return nil, 0, varintErr(sz, "delta component")
+			return nil, varintErr(sz, "delta component")
 		}
 		data = data[sz:]
 		var b int64
@@ -76,13 +76,12 @@ func refConsumeDeltaSum(data []byte, dst *VC, base VC) (rest []byte, sum uint64,
 		}
 		c := b + d
 		if c < 0 || c > maxComponent {
-			return nil, 0, ErrCorrupt
+			return nil, ErrCorrupt
 		}
 		out[k] = uint32(c)
-		sum += uint64(c)
 	}
 	*dst = out
-	return data, sum, nil
+	return data, nil
 }
 
 // sentinelOf names the codec sentinel an error wraps ("" for nil).
@@ -99,9 +98,9 @@ func sentinelOf(t *testing.T, err error) string {
 	return ""
 }
 
-// FuzzDeltaCodecMatchesReference pins AppendDelta/ConsumeDeltaSum to the
+// FuzzDeltaCodecMatchesReference pins AppendDelta/ConsumeDelta to the
 // scalar reference above. Decoding arbitrary bytes against an arbitrary base
-// must give the same clock, digest sum, remaining slice and error sentinel,
+// must give the same clock, remaining slice and error sentinel,
 // with dst fresh and with dst aliasing base (the in-place patch); encoding
 // the clock the input's bytes spell must give the same bytes.
 func FuzzDeltaCodecMatchesReference(f *testing.F) {
@@ -160,16 +159,16 @@ func FuzzDeltaCodecMatchesReference(f *testing.F) {
 				gotBase, wantBase = base.Clone(), base.Clone()
 				got, want = gotBase, wantBase
 			}
-			gotRest, gotSum, gotErr := ConsumeDeltaSum(data, &got, gotBase)
-			wantRest, wantSum, wantErr := refConsumeDeltaSum(data, &want, wantBase)
+			gotRest, gotErr := ConsumeDelta(data, &got, gotBase)
+			wantRest, wantErr := refConsumeDelta(data, &want, wantBase)
 			if g, w := sentinelOf(t, gotErr), sentinelOf(t, wantErr); g != w {
 				t.Fatalf("alias=%v: error %q (%v), reference %q (%v)", alias, g, gotErr, w, wantErr)
 			}
 			if gotErr != nil {
 				continue
 			}
-			if !got.Equal(want) || gotSum != wantSum {
-				t.Fatalf("alias=%v: decoded %v sum %d, reference %v sum %d", alias, got, gotSum, want, wantSum)
+			if !got.Equal(want) {
+				t.Fatalf("alias=%v: decoded %v, reference %v", alias, got, want)
 			}
 			if len(gotRest) != len(wantRest) { // both are tails of data
 				t.Fatalf("alias=%v: %d bytes left, reference %d", alias, len(gotRest), len(wantRest))

@@ -37,6 +37,13 @@ type Store struct {
 	// arena, when set, supplies the chunks: many stores bump-allocate out
 	// of shared slabs instead of each stranding its own chunk tails.
 	arena *Arena
+
+	// LastSpan is the owner's slot for the process-id span it published with
+	// its latest bounds pair (interval.AggregateFlat keeps it): a node's
+	// successive aggregates mostly cover the same processes, and the next
+	// one shares the slice instead of building an equal one. The store
+	// itself never reads it.
+	LastSpan []int
 }
 
 // NewStore returns a store producing clocks for an n-process system.

@@ -393,8 +393,7 @@ func uvarintFieldErr(sz int) error {
 
 // finishReport derives the fields not carried on the wire.
 func finishReport(iv *interval.Interval) {
-	iv.Term = nil
-	iv.Members = nil
+	iv.DropExtra()
 	iv.Bases = 1
 	if iv.Agg {
 		// Base count is not carried on the wire; span size is the best

@@ -43,7 +43,7 @@ func (e *Execution) MarshalJSON() ([]byte, error) {
 				Origin: iv.Origin, Seq: iv.Seq,
 				Lo:   append([]uint32(nil), iv.Lo...),
 				Hi:   append([]uint32(nil), iv.Hi...),
-				Term: append([]uint32(nil), iv.Term...),
+				Term: append([]uint32(nil), iv.Term()...),
 			}
 		}
 	}
@@ -81,7 +81,7 @@ func (e *Execution) UnmarshalJSON(data []byte) error {
 					return fmt.Errorf("workload: interval %d of process %d has term size %d, want %d",
 						k, p, len(ivj.Term), in.N)
 				}
-				iv.Term = vclock.VC(ivj.Term)
+				iv.SetTerm(vclock.VC(ivj.Term))
 			}
 			if !iv.WellFormed() {
 				return fmt.Errorf("workload: interval %d of process %d is ill-formed", k, p)

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # loc.sh — non-test Go lines (wc -l: comments and blank lines count) of the
 # live runtime's layers, the budget ROADMAP item 2 ("one delivery plane, one
-# runtime") is held to. With a git ref as argument, counts that commit instead
-# of the working tree.
+# runtime") is held to, and below the total, on a line of its own and not part
+# of it, of internal/core (ROADMAP item 1's target for the detector). With a
+# git ref as argument, counts that commit instead of the working tree.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 ref=${1:-}
@@ -30,3 +31,4 @@ for path in internal/livenet internal/tenantplane internal/wire internal/replay 
     total=$((total + n))
 done
 printf '%-22s %6d\n' total "$total"
+printf '%-22s %6d\n' internal/core "$(lines internal/core)"

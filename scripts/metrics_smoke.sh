@@ -167,12 +167,10 @@ hierdet_node_child_drops_total
 hierdet_node_detections_total
 hierdet_node_duplicates_total
 hierdet_node_eliminated_total
-hierdet_node_filtered_comparisons_total
 hierdet_node_heartbeats_total
 hierdet_node_intervals_in_total
 hierdet_node_mailbox_depth
 hierdet_node_mailbox_high_water
-hierdet_node_memo_hits_total
 hierdet_node_msgs_in_total
 hierdet_node_msgs_out_total
 hierdet_node_pruned_total
