@@ -12,10 +12,10 @@ import (
 // This file implements the parallel detection engine: the same Algorithm 1
 // loop as detectSeq/eliminate/prune, with sources addressed by position
 // (nd.qs beside nd.srcs) instead of through the queue map, heads read in
-// place (Queue.HeadRef) instead of copied out, aggregates published from a
-// flat vclock.Store and solution sets carved from a slab — and with the
-// O(n)-per-comparison work, the only part that grows with system size, able
-// to partition across a bounded worker Pool.
+// place (Queue.HeadRef) instead of copied out, aggregate bounds and solution
+// sets carved from a Region — and with the O(n)-per-comparison work, the only
+// part that grows with system size, able to partition across a bounded
+// worker Pool.
 //
 // A round has one shape whether it runs on the calling goroutine or fanned
 // out: the list of (position, position) head pairs Algorithm 1 enumerates,
@@ -63,8 +63,8 @@ func (nd *Node) fanoutThreshold() int {
 //
 // The result is built in nd.detBuf, which the next call on this node reuses:
 // a fresh slice per call was 214 B per interval of garbage at p=127. The last
-// call's entries are cleared first, so the buffer never keeps a solution slab
-// or clock chunk reachable beyond that.
+// call's entries are cleared first, so the buffer never keeps a region's slab
+// reachable beyond that.
 func (nd *Node) detectPar(trigger []int) []Detection {
 	clear(nd.detBuf)
 	dets := nd.detBuf[:0]
@@ -251,9 +251,9 @@ func (nd *Node) fanOut(what string, n int, fn func(int)) {
 	nd.gens = gens[:0]
 }
 
-// solutionPar is solution with the set carved from a slab instead of a fresh
-// allocation: solution sets escape into Detections, and at production rates
-// one make per detection was measurable.
+// solutionPar is solution with the set carved from the region instead of a
+// fresh allocation: solution sets escape into Detections, and at production
+// rates one make per detection was measurable.
 func (nd *Node) solutionPar() ([]interval.Interval, bool) {
 	if len(nd.qs) == 0 {
 		return nil, false
@@ -273,27 +273,43 @@ func (nd *Node) solutionPar() ([]interval.Interval, bool) {
 	return sol, true
 }
 
-// carve returns room for a solution set of need intervals from the slab. A
-// slab chunk is retained only as long as some detection carved from it.
-func (nd *Node) carve(need int) []interval.Interval {
-	if len(nd.solSlab)+need > cap(nd.solSlab) {
-		// Slab chunks double from a few sets up to solSlabChunk: most nodes
-		// publish few detections, so a fixed large chunk would strand memory
-		// per node at scale.
-		c := max(2*cap(nd.solSlab), 2*need)
-		if c > solSlabChunk {
-			c = max(solSlabChunk, need)
-		}
-		nd.solSlab = make([]interval.Interval, 0, c)
-	}
-	base := len(nd.solSlab)
-	nd.solSlab = nd.solSlab[:base+need]
-	return nd.solSlab[base : base+need : base+need]
+// Region keeps what detections publish, each kind in a vclock.Slab carved
+// exactly: the parallel engine's aggregate bounds (2n clock words a pair) and
+// solution sets, and the Detection records a host keeps (Keep). The live
+// runtime gives each substrate worker one and hands it to every node it runs
+// for the drain (Use), so all of them share one part-used slab per kind; a
+// node never handed a region makes itself one at its first detection. The
+// zero Region is ready to use; it is not safe for concurrent use.
+type Region struct {
+	clocks vclock.Slab[uint32]
+	sets   vclock.Slab[interval.Interval]
+	recs   vclock.Slab[Detection]
 }
 
-// solSlabChunk sizes the solution-set slab (in intervals). Sets are d+1
-// intervals, so one chunk serves tens of detections at typical fanouts.
-const solSlabChunk = 256
+// Keep copies *d into a record carved from the region.
+func (r *Region) Keep(d *Detection) *Detection {
+	rec := &r.recs.Carve(1)[0]
+	*rec = *d
+	return rec
+}
+
+// Use points the node's carving at r for the calls that follow; what is
+// already published stays where it was carved. The caller owns r for as long
+// as it calls into the node.
+func (nd *Node) Use(r *Region) {
+	nd.reg = r
+	if nd.store != nil {
+		nd.store.CarveFrom(&r.clocks)
+	}
+}
+
+// carve returns room for a solution set of need intervals from the region.
+func (nd *Node) carve(need int) []interval.Interval {
+	if nd.reg == nil {
+		nd.Use(new(Region))
+	}
+	return nd.reg.sets.Carve(need)
+}
 
 // prunePar is prune with each head's keep decision taken by pruneKeep — one
 // after another, or concurrently when the source set is large enough to fan

@@ -111,9 +111,9 @@ type Config struct {
 
 	// Parallel switches the node to the partitioned detection engine: the
 	// same Algorithm 1 loop as rounds over queue heads read in place, fanned
-	// out across Pool when large enough, aggregates published from a flat
-	// vclock.Store, solution sets carved from a slab, and a one-source node
-	// passing intervals straight through. Detections and Stats are
+	// out across Pool when large enough, aggregate bounds and solution sets
+	// carved from a Region (see Use), and a one-source node passing
+	// intervals straight through. Detections and Stats are
 	// byte-identical to the sequential engine (property-tested); the
 	// sequential path remains available as the oracle when Parallel is off.
 	Parallel bool
@@ -123,12 +123,6 @@ type Config struct {
 	// storage and slabs still apply; rounds just never fan out). Ignored
 	// unless Parallel is set.
 	Pool *Pool
-
-	// Clocks, when set, is a shared chunk arena the node's flat vclock
-	// store carves from — many nodes (across many clusters, in the tenant
-	// plane) bump-allocate out of common slabs instead of each stranding
-	// its own chunk tails. Ignored unless Parallel is set.
-	Clocks *vclock.Arena
 
 	// FanoutThreshold overrides the minimum number of clock components a
 	// comparison round must carry before it fans out to Pool. Zero — the
@@ -178,13 +172,14 @@ type Node struct {
 	resident, residentHigh int
 
 	// Parallel-engine state (nil/empty under the sequential oracle): the
-	// flat bounds store, the solution-set slab, the buffer detections are
-	// returned in (valid until the next call; see OnInterval), a round's
-	// pairs, verdicts and keep decisions, the per-position mark of which
-	// sources a round was triggered by (1 + index in its trigger list, 0 at
-	// rest), the epoch guard's samples, and the adaptive fanout policy.
+	// flat bounds store, the region it and the solution sets carve from, the
+	// buffer detections are returned in (valid until the next call; see
+	// OnInterval), a round's pairs, verdicts and keep decisions, the
+	// per-position mark of which sources a round was triggered by (1 + index
+	// in its trigger list, 0 at rest), the epoch guard's samples, and the
+	// adaptive fanout policy.
 	store    *vclock.Store
-	solSlab  []interval.Interval
+	reg      *Region
 	detBuf   []Detection
 	pairs    []pair
 	verdicts []cmpVerdict
@@ -208,7 +203,7 @@ func NewNode(id int, cfg Config, local bool) *Node {
 		lastHi: make(map[int]interval.Interval),
 	}
 	if cfg.Parallel {
-		nd.store = vclock.NewStoreIn(cfg.N, cfg.Clocks)
+		nd.store = vclock.NewStore(cfg.N)
 	}
 	if local {
 		nd.addSource(id)

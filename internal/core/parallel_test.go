@@ -195,8 +195,8 @@ func TestParallelEpochInterleaving(t *testing.T) {
 }
 
 // TestDetectingCallAllocates pins what a detecting call of the parallel
-// engine allocates: clock storage and the solution slab, both a chunk at a
-// time, and nothing else. The result slice is the node's own buffer (see
+// engine allocates: clock pairs and solution sets, both carved from the
+// node's region a slab at a time, and nothing else. The result slice is the node's own buffer (see
 // OnInterval), and a set of more than one member whose merged span equals
 // the previous aggregate's shares that slice (interval.AggregateFlat); built
 // fresh per call each was one more allocation.
@@ -204,7 +204,7 @@ func TestDetectingCallAllocates(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		children int
-		want     float64 // allocations per detection, chunk refills averaged away
+		want     float64 // allocations per detection, slab refills averaged away
 	}{
 		{"leaf", 0, 0},
 		{"two children", 2, 0},

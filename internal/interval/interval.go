@@ -59,8 +59,8 @@ type Interval struct {
 
 	// ext holds what only non-production paths set — the falsifying event
 	// of Possibly-detection and the solution set KeepMembers retains — behind
-	// one pointer, nil everywhere else: every queue slot, solution slab,
-	// detection log entry and report carries an Interval by value, and the
+	// one pointer, nil everywhere else: every queue slot, solution set,
+	// detection record and report carries an Interval by value, and the
 	// two slice headers were 48 of its 152 bytes. Read through Term and
 	// Members; never modified once set (SetTerm installs a fresh one), so
 	// copies of an Interval share it safely.
@@ -245,12 +245,12 @@ func AggregateInto(dst *Interval, xs []Interval, origin, seq int, keepMembers bo
 //     sharing safe; leaf nodes — half the tree — detect only singletons, so
 //     their entire aggregation cost disappears.
 //
-//   - A multi-member set merges directly into an arena-carved Lo/Hi pair via
-//     the fused bounds kernels (vclock.BoundsInit/BoundsFold, vectorized on
-//     amd64): the first two members seed the pair in one pass with no
-//     intermediate copy, each further member folds in with one more pass,
-//     and the aggregate is born compact — no scratch interval, no second
-//     copy, one heap allocation per Store chunk instead of one per
+//   - A multi-member set merges directly into a Lo/Hi pair carved from the
+//     store's slab via the fused bounds kernels (vclock.BoundsInit/BoundsFold,
+//     vectorized on amd64): the first two members seed the pair in one pass
+//     with no intermediate copy, each further member folds in with one more
+//     pass, and the aggregate is born compact — no scratch interval, no
+//     second copy, one heap allocation per slab instead of one per
 //     detection.
 //
 // The caller owns st and must be the only goroutine allocating from it.

@@ -8,8 +8,8 @@ import (
 	"hierdet/internal/vclock"
 )
 
-// TestIntervalSize pins the record's size: every queue slot, solution slab,
-// detection log entry, report and event carries an Interval by value, so a
+// TestIntervalSize pins the record's size: every queue slot, solution set,
+// detection record, report and event carries an Interval by value, so a
 // field added here is paid for on every one of them. Term and Members live
 // behind ext for that reason.
 func TestIntervalSize(t *testing.T) {

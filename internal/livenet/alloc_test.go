@@ -3,7 +3,10 @@ package livenet
 import (
 	"runtime"
 	"testing"
+	"unsafe"
 
+	"hierdet/internal/core"
+	"hierdet/internal/interval"
 	"hierdet/internal/transport/tcptransport"
 	"hierdet/internal/tree"
 	"hierdet/internal/workload"
@@ -13,19 +16,20 @@ import (
 // from the detector to Detections() to a budget: every round is global, so
 // every interval fed is a detection logged, reported (leaves and inner nodes)
 // and returned. Measured, in bytes per interval, around feed + Close +
-// Detections with the clusters already built. Clock storage, solution sets
-// and the harness's own round trip are in the figure too (runs this short
-// leave half of a node's last clock chunk unused), so the budgets sit 8 %
-// above what the runs measure. Before the 112-byte Interval and the shared
-// span they measured ≈ 1 720 and ≈ 1 570; before per-node logs and the
-// detector-owned result buffer ≈ 2 760 and ≈ 2 060.
+// Detections with the clusters already built. Clock storage, solution sets,
+// records and the harness's own round trip are in the figure too, so the
+// budgets sit 8 % above what the runs measure. With per-node clock chunks,
+// solution slabs and 160-byte log entries copied again at Close they measured
+// ≈ 1 440 and ≈ 1 250; before the 112-byte Interval and the shared span
+// ≈ 1 720 and ≈ 1 570; before per-node logs and the detector-owned result
+// buffer ≈ 2 760 and ≈ 2 060.
 //
-//	one p=127 cluster, 200 rounds       ≈ 1 440. One log of 200 per node, what
+//	one p=127 cluster, 200 rounds       ≈ 1 125. One log of 200 per node, what
 //	                                    the deep_saturate workload does in a
 //	                                    fifth of a pass
-//	64 p=63 clusters, 40 rounds each    ≈ 1 250. 4 032 logs of 40 on one
+//	64 p=63 clusters, 40 rounds each    ≈ 750. 4 032 logs of 40 on one
 //	                                    substrate (the tenant_fanout shape): a
-//	                                    log must not cost a large chunk before
+//	                                    node must not cost a large chunk before
 //	                                    it has the detections to fill it
 func TestDetectionPathAllocBudget(t *testing.T) {
 	if raceEnabled {
@@ -37,8 +41,8 @@ func TestDetectionPathAllocBudget(t *testing.T) {
 		rounds, window   int    // fed round-major, window rounds in flight (steadyFeed)
 		budget           uint64 // bytes per interval
 	}{
-		{"one p=127 cluster", 1, 6, 200, 16, 1560},
-		{"64 p=63 clusters on one substrate", 64, 5, 40, 64, 1350},
+		{"one p=127 cluster", 1, 6, 200, 16, 1215},
+		{"64 p=63 clusters on one substrate", 64, 5, 40, 64, 810},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			topo := tree.Balanced(2, tc.height)
@@ -79,11 +83,13 @@ func TestDetectionPathAllocBudget(t *testing.T) {
 // loopback TCP, so each of its 126 edges is a wire frame — encoded through a
 // pooled buffer, copied by Send into a recycled one, read in place out of the
 // connection's buffer and decoded into a recycled batch whose clocks come out
-// of the substrate's arena. 500 rounds, 16 in flight: one pass of the
-// benchmark's tcp_split workload. Measured ≈ 2 560 B and 1.2 allocations per
-// interval (≈ 2 780 and 1.7 with the 152-byte Interval and a span per
-// aggregate); was ≈ 3 370 B and 4.3 with a copy per Send, a payload per read, a
-// result slice per frame and two clocks per report each allocated on its own.
+// of a pooled store, the spans a frame repeats shared. 500 rounds, 16 in
+// flight: one pass of the benchmark's tcp_split workload. Measured ≈ 2 320 B
+// and 0.36 allocations per interval (≈ 2 560 and 1.2 with a span per decoded
+// report and per-node chunks and logs; ≈ 2 780 and 1.7 with the 152-byte
+// Interval and a span per aggregate); was ≈ 3 370 B and 4.3 with a copy per
+// Send, a payload per read, a result slice per frame and two clocks per report
+// each allocated on its own.
 // What remains over the in-process figure above is the decoded clocks
 // (≈ 1 000 B: the other process's clocks have to exist here too) and the
 // redelivery rings filling — 63 destinations × 64 frames is two thirds of the
@@ -93,7 +99,7 @@ func TestRemoteReportAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("see TestDetectionPathAllocBudget")
 	}
-	const rounds, window, budget, allocBudget = 500, 16, 2780, 1.7
+	const rounds, window, budget, allocBudget = 500, 16, 2520, 0.5
 	topo := tree.Balanced(2, 6)
 	n := topo.N()
 	e := workload.Generate(workload.Config{Topology: topo, Rounds: rounds, Seed: 5, PGlobal: 1})
@@ -159,4 +165,76 @@ func TestRemoteReportAllocBudget(t *testing.T) {
 	if per > budget || allocs > allocBudget {
 		t.Fatalf("a report over TCP allocates %d B in %.1f allocations per interval, budget %d in %.1f", per, allocs, budget, allocBudget)
 	}
+}
+
+// TestShortLivedNodesAllocateWhatDetectionsKeep holds the tenant_fanout shape —
+// 64 p=63 clusters on one substrate, 40 global rounds, so 4 032 nodes that
+// find 40 detections each — to what its detections keep, counted from the
+// run's per-node detection counts: a bounds pair of 8n bytes per inner node's
+// detection, a 112-byte interval per solution-set member, a 144-byte record
+// and a 24-byte entry per detection, and its 24-byte slot in the list Close
+// returns. Everything else — chunk tails, rings, the harness — must stay
+// within a tenth of that. Per-node clock chunks, solution slabs and log
+// chunks allocated 1.5–1.7 × what 40 items need, and the log's 160-byte
+// entries were copied again at Close: 1.8 × the need in all. The first round
+// is left out, as the clusters' construction is: it sizes every mailbox shard
+// and queue ring.
+func TestShortLivedNodesAllocateWhatDetectionsKeep(t *testing.T) {
+	if raceEnabled {
+		t.Skip("see TestDetectionPathAllocBudget")
+	}
+	const tenants, rounds, window = 64, 40, 64
+	topo := tree.Balanced(2, 5)
+	n := topo.N()
+	e := workload.Generate(workload.Config{Topology: topo, Rounds: rounds, Seed: 5, PGlobal: 1})
+	sched := NewSharedScheduler(SharedSchedulerConfig{})
+	defer sched.Close()
+	feed := newSteadyFeed(topo, window)
+	clusters := make([]*Cluster, tenants)
+	for i := range clusters {
+		clusters[i] = New(Config{Topology: topo, Seed: int64(i + 1), AdaptiveFlush: true,
+			Scheduler: sched, Events: feed.sink})
+	}
+	// need is what the detections found so far keep, and how many there are.
+	need := func() (bytes, found uint64) {
+		for _, c := range clusters {
+			c.Drain()
+			for _, m := range c.MetricsByNode() {
+				members := 1 + len(topo.Children(m.ID))
+				per := unsafe.Sizeof(core.Detection{}) + unsafe.Sizeof(Detection{}) +
+					uintptr(members)*unsafe.Sizeof(interval.Interval{})
+				if members > 1 {
+					per += uintptr(8 * n)
+				}
+				bytes += uint64(m.Detections) * uint64(per)
+				found += uint64(m.Detections)
+			}
+		}
+		return bytes, found
+	}
+	feed.run(clusters, roundsOf(e, 0, 1))
+	warm, _ := need()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	feed.run(clusters, roundsOf(e, 1, rounds))
+	all, found := need()
+	kept := all - warm + found*uint64(unsafe.Sizeof(Detection{})) // and the list Close returns
+	for _, c := range clusters {
+		c.Close()
+	}
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d B allocated for %d B kept: %.3f", got, kept, float64(got)/float64(kept))
+	if float64(got) > 1.1*float64(kept) {
+		t.Fatalf("short-lived nodes allocate %d B for the %d B their detections keep: more than a tenth over", got, kept)
+	}
+}
+
+// roundsOf is rounds [lo, hi) of e, for feeding a run in parts.
+func roundsOf(e *workload.Execution, lo, hi int) *workload.Execution {
+	part := &workload.Execution{N: e.N, Rounds: e.Rounds[lo:hi], Streams: make([][]interval.Interval, len(e.Streams))}
+	for p := range e.Streams {
+		part.Streams[p] = e.Streams[p][lo:hi]
+	}
+	return part
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"hierdet/internal/core"
 	"hierdet/internal/tree"
 	"hierdet/internal/workload"
 )
@@ -190,6 +191,7 @@ func TestTeardownOrderMatchesStableSort(t *testing.T) {
 	}
 	for i := range synthetic {
 		synthetic[i].Node = rng.IntN(40) * 3
+		synthetic[i].Det = new(core.Detection)
 		synthetic[i].Det.Agg.Seq = rng.IntN(50)
 		synthetic[i].Det.Agg.Origin = i // tells equal (node, seq) entries apart
 		logs[synthetic[i].Node].add(synthetic[i])

@@ -34,7 +34,7 @@ func testSink(log *detLog, repaired chan<- int) func(obsv.Event) {
 	return func(e obsv.Event) {
 		switch {
 		case e.Kind == obsv.SolutionFound && log != nil:
-			log.add(Detection{Node: e.Node, AtRoot: e.AtRoot, Det: core.Detection{Node: e.Node, Agg: e.Agg, Set: e.Set}})
+			log.add(Detection{Node: e.Node, AtRoot: e.AtRoot, Det: &core.Detection{Node: e.Node, Agg: e.Agg, Set: e.Set}})
 		case e.Kind == obsv.RepairConcluded && repaired != nil:
 			repaired <- e.Node
 		}

@@ -125,8 +125,8 @@ type Config struct {
 	// (see NewSharedScheduler) next to any number of other clusters: the
 	// substrate's worker pool drains the mailbox shards, its timer wheel
 	// carries the delayed messages and heartbeat ticks, its comparison pool
-	// backs the parallel detection engine and its clock arena supplies the
-	// aggregate storage. Workers and DetectWorkers are then ignored (the
+	// backs the parallel detection engine and its workers' regions keep what
+	// detections publish. Workers and DetectWorkers are then ignored (the
 	// substrate's pools are sized once, at its creation); MailboxBound still
 	// applies per cluster. Nil (the default) gives the cluster a substrate of
 	// its own — Workers, DetectWorkers and a wheel tick of MaxDelay/8 — which
@@ -186,11 +186,13 @@ type Config struct {
 	StartupGrace time.Duration
 }
 
-// Detection is one predicate satisfaction observed by the live cluster.
+// Detection is one predicate satisfaction observed by the live cluster. Det
+// points at the one copy of the detector's record the cluster keeps (carved
+// from the finding worker's region); it lives as long as the entry does.
 type Detection struct {
 	Node   int
 	AtRoot bool
-	Det    core.Detection
+	Det    *core.Detection
 }
 
 // RepairEvent records one concluded reattachment. NewParent is tree.None
@@ -233,10 +235,10 @@ type Cluster struct {
 	remote     bool      // distributed mode: Transport is set
 	startAt    time.Time // zero of the failure detector's clock (now)
 	// rxClocks holds the *vclock.Store(s) received report batches carve their
-	// clocks from, out of the substrate's arena like the clocks the hosted
-	// nodes aggregate themselves. A pool, not one store, because a store is
-	// single-goroutine and the transport's receive callback runs on one
-	// goroutine per inbound connection.
+	// clocks from, each out of a slab of its own as the hosted nodes' clocks
+	// come out of their workers' regions. A pool, not one store, because a
+	// store is single-goroutine and the transport's receive callback runs on
+	// one goroutine per inbound connection.
 	rxClocks sync.Pool
 
 	// Observability plane: the metrics registry every family registers
@@ -319,7 +321,7 @@ func New(cfg Config) *Cluster {
 		seeking: make(map[int]bool),
 	}
 	c.cond = sync.NewCond(&c.mu)
-	c.rxClocks.New = func() any { return vclock.NewStoreIn(c.topo.N(), c.sched.arena) }
+	c.rxClocks.New = func() any { return vclock.NewStore(c.topo.N()) }
 	if !cfg.SequentialDetect {
 		c.detectPool = sched.detect
 	}
@@ -820,7 +822,7 @@ func (c *Cluster) onFrame(to int, frame []byte) {
 	case wire.KindReportBatch:
 		// Decoded into a recycled batch (the receiving node hands it back
 		// after ingest, like one flushed in-process) with its clocks carved
-		// from the substrate's arena. A decoded batch is never empty.
+		// from a pooled store. A decoded batch is never empty.
 		batch := batchPool.Get().(*reportBatch)
 		clocks := c.rxClocks.Get().(*vclock.Store)
 		batch.reps, err = wire.AppendDecodedReportBatch(batch.reps[:0], frame, clocks)

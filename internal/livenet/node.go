@@ -83,9 +83,11 @@ type liveNode struct {
 	lastAgg interval.Interval // most recent aggregate, for resend-on-adopt
 	hasAgg  bool              // lastAgg holds a real aggregate
 
-	// log is every detection this node has found, in order. Worker-confined
-	// like everything below; teardown reads it once no worker runs the node.
+	// log is every detection this node has found, in order, its records
+	// carved from reg, the draining worker's region. Worker-confined like
+	// everything below; teardown reads log once no worker runs the node.
 	log detectionLog
+	reg *core.Region
 
 	// Report coalescing state (Config.AdaptiveFlush). outBuf holds reports
 	// owed to the parent until the worker reaches the end of the current
@@ -155,12 +157,13 @@ func (b *reportBatch) recycle() {
 	batchPool.Put(b)
 }
 
-// detectionLog is one node's detections in the order it found them. The node's
+// detectionLog is one node's detections in the order it found them: 24-byte
+// entries pointing at records carved from the worker's region. The node's
 // worker is the only writer, so recording takes no lock; teardown lays the
 // logs end to end (concatLogs). Chunks double from detLogMin entries up to
 // detLogMax: a tenant plane has thousands of nodes that find a few dozen
-// detections each, and a fixed large chunk apiece is tens of megabytes, while
-// a busy node soon allocates detLogMax at a time. No entry is ever moved.
+// detections each, and a fixed large chunk apiece is megabytes, while a busy
+// node soon allocates detLogMax at a time. No entry is ever moved.
 type detectionLog struct {
 	full [][]Detection // filled chunks, oldest first
 	cur  []Detection   // the chunk being filled
@@ -183,8 +186,9 @@ func (l *detectionLog) add(d Detection) {
 	l.n++
 }
 
-// concatLogs empties the logs into one exactly-sized list, log after log. The
-// caller passes them in node-id order and each is in its node's Agg.Seq order
+// concatLogs empties the logs into one exactly-sized list, log after log —
+// entries, not records: each record stays where it was carved. The caller
+// passes the logs in node-id order and each is in its node's Agg.Seq order
 // already (a node numbers its aggregates as it finds them), which makes the
 // result the list sorted by (node, Agg.Seq); a run found out of order is
 // stable-sorted on its own, so that holds whatever was logged.
@@ -219,7 +223,6 @@ func initLiveNode(ln *liveNode, c *Cluster, id int) {
 	coreCfg := core.Config{
 		N: c.topo.N(), Strict: c.cfg.Strict, KeepMembers: c.cfg.KeepMembers,
 		Parallel: c.detectPool != nil, Pool: c.detectPool,
-		Clocks: c.sched.arena,
 	}
 	ln.c = c
 	ln.id = id
@@ -354,14 +357,15 @@ func (ln *liveNode) ingest(from int, ready []repair.Report) {
 // deliver logs a batch of detections, tells the sink — on this node's worker,
 // so SolutionFound events keep the node's causal order — and reports each
 // aggregate upward. dets is the detector's own buffer (core.Node.OnInterval):
-// everything kept is copied out here, before the node is called again.
+// each Detection is copied out here once, into a record carved from the
+// worker's region, before the node is called again.
 func (ln *liveNode) deliver(dets []core.Detection) {
 	for i := range dets {
 		det := &dets[i]
 		atRoot := ln.parent == tree.None
 		ln.m.detections.Add(1)
 		ln.noteLatency()
-		ln.log.add(Detection{Node: ln.id, AtRoot: atRoot, Det: *det})
+		ln.log.add(Detection{Node: ln.id, AtRoot: atRoot, Det: ln.reg.Keep(det)})
 		ln.c.emitEvent(obsv.Event{Kind: obsv.SolutionFound, Node: ln.id, Peer: obsv.NoPeer,
 			Seq: det.Agg.Seq, Count: 1, AtRoot: atRoot, Agg: det.Agg, Set: det.Set})
 		if !atRoot {

@@ -7,15 +7,16 @@ import (
 	"time"
 
 	"hierdet/internal/core"
-	"hierdet/internal/vclock"
 )
 
-// shared.go — the scheduler substrate. One worker pool, one timer wheel, one
-// comparison pool and one clock arena serve any number of clusters — one, for
-// a standalone cluster, which builds its own (see New) — so a tenant plane's
-// steady-state goroutine count is the pool plus the wheel, independent of the
-// tenant count: the same collapse the mailbox shards perform for the process
-// count inside one cluster.
+// shared.go — the scheduler substrate. One worker pool, one timer wheel and
+// one comparison pool serve any number of clusters — one, for a standalone
+// cluster, which builds its own (see New) — so a tenant plane's steady-state
+// goroutine count is the pool plus the wheel, independent of the tenant count:
+// the same collapse the mailbox shards perform for the process count inside
+// one cluster. Each worker owns a core.Region and hands it to every node it
+// drains: what detections keep is carved, with no lock, from one slab per
+// worker and kind, whichever cluster the node belongs to.
 //
 // Fairness is deficit round robin over clusters: each cluster with scheduled
 // nodes is one client on an active ring, a worker serves the ring head while
@@ -54,7 +55,6 @@ type SharedScheduler struct {
 	quantum int
 	wheel   *wheel
 	detect  *core.Pool
-	arena   *vclock.Arena
 
 	mu       sync.Mutex
 	workCond *sync.Cond // workers wait here for ring work
@@ -109,7 +109,6 @@ func NewSharedScheduler(cfg SharedSchedulerConfig) *SharedScheduler {
 		quantum: cfg.Quantum,
 		wheel:   newWheel(cfg.Tick),
 		detect:  core.NewPool(dw),
-		arena:   vclock.NewArena(),
 	}
 	s.wheel.lagObserve = cfg.WheelLagSink
 	s.workCond = sync.NewCond(&s.mu)
@@ -253,16 +252,19 @@ func (s *SharedScheduler) detach(cl *schedClient) {
 	s.mu.Unlock()
 }
 
-// worker is one shared pool goroutine: pop a node off the DRR ring, drain it
-// through its own cluster, charge the drain.
+// worker is one shared pool goroutine: pop a node off the DRR ring, hand it
+// the worker's region, drain it through its own cluster, charge the drain.
 func (s *SharedScheduler) worker() {
 	defer s.wg.Done()
+	reg := new(core.Region)
 	for {
 		cl, ln := s.next()
 		if ln == nil {
 			return
 		}
 		s.busy.Add(1)
+		ln.reg = reg
+		ln.node.Use(reg)
 		msgs := ln.c.runNode(ln)
 		s.busy.Add(-1)
 		s.charge(cl, msgs)

@@ -36,7 +36,7 @@ func checkSound(t *testing.T, r *Result) {
 	t.Helper()
 	dets := make([]core.Detection, len(r.Detections))
 	for i, d := range r.Detections {
-		dets[i] = d.Det
+		dets[i] = *d.Det
 	}
 	if err := trace.CheckAll(dets); err != nil {
 		t.Fatalf("replayed detections unsound: %v", err)

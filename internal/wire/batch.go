@@ -102,8 +102,10 @@ const minBatchElement = 1 + 4 + 5 + 2
 // receiver that recycles its batches decodes into the slice it got back —
 // and, with a non-nil clocks, carving each report's Lo/Hi pair from that
 // store when the clocks have its width (see decodeReport). The store is the
-// caller's for the duration of the call. On error the returned slice is dst
-// as it came: nothing of a rejected frame is delivered.
+// caller's for the duration of the call. A report whose span repeats its
+// predecessor's in the frame shares that slice (spans are immutable once
+// decoded). On error the returned slice is dst as it came: nothing of a
+// rejected frame is delivered.
 //
 // What a frame can make the decoder allocate is bounded by the frame's own
 // size: the result grows by at most one report per minBatchElement bytes
@@ -146,6 +148,7 @@ func appendDecodedBatch(dst []repair.Report, data []byte, clocks *vclock.Store) 
 	}
 	dst = slices.Grow(dst, int(count))
 	var basis vclock.VC
+	var prevSpan []int
 	for i := uint64(0); i < count; i++ {
 		n, sz := binary.Uvarint(rest)
 		if sz <= 0 {
@@ -157,12 +160,12 @@ func appendDecodedBatch(dst []repair.Report, data []byte, clocks *vclock.Store) 
 		}
 		dst = append(dst, repair.Report{})
 		pl := &dst[len(dst)-1]
-		m, err := decodeReport(rest[:n], &pl.Iv, basis, clocks)
+		m, err := decodeReport(rest[:n], &pl.Iv, basis, clocks, prevSpan)
 		if err != nil {
 			return dst, fmt.Errorf("wire: batch element %d: %w", i, err)
 		}
 		pl.LinkSeq, pl.Epoch = m.linkSeq, m.epoch
-		basis = pl.Iv.Hi
+		basis, prevSpan = pl.Iv.Hi, pl.Iv.Span
 		rest = rest[n:]
 	}
 	if len(rest) != 0 {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"runtime"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -266,6 +267,34 @@ func TestAppendDecodedReportBatch(t *testing.T) {
 	for _, pl := range out[:cap(out)][len(kept):] {
 		if pl.Iv.Lo != nil || pl.Iv.Span != nil || pl.LinkSeq != 0 {
 			t.Fatalf("rejected frame left a half-decoded report behind dst: %+v", pl)
+		}
+	}
+}
+
+// TestDecodedBatchSharesOnlyEqualSpans: a report whose span repeats its
+// predecessor's in the frame shares that slice, and one whose span differs —
+// in an id, at the first or the last position, or in length — never aliases
+// any other report's; every span decodes to the ids encoded either way.
+func TestDecodedBatchSharesOnlyEqualSpans(t *testing.T) {
+	spans := [][]int{{1, 2, 3}, {1, 2, 3}, {1, 2, 4}, {0, 2, 4}, {0, 2}, {0, 2}, {0, 2, 4}, {}, {}, {7}}
+	reps := windowReports(len(spans))
+	for i, sp := range spans {
+		reps[i].Iv.Agg, reps[i].Iv.Span = true, sp
+	}
+	got, err := DecodeReportBatch(AppendReportBatch(nil, reps))
+	if err != nil {
+		t.Fatal(err)
+	}
+	share := func(a, b []int) bool { return cap(a) > 0 && cap(b) > 0 && &a[:cap(a)][0] == &b[:cap(b)][0] }
+	for i := range got {
+		if !slices.Equal(got[i].Iv.Span, spans[i]) {
+			t.Fatalf("report %d: span %v, want %v", i, got[i].Iv.Span, spans[i])
+		}
+		for j := range i {
+			equalNeighbour := j == i-1 && len(spans[i]) > 0 && slices.Equal(spans[i], spans[j])
+			if s := share(got[i].Iv.Span, got[j].Iv.Span); s != equalNeighbour {
+				t.Fatalf("reports %d and %d (spans %v, %v): shared %v, want %v", j, i, spans[j], spans[i], s, equalNeighbour)
+			}
 		}
 	}
 }

@@ -254,7 +254,7 @@ func uvarintLen(x uint64) int {
 // which makes a transport drop the connection — exactly right, since the
 // stream state is unrecoverable and a redial resets both ends' bases.
 func DecodeReportInto(data []byte, r *Report, basis vclock.VC) error {
-	m, err := decodeReport(data, &r.Iv, basis, nil)
+	m, err := decodeReport(data, &r.Iv, basis, nil, nil)
 	r.LinkSeq, r.Epoch, r.Tenant = m.linkSeq, m.epoch, m.tenant
 	return err
 }
@@ -263,8 +263,10 @@ func DecodeReportInto(data []byte, r *Report, basis vclock.VC) error {
 // non-nil clocks, a v2 report whose clocks have the store's width gets its
 // Lo/Hi pair carved from it (adjacent, like the bounds the detector
 // aggregates itself) instead of two allocations; anything else falls back to
-// iv's own storage. On error iv and the returned meta hold garbage.
-func decodeReport(data []byte, iv *interval.Interval, basis vclock.VC, clocks *vclock.Store) (m reportMeta, err error) {
+// iv's own storage. A v2 span whose ids equal prev's is prev itself (a batch
+// passes its previous element's, nearly always the same processes); any other
+// gets storage of its own. On error iv and the returned meta hold garbage.
+func decodeReport(data []byte, iv *interval.Interval, basis vclock.VC, clocks *vclock.Store, prev []int) (m reportMeta, err error) {
 	ver, err := FrameVersion(data)
 	if err != nil {
 		return m, err
@@ -321,12 +323,12 @@ func decodeReport(data []byte, iv *interval.Interval, basis vclock.VC, clocks *v
 	if len(rest) < spanLen { // every id costs at least one byte
 		return m, fmt.Errorf("wire: report span body: %w", ErrTruncated)
 	}
-	if cap(iv.Span) >= spanLen {
-		iv.Span = iv.Span[:spanLen]
-	} else {
-		iv.Span = make([]int, spanLen)
+	shared := spanLen > 0 && len(prev) == spanLen // while the ids are prev's
+	span := iv.Span[:0]
+	if !shared && cap(span) < spanLen {
+		span = make([]int, 0, spanLen)
 	}
-	for i := range iv.Span {
+	for i := 0; i < spanLen; i++ {
 		v, sz := binary.Uvarint(rest)
 		if sz <= 0 {
 			return m, uvarintFieldErr(sz)
@@ -334,8 +336,18 @@ func decodeReport(data []byte, iv *interval.Interval, basis vclock.VC, clocks *v
 		if v > 1<<32-1 {
 			return m, fmt.Errorf("wire: span id overflows u32: %w", ErrCorrupt)
 		}
-		iv.Span[i], rest = int(uint32(v)), rest[sz:]
+		if id := int(uint32(v)); !shared || prev[i] != id {
+			if shared {
+				shared, span = false, append(make([]int, 0, spanLen), prev[:i]...)
+			}
+			span = append(span, id)
+		}
+		rest = rest[sz:]
 	}
+	if shared {
+		span = prev
+	}
+	iv.Span = span
 	loBase := vclock.VC(nil)
 	if flags&flagDeltaLo != 0 {
 		if basis == nil {
