@@ -380,7 +380,7 @@ func checkSoundness(dets []livenet.Detection, distributed bool) error {
 		if distributed && hasOpaque(d.Det.Agg) {
 			continue
 		}
-		if err := trace.CheckDetection(*d.Det); err != nil {
+		if err := trace.CheckDetection(d.Det); err != nil {
 			return err
 		}
 	}

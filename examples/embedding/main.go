@@ -33,10 +33,16 @@ func main() {
 		2: hierdet.NewNode(2, cfg, true),
 	}
 
+	// OnInterval keeps its own copy of what it is handed; a solution set
+	// refers to those copies (one per queue), so reading it is free.
 	deliverToRoot := func(src int, iv hierdet.Interval) {
 		for _, det := range root.OnInterval(src, iv) {
-			fmt.Printf("ROOT: Definitely(Φ) for processes %v (solution of %d intervals)\n",
-				det.Agg.Span, len(det.Set))
+			origins := make([]int, len(det.Set))
+			for i, m := range det.Set {
+				origins[i] = m.Origin
+			}
+			fmt.Printf("ROOT: Definitely(Φ) for processes %v (solution of %d intervals, from nodes %v)\n",
+				det.Agg.Span, len(det.Set), origins)
 		}
 	}
 	deliverToLeaf := func(leaf int, iv hierdet.Interval) {

@@ -46,7 +46,7 @@ func TestSinkRepeatedDetection(t *testing.T) {
 		if len(d.Set) != n {
 			t.Fatalf("detection %d has %d intervals, want %d", i, len(d.Set), n)
 		}
-		if !interval.OverlapAll(d.Set) {
+		if !interval.OverlapRefs(d.Set) {
 			t.Fatalf("detection %d violates Eq. 2", i)
 		}
 	}
@@ -108,7 +108,7 @@ func TestSinkFigure2Sequence(t *testing.T) {
 			t.Fatalf("solution used x2, want x3: %v", iv)
 		}
 	}
-	if !interval.OverlapAll(dets[0].Set) {
+	if !interval.OverlapRefs(dets[0].Set) {
 		t.Fatal("solution violates Eq. 2")
 	}
 }

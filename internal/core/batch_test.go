@@ -20,7 +20,7 @@ func encodeDetections(dets []Detection) []byte {
 	for _, d := range dets {
 		buf.Write(wire.EncodeReportV2(wire.Report{Iv: d.Agg}))
 		for _, m := range d.Set {
-			buf.Write(wire.EncodeReportV2(wire.Report{Iv: m}))
+			buf.Write(wire.EncodeReportV2(wire.Report{Iv: *m}))
 		}
 	}
 	return buf.Bytes()
@@ -123,6 +123,52 @@ func sync3(origin, seq, lo, hi int) interval.Interval {
 		vclock.Of(uint32(lo), uint32(lo), uint32(lo)), vclock.Of(uint32(hi), uint32(hi), uint32(hi)))
 }
 
+// TestPublishedSetsOutliveReconfiguration: a solution set refers to its
+// members where they are stored, so nothing a node does afterwards —
+// discarding a backlog (ResetSource), dropping a child with one
+// (RemoveChild), adopting a new child and being fed by reference — may change
+// a set it published. Every detection is encoded as it is returned and again
+// at the end, under both engines.
+func TestPublishedSetsOutliveReconfiguration(t *testing.T) {
+	for _, parallel := range []bool{false, true} {
+		nd := NewNode(0, Config{N: 3, Strict: true, Parallel: parallel}, true)
+		nd.AddChild(1)
+		nd.AddChild(2)
+		var kept []Detection
+		var asFound []byte
+		take := func(dets []Detection) {
+			kept = append(kept, dets...)
+			asFound = append(asFound, encodeDetections(dets)...)
+		}
+		round := func(p, r int) interval.Interval { return sync3(p, r, 10*r+1, 10*r+5) }
+		for r := 0; r < 4; r++ {
+			for p := 0; p < 3; p++ {
+				take(nd.OnInterval(p, round(p, r)))
+			}
+		}
+		for r := 4; r < 9; r++ { // child 2 silent: sources 0 and 1 back up
+			take(nd.OnInterval(0, round(0, r)))
+			take(nd.OnInterval(1, round(1, r)))
+		}
+		nd.ResetSource(1)
+		again := []interval.Interval{round(1, 6), round(1, 7), round(1, 8)}
+		take(nd.OnRefs(1, interval.Refs(again)))
+		take(nd.RemoveChild(2))
+		nd.AddChild(3)
+		for p := range 4 {
+			if p != 2 {
+				take(nd.OnIntervals(p, []interval.Interval{round(p, 9), round(p, 10), round(p, 11)}))
+			}
+		}
+		if len(kept) != 4+3+3 {
+			t.Fatalf("parallel=%v: %d detections, want 10: the schedule did not happen", parallel, len(kept))
+		}
+		if !bytes.Equal(encodeDetections(kept), asFound) {
+			t.Fatalf("parallel=%v: a published solution set changed after the node reconfigured", parallel)
+		}
+	}
+}
+
 // TestRemoveChildDeepQueues: with sources 0 and 1 five rounds deep and
 // source 2 silent, nothing can be detected — every solution needs a head
 // from all three queues. Removing child 2 must re-run detection over the
@@ -153,7 +199,7 @@ func TestRemoveChildDeepQueues(t *testing.T) {
 		if len(d.Set) != 2 {
 			t.Fatalf("detection %d solution over %d sources, want 2", r, len(d.Set))
 		}
-		if !interval.OverlapAll(d.Set) {
+		if !interval.OverlapRefs(d.Set) {
 			t.Fatalf("detection %d is not a valid solution", r)
 		}
 		if want := vclock.Of(uint32(10*r+1), uint32(10*r+1), uint32(10*r+1)); !d.Agg.Lo.Equal(want) {

@@ -11,8 +11,8 @@ import (
 
 // This file implements the parallel detection engine: the same Algorithm 1
 // loop as detectSeq/eliminate/prune, with sources addressed by position
-// (nd.qs beside nd.srcs) instead of through the queue map, heads read in
-// place (Queue.HeadRef) instead of copied out, aggregate bounds and solution
+// (nd.qs beside nd.srcs) instead of through the queue map, heads read where
+// they are stored (the queues hold references), aggregate bounds and solution
 // sets carved from a Region — and with the O(n)-per-comparison work, the only
 // part that grows with system size, able to partition across a bounded
 // worker Pool.
@@ -86,8 +86,8 @@ func (nd *Node) detectPar(trigger []int) []Detection {
 }
 
 // publish aggregates a solution set and appends its Detection.
-func (nd *Node) publish(dets []Detection, sol []interval.Interval) []Detection {
-	agg := interval.AggregateFlat(nd.store, sol, nd.id, nd.aggSeq, nd.cfg.KeepMembers)
+func (nd *Node) publish(dets []Detection, sol []*interval.Interval) []Detection {
+	agg := interval.AggregateRefs(nd.store, sol, nd.id, nd.aggSeq, nd.cfg.KeepMembers)
 	nd.aggSeq++
 	nd.stats.Detections++
 	return append(dets, Detection{Node: nd.id, Set: sol, Agg: agg})
@@ -101,7 +101,7 @@ func (nd *Node) publish(dets []Detection, sol []interval.Interval) []Detection {
 // pairs → solution → aggregate → prune over no pairs → delete; this books
 // the same Stats, queue high-water marks and Detection without the round
 // trip. Leaves — most of any tree — ingest nothing else.
-func (nd *Node) passAlone(ivs []interval.Interval) []Detection {
+func (nd *Node) passAlone(ivs []*interval.Interval) []Detection {
 	k := len(ivs)
 	nd.stats.IntervalsIn += k
 	nd.stats.Pruned += k
@@ -114,9 +114,9 @@ func (nd *Node) passAlone(ivs []interval.Interval) []Detection {
 	}
 	clear(nd.detBuf)
 	dets := nd.detBuf[:0]
-	for i := range ivs {
+	for _, iv := range ivs {
 		sol := nd.carve(1)
-		sol[0] = ivs[i]
+		sol[0] = iv
 		dets = nd.publish(dets, sol)
 	}
 	nd.detBuf = dets
@@ -194,7 +194,7 @@ func (nd *Node) eliminatePar(trigger []int) {
 
 // compare is one pair's verdict, read from the two queue heads.
 func (nd *Node) compare(p pair) cmpVerdict {
-	x, y := nd.qs[p.a].HeadRef(), nd.qs[p.b].HeadRef()
+	x, y := nd.qs[p.a].Head(), nd.qs[p.b].Head()
 	xBeforeY, yBeforeX := vclock.CompareLess(x.Lo, y.Hi, y.Lo, x.Hi)
 	return cmpVerdict{xBeforeY, yBeforeX}
 }
@@ -254,7 +254,7 @@ func (nd *Node) fanOut(what string, n int, fn func(int)) {
 // solutionPar is solution with the set carved from the region instead of a
 // fresh allocation: solution sets escape into Detections, and at production
 // rates one make per detection was measurable.
-func (nd *Node) solutionPar() ([]interval.Interval, bool) {
+func (nd *Node) solutionPar() ([]*interval.Interval, bool) {
 	if len(nd.qs) == 0 {
 		return nil, false
 	}
@@ -265,24 +265,27 @@ func (nd *Node) solutionPar() ([]interval.Interval, bool) {
 	}
 	sol := nd.carve(len(nd.qs))
 	for i, q := range nd.qs {
-		sol[i] = *q.HeadRef()
+		sol[i] = q.Head()
 	}
-	if nd.cfg.Strict && !interval.OverlapAll(sol) {
+	if nd.cfg.Strict && !interval.OverlapRefs(sol) {
 		panic(fmt.Sprintf("core: node %d: solution set fails pairwise overlap", nd.id))
 	}
 	return sol, true
 }
 
 // Region keeps what detections publish, each kind in a vclock.Slab carved
-// exactly: the parallel engine's aggregate bounds (2n clock words a pair) and
-// solution sets, and the Detection records a host keeps (Keep). The live
-// runtime gives each substrate worker one and hands it to every node it runs
-// for the drain (Use), so all of them share one part-used slab per kind; a
-// node never handed a region makes itself one at its first detection. The
-// zero Region is ready to use; it is not safe for concurrent use.
+// exactly: the parallel engine's aggregate bounds (2n clock words a pair),
+// the one home of every interval a node took by value (OnInterval), solution
+// sets (a reference per member) and the Detection records a host keeps
+// (Keep). The live runtime gives each substrate worker one and hands it to
+// every node it runs for the drain (Use), so all of them share one part-used
+// slab per kind; a node never handed a region makes itself one when it
+// first needs it. The zero Region is ready to use; it is not safe for
+// concurrent use.
 type Region struct {
 	clocks vclock.Slab[uint32]
-	sets   vclock.Slab[interval.Interval]
+	ivs    vclock.Slab[interval.Interval]
+	sets   vclock.Slab[*interval.Interval]
 	recs   vclock.Slab[Detection]
 }
 
@@ -303,12 +306,18 @@ func (nd *Node) Use(r *Region) {
 	}
 }
 
-// carve returns room for a solution set of need intervals from the region.
-func (nd *Node) carve(need int) []interval.Interval {
+// region returns the region the node carves from, making one if it was
+// never handed any.
+func (nd *Node) region() *Region {
 	if nd.reg == nil {
 		nd.Use(new(Region))
 	}
-	return nd.reg.sets.Carve(need)
+	return nd.reg
+}
+
+// carve returns room for a solution set of need members from the region.
+func (nd *Node) carve(need int) []*interval.Interval {
+	return nd.region().sets.Carve(need)
 }
 
 // prunePar is prune with each head's keep decision taken by pruneKeep — one
@@ -365,13 +374,13 @@ type pruneVerdict struct {
 // here (EXPERIMENTS, PR 24).
 func (nd *Node) pruneKeep(a int) pruneVerdict {
 	var v pruneVerdict
-	xa := nd.qs[a].HeadRef()
+	xa := nd.qs[a].Head()
 	for b, qb := range nd.qs {
 		if b == a {
 			continue
 		}
 		v.comparisons++
-		if !qb.HeadRef().Hi.Less(xa.Hi) {
+		if !qb.Head().Hi.Less(xa.Hi) {
 			continue // Eq. 10 certifies x_b cannot revive x_a
 		}
 		if nd.cfg.ExactPrune && qb.Len() > 1 {

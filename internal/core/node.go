@@ -37,8 +37,11 @@ type Detection struct {
 	Node int
 
 	// Set is the solution set: one interval per queue (the node's own plus
-	// one per child), every pair satisfying min(x) < max(y).
-	Set []interval.Interval
+	// one per child), every pair satisfying min(x) < max(y). Each member is
+	// a reference to the interval's one home — a child's aggregate in the
+	// child's detection record, a local interval where its node copied it
+	// on arrival — never modified once published.
+	Set []*interval.Interval
 
 	// Agg is ⊓(Set), the single interval that represents this solution set
 	// at the next level of the hierarchy. At the tree root it is not sent
@@ -134,6 +137,9 @@ type Config struct {
 	FanoutThreshold int
 }
 
+// queue is one source's FIFO: references to intervals, each stored once.
+type queue = interval.Ring[*interval.Interval]
+
 // Node is the per-process detector state machine.
 type Node struct {
 	id  int
@@ -141,16 +147,16 @@ type Node struct {
 
 	// queues maps source id → pending intervals. The node's own id keys Q_0
 	// when the node hosts a local predicate; child ids key the child queues.
-	queues map[int]*interval.Queue
+	queues map[int]*queue
 	// srcs holds queue keys in deterministic (insertion) order; qs holds
 	// their queues, position for position, so ingestion and the parallel
 	// engine's rounds address a source without a map lookup.
 	srcs []int
-	qs   []*interval.Queue
+	qs   []*queue
 
-	// lastHi tracks, per source, the upper bound of the last accepted
-	// interval, for Strict succession checks.
-	lastHi map[int]interval.Interval
+	// lastHi tracks, per source, the last accepted interval, for Strict
+	// succession checks.
+	lastHi map[int]*interval.Interval
 
 	aggSeq int
 	stats  Stats
@@ -161,18 +167,21 @@ type Node struct {
 	// detect's updated/prune list; the elim pair backs eliminate's rounds;
 	// aggScratch holds each ⊓-aggregation while it is computed, so only the
 	// published Detection pays an allocation (one compact clone instead of
-	// two clock clones plus a span set).
+	// two clock clones plus a span set). refs stages the references the
+	// value entries hand OnRefs.
 	scratchA                   []int
 	scratchElimA, scratchElimB []int
 	aggScratch                 interval.Interval
 	one                        [1]int
+	refs                       []*interval.Interval
 
 	// resident / residentHigh are the node-level interval residency and its
 	// true peak (see QueueSizes), maintained at every enqueue and deletion.
 	resident, residentHigh int
 
-	// Parallel-engine state (nil/empty under the sequential oracle): the
-	// flat bounds store, the region it and the solution sets carve from, the
+	// The region the value entries' copies, solution sets and (with the
+	// flat bounds store) aggregate bounds carve from. Parallel-engine state
+	// (nil/empty under the sequential oracle): the store, the
 	// buffer detections are returned in (valid until the next call; see
 	// OnInterval), a round's pairs, verdicts and keep decisions, the
 	// per-position mark of which sources a round was triggered by (1 + index
@@ -199,8 +208,8 @@ func NewNode(id int, cfg Config, local bool) *Node {
 	nd := &Node{
 		id:     id,
 		cfg:    cfg,
-		queues: make(map[int]*interval.Queue),
-		lastHi: make(map[int]interval.Interval),
+		queues: make(map[int]*queue),
+		lastHi: make(map[int]*interval.Interval),
 	}
 	if cfg.Parallel {
 		nd.store = vclock.NewStore(cfg.N)
@@ -265,7 +274,7 @@ func (nd *Node) addSource(src int) {
 	if _, ok := nd.queues[src]; ok {
 		panic(fmt.Sprintf("core: node %d already has source %d", nd.id, src))
 	}
-	nd.queues[src] = interval.NewQueue()
+	nd.queues[src] = new(queue)
 	nd.srcs = append(nd.srcs, src)
 	nd.qs = append(nd.qs, nd.queues[src])
 }
@@ -330,35 +339,17 @@ func (nd *Node) ResetSource(src int) {
 // local-predicate interval, a child id for that child's aggregate — and
 // returns the detections it triggers, in order. Intervals from unknown
 // sources (stale in-flight messages after a failure) are counted and dropped.
+// The node keeps a copy of iv, carved from its region (see OnRefs for the
+// entry that copies nothing).
 //
-// The returned slice is valid until the next OnInterval, OnIntervals or
-// RemoveChild on this node: the parallel engine builds it in a buffer the
+// The returned slice is valid until the next OnInterval, OnIntervals, OnRefs
+// or RemoveChild on this node: the parallel engine builds it in a buffer the
 // node owns and reuses. Consume it or copy the Detection values out before
 // calling into the same node again; calling into another node is fine (an
 // upward cascade only ever does that), and the values themselves — solution
 // sets, aggregates, clocks — stay valid forever.
 func (nd *Node) OnInterval(src int, iv interval.Interval) []Detection {
-	i := nd.at(src)
-	if i < 0 {
-		nd.stats.Dropped++
-		return nil
-	}
-	q := nd.qs[i]
-	if nd.cfg.Strict {
-		nd.checkSuccession(src, &iv)
-	}
-	if nd.alone(q) {
-		return nd.passAlone([]interval.Interval{iv})
-	}
-	q.Enqueue(iv)
-	nd.noteEnqueue()
-	nd.stats.IntervalsIn++
-	// Algorithm 1 line 2: only a new head can change the outcome.
-	if q.Len() != 1 {
-		return nil
-	}
-	nd.one[0] = src
-	return nd.detect(nd.one[:])
+	return nd.OnIntervals(src, []interval.Interval{iv})
 }
 
 // OnIntervals ingests a run of consecutive intervals of one source, in
@@ -374,8 +365,27 @@ func (nd *Node) OnInterval(src int, iv interval.Interval) []Detection {
 // where the sequential path starts a fresh one, so the two paths can
 // classify a discarded interval differently (Eliminated vs Pruned vs still
 // resident), and ExactPrune's Eq. 9 successor peek sees batch-delivered
-// successors earlier. The result's lifetime is OnInterval's.
+// successors earlier. Like OnInterval it keeps copies; the result's lifetime
+// is OnInterval's.
 func (nd *Node) OnIntervals(src int, ivs []interval.Interval) []Detection {
+	homes := nd.region().ivs.Carve(len(ivs))
+	copy(homes, ivs)
+	refs := nd.refs[:0]
+	for i := range homes {
+		refs = append(refs, &homes[i])
+	}
+	dets := nd.OnRefs(src, refs)
+	clear(refs)
+	nd.refs = refs[:0]
+	return dets
+}
+
+// OnRefs is OnIntervals over references, copying nothing: the node queues
+// the pointers and publishes them in solution sets, so each *ivs[k] must
+// stay as it is for as long as any detection may be read — an interval's one
+// home (a detection record's Agg, a slot of a region). The result's lifetime
+// is OnInterval's.
+func (nd *Node) OnRefs(src int, ivs []*interval.Interval) []Detection {
 	if len(ivs) == 0 {
 		return nil
 	}
@@ -386,8 +396,8 @@ func (nd *Node) OnIntervals(src int, ivs []interval.Interval) []Detection {
 	}
 	q := nd.qs[i]
 	if nd.cfg.Strict {
-		for k := range ivs {
-			nd.checkSuccession(src, &ivs[k])
+		for _, iv := range ivs {
+			nd.checkSuccession(src, iv)
 		}
 	}
 	if nd.alone(q) {
@@ -427,7 +437,7 @@ func (nd *Node) checkSuccession(src int, iv *interval.Interval) {
 		panic(fmt.Sprintf("core: node %d: succession violated on source %d: prev max %v, next min %v",
 			nd.id, src, prev.Hi, iv.Lo))
 	}
-	nd.lastHi[src] = *iv
+	nd.lastHi[src] = iv
 }
 
 // alone reports that q is this node's only queue and empty, under the
@@ -435,7 +445,7 @@ func (nd *Node) checkSuccession(src int, iv *interval.Interval) {
 // Decided on every call, so adopting a child, losing the last one or a
 // backlog left by either needs no special case — with a second source, or
 // anything still queued, the queue path runs.
-func (nd *Node) alone(q *interval.Queue) bool {
+func (nd *Node) alone(q *queue) bool {
 	return nd.cfg.Parallel && len(nd.qs) == 1 && q.Empty()
 }
 
@@ -538,7 +548,7 @@ func addUnique(s []int, v int) []int {
 // (Algorithm 1 line 18). After eliminate has reached a fixed point, those
 // heads are pairwise overlapping, so they form a solution set; Strict mode
 // re-verifies that invariant on every solution.
-func (nd *Node) solution() ([]interval.Interval, bool) {
+func (nd *Node) solution() ([]*interval.Interval, bool) {
 	if len(nd.srcs) == 0 {
 		return nil, false
 	}
@@ -549,11 +559,11 @@ func (nd *Node) solution() ([]interval.Interval, bool) {
 			return nil, false
 		}
 	}
-	sol := make([]interval.Interval, 0, len(nd.srcs))
+	sol := make([]*interval.Interval, 0, len(nd.srcs))
 	for _, s := range nd.srcs {
 		sol = append(sol, nd.queues[s].Head())
 	}
-	if nd.cfg.Strict && !interval.OverlapAll(sol) {
+	if nd.cfg.Strict && !interval.OverlapRefs(sol) {
 		// The elimination fixed point guarantees pairwise overlap; a
 		// violation means the elimination loop is broken, never bad input.
 		panic(fmt.Sprintf("core: node %d: solution set fails pairwise overlap", nd.id))

@@ -195,10 +195,11 @@ func TestParallelEpochInterleaving(t *testing.T) {
 }
 
 // TestDetectingCallAllocates pins what a detecting call of the parallel
-// engine allocates: clock pairs and solution sets, both carved from the
-// node's region a slab at a time, and nothing else. The result slice is the node's own buffer (see
+// engine allocates: clock pairs, solution sets and the copies OnInterval
+// keeps, all carved from the node's region a slab at a time, and nothing
+// else. The result slice is the node's own buffer (see
 // OnInterval), and a set of more than one member whose merged span equals
-// the previous aggregate's shares that slice (interval.AggregateFlat); built
+// the previous aggregate's shares that slice (interval.AggregateRefs); built
 // fresh per call each was one more allocation.
 func TestDetectingCallAllocates(t *testing.T) {
 	for _, tc := range []struct {

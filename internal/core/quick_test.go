@@ -46,7 +46,7 @@ func TestQuickNodeInvariants(t *testing.T) {
 					if len(d.Set) != n {
 						return false
 					}
-					if !interval.OverlapAll(d.Set) {
+					if !interval.OverlapRefs(d.Set) {
 						return false
 					}
 				}

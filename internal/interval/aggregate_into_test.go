@@ -32,7 +32,7 @@ func TestAggregateIntoMatchesAggregate(t *testing.T) {
 			xs[i].Bases = 1 + r.Intn(3)
 		}
 		want := Aggregate(xs, 9, trial, false)
-		AggregateInto(&scratch, xs, 9, trial, false)
+		AggregateInto(&scratch, Refs(xs), 9, trial, false)
 		if !scratch.Lo.Equal(want.Lo) || !scratch.Hi.Equal(want.Hi) {
 			t.Fatalf("bounds differ: %v..%v vs %v..%v", scratch.Lo, scratch.Hi, want.Lo, want.Hi)
 		}
@@ -55,10 +55,10 @@ func TestAggregateIntoReusesStorage(t *testing.T) {
 		New(1, 0, vclock.Of(2, 1, 3), vclock.Of(5, 4, 6)),
 	}
 	var scratch Interval
-	AggregateInto(&scratch, xs, 7, 0, false)
+	AggregateInto(&scratch, Refs(xs), 7, 0, false)
 	pLo, pHi := &scratch.Lo[0], &scratch.Hi[0]
 	pSpan := &scratch.Span[0]
-	AggregateInto(&scratch, xs, 7, 1, false)
+	AggregateInto(&scratch, Refs(xs), 7, 1, false)
 	if &scratch.Lo[0] != pLo || &scratch.Hi[0] != pHi || &scratch.Span[0] != pSpan {
 		t.Fatal("AggregateInto reallocated storage on the second call")
 	}

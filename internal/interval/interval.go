@@ -59,9 +59,8 @@ type Interval struct {
 
 	// ext holds what only non-production paths set — the falsifying event
 	// of Possibly-detection and the solution set KeepMembers retains — behind
-	// one pointer, nil everywhere else: every queue slot, solution set,
-	// detection record and report carries an Interval by value, and the
-	// two slice headers were 48 of its 152 bytes. Read through Term and
+	// one pointer, nil everywhere else: the two slice headers were 48 of an
+	// Interval's 152 bytes, paid by every copy. Read through Term and
 	// Members; never modified once set (SetTerm installs a fresh one), so
 	// copies of an Interval share it safely.
 	ext *extra
@@ -163,7 +162,11 @@ func Overlap(x, y Interval) bool {
 
 // OverlapAll reports overlap(X): min(xᵢ) < max(xⱼ) for every ordered pair
 // i ≠ j. A singleton set trivially overlaps; the empty set does not.
-func OverlapAll(xs []Interval) bool {
+func OverlapAll(xs []Interval) bool { return OverlapRefs(Refs(xs)) }
+
+// OverlapRefs is OverlapAll over a set of references — the form a
+// detection's solution set has.
+func OverlapRefs(xs []*Interval) bool {
 	if len(xs) == 0 {
 		return false
 	}
@@ -175,6 +178,24 @@ func OverlapAll(xs []Interval) bool {
 		}
 	}
 	return true
+}
+
+// Refs returns a reference to each element of xs, in order.
+func Refs(xs []Interval) []*Interval {
+	out := make([]*Interval, len(xs))
+	for i := range xs {
+		out[i] = &xs[i]
+	}
+	return out
+}
+
+// values copies the referenced intervals out, for KeepMembers.
+func values(xs []*Interval) []Interval {
+	out := make([]Interval, len(xs))
+	for i, x := range xs {
+		out[i] = *x
+	}
+	return out
 }
 
 // Aggregate applies ⊓ to a non-empty solution set (paper Eq. 5/6):
@@ -191,7 +212,7 @@ func OverlapAll(xs []Interval) bool {
 // sets, which are never empty.
 func Aggregate(xs []Interval, origin, seq int, keepMembers bool) Interval {
 	var agg Interval
-	AggregateInto(&agg, xs, origin, seq, keepMembers)
+	AggregateInto(&agg, Refs(xs), origin, seq, keepMembers)
 	return agg
 }
 
@@ -202,7 +223,7 @@ func Aggregate(xs []Interval, origin, seq int, keepMembers bool) Interval {
 // two clock clones plus the span set dominated its cost). dst must not alias
 // any member of xs. Term and Members are reset; Members is populated (fresh
 // storage) only when keepMembers is set.
-func AggregateInto(dst *Interval, xs []Interval, origin, seq int, keepMembers bool) {
+func AggregateInto(dst *Interval, xs []*Interval, origin, seq int, keepMembers bool) {
 	if len(xs) == 0 {
 		panic("interval: Aggregate of empty set")
 	}
@@ -213,8 +234,7 @@ func AggregateInto(dst *Interval, xs []Interval, origin, seq int, keepMembers bo
 	dst.Hi.CopyFrom(xs[0].Hi)
 	dst.Span = dst.Span[:0]
 	bases := 0
-	for i := range xs {
-		x := &xs[i]
+	for i, x := range xs {
 		if i > 0 {
 			dst.Lo.MergeMax(x.Lo)
 			dst.Hi.MergeMin(x.Hi)
@@ -230,11 +250,23 @@ func AggregateInto(dst *Interval, xs []Interval, origin, seq int, keepMembers bo
 	dst.Bases = bases
 	dst.ext = nil
 	if keepMembers {
-		dst.ext = &extra{members: append([]Interval(nil), xs...)}
+		dst.ext = &extra{members: values(xs)}
 	}
 }
 
 // AggregateFlat computes ⊓xs as a freshly published aggregate whose bounds
+// live in a flat vclock.Store: AggregateRefs over references to xs's
+// elements.
+func AggregateFlat(st *vclock.Store, xs []Interval, origin, seq int, keepMembers bool) Interval {
+	var buf [16]*Interval
+	refs := buf[:0]
+	for i := range xs {
+		refs = append(refs, &xs[i])
+	}
+	return AggregateRefs(st, refs, origin, seq, keepMembers)
+}
+
+// AggregateRefs computes ⊓xs as a freshly published aggregate whose bounds
 // live in a flat vclock.Store — the parallel engine's replacement for the
 // AggregateInto-then-CompactClone pair. Two layout decisions make it cheap
 // while producing component-for-component the same values as Aggregate:
@@ -254,16 +286,16 @@ func AggregateInto(dst *Interval, xs []Interval, origin, seq int, keepMembers bo
 //     detection.
 //
 // The caller owns st and must be the only goroutine allocating from it.
-func AggregateFlat(st *vclock.Store, xs []Interval, origin, seq int, keepMembers bool) Interval {
+func AggregateRefs(st *vclock.Store, xs []*Interval, origin, seq int, keepMembers bool) Interval {
 	if len(xs) == 0 {
 		panic("interval: Aggregate of empty set")
 	}
 	out := Interval{Origin: origin, Seq: seq, Agg: true}
 	if keepMembers {
-		out.ext = &extra{members: append([]Interval(nil), xs...)}
+		out.ext = &extra{members: values(xs)}
 	}
 	if len(xs) == 1 {
-		x := &xs[0]
+		x := xs[0]
 		out.Lo, out.Hi = x.Lo, x.Hi
 		out.Span = x.Span
 		out.Bases = x.Bases
@@ -271,14 +303,14 @@ func AggregateFlat(st *vclock.Store, xs []Interval, origin, seq int, keepMembers
 	}
 	lo, hi := st.AllocPair()
 	vclock.BoundsInit(lo, hi, xs[0].Lo, xs[0].Hi, xs[1].Lo, xs[1].Hi)
-	for i := 2; i < len(xs); i++ {
-		vclock.BoundsFold(lo, hi, xs[i].Lo, xs[i].Hi)
+	for _, x := range xs[2:] {
+		vclock.BoundsFold(lo, hi, x.Lo, x.Hi)
 	}
 	out.Lo, out.Hi = lo, hi
 	spanCap, bases := 0, 0
-	for i := range xs {
-		spanCap += len(xs[i].Span)
-		bases += xs[i].Bases
+	for _, x := range xs {
+		spanCap += len(x.Span)
+		bases += x.Bases
 	}
 	out.Span = mergeSpans(xs, spanCap, st.LastSpan)
 	st.LastSpan = out.Span
@@ -305,7 +337,7 @@ func sizedVC(v vclock.VC, n int) vclock.VC {
 // from the first element that differs, so a union equal to prev is returned
 // as prev itself — spans are immutable once published, which makes the
 // sharing safe — and anything else is a fresh slice.
-func mergeSpans(xs []Interval, spanCap int, prev []int) []int {
+func mergeSpans(xs []*Interval, spanCap int, prev []int) []int {
 	var idxArr [8]int
 	var idx []int
 	if len(xs) <= len(idxArr) {

@@ -18,16 +18,17 @@ import (
 // and returned. Measured, in bytes per interval, around feed + Close +
 // Detections with the clusters already built. Clock storage, solution sets,
 // records and the harness's own round trip are in the figure too, so the
-// budgets sit 8 % above what the runs measure. With per-node clock chunks,
-// solution slabs and 160-byte log entries copied again at Close they measured
-// ≈ 1 440 and ≈ 1 250; before the 112-byte Interval and the shared span
-// ≈ 1 720 and ≈ 1 570; before per-node logs and the detector-owned result
-// buffer ≈ 2 760 and ≈ 2 060.
+// budgets sit 8 % above what the runs measure. With a 112-byte copy of every
+// member in each solution set and queue slot they measured ≈ 1 125 and
+// ≈ 750; with per-node clock chunks, solution slabs and 160-byte log entries
+// copied again at Close ≈ 1 440 and ≈ 1 250; before the 112-byte Interval and
+// the shared span ≈ 1 720 and ≈ 1 570; before per-node logs and the
+// detector-owned result buffer ≈ 2 760 and ≈ 2 060.
 //
-//	one p=127 cluster, 200 rounds       ≈ 1 125. One log of 200 per node, what
+//	one p=127 cluster, 200 rounds       ≈ 955. One log of 200 per node, what
 //	                                    the deep_saturate workload does in a
 //	                                    fifth of a pass
-//	64 p=63 clusters, 40 rounds each    ≈ 750. 4 032 logs of 40 on one
+//	64 p=63 clusters, 40 rounds each    ≈ 642. 4 032 logs of 40 on one
 //	                                    substrate (the tenant_fanout shape): a
 //	                                    node must not cost a large chunk before
 //	                                    it has the detections to fill it
@@ -41,8 +42,8 @@ func TestDetectionPathAllocBudget(t *testing.T) {
 		rounds, window   int    // fed round-major, window rounds in flight (steadyFeed)
 		budget           uint64 // bytes per interval
 	}{
-		{"one p=127 cluster", 1, 6, 200, 16, 1215},
-		{"64 p=63 clusters on one substrate", 64, 5, 40, 64, 810},
+		{"one p=127 cluster", 1, 6, 200, 16, 1030},
+		{"64 p=63 clusters on one substrate", 64, 5, 40, 64, 695},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			topo := tree.Balanced(2, tc.height)
@@ -83,10 +84,14 @@ func TestDetectionPathAllocBudget(t *testing.T) {
 // loopback TCP, so each of its 126 edges is a wire frame — encoded through a
 // pooled buffer, copied by Send into a recycled one, read in place out of the
 // connection's buffer and decoded into a recycled batch whose clocks come out
-// of a pooled store, the spans a frame repeats shared. 500 rounds, 16 in
-// flight: one pass of the benchmark's tcp_split workload. Measured ≈ 2 320 B
-// and 0.36 allocations per interval (≈ 2 560 and 1.2 with a span per decoded
-// report and per-node chunks and logs; ≈ 2 780 and 1.7 with the 152-byte
+// of a pooled store, each report moved into a home beside them, the spans a
+// frame repeats shared. 500 rounds, 16 in flight: one pass of the benchmark's
+// tcp_split workload. Measured ≈ 2 330 B and 0.34–0.44 allocations per
+// interval, the count spread by the pools' garbage-collection drops alike with
+// and without references (≈ 2 320 when each solution set held a copy of the
+// decoded report instead of a reference to its home; ≈ 2 560 and 1.2 with a
+// span per decoded report and per-node chunks and logs; ≈ 2 780 and 1.7 with
+// the 152-byte
 // Interval and a span per aggregate); was ≈ 3 370 B and 4.3 with a copy per
 // Send, a payload per read, a result slice per frame and two clocks per report
 // each allocated on its own.
@@ -161,24 +166,26 @@ func TestRemoteReportAllocBudget(t *testing.T) {
 	}
 	per := (after.TotalAlloc - before.TotalAlloc) / uint64(n*rounds)
 	allocs := float64(after.Mallocs-before.Mallocs) / float64(n*rounds)
-	t.Logf("%d B and %.1f allocations per interval (budget %d B, %.1f)", per, allocs, budget, allocBudget)
+	t.Logf("%d B and %.2f allocations per interval (budget %d B, %.2f)", per, allocs, budget, allocBudget)
 	if per > budget || allocs > allocBudget {
-		t.Fatalf("a report over TCP allocates %d B in %.1f allocations per interval, budget %d in %.1f", per, allocs, budget, allocBudget)
+		t.Fatalf("a report over TCP allocates %d B in %.2f allocations per interval, budget %d in %.2f", per, allocs, budget, allocBudget)
 	}
 }
 
 // TestShortLivedNodesAllocateWhatDetectionsKeep holds the tenant_fanout shape —
 // 64 p=63 clusters on one substrate, 40 global rounds, so 4 032 nodes that
-// find 40 detections each — to what its detections keep, counted from the
-// run's per-node detection counts: a bounds pair of 8n bytes per inner node's
-// detection, a 112-byte interval per solution-set member, a 144-byte record
-// and a 24-byte entry per detection, and its 24-byte slot in the list Close
-// returns. Everything else — chunk tails, rings, the harness — must stay
-// within a tenth of that. Per-node clock chunks, solution slabs and log
-// chunks allocated 1.5–1.7 × what 40 items need, and the log's 160-byte
-// entries were copied again at Close: 1.8 × the need in all. The first round
-// is left out, as the clusters' construction is: it sizes every mailbox shard
-// and queue ring.
+// find 40 detections each — to what its detections keep: the 112-byte home of
+// every observed interval, and, counted from the run's per-node detection
+// counts, an 8-byte reference per solution-set member, a bounds pair of 8n
+// bytes per inner node's detection, a 144-byte record and a 24-byte entry per
+// detection, and its 24-byte slot in the list Close returns. Everything else —
+// chunk tails, rings, the harness — must stay within a tenth of that. When a
+// set held a 112-byte copy of each member it allocated 0.92 × that need
+// (1.07 × its own, which counted the copies). Per-node clock chunks, solution
+// slabs and log chunks allocated 1.5–1.7 × what 40 items need, and the log's
+// 160-byte entries were copied again at Close: 1.8 × the need in all. The
+// first round is left out, as the clusters' construction is: it sizes every
+// mailbox shard and queue ring.
 func TestShortLivedNodesAllocateWhatDetectionsKeep(t *testing.T) {
 	if raceEnabled {
 		t.Skip("see TestDetectionPathAllocBudget")
@@ -202,7 +209,7 @@ func TestShortLivedNodesAllocateWhatDetectionsKeep(t *testing.T) {
 			for _, m := range c.MetricsByNode() {
 				members := 1 + len(topo.Children(m.ID))
 				per := unsafe.Sizeof(core.Detection{}) + unsafe.Sizeof(Detection{}) +
-					uintptr(members)*unsafe.Sizeof(interval.Interval{})
+					uintptr(members)*unsafe.Sizeof((*interval.Interval)(nil))
 				if members > 1 {
 					per += uintptr(8 * n)
 				}
@@ -218,7 +225,9 @@ func TestShortLivedNodesAllocateWhatDetectionsKeep(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	feed.run(clusters, roundsOf(e, 1, rounds))
 	all, found := need()
-	kept := all - warm + found*uint64(unsafe.Sizeof(Detection{})) // and the list Close returns
+	observed := uint64(tenants * n * (rounds - 1))
+	kept := all - warm + found*uint64(unsafe.Sizeof(Detection{})) + // and the list Close returns
+		observed*uint64(unsafe.Sizeof(interval.Interval{}))
 	for _, c := range clusters {
 		c.Close()
 	}

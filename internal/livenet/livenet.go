@@ -23,9 +23,10 @@
 // mailbox drain that produced it, together with every other report of that
 // drain as one message (one wire frame in distributed mode). Arrivals batch
 // symmetrically: runs of in-order reports released together by a resequencer
-// feed the detector through core.Node's batch ingestion (OnIntervals), which
-// runs the elimination loop once per exposed head rather than once per
-// arrival (Algorithm 1 line 2).
+// feed the detector through core.Node's batch ingestion (OnRefs: the queues
+// refer to each aggregate in its sender's detection record), which runs the
+// elimination loop once per exposed head rather than once per arrival
+// (Algorithm 1 line 2).
 //
 // With heartbeats enabled (Config.HbEvery > 0) the cluster is fault
 // tolerant per the paper's §III-F: Kill crashes a process, its tree
@@ -69,6 +70,7 @@ import (
 	"hierdet/internal/core"
 	"hierdet/internal/interval"
 	"hierdet/internal/obsv"
+	"hierdet/internal/repair"
 	"hierdet/internal/transport"
 	"hierdet/internal/tree"
 	"hierdet/internal/vclock"
@@ -234,12 +236,10 @@ type Cluster struct {
 	detectPool *core.Pool
 	remote     bool      // distributed mode: Transport is set
 	startAt    time.Time // zero of the failure detector's clock (now)
-	// rxClocks holds the *vclock.Store(s) received report batches carve their
-	// clocks from, each out of a slab of its own as the hosted nodes' clocks
-	// come out of their workers' regions. A pool, not one store, because a
-	// store is single-goroutine and the transport's receive callback runs on
-	// one goroutine per inbound connection.
-	rxClocks sync.Pool
+	// rx holds the *rxSlabs received reports are decoded into: a pool, not
+	// one, because slabs are single-goroutine and the transport's receive
+	// callback runs on one goroutine per inbound connection.
+	rx sync.Pool
 
 	// Observability plane: the metrics registry every family registers
 	// into, the per-kind event counters (index = obsv.EventKind), and the
@@ -321,7 +321,7 @@ func New(cfg Config) *Cluster {
 		seeking: make(map[int]bool),
 	}
 	c.cond = sync.NewCond(&c.mu)
-	c.rxClocks.New = func() any { return vclock.NewStore(c.topo.N()) }
+	c.rx.New = func() any { return &rxSlabs{clocks: vclock.NewStore(c.topo.N())} }
 	if !cfg.SequentialDetect {
 		c.detectPool = sched.detect
 	}
@@ -748,7 +748,7 @@ func (c *Cluster) send(to int, msg message, delay time.Duration) {
 		// it returns; per-link delta chaining, if any, happens inside the
 		// transport against its own connection state.
 		buf := wire.GetBuffer()
-		*buf = wire.AppendReportV2(*buf, wire.Report{Iv: msg.iv, LinkSeq: msg.seq, Epoch: msg.epoch}, nil)
+		*buf = wire.AppendReportV2(*buf, wire.Report{Iv: *msg.agg, LinkSeq: msg.seq, Epoch: msg.epoch}, nil)
 		c.cfg.Transport.Send(to, *buf)
 		wire.PutBuffer(buf)
 		return
@@ -768,7 +768,7 @@ func (c *Cluster) sendBatch(to, from int, batch *reportBatch, born int64, delay 
 		return
 	}
 	buf := wire.GetBuffer()
-	*buf = wire.AppendReportBatch(*buf, batch.reps)
+	*buf = wire.AppendRefBatch(*buf, batch.reps)
 	c.cfg.Transport.Send(to, *buf)
 	wire.PutBuffer(buf)
 	batch.recycle()
@@ -789,6 +789,17 @@ func encodeMessage(msg message) []byte {
 	default:
 		panic(fmt.Sprintf("livenet: message kind %d cannot be wire-encoded", msg.kind))
 	}
+}
+
+// rxSlabs is one receive callback's region: decoded report batches' clocks
+// (a store of its own, as the hosted nodes' clocks come out of their
+// workers' regions) and, beside them, each decoded interval's one home, which
+// the receiving node's queue and solution sets refer to. reps stages a
+// frame's decode.
+type rxSlabs struct {
+	clocks *vclock.Store
+	homes  vclock.Slab[interval.Interval]
+	reps   []repair.Report
 }
 
 // onFrame is the transport's receive callback: decode — nothing decoded
@@ -818,15 +829,24 @@ func (c *Cluster) onFrame(to int, frame []byte) {
 		}
 		// A node only reports aggregates it created, so the interval's
 		// origin identifies the sender.
-		msg = message{kind: msgReport, from: r.Iv.Origin, seq: r.LinkSeq, epoch: r.Epoch, iv: r.Iv}
+		msg = message{kind: msgReport, from: r.Iv.Origin, seq: r.LinkSeq, epoch: r.Epoch, agg: &r.Iv}
 	case wire.KindReportBatch:
-		// Decoded into a recycled batch (the receiving node hands it back
-		// after ingest, like one flushed in-process) with its clocks carved
-		// from a pooled store. A decoded batch is never empty.
+		// Decoded with its clocks carved from pooled slabs, each report moved
+		// into a home beside them, and referred to from a recycled batch (the
+		// receiving node hands it back after ingest, like one flushed
+		// in-process). A decoded batch is never empty; a rejected frame
+		// decodes to nothing.
+		rx := c.rx.Get().(*rxSlabs)
+		reps, err := wire.AppendDecodedReportBatch(rx.reps[:0], frame, rx.clocks)
 		batch := batchPool.Get().(*reportBatch)
-		clocks := c.rxClocks.Get().(*vclock.Store)
-		batch.reps, err = wire.AppendDecodedReportBatch(batch.reps[:0], frame, clocks)
-		c.rxClocks.Put(clocks)
+		homes := rx.homes.Carve(len(reps))
+		for i := range reps {
+			homes[i] = reps[i].Iv
+			batch.reps = append(batch.reps, repair.Ref{Iv: &homes[i], LinkSeq: reps[i].LinkSeq, Epoch: reps[i].Epoch})
+		}
+		clear(reps)
+		rx.reps = reps[:0]
+		c.rx.Put(rx)
 		if err != nil {
 			batch.recycle()
 			ln.m.badFrames.Add(1)

@@ -48,8 +48,9 @@ type message struct {
 	from  int
 	seq   int // linkSeq (msgReport), reqID or round (timers)
 	epoch int
-	iv    interval.Interval
+	iv    interval.Interval   // msgLocal payload
 	ivs   []interval.Interval // msgLocalBatch payload
+	agg   *interval.Interval  // msgReport payload: the aggregate where it is stored
 	batch *reportBatch        // msgReportBatch payload
 	att   repair.Msg
 	hb    hbInfo
@@ -79,9 +80,8 @@ type liveNode struct {
 
 	node    *core.Node
 	parent  int
-	outSeq  int               // per-current-link counter for reports to parent
-	lastAgg interval.Interval // most recent aggregate, for resend-on-adopt
-	hasAgg  bool              // lastAgg holds a real aggregate
+	outSeq  int                // per-current-link counter for reports to parent
+	lastAgg *interval.Interval // most recent aggregate, for resend-on-adopt; nil before the first
 
 	// log is every detection this node has found, in order, its records
 	// carved from reg, the draining worker's region. Worker-confined like
@@ -107,11 +107,11 @@ type liveNode struct {
 	// one handle is stamped with the same reading.
 	foundAt int64
 
-	ivScratch  []interval.Interval // reused batch-ingestion staging
-	rdyScratch []repair.Report     // reused resequencer release staging
+	ivScratch  []*interval.Interval // reused batch-ingestion staging
+	rdyScratch []repair.Ref         // reused resequencer release staging
 
-	reseq     map[int]*repair.Resequencer // child id → resequencer
-	epochs    repair.Epochs               // value: the zero Epochs is ready to use
+	reseq     map[int]*repair.Resequencer[repair.Ref] // child id → resequencer
+	epochs    repair.Epochs                           // value: the zero Epochs is ready to use
 	seeker    *repair.Seeker
 	adopter   *repair.Adopter
 	suspected map[int]bool
@@ -141,16 +141,18 @@ type liveNode struct {
 	lastPruned int
 }
 
-// reportBatch is one flush's reports. The sender fills it, the message carries
-// it, and the receiver hands it back to batchPool once every report is copied
-// into a resequencer or a queue (a flush used to make and copy a fresh slice,
-// 179 B per interval at p=127). A batch dropped on the way is just collected.
-type reportBatch struct{ reps []repair.Report }
+// reportBatch is one flush's reports, each a reference to the aggregate in
+// its sender's detection record (or, decoded off a socket, in a receive
+// slab). The sender fills it, the message carries it, and the receiver hands
+// it back to batchPool once every reference is in a resequencer or a queue
+// (a flush used to make and copy a fresh slice, 179 B per interval at
+// p=127). A batch dropped on the way is just collected.
+type reportBatch struct{ reps []repair.Ref }
 
 var batchPool = sync.Pool{New: func() any { return new(reportBatch) }}
 
 // recycle returns an ingested (or encoded) batch to the pool, cleared first so
-// the pool keeps no interval or clock reachable.
+// the pool keeps no interval reachable.
 func (b *reportBatch) recycle() {
 	clear(b.reps)
 	b.reps = b.reps[:0]
@@ -228,7 +230,7 @@ func initLiveNode(ln *liveNode, c *Cluster, id int) {
 	ln.id = id
 	ln.node = core.NewNode(id, coreCfg, true)
 	ln.parent = c.topo.Parent(id)
-	ln.reseq = make(map[int]*repair.Resequencer)
+	ln.reseq = make(map[int]*repair.Resequencer[repair.Ref])
 	ln.rng = rand.New(rand.NewPCG(uint64(c.cfg.Seed), uint64(id)<<17|1))
 	ln.mb.init()
 	// The failure-detector maps (suspected, covered) and the repair state
@@ -241,7 +243,7 @@ func initLiveNode(ln *liveNode, c *Cluster, id int) {
 	}
 	for _, child := range c.topo.Children(id) {
 		ln.node.AddChild(child)
-		ln.reseq[child] = repair.NewResequencer()
+		ln.reseq[child] = repair.NewResequencer[repair.Ref]()
 		ln.watched.Add(child, c.cfg.HbEvery, c.now())
 		if c.remote {
 			// Seed each child's covered set from the initial topology (every
@@ -271,7 +273,7 @@ func (ln *liveNode) handle(msg *message) {
 			return
 		}
 		ln.c.emitEvent(obsv.Event{Kind: obsv.ReportRecv, Node: ln.id, Peer: msg.from, Seq: msg.seq, Count: 1})
-		ln.rdyScratch = rs.AcceptInto(&repair.Report{Iv: msg.iv, LinkSeq: msg.seq, Epoch: msg.epoch}, ln.rdyScratch[:0])
+		ln.rdyScratch = rs.AcceptInto(&repair.Ref{Iv: msg.agg, LinkSeq: msg.seq, Epoch: msg.epoch}, ln.rdyScratch[:0])
 		ln.ingest(msg.from, ln.rdyScratch)
 		ln.gaugeReseq()
 	case msgReportBatch:
@@ -326,30 +328,25 @@ func (ln *liveNode) handle(msg *message) {
 }
 
 // ingest feeds a resequencer's released run — in-order reports from one
-// child — into the detector. Consecutive reports of one reconfiguration
-// epoch go in as one batch (Algorithm 1 line 2: enqueue all, then detect
-// per exposed head); an epoch advance in the middle of the run means the
-// child's subtree changed and its stream restarted, so the queued remainder
-// of the old stream is discarded before the new epoch's reports enter.
-func (ln *liveNode) ingest(from int, ready []repair.Report) {
+// child — into the detector, by reference. Consecutive reports of one
+// reconfiguration epoch go in as one batch (Algorithm 1 line 2: enqueue all,
+// then detect per exposed head); an epoch advance in the middle of the run
+// means the child's subtree changed and its stream restarted, so the queued
+// remainder of the old stream is discarded before the new epoch's reports
+// enter.
+func (ln *liveNode) ingest(from int, ready []repair.Ref) {
 	for i := 0; i < len(ready); {
 		if ln.epochs.Observe(from, ready[i].Epoch) {
 			ln.node.ResetSource(from)
 		}
-		j := i + 1
-		for j < len(ready) && ready[j].Epoch == ready[i].Epoch {
-			j++
+		ivs := ln.ivScratch[:0]
+		j := i
+		for ; j < len(ready) && ready[j].Epoch == ready[i].Epoch; j++ {
+			ivs = append(ivs, ready[j].Iv)
 		}
-		if j == i+1 {
-			ln.deliver(ln.node.OnInterval(from, ready[i].Iv))
-		} else {
-			ivs := ln.ivScratch[:0]
-			for k := i; k < j; k++ {
-				ivs = append(ivs, ready[k].Iv)
-			}
-			ln.deliver(ln.node.OnIntervals(from, ivs))
-			ln.ivScratch = ivs[:0]
-		}
+		ln.deliver(ln.node.OnRefs(from, ivs))
+		clear(ivs)
+		ln.ivScratch = ivs[:0]
 		i = j
 	}
 }
@@ -358,18 +355,19 @@ func (ln *liveNode) ingest(from int, ready []repair.Report) {
 // so SolutionFound events keep the node's causal order — and reports each
 // aggregate upward. dets is the detector's own buffer (core.Node.OnInterval):
 // each Detection is copied out here once, into a record carved from the
-// worker's region, before the node is called again.
+// worker's region, before the node is called again; the report and the
+// parent's queue refer to the record's Agg.
 func (ln *liveNode) deliver(dets []core.Detection) {
 	for i := range dets {
-		det := &dets[i]
+		rec := ln.reg.Keep(&dets[i])
 		atRoot := ln.parent == tree.None
 		ln.m.detections.Add(1)
 		ln.noteLatency()
-		ln.log.add(Detection{Node: ln.id, AtRoot: atRoot, Det: ln.reg.Keep(det)})
+		ln.log.add(Detection{Node: ln.id, AtRoot: atRoot, Det: rec})
 		ln.c.emitEvent(obsv.Event{Kind: obsv.SolutionFound, Node: ln.id, Peer: obsv.NoPeer,
-			Seq: det.Agg.Seq, Count: 1, AtRoot: atRoot, Agg: det.Agg, Set: det.Set})
+			Seq: rec.Agg.Seq, Count: 1, AtRoot: atRoot, Agg: rec.Agg, Set: rec.Set})
 		if !atRoot {
-			ln.report(det.Agg)
+			ln.report(&rec.Agg)
 		}
 	}
 }
@@ -396,15 +394,15 @@ func (ln *liveNode) noteLatency() {
 // path, or into the drain's buffer under AdaptiveFlush. Reports to a crashed
 // parent are lost (its mailbox drains unhandled), exactly like in-flight
 // messages to a crashed process.
-func (ln *liveNode) report(agg interval.Interval) {
-	ln.lastAgg, ln.hasAgg = agg, true
+func (ln *liveNode) report(agg *interval.Interval) {
+	ln.lastAgg = agg
 	ln.emit(agg)
 }
 
 // resendLast re-reports the most recent aggregate to a newly adopted parent
 // (paper §III-B / Figure 2(c)).
 func (ln *liveNode) resendLast() {
-	if !ln.hasAgg || ln.parent == tree.None {
+	if ln.lastAgg == nil || ln.parent == tree.None {
 		return
 	}
 	ln.emit(ln.lastAgg)
@@ -414,13 +412,13 @@ func (ln *liveNode) resendLast() {
 // under AdaptiveFlush, buffers it until the end of the current mailbox drain
 // (runNode), covered by an explicit ledger credit taken at first buffer — so
 // Drain and Stop cover buffered reports.
-func (ln *liveNode) emit(agg interval.Interval) {
-	pl := repair.Report{Iv: agg, LinkSeq: ln.outSeq, Epoch: ln.epochs.Stamp()}
+func (ln *liveNode) emit(agg *interval.Interval) {
+	pl := repair.Ref{Iv: agg, LinkSeq: ln.outSeq, Epoch: ln.epochs.Stamp()}
 	ln.outSeq++
 	if !ln.c.cfg.AdaptiveFlush {
 		ln.m.msgsOut.Add(1)
 		ln.c.emitEvent(obsv.Event{Kind: obsv.ReportSent, Node: ln.id, Peer: ln.parent, Seq: pl.LinkSeq, Count: 1})
-		ln.c.send(ln.parent, message{kind: msgReport, from: ln.id, seq: pl.LinkSeq, epoch: pl.Epoch, iv: pl.Iv, born: ln.born}, ln.delay())
+		ln.c.send(ln.parent, message{kind: msgReport, from: ln.id, seq: pl.LinkSeq, epoch: pl.Epoch, agg: pl.Iv, born: ln.born}, ln.delay())
 		return
 	}
 	ln.bufferBorn()

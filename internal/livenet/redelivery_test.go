@@ -31,7 +31,7 @@ func TestLiveClusterRedelivery(t *testing.T) {
 		c.Observe(0, e.Streams[0][k])
 		for _, leaf := range []int{1, 2} {
 			// A leaf's aggregate is its own interval; linkSeq is the round.
-			msg := message{kind: msgReport, from: leaf, seq: k, iv: e.Streams[leaf][k]}
+			msg := message{kind: msgReport, from: leaf, seq: k, agg: &e.Streams[leaf][k]}
 			c.post(0, msg, delay())
 			c.post(0, msg, delay())
 		}

@@ -2,13 +2,9 @@ package livenet
 
 import (
 	"reflect"
-	"slices"
 	"sync"
 	"testing"
 
-	"hierdet/internal/core"
-	"hierdet/internal/interval"
-	"hierdet/internal/obsv"
 	"hierdet/internal/tree"
 	"hierdet/internal/workload"
 )
@@ -32,14 +28,8 @@ func TestRegionsKeepWhatTheDetectorReturned(t *testing.T) {
 	for i := range clusters {
 		execs[i] = workload.Generate(workload.Config{Topology: topo, Rounds: rounds, Seed: int64(i + 1),
 			PGlobal: .5, PGroup: .3, PSubset: .2})
-		sink := &sinks[i]
 		clusters[i] = New(Config{Topology: topo.Clone(), Seed: int64(i + 1), AdaptiveFlush: true, Scheduler: sched,
-			Events: func(e obsv.Event) {
-				if e.Kind == obsv.SolutionFound {
-					sink.add(Detection{Node: e.Node, AtRoot: e.AtRoot, Det: &core.Detection{
-						Node: e.Node, Set: cloneSet(e.Set), Agg: cloneInterval(e.Agg)}})
-				}
-			}})
+			Events: copySink(&sinks[i])})
 	}
 	var wg sync.WaitGroup
 	for i, c := range clusters {
@@ -70,18 +60,4 @@ func TestRegionsKeepWhatTheDetectorReturned(t *testing.T) {
 			t.Fatalf("tenant %d: %d root detections, ground truth %d", i, atRoot, wantRoot)
 		}
 	}
-}
-
-// cloneInterval copies x's clocks and span into storage of their own.
-func cloneInterval(x interval.Interval) interval.Interval {
-	x.Lo, x.Hi, x.Span = slices.Clone(x.Lo), slices.Clone(x.Hi), slices.Clone(x.Span)
-	return x
-}
-
-func cloneSet(set []interval.Interval) []interval.Interval {
-	out := make([]interval.Interval, len(set))
-	for i, x := range set {
-		out[i] = cloneInterval(x)
-	}
-	return out
 }

@@ -214,7 +214,7 @@ func (ln *liveNode) HasSource(child int) bool { return ln.node.HasSource(child) 
 // for the new child (its own heartbeats refresh both entries).
 func (ln *liveNode) Adopt(child int, covered []int) {
 	ln.node.AddChild(child)
-	ln.reseq[child] = repair.NewResequencer()
+	ln.reseq[child] = repair.NewResequencer[repair.Ref]()
 	ln.watched.Add(child, ln.c.cfg.HbEvery, ln.c.now())
 	if ln.c.remote {
 		ln.setCovered(child, covered)

@@ -34,10 +34,10 @@ type agent struct {
 	parent int
 	outSeq int // per-current-link counter for reports to parent
 
-	reseq     map[int]*repair.Resequencer // child id → resequencer
-	lastHeard map[int]simnet.Time         // peer id → last heartbeat time
-	lastAgg   *interval.Interval          // most recent aggregate, for resend-on-adopt
-	staleIvls int                         // reports from ex-children, dropped
+	reseq     map[int]*repair.Resequencer[ivlPayload] // child id → resequencer
+	lastHeard map[int]simnet.Time                     // peer id → last heartbeat time
+	lastAgg   *interval.Interval                      // most recent aggregate, for resend-on-adopt
+	staleIvls int                                     // reports from ex-children, dropped
 
 	// Batching state (Config.BatchWindow > 0): reports buffered for the
 	// current parent and whether a flush timer is pending.
@@ -68,7 +68,7 @@ func (r *Runner) buildHierarchical() {
 			id:            id,
 			node:          core.NewNode(id, coreCfg, true),
 			parent:        r.topo.Parent(id),
-			reseq:         make(map[int]*repair.Resequencer),
+			reseq:         make(map[int]*repair.Resequencer[ivlPayload]),
 			lastHeard:     make(map[int]simnet.Time),
 			covered:       make(map[int][]int),
 			suspectedDead: make(map[int]bool),
@@ -78,7 +78,7 @@ func (r *Runner) buildHierarchical() {
 		a.adopter = repair.NewAdopter(id, a)
 		for _, c := range r.topo.Children(id) {
 			a.node.AddChild(c)
-			a.reseq[c] = repair.NewResequencer()
+			a.reseq[c] = repair.NewResequencer[ivlPayload]()
 			a.covered[c] = r.topo.Subtree(c)
 		}
 		r.agents[id] = a
@@ -286,7 +286,7 @@ func (a *agent) removeChild(child int) []core.Detection {
 // node's own output epoch.
 func (a *agent) addChild(child int) {
 	a.node.AddChild(child)
-	a.reseq[child] = repair.NewResequencer()
+	a.reseq[child] = repair.NewResequencer[ivlPayload]()
 	a.lastHeard[child] = a.r.sim.Now()
 	a.covered[child] = a.r.topo.Subtree(child)
 	a.epochs.Forget(child)

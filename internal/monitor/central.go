@@ -23,7 +23,7 @@ type fwdPayload struct {
 type centRuntime struct {
 	sink      *centralized.Sink
 	sinkAgent *centAgent
-	reseq     map[int]*repair.Resequencer
+	reseq     map[int]*repair.Resequencer[ivlPayload]
 	removed   map[int]bool
 	// undeliverable counts intervals dropped because the network partitioned
 	// and no route to the sink remained.
@@ -51,11 +51,11 @@ func (r *Runner) buildCentralized() {
 	}, participants)
 	r.cent = &centRuntime{
 		sink:    sink,
-		reseq:   make(map[int]*repair.Resequencer),
+		reseq:   make(map[int]*repair.Resequencer[ivlPayload]),
 		removed: make(map[int]bool),
 	}
 	for _, p := range participants {
-		r.cent.reseq[p] = repair.NewResequencer()
+		r.cent.reseq[p] = repair.NewResequencer[ivlPayload]()
 	}
 	for _, id := range participants {
 		a := &centAgent{r: r, id: id, isSink: id == sinkID}

@@ -18,7 +18,7 @@ const (
 	ReportRecv
 	// SolutionFound: Node detected a satisfaction of the predicate over its
 	// subtree. AtRoot marks tree (or partition) roots; Agg is the
-	// ⊓-aggregate, Set the solution set when member retention is on, and
+	// ⊓-aggregate, Set the solution set (references to its members) and
 	// Seq the aggregate's sequence number at Node.
 	SolutionFound
 	// IntervalPruned: detection at Node deleted Count queue heads under the
@@ -120,10 +120,9 @@ type Event struct {
 	AtRoot bool
 	// Agg is SolutionFound's ⊓-aggregate (zero value otherwise).
 	Agg interval.Interval
-	// Set is SolutionFound's solution set when member retention
-	// (Verify/KeepMembers) is on; nil otherwise. The slice is shared with
-	// the detection record — sinks must not modify it.
-	Set []interval.Interval
+	// Set is SolutionFound's solution set: references to its members, shared
+	// with the detection record — sinks must not modify them.
+	Set []*interval.Interval
 	// Tenant names the detection tree the event belongs to when the emitter
 	// is a tenant plane: set on Tenant* events and on every per-tenant
 	// cluster event a Multiplexer forwards. Empty for a bare cluster.

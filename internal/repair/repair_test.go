@@ -24,7 +24,7 @@ func seqs(rs []Report) []int {
 }
 
 func TestResequencerOrdersAndFillsGaps(t *testing.T) {
-	q := NewResequencer()
+	q := NewResequencer[Report]()
 	if got := seqs(q.Accept(rep(2))); len(got) != 0 {
 		t.Fatalf("early 2 delivered %v", got)
 	}
@@ -40,7 +40,7 @@ func TestResequencerOrdersAndFillsGaps(t *testing.T) {
 }
 
 func TestResequencerDropsDuplicates(t *testing.T) {
-	q := NewResequencer()
+	q := NewResequencer[Report]()
 	// Duplicate of a buffered (not yet delivered) report: seq >= next.
 	q.Accept(rep(1))
 	if got := seqs(q.Accept(rep(1))); len(got) != 0 {
@@ -65,7 +65,7 @@ func TestResequencerDropsDuplicates(t *testing.T) {
 // TestResequencerRedeliveryStream hammers a random redelivery pattern and
 // asserts the delivered stream is exactly 0..n-1, duplicate-free, in order.
 func TestResequencerRedeliveryStream(t *testing.T) {
-	q := NewResequencer()
+	q := NewResequencer[Report]()
 	// Every seq delivered twice, second copies interleaved out of order.
 	arrivals := []int{1, 1, 0, 0, 3, 2, 3, 2, 4, 4, 1, 0}
 	var delivered []int

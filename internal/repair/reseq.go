@@ -12,28 +12,46 @@ type Report struct {
 	Epoch   int
 }
 
+// Ref is a Report that leaves its interval where it is stored: what the
+// live runtime hands from a child's detection record (or a decoded frame's
+// slot) to the parent's queue without a copy.
+type Ref struct {
+	Iv      *interval.Interval
+	LinkSeq int
+	Epoch   int
+}
+
+// Seq returns the report's link sequence number.
+func (r Report) Seq() int { return r.LinkSeq }
+
+// Seq returns the report's link sequence number.
+func (r Ref) Seq() int { return r.LinkSeq }
+
+// Sequenced is what a Resequencer orders.
+type Sequenced interface{ Seq() int }
+
 // Resequencer restores per-sender order over a non-FIFO link: reports carry
 // consecutive LinkSeq numbers starting at zero; out-of-order arrivals are
 // buffered and released in order, each with its own metadata (epoch).
 // Duplicates — sequence numbers below the delivery frontier, or already
 // buffered — are dropped, so redelivery (e.g. a transport retry) can never
 // deliver a report twice or out of order.
-type Resequencer struct {
+type Resequencer[R Sequenced] struct {
 	next    int
-	pending map[int]Report
+	pending map[int]R
 	dropped int
 }
 
 // NewResequencer returns an empty resequencer expecting sequence 0. The
 // pending map builds lazily on the first out-of-order arrival — an in-order
 // link never allocates it.
-func NewResequencer() *Resequencer {
-	return &Resequencer{}
+func NewResequencer[R Sequenced]() *Resequencer[R] {
+	return &Resequencer[R]{}
 }
 
 // Accept ingests one report and returns the (possibly empty) batch now
 // deliverable in order.
-func (q *Resequencer) Accept(r Report) []Report {
+func (q *Resequencer[R]) Accept(r R) []R {
 	return q.AcceptInto(&r, nil)
 }
 
@@ -41,7 +59,7 @@ func (q *Resequencer) Accept(r Report) []Report {
 // right now — next in order, nothing buffered, what every report on a FIFO
 // link is — and, when it is, counts it delivered: the caller hands on its
 // own copy and spares AcceptInto's.
-func (q *Resequencer) AcceptNext(seq int) bool {
+func (q *Resequencer[R]) AcceptNext(seq int) bool {
 	if seq != q.next || len(q.pending) != 0 {
 		return false
 	}
@@ -55,22 +73,23 @@ func (q *Resequencer) AcceptNext(seq int) bool {
 // hot path reuses one scratch slice per link instead of allocating a
 // single-element slice per report, and skips the pending map entirely when
 // nothing is buffered.
-func (q *Resequencer) AcceptInto(r *Report, out []Report) []Report {
-	if r.LinkSeq < q.next {
+func (q *Resequencer[R]) AcceptInto(r *R, out []R) []R {
+	seq := (*r).Seq()
+	if seq < q.next {
 		q.dropped++
 		return out // duplicate: already delivered
 	}
-	if q.AcceptNext(r.LinkSeq) {
+	if q.AcceptNext(seq) {
 		return append(out, *r) // deliver without touching the map
 	}
-	if _, dup := q.pending[r.LinkSeq]; dup {
+	if _, dup := q.pending[seq]; dup {
 		q.dropped++
 		return out // duplicate: already buffered, keep the first copy
 	}
 	if q.pending == nil {
-		q.pending = make(map[int]Report)
+		q.pending = make(map[int]R)
 	}
-	q.pending[r.LinkSeq] = *r
+	q.pending[seq] = *r
 	for {
 		next, ok := q.pending[q.next]
 		if !ok {
@@ -83,7 +102,7 @@ func (q *Resequencer) AcceptInto(r *Report, out []Report) []Report {
 }
 
 // Buffered returns the number of reports held back waiting for a gap.
-func (q *Resequencer) Buffered() int { return len(q.pending) }
+func (q *Resequencer[R]) Buffered() int { return len(q.pending) }
 
 // Dropped returns the number of duplicate reports discarded.
-func (q *Resequencer) Dropped() int { return q.dropped }
+func (q *Resequencer[R]) Dropped() int { return q.dropped }

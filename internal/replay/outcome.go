@@ -5,10 +5,10 @@ package replay
 // delivery-order-independent projection of a detection list — node,
 // root-ness, aggregate identity (origin, sequence), span and the aggregate's
 // clocks — sorted by (Node, Agg.Seq), which is a total order because a
-// node's aggregates are numbered by a single writer. Detection.Set is
-// deliberately excluded: the members backing a solution depend on which
-// queue heads were resident when the cascade fired, which is delivery-order
-// state, not predicate truth.
+// node's aggregates are numbered by a single writer. Detection.Set — the
+// references to the queue heads the solution was made of — is deliberately
+// excluded: which heads were resident when the cascade fired is
+// delivery-order state, not predicate truth.
 
 import (
 	"encoding/binary"

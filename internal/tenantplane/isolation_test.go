@@ -39,7 +39,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 func detBytes(dets []livenet.Detection) []byte {
 	var buf bytes.Buffer
 	for _, d := range dets {
-		set := append([]interval.Interval(nil), d.Det.Set...)
+		set := values(d.Det.Set)
 		sort.SliceStable(set, func(i, j int) bool {
 			if set[i].Origin != set[j].Origin {
 				return set[i].Origin < set[j].Origin
@@ -49,6 +49,15 @@ func detBytes(dets []livenet.Detection) []byte {
 		fmt.Fprintf(&buf, "%d|%v|%d|%v|%+v\n", d.Node, d.AtRoot, d.Det.Node, set, d.Det.Agg)
 	}
 	return buf.Bytes()
+}
+
+// values copies a solution set's members out, for printing.
+func values(set []*interval.Interval) []interval.Interval {
+	out := make([]interval.Interval, len(set))
+	for i, x := range set {
+		out[i] = *x
+	}
+	return out
 }
 
 // killStableBytes is detBytes for runs that killed a mid-tree node. Whether
@@ -70,7 +79,7 @@ func killStableBytes(dets []livenet.Detection, fullSpan, survivorSpan int) []byt
 				continue
 			}
 		}
-		set := append([]interval.Interval(nil), d.Det.Set...)
+		set := values(d.Det.Set)
 		sort.SliceStable(set, func(i, j int) bool {
 			if set[i].Origin != set[j].Origin {
 				return set[i].Origin < set[j].Origin

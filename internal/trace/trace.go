@@ -64,11 +64,16 @@ func FlatCount(e *workload.Execution, span []int, seed int64) int {
 	return len(FlatDetections(e, span, seed))
 }
 
-// CheckDetection verifies one reported detection: the aggregate must expand
-// to base intervals (requires KeepMembers), the bases must pairwise satisfy
-// the Definitely condition min(x) < max(y) (Eq. 2), and the aggregate's span
-// must equal the set of base origins. Returns a descriptive error.
-func CheckDetection(d core.Detection) error {
+// CheckDetection verifies one reported detection: the members of its
+// solution set must pairwise satisfy the Definitely condition
+// min(x) < max(y) (Eq. 2), the aggregate must expand to base intervals
+// (requires KeepMembers), the bases must satisfy Eq. 2 too, and the
+// aggregate's span must equal the set of base origins. Returns a descriptive
+// error.
+func CheckDetection(d *core.Detection) error {
+	if len(d.Set) > 0 && !interval.OverlapRefs(d.Set) {
+		return fmt.Errorf("detection at node %d violates Eq. 2 (solution set members do not pairwise overlap)", d.Node)
+	}
 	bases := interval.BaseIntervals(d.Agg)
 	origins := make(map[int]bool)
 	for _, b := range bases {
@@ -96,8 +101,8 @@ func CheckDetection(d core.Detection) error {
 
 // CheckAll runs CheckDetection over a batch, failing on the first error.
 func CheckAll(dets []core.Detection) error {
-	for _, d := range dets {
-		if err := CheckDetection(d); err != nil {
+	for i := range dets {
+		if err := CheckDetection(&dets[i]); err != nil {
 			return err
 		}
 	}

@@ -87,7 +87,7 @@ func TestHierarchicalMatchesFlatOnChaos(t *testing.T) {
 					}
 				}
 				for _, d := range res.Detections {
-					if err := CheckDetection(d.Det); err != nil {
+					if err := CheckDetection(&d.Det); err != nil {
 						t.Fatalf("trial %d: %v", trial, err)
 					}
 				}
@@ -122,7 +122,7 @@ func TestSubsetWorkloadFullStack(t *testing.T) {
 		}
 	}
 	for _, d := range res.Detections {
-		if err := CheckDetection(d.Det); err != nil {
+		if err := CheckDetection(&d.Det); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -132,26 +132,31 @@ func TestCheckDetectionCatchesViolations(t *testing.T) {
 	good := interval.New(0, 0, vclock.Of(1, 0), vclock.Of(3, 2))
 	good2 := interval.New(1, 0, vclock.Of(0, 1), vclock.Of(2, 3))
 	agg := interval.Aggregate([]interval.Interval{good, good2}, 1, 0, true)
-	if err := CheckDetection(core.Detection{Node: 1, Set: []interval.Interval{good, good2}, Agg: agg}); err != nil {
+	if err := CheckDetection(&core.Detection{Node: 1, Set: []*interval.Interval{&good, &good2}, Agg: agg}); err != nil {
 		t.Fatalf("valid detection rejected: %v", err)
 	}
 
 	// Non-overlapping bases.
 	late := interval.New(1, 0, vclock.Of(4, 4), vclock.Of(5, 5))
 	bad := interval.Aggregate([]interval.Interval{good, late}, 1, 0, true)
-	if err := CheckDetection(core.Detection{Node: 1, Agg: bad}); err == nil {
+	if err := CheckDetection(&core.Detection{Node: 1, Agg: bad}); err == nil {
 		t.Fatal("non-overlapping bases accepted")
+	}
+
+	// Non-overlapping solution set members.
+	if err := CheckDetection(&core.Detection{Node: 1, Set: []*interval.Interval{&good, &late}, Agg: agg}); err == nil {
+		t.Fatal("non-overlapping solution set accepted")
 	}
 
 	// Opaque aggregate (no members retained).
 	opaque := interval.Aggregate([]interval.Interval{good, good2}, 1, 0, false)
-	if err := CheckDetection(core.Detection{Node: 1, Agg: opaque}); err == nil {
+	if err := CheckDetection(&core.Detection{Node: 1, Agg: opaque}); err == nil {
 		t.Fatal("opaque aggregate accepted")
 	}
 
 	// Duplicate origin.
 	dup := interval.Aggregate([]interval.Interval{good, good}, 1, 0, true)
-	if err := CheckDetection(core.Detection{Node: 1, Agg: dup}); err == nil {
+	if err := CheckDetection(&core.Detection{Node: 1, Agg: dup}); err == nil {
 		t.Fatal("duplicate-origin solution accepted")
 	}
 }

@@ -34,7 +34,7 @@ type Store struct {
 	words *Slab[uint32] // nil until the first pair, or CarveFrom
 
 	// LastSpan is the owner's slot for the process-id span it published with
-	// its latest bounds pair (interval.AggregateFlat keeps it): a node's
+	// its latest bounds pair (interval.AggregateRefs keeps it): a node's
 	// successive aggregates mostly cover the same processes, and the next
 	// one shares the slice instead of building an equal one. The store
 	// itself never reads it.

@@ -28,35 +28,48 @@ import (
 	"fmt"
 	"slices"
 
+	"hierdet/internal/interval"
 	"hierdet/internal/repair"
 	"hierdet/internal/vclock"
 )
 
 // AppendReportBatch appends the batch frame encoding of reps to dst and
-// returns the extended buffer. It operates on repair.Report — the type the
-// runtimes buffer windows in — so a flush encodes straight out of the window
-// buffer; it allocates only when dst lacks capacity, which is what makes the
-// pooled-buffer flush path allocation-free. Panics on an empty batch (a
-// flush with nothing to flush is a caller bug).
-//
+// returns the extended buffer. It allocates only when dst lacks capacity,
+// which is what makes the pooled-buffer flush path allocation-free. Panics
+// on an empty batch (a flush with nothing to flush is a caller bug).
+func AppendReportBatch(dst []byte, reps []repair.Report) []byte {
+	return appendBatch(dst, len(reps), func(i int) (*interval.Interval, reportMeta) {
+		return &reps[i].Iv, reportMeta{linkSeq: reps[i].LinkSeq, epoch: reps[i].Epoch}
+	})
+}
+
+// AppendRefBatch is AppendReportBatch over references — the form the live
+// runtime buffers a flush in — producing the same bytes.
+func AppendRefBatch(dst []byte, refs []repair.Ref) []byte {
+	return appendBatch(dst, len(refs), func(i int) (*interval.Interval, reportMeta) {
+		return refs[i].Iv, reportMeta{linkSeq: refs[i].LinkSeq, epoch: refs[i].Epoch}
+	})
+}
+
+// appendBatch encodes the n reports report(0)…report(n-1) as one batch frame.
 // Each element is encoded once, behind room left for its length prefix; when
 // the length turns out to need a different number of prefix bytes than its
 // predecessor's did, the element slides into place. Sizing it first
 // (ReportSizeV2) was a second pass over both clocks.
-func AppendReportBatch(dst []byte, reps []repair.Report) []byte {
-	if len(reps) == 0 {
+func appendBatch(dst []byte, n int, report func(int) (*interval.Interval, reportMeta)) []byte {
+	if n == 0 {
 		panic("wire: empty report batch")
 	}
 	dst = append(dst, magic, verV2, KindReportBatch, 0)
-	dst = binary.AppendUvarint(dst, uint64(len(reps)))
+	dst = binary.AppendUvarint(dst, uint64(n))
 	var basis vclock.VC
 	var pad [binary.MaxVarintLen32]byte
 	room := 2 // reports of 128 B to 16 KiB, i.e. of 30 to 4000 processes
-	for i := range reps {
-		pl := &reps[i]
+	for i := 0; i < n; i++ {
+		iv, meta := report(i)
 		at := len(dst)
 		dst = append(dst, pad[:room]...)
-		dst = appendReport(dst, &pl.Iv, reportMeta{linkSeq: pl.LinkSeq, epoch: pl.Epoch}, basis)
+		dst = appendReport(dst, iv, meta, basis)
 		size := len(dst) - at - room
 		if need := uvarintLen(uint64(size)); need != room {
 			if need > room {
@@ -67,7 +80,7 @@ func AppendReportBatch(dst []byte, reps []repair.Report) []byte {
 			room = need
 		}
 		binary.PutUvarint(dst[at:], uint64(size))
-		basis = pl.Iv.Hi
+		basis = iv.Hi
 	}
 	return dst
 }
