@@ -50,13 +50,6 @@ type cmpVerdict struct {
 // positive Config.FanoutThreshold pins it statically.
 const defaultFanoutThreshold = 32768
 
-func (nd *Node) fanoutThreshold() int {
-	if nd.cfg.FanoutThreshold > 0 {
-		return nd.cfg.FanoutThreshold
-	}
-	return nd.policy.cut()
-}
-
 // detectPar is detect for the parallel engine: the identical outer loop over
 // source positions, the aggregate materialized flat (interval.AggregateFlat)
 // instead of scratch aggregation plus a compact clone.
@@ -199,11 +192,11 @@ func (nd *Node) compare(p pair) cmpVerdict {
 	return cmpVerdict{xBeforeY, yBeforeX}
 }
 
-// compareAll fills verdicts[i] with the fused CompareLess of pairs[i],
-// fanning the round out to the pool when the lane decision says so and
-// running it inline otherwise. With a static Config.FanoutThreshold the
-// decision is the historical size cut; by default the adaptive policy decides
-// and measured rounds feed their cost back.
+// compareAll fills verdicts[i] with the verdict of pairs[i]: fanned out to
+// the pool when the lane decision says so, every pair evaluated by the fused
+// CompareLess, and inline otherwise (sweep). With a static
+// Config.FanoutThreshold the decision is the historical size cut; by default
+// the adaptive policy decides and measured rounds feed their cost back.
 func (nd *Node) compareAll(pairs []pair, verdicts []cmpVerdict) {
 	comps := len(pairs) * nd.cfg.N
 	fan, measure := false, false
@@ -219,13 +212,14 @@ func (nd *Node) compareAll(pairs []pair, verdicts []cmpVerdict) {
 		t0 = time.Now()
 	}
 	if fan {
-		nd.fanOut("comparison", len(pairs), func(i int) { verdicts[i] = nd.compare(pairs[i]) })
+		nd.fanOut(len(pairs), func(i int) { verdicts[i] = nd.compare(pairs[i]) })
 	} else {
 		if len(pairs) > 0 {
 			nd.cfg.Pool.noteInline()
 		}
-		for i, p := range pairs {
-			verdicts[i] = nd.compare(p)
+		calls := nd.sweep(pairs, verdicts)
+		if sweepHook != nil {
+			sweepHook(nd, pairs, verdicts, calls)
 		}
 	}
 	if measure {
@@ -233,11 +227,53 @@ func (nd *Node) compareAll(pairs []pair, verdicts []cmpVerdict) {
 	}
 }
 
+// sweepHook, set by tests only, sees every inline round after its sweep.
+var sweepHook func(nd *Node, pairs []pair, verdicts []cmpVerdict, calls int)
+
+// sweep is the inline lane: the round's pairs in pair order, skipping what
+// cannot change the deletion list. It marks each position an earlier pair of
+// the round condemned (inRound, zero at rest). A pair of two marked heads is
+// not evaluated; with one marked head only the direction that can condemn the
+// other is, by Less; otherwise both are, fused. A skipped direction reads
+// true — it condemns nothing — and its head is on the deletion list already,
+// so the list comes out as the all-pairs evaluation builds it (DESIGN §10).
+// Returns the comparison calls made.
+func (nd *Node) sweep(pairs []pair, verdicts []cmpVerdict) (calls int) {
+	dead := nd.inRound
+	for i, p := range pairs {
+		v := cmpVerdict{true, true}
+		da, db := dead[p.a] != 0, dead[p.b] != 0
+		if da && db {
+			verdicts[i] = v
+			continue
+		}
+		x, y := nd.qs[p.a].Head(), nd.qs[p.b].Head()
+		switch {
+		case da:
+			v.xBeforeY = x.Lo.Less(y.Hi)
+		case db:
+			v.yBeforeX = y.Lo.Less(x.Hi)
+		default:
+			v.xBeforeY, v.yBeforeX = vclock.CompareLess(x.Lo, y.Hi, y.Lo, x.Hi)
+		}
+		calls++
+		if !v.xBeforeY {
+			dead[p.b] = 1
+		}
+		if !v.yBeforeX {
+			dead[p.a] = 1
+		}
+		verdicts[i] = v
+	}
+	clear(dead)
+	return calls
+}
+
 // fanOut runs fn(0)…fn(n-1) across the pool under the epoch guard: every
 // queue's generation is sampled before and after, and a moved generation — a
 // producer mutating a queue mid-round — panics. fn reads queue heads and
-// writes only its own slot of the round's scratch.
-func (nd *Node) fanOut(what string, n int, fn func(int)) {
+// writes only its own slot of the round's verdicts.
+func (nd *Node) fanOut(n int, fn func(int)) {
 	gens := nd.gens[:0]
 	for _, q := range nd.qs {
 		gens = append(gens, q.Gen())
@@ -245,7 +281,7 @@ func (nd *Node) fanOut(what string, n int, fn func(int)) {
 	nd.cfg.Pool.Run(n, fn)
 	for i, q := range nd.qs {
 		if q.Gen() != gens[i] {
-			panic(fmt.Sprintf("core: node %d: queue %d mutated during a parallel %s round (single-writer contract violated)", nd.id, nd.srcs[i], what))
+			panic(fmt.Sprintf("core: node %d: queue %d mutated during a parallel comparison round (single-writer contract violated)", nd.id, nd.srcs[i]))
 		}
 	}
 	nd.gens = gens[:0]
@@ -320,29 +356,17 @@ func (nd *Node) carve(need int) []*interval.Interval {
 	return nd.region().sets.Carve(need)
 }
 
-// prunePar is prune with each head's keep decision taken by pruneKeep — one
-// after another, or concurrently when the source set is large enough to fan
-// out: a decision reads only queue heads (and Eq. 9 successor peeks) and
-// writes its own slot. Comparisons are tallied per head and summed in source
-// order, so Stats match the sequential engine exactly.
+// prunePar is prune by position: every head's keep decision (pruneKeep)
+// taken before any head is deleted, one after another on the calling
+// goroutine. Fanning the decisions out across the pool measured no better on
+// wide_compare, the one workload whose prunes were large enough to fan out
+// (EXPERIMENTS.md): with Less's early exit a prune costs a fraction of the
+// s(s−1)n components the fan-out cut priced it at.
 func (nd *Node) prunePar(removable []int) []int {
 	qs := nd.qs
-	s := len(qs)
-	if cap(nd.keeps) < s {
-		nd.keeps = make([]pruneVerdict, s)
-	}
-	keeps := nd.keeps[:s]
-	if nd.cfg.Pool != nil && s >= 4 && s*(s-1)*nd.cfg.N >= nd.fanoutThreshold() {
-		nd.fanOut("pruning", s, func(i int) { keeps[i] = nd.pruneKeep(i) })
-	} else {
-		for i := range keeps {
-			keeps[i] = nd.pruneKeep(i)
-		}
-	}
-	for i, k := range keeps {
-		nd.stats.VecComparisons += k.comparisons
-		if !k.keep {
-			removable = append(removable, i)
+	for a := range qs {
+		if !nd.pruneKeep(a) {
+			removable = append(removable, a)
 		}
 	}
 	if len(removable) == 0 {
@@ -359,39 +383,30 @@ func (nd *Node) prunePar(removable []int) []int {
 	return removable
 }
 
-// pruneVerdict is one head's pruning decision plus the comparisons it took,
-// so the serial tally reproduces the sequential VecComparisons count.
-type pruneVerdict struct {
-	keep        bool
-	comparisons int
-}
-
 // pruneKeep evaluates Eq. 10 (and, under ExactPrune, Eq. 9) for the head at
-// position a — the loop body of the sequential prune, mutating nothing. The
-// comparison stays the scalar, early-exit Less: two members of one solution
-// set have concurrent upper bounds, which the first few components refute,
-// and the vector kernel, streaming all n, measured 7 % slower end to end
-// here (EXPERIMENTS, PR 24).
-func (nd *Node) pruneKeep(a int) pruneVerdict {
-	var v pruneVerdict
+// position a — the loop body of the sequential prune, counting its
+// comparisons the same way. Two members of one solution set mostly have
+// concurrent upper bounds, so nearly every Less here is false, and Less
+// returns at the first eight-component block that refutes it (vclock's
+// early-exit kernel) instead of streaming all n components.
+func (nd *Node) pruneKeep(a int) bool {
 	xa := nd.qs[a].Head()
 	for b, qb := range nd.qs {
 		if b == a {
 			continue
 		}
-		v.comparisons++
+		nd.stats.VecComparisons++
 		if !qb.Head().Hi.Less(xa.Hi) {
 			continue // Eq. 10 certifies x_b cannot revive x_a
 		}
 		if nd.cfg.ExactPrune && qb.Len() > 1 {
 			// x_b's successor is already here: apply Eq. 9 exactly.
-			v.comparisons++
+			nd.stats.VecComparisons++
 			if !qb.At(1).Lo.Less(xa.Hi) {
 				continue // succ(x_b) does not overlap x_a either
 			}
 		}
-		v.keep = true
-		return v
+		return true
 	}
-	return v
+	return false
 }

@@ -183,16 +183,16 @@ type Node struct {
 	// flat bounds store) aggregate bounds carve from. Parallel-engine state
 	// (nil/empty under the sequential oracle): the store, the
 	// buffer detections are returned in (valid until the next call; see
-	// OnInterval), a round's pairs, verdicts and keep decisions, the
+	// OnInterval), a round's pairs and verdicts, the
 	// per-position mark of which sources a round was triggered by (1 + index
-	// in its trigger list, 0 at rest), the epoch guard's samples, and the
-	// adaptive fanout policy.
+	// in its trigger list, 0 at rest) and, during an inline sweep, which heads
+	// the round has condemned, the epoch guard's samples, and the adaptive
+	// fanout policy.
 	store    *vclock.Store
 	reg      *Region
 	detBuf   []Detection
 	pairs    []pair
 	verdicts []cmpVerdict
-	keeps    []pruneVerdict
 	inRound  []int32
 	gens     []uint64
 	policy   fanoutPolicy

@@ -22,7 +22,7 @@ import (
 
 // parallelEquivalent drives one sequential-oracle node and one parallel node
 // through an identical schedule — random per-source chunks, interleaved
-// RemoveChild and ResetSource reconfigurations — and requires byte-identical
+// RemoveChild, adoption and ResetSource reconfigurations — and requires byte-identical
 // detections and identical Stats at every point where both have quiesced.
 func parallelEquivalent(t *testing.T, seed int64, nSel uint8, pool *Pool) bool {
 	n := 2 + int(nSel%5) // 2..6 sources
@@ -40,6 +40,10 @@ func parallelEquivalent(t *testing.T, seed int64, nSel uint8, pool *Pool) bool {
 
 	rng := rand.New(rand.NewSource(seed ^ 0x9a11e1))
 	idx := make([]int, n)
+	ids := make([]int, n) // the child id stream p feeds
+	for p := range ids {
+		ids[p] = p
+	}
 	removed := make([]bool, n)
 	live := n
 	var seqDets, parDets []Detection
@@ -49,21 +53,28 @@ func parallelEquivalent(t *testing.T, seed int64, nSel uint8, pool *Pool) bool {
 			if removed[p] {
 				continue
 			}
-			// Reconfigurations, rarely: drop a source for good (keeping at
-			// least two live so detection stays possible), or reset its
-			// stream as a repair epoch would — discard the queue, forget the
-			// succession baseline, keep feeding.
+			// Reconfigurations, rarely: drop a source (keeping at least two
+			// live so detection stays possible) — for good, or adopted back
+			// under a fresh child id that carries on with the stream — or
+			// reset its stream as a repair epoch would: discard the queue,
+			// forget the succession baseline, keep feeding.
 			if live > 2 && rng.Intn(40) == 0 {
-				seqDets = append(seqDets, seq.RemoveChild(p)...)
-				parDets = append(parDets, par.RemoveChild(p)...)
+				seqDets = append(seqDets, seq.RemoveChild(ids[p])...)
+				parDets = append(parDets, par.RemoveChild(ids[p])...)
+				progressed = true
+				if rng.Intn(2) == 0 {
+					ids[p] += 100
+					seq.AddChild(ids[p])
+					par.AddChild(ids[p])
+					continue
+				}
 				removed[p] = true
 				live--
-				progressed = true
 				continue
 			}
 			if rng.Intn(40) == 0 {
-				seq.ResetSource(p)
-				par.ResetSource(p)
+				seq.ResetSource(ids[p])
+				par.ResetSource(ids[p])
 			}
 			left := len(streams[p]) - idx[p]
 			if left == 0 {
@@ -73,8 +84,8 @@ func parallelEquivalent(t *testing.T, seed int64, nSel uint8, pool *Pool) bool {
 			run := streams[p][idx[p] : idx[p]+k]
 			idx[p] += k
 			progressed = true
-			seqDets = append(seqDets, seq.OnIntervals(p, run)...)
-			parDets = append(parDets, par.OnIntervals(p, run)...)
+			seqDets = append(seqDets, seq.OnIntervals(ids[p], run)...)
+			parDets = append(parDets, par.OnIntervals(ids[p], run)...)
 		}
 		if !progressed {
 			break

@@ -17,11 +17,36 @@ func benchPair(n int) (VC, VC) {
 }
 
 // BenchmarkLess is the detector's innermost operation: the O(n) factor in
-// every complexity bound of §IV.
+// every complexity bound of §IV. The refute=k cases plant the one component
+// that refutes an otherwise true comparison at k — where Eq. 10's prune,
+// whose verdict is almost always false, stops — and the true cases scan all.
 func BenchmarkLess(b *testing.B) {
 	for _, n := range []int{8, 64, 512} {
 		x, y := benchPair(n)
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				_ = x.Less(y)
+			}
+		})
+	}
+	for _, n := range []int{63, 127, 273} {
+		x, y := make(VC, n), make(VC, n)
+		for i := range x {
+			x[i], y[i] = uint32(i), uint32(i)+1
+		}
+		for _, k := range []int{0, 64, n - 1} {
+			if k >= n {
+				continue
+			}
+			z := x.Clone()
+			z[k] = y[k] + 1
+			b.Run(fmt.Sprintf("n=%d/refute=%d", n, k), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					_ = z.Less(y)
+				}
+			})
+		}
+		b.Run(fmt.Sprintf("n=%d/true", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				_ = x.Less(y)
 			}

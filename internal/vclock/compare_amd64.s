@@ -135,6 +135,50 @@ noStrictB:
 	MOVQ R11, ret+40(FP)
 	RET
 
+// func lessBlocks(v, u *uint32, n int) uint64
+//
+// Scans v and u eight uint32 components per step and returns lessFail at the
+// first step holding a component with v[k] > u[k]. A lane has v ≤ u when
+// max(v, u) == u (VPMAXUD is unsigned: no sign-flip idiom). Past the last
+// step the result is lessStrict when some component differed, else 0. n must
+// be positive and a multiple of 8; the caller handles the scalar tail.
+TEXT ·lessBlocks(SB), NOSPLIT, $0-32
+	MOVQ v+0(FP), SI
+	MOVQ u+8(FP), DI
+	MOVQ n+16(FP), CX
+	VPCMPEQD Y14, Y14, Y14     // eq accumulator (all ones; AND of eq masks)
+
+lessLoop:
+	VMOVDQU (SI), Y0           // v
+	VMOVDQU (DI), Y1           // u
+	VPMAXUD Y1, Y0, Y2
+	VPCMPEQD Y1, Y2, Y2        // v ≤ u per lane
+	VPMOVMSKB Y2, AX
+	CMPL AX, $-1
+	JNE  lessRefuted
+	VPCMPEQD Y1, Y0, Y3        // v == u per lane
+	VPAND Y3, Y14, Y14
+	ADDQ $32, SI
+	ADDQ $32, DI
+	SUBQ $8, CX
+	JNZ  lessLoop
+
+	XORQ R11, R11
+	VPMOVMSKB Y14, AX
+	CMPL AX, $-1               // strict: some lane not equal
+	JE   lessDone
+	MOVQ $2, R11
+
+lessDone:
+	VZEROUPPER
+	MOVQ R11, ret+24(FP)
+	RET
+
+lessRefuted:
+	VZEROUPPER
+	MOVQ $1, ret+24(FP)
+	RET
+
 // func cpuHasAVX2() bool
 //
 // CPUID leaf 1 for OSXSAVE+AVX, XGETBV XCR0 for OS-enabled XMM/YMM state,

@@ -49,3 +49,38 @@ func TestCompareLessEqualClocks(t *testing.T) {
 		t.Fatalf("CompareLess(v,v,v,v) = (%v,%v), want (false,false)", a, b)
 	}
 }
+
+// TestLessBlockBoundaries plants the one refuting component of an otherwise
+// strictly smaller clock at each edge of the kernel's eight-component blocks
+// and of its scalar tail, across widths below, at and above compareVecMin.
+func TestLessBlockBoundaries(t *testing.T) {
+	for _, n := range []int{15, 16, 17, 63, 127, 273} {
+		v, u := make(VC, n), make(VC, n)
+		for i := range v {
+			v[i] = uint32(i)
+			u[i] = v[i] + 1
+		}
+		if !v.Less(u) || u.Less(v) {
+			t.Fatalf("n=%d: v < u, but Less says %v and u < v %v", n, v.Less(u), u.Less(v))
+		}
+		if v.Less(v) {
+			t.Fatalf("n=%d: a clock is Less than itself", n)
+		}
+		for _, k := range []int{0, 7, 8, 15, 16, n - 1} {
+			if k >= n {
+				continue
+			}
+			w := v.Clone()
+			w[k] = u[k] + 1
+			if w.Less(u) || lessScalar(w, u) {
+				t.Fatalf("n=%d: refutation at %d missed", n, k)
+			}
+			// Equal everywhere but one strictly smaller component at k.
+			e := u.Clone()
+			e[k]--
+			if !e.Less(u) || !lessScalar(e, u) {
+				t.Fatalf("n=%d: strictness only at %d missed", n, k)
+			}
+		}
+	}
+}

@@ -193,3 +193,48 @@ func FuzzDeltaCodecMatchesReference(f *testing.F) {
 		}
 	})
 }
+
+// FuzzLessMatchesScalar pins Less — the AVX2 kernel from lessVecMin
+// components on amd64 — to the scalar loop: n from 0 to 300, values from
+// data (ties where a byte is even, spread up to the sign bit), and by mode
+// the clocks as drawn, all-equal clocks, one refuting component planted at k
+// (in any block or in the tail), or equal clocks but for one smaller
+// component at k.
+func FuzzLessMatchesScalar(f *testing.F) {
+	for _, n := range []uint16{0, 1, 15, 16, 17, 63, 127, 273, 300} {
+		for _, k := range []uint16{0, 7, 8, 15, 16, n - 1} {
+			for mode := range uint8(4) {
+				f.Add([]byte{1, 0, 2, 0xff}, n, k, mode)
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte, n, k uint16, mode uint8) {
+		n %= 301
+		v, u := make(VC, n), make(VC, n)
+		for i := range v {
+			var d byte
+			if len(data) > 0 {
+				d = data[i%len(data)]
+			}
+			v[i] = uint32(d)<<24 | uint32(i)
+			u[i] = v[i] + uint32(d&1)
+		}
+		mode %= 4
+		if mode >= 2 && n == 0 {
+			return
+		}
+		switch mode {
+		case 1:
+			copy(u, v)
+		case 2: // v[k] = u[k] + 1
+			v[k%n], u[k%n] = v[k%n]+1, v[k%n]
+		case 3: // u = v but u[k] = v[k] + 1
+			copy(u, v)
+			u[k%n]++
+		}
+		got, oracle := v.Less(u), lessScalar(v, u)
+		if got != oracle || (mode != 0 && got != (mode == 3)) {
+			t.Fatalf("n=%d k=%d mode=%d: Less = %v, scalar oracle = %v\nv=%v\nu=%v", n, k, mode, got, oracle, v, u)
+		}
+	})
+}

@@ -195,8 +195,22 @@ func (v VC) Compare(u VC) Ordering {
 // of u and at least one is strictly smaller. This is the timestamp image of
 // Lamport's happens-before relation, and the comparison written "min(x) <
 // max(y)" throughout the paper.
+//
+// It returns at the first component that refutes it. On amd64 with AVX2, from
+// lessVecMin components, a kernel (compare_amd64.s) scans eight components a
+// step and stops at the first step holding a refutation; elsewhere, and below
+// that width, lessScalar runs. Both compute the identical pure function.
 func (v VC) Less(u VC) bool {
 	v.check(u)
+	if len(v) >= lessVecMin {
+		return lessVec(v, u)
+	}
+	return lessScalar(v, u)
+}
+
+// lessScalar is Less's portable loop: the path off amd64 and below the
+// vector width, and the differential-test oracle for the kernel.
+func lessScalar(v, u VC) bool {
 	strict := false
 	for k := range v {
 		if v[k] > u[k] {
@@ -211,13 +225,14 @@ func (v VC) Less(u VC) bool {
 
 // CompareLess evaluates the two Less comparisons of the pairwise Definitely
 // condition — aLob = (aLo < bHi) and bLoa = (bLo < aHi) — in one fused pass
-// over the component index. The elimination loop and Overlap run exactly this
-// pair on every head-to-head check; the common verdict at a detecting node is
-// "both true" (Eq. 2 overlap), which no early exit can shortcut — every
-// component must be inspected — so on amd64 with AVX2 the pass runs a
-// vectorized kernel (compare_amd64.s) at four components per step. Elsewhere,
-// and below the vector break-even width, it runs the fused scalar loop, which
-// keeps the early exits: each comparison settles to false the moment a
+// over the component index, for the elimination rounds that need both
+// directions of a head-to-head check. Their common verdict at a detecting
+// node is "both true" (Eq. 2 overlap), which only a scan of every component
+// can establish, so on amd64 with AVX2 the pass runs a kernel
+// (compare_amd64.s) that streams all components eight per step with no early
+// exit. A round that needs one direction only calls Less, which keeps its
+// early exit. Elsewhere, and below the vector break-even width, CompareLess
+// runs the fused scalar loop: each comparison settles to false the moment a
 // component exceeds its counterpart, and the loop stops once both are
 // settled. Both paths compute the identical pure function of the operands.
 func CompareLess(aLo, bHi, bLo, aHi VC) (aLob, bLoa bool) {
@@ -255,7 +270,9 @@ func lessFrom(v, u VC, k int, strict bool) bool {
 		if v[k] > u[k] {
 			return false
 		}
-		strict = strict || v[k] != u[k]
+		if v[k] < u[k] {
+			strict = true
+		}
 	}
 	return strict
 }
