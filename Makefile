@@ -66,7 +66,7 @@ profile:
 	$(GO) tool pprof -top -nodecount 40 $(PROFILE_OUT)/livenet.test $(PROFILE_OUT)/cpu.prof
 	$(GO) tool pprof -sample_index=alloc_space -top -nodecount 40 $(PROFILE_OUT)/livenet.test $(PROFILE_OUT)/mem.prof
 
-# Short fuzz passes over the wire codecs and the Less kernel. Patterns are anchored: a bare
+# Short fuzz passes over the wire codecs, the Less kernel and the span rule. Patterns are anchored: a bare
 # FuzzDecodeReport would match both FuzzDecodeReport and FuzzDecodeReportV2,
 # and `go test -fuzz` refuses ambiguous patterns.
 fuzz:
@@ -74,6 +74,7 @@ fuzz:
 	$(GO) test -run FuzzDecodeDelta -fuzz FuzzDecodeDelta -fuzztime 30s ./internal/vclock/
 	$(GO) test -run FuzzDeltaCodecMatchesReference -fuzz FuzzDeltaCodecMatchesReference -fuzztime 30s ./internal/vclock/
 	$(GO) test -run FuzzLessMatchesScalar -fuzz FuzzLessMatchesScalar -fuzztime 30s ./internal/vclock/
+	$(GO) test -run FuzzSpanVerdictMatchesFullScan -fuzz FuzzSpanVerdictMatchesFullScan -fuzztime 30s ./internal/interval/
 	$(GO) test -run 'FuzzDecodeReport$$' -fuzz 'FuzzDecodeReport$$' -fuzztime 30s ./internal/wire/
 	$(GO) test -run FuzzDecodeReportV2 -fuzz FuzzDecodeReportV2 -fuzztime 30s ./internal/wire/
 	$(GO) test -run FuzzDecodeReportBatch -fuzz FuzzDecodeReportBatch -fuzztime 30s ./internal/wire/

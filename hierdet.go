@@ -59,6 +59,12 @@ func NewVC(n int) VC { return vclock.New(n) }
 // Interval is a duration during which a local predicate held at one process,
 // or the ⊓-aggregation of a detected solution set; both are identified by a
 // pair of vector-timestamp cuts.
+//
+// A base interval's Lo and Hi must be Fidge–Mattern timestamps of events at
+// its Origin, where every event — a receive included — ticks the owner's
+// component (Process keeps this). The detector decides most comparisons on
+// the components of an interval's Span and is exact only under that
+// contract; NodeConfig.Strict checks it.
 type Interval = interval.Interval
 
 // NewInterval builds a base interval for process origin with sequence number
@@ -118,7 +124,9 @@ type NodeConfig struct {
 	// expanded to base intervals (debugging/verification; costs memory).
 	KeepMembers bool
 	// Strict makes nodes panic when a source's intervals arrive out of
-	// generation order — a transport bug detector.
+	// generation order — a transport bug detector — or when clocks break the
+	// Interval contract (every comparison decided on a span is recomputed on
+	// all components).
 	Strict bool
 }
 

@@ -131,7 +131,8 @@ func sync3(origin, seq, lo, hi int) interval.Interval {
 // at the end, under both engines.
 func TestPublishedSetsOutliveReconfiguration(t *testing.T) {
 	for _, parallel := range []bool{false, true} {
-		nd := NewNode(0, Config{N: 3, Strict: true, Parallel: parallel}, true)
+		// Four processes, so the adopted child 3 is one of them.
+		nd := NewNode(0, Config{N: 4, Strict: true, Parallel: parallel}, true)
 		nd.AddChild(1)
 		nd.AddChild(2)
 		var kept []Detection
@@ -140,7 +141,10 @@ func TestPublishedSetsOutliveReconfiguration(t *testing.T) {
 			kept = append(kept, dets...)
 			asFound = append(asFound, encodeDetections(dets)...)
 		}
-		round := func(p, r int) interval.Interval { return sync3(p, r, 10*r+1, 10*r+5) }
+		round := func(p, r int) interval.Interval {
+			lo, hi := uint32(10*r+1), uint32(10*r+5)
+			return interval.New(p, r, vclock.Of(lo, lo, lo, lo), vclock.Of(hi, hi, hi, hi))
+		}
 		for r := 0; r < 4; r++ {
 			for p := 0; p < 3; p++ {
 				take(nd.OnInterval(p, round(p, r)))

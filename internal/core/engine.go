@@ -13,9 +13,10 @@ import (
 // loop as detectSeq/eliminate/prune, with sources addressed by position
 // (nd.qs beside nd.srcs) instead of through the queue map, heads read where
 // they are stored (the queues hold references), aggregate bounds and solution
-// sets carved from a Region — and with the O(n)-per-comparison work, the only
-// part that grows with system size, able to partition across a bounded
-// worker Pool.
+// sets carved from a Region, comparisons decided on the components of a span
+// where those settle them (interval.SpanLess, DESIGN §10) — and with the
+// per-comparison work, the only part that grows with system size, able to
+// partition across a bounded worker Pool.
 //
 // A round has one shape whether it runs on the calling goroutine or fanned
 // out: the list of (position, position) head pairs Algorithm 1 enumerates,
@@ -26,11 +27,11 @@ import (
 // exactly the heads the sequential engine deletes, in the same order:
 // byte-identical detections and identical Stats, property-tested against the
 // sequential path, which is kept verbatim as the oracle (Config{Parallel:
-// false}). Where a round leaves the owner's goroutine an epoch guard —
-// Queue.Gen sampled around it — turns a concurrent mutation into an
-// immediate panic rather than a race. Producers are never blocked by a
-// cascade: in the live runtime they enqueue into mailboxes, and the detector
-// drains them only between detect calls.
+// false}), for clocks that keep the interval.Interval contract. Where a round
+// leaves the owner's goroutine an epoch guard — Queue.Gen sampled around it —
+// turns a concurrent mutation into an immediate panic rather than a race.
+// Producers are never blocked by a cascade: in the live runtime they enqueue
+// into mailboxes, and the detector drains them only between detect calls.
 
 // pair is one head-to-head check of an elimination round, by source position.
 type pair struct{ a, b int32 }
@@ -187,14 +188,61 @@ func (nd *Node) eliminatePar(trigger []int) {
 
 // compare is one pair's verdict, read from the two queue heads.
 func (nd *Node) compare(p pair) cmpVerdict {
-	x, y := nd.qs[p.a].Head(), nd.qs[p.b].Head()
-	xBeforeY, yBeforeX := vclock.CompareLess(x.Lo, y.Hi, y.Lo, x.Hi)
-	return cmpVerdict{xBeforeY, yBeforeX}
+	return nd.verdict(nd.qs[p.a].Head(), nd.qs[p.b].Head())
+}
+
+// verdict is min(x) < max(y) and min(y) < max(x), each decided on its span
+// where that settles it, the rest by the full scan: fused if both are. It
+// runs on pool workers too, so it does not check Strict (checkVerdict does).
+func (nd *Node) verdict(x, y *interval.Interval) cmpVerdict {
+	xy, okx := interval.SpanLess(x.Lo, y.Hi, x.Span)
+	yx, oky := interval.SpanLess(y.Lo, x.Hi, y.Span)
+	switch {
+	case !okx && !oky:
+		xy, yx = vclock.CompareLess(x.Lo, y.Hi, y.Lo, x.Hi)
+	case !okx:
+		xy = x.Lo.Less(y.Hi)
+	case !oky:
+		yx = y.Lo.Less(x.Hi)
+	}
+	return cmpVerdict{xy, yx}
+}
+
+// less is a < b for one direction, a a bound of the interval span covers:
+// decided on span where interval.SpanLess settles it, else the full scan.
+// Called on the owner's goroutine only.
+func (nd *Node) less(a, b vclock.VC, span []int) bool {
+	less, ok := interval.SpanLess(a, b, span)
+	if !ok {
+		less = a.Less(b)
+	}
+	if nd.cfg.Strict {
+		nd.checkClocks(a, b, span, less)
+	}
+	return less
+}
+
+// checkVerdict is Strict's recheck of both directions of a pair's verdict.
+// It runs on the owner's goroutine, after a fanned round has returned, so
+// its panic reaches the caller the way checkSuccession's does instead of
+// killing the process from a pool worker.
+func (nd *Node) checkVerdict(x, y *interval.Interval, v cmpVerdict) {
+	nd.checkClocks(x.Lo, y.Hi, x.Span, v.xBeforeY)
+	nd.checkClocks(y.Lo, x.Hi, y.Span, v.yBeforeX)
+}
+
+// checkClocks is Strict's full-scan recomputation of a verdict.
+func (nd *Node) checkClocks(a, b vclock.VC, span []int, less bool) {
+	if a.Less(b) != less {
+		panic(fmt.Sprintf("core: node %d: clock contract violated: %v < %v is %v on span %v, %v on every component "+
+			"(a base interval's bounds must be Fidge–Mattern timestamps of events at its origin, every receive ticking)",
+			nd.id, a, b, less, span, !less))
+	}
 }
 
 // compareAll fills verdicts[i] with the verdict of pairs[i]: fanned out to
-// the pool when the lane decision says so, every pair evaluated by the fused
-// CompareLess, and inline otherwise (sweep). With a static
+// the pool when the lane decision says so, every pair evaluated in both
+// directions (verdict), and inline otherwise (sweep). With a static
 // Config.FanoutThreshold the decision is the historical size cut; by default
 // the adaptive policy decides and measured rounds feed their cost back.
 func (nd *Node) compareAll(pairs []pair, verdicts []cmpVerdict) {
@@ -213,6 +261,11 @@ func (nd *Node) compareAll(pairs []pair, verdicts []cmpVerdict) {
 	}
 	if fan {
 		nd.fanOut(len(pairs), func(i int) { verdicts[i] = nd.compare(pairs[i]) })
+		if nd.cfg.Strict {
+			for i, p := range pairs {
+				nd.checkVerdict(nd.qs[p.a].Head(), nd.qs[p.b].Head(), verdicts[i])
+			}
+		}
 	} else {
 		if len(pairs) > 0 {
 			nd.cfg.Pool.noteInline()
@@ -234,7 +287,7 @@ var sweepHook func(nd *Node, pairs []pair, verdicts []cmpVerdict, calls int)
 // cannot change the deletion list. It marks each position an earlier pair of
 // the round condemned (inRound, zero at rest). A pair of two marked heads is
 // not evaluated; with one marked head only the direction that can condemn the
-// other is, by Less; otherwise both are, fused. A skipped direction reads
+// other is (less); otherwise both are (verdict). A skipped direction reads
 // true — it condemns nothing — and its head is on the deletion list already,
 // so the list comes out as the all-pairs evaluation builds it (DESIGN §10).
 // Returns the comparison calls made.
@@ -250,11 +303,14 @@ func (nd *Node) sweep(pairs []pair, verdicts []cmpVerdict) (calls int) {
 		x, y := nd.qs[p.a].Head(), nd.qs[p.b].Head()
 		switch {
 		case da:
-			v.xBeforeY = x.Lo.Less(y.Hi)
+			v.xBeforeY = nd.less(x.Lo, y.Hi, x.Span)
 		case db:
-			v.yBeforeX = y.Lo.Less(x.Hi)
+			v.yBeforeX = nd.less(y.Lo, x.Hi, y.Span)
 		default:
-			v.xBeforeY, v.yBeforeX = vclock.CompareLess(x.Lo, y.Hi, y.Lo, x.Hi)
+			v = nd.verdict(x, y)
+			if nd.cfg.Strict {
+				nd.checkVerdict(x, y, v)
+			}
 		}
 		calls++
 		if !v.xBeforeY {
@@ -360,8 +416,9 @@ func (nd *Node) carve(need int) []*interval.Interval {
 // taken before any head is deleted, one after another on the calling
 // goroutine. Fanning the decisions out across the pool measured no better on
 // wide_compare, the one workload whose prunes were large enough to fan out
-// (EXPERIMENTS.md): with Less's early exit a prune costs a fraction of the
-// s(s−1)n components the fan-out cut priced it at.
+// (EXPERIMENTS.md): with Less's early exit and base heads decided on one
+// component, a prune costs a fraction of the s(s−1)n components the fan-out
+// cut priced it at.
 func (nd *Node) prunePar(removable []int) []int {
 	qs := nd.qs
 	for a := range qs {
@@ -385,10 +442,12 @@ func (nd *Node) prunePar(removable []int) []int {
 
 // pruneKeep evaluates Eq. 10 (and, under ExactPrune, Eq. 9) for the head at
 // position a — the loop body of the sequential prune, counting its
-// comparisons the same way. Two members of one solution set mostly have
-// concurrent upper bounds, so nearly every Less here is false, and Less
-// returns at the first eight-component block that refutes it (vclock's
-// early-exit kernel) instead of streaming all n components.
+// comparisons the same way. max(x_b) < max(x_a) is decided on x_b's one
+// component when x_b is a base interval. An aggregate's max is a meet its
+// span does not determine, so it takes Less. Two members of one solution set
+// mostly have concurrent upper bounds, so nearly every Less here is false,
+// and Less returns at the first eight-component block that refutes it
+// (vclock's early-exit kernel) instead of streaming all n components.
 func (nd *Node) pruneKeep(a int) bool {
 	xa := nd.qs[a].Head()
 	for b, qb := range nd.qs {
@@ -396,13 +455,17 @@ func (nd *Node) pruneKeep(a int) bool {
 			continue
 		}
 		nd.stats.VecComparisons++
-		if !qb.Head().Hi.Less(xa.Hi) {
+		xb, span := qb.Head(), []int(nil)
+		if len(xb.Span) == 1 {
+			span = xb.Span
+		}
+		if !nd.less(xb.Hi, xa.Hi, span) {
 			continue // Eq. 10 certifies x_b cannot revive x_a
 		}
 		if nd.cfg.ExactPrune && qb.Len() > 1 {
 			// x_b's successor is already here: apply Eq. 9 exactly.
 			nd.stats.VecComparisons++
-			if !qb.At(1).Lo.Less(xa.Hi) {
+			if succ := qb.At(1); !nd.less(succ.Lo, xa.Hi, succ.Span) {
 				continue // succ(x_b) does not overlap x_a either
 			}
 		}

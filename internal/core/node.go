@@ -59,10 +59,10 @@ type Stats struct {
 	// that failed or was adopted away.
 	Dropped int
 	// VecComparisons counts vector-timestamp comparisons executed by the
-	// elimination loop and the pruning rule. Each comparison costs O(n)
-	// component operations, which is how the paper's O(d²pn²) arises. The
-	// count is of *logical* comparisons — the pairs Algorithm 1 enumerates —
-	// and is identical across engines.
+	// elimination loop and the pruning rule. The paper prices each at O(n)
+	// component operations, its O(d²pn²); the parallel engine decides most on
+	// a span instead. The count is of *logical* comparisons — the pairs
+	// Algorithm 1 enumerates — and is identical across engines.
 	VecComparisons int
 	// FilteredComparisons and MemoHits counted what the digest guard and the
 	// verdict memo answered without a clock scan. Both layers are gone and
@@ -97,10 +97,13 @@ type Config struct {
 	// can expand detections back to base intervals. Off in production.
 	KeepMembers bool
 
-	// Strict enables succession checking: every interval accepted from a
-	// source must start causally after the previously accepted interval from
-	// that source ended (max(x) < min(succ(x)), Theorem 2). Violations panic;
-	// they indicate a transport-layer ordering bug, never a data condition.
+	// Strict checks what the detector assumes: every interval accepted from
+	// a source must start causally after the previously accepted interval
+	// from that source ended (max(x) < min(succ(x)), Theorem 2), and every
+	// verdict decided on a span must match the full scan (the clock contract
+	// of interval.Interval). Violations panic; they indicate a
+	// transport-layer ordering bug or clocks that break the contract, never
+	// a data condition.
 	Strict bool
 
 	// ExactPrune additionally applies the exact removal condition Eq. 9
@@ -113,12 +116,12 @@ type Config struct {
 	ExactPrune bool
 
 	// Parallel switches the node to the partitioned detection engine: the
-	// same Algorithm 1 loop as rounds over queue heads read in place, fanned
-	// out across Pool when large enough, aggregate bounds and solution sets
-	// carved from a Region (see Use), and a one-source node passing
-	// intervals straight through. Detections and Stats are
-	// byte-identical to the sequential engine (property-tested); the
-	// sequential path remains available as the oracle when Parallel is off.
+	// same Algorithm 1 loop as rounds over queue heads read in place, decided
+	// on spans (interval.SpanLess) and fanned out across Pool when large,
+	// bounds and sets carved from a Region (see Use), a one-source node
+	// passing intervals straight through. Detections and Stats are those of
+	// the sequential oracle (Parallel off; property-tested) for clocks that
+	// keep the interval.Interval contract.
 	Parallel bool
 
 	// Pool is the shared comparison worker set for the parallel engine. A
@@ -270,7 +273,11 @@ func (nd *Node) HasSource(src int) bool {
 	return ok
 }
 
+// addSource panics on an id outside [0, N): spans index clocks by it.
 func (nd *Node) addSource(src int) {
+	if src < 0 || src >= nd.cfg.N {
+		panic(fmt.Sprintf("core: node %d: source process id %d outside [0, %d)", nd.id, src, nd.cfg.N))
+	}
 	if _, ok := nd.queues[src]; ok {
 		panic(fmt.Sprintf("core: node %d already has source %d", nd.id, src))
 	}
@@ -281,7 +288,8 @@ func (nd *Node) addSource(src int) {
 
 // AddChild creates a queue for a (possibly newly adopted) child subtree. The
 // paper's §III-F: "nodes having new child processes will create a new local
-// queue to receive aggregated intervals reported from each new child".
+// queue to receive aggregated intervals reported from each new child". Like
+// NewNode for a local node's own id, it panics on an id outside [0, N).
 func (nd *Node) AddChild(child int) {
 	if child == nd.id {
 		panic(fmt.Sprintf("core: node %d cannot be its own child", nd.id))

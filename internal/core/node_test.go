@@ -354,6 +354,10 @@ func TestAddChildValidation(t *testing.T) {
 		"self-child": func() { nd.AddChild(3) },
 		"dup-child":  func() { nd.AddChild(1); nd.AddChild(1) },
 		"bad-config": func() { NewNode(0, Config{}, true) },
+		// A source id indexes clocks through its intervals' spans.
+		"child-past-N":    func() { nd.AddChild(4) },
+		"negative-child":  func() { nd.AddChild(-1) },
+		"local-id-past-N": func() { NewNode(4, Config{N: 4}, true) },
 	} {
 		func() {
 			defer func() {

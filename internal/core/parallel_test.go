@@ -6,6 +6,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"hierdet/internal/interval"
+	"hierdet/internal/vclock"
 	"hierdet/internal/workload"
 )
 
@@ -20,18 +22,40 @@ import (
 // inline and the pool untouched). Run under -race, the snapshot/verdict
 // phases double as a data-race check on the single-writer queue contract.
 
-// parallelEquivalent drives one sequential-oracle node and one parallel node
-// through an identical schedule — random per-source chunks, interleaved
-// RemoveChild, adoption and ResetSource reconfigurations — and requires byte-identical
-// detections and identical Stats at every point where both have quiesced.
+// parallelEquivalent is equivalent over 2..6 sources, Eq. 10 alone.
 func parallelEquivalent(t *testing.T, seed int64, nSel uint8, pool *Pool) bool {
-	n := 2 + int(nSel%5) // 2..6 sources
-	streams := workload.GenerateChaotic(workload.ChaoticConfig{
-		N: n, Steps: 50 * n, Seed: seed,
-	}).Streams
+	return equivalent(t, seed, 2+int(nSel%5), false, pool)
+}
 
-	seq := NewNode(99, Config{N: n, Strict: true, KeepMembers: true}, false)
-	par := NewNode(99, Config{N: n, Strict: true, KeepMembers: true,
+// chaoticWidth is the system size the parity schedules run in: their n ≤ 8
+// processes plus idle ones, so that an adopted child has a fresh id (p+8).
+const chaoticWidth = 16
+
+// widen pads every clock of streams to chaoticWidth components with zeros —
+// processes that execute nothing, which keeps the clocks Fidge–Mattern.
+func widen(streams [][]interval.Interval) [][]interval.Interval {
+	pad := func(v vclock.VC) vclock.VC { return append(v.Clone(), make(vclock.VC, chaoticWidth-len(v))...) }
+	for _, s := range streams {
+		for i, iv := range s {
+			s[i] = interval.New(iv.Origin, iv.Seq, pad(iv.Lo), pad(iv.Hi))
+		}
+	}
+	return streams
+}
+
+// equivalent drives one sequential-oracle node and one parallel node through
+// an identical schedule — random per-source chunks of a chaotic execution of
+// n processes, interleaved RemoveChild, adoption and ResetSource
+// reconfigurations — and requires byte-identical detections and identical
+// Stats at every point where both have quiesced. Both run Strict, so every
+// verdict the parallel engine decides on a span is recomputed by the full scan.
+func equivalent(t *testing.T, seed int64, n int, exact bool, pool *Pool) bool {
+	streams := widen(workload.GenerateChaotic(workload.ChaoticConfig{
+		N: n, Steps: 50 * n, Seed: seed,
+	}).Streams)
+
+	seq := NewNode(99, Config{N: chaoticWidth, Strict: true, KeepMembers: true, ExactPrune: exact}, false)
+	par := NewNode(99, Config{N: chaoticWidth, Strict: true, KeepMembers: true, ExactPrune: exact,
 		Parallel: true, Pool: pool, FanoutThreshold: 1}, false)
 	for p := 0; p < n; p++ {
 		seq.AddChild(p)
@@ -55,15 +79,16 @@ func parallelEquivalent(t *testing.T, seed int64, nSel uint8, pool *Pool) bool {
 			}
 			// Reconfigurations, rarely: drop a source (keeping at least two
 			// live so detection stays possible) — for good, or adopted back
-			// under a fresh child id that carries on with the stream — or
-			// reset its stream as a repair epoch would: discard the queue,
-			// forget the succession baseline, keep feeding.
+			// under a fresh child id (p and the idle p+8 take turns) that
+			// carries on with the stream — or reset its stream as a repair
+			// epoch would: discard the queue, forget the succession
+			// baseline, keep feeding.
 			if live > 2 && rng.Intn(40) == 0 {
 				seqDets = append(seqDets, seq.RemoveChild(ids[p])...)
 				parDets = append(parDets, par.RemoveChild(ids[p])...)
 				progressed = true
 				if rng.Intn(2) == 0 {
-					ids[p] += 100
+					ids[p] ^= 8
 					seq.AddChild(ids[p])
 					par.AddChild(ids[p])
 					continue

@@ -30,6 +30,11 @@ import (
 //
 // For a base interval Lo ≤ Hi component-wise; Theorem 2 shows the same holds
 // for aggregates of overlapping sets.
+//
+// The clock contract: a base interval's Lo and Hi are Fidge–Mattern
+// timestamps of events at Origin, in an execution where every event — a
+// receive included — ticks its own process's component. The detector's
+// comparisons rely on it (SpanLess); Config.Strict in internal/core checks it.
 type Interval struct {
 	// Lo and Hi are the bounding cuts (min(x) and max(x)).
 	Lo, Hi vclock.VC
@@ -158,6 +163,38 @@ func (x Interval) String() string {
 func Overlap(x, y Interval) bool {
 	a, b := vclock.CompareLess(x.Lo, y.Hi, y.Lo, x.Hi)
 	return a && b
+}
+
+// SpanLess decides a < b on the components in span when they settle it, and
+// reports whether they did; when they do not, the caller runs the full scan
+// (vclock.VC.Less or CompareLess). a is the join of the timestamps of events
+// at the processes in span — min(x) with span x.Span for any interval x, or
+// max(x) with span x.Span for a base one — and b a meet of event timestamps,
+// max(y) for any interval y.
+//
+// Under the clock contract (Interval) this is exact. Take x's base member at
+// process k, starting (or, for max(x), ending) at event e, and any base
+// member of y ending at f: V(e)[k] ≤ a[k] ≤ b[k] ≤ V(f)[k], so f has seen e
+// and V(e) ≤ V(f). Joining over e and meeting over f gives a ≤ b, strict
+// where some span component is. A refutation — some a[k] > b[k] — is exact
+// for any clocks; only the true verdict leans on the contract. Every span
+// component equal or an empty span is left undecided, and so is a span
+// naming a component the clocks do not have: spans arrive off the wire, and a
+// peer's bad id must cost a full scan, not an index out of range.
+func SpanLess(a, b vclock.VC, span []int) (less, decided bool) {
+	if len(span) == 0 || len(a) != len(b) {
+		return false, false
+	}
+	for _, k := range span {
+		if uint(k) >= uint(len(a)) {
+			return false, false
+		}
+		if a[k] > b[k] {
+			return false, true
+		}
+		less = less || a[k] < b[k]
+	}
+	return less, less
 }
 
 // OverlapAll reports overlap(X): min(xᵢ) < max(xⱼ) for every ordered pair

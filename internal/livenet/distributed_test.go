@@ -242,6 +242,79 @@ func TestDistributedRedeliveryAndCorruptFrames(t *testing.T) {
 	}
 }
 
+// TestDistributedReportSpanOutsideSystem: a peer whose well-formed reports
+// name a process id past the system (span [N+5]) must not crash the receiver.
+// The detector compares on spans, and such an id would index a clock out of
+// range; the comparison falls back to the full scan, so every root detection
+// is still found, under Strict.
+func TestDistributedReportSpanOutsideSystem(t *testing.T) {
+	const rounds, n = 4, 2
+	build := func() *tree.Topology { return tree.Chain(n) }
+	e := workload.Generate(workload.Config{Topology: build(), Rounds: rounds, Seed: 9, PGlobal: 1})
+
+	net := transport.NewNetwork()
+	epRoot := net.Endpoint(0)
+	epLeaf := net.Endpoint(1)
+
+	// Every report the leaf sends reaches the root re-encoded with the bad id.
+	var mu sync.Mutex
+	rewritten := 0
+	epLeaf.Drop = func(to int, frame []byte) bool {
+		k, err := wire.FrameKind(frame)
+		if err != nil || (k != wire.KindReport && k != wire.KindReportBatch) {
+			return false
+		}
+		var out []byte
+		if k == wire.KindReport {
+			r, err := wire.DecodeReport(frame)
+			if err != nil {
+				t.Errorf("leaf report: %v", err)
+				return false
+			}
+			r.Iv.Span = []int{n + 5}
+			out = wire.EncodeReportV2(r)
+		} else {
+			reps, err := wire.DecodeReportBatch(frame)
+			if err != nil {
+				t.Errorf("leaf report batch: %v", err)
+				return false
+			}
+			for i := range reps {
+				reps[i].Iv.Span = []int{n + 5}
+			}
+			out = wire.AppendReportBatch(nil, reps)
+		}
+		mu.Lock()
+		rewritten++
+		mu.Unlock()
+		epRoot.Inject(to, out)
+		return true
+	}
+
+	var log detLog
+	mk := func(id int, ep *transport.Endpoint) *Cluster {
+		return New(Config{
+			Topology: build(), Seed: 3, Strict: true, KeepMembers: true,
+			HbEvery: time.Millisecond, Transport: ep, LocalNodes: []int{id},
+			Events: testSink(&log, nil),
+		})
+	}
+	root, leaf := mk(0, epRoot), mk(1, epLeaf)
+	feedOne(root, e, 0, 0, rounds)
+	feedOne(leaf, e, 1, 0, rounds)
+	waitCond(t, "root detections over the forged reports", func() bool { return log.rootSpan(2) == rounds })
+
+	dets := append(root.Stop(), leaf.Stop()...)
+	if got := spanCount(dets, 2); got != rounds {
+		t.Errorf("root detections = %d, want %d", got, rounds)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if rewritten == 0 {
+		t.Error("the leaf sent no report to rewrite")
+	}
+}
+
 // TestDistributedOverTCP runs the seven-node failover scenario over real
 // loopback sockets: seven clusters, each with its own TCP transport, a
 // mid-tree victim killed between phases, orphans reattaching over TCP. The

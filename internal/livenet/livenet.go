@@ -369,7 +369,9 @@ func (c *Cluster) now() int64 { return int64(time.Since(c.startAt)) + 1 }
 // may call Observe concurrently. Observe blocks while p's mailbox shard is
 // at its bound (backpressure) and must not be called after Stop;
 // observations for killed processes are silently dropped (the process is
-// dead — it generates nothing).
+// dead — it generates nothing). iv's clocks must keep the interval.Interval
+// contract — Fidge–Mattern timestamps of events at p, every receive ticking
+// — which the detector's span comparisons rely on.
 func (c *Cluster) Observe(p int, iv interval.Interval) {
 	ln := c.admit(p, 1)
 	if ln == nil {
