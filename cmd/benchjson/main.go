@@ -26,11 +26,11 @@
 // and comparisons, wire encode/decode (v1 vs v2, pooled), interval
 // aggregation and queue, detector node work, TCP loopback, and the
 // simulator's Figure 4/5 byte-volume sweeps. The scale suite runs the live
-// runtime's p ∈ {127, 511, 1023} lanes (BenchmarkLiveScale: the sharded
-// sequential oracle and the parallel current path; entries up to PR 10b also
-// carry the legacy and batched lanes since deleted) plus the batched report
-// encode path, and summarizes each size's lanes — p=1023 parallel throughput
-// and p99 latency are the gated headline.
+// runtime at p ∈ {127, 511, 1023} (BenchmarkLiveScale's one lane, parallel:
+// the current path; older entries also carry the sharded, legacy and batched
+// lanes since deleted) plus the batched report encode path, and summarizes
+// each size — p=1023 parallel throughput and p99 latency are the gated
+// headline.
 //
 // Files recorded in the old single-run format are migrated in place: the
 // previous run becomes the trajectory's first entry.
@@ -460,28 +460,26 @@ func summarizeHotpath(suites []suiteOut) map[string]float64 {
 
 // summarizeScale derives the scale-lane headlines: per-size throughput,
 // latency quantiles, goroutine high-water marks and worst-node comparison
-// counts for both lanes, and the batched encode path's allocation count.
+// counts of the parallel lane, and the batched encode path's allocation
+// count.
 func summarizeScale(suites []suiteOut) map[string]float64 {
 	sum := map[string]float64{}
-	lanes := []string{"sharded", "parallel"}
 	for _, p := range []int{127, 511, 1023} {
-		for _, lane := range lanes {
-			name := fmt.Sprintf("BenchmarkLiveScale/p=%d/%s", p, lane)
-			if v, ok := metric(suites, "./internal/livenet", name, "intervals/sec"); ok {
-				sum[fmt.Sprintf("p%d_%s_intervals_per_sec", p, lane)] = v
-			}
-			if v, ok := metric(suites, "./internal/livenet", name, "peak-goroutines"); ok {
-				sum[fmt.Sprintf("p%d_%s_peak_goroutines", p, lane)] = v
-			}
-			if v, ok := metric(suites, "./internal/livenet", name, "worst-node-cmps/run"); ok {
-				sum[fmt.Sprintf("p%d_%s_worst_node_cmps", p, lane)] = v
-			}
-			if v, ok := metric(suites, "./internal/livenet", name, "latency-p50-ms"); ok {
-				sum[fmt.Sprintf("p%d_%s_latency_p50_ms", p, lane)] = v
-			}
-			if v, ok := metric(suites, "./internal/livenet", name, "latency-p99-ms"); ok {
-				sum[fmt.Sprintf("p%d_%s_latency_p99_ms", p, lane)] = v
-			}
+		name := fmt.Sprintf("BenchmarkLiveScale/p=%d/parallel", p)
+		if v, ok := metric(suites, "./internal/livenet", name, "intervals/sec"); ok {
+			sum[fmt.Sprintf("p%d_parallel_intervals_per_sec", p)] = v
+		}
+		if v, ok := metric(suites, "./internal/livenet", name, "peak-goroutines"); ok {
+			sum[fmt.Sprintf("p%d_parallel_peak_goroutines", p)] = v
+		}
+		if v, ok := metric(suites, "./internal/livenet", name, "worst-node-cmps/run"); ok {
+			sum[fmt.Sprintf("p%d_parallel_worst_node_cmps", p)] = v
+		}
+		if v, ok := metric(suites, "./internal/livenet", name, "latency-p50-ms"); ok {
+			sum[fmt.Sprintf("p%d_parallel_latency_p50_ms", p)] = v
+		}
+		if v, ok := metric(suites, "./internal/livenet", name, "latency-p99-ms"); ok {
+			sum[fmt.Sprintf("p%d_parallel_latency_p99_ms", p)] = v
 		}
 	}
 	if a, ok := metric(suites, "./internal/wire", "BenchmarkAppendReportBatch", "allocs/op"); ok {

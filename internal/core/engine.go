@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"time"
 
 	"hierdet/internal/interval"
 	"hierdet/internal/vclock"
@@ -13,25 +12,21 @@ import (
 // loop as detectSeq/eliminate/prune, with sources addressed by position
 // (nd.qs beside nd.srcs) instead of through the queue map, heads read where
 // they are stored (the queues hold references), aggregate bounds and solution
-// sets carved from a Region, comparisons decided on the components of a span
-// where those settle them (interval.SpanLess, DESIGN §10) — and with the
-// per-comparison work, the only part that grows with system size, able to
-// partition across a bounded worker Pool.
+// sets carved from a Region, and comparisons decided on the components of a
+// span where those settle them (interval.SpanLess, DESIGN §10). Its
+// parallelism is across nodes — the live runtime drains many nodes at once —
+// and every round runs on the goroutine that calls into the node.
 //
-// A round has one shape whether it runs on the calling goroutine or fanned
-// out: the list of (position, position) head pairs Algorithm 1 enumerates,
-// one verdict per pair computed straight from the two queue heads, the
-// verdicts applied serially in pair order. No queue mutates inside a round
-// (deletions happen after the pair sweep, exactly like the sequential loop),
-// so a verdict is a pure function of the heads and the engine deletes
-// exactly the heads the sequential engine deletes, in the same order:
-// byte-identical detections and identical Stats, property-tested against the
-// sequential path, which is kept verbatim as the oracle (Config{Parallel:
-// false}), for clocks that keep the interval.Interval contract. Where a round
-// leaves the owner's goroutine an epoch guard — Queue.Gen sampled around it —
-// turns a concurrent mutation into an immediate panic rather than a race.
-// Producers are never blocked by a cascade: in the live runtime they enqueue
-// into mailboxes, and the detector drains them only between detect calls.
+// A round is the list of (position, position) head pairs Algorithm 1
+// enumerates, swept in pair order, the verdicts applied after the sweep. No
+// queue mutates inside a round (deletions happen after the pair sweep,
+// exactly like the sequential loop), so the engine deletes exactly the heads
+// the sequential engine deletes, in the same order: byte-identical detections
+// and identical Stats, property-tested against the sequential path, which is
+// kept verbatim as the oracle (Config{Parallel: false}), for clocks that keep
+// the interval.Interval contract. Producers are never blocked by a cascade:
+// in the live runtime they enqueue into mailboxes, and the detector drains
+// them only between detect calls.
 
 // pair is one head-to-head check of an elimination round, by source position.
 type pair struct{ a, b int32 }
@@ -41,15 +36,6 @@ type pair struct{ a, b int32 }
 type cmpVerdict struct {
 	xBeforeY, yBeforeX bool
 }
-
-// defaultFanoutThreshold seeds the fanout decision: the minimum number of
-// clock components a comparison round must carry before it is worth shipping
-// to the pool; below it, fanout overhead (job publication, wakeups, the
-// completion barrier) exceeds the comparison work itself. With the default
-// adaptive policy (engine_policy.go) this is only the starting point — the
-// measured inline-vs-fanned round costs walk the threshold from here. A
-// positive Config.FanoutThreshold pins it statically.
-const defaultFanoutThreshold = 32768
 
 // detectPar is detect for the parallel engine: the identical outer loop over
 // source positions, the aggregate materialized flat (interval.AggregateFlat)
@@ -118,14 +104,13 @@ func (nd *Node) passAlone(ivs []*interval.Interval) []Detection {
 }
 
 // eliminatePar is eliminate as rounds over head pairs. A round lists the
-// pairs (cur × sources) in the sequential order, evaluates them — inline or
-// fanned out — and replays the sequential addUnique/DeleteHead sequence from
-// the verdicts. When both heads of a pair are in cur the sequential loop
-// enumerates it from either side; the second visit would compute the first's
-// two verdicts swapped and re-add what addUnique already holds, so it is
-// counted — VecComparisons tallies what Algorithm 1 enumerates — and not
-// evaluated: after a prune that exposed several heads at once that is close
-// to half the round.
+// pairs (cur × sources) in the sequential order, sweeps them and replays the
+// sequential addUnique/DeleteHead sequence from the verdicts. When both heads
+// of a pair are in cur the sequential loop enumerates it from either side;
+// the second visit would compute the first's two verdicts swapped and re-add
+// what addUnique already holds, so it is counted — VecComparisons tallies
+// what Algorithm 1 enumerates — and not evaluated: after a prune that exposed
+// several heads at once that is close to half the round.
 func (nd *Node) eliminatePar(trigger []int) {
 	cur := append(nd.scratchElimA[:0], trigger...)
 	next := nd.scratchElimB[:0]
@@ -164,7 +149,10 @@ func (nd *Node) eliminatePar(trigger []int) {
 			nd.verdicts = make([]cmpVerdict, len(pairs), 2*len(pairs))
 		}
 		verdicts := nd.verdicts[:len(pairs)]
-		nd.compareAll(pairs, verdicts)
+		calls := nd.sweep(pairs, verdicts)
+		if sweepHook != nil {
+			sweepHook(nd, pairs, verdicts, calls)
+		}
 		for i, p := range pairs {
 			if !verdicts[i].xBeforeY {
 				next = addUnique(next, int(p.b))
@@ -186,14 +174,9 @@ func (nd *Node) eliminatePar(trigger []int) {
 	nd.scratchElimA, nd.scratchElimB = cur[:0], next[:0]
 }
 
-// compare is one pair's verdict, read from the two queue heads.
-func (nd *Node) compare(p pair) cmpVerdict {
-	return nd.verdict(nd.qs[p.a].Head(), nd.qs[p.b].Head())
-}
-
 // verdict is min(x) < max(y) and min(y) < max(x), each decided on its span
-// where that settles it, the rest by the full scan: fused if both are. It
-// runs on pool workers too, so it does not check Strict (checkVerdict does).
+// where that settles it, the rest by the full scan: fused if both are.
+// Strict's recheck is checkVerdict's.
 func (nd *Node) verdict(x, y *interval.Interval) cmpVerdict {
 	xy, okx := interval.SpanLess(x.Lo, y.Hi, x.Span)
 	yx, oky := interval.SpanLess(y.Lo, x.Hi, y.Span)
@@ -210,7 +193,6 @@ func (nd *Node) verdict(x, y *interval.Interval) cmpVerdict {
 
 // less is a < b for one direction, a a bound of the interval span covers:
 // decided on span where interval.SpanLess settles it, else the full scan.
-// Called on the owner's goroutine only.
 func (nd *Node) less(a, b vclock.VC, span []int) bool {
 	less, ok := interval.SpanLess(a, b, span)
 	if !ok {
@@ -223,9 +205,6 @@ func (nd *Node) less(a, b vclock.VC, span []int) bool {
 }
 
 // checkVerdict is Strict's recheck of both directions of a pair's verdict.
-// It runs on the owner's goroutine, after a fanned round has returned, so
-// its panic reaches the caller the way checkSuccession's does instead of
-// killing the process from a pool worker.
 func (nd *Node) checkVerdict(x, y *interval.Interval, v cmpVerdict) {
 	nd.checkClocks(x.Lo, y.Hi, x.Span, v.xBeforeY)
 	nd.checkClocks(y.Lo, x.Hi, y.Span, v.yBeforeX)
@@ -240,53 +219,13 @@ func (nd *Node) checkClocks(a, b vclock.VC, span []int, less bool) {
 	}
 }
 
-// compareAll fills verdicts[i] with the verdict of pairs[i]: fanned out to
-// the pool when the lane decision says so, every pair evaluated in both
-// directions (verdict), and inline otherwise (sweep). With a static
-// Config.FanoutThreshold the decision is the historical size cut; by default
-// the adaptive policy decides and measured rounds feed their cost back.
-func (nd *Node) compareAll(pairs []pair, verdicts []cmpVerdict) {
-	comps := len(pairs) * nd.cfg.N
-	fan, measure := false, false
-	switch {
-	case nd.cfg.Pool == nil || len(pairs) < 2:
-	case nd.cfg.FanoutThreshold > 0:
-		fan = comps >= nd.cfg.FanoutThreshold
-	default:
-		fan, measure = nd.policy.decide(comps)
-	}
-	var t0 time.Time
-	if measure {
-		t0 = time.Now()
-	}
-	if fan {
-		nd.fanOut(len(pairs), func(i int) { verdicts[i] = nd.compare(pairs[i]) })
-		if nd.cfg.Strict {
-			for i, p := range pairs {
-				nd.checkVerdict(nd.qs[p.a].Head(), nd.qs[p.b].Head(), verdicts[i])
-			}
-		}
-	} else {
-		if len(pairs) > 0 {
-			nd.cfg.Pool.noteInline()
-		}
-		calls := nd.sweep(pairs, verdicts)
-		if sweepHook != nil {
-			sweepHook(nd, pairs, verdicts, calls)
-		}
-	}
-	if measure {
-		nd.policy.observe(fan, comps, time.Since(t0))
-	}
-}
-
-// sweepHook, set by tests only, sees every inline round after its sweep.
+// sweepHook, set by tests only, sees every round after its sweep.
 var sweepHook func(nd *Node, pairs []pair, verdicts []cmpVerdict, calls int)
 
-// sweep is the inline lane: the round's pairs in pair order, skipping what
-// cannot change the deletion list. It marks each position an earlier pair of
-// the round condemned (inRound, zero at rest). A pair of two marked heads is
-// not evaluated; with one marked head only the direction that can condemn the
+// sweep evaluates a round's pairs in pair order, skipping what cannot change
+// the deletion list. It marks each position an earlier pair of the round
+// condemned (inRound, zero at rest). A pair of two marked heads is not
+// evaluated; with one marked head only the direction that can condemn the
 // other is (less); otherwise both are (verdict). A skipped direction reads
 // true — it condemns nothing — and its head is on the deletion list already,
 // so the list comes out as the all-pairs evaluation builds it (DESIGN §10).
@@ -323,24 +262,6 @@ func (nd *Node) sweep(pairs []pair, verdicts []cmpVerdict) (calls int) {
 	}
 	clear(dead)
 	return calls
-}
-
-// fanOut runs fn(0)…fn(n-1) across the pool under the epoch guard: every
-// queue's generation is sampled before and after, and a moved generation — a
-// producer mutating a queue mid-round — panics. fn reads queue heads and
-// writes only its own slot of the round's verdicts.
-func (nd *Node) fanOut(n int, fn func(int)) {
-	gens := nd.gens[:0]
-	for _, q := range nd.qs {
-		gens = append(gens, q.Gen())
-	}
-	nd.cfg.Pool.Run(n, fn)
-	for i, q := range nd.qs {
-		if q.Gen() != gens[i] {
-			panic(fmt.Sprintf("core: node %d: queue %d mutated during a parallel comparison round (single-writer contract violated)", nd.id, nd.srcs[i]))
-		}
-	}
-	nd.gens = gens[:0]
 }
 
 // solutionPar is solution with the set carved from the region instead of a
@@ -413,12 +334,7 @@ func (nd *Node) carve(need int) []*interval.Interval {
 }
 
 // prunePar is prune by position: every head's keep decision (pruneKeep)
-// taken before any head is deleted, one after another on the calling
-// goroutine. Fanning the decisions out across the pool measured no better on
-// wide_compare, the one workload whose prunes were large enough to fan out
-// (EXPERIMENTS.md): with Less's early exit and base heads decided on one
-// component, a prune costs a fraction of the s(s−1)n components the fan-out
-// cut priced it at.
+// taken before any head is deleted.
 func (nd *Node) prunePar(removable []int) []int {
 	qs := nd.qs
 	for a := range qs {

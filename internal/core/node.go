@@ -115,29 +115,14 @@ type Config struct {
 	// Eq. 9 is the exact characterization — and liveness follows a fortiori.
 	ExactPrune bool
 
-	// Parallel switches the node to the partitioned detection engine: the
-	// same Algorithm 1 loop as rounds over queue heads read in place, decided
-	// on spans (interval.SpanLess) and fanned out across Pool when large,
-	// bounds and sets carved from a Region (see Use), a one-source node
-	// passing intervals straight through. Detections and Stats are those of
-	// the sequential oracle (Parallel off; property-tested) for clocks that
-	// keep the interval.Interval contract.
+	// Parallel switches the node to the engine the live runtime runs
+	// (engine.go): the same Algorithm 1 loop as rounds over queue heads read
+	// in place, decided on spans (interval.SpanLess), bounds and sets carved
+	// from a Region (see Use), a one-source node passing intervals straight
+	// through. Detections and Stats are those of the sequential oracle
+	// (Parallel off; property-tested) for clocks that keep the
+	// interval.Interval contract.
 	Parallel bool
-
-	// Pool is the shared comparison worker set for the parallel engine. A
-	// nil Pool keeps the partitioned engine on the calling goroutine (flat
-	// storage and slabs still apply; rounds just never fan out). Ignored
-	// unless Parallel is set.
-	Pool *Pool
-
-	// FanoutThreshold overrides the minimum number of clock components a
-	// comparison round must carry before it fans out to Pool. Zero — the
-	// default — selects the adaptive policy (engine_policy.go), which
-	// measures inline and fanned round costs and moves the threshold toward
-	// whichever lane is cheaper on the running hardware. A positive value
-	// pins the threshold statically; tests lower it to force fanout at toy
-	// sizes.
-	FanoutThreshold int
 }
 
 // queue is one source's FIFO: references to intervals, each stored once.
@@ -188,17 +173,14 @@ type Node struct {
 	// buffer detections are returned in (valid until the next call; see
 	// OnInterval), a round's pairs and verdicts, the
 	// per-position mark of which sources a round was triggered by (1 + index
-	// in its trigger list, 0 at rest) and, during an inline sweep, which heads
-	// the round has condemned, the epoch guard's samples, and the adaptive
-	// fanout policy.
+	// in its trigger list, 0 at rest) and, during a sweep, which heads the
+	// round has condemned.
 	store    *vclock.Store
 	reg      *Region
 	detBuf   []Detection
 	pairs    []pair
 	verdicts []cmpVerdict
 	inRound  []int32
-	gens     []uint64
-	policy   fanoutPolicy
 }
 
 // NewNode returns a detector for process id in an n-process system. If local
@@ -460,7 +442,7 @@ func (nd *Node) alone(q *queue) bool {
 // detect runs the elimination loop and, repeatedly, solution extraction and
 // pruning, starting from the queues named in trigger. It returns every
 // solution set found, in detection order. The parallel engine (engine.go)
-// runs the same loop with partitioned rounds and flat aggregate storage;
+// runs the same loop by position, on spans, with flat aggregate storage;
 // this sequential body is kept verbatim as its property-test oracle.
 func (nd *Node) detect(trigger []int) []Detection {
 	if nd.cfg.Parallel {

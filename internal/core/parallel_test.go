@@ -13,18 +13,14 @@ import (
 
 // The parallel engine's contract (engine.go) is stronger than the batch
 // ingestion property next door: not just byte-identical detections but
-// identical Stats, because each elimination round snapshots its pairs in the
-// sequential iteration order, evaluates verdicts as pure functions of the
-// heads, and applies them serially. These tests pin that contract as a
-// property over chaotic executions with reconfigurations mixed in, across
-// worker counts, with FanoutThreshold=1 so every multi-pair round actually
-// crosses the pool (the default threshold would keep small test clocks
-// inline and the pool untouched). Run under -race, the snapshot/verdict
-// phases double as a data-race check on the single-writer queue contract.
+// identical Stats, because each elimination round lists its pairs in the
+// sequential iteration order and applies its verdicts after the sweep. These
+// tests pin that contract as a property over chaotic executions with
+// reconfigurations mixed in.
 
 // parallelEquivalent is equivalent over 2..6 sources, Eq. 10 alone.
-func parallelEquivalent(t *testing.T, seed int64, nSel uint8, pool *Pool) bool {
-	return equivalent(t, seed, 2+int(nSel%5), false, pool)
+func parallelEquivalent(t *testing.T, seed int64, nSel uint8) bool {
+	return equivalent(t, seed, 2+int(nSel%5), false)
 }
 
 // chaoticWidth is the system size the parity schedules run in: their n ≤ 8
@@ -49,14 +45,14 @@ func widen(streams [][]interval.Interval) [][]interval.Interval {
 // reconfigurations — and requires byte-identical detections and identical
 // Stats at every point where both have quiesced. Both run Strict, so every
 // verdict the parallel engine decides on a span is recomputed by the full scan.
-func equivalent(t *testing.T, seed int64, n int, exact bool, pool *Pool) bool {
+func equivalent(t *testing.T, seed int64, n int, exact bool) bool {
 	streams := widen(workload.GenerateChaotic(workload.ChaoticConfig{
 		N: n, Steps: 50 * n, Seed: seed,
 	}).Streams)
 
 	seq := NewNode(99, Config{N: chaoticWidth, Strict: true, KeepMembers: true, ExactPrune: exact}, false)
 	par := NewNode(99, Config{N: chaoticWidth, Strict: true, KeepMembers: true, ExactPrune: exact,
-		Parallel: true, Pool: pool, FanoutThreshold: 1}, false)
+		Parallel: true}, false)
 	for p := 0; p < n; p++ {
 		seq.AddChild(p)
 		par.AddChild(p)
@@ -148,25 +144,21 @@ func equivalent(t *testing.T, seed int64, n int, exact bool, pool *Pool) bool {
 	return true
 }
 
-// TestQuickParallelEquivalence checks the parity property across worker
-// counts: a single helper (maximum interleaving with the caller), a small
-// pool, and an oversubscribed one.
+// TestQuickParallelEquivalence checks the parity property: the engine
+// against detectSeq on the same schedule, detections and Stats alike.
 func TestQuickParallelEquivalence(t *testing.T) {
-	for _, workers := range []int{1, 2, 4} {
-		pool := NewPool(workers)
-		defer pool.Close()
-		f := func(seed int64, nSel uint8) bool { return parallelEquivalent(t, seed, nSel, pool) }
-		if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
+	f := func(seed int64, nSel uint8) bool { return parallelEquivalent(t, seed, nSel) }
+	if err := quick.Check(f, &quick.Config{MaxCount: 180}); err != nil {
+		t.Fatal(err)
 	}
 }
 
 // TestParallelEquivalenceNilPool pins the pool-less parallel configuration —
-// flat aggregate storage and slab-carved sets with every round inline — which
-// is what a single-core deployment runs.
+// flat aggregate storage and region-carved sets with every round inline on
+// the calling goroutine — which is what a single-core deployment runs, and,
+// with no worker pool left in the engine, what every deployment runs.
 func TestParallelEquivalenceNilPool(t *testing.T) {
-	f := func(seed int64, nSel uint8) bool { return parallelEquivalent(t, seed, nSel, nil) }
+	f := func(seed int64, nSel uint8) bool { return parallelEquivalent(t, seed, nSel) }
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
@@ -177,14 +169,8 @@ func TestParallelEquivalenceNilPool(t *testing.T) {
 // refilled. Sequential and parallel engines must discard, re-baseline and
 // detect identically — including the EpochDiscards counter.
 func TestParallelEpochInterleaving(t *testing.T) {
-	pool := NewPool(2)
-	defer pool.Close()
 	mk := func(parallel bool) *Node {
-		cfg := Config{N: 3, Strict: true, KeepMembers: true}
-		if parallel {
-			cfg.Parallel, cfg.Pool, cfg.FanoutThreshold = true, pool, 1
-		}
-		nd := NewNode(99, cfg, false)
+		nd := NewNode(99, Config{N: 3, Strict: true, KeepMembers: true, Parallel: parallel}, false)
 		for p := 0; p < 3; p++ {
 			nd.AddChild(p)
 		}

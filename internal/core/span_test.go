@@ -23,17 +23,11 @@ import (
 // base intervals decides every comparison on spans.
 
 // TestQuickSpanVerdictsOnChaoticSchedules runs the parity schedules over 2–8
-// sources, with and without the Eq. 9 peek and the pool: Strict recomputes every verdict with the full scan, and the
-// oracle's detections must repeat.
+// sources, with and without the Eq. 9 peek: Strict recomputes every verdict
+// with the full scan, and the oracle's detections must repeat.
 func TestQuickSpanVerdictsOnChaoticSchedules(t *testing.T) {
-	pool := NewPool(2)
-	defer pool.Close()
-	f := func(seed int64, nSel uint8, exact, fan bool) bool {
-		var p *Pool
-		if fan {
-			p = pool
-		}
-		return equivalent(t, seed, 2+int(nSel%7), exact, p)
+	f := func(seed int64, nSel uint8, exact bool) bool {
+		return equivalent(t, seed, 2+int(nSel%7), exact)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
@@ -48,9 +42,7 @@ func TestQuickSpanVerdictsOnChaoticSchedules(t *testing.T) {
 // Then SpanLess itself is checked against the full scan on sampled pairs of
 // the execution's intervals and the aggregates the tree published.
 func TestQuickSpanVerdictsOnTrees(t *testing.T) {
-	pool := NewPool(2)
-	defer pool.Close()
-	f := func(seed int64, shape, sizeSel uint8, exact, fan bool) bool {
+	f := func(seed int64, shape, sizeSel uint8, exact bool) bool {
 		n := 24 + int(sizeSel%41)
 		var topo *tree.Topology
 		switch shape % 3 {
@@ -66,9 +58,6 @@ func TestQuickSpanVerdictsOnTrees(t *testing.T) {
 		cfg := Config{N: n, Strict: true, ExactPrune: exact}
 		par := cfg
 		par.Parallel = true
-		if fan {
-			par.Pool, par.FanoutThreshold = pool, 1
-		}
 		oracle, got := runTree(topo, exec, cfg, seed), runTree(topo, exec, par, seed)
 		for v := range oracle.dets {
 			if !bytes.Equal(oracle.dets[v], got.dets[v]) {
@@ -152,34 +141,23 @@ func runTree(topo *tree.Topology, exec *workload.Execution, cfg Config, seed int
 // the start of its interval carries component 2 while reading as process 1's
 // previous event. The aggregate x covering processes 1 and 3 then looks
 // causally before y's end on its span — equal on component 1, smaller on 3 —
-// while component 2 refutes it. Strict must panic naming the contract, on
-// the caller's goroutine: inline, and in a round of two pairs (y against x
-// and an honest z) that the pool fans out.
+// while component 2 refutes it. Strict must panic naming the contract, in
+// the round of y against x and an honest z.
 func TestStrictCatchesBrokenClockContract(t *testing.T) {
 	x := interval.Interval{Lo: vclock.Of(0, 1, 5, 1), Hi: vclock.Of(3, 3, 6, 3), Origin: 1, Agg: true, Span: []int{1, 3}, Bases: 2}
 	y := interval.New(0, 0, vclock.Of(1, 0, 0, 0), vclock.Of(3, 1, 2, 2))
 	z := interval.New(2, 0, vclock.Of(0, 0, 1, 0), vclock.Of(9, 9, 9, 9))
-	for _, pool := range []*Pool{nil, NewPool(1)} {
-		nd := NewNode(0, Config{N: 4, Strict: true, Parallel: true, Pool: pool, FanoutThreshold: 1}, true)
-		nd.AddChild(1)
-		nd.AddChild(2)
-		nd.OnInterval(1, x)
-		nd.OnInterval(2, z)
-		func() {
-			defer func() {
-				if msg, _ := recover().(string); !strings.Contains(msg, "clock contract violated") {
-					t.Errorf("pool %v: Strict did not panic on the broken contract (recovered %q)", pool != nil, msg)
-				}
-			}()
-			nd.OnInterval(0, y)
-		}()
-		if pool != nil {
-			if pool.Fanouts() == 0 {
-				t.Error("the round of y against x and z was not fanned out")
-			}
-			pool.Close()
+	nd := NewNode(0, Config{N: 4, Strict: true, Parallel: true}, true)
+	nd.AddChild(1)
+	nd.AddChild(2)
+	nd.OnInterval(1, x)
+	nd.OnInterval(2, z)
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "clock contract violated") {
+			t.Errorf("Strict did not panic on the broken contract (recovered %q)", msg)
 		}
-	}
+	}()
+	nd.OnInterval(0, y)
 }
 
 // TestPruneReadsAnAggregateWhole builds, with procsim, a Fidge–Mattern
@@ -307,44 +285,34 @@ func TestStarDecidesEveryComparisonOnSpans(t *testing.T) {
 		}
 		return out
 	}
-	pool := NewPool(2)
-	defer pool.Close()
-	for _, tc := range []struct {
-		name string
-		cfg  Config
-	}{
-		{"inline", Config{N: starN, Parallel: true, ExactPrune: true}},
-		{"fanned", Config{N: starN, Parallel: true, ExactPrune: true, Pool: pool, FanoutThreshold: 1}},
-	} {
-		oracle := NewNode(0, Config{N: starN, ExactPrune: true}, true)
-		nd := NewNode(0, tc.cfg, true)
-		for c := 1; c < starSources; c++ {
-			oracle.AddChild(c)
-			nd.AddChild(c)
-		}
-		var want, got [][2]int
-		feed := rand.New(rand.NewSource(29))
-		idx := make([]int, starSources)
-		for fed := true; fed; {
-			fed = false
-			for p := range starSources {
-				left := len(streams[p][0]) - idx[p]
-				if left == 0 {
-					continue
-				}
-				k := 1 + feed.Intn(min(left, 6))
-				want = append(want, members(oracle.OnIntervals(p, streams[p][0][idx[p]:idx[p]+k]))...)
-				got = append(got, members(nd.OnIntervals(p, streams[p][1][idx[p]:idx[p]+k]))...)
-				idx[p] += k
-				fed = true
+	oracle := NewNode(0, Config{N: starN, ExactPrune: true}, true)
+	nd := NewNode(0, Config{N: starN, Parallel: true, ExactPrune: true}, true)
+	for c := 1; c < starSources; c++ {
+		oracle.AddChild(c)
+		nd.AddChild(c)
+	}
+	var want, got [][2]int
+	feed := rand.New(rand.NewSource(29))
+	idx := make([]int, starSources)
+	for fed := true; fed; {
+		fed = false
+		for p := range starSources {
+			left := len(streams[p][0]) - idx[p]
+			if left == 0 {
+				continue
 			}
+			k := 1 + feed.Intn(min(left, 6))
+			want = append(want, members(oracle.OnIntervals(p, streams[p][0][idx[p]:idx[p]+k]))...)
+			got = append(got, members(nd.OnIntervals(p, streams[p][1][idx[p]:idx[p]+k]))...)
+			idx[p] += k
+			fed = true
 		}
-		st := oracle.Stats()
-		if st.Detections == 0 || st.Eliminated == 0 {
-			t.Fatalf("%s: the schedule detected or eliminated nothing: %+v", tc.name, st)
-		}
-		if ps := nd.Stats(); ps.Legacy() != st.Legacy() || !slices.Equal(got, want) {
-			t.Fatalf("%s: a comparison read past its span:\n  oracle %+v\n  engine %+v", tc.name, st, ps)
-		}
+	}
+	st := oracle.Stats()
+	if st.Detections == 0 || st.Eliminated == 0 {
+		t.Fatalf("the schedule detected or eliminated nothing: %+v", st)
+	}
+	if ps := nd.Stats(); ps.Legacy() != st.Legacy() || !slices.Equal(got, want) {
+		t.Fatalf("a comparison read past its span:\n  oracle %+v\n  engine %+v", st, ps)
 	}
 }

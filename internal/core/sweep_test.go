@@ -10,9 +10,9 @@ import (
 	"hierdet/internal/workload"
 )
 
-// The inline sweep (engine.go) skips the pairs and directions of a round
-// that cannot change its deletion list. These tests pin that it deletes
-// exactly what the all-pairs evaluation deletes, and that it does skip.
+// The sweep (engine.go) skips the pairs and directions of a round that
+// cannot change its deletion list. These tests pin that it deletes exactly
+// what the all-pairs evaluation deletes, and that it does skip.
 
 // watchSweeps installs fn as the sweep hook for the rest of the test.
 func watchSweeps(t *testing.T, fn func(nd *Node, pairs []pair, verdicts []cmpVerdict, calls int)) {
@@ -39,24 +39,23 @@ func deletions(pairs []pair, verdicts []cmpVerdict) []int {
 func checkSweep(t *testing.T, nd *Node, pairs []pair, verdicts []cmpVerdict) {
 	all := make([]cmpVerdict, len(pairs))
 	for i, p := range pairs {
-		all[i] = nd.compare(p)
+		all[i] = nd.verdict(nd.qs[p.a].Head(), nd.qs[p.b].Head())
 	}
 	if got, want := deletions(pairs, verdicts), deletions(pairs, all); !slices.Equal(got, want) {
 		t.Fatalf("node %d: a round of %d pairs deletes positions %v, the all-pairs evaluation %v", nd.id, len(pairs), got, want)
 	}
 }
 
-// TestSweepDeletesWhatAllPairsDelete checks every inline round of the
-// chaotic parity schedules — RemoveChild, ResetSource and adoption
-// interleaved, no pool, so every round is swept — against the all-pairs
-// evaluation of the same heads.
+// TestSweepDeletesWhatAllPairsDelete checks every round of the chaotic
+// parity schedules — RemoveChild, ResetSource and adoption interleaved —
+// against the all-pairs evaluation of the same heads.
 func TestSweepDeletesWhatAllPairsDelete(t *testing.T) {
 	rounds, pairs, calls := 0, 0, 0
 	watchSweeps(t, func(nd *Node, ps []pair, verdicts []cmpVerdict, c int) {
 		checkSweep(t, nd, ps, verdicts)
 		rounds, pairs, calls = rounds+1, pairs+len(ps), calls+c
 	})
-	f := func(seed int64, nSel uint8) bool { return parallelEquivalent(t, seed, nSel, nil) }
+	f := func(seed int64, nSel uint8) bool { return parallelEquivalent(t, seed, nSel) }
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}

@@ -24,13 +24,6 @@ type Ring[T any] struct {
 	// HighWater tracks the maximum number of intervals ever resident, for
 	// the space-complexity experiments.
 	HighWater int
-
-	// gen counts mutations (enqueues and deletions). The parallel detection
-	// engine snapshots it around every fanned-out comparison round and panics
-	// if it moved: queues are single-writer by contract, and the epoch guard
-	// turns a violation of that contract into an immediate, attributable
-	// failure instead of a silent data race. Reads do not bump it.
-	gen uint64
 }
 
 // Queue is a ring of Interval values.
@@ -45,14 +38,8 @@ func (q *Ring[T]) Len() int { return q.size }
 // Empty reports whether the queue holds no intervals.
 func (q *Ring[T]) Empty() bool { return q.size == 0 }
 
-// Gen returns the queue's mutation epoch: it advances on every enqueue and
-// deletion and is stable across reads, so two equal observations bracket a
-// mutation-free window.
-func (q *Ring[T]) Gen() uint64 { return q.gen }
-
 // Enqueue appends x at the tail.
 func (q *Ring[T]) Enqueue(x T) {
-	q.gen++
 	if q.size == len(q.buf) {
 		q.grow()
 	}
@@ -79,7 +66,6 @@ func (q *Ring[T]) DeleteHead() T {
 	if q.size == 0 {
 		panic("interval: DeleteHead of empty queue")
 	}
-	q.gen++
 	x := q.buf[q.head]
 	var zero T
 	q.buf[q.head] = zero // release references for GC

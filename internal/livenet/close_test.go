@@ -104,7 +104,7 @@ func TestShutdownDeadline(t *testing.T) {
 	// (the seed fixes their delays: 36 and 87 ms), so quiescence is provably
 	// not reachable within the short deadline.
 	c := New(Config{Topology: topo, Seed: 9, Strict: true, KeepMembers: true,
-		MaxDelay: 600 * time.Millisecond, SequentialDetect: true})
+		MaxDelay: 600 * time.Millisecond})
 	for p := range e.Streams {
 		c.ObserveBatch(p, e.Streams[p][:2])
 	}

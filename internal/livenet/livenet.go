@@ -112,27 +112,15 @@ type Config struct {
 	// is sent the moment it is produced, the paper's per-detection behaviour.
 	AdaptiveFlush bool
 
-	// SequentialDetect restores the single-threaded in-node detection
-	// engine — the paper's Algorithm 1 loop exactly as it ran before the
-	// parallel engine landed. It is the property-test oracle and the
-	// benchmark baseline lane; production configurations leave it off and get
-	// the partitioned engine with flat aggregate storage.
-	SequentialDetect bool
-	// DetectWorkers sizes the comparison worker set the parallel detection
-	// engine shares across every hosted node (core.Pool). Zero means
-	// GOMAXPROCS.
-	DetectWorkers int
-
 	// Scheduler seats the cluster on a scheduler substrate the caller owns
 	// (see NewSharedScheduler) next to any number of other clusters: the
-	// substrate's worker pool drains the mailbox shards, its timer wheel
-	// carries the delayed messages and heartbeat ticks, its comparison pool
-	// backs the parallel detection engine and its workers' regions keep what
-	// detections publish. Workers and DetectWorkers are then ignored (the
-	// substrate's pools are sized once, at its creation); MailboxBound still
-	// applies per cluster. Nil (the default) gives the cluster a substrate of
-	// its own — Workers, DetectWorkers and a wheel tick of MaxDelay/8 — which
-	// it closes when it stops.
+	// substrate's worker pool drains the mailbox shards, running each node's
+	// detection on the worker that drains it, its timer wheel carries the
+	// delayed messages and heartbeat ticks and its workers' regions keep what
+	// detections publish. Workers is then ignored (the substrate's pool is
+	// sized once, at its creation); MailboxBound still applies per cluster.
+	// Nil (the default) gives the cluster a substrate of its own — Workers and
+	// a wheel tick of MaxDelay/8 — which it closes when it stops.
 	Scheduler *SharedScheduler
 
 	// HbEvery enables failure handling and is its one setting: how often every
@@ -228,14 +216,11 @@ type Cluster struct {
 	// under mu; the state is terminal) for the paths that must not take mu
 	// to ask: the wheel stops re-arming this cluster's recurring ticks, and
 	// drains drop what is left of them.
-	sched  *SharedScheduler
-	seat   *schedClient
-	halted atomic.Bool
-	// detectPool is the substrate's comparison worker set, shared by every
-	// hosted node's parallel detection engine; nil under SequentialDetect.
-	detectPool *core.Pool
-	remote     bool      // distributed mode: Transport is set
-	startAt    time.Time // zero of the failure detector's clock (now)
+	sched   *SharedScheduler
+	seat    *schedClient
+	halted  atomic.Bool
+	remote  bool      // distributed mode: Transport is set
+	startAt time.Time // zero of the failure detector's clock (now)
 	// rx holds the *rxSlabs received reports are decoded into: a pool, not
 	// one, because slabs are single-goroutine and the transport's receive
 	// callback runs on one goroutine per inbound connection.
@@ -305,7 +290,7 @@ func New(cfg Config) *Cluster {
 	sched := cfg.Scheduler
 	if sched == nil {
 		sched = NewSharedScheduler(SharedSchedulerConfig{
-			Workers: cfg.Workers, Tick: cfg.MaxDelay / 8, DetectWorkers: cfg.DetectWorkers,
+			Workers: cfg.Workers, Tick: cfg.MaxDelay / 8,
 		})
 	}
 	c := &Cluster{
@@ -322,9 +307,6 @@ func New(cfg Config) *Cluster {
 	}
 	c.cond = sync.NewCond(&c.mu)
 	c.rx.New = func() any { return &rxSlabs{clocks: vclock.NewStore(c.topo.N())} }
-	if !cfg.SequentialDetect {
-		c.detectPool = sched.detect
-	}
 	c.reg = obsv.NewRegistry()
 	// One slab for all hosted processes: the node structs dominate a
 	// cluster's construction allocations, and a plane registering hundreds

@@ -242,14 +242,11 @@ type ClusterMetrics struct {
 	WorkersBusy      int `json:"workersBusy"`
 	RunqDepth        int `json:"runqDepth"`
 
-	// Parallel detection engine (zero under SequentialDetect): the shared
-	// comparison pool's size and occupancy, and how many comparison rounds
-	// fanned out across it versus staying inline below the threshold.
-	DetectWorkers int   `json:"detectWorkers"`
-	DetectBusy    int64 `json:"detectBusy"`
+	// DetectFanouts and DetectInlines always read 0: every comparison round
+	// runs on the worker draining its node. They stay until the next
+	// benchmark-only change (ROADMAP item 1(d)) because bench/ reads them.
 	DetectFanouts int64 `json:"detectFanouts"`
 	DetectInlines int64 `json:"detectInlines"`
-	DetectTasks   int64 `json:"detectTasks"`
 
 	Drains          int64 `json:"drains"`
 	MessagesDrained int64 `json:"messagesDrained"`
@@ -315,13 +312,6 @@ func (c *Cluster) ClusterMetrics() ClusterMetrics {
 		if m.MailboxHighWater > out.MailboxHighWater {
 			out.MailboxHighWater = m.MailboxHighWater
 		}
-	}
-	if p := c.detectPool; p != nil {
-		out.DetectWorkers = p.Workers()
-		out.DetectBusy = p.Busy()
-		out.DetectFanouts = p.Fanouts()
-		out.DetectInlines = p.Inlines()
-		out.DetectTasks = p.Tasks()
 	}
 	out.WorkersBusy = int(c.busyWorkers.Load())
 	out.RunqDepth = c.seat.depth()
@@ -427,22 +417,6 @@ func (c *Cluster) registerFamilies() {
 		func(ln *liveNode) float64 { return float64(ln.m.queueDepth.Load()) })
 	perNode("hierdet_node_queue_high_water", "Peak concurrent interval residency at this node (not the sum of per-queue peaks), as of its last drain.", obsv.KindGauge,
 		func(ln *liveNode) float64 { return float64(ln.m.queueHigh.Load()) })
-
-	// Parallel detection engine: pool size is a fixed gauge; occupancy and
-	// round/task traffic are func-backed reads of the pool's atomics. The
-	// families exist only when the parallel engine is on, so a scrape of a
-	// sequential-oracle cluster shows no parallel plane rather than zeros.
-	if p := c.detectPool; p != nil {
-		c.reg.Gauge("hierdet_detect_workers", "Comparison workers shared by the parallel detection engine.").Set(float64(p.Workers()))
-		c.reg.Func("hierdet_detect_busy", "Comparison workers currently executing round work (parallel-drain occupancy).",
-			obsv.KindGauge, nil, func(emit func(float64, ...string)) { emit(float64(p.Busy())) })
-		c.reg.Func("hierdet_detect_fanout_rounds_total", "Comparison rounds partitioned across the pool.",
-			obsv.KindCounter, nil, func(emit func(float64, ...string)) { emit(float64(p.Fanouts())) })
-		c.reg.Func("hierdet_detect_inline_rounds_total", "Comparison rounds executed inline below the fanout threshold.",
-			obsv.KindCounter, nil, func(emit func(float64, ...string)) { emit(float64(p.Inlines())) })
-		c.reg.Func("hierdet_detect_tasks_total", "Comparison tasks executed through the pool, including the caller's share.",
-			obsv.KindCounter, nil, func(emit func(float64, ...string)) { emit(float64(p.Tasks())) })
-	}
 
 	// Scheduler plane: pool size and bound are fixed gauges; occupancy and
 	// throughput are func-backed reads of the pool's atomics.

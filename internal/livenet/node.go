@@ -224,7 +224,7 @@ func concatLogs(logs []*detectionLog) []Detection {
 func initLiveNode(ln *liveNode, c *Cluster, id int) {
 	coreCfg := core.Config{
 		N: c.topo.N(), Strict: c.cfg.Strict, KeepMembers: c.cfg.KeepMembers,
-		Parallel: c.detectPool != nil, Pool: c.detectPool,
+		Parallel: true,
 	}
 	ln.c = c
 	ln.id = id

@@ -3,7 +3,6 @@ package livenet
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
@@ -13,27 +12,24 @@ import (
 )
 
 // BenchmarkLiveScale runs full balanced trees through the live runtime at
-// p ∈ {127, 511, 1023} in two lanes:
+// p ∈ {127, 511, 1023} in its one lane, parallel: ObserveBatch ingestion,
+// drain-end adaptive report coalescing (Config.AdaptiveFlush) and the
+// detection engine — rounds over queue heads, flat aggregate storage,
+// slab-carved solution sets, the one-source path — the full current path.
 //
-//	sharded  the sequential detection oracle on the one delivery plane, fed
-//	         one Observe call per interval, every report sent on its own —
-//	         the paper's Algorithm 1 as written, the yardstick
-//	parallel ObserveBatch ingestion, drain-end adaptive report coalescing
-//	         (Config.AdaptiveFlush) and the parallel detection engine:
-//	         rounds over queue heads, flat aggregate storage, slab-carved
-//	         solution sets, the one-source path — the full current path
-//
-// The lanes since deleted — legacy (the seed's goroutine-per-node plane) and
-// batched (a fixed 200 µs batch window on the sequential engine) — live on
-// in BENCH_scale.json, whose entries up to PR 10b carry all four.
+// The lanes since deleted — legacy (the seed's goroutine-per-node plane),
+// batched (a fixed 200 µs batch window on the sequential engine) and sharded
+// (the sequential engine fed one Observe call per interval) — live on in
+// BENCH_scale.json: entries up to PR 10b carry all four, later ones sharded
+// and parallel.
 //
 // Each iteration builds a cluster, feeds every process's stream at full
 // speed, and drains via Stop. Reported metrics:
 //
 //	intervals/sec   end-to-end ingestion throughput (observed locals / wall)
 //	peak-goroutines high-water goroutine count during the run — pool plus
-//	                wheel plus feeders, never O(in-flight messages)
-//	detections/op   sanity: every lane must detect every round at the root
+//	                wheel plus the sampler, never O(in-flight messages)
+//	detections/op   sanity: every run must detect every round at the root
 //	worst-node-cmps/run  the busiest detector's enumerated comparisons —
 //	                the hot-spot the hierarchy is supposed to flatten
 //	cmps/interval   fleet-wide enumerated comparisons per observed interval
@@ -58,28 +54,13 @@ func BenchmarkLiveScale(b *testing.B) {
 		for _, s := range e.Streams {
 			total += len(s)
 		}
-		for _, mode := range []benchMode{
-			{name: "sharded", sequential: true},
-			{name: "parallel", batchFeed: true, adaptive: true},
-		} {
-			b.Run(fmt.Sprintf("p=%d/%s", p, mode.name), func(b *testing.B) {
-				benchLiveScale(b, topo, e, total, rounds, mode)
-			})
-		}
+		b.Run(fmt.Sprintf("p=%d/parallel", p), func(b *testing.B) {
+			benchLiveScale(b, topo, e, total, rounds)
+		})
 	}
 }
 
-// benchMode selects one lane's feeding, coalescing and engine. The sharded
-// lane pins SequentialDetect so it keeps measuring the PR 4 configuration;
-// the parallel lane is the full current path.
-type benchMode struct {
-	name       string
-	batchFeed  bool
-	adaptive   bool
-	sequential bool
-}
-
-func benchLiveScale(b *testing.B, topo *tree.Topology, e *workload.Execution, total, rounds int, mode benchMode) {
+func benchLiveScale(b *testing.B, topo *tree.Topology, e *workload.Execution, total, rounds int) {
 	peak := 0
 	roots := 0
 	var worstCmps, vecCmps, latObs int64
@@ -88,11 +69,10 @@ func benchLiveScale(b *testing.B, topo *tree.Topology, e *workload.Execution, to
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c := New(Config{
-			Topology:         topo,
-			Seed:             int64(i + 1),
-			MaxDelay:         500 * time.Microsecond,
-			AdaptiveFlush:    mode.adaptive,
-			SequentialDetect: mode.sequential,
+			Topology:      topo,
+			Seed:          int64(i + 1),
+			MaxDelay:      500 * time.Microsecond,
+			AdaptiveFlush: true,
 		})
 
 		stop := make(chan struct{})
@@ -112,22 +92,8 @@ func benchLiveScale(b *testing.B, topo *tree.Topology, e *workload.Execution, to
 			}
 		}()
 
-		if mode.batchFeed {
-			for p := range e.Streams {
-				c.ObserveBatch(p, e.Streams[p])
-			}
-		} else {
-			var wg sync.WaitGroup
-			for p := range e.Streams {
-				wg.Add(1)
-				go func(p int) {
-					defer wg.Done()
-					for _, iv := range e.Streams[p] {
-						c.Observe(p, iv)
-					}
-				}(p)
-			}
-			wg.Wait()
+		for p := range e.Streams {
+			c.ObserveBatch(p, e.Streams[p])
 		}
 		dets := c.Stop()
 		close(stop)

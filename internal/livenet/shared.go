@@ -9,14 +9,14 @@ import (
 	"hierdet/internal/core"
 )
 
-// shared.go — the scheduler substrate. One worker pool, one timer wheel and
-// one comparison pool serve any number of clusters — one, for a standalone
-// cluster, which builds its own (see New) — so a tenant plane's steady-state
-// goroutine count is the pool plus the wheel, independent of the tenant count:
-// the same collapse the mailbox shards perform for the process count inside
-// one cluster. Each worker owns a core.Region and hands it to every node it
-// drains: what detections keep is carved, with no lock, from one slab per
-// worker and kind, whichever cluster the node belongs to.
+// shared.go — the scheduler substrate. One worker pool and one timer wheel
+// serve any number of clusters — one, for a standalone cluster, which builds
+// its own (see New) — so a tenant plane's steady-state goroutine count is the
+// pool plus the wheel, independent of the tenant count: the same collapse the
+// mailbox shards perform for the process count inside one cluster. Each
+// worker owns a core.Region and hands it to every node it drains: what
+// detections keep is carved, with no lock, from one slab per worker and kind,
+// whichever cluster the node belongs to.
 //
 // Fairness is deficit round robin over clusters: each cluster with scheduled
 // nodes is one client on an active ring, a worker serves the ring head while
@@ -39,9 +39,6 @@ type SharedSchedulerConfig struct {
 	// Quantum is the DRR quantum in messages: how many messages one cluster
 	// may drain before the ring rotates past it (default 256).
 	Quantum int
-	// DetectWorkers sizes the shared comparison pool clusters running the
-	// parallel detection engine draw on (default GOMAXPROCS).
-	DetectWorkers int
 	// WheelLagSink, when set, receives each wheel advance's lag in seconds
 	// (the tenant plane feeds its lag histogram through this).
 	WheelLagSink func(float64)
@@ -54,7 +51,6 @@ type SharedScheduler struct {
 	workers int
 	quantum int
 	wheel   *wheel
-	detect  *core.Pool
 
 	mu       sync.Mutex
 	workCond *sync.Cond // workers wait here for ring work
@@ -100,15 +96,10 @@ func NewSharedScheduler(cfg SharedSchedulerConfig) *SharedScheduler {
 	if cfg.Quantum <= 0 {
 		cfg.Quantum = 256
 	}
-	dw := cfg.DetectWorkers
-	if dw <= 0 {
-		dw = runtime.GOMAXPROCS(0)
-	}
 	s := &SharedScheduler{
 		workers: cfg.Workers,
 		quantum: cfg.Quantum,
 		wheel:   newWheel(cfg.Tick),
-		detect:  core.NewPool(dw),
 	}
 	s.wheel.lagObserve = cfg.WheelLagSink
 	s.workCond = sync.NewCond(&s.mu)
@@ -271,8 +262,8 @@ func (s *SharedScheduler) worker() {
 	}
 }
 
-// Close tears the substrate down: the wheel goroutine, then the workers,
-// then the comparison pool. Every client cluster must have stopped first —
+// Close tears the substrate down: the wheel goroutine, then the workers.
+// Every client cluster must have stopped first —
 // Stop detaches a cluster, so by here the wheel holds no credited entries
 // and the ring is empty.
 func (s *SharedScheduler) Close() {
@@ -287,5 +278,4 @@ func (s *SharedScheduler) Close() {
 	s.wheel.stop()
 	<-s.wheel.done
 	s.wg.Wait()
-	s.detect.Close()
 }

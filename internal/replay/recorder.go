@@ -41,7 +41,8 @@ type RecorderConfig struct {
 	// Schedule is the step sequence to execute. Step.At is ignored on
 	// input; the recorder stamps actual offsets.
 	Schedule []Step
-	// Plane names the delivery plane (PlaneSharded or PlaneParallel).
+	// Plane names the delivery plane: PlaneParallel, or PlaneSharded for
+	// per-report sends without coalescing.
 	Plane string
 	// Delivery and Failure group the runtime knobs.
 	Delivery DeliveryOptions

@@ -23,9 +23,10 @@ import (
 	"hierdet/internal/workload"
 )
 
-// Delivery plane names (livenet lane presets, mirroring the scale
-// benchmarks' lanes): the current path, and the sequential engine with
-// per-report sends that stands as its oracle.
+// Delivery plane names (livenet lane presets): the current path, and
+// per-report sends, one Observe call per interval, without coalescing.
+// Both run the one detection engine; "sharded" keeps its name because
+// recorded traces carry it.
 const (
 	PlaneSharded  = "sharded"
 	PlaneParallel = "parallel"
@@ -39,7 +40,6 @@ const (
 func planePreset(plane string) (cfg livenet.Config, batchFeed bool, err error) {
 	switch plane {
 	case PlaneSharded:
-		cfg.SequentialDetect = true
 	case PlaneParallel:
 		cfg.AdaptiveFlush = true
 		batchFeed = true

@@ -25,9 +25,8 @@ func tenantFootprint(b *testing.B, tenants int) (goroutines int, bytesPerTenant 
 	}
 	for k := 0; k < tenants; k++ {
 		if _, err := plane.RegisterPredicate(fmt.Sprintf("fp-%03d", k), Spec{
-			Topology:         tree.Balanced(2, 5),
-			Seed:             int64(k + 1),
-			SequentialDetect: true,
+			Topology: tree.Balanced(2, 5),
+			Seed:     int64(k + 1),
 		}); err != nil {
 			b.Fatal(err)
 		}
@@ -47,9 +46,9 @@ func tenantFootprint(b *testing.B, tenants int) (goroutines int, bytesPerTenant 
 // Every tenant runs the full workload, so throughput is expected to scale
 // with the tenant count while per-tenant throughput shows the multiplexing
 // overhead (registration, per-cluster planes, plane bookkeeping) against the
-// tenants=1 baseline. Clusters run lean (one worker, sequential engine) so
-// the lane measures the plane, not GOMAXPROCS contention between 256 worker
-// pools.
+// tenants=1 baseline. Every tenant is seated on the plane's one substrate,
+// each node's detection inline on the worker draining it, so the lane
+// measures the plane, not GOMAXPROCS contention between 256 worker pools.
 func BenchmarkMultiTenant(b *testing.B) {
 	const rounds = 4
 	topo := tree.Balanced(2, 5) // p = 63
@@ -74,9 +73,8 @@ func BenchmarkMultiTenant(b *testing.B) {
 				handles := make([]*Handle, tenants)
 				for k := range handles {
 					h, err := plane.RegisterPredicate(fmt.Sprintf("bench-%03d", k), Spec{
-						Topology:         tree.Balanced(2, 5),
-						Seed:             int64(i*tenants + k + 1),
-						SequentialDetect: true,
+						Topology: tree.Balanced(2, 5),
+						Seed:     int64(i*tenants + k + 1),
 					})
 					if err != nil {
 						b.Fatal(err)

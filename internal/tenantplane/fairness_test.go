@@ -43,7 +43,7 @@ func TestSchedulerFairness(t *testing.T) {
 	quietExec := workload.Generate(workload.Config{Topology: quietTopo, Rounds: quietRounds, Seed: 11, PGlobal: 1})
 
 	hot, err := plane.RegisterPredicate("hot", Spec{
-		Topology: tree.Balanced(2, 3), Seed: 1, SequentialDetect: true,
+		Topology: tree.Balanced(2, 3), Seed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +51,7 @@ func TestSchedulerFairness(t *testing.T) {
 	// The quiet tenant reports each root detection's arrival time.
 	detections := make(chan time.Time, quietRounds)
 	quiet, err := plane.RegisterPredicate("quiet", Spec{
-		Topology: tree.Balanced(2, 2), Seed: 2, SequentialDetect: true,
+		Topology: tree.Balanced(2, 2), Seed: 2,
 		Events: func(ev obsv.Event) {
 			if ev.Kind == obsv.SolutionFound && ev.Node == 0 {
 				detections <- time.Now()

@@ -401,7 +401,6 @@ func Test256TenantsSharedMesh(t *testing.T) {
 	spec := func(seed int64) Spec {
 		return Spec{
 			Topology: build(), Seed: seed, Strict: true, KeepMembers: true,
-			SequentialDetect: true,
 		}
 	}
 
@@ -416,7 +415,7 @@ func Test256TenantsSharedMesh(t *testing.T) {
 		mk := func(id int) *livenet.Cluster {
 			return livenet.New(livenet.Config{
 				Topology: build(), Seed: sp.Seed, Strict: sp.Strict, KeepMembers: sp.KeepMembers,
-				Workers: 1, SequentialDetect: sp.SequentialDetect,
+				Workers:   1,
 				Transport: net.Endpoint(id), LocalNodes: []int{id},
 			})
 		}

@@ -20,7 +20,6 @@ func registerAndFeed(t *testing.T, p *Multiplexer, name string, seed int64) int 
 	topo := tree.Balanced(2, 2)
 	h, err := p.RegisterPredicate(name, Spec{
 		Topology: tree.Balanced(2, 2), Seed: seed,
-		SequentialDetect: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +134,7 @@ func TestMultiplexerShutdownDeadline(t *testing.T) {
 	// cannot quiesce in time.
 	h, err := p.RegisterPredicate("gamma", Spec{
 		Topology: tree.Chain(2), Seed: 3,
-		SequentialDetect: true, MaxDelay: 600 * time.Millisecond,
+		MaxDelay: 600 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

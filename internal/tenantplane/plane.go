@@ -41,9 +41,6 @@ type Config struct {
 	// to each tenant's external producers. A tenant's Spec.MailboxBound
 	// overrides it; zero for both inherits livenet's default (4096).
 	MailboxBound int
-	// DetectWorkers sizes the plane's shared comparison pool backing every
-	// tenant's parallel detection engine. Zero means GOMAXPROCS.
-	DetectWorkers int
 	// SchedulerQuantum is the deficit-round-robin quantum in messages: how
 	// many messages one tenant may drain before the shared pool rotates to
 	// the next backlogged tenant. Zero means 256. Smaller values tighten a
@@ -75,13 +72,11 @@ type Spec struct {
 	Seed int64
 	// Strict and KeepMembers configure the detector nodes (see core.Config).
 	Strict, KeepMembers bool
-	// MaxDelay, AdaptiveFlush and SequentialDetect tune the tenant cluster's
-	// delivery and detection planes (see livenet.Config). The pools are the
-	// plane's (Config.Workers, Config.DetectWorkers), sized once for every
-	// tenant.
-	MaxDelay         time.Duration
-	AdaptiveFlush    bool
-	SequentialDetect bool
+	// MaxDelay and AdaptiveFlush tune the tenant cluster's delivery plane
+	// (see livenet.Config). The worker pool is the plane's (Config.Workers),
+	// sized once for every tenant.
+	MaxDelay      time.Duration
+	AdaptiveFlush bool
 	// MailboxBound caps this tenant's per-node mailbox shards for external
 	// producers. Precedence: Spec.MailboxBound (nonzero) over
 	// Config.MailboxBound (nonzero) over livenet's default (4096).
@@ -237,18 +232,17 @@ func NewMultiplexer(cfg Config) (*Multiplexer, error) {
 		tenants: make(map[string]*Handle),
 		byWire:  make(map[uint32]string),
 	}
-	// The shared scheduler substrate: one worker pool, one timer wheel, one
-	// comparison pool and one clock arena for every tenant this plane will
-	// host. Its wheel-lag histogram lives in the plane registry from the
-	// start, so the first tenant's ticks are already observed.
+	// The shared scheduler substrate: one worker pool, one timer wheel and
+	// one region per worker for every tenant this plane will host. Its
+	// wheel-lag histogram lives in the plane registry from the start, so the
+	// first tenant's ticks are already observed.
 	wheelLag := p.reg.Histogram("hierdet_plane_wheel_lag_seconds",
 		"How far past its deadline each shared-wheel advance ran.",
 		obsv.ExponentialBuckets(1e-6, 4, 10))
 	p.sched = livenet.NewSharedScheduler(livenet.SharedSchedulerConfig{
-		Workers:       cfg.Workers,
-		Quantum:       cfg.SchedulerQuantum,
-		DetectWorkers: cfg.DetectWorkers,
-		WheelLagSink:  wheelLag.Observe,
+		Workers:      cfg.Workers,
+		Quantum:      cfg.SchedulerQuantum,
+		WheelLagSink: wheelLag.Observe,
 	})
 	if cfg.Transport != nil {
 		p.mux = NewMux(cfg.Transport)
@@ -403,7 +397,6 @@ func (p *Multiplexer) RegisterPredicate(tenantID string, spec Spec) (*Handle, er
 		KeepMembers:       spec.KeepMembers,
 		MailboxBound:      bound,
 		AdaptiveFlush:     spec.AdaptiveFlush,
-		SequentialDetect:  spec.SequentialDetect,
 		Scheduler:         p.sched,
 		HbEvery:           spec.HbEvery,
 		SeekTimeout:       spec.SeekTimeout,

@@ -23,7 +23,6 @@ func TestSizingPrecedence(t *testing.T) {
 	reg := func(name string, spec Spec) *Handle {
 		t.Helper()
 		spec.Topology = tree.Chain(2)
-		spec.SequentialDetect = true
 		h, err := plane.RegisterPredicate(name, spec)
 		if err != nil {
 			t.Fatal(err)
@@ -55,7 +54,7 @@ func TestSizingPrecedence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer bare.Close()
-	def, err := bare.RegisterPredicate("def", Spec{Topology: tree.Chain(2), SequentialDetect: true})
+	def, err := bare.RegisterPredicate("def", Spec{Topology: tree.Chain(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +64,7 @@ func TestSizingPrecedence(t *testing.T) {
 
 	// Standalone clusters honor the per-cluster knobs.
 	solo := livenet.New(livenet.Config{
-		Topology: tree.Chain(2), Workers: 2, MailboxBound: 77, SequentialDetect: true,
+		Topology: tree.Chain(2), Workers: 2, MailboxBound: 77,
 	})
 	defer solo.Stop()
 	if solo.Shared() {

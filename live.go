@@ -53,17 +53,6 @@ type LiveDeliveryOptions struct {
 	// follows the actual burst size with zero added latency. Off, every
 	// report is sent immediately.
 	AdaptiveFlush bool
-	// SequentialDetect restores the single-threaded in-node detection
-	// engine (the paper's Algorithm 1 loop exactly as it ran before the
-	// parallel engine) — the property-test oracle and benchmark baseline.
-	// Leave it off to get the partitioned engine: comparison rounds fan out
-	// across a shared worker set and aggregates are published from a flat
-	// vector-clock store, with byte-identical detections.
-	SequentialDetect bool
-	// DetectWorkers sizes the comparison worker set the parallel detection
-	// engine shares across all nodes (default GOMAXPROCS). Ignored under
-	// SequentialDetect.
-	DetectWorkers int
 }
 
 // LiveFailureOptions enables the paper's §III-F failure handling.
@@ -147,8 +136,6 @@ func NewLiveCluster(cfg LiveConfig) *LiveCluster {
 		Workers:           cfg.Delivery.Workers,
 		MailboxBound:      cfg.Delivery.MailboxBound,
 		AdaptiveFlush:     cfg.Delivery.AdaptiveFlush,
-		SequentialDetect:  cfg.Delivery.SequentialDetect,
-		DetectWorkers:     cfg.Delivery.DetectWorkers,
 		HbEvery:           cfg.Failure.HbEvery,
 		SeekTimeout:       cfg.Failure.SeekTimeout,
 		ResendLastOnAdopt: cfg.Failure.ResendLastOnAdopt,

@@ -44,9 +44,9 @@ const (
 // Event, plus its offset from session start).
 type TraceEvent = replay.EventRec
 
-// Delivery plane names for recording and replay — the same two lanes the
-// scale benchmarks run: the current path (parallel) and its sequential
-// oracle (sharded).
+// Delivery plane names for recording and replay: the current path
+// (parallel) and per-report sends without coalescing (sharded, a name
+// recorded traces carry; both run the one detection engine).
 const (
 	PlaneSharded  = replay.PlaneSharded
 	PlaneParallel = replay.PlaneParallel

@@ -149,11 +149,6 @@ sort >"$workdir/known_families.txt" <<'EOF'
 hierdet_cluster_killed_processes
 hierdet_cluster_nodes
 hierdet_cluster_pending_credits
-hierdet_detect_busy
-hierdet_detect_fanout_rounds_total
-hierdet_detect_inline_rounds_total
-hierdet_detect_tasks_total
-hierdet_detect_workers
 hierdet_events_total
 hierdet_fd_local_pauses_total
 hierdet_fd_timeout_seconds
