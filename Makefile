@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race cover bench bench-json bench-scale bench-compare bench-pair profile fuzz figures alpha examples smoke smoke-metrics soak loc fmt vet lint clean
+.PHONY: all build test test-short race cover bench bench-pair profile fuzz figures alpha examples smoke smoke-metrics soak loc fmt vet lint clean
 
 all: build vet test
 
@@ -25,24 +25,6 @@ cover:
 # One bench per paper artifact (Table I, Figures 4–5) plus ablations.
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# Refresh the recorded benchmark trajectories (append-only; see EXPERIMENTS.md).
-bench-json:
-	$(GO) run ./cmd/benchjson
-
-# Live-runtime scale lanes at p ∈ {127, 511, 1023} → BENCH_scale.json.
-bench-scale:
-	$(GO) run ./cmd/benchjson -suite scale
-
-# Perf drift gate: diff the last two entries of the scale trajectory (CI
-# points BENCH_COMPARE_OUT at its freshly refreshed copy) and fail when the
-# p=1023 parallel lane's throughput regressed more than 10% or its
-# observe→solution p99 latency rose more than 150% (latency quantiles on a
-# shared box are far noisier than throughput, hence the loose tolerance).
-BENCH_COMPARE_OUT ?= BENCH_scale.json
-bench-compare:
-	$(GO) run ./cmd/benchjson -suite scale -compare -out $(BENCH_COMPARE_OUT) \
-		-maxregress 'p1023_parallel_intervals_per_sec=10,p1023_parallel_latency_p99_ms>150'
 
 # Paired, alternating benchmark runs of a parent commit against this checkout:
 # per metric, both medians, quartiles and pairs won (scripts/bench_pair.sh;

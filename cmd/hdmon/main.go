@@ -287,7 +287,8 @@ func runLive(topo *hierdet.Topology, rounds int, pglobal, pgroup float64, seed i
 		cluster.Drain()
 	}
 	feed(prev, rounds)
-	dets := cluster.Stop()
+	cluster.Close()
+	dets := cluster.Detections()
 	elapsed := time.Since(start)
 
 	fmt.Printf("\nlive run: %d processes, %d rounds in %v; failed: %v\n",

@@ -211,7 +211,8 @@ func reference() (full, survivor int, err error) {
 	}
 	c.Drain()
 	feed(phase1, rounds)
-	for _, d := range c.Stop() {
+	c.Close()
+	for _, d := range c.Detections() {
 		if d.AtRoot {
 			switch len(d.Det.Agg.Span) {
 			case nodes:

@@ -51,7 +51,8 @@ func main() {
 		}(p)
 	}
 	wg.Wait()
-	dets := cluster.Stop()
+	cluster.Close()
+	dets := cluster.Detections()
 	elapsed := time.Since(start)
 
 	global, group := 0, 0

@@ -1,7 +1,6 @@
 package livenet
 
 import (
-	"context"
 	"math/rand/v2"
 	"reflect"
 	"sort"
@@ -14,7 +13,7 @@ import (
 )
 
 // runWorkload feeds a whole execution and returns the cluster ready to be
-// torn down by whichever lifecycle entry point the test exercises.
+// closed.
 func runWorkload(t *testing.T, seed int64) (*Cluster, *workload.Execution) {
 	t.Helper()
 	topo := tree.Balanced(2, 2)
@@ -27,8 +26,7 @@ func runWorkload(t *testing.T, seed int64) (*Cluster, *workload.Execution) {
 }
 
 // sameDetections asserts two detection lists agree on the canonical
-// projection (node, root-ness, aggregate identity) — Stop and
-// Close+Detections must be interchangeable teardown spellings.
+// projection (node, root-ness, aggregate identity).
 func sameDetections(t *testing.T, got, want []Detection) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -44,25 +42,36 @@ func sameDetections(t *testing.T, got, want []Detection) {
 	}
 }
 
-// TestCloseEqualsStop pins the deprecation contract: Close followed by
-// Detections returns exactly what Stop would have (same workload, same
-// seed, same ordering), and Close is idempotent where Stop panics.
+// TestCloseEqualsStop pins the one way down: Close then Detections returns
+// the same list on two runs of one workload and seed, a second Close returns
+// nil and leaves Detections unchanged, and the list holds every round's
+// root detection.
 func TestCloseEqualsStop(t *testing.T) {
-	cs, _ := runWorkload(t, 77)
-	viaStop := cs.Stop()
-
-	cc, _ := runWorkload(t, 77)
-	if err := cc.Close(); err != nil {
+	ca, _ := runWorkload(t, 77)
+	if err := ca.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	viaClose := cc.Detections()
-	sameDetections(t, viaClose, viaStop)
+	first := ca.Detections()
 
-	// Close again: nil, and Detections unchanged.
-	if err := cc.Close(); err != nil {
+	cb, _ := runWorkload(t, 77)
+	if err := cb.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	sameDetections(t, cb.Detections(), first)
+
+	if err := cb.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
-	sameDetections(t, cc.Detections(), viaStop)
+	sameDetections(t, cb.Detections(), first)
+	roots := 0
+	for _, d := range first {
+		if d.AtRoot {
+			roots++
+		}
+	}
+	if roots != 6 {
+		t.Fatalf("root detections = %d, want 6", roots)
+	}
 }
 
 // TestDetectionsBeforeStop: the accessor answers nil until teardown has
@@ -80,60 +89,32 @@ func TestDetectionsBeforeStop(t *testing.T) {
 	}
 }
 
-// TestStopAfterClosePanics: the historical Stop contract (double teardown
-// is a bug worth a loud crash) survives the lifecycle refactor.
-func TestStopAfterClosePanics(t *testing.T) {
-	c := New(Config{Topology: tree.Star(3)})
-	c.Close()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Stop after Close did not panic")
-		}
-	}()
-	c.Stop()
-}
-
-// TestShutdownDeadline: a Shutdown whose context expires while credits are
-// still pending reports ctx.Err(), leaves the cluster running (Observe
-// still legal, no panic), and a later unbounded Shutdown completes with the
-// full detection set.
-func TestShutdownDeadline(t *testing.T) {
+// TestConcurrentCloseWaitsForTeardown: a Close racing another Close returns
+// only once the cluster is down, so Detections read right after either call
+// is the final list. The long MaxDelay parks the reports on the wheel, which
+// keeps the first Close quiescing well past the moment the second starts.
+func TestConcurrentCloseWaitsForTeardown(t *testing.T) {
 	topo := tree.Chain(2)
-	e := workload.Generate(workload.Config{Topology: topo, Rounds: 4, Seed: 9, PGlobal: 1})
-	// A long MaxDelay parks the credits of child 1's two reports on the wheel
-	// (the seed fixes their delays: 36 and 87 ms), so quiescence is provably
-	// not reachable within the short deadline.
-	c := New(Config{Topology: topo, Seed: 9, Strict: true, KeepMembers: true,
-		MaxDelay: 600 * time.Millisecond})
+	const rounds = 2
+	e := workload.Generate(workload.Config{Topology: topo, Rounds: rounds, Seed: 9, PGlobal: 1})
+	c := New(Config{Topology: topo, Seed: 9, MaxDelay: 100 * time.Millisecond})
 	for p := range e.Streams {
-		c.ObserveBatch(p, e.Streams[p][:2])
+		c.ObserveBatch(p, e.Streams[p])
 	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	if err := c.Shutdown(ctx); err != context.DeadlineExceeded {
-		t.Fatalf("Shutdown under deadline = %v, want context.DeadlineExceeded", err)
+	seen := make(chan []Detection, 2)
+	closeAndRead := func() {
+		c.Close()
+		seen <- c.Detections()
 	}
-
-	// Still running: feeding more work must not panic.
-	for p := range e.Streams {
-		c.ObserveBatch(p, e.Streams[p][2:])
-	}
-	if err := c.Shutdown(context.Background()); err != nil {
-		t.Fatalf("unbounded Shutdown: %v", err)
-	}
-	roots := 0
-	for _, d := range c.Detections() {
-		if d.AtRoot {
-			roots++
+	go closeAndRead()
+	time.Sleep(5 * time.Millisecond)
+	go closeAndRead()
+	for i := 0; i < 2; i++ {
+		// Every process's interval of a global round is detected at the
+		// leaf and at the root: two detections a round.
+		if got := len(<-seen); got != 2*rounds {
+			t.Fatalf("Close %d returned with %d detections, want %d", i, got, 2*rounds)
 		}
-	}
-	if roots != 4 {
-		t.Fatalf("root detections after resumed shutdown = %d, want 4", roots)
-	}
-	// Shutdown after stopped: nil.
-	if err := c.Shutdown(context.Background()); err != nil {
-		t.Fatalf("Shutdown after stopped = %v, want nil", err)
 	}
 }
 

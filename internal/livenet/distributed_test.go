@@ -15,7 +15,7 @@ import (
 )
 
 // detLog aggregates streamed detections across the participants of a
-// distributed deployment (each cluster only returns its own from Stop).
+// distributed deployment (each cluster's Detections holds only its own).
 type detLog struct {
 	mu   sync.Mutex
 	dets []Detection
@@ -112,7 +112,8 @@ func TestDistributedParityAndFailover(t *testing.T) {
 	waitCond(t, "reference parent to drop dead child", func() bool { return ref.Metrics()[0].ChildDrops == 1 })
 	ref.Drain()
 	feedRange(ref, e, phase1, phase1+phase2)
-	refDets := ref.Stop()
+	ref.Close()
+	refDets := ref.Detections()
 	refFull, refSurvivor := spanCount(refDets, 7), spanCount(refDets, 6)
 
 	// Distributed: one cluster per node, joined by the in-process Network.
@@ -148,7 +149,8 @@ func TestDistributedParityAndFailover(t *testing.T) {
 
 	var dets []Detection
 	for id := 0; id < 7; id++ {
-		dets = append(dets, clusters[id].Stop()...)
+		clusters[id].Close()
+		dets = append(dets, clusters[id].Detections()...)
 	}
 	soundRoots(t, dets)
 	if got := spanCount(dets, 7); got != refFull || got != phase1 {
@@ -235,7 +237,9 @@ func TestDistributedRedeliveryAndCorruptFrames(t *testing.T) {
 	waitCond(t, "remaining detections", func() bool { return log.rootSpan(2) == rounds })
 	time.Sleep(10 * time.Millisecond)
 
-	dets := append(root.Stop(), leaf.Stop()...)
+	root.Close()
+	leaf.Close()
+	dets := append(root.Detections(), leaf.Detections()...)
 	soundRoots(t, dets)
 	if got := spanCount(dets, 2); got != rounds {
 		t.Errorf("root detections = %d, want %d (redelivery must not re-deliver)", got, rounds)
@@ -304,7 +308,9 @@ func TestDistributedReportSpanOutsideSystem(t *testing.T) {
 	feedOne(leaf, e, 1, 0, rounds)
 	waitCond(t, "root detections over the forged reports", func() bool { return log.rootSpan(2) == rounds })
 
-	dets := append(root.Stop(), leaf.Stop()...)
+	root.Close()
+	leaf.Close()
+	dets := append(root.Detections(), leaf.Detections()...)
 	if got := spanCount(dets, 2); got != rounds {
 		t.Errorf("root detections = %d, want %d", got, rounds)
 	}
@@ -376,7 +382,8 @@ func TestDistributedOverTCP(t *testing.T) {
 
 	var dets []Detection
 	for id := 0; id < 7; id++ {
-		dets = append(dets, clusters[id].Stop()...)
+		clusters[id].Close()
+		dets = append(dets, clusters[id].Detections()...)
 	}
 	soundRoots(t, dets)
 	if got := spanCount(dets, 7); got != phase1 {
@@ -429,7 +436,8 @@ func TestDistributedBatchWindow(t *testing.T) {
 
 	var dets []Detection
 	for id := 0; id < 7; id++ {
-		dets = append(dets, clusters[id].Stop()...)
+		clusters[id].Close()
+		dets = append(dets, clusters[id].Detections()...)
 	}
 	soundRoots(t, dets)
 	if got := spanCount(dets, 7); got != rounds {

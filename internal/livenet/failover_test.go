@@ -133,7 +133,8 @@ func TestLiveClusterFailover(t *testing.T) {
 	c.Drain()
 
 	feedRange(c, e, phase1, phase1+phase2)
-	dets := c.Stop()
+	c.Close()
+	dets := c.Detections()
 
 	soundRoots(t, dets)
 	if got := spanCount(dets, 7); got != phase1 || got != refFull {
@@ -197,7 +198,8 @@ func TestLiveClusterFailoverResendLast(t *testing.T) {
 	waitCond(t, "parent to drop dead child", func() bool { return c.Metrics()[0].ChildDrops == 1 })
 	c.Drain()
 	feedRange(c, e, phase1, phase1+phase2)
-	dets := c.Stop()
+	c.Close()
+	dets := c.Detections()
 
 	soundRoots(t, dets)
 	if got := spanCount(dets, 6); got < phase2 {
@@ -246,7 +248,8 @@ func TestLiveClusterPartition(t *testing.T) {
 	waitCond(t, "parent to drop dead child", func() bool { return c.Metrics()[0].ChildDrops == 1 })
 	c.Drain()
 	feedRange(c, e, phase1, phase1+phase2)
-	dets := c.Stop()
+	c.Close()
+	dets := c.Detections()
 
 	soundRoots(t, dets)
 	// The stranded pair keeps detecting at its own root...

@@ -40,10 +40,10 @@
 // Lifecycle is race-clean by construction: a single mutex guards the
 // cluster state machine (running → stopping → stopped) and a message-credit
 // ledger; every message holds exactly one credit from before it is sent
-// until after it is handled, timers take their credit when armed, and Stop
+// until after it is handled, timers take their credit when armed, and Close
 // waits on a condition variable until the ledger drains before leaving the
 // substrate. There is no sleep-polling, no unsynchronized flag, and nothing
-// left sleeping after Stop returns: the wheel cancels the cluster's remaining
+// left sleeping after Close returns: the wheel cancels the cluster's remaining
 // (uncredited) entries instead of firing them.
 //
 // With Config.Transport set the cluster becomes one participant of a
@@ -60,7 +60,6 @@
 package livenet
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -149,20 +148,20 @@ type Config struct {
 	// interval pruned, node suspected, repair concluded and transport
 	// redial (see obsv.EventKind). Every detection arrives as a
 	// SolutionFound event as it is recorded — the streaming complement of
-	// Stop's batch return — and every concluded repair as a RepairConcluded
+	// Detections — and every concluded repair as a RepairConcluded
 	// event (Peer is the adopting node, or tree.None when the orphan
 	// exhausted its candidates and continues as a partition root). Events
 	// for one node are delivered in that node's causal order; events of
 	// different nodes interleave, so the sink must be safe for concurrent
 	// calls. It runs on runtime goroutines, off the cluster's locks (Metrics
-	// and Repairs may be called from it): keep it quick and never call Stop
+	// and Repairs may be called from it): keep it quick and never call Close
 	// from it.
 	Events func(obsv.Event)
 
 	// Transport switches the cluster to distributed mode: it hosts only
 	// LocalNodes, and messages to every other topology node are wire-encoded
 	// and shipped through the transport (see the package comment). The
-	// cluster starts the transport in New and closes it in Stop.
+	// cluster starts the transport in New and closes it in Close.
 	Transport transport.Transport
 	// LocalNodes is the subset of topology nodes this cluster hosts
 	// (distributed mode only; default: every alive node, i.e. a
@@ -203,8 +202,7 @@ const (
 
 // Cluster is a running set of detector nodes. Create with New, feed local
 // intervals with Observe or ObserveBatch, optionally crash processes with
-// Kill, then Close it (or Shutdown, under a deadline) and read every
-// detection with Detections.
+// Kill, then Close it and read every detection with Detections.
 type Cluster struct {
 	cfg   Config
 	nodes map[int]*liveNode
@@ -252,6 +250,10 @@ type Cluster struct {
 	reqSeq  int
 	final   []Detection // set once by teardown; read by Detections
 	repairs []RepairEvent
+
+	// closeOnce, not guarded by mu, runs Close's teardown exactly once;
+	// every other Close waits inside it until the cluster is down.
+	closeOnce sync.Once
 }
 
 // New builds and starts a cluster over the alive nodes of the topology.
@@ -349,7 +351,7 @@ func (c *Cluster) now() int64 { return int64(time.Since(c.startAt)) + 1 }
 // cluster. Intervals of one process must be observed in generation order
 // (they are at the emitting process by construction); different processes
 // may call Observe concurrently. Observe blocks while p's mailbox shard is
-// at its bound (backpressure) and must not be called after Stop;
+// at its bound (backpressure) and must not be called after Close;
 // observations for killed processes are silently dropped (the process is
 // dead — it generates nothing). iv's clocks must keep the interval.Interval
 // contract — Fidge–Mattern timestamps of events at p, every receive ticking
@@ -390,7 +392,7 @@ func (c *Cluster) admit(p, credits int) *liveNode {
 	c.mu.Lock()
 	if c.state != clusterRunning {
 		c.mu.Unlock()
-		panic("livenet: Observe after Stop")
+		panic("livenet: Observe after Close")
 	}
 	if c.killed[p] {
 		c.mu.Unlock()
@@ -418,7 +420,7 @@ func (c *Cluster) Kill(node int) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.state != clusterRunning {
-		panic("livenet: Kill after Stop")
+		panic("livenet: Kill after Close")
 	}
 	if c.killed[node] {
 		return 0
@@ -444,132 +446,51 @@ func (c *Cluster) Drain() {
 	c.mu.Unlock()
 }
 
-// Stop waits for the cluster to go idle, shuts the delivery plane down and
-// returns every detection, ordered by node id and then detection order at
-// that node.
+// Close waits for the cluster to go idle, shuts the delivery plane down and
+// makes every detection readable through Detections. It is the one way down
+// and is idempotent: the teardown runs once, and every call — concurrent or
+// later — returns only after it has finished, so Detections is final as soon
+// as any Close returns. Close never fails; the error return exists so every
+// long-lived object in the package family (Cluster, tenant-plane Handle and
+// Multiplexer, replay Recorder/Replayer) closes through the same signature.
+// A closed cluster never runs again.
 //
-// The quiescence protocol (quiesceLocked): state moves to stopping (new
-// Observe calls panic, internal cascade traffic still flows), then Stop
-// waits on the condition variable until the credit ledger drains. Because
-// every message acquires its credit under mu before it is sent — timers at
-// arm time — a drained ledger means no credited delivery can be
-// outstanding, so moving to stopped and cancelling the wheel (teardown)
-// cannot lose work. The wheel's surviving entries of this cluster are the
-// uncredited heartbeat ticks; they are discarded, the seat waits out the
-// drains still on workers, and nothing of the cluster is left sleeping or
-// running when Stop returns.
-//
-// Stop is the original teardown entry point, kept as a compatibility alias:
-// it is exactly Close followed by Detections, except that stopping an
-// already-stopped cluster panics (the historical contract, which existing
-// callers rely on to flag double-teardown bugs). New code should prefer
-// Close (idempotent) or Shutdown (deadline-aware).
-//
-// Deprecated: use Close or Shutdown, then Detections.
-func (c *Cluster) Stop() []Detection {
-	c.mu.Lock()
-	if c.state != clusterRunning {
-		c.mu.Unlock()
-		panic("livenet: Stop called twice")
-	}
-	c.quiesceLocked(nil)
-	c.mu.Unlock()
-	return c.teardown()
-}
-
-// Close waits for the cluster to go idle and shuts the delivery plane down,
-// exactly like Stop, but follows the io.Closer convention: it returns nil on
-// an already-closed cluster instead of panicking, and it does not hand the
-// detections back — read them with Detections. Close never fails; the error
-// return exists so every long-lived object in the package family (Cluster,
-// tenant-plane Multiplexer, replay Recorder/Replayer) closes through the
-// same signature.
+// The quiescence protocol: state moves to stopping (new Observe calls panic,
+// internal cascade traffic still flows), then Close waits on the condition
+// variable until the credit ledger drains. Because every message acquires
+// its credit under mu before it is sent — timers at arm time — a drained
+// ledger means no credited delivery can be outstanding, so moving to
+// stopped and cancelling the wheel (teardown) cannot lose work. The wheel's
+// surviving entries of this cluster are the uncredited heartbeat ticks; they
+// are discarded, the seat waits out the drains still on workers, and nothing
+// of the cluster is left sleeping or running when Close returns.
 func (c *Cluster) Close() error {
-	c.mu.Lock()
-	if c.state != clusterRunning {
-		c.mu.Unlock()
-		return nil
-	}
-	c.quiesceLocked(nil)
-	c.mu.Unlock()
-	c.teardown()
-	return nil
-}
-
-// Shutdown is Close with a deadline: it waits for the message-credit ledger
-// to drain only as long as ctx allows. If the ledger drains in time the
-// cluster tears down exactly as Close does and Shutdown returns nil. If ctx
-// expires first, Shutdown returns ctx.Err() and the cluster RESUMES RUNNING —
-// no work has been lost, Observe is legal again, and a later Close/Stop/
-// Shutdown can finish the job. On an already-stopped cluster Shutdown
-// returns nil.
-func (c *Cluster) Shutdown(ctx context.Context) error {
-	c.mu.Lock()
-	if c.state != clusterRunning {
-		c.mu.Unlock()
-		return nil
-	}
-	if !c.quiesceLocked(ctx) {
-		// Deadline hit with traffic still in flight: abort the shutdown and
-		// hand the cluster back in the running state.
-		c.state = clusterRunning
-		c.mu.Unlock()
-		return ctx.Err()
-	}
-	c.mu.Unlock()
-	c.teardown()
-	return nil
-}
-
-// quiesceLocked runs the quiescence protocol under mu: state moves to
-// stopping (new Observe calls panic, internal cascade traffic still flows),
-// then waits on the condition variable until the credit ledger drains — or,
-// when ctx is non-nil, until ctx expires, whichever comes first. Returns true
-// with state at clusterStopped when the ledger drained, false with state
-// still at clusterStopping when ctx expired first (the caller restores
-// clusterRunning).
-func (c *Cluster) quiesceLocked(ctx context.Context) bool {
-	c.state = clusterStopping
-	var stopWatch chan struct{}
-	if ctx != nil && ctx.Done() != nil {
-		// The waiter below sleeps on the cond; a context expiry has to kick
-		// it awake. The watcher is told to stand down once quiescence
-		// resolves either way.
-		stopWatch = make(chan struct{})
-		go func() {
-			select {
-			case <-ctx.Done():
-				c.mu.Lock()
-				c.cond.Broadcast()
-				c.mu.Unlock()
-			case <-stopWatch:
-			}
-		}()
-		defer close(stopWatch)
-	}
-	for c.pending != 0 {
-		if ctx != nil && ctx.Err() != nil {
-			return false
+	c.closeOnce.Do(func() {
+		c.mu.Lock()
+		c.state = clusterStopping
+		for c.pending != 0 {
+			c.cond.Wait()
 		}
-		c.cond.Wait()
-	}
-	c.state = clusterStopped
-	c.halted.Store(true)
-	return true
+		c.state = clusterStopped
+		c.halted.Store(true)
+		c.mu.Unlock()
+		c.teardown()
+	})
+	return nil
 }
 
-// teardown dismantles the delivery plane after a successful quiescence
-// (state is clusterStopped, ledger empty — see Stop's doc comment for why
-// nothing can be lost from here) and returns the final detection list, also
-// stashing it for Detections. The list is the nodes' logs laid end to end in
-// node-id order: leaveSched has returned, so no worker is inside a drain and
-// the logs, worker-confined until now, are this goroutine's to read.
-func (c *Cluster) teardown() []Detection {
+// teardown dismantles the delivery plane after quiescence (state is
+// clusterStopped, ledger empty — see Close's doc comment for why nothing can
+// be lost from here) and publishes the final detection list for Detections.
+// The list is the nodes' logs laid end to end in node-id order: leaveSched
+// has returned, so no worker is inside a drain and the logs, worker-confined
+// until now, are this goroutine's to read.
+func (c *Cluster) teardown() {
 	c.leaveSched()
 	if c.remote {
 		// Incoming frames have been dropped (not credited) since the state
 		// reached stopped; Close additionally waits out any receive callback
-		// already in flight, so nothing touches the cluster after Stop.
+		// already in flight, so nothing touches the cluster after Close.
 		c.cfg.Transport.Close()
 	}
 	ids := c.NodeIDs()
@@ -581,7 +502,6 @@ func (c *Cluster) teardown() []Detection {
 	c.mu.Lock()
 	c.final = out
 	c.mu.Unlock()
-	return out
 }
 
 // leaveSched gives the cluster's seat up. The wheel and the pools belong to
@@ -599,10 +519,8 @@ func (c *Cluster) leaveSched() {
 }
 
 // Detections returns the final detection list — ordered by node id, then
-// detection order at that node — once the cluster has stopped (via Stop,
-// Close or a successful Shutdown). Before that it returns nil: the list is
-// only final after teardown. The slice is shared with Stop's return value;
-// treat it as read-only.
+// detection order at that node — once Close has returned. Before that it
+// returns nil: the list is only final after teardown. Treat it as read-only.
 func (c *Cluster) Detections() []Detection {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -643,7 +561,7 @@ func (c *Cluster) Repairs() []RepairEvent {
 
 // post ships a message to a node's mailbox after delay, taking the message's
 // pending credit first. During stopping the internal cascade is still
-// allowed — Stop drains it; only after stopped (ledger empty, so nothing can
+// allowed — Close drains it; only after stopped (ledger empty, so nothing can
 // legally be in flight) is the message dropped. Zero-delay messages enqueue
 // directly; delayed ones ride the wheel.
 func (c *Cluster) post(to int, msg message, delay time.Duration) {
@@ -666,7 +584,7 @@ func (c *Cluster) post(to int, msg message, delay time.Duration) {
 }
 
 // armTimer schedules a timer message, taking its pending credit at arm time:
-// an armed timer keeps the ledger non-zero, so Stop cannot tear the delivery
+// an armed timer keeps the ledger non-zero, so Close cannot tear the delivery
 // plane down under a pending timer.
 func (c *Cluster) armTimer(ln *liveNode, d time.Duration, msg message) {
 	c.mu.Lock()
@@ -681,7 +599,7 @@ func (c *Cluster) armTimer(ln *liveNode, d time.Duration, msg message) {
 
 // takeFlushCredit reserves one ledger credit for an AdaptiveFlush drain-end
 // flush. A buffered report must keep the ledger non-zero until its flush, or
-// Drain and Stop could observe quiescence with reports still sitting in
+// Drain and Close could observe quiescence with reports still sitting in
 // outBuf. The credit is released by runNode after the flush runs (or after
 // the buffer is discarded because the node went down). Returns false after
 // stopped, when nothing may enter the ledger anymore.

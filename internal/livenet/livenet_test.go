@@ -37,7 +37,8 @@ func TestLiveClusterDetectsAllPulses(t *testing.T) {
 	e := workload.Generate(workload.Config{Topology: topo, Rounds: 15, Seed: 1, PGlobal: 1})
 	c := New(Config{Topology: topo, Seed: 3, Strict: true, KeepMembers: true})
 	feed(c, e, topo)
-	dets := c.Stop()
+	c.Close()
+	dets := c.Detections()
 
 	roots := 0
 	for _, d := range dets {
@@ -59,7 +60,8 @@ func TestLiveClusterMatchesFlatReferenceOnChaos(t *testing.T) {
 		e := workload.GenerateChaotic(workload.ChaoticConfig{N: 7, Steps: 700, Seed: int64(trial)})
 		c := New(Config{Topology: topo, Seed: int64(trial), Strict: true, KeepMembers: true})
 		feed(c, e, topo)
-		dets := c.Stop()
+		c.Close()
+		dets := c.Detections()
 
 		perNode := map[int]int{}
 		for _, d := range dets {
@@ -81,7 +83,8 @@ func TestLiveClusterGroupLevel(t *testing.T) {
 	e := workload.Generate(workload.Config{Topology: topo, Rounds: 20, Seed: 2, PGroup: 1})
 	c := New(Config{Topology: topo, Seed: 5, Strict: true, KeepMembers: true})
 	feed(c, e, topo)
-	dets := c.Stop()
+	c.Close()
+	dets := c.Detections()
 
 	// Group rounds never satisfy the global predicate...
 	for _, d := range dets {
@@ -108,7 +111,8 @@ func TestLiveClusterHeavyReordering(t *testing.T) {
 	// each other constantly; Strict panics if resequencing ever fails.
 	c := New(Config{Topology: topo, Seed: 9, Strict: true, KeepMembers: true, MaxDelay: 2 * time.Millisecond})
 	feed(c, e, topo)
-	dets := c.Stop()
+	c.Close()
+	dets := c.Detections()
 	roots := 0
 	for _, d := range dets {
 		if d.AtRoot {
@@ -123,7 +127,7 @@ func TestLiveClusterHeavyReordering(t *testing.T) {
 func TestLiveClusterValidation(t *testing.T) {
 	topo := tree.Balanced(2, 1)
 	c := New(Config{Topology: topo})
-	defer c.Stop()
+	defer c.Close()
 	for name, f := range map[string]func(){
 		"nil-topo":    func() { New(Config{}) },
 		"unknown-obs": func() { c.Observe(99, interval.Interval{}) },
@@ -137,15 +141,4 @@ func TestLiveClusterValidation(t *testing.T) {
 			f()
 		}()
 	}
-}
-
-func TestStopTwicePanics(t *testing.T) {
-	c := New(Config{Topology: tree.Balanced(2, 1)})
-	c.Stop()
-	defer func() {
-		if recover() == nil {
-			t.Error("second Stop did not panic")
-		}
-	}()
-	c.Stop()
 }

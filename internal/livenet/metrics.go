@@ -165,7 +165,7 @@ func (m *nodeMetrics) snapshot() Metrics {
 }
 
 // Metrics returns a snapshot of every node's runtime counters, keyed by
-// node id. Safe to call at any time, including after Stop. Map iteration
+// node id. Safe to call at any time, including after Close. Map iteration
 // order is random; use MetricsByNode for a stable order.
 func (c *Cluster) Metrics() map[int]Metrics {
 	out := make(map[int]Metrics, len(c.nodes))
@@ -275,7 +275,7 @@ type ClusterMetrics struct {
 }
 
 // ClusterMetrics aggregates a snapshot of the whole cluster. Safe at any
-// time, including concurrently with Observe, Kill, repair and Stop.
+// time, including concurrently with Observe, Kill, repair and Close.
 func (c *Cluster) ClusterMetrics() ClusterMetrics {
 	out := ClusterMetrics{
 		Nodes:   len(c.nodes),
@@ -341,7 +341,7 @@ func (c *Cluster) ClusterMetrics() ClusterMetrics {
 
 // Registry returns the cluster's metrics registry — every plane's families,
 // ready for Prometheus exposition (obsv.Registry.Handler) or programmatic
-// reads. The registry is created in New and stays valid after Stop.
+// reads. The registry is created in New and stays valid after Close.
 func (c *Cluster) Registry() *obsv.Registry { return c.reg }
 
 // emitEvent counts e and hands it to the configured sink, if any. Callers

@@ -411,7 +411,7 @@ func (ln *liveNode) resendLast() {
 // emit assigns the next link sequence number and either sends the report or,
 // under AdaptiveFlush, buffers it until the end of the current mailbox drain
 // (runNode), covered by an explicit ledger credit taken at first buffer — so
-// Drain and Stop cover buffered reports.
+// Drain and Close cover buffered reports.
 func (ln *liveNode) emit(agg *interval.Interval) {
 	pl := repair.Ref{Iv: agg, LinkSeq: ln.outSeq, Epoch: ln.epochs.Stamp()}
 	ln.outSeq++

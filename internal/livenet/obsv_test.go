@@ -40,7 +40,7 @@ func (l *eventLog) ofKind(k obsv.EventKind) []obsv.Event {
 
 // TestEventsMatchResults runs one failover workload with the Events sink
 // installed and checks the stream carries everything the cluster hands back
-// at the end: one SolutionFound per detection Stop returns, with the same
+// at the end: one SolutionFound per entry of Detections, with the same
 // node, root flag and aggregate; one RepairConcluded per Repairs entry, with
 // the same orphan and adopter.
 func TestEventsMatchResults(t *testing.T) {
@@ -65,7 +65,8 @@ func TestEventsMatchResults(t *testing.T) {
 	awaitRepairs(t, repaired, orphans)
 	c.Drain()
 	feedRange(c, e, phase1, phase1+phase2)
-	dets := c.Stop()
+	c.Close()
+	dets := c.Detections()
 	concluded := c.Repairs()
 
 	found := log.ofKind(obsv.SolutionFound)
@@ -130,7 +131,8 @@ func TestEventStreamPerNodeOrder(t *testing.T) {
 	var log eventLog
 	c := New(Config{Topology: topo, Seed: 9, Strict: true, KeepMembers: true, Events: log.sink})
 	feed(c, e, topo)
-	dets := c.Stop()
+	c.Close()
+	dets := c.Detections()
 
 	nextSeq := map[int]int{}
 	for _, ev := range log.ofKind(obsv.ReportSent) {
@@ -214,7 +216,8 @@ func TestMetricsSnapshotsDuringFailover(t *testing.T) {
 	awaitRepairs(t, repaired, orphans)
 	c.Drain()
 	feedRange(c, e, phase1, phase1+phase2)
-	dets := c.Stop()
+	c.Close()
+	dets := c.Detections()
 	close(stop)
 	scrapers.Wait()
 
@@ -223,13 +226,13 @@ func TestMetricsSnapshotsDuringFailover(t *testing.T) {
 		t.Fatalf("Nodes = %d, want %d", cm.Nodes, topo.N())
 	}
 	if cm.Detections != int64(len(dets)) {
-		t.Errorf("ClusterMetrics.Detections = %d, Stop returned %d", cm.Detections, len(dets))
+		t.Errorf("ClusterMetrics.Detections = %d, Detections holds %d", cm.Detections, len(dets))
 	}
 	if cm.KilledProcesses != 1 || cm.Repairs != int64(orphans) {
 		t.Errorf("killed = %d repairs = %d, want 1 and %d", cm.KilledProcesses, cm.Repairs, orphans)
 	}
 	if cm.PendingCredits != 0 {
-		t.Errorf("PendingCredits = %d after Stop, want 0", cm.PendingCredits)
+		t.Errorf("PendingCredits = %d after Close, want 0", cm.PendingCredits)
 	}
 	if cm.Events["solution_found"] != int64(len(dets)) {
 		t.Errorf("events[solution_found] = %d, want %d", cm.Events["solution_found"], len(dets))
@@ -260,7 +263,7 @@ func TestClusterMetricsJSONStable(t *testing.T) {
 	e := workload.Generate(workload.Config{Topology: topo, Rounds: 3, Seed: 2, PGlobal: 1})
 	c := New(Config{Topology: topo, Seed: 7})
 	feed(c, e, topo)
-	c.Stop()
+	c.Close()
 
 	raw, err := json.Marshal(c.ClusterMetrics())
 	if err != nil {
@@ -320,7 +323,7 @@ func TestPrometheusExpositionCoversPlanes(t *testing.T) {
 	e := workload.Generate(workload.Config{Topology: topo, Rounds: 8, Seed: 3, PGlobal: 1})
 	c := New(Config{Topology: topo, Seed: 12, AdaptiveFlush: true})
 	feed(c, e, topo)
-	c.Stop()
+	c.Close()
 
 	var sb strings.Builder
 	if err := c.Registry().WritePrometheus(&sb); err != nil {

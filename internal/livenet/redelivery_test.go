@@ -36,7 +36,8 @@ func TestLiveClusterRedelivery(t *testing.T) {
 			c.post(0, msg, delay())
 		}
 	}
-	dets := c.Stop()
+	c.Close()
+	dets := c.Detections()
 
 	roots := 0
 	for _, d := range dets {

@@ -77,7 +77,7 @@ func (c *Cluster) runNode(ln *liveNode) int {
 
 	// After the ledger drained and the state reached stopped, the only
 	// messages left are uncredited heartbeat ticks from the wheel's last
-	// turns; dropping them keeps post-Stop callbacks (child drops, repairs,
+	// turns; dropping them keeps post-Close callbacks (child drops, repairs,
 	// detections) from firing into a cluster the caller believes final.
 	stopped := c.halted.Load()
 

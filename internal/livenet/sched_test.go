@@ -22,7 +22,7 @@ func goroutinesSettleTo(t *testing.T, want int) {
 		}
 		if time.Now().After(deadline) {
 			buf := make([]byte, 1<<16)
-			t.Fatalf("goroutines = %d, want <= %d after Stop; dump:\n%s",
+			t.Fatalf("goroutines = %d, want <= %d after Close; dump:\n%s",
 				n, want, buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -32,8 +32,8 @@ func goroutinesSettleTo(t *testing.T, want int) {
 // TestStopCancelsDelayedDeliveries is the regression test for the seed's
 // sleep-goroutine leak window: with a delivery delay far longer than the
 // test, the seed design left one sleeping goroutine per in-flight message
-// alive after Stop returned. The wheel must instead drain everything before
-// Stop (credits cover delayed messages) and cancel cleanly, leaving the
+// alive after Close returned. The wheel must instead drain everything before
+// Close (credits cover delayed messages) and cancel cleanly, leaving the
 // goroutine count where it started.
 func TestStopCancelsDelayedDeliveries(t *testing.T) {
 	base := runtime.NumGoroutine()
@@ -45,7 +45,8 @@ func TestStopCancelsDelayedDeliveries(t *testing.T) {
 		HbEvery:  500 * time.Microsecond, // beats flow; nothing is killed, so nothing is suspected
 	})
 	feed(c, e, topo)
-	dets := c.Stop()
+	c.Close()
+	dets := c.Detections()
 	roots := 0
 	for _, d := range dets {
 		if d.AtRoot {
@@ -59,7 +60,7 @@ func TestStopCancelsDelayedDeliveries(t *testing.T) {
 }
 
 // TestStopCancelsRepairTimers: armed seek timeouts are credited wheel
-// entries, so a Stop racing a repair in progress must wait the repair out
+// entries, so a Close racing a repair in progress must wait the repair out
 // and still cancel cleanly.
 func TestStopCancelsRepairTimers(t *testing.T) {
 	base := runtime.NumGoroutine()
@@ -70,7 +71,7 @@ func TestStopCancelsRepairTimers(t *testing.T) {
 	})
 	c.Kill(1) // orphans 3 and 4; each arms seek timeouts while reattaching
 	c.Drain()
-	c.Stop()
+	c.Close()
 	goroutinesSettleTo(t, base)
 }
 
@@ -106,7 +107,7 @@ func TestSteadyStateGoroutinesBounded(t *testing.T) {
 	c.Drain()
 	close(stop)
 	<-sampled
-	c.Stop()
+	c.Close()
 
 	// Pool + wheel + 127 feeder goroutines + the sampler + slack. The point
 	// is the order of magnitude: tens, not thousands.
@@ -120,7 +121,7 @@ func TestSteadyStateGoroutinesBounded(t *testing.T) {
 // what is detected — same per-node detection counts as the per-report run on
 // the same workload — while actually coalescing: every non-root report leaves
 // inside a flush (never as an individual message), and batch feeding makes
-// flushes strictly fewer than the reports they carry. The Stop at the end
+// flushes strictly fewer than the reports they carry. The Close at the end
 // also exercises the flush credit: a buffered report that did not hold a
 // ledger credit could be stranded, and the detection counts would diverge.
 func TestAdaptiveFlushMatchesUnbatched(t *testing.T) {
@@ -132,7 +133,8 @@ func TestAdaptiveFlushMatchesUnbatched(t *testing.T) {
 		for p := range e.Streams {
 			c.ObserveBatch(p, e.Streams[p])
 		}
-		dets := c.Stop()
+		c.Close()
+		dets := c.Detections()
 		perNode := map[int]int{}
 		for _, d := range dets {
 			perNode[d.Node]++
@@ -183,7 +185,8 @@ func TestObserveBatchMatchesObserve(t *testing.T) {
 			feed(c, e, topo)
 		}
 		perNode := map[int]int{}
-		for _, d := range c.Stop() {
+		c.Close()
+		for _, d := range c.Detections() {
 			perNode[d.Node]++
 		}
 		return perNode
@@ -206,7 +209,8 @@ func TestMailboxBackpressure(t *testing.T) {
 	c := New(Config{Topology: topo, Seed: 8, Strict: true, KeepMembers: true, MailboxBound: 1})
 	feed(c, e, topo)
 	roots := 0
-	for _, d := range c.Stop() {
+	c.Close()
+	for _, d := range c.Detections() {
 		if d.AtRoot {
 			roots++
 		}

@@ -24,7 +24,8 @@ func TestSharedSchedulerParity(t *testing.T) {
 		}
 		feed(c, e, topo)
 		roots := 0
-		for _, d := range c.Stop() {
+		c.Close()
+		for _, d := range c.Detections() {
 			if d.AtRoot {
 				roots++
 			}
@@ -69,7 +70,8 @@ func TestSharedSchedulerManyClusters(t *testing.T) {
 	}
 	for i, c := range cs {
 		roots := 0
-		for _, d := range c.Stop() {
+		c.Close()
+		for _, d := range c.Detections() {
 			if d.AtRoot {
 				roots++
 			}
@@ -100,14 +102,15 @@ func TestSharedSchedulerStopIsolation(t *testing.T) {
 
 	e := workload.Generate(workload.Config{Topology: topo, Rounds: 4, Seed: 31, PGlobal: 1})
 	feed(victim, e, topo)
-	victim.Stop()
+	victim.Close()
 
 	// The survivor must still detect — including work fed entirely after the
 	// victim's wheel entries were cancelled out from under the shared wheel.
 	e2 := workload.Generate(workload.Config{Topology: topo, Rounds: 6, Seed: 32, PGlobal: 1})
 	feed(survivor, e2, topo)
 	roots := 0
-	for _, d := range survivor.Stop() {
+	survivor.Close()
+	for _, d := range survivor.Detections() {
 		if d.AtRoot {
 			roots++
 		}
@@ -141,7 +144,7 @@ func TestSharedSchedulerFailover(t *testing.T) {
 	}
 	c.Drain()
 	reps := c.Repairs()
-	c.Stop()
+	c.Close()
 	if len(reps) != 2 {
 		t.Fatalf("repairs = %d, want 2", len(reps))
 	}

@@ -43,7 +43,7 @@ import (
 //
 // Lifecycle: entries that deliver credited messages hold their ledger credit
 // from insertion (the caller takes it) until the delivery is handled, so
-// Cluster.Stop's drain covers everything the wheel still owes. cancel(c) —
+// Cluster.Close's drain covers everything the wheel still owes. cancel(c) —
 // and, once every cluster has left, the substrate's stop() — runs after the
 // drain: by then only uncredited recurring entries (heartbeat ticks) remain,
 // and they are discarded without firing.

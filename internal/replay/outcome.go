@@ -58,9 +58,9 @@ func MergeDetections(parts ...[]livenet.Detection) []livenet.Detection {
 	return out
 }
 
-// sortDetections orders by (Node, Agg.Seq) — each cluster already returns
-// its detections in this order (Stop sorts), so merging participants is the
-// only case with real work to do.
+// sortDetections orders by (Node, Agg.Seq) — each cluster's Detections is
+// already in this order, so merging participants is the only case with real
+// work to do.
 func sortDetections(dets []livenet.Detection) {
 	sort.Slice(dets, func(i, j int) bool {
 		if dets[i].Node != dets[j].Node {

@@ -2,7 +2,6 @@ package replay
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -356,8 +355,9 @@ func TestRecorderValidation(t *testing.T) {
 	}
 }
 
-// TestRecorderShutdownLifecycle: Shutdown with an expired context leaves
-// the deployment running (retryable), Close still releases it.
+// TestRecorderLifecycle: an interrupted recording (Run never called) is
+// released by Close, a second Close is nil, and Detections is the same list
+// after either.
 func TestRecorderLifecycle(t *testing.T) {
 	rec, err := NewRecorder(RecorderConfig{
 		Topology: tree.Star(3),
@@ -368,11 +368,15 @@ func TestRecorderLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rec.Shutdown(context.Background()); err != nil {
-		t.Fatalf("Shutdown: %v", err)
-	}
 	if err := rec.Close(); err != nil {
-		t.Fatalf("Close after Shutdown: %v", err)
+		t.Fatalf("Close: %v", err)
+	}
+	first := rec.Detections()
+	if err := rec.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+	if got := rec.Detections(); len(got) != len(first) {
+		t.Fatalf("Detections changed across a second Close: %d → %d", len(first), len(got))
 	}
 }
 

@@ -1,7 +1,6 @@
 package replay
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -168,8 +167,7 @@ func classifyLinks(t *tree.Topology) (treeOnly bool, err error) {
 
 // Recorder drives a live deployment through a schedule and captures the
 // trace. Build with NewRecorder (the clusters start immediately), execute
-// with Run, release with Close or Shutdown (Run does so itself on the happy
-// path).
+// with Run, release with Close (Run does so itself on the happy path).
 type Recorder struct {
 	cfg      RecorderConfig
 	treeOnly bool
@@ -230,8 +228,8 @@ func (r *Recorder) recordEvent(e obsv.Event) {
 }
 
 // Run executes the schedule, tears the deployment down and returns the
-// recorded trace. On error the deployment may still be live — call Close
-// (or Shutdown) to release it.
+// recorded trace. On error the deployment may still be live — call Close to
+// release it.
 func (r *Recorder) Run() (*Trace, error) {
 	schedule := make([]Step, len(r.cfg.Schedule))
 	copy(schedule, r.cfg.Schedule)
@@ -293,10 +291,4 @@ func (r *Recorder) Detections() []livenet.Detection { return r.sess.close() }
 func (r *Recorder) Close() error {
 	r.sess.close()
 	return nil
-}
-
-// Shutdown is Close bounded by ctx: on expiry the deployment keeps running
-// and Shutdown can be retried.
-func (r *Recorder) Shutdown(ctx context.Context) error {
-	return r.sess.shutdown(ctx)
 }

@@ -2,7 +2,6 @@ package replay
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"time"
 
@@ -46,8 +45,8 @@ type Result struct {
 }
 
 // Replayer re-executes a recorded trace. Build with NewReplayer (the
-// cluster starts immediately), execute with Run, release with Close or
-// Shutdown if Run errored.
+// cluster starts immediately), execute with Run, release with Close if Run
+// errored.
 type Replayer struct {
 	trace *Trace
 	cfg   ReplayerConfig
@@ -145,8 +144,8 @@ func NewReplayer(t *Trace, cfg ReplayerConfig) (*Replayer, error) {
 }
 
 // Run executes the trace's schedule and returns the replay result with the
-// parity verdict. On error the deployment may still be live — call Close
-// (or Shutdown) to release it.
+// parity verdict. On error the deployment may still be live — call Close to
+// release it.
 func (r *Replayer) Run() (*Result, error) {
 	r.t0 = time.Now()
 	var pace func(int)
@@ -180,10 +179,4 @@ func (r *Replayer) Metrics() livenet.ClusterMetrics { return r.sess.metrics() }
 func (r *Replayer) Close() error {
 	r.sess.close()
 	return nil
-}
-
-// Shutdown is Close bounded by ctx: on expiry the deployment keeps running
-// and Shutdown can be retried.
-func (r *Replayer) Shutdown(ctx context.Context) error {
-	return r.sess.shutdown(ctx)
 }

@@ -11,7 +11,6 @@ package replay
 // comment's determinism model).
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -70,7 +69,6 @@ type session struct {
 	deterministic bool
 	treeOnly      bool
 	killsSeen     bool
-	closed        bool
 	// expectedSuspects/expectedRepairs tally the failure-detector activity
 	// the schedule accounts for: each kill makes the victim's orphans and
 	// its surviving parent suspect it, and each orphan concludes one repair.
@@ -365,21 +363,7 @@ func (s *session) close() []livenet.Detection {
 		p.c.Close()
 		lists[i] = p.c.Detections()
 	}
-	s.closed = true
 	return MergeDetections(lists...)
-}
-
-// shutdown is close with a deadline: it stops participants in order and on
-// ctx expiry reports which ones remain running (they can be shut down again
-// — livenet.Shutdown leaves an expired cluster running and consistent).
-func (s *session) shutdown(ctx context.Context) error {
-	for i, p := range s.parts {
-		if err := p.c.Shutdown(ctx); err != nil {
-			return fmt.Errorf("replay: participant %d: %w", i, err)
-		}
-	}
-	s.closed = true
-	return nil
 }
 
 // offScript reports failure-detector activity beyond what the schedule

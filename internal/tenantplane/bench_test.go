@@ -86,7 +86,8 @@ func BenchmarkMultiTenant(b *testing.B) {
 						h.ObserveBatch(proc, e.Streams[proc])
 					}
 				}
-				for name, dets := range plane.Stop() {
+				plane.Close()
+				for name, dets := range plane.Detections() {
 					_ = name
 					for _, d := range dets {
 						if d.AtRoot {

@@ -93,12 +93,17 @@ func killStableBytes(dets []livenet.Detection, fullSpan, survivorSpan int) []byt
 	return buf.Bytes()
 }
 
-// mergeDets combines per-participant Stop outputs into the order a single
-// hosting cluster would have returned (livenet's Stop comparator).
-func mergeDets(parts ...[]livenet.Detection) []livenet.Detection {
+// closeAndMerge closes each participant (a cluster or a tenant handle) and
+// combines their detections into the order a single hosting cluster's
+// Detections would have (by node, then Agg.Seq).
+func closeAndMerge(parts ...interface {
+	Close() error
+	Detections() []livenet.Detection
+}) []livenet.Detection {
 	var out []livenet.Detection
 	for _, p := range parts {
-		out = append(out, p...)
+		p.Close()
+		out = append(out, p.Detections()...)
 	}
 	sort.SliceStable(out, func(i, j int) bool {
 		if out[i].Node != out[j].Node {
@@ -225,7 +230,7 @@ func runIsolatedPair(t *testing.T, e *workload.Execution, kill bool) []livenet.D
 		return c1.Metrics()[0].Detections >= isoPhase1+isoPhase2
 	})
 	time.Sleep(20 * time.Millisecond) // settle: surplus detections would be a bug
-	return mergeDets(c1.Stop(), c2.Stop())
+	return closeAndMerge(c1, c2)
 }
 
 // TestCrossTenantIsolation is the tenant plane's semantic contract: two
@@ -358,8 +363,8 @@ func TestCrossTenantIsolation(t *testing.T) {
 	})
 	time.Sleep(20 * time.Millisecond) // settle: surplus detections would be a bug
 
-	gotAlpha := mergeDets(alpha[0].Stop(), alpha[1].Stop())
-	gotBeta := mergeDets(beta[0].Stop(), beta[1].Stop())
+	gotAlpha := closeAndMerge(alpha[0], alpha[1])
+	gotBeta := closeAndMerge(beta[0], beta[1])
 
 	if !bytes.Equal(killStableBytes(gotAlpha, 7, 6), killStableBytes(refKilled, 7, 6)) {
 		t.Errorf("alpha (shared mesh, kill) diverged from its isolated reference:\n got %d detections\nwant %d",
@@ -428,7 +433,7 @@ func Test256TenantsSharedMesh(t *testing.T) {
 			return c0.Metrics()[0].Detections >= rounds
 		})
 		time.Sleep(5 * time.Millisecond)
-		refs[s] = detBytes(mergeDets(c0.Stop(), c1.Stop()))
+		refs[s] = detBytes(closeAndMerge(c0, c1))
 	}
 
 	// The shared mesh: two planes, one TCP connection pair, N tenants.
@@ -481,7 +486,7 @@ func Test256TenantsSharedMesh(t *testing.T) {
 	time.Sleep(5 * time.Millisecond)
 
 	for k, h := range handles {
-		got := detBytes(mergeDets(h[0].Stop(), h[1].Stop()))
+		got := detBytes(closeAndMerge(h[0], h[1]))
 		if !bytes.Equal(got, refs[k%seeds]) {
 			t.Fatalf("tenant %d diverged from its isolated reference (seed class %d)", k, k%seeds)
 		}

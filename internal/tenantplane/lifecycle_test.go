@@ -1,7 +1,6 @@
 package tenantplane
 
 import (
-	"context"
 	"sync"
 	"testing"
 	"time"
@@ -31,48 +30,91 @@ func registerAndFeed(t *testing.T, p *Multiplexer, name string, seed int64) int 
 	return rounds
 }
 
-// TestMultiplexerCloseEqualsStop: Close+Detections is the same teardown as
-// the deprecated Stop, and both are idempotent in their documented ways.
+// TestMultiplexerCloseEqualsStop pins the plane's one way down: Detections
+// is nil until Close has returned, Close is idempotent and leaves Detections
+// unchanged, every tenant's detections are there, and a closed plane takes
+// no registration.
 func TestMultiplexerCloseEqualsStop(t *testing.T) {
-	viaStop := func() map[string][]livenet.Detection {
-		p, err := NewMultiplexer(Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		registerAndFeed(t, p, "alpha", 5)
-		out := p.Stop()
-		if second := p.Stop(); second != nil {
-			t.Fatalf("second Stop returned %d tenants, want nil", len(second))
-		}
-		return out
-	}()
-
 	p, err := NewMultiplexer(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	registerAndFeed(t, p, "alpha", 5)
+	rounds := registerAndFeed(t, p, "alpha", 5)
+	if p.Detections() != nil {
+		t.Fatal("Detections non-nil before Close")
+	}
 	if err := p.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
+	first := p.Detections()
 	if err := p.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
-	viaClose := p.Detections()
-	if len(viaClose) != len(viaStop) {
-		t.Fatalf("tenant count: Close %d, Stop %d", len(viaClose), len(viaStop))
+	if got := p.Detections(); len(got) != 1 || len(got["alpha"]) != len(first["alpha"]) {
+		t.Fatalf("Detections changed across a second Close: %d tenants, %d → %d alpha detections",
+			len(got), len(first["alpha"]), len(got["alpha"]))
 	}
-	for name, dets := range viaStop {
-		if got := len(viaClose[name]); got != len(dets) {
-			t.Fatalf("tenant %s: Close saw %d detections, Stop saw %d", name, got, len(dets))
+	if got := countRoots(first["alpha"]); got != rounds {
+		t.Fatalf("alpha root detections = %d, want %d", got, rounds)
+	}
+	if _, err := p.RegisterPredicate("late", Spec{Topology: tree.Chain(2)}); err == nil {
+		t.Fatal("RegisterPredicate on a closed plane succeeded")
+	}
+}
+
+// countRoots counts the root detections in a list.
+func countRoots(dets []livenet.Detection) int {
+	roots := 0
+	for _, d := range dets {
+		if d.AtRoot {
+			roots++
+		}
+	}
+	return roots
+}
+
+// TestConcurrentCloseWaitsForTeardown: a Close racing another Close returns
+// only once the plane is down, so Detections read right after either call
+// holds every tenant's detections. Both tenants' long MaxDelay keeps the
+// first Close quiescing well past the moment the second one starts.
+func TestConcurrentCloseWaitsForTeardown(t *testing.T) {
+	p, err := NewMultiplexer(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 2
+	for i, name := range []string{"alpha", "beta"} {
+		seed := int64(3 + i)
+		h, err := p.RegisterPredicate(name, Spec{Topology: tree.Chain(2), Seed: seed, MaxDelay: 100 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := workload.Generate(workload.Config{Topology: tree.Chain(2), Rounds: rounds, Seed: seed, PGlobal: 1})
+		for proc := range e.Streams {
+			h.ObserveBatch(proc, e.Streams[proc])
+		}
+	}
+	seen := make(chan map[string][]livenet.Detection, 2)
+	closeAndRead := func() {
+		p.Close()
+		seen <- p.Detections()
+	}
+	go closeAndRead()
+	time.Sleep(5 * time.Millisecond)
+	go closeAndRead()
+	for i := 0; i < 2; i++ {
+		out := <-seen
+		for _, name := range []string{"alpha", "beta"} {
+			if got := countRoots(out[name]); got != rounds {
+				t.Fatalf("Close %d returned with %d root detections for %s, want %d", i, got, name, rounds)
+			}
 		}
 	}
 }
 
 // TestCloseAfterTenantClusterClosed: Handle.Cluster is exported, so a tenant's
 // cluster can be closed without the plane hearing of it. Tearing the plane
-// down afterwards must neither panic (the deprecated Cluster.Stop did, with
-// "Stop called twice") nor lose that tenant's detections.
+// down afterwards must neither panic nor lose that tenant's detections.
 func TestCloseAfterTenantClusterClosed(t *testing.T) {
 	p, err := NewMultiplexer(Config{})
 	if err != nil {
@@ -85,84 +127,8 @@ func TestCloseAfterTenantClusterClosed(t *testing.T) {
 	if err := p.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	roots := 0
-	for _, d := range p.Detections()["early"] {
-		if d.AtRoot {
-			roots++
-		}
-	}
-	if roots != rounds {
+	if roots := countRoots(p.Detections()["early"]); roots != rounds {
 		t.Fatalf("root detections of the early-closed tenant = %d, want %d", roots, rounds)
-	}
-}
-
-// TestMultiplexerShutdown: a clean Shutdown equals Close; Detections serves
-// the result afterwards.
-func TestMultiplexerShutdown(t *testing.T) {
-	p, err := NewMultiplexer(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rounds := registerAndFeed(t, p, "beta", 7)
-	if err := p.Shutdown(context.Background()); err != nil {
-		t.Fatalf("Shutdown: %v", err)
-	}
-	if err := p.Shutdown(context.Background()); err != nil {
-		t.Fatalf("Shutdown after closed = %v, want nil", err)
-	}
-	roots := 0
-	for _, d := range p.Detections()["beta"] {
-		if d.AtRoot {
-			roots++
-		}
-	}
-	if roots != rounds {
-		t.Fatalf("root detections = %d, want %d", roots, rounds)
-	}
-}
-
-// TestMultiplexerShutdownDeadline: an expired deadline reopens the plane —
-// the remaining tenants keep running, registration stays legal, and a later
-// unbounded Shutdown finishes the job.
-func TestMultiplexerShutdownDeadline(t *testing.T) {
-	p, err := NewMultiplexer(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A tenant with a long MaxDelay parks its reports' credits on the wheel
-	// (the seed fixes the first at 161 ms), guaranteeing the bounded Shutdown
-	// cannot quiesce in time.
-	h, err := p.RegisterPredicate("gamma", Spec{
-		Topology: tree.Chain(2), Seed: 3,
-		MaxDelay: 600 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := workload.Generate(workload.Config{Topology: tree.Chain(2), Rounds: 2, Seed: 3, PGlobal: 1})
-	for proc := range e.Streams {
-		h.ObserveBatch(proc, e.Streams[proc])
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	if err := p.Shutdown(ctx); err != context.DeadlineExceeded {
-		t.Fatalf("bounded Shutdown = %v, want context.DeadlineExceeded", err)
-	}
-	if p.Detections() != nil {
-		t.Fatal("Detections non-nil after failed Shutdown")
-	}
-	// Plane reopened: registering another tenant must work.
-	registerAndFeed(t, p, "delta", 11)
-	if err := p.Shutdown(context.Background()); err != nil {
-		t.Fatalf("unbounded Shutdown: %v", err)
-	}
-	out := p.Detections()
-	if _, ok := out["gamma"]; !ok {
-		t.Fatal("tenant gamma missing from final detections")
-	}
-	if _, ok := out["delta"]; !ok {
-		t.Fatal("tenant delta missing from final detections")
 	}
 }
 

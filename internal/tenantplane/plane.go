@@ -1,7 +1,6 @@
 package tenantplane
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -103,8 +102,8 @@ type Handle struct {
 	bucket int
 	c      *livenet.Cluster
 
-	stopMu  sync.Mutex
-	stopped bool
+	closeMu sync.Mutex
+	closed  bool
 	dets    []livenet.Detection
 }
 
@@ -135,59 +134,29 @@ func (h *Handle) Observe(p int, iv interval.Interval) { h.c.Observe(p, iv) }
 // cluster.
 func (h *Handle) ObserveBatch(p int, ivs []interval.Interval) { h.c.ObserveBatch(p, ivs) }
 
-// Stop unregisters the tenant — stops its cluster, frees its wire id and
-// emits TenantEvicted — and returns the tenant's detections. Idempotent.
-//
-// Deprecated: use Close or Shutdown, then Detections.
-func (h *Handle) Stop() []livenet.Detection {
-	h.stopMu.Lock()
-	defer h.stopMu.Unlock()
-	if !h.stopped {
-		// Close, not the deprecated Stop: the cluster is exported through
-		// Cluster(), so it may already have been closed behind the handle's
-		// back, which Stop answers with a panic and Close with nil.
+// Close unregisters the tenant — closes its cluster, frees its wire id and
+// emits TenantEvicted — and keeps the tenant's detections readable through
+// Detections. Idempotent, never fails; every call returns only once the
+// tenant is down. The cluster is exported through Cluster(), so it may
+// already have been closed behind the handle's back; that Close then waits
+// for the same teardown.
+func (h *Handle) Close() error {
+	h.closeMu.Lock()
+	defer h.closeMu.Unlock()
+	if !h.closed {
 		h.c.Close()
 		h.dets = h.c.Detections()
-		h.stopped = true
+		h.closed = true
 		h.p.forget(h)
 	}
-	return h.dets
-}
-
-// Close is Stop through the io.Closer convention: unregister the tenant,
-// keep its detections readable through Detections. Idempotent, never fails.
-func (h *Handle) Close() error {
-	h.Stop()
 	return nil
 }
 
-// Shutdown is Close with a deadline: the tenant's cluster quiesces only as
-// long as ctx allows. On success the tenant is unregistered exactly as Close
-// would. If ctx expires first, Shutdown returns ctx.Err() and the tenant
-// KEEPS RUNNING, still registered — no work lost, retriable.
-func (h *Handle) Shutdown(ctx context.Context) error {
-	h.stopMu.Lock()
-	defer h.stopMu.Unlock()
-	if h.stopped {
-		return nil
-	}
-	if err := h.c.Shutdown(ctx); err != nil {
-		return err
-	}
-	h.dets = h.c.Detections()
-	h.stopped = true
-	h.p.forget(h)
-	return nil
-}
-
-// Detections returns the tenant's final detection list once it has stopped
-// (via Stop, Close or a successful Shutdown); nil before.
+// Detections returns the tenant's final detection list once Close has
+// returned; nil before.
 func (h *Handle) Detections() []livenet.Detection {
-	h.stopMu.Lock()
-	defer h.stopMu.Unlock()
-	if !h.stopped {
-		return nil
-	}
+	h.closeMu.Lock()
+	defer h.closeMu.Unlock()
 	return h.dets
 }
 
@@ -203,8 +172,10 @@ type Multiplexer struct {
 	mu      sync.Mutex
 	tenants map[string]*Handle
 	byWire  map[uint32]string
-	closed  bool
-	final   map[string][]livenet.Detection // set by the first completed teardown
+	closed  bool                           // no registration after Close began
+	final   map[string][]livenet.Detection // set once by teardown
+
+	closeOnce sync.Once
 
 	// subs holds the Events subscribers as a copy-on-write slice: emit — the
 	// plane-wide fan-out point, on hot worker goroutines — loads it with one
@@ -442,8 +413,8 @@ func (p *Multiplexer) Tenants() []string {
 	return out
 }
 
-// forget removes a stopped tenant from the plane's maps and emits
-// TenantEvicted. The handle's cluster is already stopped (its mux port
+// forget removes a closed tenant from the plane's maps and emits
+// TenantEvicted. The handle's cluster is already closed (its mux port
 // closed with it).
 func (p *Multiplexer) forget(h *Handle) {
 	p.mu.Lock()
@@ -462,87 +433,37 @@ func (p *Multiplexer) forget(h *Handle) {
 	}
 }
 
-// Stop stops every remaining tenant, the monitor and the shared transport,
-// returning each stopped tenant's detections keyed by tenant id. A second
-// call returns nil (the historical contract of the method this aliases,
-// which was named Close before the lifecycle API unified).
-//
-// Deprecated: use Close or Shutdown, then Detections.
-func (p *Multiplexer) Stop() map[string][]livenet.Detection {
-	handles, already := p.beginClose()
-	if already {
-		return nil
-	}
-	out := make(map[string][]livenet.Detection, len(handles))
-	for _, h := range handles {
-		out[h.name] = h.Stop()
-	}
-	p.teardown(out)
-	return out
-}
-
-// Close stops every remaining tenant, the monitor and the shared transport.
-// Detections stay readable through Detections. Idempotent, never fails; the
-// error return matches the package family's lifecycle signature (see
-// livenet.Cluster.Close).
+// Close closes every remaining tenant, then the monitor and the shared
+// transport, and keeps each of those tenants' detections readable through
+// Detections. Idempotent, never fails (the error return matches the package
+// family's lifecycle signature, see livenet.Cluster.Close): the teardown runs
+// once and every call returns only after it has finished. A closed plane
+// never reopens.
 func (p *Multiplexer) Close() error {
-	p.Stop()
-	return nil
-}
-
-// Shutdown is Close with a deadline shared across the whole plane: each
-// remaining tenant's cluster quiesces under ctx, in tenant-id order. On
-// success the plane is fully down and Shutdown returns nil. If ctx expires
-// mid-plane, Shutdown returns ctx.Err() and REOPENS the plane: tenants
-// already stopped stay stopped (and unregistered), the rest keep running,
-// and registration and a later Close/Shutdown/Stop remain legal.
-func (p *Multiplexer) Shutdown(ctx context.Context) error {
-	handles, already := p.beginClose()
-	if already {
-		return nil
-	}
-	out := make(map[string][]livenet.Detection, len(handles))
-	for _, h := range handles {
-		if err := h.Shutdown(ctx); err != nil {
-			p.mu.Lock()
-			p.closed = false
-			p.mu.Unlock()
-			return err
+	p.closeOnce.Do(func() {
+		p.mu.Lock()
+		p.closed = true
+		p.mu.Unlock()
+		handles := p.snapshot()
+		out := make(map[string][]livenet.Detection, len(handles))
+		for _, h := range handles {
+			h.Close()
+			out[h.name] = h.Detections()
 		}
-		out[h.name] = h.Detections()
-	}
-	p.teardown(out)
+		p.teardown(out)
+	})
 	return nil
 }
 
-// Detections returns every tenant's final detections, keyed by tenant id,
-// once the plane has closed (via Stop, Close or a successful Shutdown); nil
-// before.
+// Detections returns the final detections of every tenant Close closed, keyed
+// by tenant id, once Close has returned; nil before.
 func (p *Multiplexer) Detections() map[string][]livenet.Detection {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.final
 }
 
-// beginClose flips the plane to closed and returns the remaining handles in
-// tenant-id order — a deterministic teardown order, so deadline-bounded
-// shutdowns fail the same way twice. already reports the plane was closed.
-func (p *Multiplexer) beginClose() (handles []*Handle, already bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return nil, true
-	}
-	p.closed = true
-	handles = make([]*Handle, 0, len(p.tenants))
-	for _, h := range p.tenants {
-		handles = append(handles, h)
-	}
-	sort.Slice(handles, func(i, j int) bool { return handles[i].name < handles[j].name })
-	return handles, false
-}
-
-// teardown dismantles the shared planes after every tenant has stopped and
+// teardown dismantles the shared planes after every tenant has closed and
 // publishes the final detections.
 func (p *Multiplexer) teardown(out map[string][]livenet.Detection) {
 	if p.mon != nil {

@@ -66,7 +66,7 @@ func TestSizingPrecedence(t *testing.T) {
 	solo := livenet.New(livenet.Config{
 		Topology: tree.Chain(2), Workers: 2, MailboxBound: 77,
 	})
-	defer solo.Stop()
+	defer solo.Close()
 	if solo.Shared() {
 		t.Fatal("standalone cluster reports a shared substrate")
 	}

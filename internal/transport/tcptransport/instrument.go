@@ -39,9 +39,6 @@ func (t *Transport) Instrument(reg *obsv.Registry, events func(obsv.Event)) {
 	counter("hierdet_transport_backlog_dropped_total", "Frames dropped because a destination's queue overflowed MaxBacklog.", &t.backlogDropped)
 	counter("hierdet_transport_corrupt_frames_total", "Envelopes rejected by a reader (connection dropped).", &t.corruptFrames)
 	counter("hierdet_transport_flushes_total", "Coalesced writes (one flush may carry many frames).", &t.flushes)
-	counter("hierdet_transport_tenant_batches_out_total", "Tenant batch frames packed (runs of tenant-tagged frames coalesced).", &t.tenantBatchesOut)
-	counter("hierdet_transport_tenant_frames_coalesced_total", "Tenant-tagged frames that rode a packed tenant batch.", &t.tenantFramesCoalesced)
-	counter("hierdet_transport_tenant_batches_in_total", "Tenant batch frames unpacked by the readers.", &t.tenantBatchesIn)
 
 	reg.Func("hierdet_transport_peers", "Outbound links with a live writer: one per peer address sent to.",
 		obsv.KindGauge, nil, func(emit func(float64, ...string)) {

@@ -71,12 +71,7 @@ import (
 	"time"
 
 	"hierdet/internal/obsv"
-	"hierdet/internal/wire"
 )
-
-// maxPackBytes caps one tenant batch frame: a run longer than this flushes
-// and starts a new batch, keeping any single wire frame far under MaxFrame.
-const maxPackBytes = 64 << 10
 
 // readBufSize is the buffered reader's size. Frames up to this long are
 // delivered in place out of the read buffer; longer ones (none the detector
@@ -143,13 +138,6 @@ type Stats struct {
 	// BytesIn counts payload bytes read (envelope headers excluded, before
 	// delta reconstruction) — the inbound counterpart of BytesOut.
 	BytesIn int
-	// TenantBatchesOut counts tenant batch frames packed by the writers:
-	// runs of ≥2 consecutive tenant-tagged frames to the same destination
-	// coalesced into one wire frame (see internal/wire tenant batch framing).
-	// TenantFramesCoalesced counts the inner frames riding them.
-	TenantBatchesOut, TenantFramesCoalesced int
-	// TenantBatchesIn counts tenant batch frames unpacked by the readers.
-	TenantBatchesIn int
 }
 
 // Transport is a running TCP transport. Create with New, wire into a
@@ -174,12 +162,10 @@ type Transport struct {
 	readers sync.WaitGroup
 	writers sync.WaitGroup
 
-	framesOut, framesIn, redelivered        atomic.Int64
-	dials, redials                          atomic.Int64
-	backlogDropped, corruptFrames           atomic.Int64
-	flushes, bytesOut, bytesIn              atomic.Int64
-	tenantBatchesOut, tenantFramesCoalesced atomic.Int64
-	tenantBatchesIn                         atomic.Int64
+	framesOut, framesIn, redelivered atomic.Int64
+	dials, redials                   atomic.Int64
+	backlogDropped, corruptFrames    atomic.Int64
+	flushes, bytesOut, bytesIn       atomic.Int64
 
 	// events is the cluster's lifecycle sink, installed by Instrument before
 	// Start; nil when the transport runs unobserved. Guarded by mu.
@@ -305,10 +291,6 @@ func (t *Transport) Stats() Stats {
 		Flushes:        int(t.flushes.Load()),
 		BytesOut:       int(t.bytesOut.Load()),
 		BytesIn:        int(t.bytesIn.Load()),
-
-		TenantBatchesOut:      int(t.tenantBatchesOut.Load()),
-		TenantFramesCoalesced: int(t.tenantFramesCoalesced.Load()),
-		TenantBatchesIn:       int(t.tenantBatchesIn.Load()),
 	}
 }
 
@@ -383,8 +365,7 @@ func (t *Transport) readLoop(conn net.Conn, recv func(to int, frame []byte)) {
 	}()
 	br := bufio.NewReaderSize(conn, readBufSize)
 	var hdr [8]byte
-	var ub unbaser      // per-connection delta state, mirroring the sender's
-	var inners [][]byte // tenant-batch unpack scratch, reused across frames
+	var ub unbaser // per-connection delta state, mirroring the sender's
 	for {
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
 			return
@@ -411,24 +392,7 @@ func (t *Transport) readLoop(conn net.Conn, recv func(to int, frame []byte)) {
 			return
 		}
 		t.bytesIn.Add(int64(size))
-		if wire.IsTenantBatch(payload) {
-			// A packed run of tenant-tagged frames: unpack before the delta
-			// stage, so each inner report meets the unbaser in the exact
-			// order the sender's rebaser emitted it.
-			inners = inners[:0]
-			if err := wire.DecodeTenantBatch(payload, func(inner []byte) {
-				inners = append(inners, inner)
-			}); err != nil {
-				t.corruptFrames.Add(1)
-				return
-			}
-			t.tenantBatchesIn.Add(1)
-			for _, inner := range inners {
-				if !t.deliver(recv, to, inner, &ub) {
-					return
-				}
-			}
-		} else if !t.deliver(recv, to, payload, &ub) {
+		if !t.deliver(recv, to, payload, &ub) {
 			return
 		}
 		if inPlace {
@@ -506,13 +470,11 @@ type link struct {
 	// Write-path scratch, owned by writeLoop: the per-connection delta
 	// encoder (reset on every dial, so replayed absolute frames restart the
 	// chains), the frames of the write in progress, the coalescing buffer
-	// reused across flushes, the tenant-batch pack buffer accumulating runs
-	// of tenant-tagged frames, and the buffers the rings evicted since the
+	// reused across flushes, and the buffers the rings evicted since the
 	// writer last held mu.
 	reb     rebaser
 	batch   []outFrame
 	wbuf    []byte
-	pbuf    []byte
 	evicted [][]byte
 }
 
@@ -761,78 +723,27 @@ func (l *link) remember(batch []outFrame) {
 
 // writeBatch writes every frame of a batch through one buffered flush,
 // delta-rebasing report frames against the connection's stream bases on the
-// way. Runs of ≥2 consecutive tenant-tagged frames to one destination — the
-// shape a multi-tenant plane's traffic takes on a shared link — are packed
-// into one tenant batch frame, so the run pays one transport envelope
-// instead of one per frame; the default tenant's bare frames are never
-// packed, keeping the single-tenant byte stream untouched. The coalescing
-// buffers are reused across flushes; the batch itself (the absolute
+// way. Every frame travels in its own envelope, tenant-tagged or not. The
+// coalescing buffer is reused across flushes; the batch itself (the absolute
 // originals) is untouched, so requeueFront and the redelivery rings always
 // hold frames any fresh connection can decode.
 func (l *link) writeBatch(conn net.Conn, batch []outFrame) error {
 	buf := l.wbuf[:0]
-	pbuf := l.pbuf[:0]
 	var hdr [8]byte
 	payloadBytes := 0
-	emit := func(to int, f []byte) {
+	for _, of := range batch {
+		to := of.dst.id
+		f := l.reb.rebase(to, of.data)
 		binary.BigEndian.PutUint32(hdr[:4], uint32(len(f)))
 		binary.BigEndian.PutUint32(hdr[4:], uint32(to))
 		buf = append(buf, hdr[:]...)
 		buf = append(buf, f...)
 		payloadBytes += len(f)
 	}
-	// run is the number of tenant-tagged frames accumulated in pbuf (an open
-	// tenant batch, all for runTo — the envelope names one destination);
-	// firstOff is where the first inner starts, so a run of one can be
-	// emitted bare — packing only ever pays for itself.
-	run, runTo, firstOff := 0, 0, 0
-	packedBatches, packedFrames := 0, 0
-	flushRun := func() {
-		if run >= 2 {
-			emit(runTo, pbuf)
-			packedBatches++
-			packedFrames += run
-		} else if run == 1 {
-			emit(runTo, pbuf[firstOff:])
-		}
-		pbuf = pbuf[:0]
-		run = 0
-	}
-	for _, of := range batch {
-		to := of.dst.id
-		f := l.reb.rebase(to, of.data)
-		if wire.IsTenantTagged(f) {
-			// The rebased frame aliases the rebaser's scratch (valid only
-			// until the next rebase call), so it is copied into the pack
-			// buffer here and now.
-			if run > 0 && runTo != to {
-				flushRun()
-			}
-			if run == 0 {
-				pbuf = wire.AppendTenantBatchHeader(pbuf)
-				runTo = to
-			}
-			pbuf = wire.AppendTenantBatchFrame(pbuf, f)
-			run++
-			if run == 1 {
-				firstOff = len(pbuf) - len(f)
-			}
-			if len(pbuf) >= maxPackBytes {
-				flushRun()
-			}
-			continue
-		}
-		flushRun()
-		emit(to, f)
-	}
-	flushRun()
 	l.wbuf = buf
-	l.pbuf = pbuf
 	_, err := conn.Write(buf)
 	if err == nil {
 		l.t.bytesOut.Add(int64(payloadBytes))
-		l.t.tenantBatchesOut.Add(int64(packedBatches))
-		l.t.tenantFramesCoalesced.Add(int64(packedFrames))
 	}
 	return err
 }

@@ -130,6 +130,11 @@ func TestTenantEnvelopeRoundTrip(t *testing.T) {
 	if k, err := FrameKind(env); err != nil || k != KindTenantEnv {
 		t.Fatalf("FrameKind = %d, %v", k, err)
 	}
+	// Kind 6 was a tenant batch (runs of tagged frames packed into one); it
+	// is retired, so a peer still sending one is refused, not misread.
+	if _, err := FrameKind([]byte{magic, verV2, 6, 0x01, 0x00}); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("FrameKind accepted the retired tenant batch kind: %v", err)
+	}
 	tenant, got, err := DecodeTenantEnvelope(env)
 	if err != nil || tenant != 300 || !bytes.Equal(got, inner) {
 		t.Fatalf("decode = %d, equal %t, %v", tenant, bytes.Equal(got, inner), err)

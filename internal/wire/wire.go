@@ -46,7 +46,6 @@ const (
 	KindAttach      = 3
 	KindReportBatch = 4
 	KindTenantEnv   = 5
-	KindTenantBatch = 6
 )
 
 // MaxSpan bounds the span (and covered-set) length a decoder accepts before
@@ -90,7 +89,6 @@ func FrameKind(data []byte) (byte, error) {
 	case k == KindReport || k == KindHeartbeat || k == KindAttach:
 	case k == KindReportBatch && v2: // batch frames are v2-only
 	case k == KindTenantEnv && v2: // tenant envelopes are v2-only
-	case k == KindTenantBatch && v2: // tenant batch frames are v2-only
 	default:
 		return 0, fmt.Errorf("wire: unknown kind %d: %w", k, ErrCorrupt)
 	}

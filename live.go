@@ -81,7 +81,7 @@ type LiveDistributedOptions struct {
 	// Transport switches the cluster into distributed mode: it hosts only
 	// LocalNodes, and traffic to every other tree node is wire-encoded and
 	// shipped through the transport (NewTCPTransport for real sockets). The
-	// cluster starts the transport and closes it in Stop.
+	// cluster starts the transport and closes it in Close.
 	Transport Transport
 	// LocalNodes is the subset of tree nodes this participant hosts
 	// (distributed mode only). Typically one node per OS process.
@@ -115,11 +115,11 @@ type LiveConfig struct {
 	// pruned, node suspected, repair concluded and transport redial — as one
 	// ordered sink (per-node causal order; see EventKind). A SolutionFound
 	// event carries everything a LiveDetection does, as the detection is
-	// recorded — the live complement of Stop's batch return; a
+	// recorded — the live complement of Detections after Close; a
 	// RepairConcluded event names the orphan (Node) and the parent that
 	// adopted it (Peer, or NoParent if it declared itself a partition root).
 	// The sink runs on cluster goroutines: it must be quick, safe for
-	// concurrent calls, and must not call Stop.
+	// concurrent calls, and must not call Close.
 	Events func(Event)
 }
 

@@ -75,6 +75,6 @@ func TestDistributedExpositionIncludesTransport(t *testing.T) {
 	}
 
 	for id := 1; id >= 0; id-- {
-		clusters[id].Stop()
+		clusters[id].Close()
 	}
 }

@@ -68,7 +68,7 @@ type TraceRecorderConfig = replay.RecorderConfig
 
 // TraceRecorder drives a live deployment through a schedule and captures
 // the trace. NewTraceRecorder starts the deployment; Run executes and
-// returns the Trace; Close/Shutdown release an interrupted session.
+// returns the Trace; Close releases an interrupted session.
 type TraceRecorder = replay.Recorder
 
 // NewTraceRecorder validates the configuration (returning a
@@ -83,8 +83,8 @@ func NewTraceRecorder(cfg TraceRecorderConfig) (*TraceRecorder, error) {
 type TraceReplayerConfig = replay.ReplayerConfig
 
 // TraceReplayer re-executes a recorded trace. NewTraceReplayer starts the
-// deployment; Run executes and returns the ReplayResult; Close/Shutdown
-// release an interrupted session.
+// deployment; Run executes and returns the ReplayResult; Close releases an
+// interrupted session.
 type TraceReplayer = replay.Replayer
 
 // ReplayResult is the outcome of one replay, including the byte-parity

@@ -211,9 +211,6 @@ hierdet_transport_peers
 hierdet_transport_redelivered_total
 hierdet_transport_redelivery_ring
 hierdet_transport_redials_total
-hierdet_transport_tenant_batches_in_total
-hierdet_transport_tenant_batches_out_total
-hierdet_transport_tenant_frames_coalesced_total
 hierdet_wheel_entries
 hierdet_wheel_lag_seconds
 hierdet_wheel_tick_seconds
