@@ -22,16 +22,23 @@ func settled(ln *liveNode) bool {
 	return t > 0 && t <= int64(ln.c.cfg.HbEvery)*9/4
 }
 
-// suspicion is one NodeSuspected event and when the sink saw it.
+// suspicion is one NodeSuspected event, when the sink saw it and, when the
+// sink knows the cluster, the timeout the suspected link had earned: the
+// silence the suspecting node waited out.
 type suspicion struct {
 	node, peer int
 	at         time.Time
+	timeout    time.Duration
 }
 
 // suspicions collects the NodeSuspected events of one or more clusters.
 type suspicions struct {
 	n    atomic.Int64
 	seen chan suspicion // room for more than any test here expects
+	// c, once set, is the cluster whose links each suspicion reads. The sink
+	// runs on the suspecting node's worker before the link is dropped, so it
+	// may read the link.
+	c atomic.Pointer[Cluster]
 }
 
 func newSuspicions() *suspicions { return &suspicions{seen: make(chan suspicion, 256)} }
@@ -39,8 +46,14 @@ func newSuspicions() *suspicions { return &suspicions{seen: make(chan suspicion,
 func (s *suspicions) sink(e obsv.Event) {
 	if e.Kind == obsv.NodeSuspected {
 		s.n.Add(1)
+		sus := suspicion{node: e.Node, peer: e.Peer, at: time.Now()}
+		if c := s.c.Load(); c != nil {
+			if w := c.nodes[e.Node].watched.Of(e.Peer); w != nil {
+				sus.timeout = time.Duration(w.Timeout())
+			}
+		}
 		select {
-		case s.seen <- suspicion{e.Node, e.Peer, time.Now()}:
+		case s.seen <- sus:
 		default: // a test that provokes hundreds has failed already; do not block a worker
 		}
 	}
@@ -49,45 +62,69 @@ func (s *suspicions) sink(e obsv.Event) {
 // TestKillSuspectedWithinThreeBeats: on settled links a crash is noticed when
 // its silence has lasted what the link earned, about two beats — the victim's
 // last beat is at most one beat old when it dies, and the deadline has its
-// own one-shot, so no kill waits longer than three beats plus a tick. (The
-// fixed timeout this replaces took eight.) A kill during which the checker
-// was itself held up — its pause counter moved — measures the box, not the
-// detector, and another leaf is killed in its place.
+// own one-shot, so no kill waits longer than three beats plus a tick (a beat
+// of slack). (The fixed timeout this replaces took eight.)
+//
+// Two kinds of kill measure the box rather than that claim, and are left out
+// of it, each one logged. A kill during which the checker was itself held up
+// (its pause counter moved) is not timed at all. A kill over the bound whose
+// link was no longer settled when it was suspected — the box held the
+// victim's last beats up, and the link rightly learned to wait longer — is
+// held to what the link had earned instead: that timeout plus the same 1.75
+// beats the bound allows a settled link's 2.25. Every other kill counts,
+// settled or not. Each kill reads its own verdict, carried with its
+// suspicion. More than two kills left out fails the test: a detector that
+// learns timeouts too long leaves out most of them.
 func TestKillSuspectedWithinThreeBeats(t *testing.T) {
 	const every = 5 * time.Millisecond
 	sus := newSuspicions()
 	c := New(Config{Topology: tree.Balanced(2, 5), HbEvery: every, Events: sus.sink})
 	defer c.Close()
+	sus.c.Store(c)
 	var worst time.Duration
-	counted := 0
+	counted, leftOut := 0, 0
 	for victim := 31; victim < 63 && counted < 20; victim++ { // leaves: one suspicion each, the parent's
 		parent := c.nodes[(victim-1)/2]
 		waitCond(t, "the parent's links to settle", func() bool { return settled(parent) })
 		pauses, killed := parent.m.fdPauses.Load(), time.Now()
 		c.Kill(victim)
+		var s suspicion
 		select {
-		case s := <-sus.seen:
-			if s.peer != victim || s.node != parent.id {
-				t.Fatalf("after Kill(%d): node %d suspects %d, want its parent %d to", victim, s.node, s.peer, parent.id)
+		case s = <-sus.seen:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("Kill(%d) never suspected", victim)
+		}
+		if s.peer != victim || s.node != parent.id {
+			t.Fatalf("after Kill(%d): node %d suspects %d, want its parent %d to", victim, s.node, s.peer, parent.id)
+		}
+		took := s.at.Sub(killed)
+		switch {
+		case parent.m.fdPauses.Load() != pauses:
+			leftOut++
+			t.Logf("Kill(%d): the parent was held up meanwhile (suspected after %v); left out", victim, took)
+		case took > 3*every+every && s.timeout > every*9/4:
+			leftOut++
+			t.Logf("Kill(%d) suspected after %v, over 3 beats + 1 tick, on a link that had learned %v; left out, held to that",
+				victim, took, s.timeout)
+			if took > s.timeout+every*7/4 {
+				t.Errorf("Kill(%d) suspected after %v, want within the %v its link had learned + 1.75 beats",
+					victim, took, s.timeout)
 			}
-			took := s.at.Sub(killed)
-			if parent.m.fdPauses.Load() != pauses {
-				t.Logf("Kill(%d): the parent was held up meanwhile (suspected after %v); not counted", victim, took)
-				continue
-			}
+		default:
 			counted++
 			worst = max(worst, took)
 			if took > 3*every+every {
 				t.Errorf("Kill(%d) suspected after %v, want within 3 beats + 1 tick (%v)", victim, took, 4*every)
 			}
-		case <-time.After(10 * time.Second):
-			t.Fatalf("Kill(%d) never suspected", victim)
+		}
+		if leftOut > 2 {
+			t.Fatalf("%d kills left out by Kill(%d), want at most 2: the box is too busy to time anything, or links learn too long", leftOut, victim)
 		}
 	}
 	if counted < 20 {
-		t.Fatalf("only %d of 32 kills ran on a checker that was not held up: the box is too busy to time anything", counted)
+		t.Fatalf("only %d of 32 kills counted", counted)
 	}
-	t.Logf("slowest of 20 kills suspected after %v (%.2f beats)", worst, float64(worst)/float64(every))
+	t.Logf("slowest of 20 kills suspected after %v (%.2f beats); %d left out", worst, float64(worst)/float64(every), leftOut)
 }
 
 // TestHealthyIdleClusterArmsNoDeadlineChecks: a deadline one-shot is armed

@@ -205,8 +205,8 @@ const (
 // Kill, then Close it and read every detection with Detections.
 type Cluster struct {
 	cfg   Config
-	nodes map[int]*liveNode
-	bound int // mailbox bound for external producers
+	nodes []*liveNode // by process id; nil where another participant hosts it
+	bound int         // mailbox bound for external producers
 	// sched is the substrate this cluster runs on — the caller's
 	// (Config.Scheduler) or, that being nil, one New built for this cluster
 	// alone and teardown closes — and seat the cluster's DRR run-queue
@@ -225,18 +225,14 @@ type Cluster struct {
 	rx sync.Pool
 
 	// Observability plane: the metrics registry every family registers
-	// into, the per-kind event counters (index = obsv.EventKind), and the
-	// scheduler-pool instruments (see registerFamilies).
-	reg         *obsv.Registry
-	evCounts    [obsv.NumEventKinds]*obsv.Counter
-	busyWorkers atomic.Int64
-	drains      atomic.Int64
-	drained     atomic.Int64
-	drainHist   *obsv.Histogram
-	latHist     *obsv.Histogram // observe→SolutionFound latency
+	// into, the per-kind event counters (index = obsv.EventKind) and the
+	// latency histogram (see registerFamilies). The seat counts the drains.
+	reg      *obsv.Registry
+	evCounts [obsv.NumEventKinds]*obsv.Counter
+	latHist  *obsv.Histogram // observe→SolutionFound latency
 
 	// mu guards everything below: the lifecycle state machine, the
-	// message-credit ledger (pending, see post/armTimer/done), the topology
+	// message-credit ledger (pending, see post/credit/done), the topology
 	// mirror the repair protocol validates against, and the collected
 	// results. cond signals pending reaching zero. Detections are not here
 	// while the cluster runs: each node logs its own (liveNode.log).
@@ -303,7 +299,7 @@ func New(cfg Config) *Cluster {
 		bound:   cfg.MailboxBound,
 		sched:   sched,
 		seat:    sched.register(),
-		nodes:   make(map[int]*liveNode),
+		nodes:   make([]*liveNode, cfg.Topology.N()),
 		killed:  make(map[int]bool),
 		seeking: make(map[int]bool),
 	}
@@ -334,13 +330,30 @@ func New(cfg Config) *Cluster {
 		}
 	}
 	if cfg.HbEvery > 0 {
-		for _, ln := range c.nodes {
+		for _, ln := range c.each {
 			// Stagger first beats so the cluster does not pulse in lockstep.
 			first := 1 + time.Duration(ln.rng.Int64N(int64(cfg.HbEvery)))
 			c.sched.wheel.schedule(ln, message{kind: msgHbTick}, first, cfg.HbEvery)
 		}
 	}
 	return c
+}
+
+// hosted returns process p's node, or nil if this cluster does not host it.
+func (c *Cluster) hosted(p int) *liveNode {
+	if uint(p) < uint(len(c.nodes)) {
+		return c.nodes[p]
+	}
+	return nil
+}
+
+// each yields the hosted nodes, ascending by id.
+func (c *Cluster) each(yield func(int, *liveNode) bool) {
+	for id, ln := range c.nodes {
+		if ln != nil && !yield(id, ln) {
+			return
+		}
+	}
 }
 
 // now reads the failure detector's clock: monotonic nanoseconds since New,
@@ -361,7 +374,7 @@ func (c *Cluster) Observe(p int, iv interval.Interval) {
 	if ln == nil {
 		return
 	}
-	c.enqueue(ln, message{kind: msgLocal, from: p, iv: iv, born: time.Now().UnixNano()}, true)
+	c.enqueue(ln, message{kind: msgLocal, from: p, born: time.Now().UnixNano()}, &iv, true)
 }
 
 // ObserveBatch feeds a run of consecutive completed intervals of process p,
@@ -378,15 +391,15 @@ func (c *Cluster) ObserveBatch(p int, ivs []interval.Interval) {
 	if ln == nil {
 		return
 	}
-	c.enqueue(ln, message{kind: msgLocalBatch, from: p, ivs: ivs, born: time.Now().UnixNano()}, true)
+	c.enqueue(ln, message{kind: msgLocalBatch, from: p, ext: &msgExt{ivs: ivs}, born: time.Now().UnixNano()}, nil, true)
 }
 
 // admit performs Observe/ObserveBatch's shared lifecycle check and takes
 // credits message deliveries. It returns nil when the observation should be
 // silently dropped (killed process).
 func (c *Cluster) admit(p, credits int) *liveNode {
-	ln, ok := c.nodes[p]
-	if !ok {
+	ln := c.hosted(p)
+	if ln == nil {
 		panic(fmt.Sprintf("livenet: Observe for unknown process %d", p))
 	}
 	c.mu.Lock()
@@ -413,8 +426,8 @@ func (c *Cluster) Kill(node int) int {
 	if c.cfg.HbEvery <= 0 {
 		panic("livenet: Kill requires heartbeats (Config.HbEvery > 0)")
 	}
-	ln, ok := c.nodes[node]
-	if !ok {
+	ln := c.hosted(node)
+	if ln == nil {
 		panic(fmt.Sprintf("livenet: Kill of unknown process %d", node))
 	}
 	c.mu.Lock()
@@ -493,10 +506,9 @@ func (c *Cluster) teardown() {
 		// already in flight, so nothing touches the cluster after Close.
 		c.cfg.Transport.Close()
 	}
-	ids := c.NodeIDs()
-	logs := make([]*detectionLog, len(ids))
-	for i, id := range ids {
-		logs[i] = &c.nodes[id].log
+	var logs []*detectionLog
+	for _, ln := range c.each {
+		logs = append(logs, &ln.log)
 	}
 	out := concatLogs(logs)
 	c.mu.Lock()
@@ -560,50 +572,30 @@ func (c *Cluster) Repairs() []RepairEvent {
 }
 
 // post ships a message to a node's mailbox after delay, taking the message's
-// pending credit first. During stopping the internal cascade is still
-// allowed — Close drains it; only after stopped (ledger empty, so nothing can
-// legally be in flight) is the message dropped. Zero-delay messages enqueue
-// directly; delayed ones ride the wheel.
+// pending credit first — a timer's too, at arm time, so Close cannot tear the
+// delivery plane down under an armed timer. During stopping the internal
+// cascade is still allowed — Close drains it; only after stopped (ledger
+// empty, so nothing can legally be in flight) is the message dropped.
 func (c *Cluster) post(to int, msg message, delay time.Duration) {
-	dst, ok := c.nodes[to]
-	if !ok {
-		return
+	if dst := c.hosted(to); dst != nil && c.credit() {
+		c.ship(dst, msg, delay)
 	}
-	c.mu.Lock()
-	if c.state == clusterStopped {
-		c.mu.Unlock()
-		return
-	}
-	c.pending++
-	c.mu.Unlock()
+}
+
+// ship hands a message that holds its credit to dst's mailbox after delay:
+// zero-delay messages enqueue directly; delayed ones ride the wheel.
+func (c *Cluster) ship(dst *liveNode, msg message, delay time.Duration) {
 	if delay <= 0 {
-		c.enqueue(dst, msg, false)
+		c.enqueue(dst, msg, nil, false)
 	} else {
 		c.sched.wheel.schedule(dst, msg, delay, 0)
 	}
 }
 
-// armTimer schedules a timer message, taking its pending credit at arm time:
-// an armed timer keeps the ledger non-zero, so Close cannot tear the delivery
-// plane down under a pending timer.
-func (c *Cluster) armTimer(ln *liveNode, d time.Duration, msg message) {
-	c.mu.Lock()
-	if c.state == clusterStopped {
-		c.mu.Unlock()
-		return
-	}
-	c.pending++
-	c.mu.Unlock()
-	c.sched.wheel.schedule(ln, msg, d, 0)
-}
-
-// takeFlushCredit reserves one ledger credit for an AdaptiveFlush drain-end
-// flush. A buffered report must keep the ledger non-zero until its flush, or
-// Drain and Close could observe quiescence with reports still sitting in
-// outBuf. The credit is released by runNode after the flush runs (or after
-// the buffer is discarded because the node went down). Returns false after
-// stopped, when nothing may enter the ledger anymore.
-func (c *Cluster) takeFlushCredit() bool {
+// credit takes one ledger credit: a message's (post), or an AdaptiveFlush
+// buffer's in a drain that holds none of its own (emit). It returns false
+// after stopped, when nothing may enter the ledger anymore.
+func (c *Cluster) credit() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.state == clusterStopped {
@@ -639,7 +631,7 @@ func (c *Cluster) notifyRepair(orphan, newParent int) {
 // remote sends take no ledger credit — like the paper's network, a remote
 // message in flight is outside any process's knowledge until it arrives.
 func (c *Cluster) send(to int, msg message, delay time.Duration) {
-	if _, local := c.nodes[to]; local || !c.remote {
+	if c.hosted(to) != nil || !c.remote {
 		c.post(to, msg, delay)
 		return
 	}
@@ -663,17 +655,25 @@ func (c *Cluster) send(to int, msg message, delay time.Duration) {
 // sendBatch routes a flushed report-batch: one in-process message when the
 // destination is hosted here, one self-contained wire batch frame (reports
 // delta-chained against each other inside the frame, encoded through a
-// pooled buffer — the zero-allocation batched encode path) otherwise.
-func (c *Cluster) sendBatch(to, from int, batch *reportBatch, born int64, delay time.Duration) {
-	if _, local := c.nodes[to]; local || !c.remote {
-		c.post(to, message{kind: msgReportBatch, from: from, batch: batch, born: born}, delay)
-		return
+// pooled buffer — the zero-allocation batched encode path) otherwise. With
+// held, the sender holds a credit the in-process message may keep instead of
+// taking one; spent reports that it did.
+func (c *Cluster) sendBatch(to, from int, batch *reportBatch, born int64, delay time.Duration, held bool) (spent bool) {
+	if dst := c.hosted(to); dst != nil || !c.remote {
+		msg := message{kind: msgReportBatch, from: from, batch: batch, born: born}
+		if held && dst != nil {
+			c.ship(dst, msg, delay)
+			return true
+		}
+		c.post(to, msg, delay)
+		return false
 	}
 	buf := wire.GetBuffer()
 	*buf = wire.AppendRefBatch(*buf, batch.reps)
 	c.cfg.Transport.Send(to, *buf)
 	wire.PutBuffer(buf)
 	batch.recycle()
+	return false
 }
 
 // encodeMessage wire-encodes a mailbox message for a remote peer. Timer kinds
@@ -684,10 +684,10 @@ func encodeMessage(msg message) []byte {
 	case msgHeartbeat:
 		return wire.EncodeHeartbeat(wire.Heartbeat{
 			Sender: msg.from, Epoch: msg.epoch,
-			RootSeeking: msg.hb.rootSeeking, Covered: msg.hb.covered,
+			RootSeeking: msg.ext.hb.rootSeeking, Covered: msg.ext.hb.covered,
 		})
 	case msgAttach:
-		return wire.EncodeAttach(wire.Attach{From: msg.from, Msg: msg.att})
+		return wire.EncodeAttach(wire.Attach{From: msg.from, Msg: msg.ext.att})
 	default:
 		panic(fmt.Sprintf("livenet: message kind %d cannot be wire-encoded", msg.kind))
 	}
@@ -712,8 +712,8 @@ type rxSlabs struct {
 // typed errors guarantee a corrupt frame cannot crash the node, one of the
 // satellite guarantees of the transport work.
 func (c *Cluster) onFrame(to int, frame []byte) {
-	ln, ok := c.nodes[to]
-	if !ok {
+	ln := c.hosted(to)
+	if ln == nil {
 		return // misrouted: addressed to a node another participant hosts
 	}
 	kind, err := wire.FrameKind(frame)
@@ -762,14 +762,14 @@ func (c *Cluster) onFrame(to int, frame []byte) {
 			return
 		}
 		msg = message{kind: msgHeartbeat, from: hb.Sender, epoch: hb.Epoch, born: c.now(),
-			hb: hbInfo{rootSeeking: hb.RootSeeking, covered: hb.Covered}}
+			ext: &msgExt{hb: hbInfo{rootSeeking: hb.RootSeeking, covered: hb.Covered}}}
 	case wire.KindAttach:
 		a, err := wire.DecodeAttach(frame)
 		if err != nil {
 			ln.m.badFrames.Add(1)
 			return
 		}
-		msg = message{kind: msgAttach, from: a.From, att: a.Msg}
+		msg = message{kind: msgAttach, from: a.From, ext: &msgExt{att: a.Msg}}
 	default:
 		// Valid framing of a kind a bare cluster does not consume (a tenant
 		// envelope that escaped its mux, or a future addition): dropped, not

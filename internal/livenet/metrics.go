@@ -1,7 +1,6 @@
 package livenet
 
 import (
-	"sort"
 	"strconv"
 	"sync/atomic"
 
@@ -107,9 +106,9 @@ type nodeMetrics struct {
 // Runs on the node's goroutine, the only writer of reseq and the gauges.
 func (ln *liveNode) gaugeReseq() {
 	buffered, dropped := 0, 0
-	for _, q := range ln.reseq {
-		buffered += q.Buffered()
-		dropped += q.Dropped()
+	for _, cs := range ln.reseq {
+		buffered += cs.rs.Buffered()
+		dropped += cs.rs.Dropped()
 	}
 	ln.m.reseqBuffered.Store(int64(buffered))
 	if int64(buffered) > ln.m.reseqHigh.Load() {
@@ -168,8 +167,8 @@ func (m *nodeMetrics) snapshot() Metrics {
 // node id. Safe to call at any time, including after Close. Map iteration
 // order is random; use MetricsByNode for a stable order.
 func (c *Cluster) Metrics() map[int]Metrics {
-	out := make(map[int]Metrics, len(c.nodes))
-	for id, ln := range c.nodes {
+	out := make(map[int]Metrics)
+	for id, ln := range c.each {
 		out[id] = ln.snapshotMetrics()
 	}
 	return out
@@ -178,9 +177,9 @@ func (c *Cluster) Metrics() map[int]Metrics {
 // MetricsByNode returns the same snapshots as Metrics in iteration-stable
 // form: one NodeMetrics per hosted node, ascending by id.
 func (c *Cluster) MetricsByNode() []NodeMetrics {
-	out := make([]NodeMetrics, 0, len(c.nodes))
-	for _, id := range c.NodeIDs() {
-		out = append(out, NodeMetrics{ID: id, Metrics: c.nodes[id].snapshotMetrics()})
+	var out []NodeMetrics
+	for id, ln := range c.each {
+		out = append(out, NodeMetrics{ID: id, Metrics: ln.snapshotMetrics()})
 	}
 	return out
 }
@@ -194,11 +193,10 @@ func (ln *liveNode) snapshotMetrics() Metrics {
 // NodeIDs returns the cluster's process ids, ascending — the stable
 // iteration order for Metrics.
 func (c *Cluster) NodeIDs() []int {
-	out := make([]int, 0, len(c.nodes))
-	for id := range c.nodes {
+	var out []int
+	for id := range c.each {
 		out = append(out, id)
 	}
-	sort.Ints(out)
 	return out
 }
 
@@ -277,11 +275,9 @@ type ClusterMetrics struct {
 // ClusterMetrics aggregates a snapshot of the whole cluster. Safe at any
 // time, including concurrently with Observe, Kill, repair and Close.
 func (c *Cluster) ClusterMetrics() ClusterMetrics {
-	out := ClusterMetrics{
-		Nodes:   len(c.nodes),
-		Workers: c.sched.workers,
-	}
-	for _, ln := range c.nodes {
+	out := ClusterMetrics{Workers: c.sched.workers}
+	for _, ln := range c.each {
+		out.Nodes++
 		m := ln.snapshotMetrics()
 		out.MsgsIn += int64(m.MsgsIn)
 		out.MsgsOut += int64(m.MsgsOut)
@@ -313,10 +309,10 @@ func (c *Cluster) ClusterMetrics() ClusterMetrics {
 			out.MailboxHighWater = m.MailboxHighWater
 		}
 	}
-	out.WorkersBusy = int(c.busyWorkers.Load())
+	busy, drains, drained, _ := c.seat.stats()
+	out.WorkersBusy = int(busy)
 	out.RunqDepth = c.seat.depth()
-	out.Drains = c.drains.Load()
-	out.MessagesDrained = c.drained.Load()
+	out.Drains, out.MessagesDrained = drains, drained
 	out.WheelEntries = c.sched.wheel.entries()
 	out.WheelLagNanos = c.sched.wheel.lagNanos.Load()
 	c.mu.Lock()
@@ -419,20 +415,23 @@ func (c *Cluster) registerFamilies() {
 		func(ln *liveNode) float64 { return float64(ln.m.queueHigh.Load()) })
 
 	// Scheduler plane: pool size and bound are fixed gauges; occupancy and
-	// throughput are func-backed reads of the pool's atomics.
+	// throughput are func-backed reads of the seat's drain accounting.
 	c.reg.Gauge("hierdet_sched_workers", "Size of the worker pool draining the mailbox shards.").Set(float64(c.sched.workers))
 	c.reg.Gauge("hierdet_sched_mailbox_bound", "Mailbox bound applied to external producers.").Set(float64(c.bound))
 	c.reg.Func("hierdet_sched_workers_busy", "Workers currently draining a shard (utilization = busy/workers).",
-		obsv.KindGauge, nil, func(emit func(float64, ...string)) { emit(float64(c.busyWorkers.Load())) })
+		obsv.KindGauge, nil, func(emit func(float64, ...string)) { busy, _, _, _ := c.seat.stats(); emit(float64(busy)) })
 	c.reg.Func("hierdet_sched_runq_depth", "Nodes queued for a worker.",
 		obsv.KindGauge, nil, func(emit func(float64, ...string)) { emit(float64(c.seat.depth())) })
 	c.reg.Func("hierdet_sched_drains_total", "Mailbox shard drains executed by the pool.",
-		obsv.KindCounter, nil, func(emit func(float64, ...string)) { emit(float64(c.drains.Load())) })
+		obsv.KindCounter, nil, func(emit func(float64, ...string)) { _, n, _, _ := c.seat.stats(); emit(float64(n)) })
 	c.reg.Func("hierdet_sched_messages_handled_total", "Messages handled across all shard drains.",
-		obsv.KindCounter, nil, func(emit func(float64, ...string)) { emit(float64(c.drained.Load())) })
-	c.drainHist = c.reg.Histogram("hierdet_sched_drain_batch_size",
+		obsv.KindCounter, nil, func(emit func(float64, ...string)) { _, _, n, _ := c.seat.stats(); emit(float64(n)) })
+	c.reg.FuncHistogram("hierdet_sched_drain_batch_size",
 		"Messages handled per shard drain (batching efficiency of the pool).",
-		obsv.ExponentialBuckets(1, 2, 10))
+		drainBuckets, func() ([]int64, float64) {
+			_, _, drained, sizes := c.seat.stats()
+			return sizes[:], float64(drained)
+		})
 
 	// Observe→SolutionFound latency. Buckets span 1µs to ~2s: the floor is
 	// below any real pipeline traversal and the ceiling absorbs a saturated
@@ -454,7 +453,7 @@ func (c *Cluster) registerFamilies() {
 		obsv.KindCounter, nil, func(emit func(float64, ...string)) { emit(float64(c.sched.wheel.ticksTotal.Load())) })
 
 	// Lifecycle ledger.
-	c.reg.Gauge("hierdet_cluster_nodes", "Detector nodes hosted by this cluster.").Set(float64(len(c.nodes)))
+	c.reg.Gauge("hierdet_cluster_nodes", "Detector nodes hosted by this cluster.").Set(float64(len(ids)))
 	c.reg.Func("hierdet_cluster_pending_credits", "Outstanding message credits (0 = quiescent).",
 		obsv.KindGauge, nil, func(emit func(float64, ...string)) {
 			c.mu.Lock()

@@ -40,20 +40,19 @@ type hbInfo struct {
 	covered     []int
 }
 
-// message is one mailbox entry. Every message except the failure detector's
-// two timers holds one credit in the cluster's pending ledger from before it
-// is sent until after it is handled (see creditedKind).
+// message is one mailbox entry: 64 bytes, which every hop copies. A
+// msgLocal's interval waits beside it in the mailbox (mailbox.locals), and
+// the rare kinds' payloads behind ext. Every message except the failure
+// detector's two timers holds one credit in the cluster's pending ledger from
+// before it is sent until after it is handled (see creditedKind).
 type message struct {
 	kind  msgKind
 	from  int
-	seq   int // linkSeq (msgReport), reqID or round (timers)
+	seq   int // linkSeq (msgReport), index into the drain's locals (msgLocal), reqID or round (timers)
 	epoch int
-	iv    interval.Interval   // msgLocal payload
-	ivs   []interval.Interval // msgLocalBatch payload
-	agg   *interval.Interval  // msgReport payload: the aggregate where it is stored
-	batch *reportBatch        // msgReportBatch payload
-	att   repair.Msg
-	hb    hbInfo
+	agg   *interval.Interval // msgReport payload: the aggregate where it is stored
+	batch *reportBatch       // msgReportBatch payload
+	ext   *msgExt            // msgLocalBatch, msgAttach and msgHeartbeat payloads
 	// born is the Observe wall-clock stamp (UnixNano) of the observation
 	// whose causal cascade this message belongs to — stamped at admission,
 	// inherited by every report the handling of this message emits, and
@@ -65,6 +64,14 @@ type message struct {
 	// reached this cluster — the mailbox wait is no part of the peer's rhythm
 	// — when a tick was due, which deadline a check was armed for.
 	born int64
+}
+
+// msgExt carries the payloads no report hop needs. It is read-only once
+// sent: one heartbeat's ext goes to every watched peer.
+type msgExt struct {
+	ivs []interval.Interval // msgLocalBatch
+	att repair.Msg          // msgAttach
+	hb  hbInfo              // msgHeartbeat
 }
 
 // liveNode is one process: a detector node plus its links. All fields below
@@ -92,10 +99,11 @@ type liveNode struct {
 	// Report coalescing state (Config.AdaptiveFlush). outBuf holds reports
 	// owed to the parent until the worker reaches the end of the current
 	// mailbox drain, when it leaves as the flush's message (nil from then to
-	// the next report); drainFlush records that the buffer holds one ledger
-	// credit, taken at first buffer and released by runNode after the flush.
-	outBuf     *reportBatch
-	drainFlush bool
+	// the next report). credits counts the ledger credits the drain holds
+	// until its end (runNode) — its messages', or the one emit took when it
+	// held none: they cover the buffer, and the flush leaves on one of them.
+	outBuf  *reportBatch
+	credits int
 	// born is the stamp of the message currently being handled (see
 	// message.born); bufBorn carries the oldest stamp among the reports
 	// sitting in outBuf, so a coalesced flush propagates the stamp of the
@@ -110,8 +118,8 @@ type liveNode struct {
 	ivScratch  []*interval.Interval // reused batch-ingestion staging
 	rdyScratch []repair.Ref         // reused resequencer release staging
 
-	reseq     map[int]*repair.Resequencer[repair.Ref] // child id → resequencer
-	epochs    repair.Epochs                           // value: the zero Epochs is ready to use
+	reseq     []childSeq    // one per current child, in no order
+	epochs    repair.Epochs // value: the zero Epochs is ready to use
 	seeker    *repair.Seeker
 	adopter   *repair.Adopter
 	suspected map[int]bool
@@ -132,13 +140,30 @@ type liveNode struct {
 	// classic rand.Source: seeding the latter costs ~20µs of warmup per
 	// node, which at p≥512 turns into >10ms of pure startup overhead per
 	// cluster.
-	rng   *rand.Rand
-	rngMu sync.Mutex
+	rng *rand.Rand
 
 	m nodeMetrics
 	// lastPruned is the detector's Pruned count as of the last syncCoreStats,
 	// so the IntervalPruned event can carry the delta. Worker-confined.
 	lastPruned int
+}
+
+// childSeq is one child's resequencer. A node has a handful of children and
+// looks one up on every report message, so a slice scan beats a map.
+type childSeq struct {
+	child int
+	rs    *repair.Resequencer[repair.Ref]
+}
+
+// resequencer returns child's resequencer, or nil if child is not a current
+// child.
+func (ln *liveNode) resequencer(child int) *repair.Resequencer[repair.Ref] {
+	for _, cs := range ln.reseq {
+		if cs.child == child {
+			return cs.rs
+		}
+	}
+	return nil
 }
 
 // reportBatch is one flush's reports, each a reference to the aggregate in
@@ -230,7 +255,6 @@ func initLiveNode(ln *liveNode, c *Cluster, id int) {
 	ln.id = id
 	ln.node = core.NewNode(id, coreCfg, true)
 	ln.parent = c.topo.Parent(id)
-	ln.reseq = make(map[int]*repair.Resequencer[repair.Ref])
 	ln.rng = rand.New(rand.NewPCG(uint64(c.cfg.Seed), uint64(id)<<17|1))
 	ln.mb.init()
 	// The failure-detector maps (suspected, covered) and the repair state
@@ -243,7 +267,7 @@ func initLiveNode(ln *liveNode, c *Cluster, id int) {
 	}
 	for _, child := range c.topo.Children(id) {
 		ln.node.AddChild(child)
-		ln.reseq[child] = repair.NewResequencer[repair.Ref]()
+		ln.reseq = append(ln.reseq, childSeq{child, repair.NewResequencer[repair.Ref]()})
 		ln.watched.Add(child, c.cfg.HbEvery, c.now())
 		if c.remote {
 			// Seed each child's covered set from the initial topology (every
@@ -253,20 +277,21 @@ func initLiveNode(ln *liveNode, c *Cluster, id int) {
 	}
 }
 
-func (ln *liveNode) handle(msg *message) {
+// handle runs one message; a msgLocal's seq indexes the drain's locals.
+func (ln *liveNode) handle(msg *message, locals []interval.Interval) {
 	ln.born, ln.foundAt = msg.born, 0
 	switch msg.kind {
 	case msgLocal:
 		ln.c.emitEvent(obsv.Event{Kind: obsv.IntervalObserved, Node: ln.id, Peer: obsv.NoPeer, Count: 1})
-		ln.deliver(ln.node.OnInterval(ln.id, msg.iv))
+		ln.deliver(ln.node.OnInterval(ln.id, locals[msg.seq]))
 	case msgLocalBatch:
-		ln.c.emitEvent(obsv.Event{Kind: obsv.IntervalObserved, Node: ln.id, Peer: obsv.NoPeer, Count: len(msg.ivs)})
-		ln.deliver(ln.node.OnIntervals(ln.id, msg.ivs))
+		ln.c.emitEvent(obsv.Event{Kind: obsv.IntervalObserved, Node: ln.id, Peer: obsv.NoPeer, Count: len(msg.ext.ivs)})
+		ln.deliver(ln.node.OnIntervals(ln.id, msg.ext.ivs))
 	case msgReport:
 		ln.m.msgsIn.Add(1)
 		ln.alive(msg.from)
-		rs, ok := ln.reseq[msg.from]
-		if !ok {
+		rs := ln.resequencer(msg.from)
+		if rs == nil {
 			// Report from a process that is no longer our child (in flight
 			// across a repair); it belongs to the new parent's stream now.
 			ln.m.stale.Add(1)
@@ -279,8 +304,8 @@ func (ln *liveNode) handle(msg *message) {
 	case msgReportBatch:
 		ln.m.msgsIn.Add(1)
 		ln.alive(msg.from)
-		rs, ok := ln.reseq[msg.from]
-		if !ok {
+		rs := ln.resequencer(msg.from)
+		if rs == nil {
 			ln.m.stale.Add(int64(len(msg.batch.reps)))
 			return
 		}
@@ -300,17 +325,18 @@ func (ln *liveNode) handle(msg *message) {
 	case msgAttach:
 		ln.m.msgsIn.Add(1)
 		ln.alive(msg.from)
-		ln.onAttach(msg.from, msg.att)
+		ln.onAttach(msg.from, msg.ext.att)
 	case msgHeartbeat:
 		ln.m.heartbeats.Add(1)
 		if w := ln.watched.Of(msg.from); w != nil {
 			w.Beat(msg.born)
 		}
+		hb := &msg.ext.hb
 		if msg.from == ln.parent {
-			ln.rootSeekingHB = msg.hb.rootSeeking
+			ln.rootSeekingHB = hb.rootSeeking
 		}
-		if _, isChild := ln.reseq[msg.from]; isChild && msg.hb.covered != nil {
-			ln.setCovered(msg.from, msg.hb.covered)
+		if hb.covered != nil && ln.resequencer(msg.from) != nil {
+			ln.setCovered(msg.from, hb.covered)
 		}
 	case msgHbTick:
 		ln.born = 0 // no observation's stamp: a child drop may deliver detections
@@ -410,8 +436,9 @@ func (ln *liveNode) resendLast() {
 
 // emit assigns the next link sequence number and either sends the report or,
 // under AdaptiveFlush, buffers it until the end of the current mailbox drain
-// (runNode), covered by an explicit ledger credit taken at first buffer — so
-// Drain and Close cover buffered reports.
+// (runNode). The drain's own credits cover the buffer, so Drain and Close
+// cover buffered reports; a drain that holds none (failure-detector timers
+// only) takes one here, at first buffer.
 func (ln *liveNode) emit(agg *interval.Interval) {
 	pl := repair.Ref{Iv: agg, LinkSeq: ln.outSeq, Epoch: ln.epochs.Stamp()}
 	ln.outSeq++
@@ -426,8 +453,8 @@ func (ln *liveNode) emit(agg *interval.Interval) {
 		ln.outBuf = batchPool.Get().(*reportBatch)
 	}
 	ln.outBuf.reps = append(ln.outBuf.reps, pl)
-	if !ln.drainFlush && ln.c.takeFlushCredit() {
-		ln.drainFlush = true
+	if ln.credits == 0 && ln.c.credit() {
+		ln.credits = 1
 	}
 }
 
@@ -441,18 +468,19 @@ func (ln *liveNode) bufferBorn() {
 }
 
 // flushReports sends the buffered reports to the parent as one message (one
-// wire frame in distributed mode). Runs on the node's worker at the end of a
+// wire frame in distributed mode), on a credit the drain holds if held
+// (reporting whether it took it). Runs on the node's worker at the end of a
 // drain, and synchronously before a parent switch — buffered sequence
 // numbers belong to the old link, so they must go (or be lost) there.
-func (ln *liveNode) flushReports() {
+func (ln *liveNode) flushReports(held bool) (spent bool) {
 	batch := ln.outBuf
 	if batch == nil {
-		return
+		return false
 	}
 	ln.outBuf = nil
 	if ln.parent == tree.None {
 		batch.recycle()
-		return
+		return false
 	}
 	born := ln.bufBorn
 	ln.bufBorn = 0
@@ -460,13 +488,13 @@ func (ln *liveNode) flushReports() {
 	ln.m.batchFlushes.Add(1)
 	ln.c.emitEvent(obsv.Event{Kind: obsv.ReportSent, Node: ln.id, Peer: ln.parent,
 		Seq: batch.reps[0].LinkSeq, Count: len(batch.reps)})
-	ln.c.sendBatch(ln.parent, ln.id, batch, born, ln.delay())
+	return ln.c.sendBatch(ln.parent, ln.id, batch, born, ln.delay(), held)
 }
 
 // dropChild removes a dead or reassigned child's queue, returning the
 // detections the removal unblocked.
 func (ln *liveNode) dropChild(child int) []core.Detection {
-	delete(ln.reseq, child)
+	ln.reseq = slices.DeleteFunc(ln.reseq, func(s childSeq) bool { return s.child == child })
 	delete(ln.covered, child)
 	ln.ownCov = nil
 	ln.watched.Drop(child)
@@ -510,7 +538,7 @@ func (ln *liveNode) heartbeat(due int64) {
 	now := c.now()
 	if c.remote {
 		beat := message{kind: msgHeartbeat, from: ln.id, epoch: ln.epochs.Peek(), born: now,
-			hb: hbInfo{rootSeeking: ln.rootSeekingHB || ln.seeking(), covered: ln.ownCovered()}}
+			ext: &msgExt{hb: hbInfo{rootSeeking: ln.rootSeekingHB || ln.seeking(), covered: ln.ownCovered()}}}
 		for i := range ln.watched {
 			c.send(ln.watched[i].Peer, beat, 0)
 		}
@@ -546,7 +574,7 @@ func (ln *liveNode) heartbeat(due int64) {
 // up for beats at a time (EXPERIMENTS, PR 23). A hosted peer's suspicion is
 // checked against the kill record, so its link is as quick as it has earned.
 func (ln *liveNode) unvouched(w *repair.Watched) int64 {
-	if _, hosted := ln.c.nodes[w.Peer]; hosted {
+	if ln.c.hosted(w.Peer) != nil {
 		return 0
 	}
 	return max(8*int64(ln.c.cfg.HbEvery)-w.Timeout(), 0)
@@ -565,7 +593,7 @@ func (ln *liveNode) check(w *repair.Watched, asOf, next int64) {
 	if ln.suspected[w.Peer] {
 		return
 	}
-	if pn := c.nodes[w.Peer]; !c.remote && pn != nil {
+	if pn := c.hosted(w.Peer); !c.remote && pn != nil {
 		w.Beat(pn.beat.Load())
 	}
 	switch dl := w.Deadline() + ln.unvouched(w); {
@@ -605,7 +633,7 @@ func (ln *liveNode) ownCovered() []int {
 // absorbs real network and scheduling jitter.
 func (ln *liveNode) suspect(peer int) {
 	c := ln.c
-	if _, hosted := c.nodes[peer]; hosted {
+	if c.hosted(peer) != nil {
 		c.mu.Lock()
 		dead := c.killed[peer]
 		if dead && peer == ln.parent {
@@ -672,10 +700,7 @@ func (ln *liveNode) setCovered(peer int, cov []int) {
 	ln.ownCov = nil
 }
 
-// delay draws a random per-message delivery delay.
+// delay draws a random per-message delivery delay, on the node's worker.
 func (ln *liveNode) delay() time.Duration {
-	ln.rngMu.Lock()
-	d := time.Duration(ln.rng.Int64N(int64(ln.c.cfg.MaxDelay)))
-	ln.rngMu.Unlock()
-	return d
+	return time.Duration(ln.rng.Int64N(int64(ln.c.cfg.MaxDelay)))
 }

@@ -118,17 +118,17 @@ func (ln *liveNode) NextReqID() int {
 // transport — like any other message.
 func (ln *liveNode) Send(to int, m repair.Msg) {
 	ln.m.msgsOut.Add(1)
-	ln.c.send(to, message{kind: msgAttach, from: ln.id, att: m}, ln.delay())
+	ln.c.send(to, message{kind: msgAttach, from: ln.id, ext: &msgExt{att: m}}, ln.delay())
 }
 
 // ArmTimeout schedules the per-candidate grant timeout.
 func (ln *liveNode) ArmTimeout(reqID int) {
-	ln.c.armTimer(ln, ln.c.cfg.SeekTimeout, message{kind: msgSeekTimeout, seq: reqID})
+	ln.c.post(ln.id, message{kind: msgSeekTimeout, seq: reqID}, ln.c.cfg.SeekTimeout)
 }
 
 // ArmBackoff schedules the between-rounds pause.
 func (ln *liveNode) ArmBackoff(round int) {
-	ln.c.armTimer(ln, ln.c.cfg.SeekTimeout, message{kind: msgSeekBackoff, seq: round})
+	ln.c.post(ln.id, message{kind: msgSeekBackoff, seq: round}, ln.c.cfg.SeekTimeout)
 }
 
 // TryAttach validates a grant and performs the adoption. Single-process
@@ -176,7 +176,7 @@ func (ln *liveNode) TryAttach(granter int) bool {
 // Buffered reports go first, their sequence numbers belong to the old link;
 // the old parent's estimate goes with it and the new one starts fresh.
 func (ln *liveNode) reparent(to int) {
-	ln.flushReports()
+	ln.flushReports(false)
 	ln.watched.Drop(ln.parent)
 	ln.parent = to
 	ln.outSeq = 0
@@ -214,7 +214,7 @@ func (ln *liveNode) HasSource(child int) bool { return ln.node.HasSource(child) 
 // for the new child (its own heartbeats refresh both entries).
 func (ln *liveNode) Adopt(child int, covered []int) {
 	ln.node.AddChild(child)
-	ln.reseq[child] = repair.NewResequencer[repair.Ref]()
+	ln.reseq = append(ln.reseq, childSeq{child, repair.NewResequencer[repair.Ref]()})
 	ln.watched.Add(child, ln.c.cfg.HbEvery, ln.c.now())
 	if ln.c.remote {
 		ln.setCovered(child, covered)

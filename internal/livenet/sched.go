@@ -1,6 +1,10 @@
 package livenet
 
-import "sync"
+import (
+	"sync"
+
+	"hierdet/internal/interval"
+)
 
 // sched.go — the delivery plane's mailbox shards and their drain.
 //
@@ -21,27 +25,38 @@ import "sync"
 // bounded by the detection math (each accepted interval triggers a bounded
 // report cascade), so the shards stay near the bound even under stress.
 
-// mailbox is one node's delivery shard.
+// mailbox is one node's delivery shard. A msgLocal's interval goes into
+// locals, not into the message (whose seq indexes it), so the messages stay
+// one cache line each; a drain swaps locals out with buf.
 type mailbox struct {
-	mu        sync.Mutex
-	notFull   sync.Cond
-	buf       []message
-	spare     []message // worker-owned swap buffer, recycled every drain
-	scheduled bool
-	high      int // high-water mark of len(buf), for Metrics
+	mu      sync.Mutex
+	notFull sync.Cond
+	buf     []message
+	locals  []interval.Interval
+	// spare and spareLocals are the worker-owned swap buffers, recycled
+	// every drain.
+	spare       []message
+	spareLocals []interval.Interval
+	scheduled   bool
+	high        int // high-water mark of len(buf), for Metrics
 }
 
 func (mb *mailbox) init() { mb.notFull.L = &mb.mu }
 
-// enqueue appends msg to ln's shard and queues the node under the cluster's
-// seat if it was idle. external marks producer traffic subject to the bound.
-func (c *Cluster) enqueue(ln *liveNode, msg message, external bool) {
+// enqueue appends msg to ln's shard — local, if not nil, is a msgLocal's
+// interval — and queues the node under the cluster's seat if it was idle.
+// external marks producer traffic subject to the bound.
+func (c *Cluster) enqueue(ln *liveNode, msg message, local *interval.Interval, external bool) {
 	mb := &ln.mb
 	mb.mu.Lock()
 	if external {
 		for len(mb.buf) >= c.bound {
 			mb.notFull.Wait()
 		}
+	}
+	if local != nil {
+		msg.seq = len(mb.locals)
+		mb.locals = append(mb.locals, *local)
 	}
 	mb.buf = append(mb.buf, msg)
 	if len(mb.buf) > mb.high {
@@ -57,23 +72,18 @@ func (c *Cluster) enqueue(ln *liveNode, msg message, external bool) {
 
 // runNode drains one swap of ln's mailbox — one drain per pop keeps the pool
 // fair across nodes while still handing the detector whole batches —
-// returning the number of messages handled (the substrate charges the drain
-// against the cluster's round-robin deficit). The scheduled flag stays set
-// from the pop until the shard is observed empty, so no second worker can
-// claim the node concurrently.
+// returning the number of messages handled (the substrate counts the drain
+// and charges it against the cluster's round-robin deficit). The scheduled
+// flag stays set from the pop until the shard is observed empty, so no second
+// worker can claim the node concurrently.
 func (c *Cluster) runNode(ln *liveNode) int {
-	c.busyWorkers.Add(1)
-	defer c.busyWorkers.Add(-1)
 	mb := &ln.mb
 	mb.mu.Lock()
-	batch := mb.buf
-	mb.buf = mb.spare[:0]
-	mb.spare = nil
+	batch, locals := mb.buf, mb.locals
+	mb.buf, mb.locals = mb.spare[:0], mb.spareLocals[:0]
+	mb.spare, mb.spareLocals = nil, nil
 	mb.mu.Unlock()
 	mb.notFull.Broadcast()
-	c.drains.Add(1)
-	c.drained.Add(int64(len(batch)))
-	c.drainHist.Observe(float64(len(batch)))
 
 	// After the ledger drained and the state reached stopped, the only
 	// messages left are uncredited heartbeat ticks from the wheel's last
@@ -83,40 +93,49 @@ func (c *Cluster) runNode(ln *liveNode) int {
 
 	// The drain's credits go back together, after its flush and the counter
 	// mirror: an empty ledger means Metrics shows everything every drain did.
-	credits := 0
+	// Until then they cover whatever the handlers buffer (emit).
+	ln.credits = 0
+	for i := range batch {
+		if creditedKind(batch[i].kind) {
+			ln.credits++
+		}
+	}
 	down := ln.down.Load()
 	for i := range batch {
 		if !down && !stopped {
-			ln.handle(&batch[i])
+			ln.handle(&batch[i], locals)
 		}
-		if creditedKind(batch[i].kind) {
-			credits++
-		}
-		batch[i] = message{} // release interval/clock references
 		down = ln.down.Load()
 	}
+	clear(batch) // release interval/clock references
+	clear(locals)
 
 	// AdaptiveFlush: the drain boundary is the coalescing edge. Everything
 	// this drain's handlers emitted leaves as one batch now — the report
-	// burst of one delivery batch, with no timer and no added latency — and
-	// the buffer's ledger credit (taken at first buffer in emit) returns. A
+	// burst of one delivery batch, with no timer and no added latency — on
+	// one of the drain's credits, which it keeps instead of returning. A
 	// node that crashed mid-drain loses its buffer, like any of its in-flight
 	// messages.
-	if ln.drainFlush {
-		ln.drainFlush = false
+	credits := ln.credits
+	if ln.outBuf != nil {
 		if down || stopped {
 			ln.outBuf = nil
-		} else {
-			ln.flushReports()
+		} else if ln.flushReports(credits > 0) {
+			credits--
 		}
-		credits++
 	}
+	ln.credits = 0
 	ln.syncCoreStats()
-	c.done(credits)
+	if credits > 0 {
+		c.done(credits)
+	}
 
 	mb.mu.Lock()
 	if mb.spare == nil || cap(batch) > cap(mb.spare) {
 		mb.spare = batch[:0]
+	}
+	if mb.spareLocals == nil || cap(locals) > cap(mb.spareLocals) {
+		mb.spareLocals = locals[:0]
 	}
 	requeue := len(mb.buf) > 0
 	if !requeue {

@@ -1,12 +1,13 @@
 package livenet
 
 import (
+	"math/bits"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"hierdet/internal/core"
+	"hierdet/internal/obsv"
 )
 
 // shared.go — the scheduler substrate. One worker pool and one timer wheel
@@ -58,14 +59,14 @@ type SharedScheduler struct {
 	active   []*schedClient
 	closed   bool
 	clients  int
+	running  int // drains in flight on workers, all clients'
 
-	wg   sync.WaitGroup
-	busy atomic.Int64
+	wg sync.WaitGroup
 }
 
 // schedClient is one cluster's seat on the substrate: its FIFO of scheduled
-// nodes and its round-robin deficit. All fields are guarded by the
-// scheduler's mutex.
+// nodes, its round-robin deficit and its drain counts. All fields are guarded
+// by the scheduler's mutex, which each drain takes anyway to be charged.
 type schedClient struct {
 	s       *SharedScheduler
 	nodes   []*liveNode
@@ -74,6 +75,24 @@ type schedClient struct {
 	queued  bool // on the active ring
 	running int  // drains in flight on workers
 	dead    bool // detached: submits are dropped
+
+	drains  int64                // drains charged
+	drained int64                // messages those drains handled
+	sizes   [drainBins + 1]int64 // drains per drainBuckets bucket, the last +Inf
+}
+
+// drainBuckets bound the drain-size histogram (hierdet_sched_drain_batch_size):
+// 1, 2, 4, … 512 messages, so a drain of n goes in bucket bits.Len(n-1).
+const drainBins = 10
+
+var drainBuckets = obsv.ExponentialBuckets(1, 2, drainBins)
+
+// stats reads the seat's drain accounting: drains in flight, drains charged,
+// the messages they handled and the drains per size bucket.
+func (cl *schedClient) stats() (running, drains, drained int64, sizes [drainBins + 1]int64) {
+	cl.s.mu.Lock()
+	defer cl.s.mu.Unlock()
+	return int64(cl.running), cl.drains, cl.drained, cl.sizes
 }
 
 func (cl *schedClient) submit(ln *liveNode) { cl.s.submit(cl, ln) }
@@ -116,7 +135,11 @@ func NewSharedScheduler(cfg SharedSchedulerConfig) *SharedScheduler {
 func (s *SharedScheduler) Workers() int { return s.workers }
 
 // Busy returns how many shared workers are currently draining a shard.
-func (s *SharedScheduler) Busy() int { return int(s.busy.Load()) }
+func (s *SharedScheduler) Busy() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.running
+}
 
 // Clients returns how many clusters are currently attached.
 func (s *SharedScheduler) Clients() int {
@@ -166,14 +189,19 @@ func (s *SharedScheduler) submit(cl *schedClient, ln *liveNode) {
 	s.mu.Unlock()
 }
 
-// next pops the node a worker should drain, blocking while the ring is
-// empty. The ring head serves while its deficit lasts; a spent head gets a
-// fresh quantum added and rotates to the back, so every pass over the ring
-// grows each client's claim until it is served — the DRR guarantee that a
-// backlogged client cannot push the others' deficits to zero.
-func (s *SharedScheduler) next() (*schedClient, *liveNode) {
+// next settles the worker's last drain — msgs messages of done's, nil for
+// none — and pops the node it should drain now, blocking while the ring is
+// empty: one lock hold per drain for both. The ring head serves while its
+// deficit lasts; a spent head gets a fresh quantum added and rotates to the
+// back, so every pass over the ring grows each client's claim until it is
+// served — the DRR guarantee that a backlogged client cannot push the
+// others' deficits to zero.
+func (s *SharedScheduler) next(done *schedClient, msgs int) (*schedClient, *liveNode) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if done != nil {
+		s.chargeLocked(done, msgs)
+	}
 	for {
 		if s.closed {
 			return nil, nil
@@ -202,21 +230,24 @@ func (s *SharedScheduler) next() (*schedClient, *liveNode) {
 			}
 		}
 		cl.running++
+		s.running++
 		return cl, ln
 	}
 }
 
-// charge settles a finished drain: the handled message count comes off the
-// client's deficit, and a detaching cluster waiting for its in-flight drains
-// is woken when the last one lands.
-func (s *SharedScheduler) charge(cl *schedClient, msgs int) {
-	s.mu.Lock()
+// chargeLocked settles a finished drain: it is counted, its handled message
+// count comes off the client's deficit, and a detaching cluster waiting for
+// its in-flight drains is woken when the last one lands. Caller holds mu.
+func (s *SharedScheduler) chargeLocked(cl *schedClient, msgs int) {
 	cl.deficit -= msgs
 	cl.running--
+	s.running--
+	cl.drains++
+	cl.drained += int64(msgs)
+	cl.sizes[min(bits.Len(uint(max(msgs, 1)-1)), drainBins)]++
 	if cl.dead && cl.running == 0 {
 		s.idleCond.Broadcast()
 	}
-	s.mu.Unlock()
 }
 
 // detach removes a stopping cluster's seat: queued nodes are discarded (its
@@ -244,21 +275,21 @@ func (s *SharedScheduler) detach(cl *schedClient) {
 }
 
 // worker is one shared pool goroutine: pop a node off the DRR ring, hand it
-// the worker's region, drain it through its own cluster, charge the drain.
+// the worker's region, drain it through its own cluster, and charge the drain
+// with the next pop.
 func (s *SharedScheduler) worker() {
 	defer s.wg.Done()
 	reg := new(core.Region)
+	var cl *schedClient
+	msgs := 0
 	for {
-		cl, ln := s.next()
-		if ln == nil {
+		var ln *liveNode
+		if cl, ln = s.next(cl, msgs); ln == nil {
 			return
 		}
-		s.busy.Add(1)
 		ln.reg = reg
 		ln.node.Use(reg)
-		msgs := ln.c.runNode(ln)
-		s.busy.Add(-1)
-		s.charge(cl, msgs)
+		msgs = ln.c.runNode(ln)
 	}
 }
 

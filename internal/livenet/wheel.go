@@ -378,7 +378,7 @@ func (w *wheel) advanceLocked() (fired bool) {
 	for e := due; e != nil; {
 		next := e.next
 		c := e.ln.c
-		c.enqueue(e.ln, e.msg, false)
+		c.enqueue(e.ln, e.msg, nil, false)
 		if e.period > 0 && !e.ln.down.Load() && !c.halted.Load() {
 			e.next = rearm
 			rearm = e

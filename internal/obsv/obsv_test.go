@@ -70,6 +70,31 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
+// TestFuncHistogramMatchesHistogram: a histogram whose counts come from a
+// collect function is exposed exactly like a stored one with the same
+// observations.
+func TestFuncHistogramMatchesHistogram(t *testing.T) {
+	bounds := []float64{1, 5, 10}
+	stored, fn := NewRegistry(), NewRegistry()
+	h := stored.Histogram("lat", "latency", bounds)
+	for _, v := range []float64{0.5, 1, 3, 7, 100} {
+		h.Observe(v)
+	}
+	fn.FuncHistogram("lat", "latency", bounds, func() ([]int64, float64) {
+		return []int64{2, 1, 1, 1}, 111.5
+	})
+	var want, got strings.Builder
+	if err := stored.WritePrometheus(&want); err != nil {
+		t.Fatal(err)
+	}
+	if err := fn.WritePrometheus(&got); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Fatalf("func-backed exposition:\n%s\nwant, as stored:\n%s", got.String(), want.String())
+	}
+}
+
 func TestRedefinitionPanics(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("x", "first")

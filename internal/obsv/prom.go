@@ -52,7 +52,7 @@ type sample struct {
 
 	// histogram series carry their full state instead of a single value.
 	hist    bool
-	buckets []int64 // cumulative, one per bound
+	buckets []int64 // one per bound, not cumulative (write sums them)
 	inf     int64   // the +Inf bucket (== count)
 	sum     float64
 }
@@ -68,6 +68,9 @@ func (f *family) write(w *bufio.Writer) error {
 			}
 			samples = append(samples, sample{labelValues: append([]string(nil), labelValues...), value: value})
 		})
+	} else if f.collectHist != nil {
+		counts, sum := f.collectHist()
+		samples = append(samples, histSample(nil, counts, sum))
 	} else {
 		for _, s := range f.series {
 			samples = append(samples, f.sampleOf(s))
@@ -121,21 +124,22 @@ func (f *family) sampleOf(s *series) sample {
 	case KindGauge:
 		return sample{labelValues: s.labelValues, value: math.Float64frombits(s.gauge.Load())}
 	default: // KindHistogram
-		out := sample{labelValues: s.labelValues, hist: true,
-			buckets: make([]int64, len(f.buckets)),
-			sum:     math.Float64frombits(s.hsum.Load()),
-		}
-		total := int64(0)
+		counts := make([]int64, len(s.bucketCounts))
 		for i := range s.bucketCounts {
-			n := s.bucketCounts[i].Load()
-			total += n
-			if i < len(f.buckets) {
-				out.buckets[i] = n
-			}
+			counts[i] = s.bucketCounts[i].Load()
 		}
-		out.inf = total
-		return out
+		return histSample(s.labelValues, counts, math.Float64frombits(s.hsum.Load()))
 	}
+}
+
+// histSample makes a histogram sample of per-bucket counts, one per bound
+// and the +Inf bucket last.
+func histSample(labelValues []string, counts []int64, sum float64) sample {
+	out := sample{labelValues: labelValues, hist: true, buckets: counts[:len(counts)-1], sum: sum}
+	for _, n := range counts {
+		out.inf += n
+	}
+	return out
 }
 
 // writeLabels writes {k="v",...}, appending the optional extra pair (used for

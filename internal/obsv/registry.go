@@ -71,6 +71,8 @@ type family struct {
 	// collect, when set, makes this a func-backed family: at scrape time it
 	// is invoked with an emit callback instead of reading stored series.
 	collect func(emit func(value float64, labelValues ...string))
+	// collectHist, when set, makes this a func-backed histogram (FuncHistogram).
+	collectHist func() (counts []int64, sum float64)
 }
 
 // series is one labeled instance of a family. Counters store int64 counts;
@@ -312,6 +314,19 @@ func (r *Registry) Func(name, help string, kind Kind, labelNames []string, colle
 	f := r.lookup(name, help, kind, labelNames, nil)
 	f.mu.Lock()
 	f.collect = collect
+	f.mu.Unlock()
+}
+
+// FuncHistogram registers a scrape-time histogram over the given ascending
+// bucket bounds: at every exposition collect returns the observations per
+// bucket — one count per bound, then the +Inf bucket; not cumulative — and
+// their sum. It exposes a histogram the runtime already counts under a lock
+// of its own, with no atomic copy on the hot path; collect must be safe to
+// call from any goroutine at any time.
+func (r *Registry) FuncHistogram(name, help string, buckets []float64, collect func() (counts []int64, sum float64)) {
+	f := r.lookup(name, help, KindHistogram, nil, buckets)
+	f.mu.Lock()
+	f.collectHist = collect
 	f.mu.Unlock()
 }
 
