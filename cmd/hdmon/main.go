@@ -221,10 +221,7 @@ func runLive(topo *hierdet.Topology, rounds int, pglobal, pgroup float64, seed i
 	repaired := make(chan hierdet.LiveRepair, topo.N())
 	cluster := hierdet.NewLiveCluster(hierdet.LiveConfig{
 		Topology: topo, Seed: seed, Verify: true,
-		Failure: hierdet.LiveFailureOptions{
-			HbEvery:           500 * time.Microsecond,
-			ResendLastOnAdopt: resend,
-		},
+		HbEvery: 500 * time.Microsecond, ResendLastOnAdopt: resend,
 		Events: func(e hierdet.Event) {
 			if e.Kind == hierdet.EventRepairConcluded {
 				repaired <- hierdet.LiveRepair{Orphan: e.Node, NewParent: e.Peer}

@@ -196,14 +196,12 @@ func runNode(path string, id int, gate string) error {
 	}
 
 	c := hierdet.NewLiveCluster(hierdet.LiveConfig{
-		Topology: topo,
-		Seed:     f.Seed + int64(id),
-		Failure:  hierdet.LiveFailureOptions{HbEvery: time.Duration(f.HbEveryMs) * time.Millisecond},
-		Distributed: hierdet.LiveDistributedOptions{
-			Transport:    tr,
-			LocalNodes:   []int{id},
-			StartupGrace: time.Duration(f.StartupGraceMs) * time.Millisecond,
-		},
+		Topology:     topo,
+		Seed:         f.Seed + int64(id),
+		HbEvery:      time.Duration(f.HbEveryMs) * time.Millisecond,
+		Transport:    tr,
+		LocalNodes:   []int{id},
+		StartupGrace: time.Duration(f.StartupGraceMs) * time.Millisecond,
 		Events: func(e hierdet.Event) {
 			switch e.Kind {
 			case hierdet.EventSolutionFound:

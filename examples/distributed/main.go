@@ -185,7 +185,7 @@ func reference() (full, survivor int, err error) {
 	repaired := make(chan int, 4)
 	c := hierdet.NewLiveCluster(hierdet.LiveConfig{
 		Topology: topo, Seed: seed, Verify: true,
-		Failure: hierdet.LiveFailureOptions{HbEvery: time.Millisecond},
+		HbEvery: time.Millisecond,
 		Events: func(e hierdet.Event) {
 			if e.Kind == hierdet.EventRepairConcluded {
 				repaired <- e.Node

@@ -86,10 +86,7 @@ func main() {
 	repaired := make(chan hierdet.LiveRepair, 4)
 	cluster := hierdet.NewLiveCluster(hierdet.LiveConfig{
 		Topology: build(), Seed: 11, Verify: true,
-		Failure: hierdet.LiveFailureOptions{
-			HbEvery:           300 * time.Microsecond,
-			ResendLastOnAdopt: true,
-		},
+		HbEvery: 300 * time.Microsecond, ResendLastOnAdopt: true,
 		// The Events stream carries every repair (and much more); filter for
 		// the RepairConcluded kind to follow the reattachment protocol live.
 		Events: func(e hierdet.Event) {

@@ -33,9 +33,7 @@ func main() {
 		Topology: topo,
 		Seed:     99,
 		Verify:   true,
-		Delivery: hierdet.LiveDeliveryOptions{
-			MaxDelay: time.Millisecond, // force heavy reordering
-		},
+		MaxDelay: time.Millisecond, // force heavy reordering
 	})
 
 	start := time.Now()

@@ -81,13 +81,6 @@ type Stats struct {
 	Detections int
 }
 
-// Legacy returns s with FilteredComparisons and MemoHits zeroed, which they
-// always are now; the oracle-parity tests compare through it.
-func (s Stats) Legacy() Stats {
-	s.FilteredComparisons, s.MemoHits = 0, 0
-	return s
-}
-
 // Config carries the knobs shared by every node of one detector instance.
 type Config struct {
 	// N is the number of processes in the system (the vector-clock size).

@@ -312,7 +312,10 @@ func TestStarDecidesEveryComparisonOnSpans(t *testing.T) {
 	if st.Detections == 0 || st.Eliminated == 0 {
 		t.Fatalf("the schedule detected or eliminated nothing: %+v", st)
 	}
-	if ps := nd.Stats(); ps.Legacy() != st.Legacy() || !slices.Equal(got, want) {
+	if ps := nd.Stats(); ps != st || !slices.Equal(got, want) {
 		t.Fatalf("a comparison read past its span:\n  oracle %+v\n  engine %+v", st, ps)
+	}
+	if st.FilteredComparisons != 0 || st.MemoHits != 0 {
+		t.Fatalf("pruning-layer counters are not 0: %+v", st)
 	}
 }

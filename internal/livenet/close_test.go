@@ -18,7 +18,7 @@ func runWorkload(t *testing.T, seed int64) (*Cluster, *workload.Execution) {
 	t.Helper()
 	topo := tree.Balanced(2, 2)
 	e := workload.Generate(workload.Config{Topology: topo, Rounds: 6, Seed: seed, PGlobal: 1})
-	c := New(Config{Topology: topo, Seed: seed, Strict: true, KeepMembers: true})
+	c := New(Config{Topology: topo, Seed: seed, Verify: true})
 	for p := range e.Streams {
 		c.ObserveBatch(p, e.Streams[p])
 	}
@@ -146,7 +146,7 @@ func TestTeardownOrderMatchesStableSort(t *testing.T) {
 	repaired := make(chan int, 8)
 	var streamed detLog
 	c := New(Config{
-		Topology: topo, Seed: 11, KeepMembers: true,
+		Topology: topo, Seed: 11, Verify: true,
 		HbEvery: 300 * time.Microsecond, ResendLastOnAdopt: true,
 		Events: testSink(&streamed, repaired),
 	})

@@ -102,7 +102,7 @@ func TestDistributedParityAndFailover(t *testing.T) {
 	// the same execution and failure schedule.
 	refRepaired := make(chan int, 8)
 	ref := New(Config{
-		Topology: build(), Seed: 11, Strict: true, KeepMembers: true,
+		Topology: build(), Seed: 11, Verify: true,
 		HbEvery: 300 * time.Microsecond,
 		Events:  testSink(nil, refRepaired),
 	})
@@ -125,7 +125,7 @@ func TestDistributedParityAndFailover(t *testing.T) {
 	clusters := make(map[int]*Cluster, 7)
 	for id := 0; id < 7; id++ {
 		clusters[id] = New(Config{
-			Topology: build(), Seed: 11, Strict: true, KeepMembers: true,
+			Topology: build(), Seed: 11, Verify: true,
 			HbEvery:      time.Millisecond,
 			StartupGrace: 5 * time.Millisecond,
 			Transport:    net.Endpoint(id),
@@ -207,7 +207,7 @@ func TestDistributedRedeliveryAndCorruptFrames(t *testing.T) {
 	var log detLog
 	mk := func(id int, ep *transport.Endpoint) *Cluster {
 		return New(Config{
-			Topology: build(), Seed: 3, Strict: true, KeepMembers: true,
+			Topology: build(), Seed: 3, Verify: true,
 			HbEvery: time.Millisecond, Transport: ep, LocalNodes: []int{id},
 			Events: testSink(&log, nil),
 		})
@@ -298,7 +298,7 @@ func TestDistributedReportSpanOutsideSystem(t *testing.T) {
 	var log detLog
 	mk := func(id int, ep *transport.Endpoint) *Cluster {
 		return New(Config{
-			Topology: build(), Seed: 3, Strict: true, KeepMembers: true,
+			Topology: build(), Seed: 3, Verify: true,
 			HbEvery: time.Millisecond, Transport: ep, LocalNodes: []int{id},
 			Events: testSink(&log, nil),
 		})
@@ -358,7 +358,7 @@ func TestDistributedOverTCP(t *testing.T) {
 	clusters := make(map[int]*Cluster, 7)
 	for id := 0; id < 7; id++ {
 		clusters[id] = New(Config{
-			Topology: build(), Seed: 29, Strict: true, KeepMembers: true,
+			Topology: build(), Seed: 29, Verify: true,
 			HbEvery:      2 * time.Millisecond,
 			StartupGrace: 20 * time.Millisecond,
 			Transport:    trs[id],
@@ -420,7 +420,7 @@ func TestDistributedBatchWindow(t *testing.T) {
 			return false
 		}
 		clusters[id] = New(Config{
-			Topology: build(), Seed: 13, Strict: true, KeepMembers: true,
+			Topology: build(), Seed: 13, Verify: true,
 			HbEvery:       time.Millisecond,
 			StartupGrace:  5 * time.Millisecond,
 			AdaptiveFlush: true,

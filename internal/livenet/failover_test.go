@@ -117,7 +117,7 @@ func TestLiveClusterFailover(t *testing.T) {
 	repaired := make(chan int, 8)
 	topo := build()
 	c := New(Config{
-		Topology: topo, Seed: 11, Strict: true, KeepMembers: true,
+		Topology: topo, Seed: 11, Verify: true,
 		HbEvery: 300 * time.Microsecond,
 		Events:  testSink(nil, repaired),
 	})
@@ -184,7 +184,7 @@ func TestLiveClusterFailoverResendLast(t *testing.T) {
 	repaired := make(chan int, 8)
 	topo := build()
 	c := New(Config{
-		Topology: topo, Seed: 15, Strict: true, KeepMembers: true,
+		Topology: topo, Seed: 15, Verify: true,
 		HbEvery: 300 * time.Microsecond, ResendLastOnAdopt: true,
 		Events: testSink(nil, repaired),
 	})
@@ -224,7 +224,7 @@ func TestLiveClusterPartition(t *testing.T) {
 	repaired := make(chan RepairEvent, 4)
 	topo := build()
 	c := New(Config{
-		Topology: topo, Seed: 21, Strict: true, KeepMembers: true,
+		Topology: topo, Seed: 21, Verify: true,
 		HbEvery: 300 * time.Microsecond,
 		Events: func(e obsv.Event) {
 			if e.Kind == obsv.RepairConcluded {

@@ -120,7 +120,7 @@ func TestFlushFromCreditlessDrain(t *testing.T) {
 	topo := tree.Balanced(2, 2) // 1 has leaves 3 and 4
 	e := workload.Generate(workload.Config{Topology: topo, Rounds: 1, Seed: 7, PGlobal: 1})
 	rootSpans := make(chan int, 4) // more than the one root detection there can be: the sink never blocks a worker
-	c := New(Config{Topology: topo, Seed: 9, Strict: true, KeepMembers: true,
+	c := New(Config{Topology: topo, Seed: 9, Verify: true,
 		AdaptiveFlush: true, HbEvery: 2 * time.Millisecond,
 		Events: func(ev obsv.Event) {
 			if ev.Kind == obsv.SolutionFound && ev.AtRoot {

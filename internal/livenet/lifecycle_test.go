@@ -21,7 +21,7 @@ func TestObserveStopRace(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		topo := tree.Balanced(2, 2)
 		e := workload.GenerateChaotic(workload.ChaoticConfig{N: 7, Steps: 400, Seed: int64(trial)})
-		c := New(Config{Topology: topo, Seed: int64(trial), Strict: true, KeepMembers: true,
+		c := New(Config{Topology: topo, Seed: int64(trial), Verify: true,
 			MaxDelay: 50 * time.Microsecond})
 
 		var observed, rejected atomic.Int64
@@ -66,7 +66,7 @@ func TestDrainWaitsForCascade(t *testing.T) {
 	topo := tree.Balanced(2, 2)
 	const rounds = 10
 	e := workload.Generate(workload.Config{Topology: topo, Rounds: rounds, Seed: 4, PGlobal: 1})
-	c := New(Config{Topology: topo, Seed: 7, Strict: true, KeepMembers: true,
+	c := New(Config{Topology: topo, Seed: 7, Verify: true,
 		MaxDelay: time.Millisecond})
 	feedRange(c, e, 0, rounds)
 	c.Drain()

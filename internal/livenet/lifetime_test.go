@@ -160,7 +160,9 @@ func TestSetsOutliveRecycledStorageOverTCP(t *testing.T) {
 	var copies detLog
 	var cs [2]*Cluster
 	for i := range cs {
-		cs[i] = New(Config{Topology: topo.Clone(), Seed: int64(i + 1), AdaptiveFlush: true, Workers: 4,
+		sched := NewSharedScheduler(SharedSchedulerConfig{Workers: 4})
+		defer sched.Close()
+		cs[i] = New(Config{Topology: topo.Clone(), Seed: int64(i + 1), AdaptiveFlush: true, Scheduler: sched,
 			Transport: trs[i], LocalNodes: local[i], Events: copySink(&copies)})
 	}
 	for r := range e.Rounds {
@@ -199,8 +201,10 @@ func TestSetsOutliveRepair(t *testing.T) {
 	repaired := make(chan int, 8)
 	var copies detLog
 	sink := copySink(&copies)
+	sched := NewSharedScheduler(SharedSchedulerConfig{Workers: 4})
+	defer sched.Close()
 	c := New(Config{
-		Topology: topo, Seed: 11, AdaptiveFlush: true, Workers: 4,
+		Topology: topo, Seed: 11, AdaptiveFlush: true, Scheduler: sched,
 		HbEvery: 300 * time.Microsecond, ResendLastOnAdopt: true,
 		Events: func(e obsv.Event) {
 			sink(e)

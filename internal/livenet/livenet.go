@@ -91,12 +91,11 @@ type Config struct {
 	MaxDelay time.Duration
 	// Seed drives the delay distribution.
 	Seed int64
-	// Strict and KeepMembers configure the detector nodes (see core.Config).
-	Strict, KeepMembers bool
+	// Verify makes the detector nodes check each source's succession (a
+	// violation panics) and keep solution sets on their aggregates (see
+	// core.Config's Strict and KeepMembers).
+	Verify bool
 
-	// Workers sizes the pool that drains the mailbox shards. Zero means
-	// GOMAXPROCS.
-	Workers int
 	// MailboxBound caps each node's mailbox shard for external producers:
 	// Observe and ObserveBatch block while the destination shard is at the
 	// bound, pushing back on the workload. Internal cascade traffic is not
@@ -116,10 +115,9 @@ type Config struct {
 	// substrate's worker pool drains the mailbox shards, running each node's
 	// detection on the worker that drains it, its timer wheel carries the
 	// delayed messages and heartbeat ticks and its workers' regions keep what
-	// detections publish. Workers is then ignored (the substrate's pool is
-	// sized once, at its creation); MailboxBound still applies per cluster.
-	// Nil (the default) gives the cluster a substrate of its own — Workers and
-	// a wheel tick of MaxDelay/8 — which it closes when it stops.
+	// detections publish. MailboxBound still applies per cluster. Nil (the
+	// default) gives the cluster a substrate of its own — GOMAXPROCS workers
+	// and a wheel tick of MaxDelay/8 — which it closes when it stops.
 	Scheduler *SharedScheduler
 
 	// HbEvery enables failure handling and is its one setting: how often every
@@ -287,9 +285,7 @@ func New(cfg Config) *Cluster {
 	}
 	sched := cfg.Scheduler
 	if sched == nil {
-		sched = NewSharedScheduler(SharedSchedulerConfig{
-			Workers: cfg.Workers, Tick: cfg.MaxDelay / 8,
-		})
+		sched = NewSharedScheduler(SharedSchedulerConfig{Tick: cfg.MaxDelay / 8})
 	}
 	c := &Cluster{
 		cfg:     cfg,

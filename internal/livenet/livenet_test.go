@@ -35,7 +35,7 @@ func feed(c *Cluster, e *workload.Execution, topo *tree.Topology) {
 func TestLiveClusterDetectsAllPulses(t *testing.T) {
 	topo := tree.Balanced(2, 2)
 	e := workload.Generate(workload.Config{Topology: topo, Rounds: 15, Seed: 1, PGlobal: 1})
-	c := New(Config{Topology: topo, Seed: 3, Strict: true, KeepMembers: true})
+	c := New(Config{Topology: topo, Seed: 3, Verify: true})
 	feed(c, e, topo)
 	c.Close()
 	dets := c.Detections()
@@ -58,7 +58,7 @@ func TestLiveClusterMatchesFlatReferenceOnChaos(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		topo := tree.Balanced(2, 2)
 		e := workload.GenerateChaotic(workload.ChaoticConfig{N: 7, Steps: 700, Seed: int64(trial)})
-		c := New(Config{Topology: topo, Seed: int64(trial), Strict: true, KeepMembers: true})
+		c := New(Config{Topology: topo, Seed: int64(trial), Verify: true})
 		feed(c, e, topo)
 		c.Close()
 		dets := c.Detections()
@@ -81,7 +81,7 @@ func TestLiveClusterMatchesFlatReferenceOnChaos(t *testing.T) {
 func TestLiveClusterGroupLevel(t *testing.T) {
 	topo := tree.Balanced(2, 2)
 	e := workload.Generate(workload.Config{Topology: topo, Rounds: 20, Seed: 2, PGroup: 1})
-	c := New(Config{Topology: topo, Seed: 5, Strict: true, KeepMembers: true})
+	c := New(Config{Topology: topo, Seed: 5, Verify: true})
 	feed(c, e, topo)
 	c.Close()
 	dets := c.Detections()
@@ -109,7 +109,7 @@ func TestLiveClusterHeavyReordering(t *testing.T) {
 	e := workload.Generate(workload.Config{Topology: topo, Rounds: 10, Seed: 3, PGlobal: 1})
 	// 2ms max delay with 10µs feed pacing: reports from one link overtake
 	// each other constantly; Strict panics if resequencing ever fails.
-	c := New(Config{Topology: topo, Seed: 9, Strict: true, KeepMembers: true, MaxDelay: 2 * time.Millisecond})
+	c := New(Config{Topology: topo, Seed: 9, Verify: true, MaxDelay: 2 * time.Millisecond})
 	feed(c, e, topo)
 	c.Close()
 	dets := c.Detections()

@@ -248,7 +248,7 @@ func concatLogs(logs []*detectionLog) []Detection {
 // a fresh struct over it).
 func initLiveNode(ln *liveNode, c *Cluster, id int) {
 	coreCfg := core.Config{
-		N: c.topo.N(), Strict: c.cfg.Strict, KeepMembers: c.cfg.KeepMembers,
+		N: c.topo.N(), Strict: c.cfg.Verify, KeepMembers: c.cfg.Verify,
 		Parallel: true,
 	}
 	ln.c = c

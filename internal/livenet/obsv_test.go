@@ -52,7 +52,7 @@ func TestEventsMatchResults(t *testing.T) {
 	repaired := make(chan int, 8)
 	repairs := testSink(nil, repaired)
 	c := New(Config{
-		Topology: topo, Seed: 13, Strict: true, KeepMembers: true,
+		Topology: topo, Seed: 13, Verify: true,
 		HbEvery: 300 * time.Microsecond,
 		Events: func(e obsv.Event) {
 			log.sink(e)
@@ -129,7 +129,7 @@ func TestEventStreamPerNodeOrder(t *testing.T) {
 	e := workload.Generate(workload.Config{Topology: topo, Rounds: rounds, Seed: 4, PGlobal: 1})
 
 	var log eventLog
-	c := New(Config{Topology: topo, Seed: 9, Strict: true, KeepMembers: true, Events: log.sink})
+	c := New(Config{Topology: topo, Seed: 9, Verify: true, Events: log.sink})
 	feed(c, e, topo)
 	c.Close()
 	dets := c.Detections()
@@ -181,7 +181,7 @@ func TestMetricsSnapshotsDuringFailover(t *testing.T) {
 
 	repaired := make(chan int, 8)
 	c := New(Config{
-		Topology: topo, Seed: 31, Strict: true, KeepMembers: true,
+		Topology: topo, Seed: 31, Verify: true,
 		HbEvery: 300 * time.Microsecond,
 		Events:  testSink(nil, repaired),
 	})

@@ -22,7 +22,7 @@ func TestLiveClusterRedelivery(t *testing.T) {
 	topo := tree.Balanced(2, 1) // root 0, leaves 1 and 2
 	const rounds = 12
 	e := workload.Generate(workload.Config{Topology: topo, Rounds: rounds, Seed: 9, PGlobal: 1})
-	c := New(Config{Topology: topo, Seed: 13, Strict: true, KeepMembers: true,
+	c := New(Config{Topology: topo, Seed: 13, Verify: true,
 		MaxDelay: time.Millisecond})
 	rng := rand.New(rand.NewSource(31))
 	delay := func() time.Duration { return time.Duration(rng.Int63n(int64(time.Millisecond))) }

@@ -40,7 +40,7 @@ func TestStopCancelsDelayedDeliveries(t *testing.T) {
 	topo := tree.Balanced(2, 3)
 	e := workload.Generate(workload.Config{Topology: topo, Rounds: 8, Seed: 11, PGlobal: 1})
 	c := New(Config{
-		Topology: topo, Seed: 7, Strict: true, KeepMembers: true,
+		Topology: topo, Seed: 7, Verify: true,
 		MaxDelay: 30 * time.Millisecond,  // every report outlives the feed
 		HbEvery:  500 * time.Microsecond, // beats flow; nothing is killed, so nothing is suspected
 	})
@@ -66,7 +66,7 @@ func TestStopCancelsRepairTimers(t *testing.T) {
 	base := runtime.NumGoroutine()
 	topo := tree.Balanced(2, 2)
 	c := New(Config{
-		Topology: topo, Seed: 3, Strict: true, KeepMembers: true,
+		Topology: topo, Seed: 3, Verify: true,
 		HbEvery: 200 * time.Microsecond,
 	})
 	c.Kill(1) // orphans 3 and 4; each arms seek timeouts while reattaching
@@ -83,7 +83,7 @@ func TestSteadyStateGoroutinesBounded(t *testing.T) {
 	base := runtime.NumGoroutine()
 	topo := tree.Balanced(2, 6) // 127 nodes
 	e := workload.Generate(workload.Config{Topology: topo, Rounds: 6, Seed: 2, PGlobal: 1})
-	c := New(Config{Topology: topo, Seed: 1, Strict: true, KeepMembers: true,
+	c := New(Config{Topology: topo, Seed: 1, Verify: true,
 		MaxDelay: 5 * time.Millisecond})
 
 	peak := 0
@@ -129,7 +129,7 @@ func TestAdaptiveFlushMatchesUnbatched(t *testing.T) {
 	e := workload.Generate(workload.Config{Topology: topo, Rounds: 12, Seed: 4, PGlobal: 1})
 
 	run := func(adaptive bool) (map[int]int, map[int]Metrics) {
-		c := New(Config{Topology: topo, Seed: 6, Strict: true, KeepMembers: true, AdaptiveFlush: adaptive})
+		c := New(Config{Topology: topo, Seed: 6, Verify: true, AdaptiveFlush: adaptive})
 		for p := range e.Streams {
 			c.ObserveBatch(p, e.Streams[p])
 		}
@@ -176,7 +176,7 @@ func TestObserveBatchMatchesObserve(t *testing.T) {
 	e := workload.Generate(workload.Config{Topology: topo, Rounds: 10, Seed: 8, PGlobal: 1})
 
 	counts := func(batch bool) map[int]int {
-		c := New(Config{Topology: topo, Seed: 2, Strict: true, KeepMembers: true})
+		c := New(Config{Topology: topo, Seed: 2, Verify: true})
 		if batch {
 			for p := range e.Streams {
 				c.ObserveBatch(p, e.Streams[p])
@@ -206,7 +206,7 @@ func TestObserveBatchMatchesObserve(t *testing.T) {
 func TestMailboxBackpressure(t *testing.T) {
 	topo := tree.Balanced(2, 2)
 	e := workload.Generate(workload.Config{Topology: topo, Rounds: 10, Seed: 9, PGlobal: 1})
-	c := New(Config{Topology: topo, Seed: 8, Strict: true, KeepMembers: true, MailboxBound: 1})
+	c := New(Config{Topology: topo, Seed: 8, Verify: true, MailboxBound: 1})
 	feed(c, e, topo)
 	roots := 0
 	c.Close()

@@ -37,9 +37,6 @@ type SharedSchedulerConfig struct {
 	// Delays are rounded up to it; how closely deliveries then follow it is
 	// the platform's doing (see Config.MaxDelay).
 	Tick time.Duration
-	// Quantum is the DRR quantum in messages: how many messages one cluster
-	// may drain before the ring rotates past it (default 256).
-	Quantum int
 	// WheelLagSink, when set, receives each wheel advance's lag in seconds
 	// (the tenant plane feeds its lag histogram through this).
 	WheelLagSink func(float64)
@@ -50,7 +47,6 @@ type SharedSchedulerConfig struct {
 // every client cluster has stopped.
 type SharedScheduler struct {
 	workers int
-	quantum int
 	wheel   *wheel
 
 	mu       sync.Mutex
@@ -87,6 +83,10 @@ const drainBins = 10
 
 var drainBuckets = obsv.ExponentialBuckets(1, 2, drainBins)
 
+// quantum is the DRR quantum in messages: how many messages one cluster may
+// drain before the ring rotates past it.
+const quantum = 256
+
 // stats reads the seat's drain accounting: drains in flight, drains charged,
 // the messages they handled and the drains per size bucket.
 func (cl *schedClient) stats() (running, drains, drained int64, sizes [drainBins + 1]int64) {
@@ -112,12 +112,8 @@ func NewSharedScheduler(cfg SharedSchedulerConfig) *SharedScheduler {
 	if cfg.Tick <= 0 {
 		cfg.Tick = 25 * time.Microsecond
 	}
-	if cfg.Quantum <= 0 {
-		cfg.Quantum = 256
-	}
 	s := &SharedScheduler{
 		workers: cfg.Workers,
-		quantum: cfg.Quantum,
 		wheel:   newWheel(cfg.Tick),
 	}
 	s.wheel.lagObserve = cfg.WheelLagSink
@@ -182,7 +178,7 @@ func (s *SharedScheduler) submit(cl *schedClient, ln *liveNode) {
 	cl.nodes = append(cl.nodes, ln)
 	if !cl.queued {
 		cl.queued = true
-		cl.deficit = s.quantum
+		cl.deficit = quantum
 		s.active = append(s.active, cl)
 	}
 	s.workCond.Signal()
@@ -212,7 +208,7 @@ func (s *SharedScheduler) next(done *schedClient, msgs int) (*schedClient, *live
 		}
 		cl := s.active[0]
 		if cl.deficit <= 0 {
-			cl.deficit += s.quantum
+			cl.deficit += quantum
 			copy(s.active, s.active[1:])
 			s.active[len(s.active)-1] = cl
 			continue

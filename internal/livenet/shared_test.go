@@ -18,7 +18,7 @@ func TestSharedSchedulerParity(t *testing.T) {
 	e := workload.Generate(workload.Config{Topology: topo, Rounds: 12, Seed: 21, PGlobal: 1})
 
 	run := func(s *SharedScheduler) int {
-		c := New(Config{Topology: topo, Seed: 4, Strict: true, KeepMembers: true, Scheduler: s})
+		c := New(Config{Topology: topo, Seed: 4, Verify: true, Scheduler: s})
 		if c.Shared() != (s != nil) {
 			t.Fatalf("Shared() = %v with Config.Scheduler %v", c.Shared(), s)
 		}
@@ -54,7 +54,7 @@ func TestSharedSchedulerManyClusters(t *testing.T) {
 
 	cs := make([]*Cluster, clusters)
 	for i := range cs {
-		cs[i] = New(Config{Topology: topo, Seed: int64(i + 1), Strict: true, KeepMembers: true, Scheduler: s})
+		cs[i] = New(Config{Topology: topo, Seed: int64(i + 1), Verify: true, Scheduler: s})
 	}
 	// Substrate: 2 workers + 1 wheel. Everything else is feeders and slack.
 	if got := runtime.NumGoroutine(); got > base+2+1+4 {
@@ -95,9 +95,9 @@ func TestSharedSchedulerStopIsolation(t *testing.T) {
 	defer s.Close()
 	topo := tree.Balanced(2, 2)
 
-	victim := New(Config{Topology: topo, Seed: 1, Strict: true, KeepMembers: true,
+	victim := New(Config{Topology: topo, Seed: 1, Verify: true,
 		Scheduler: s, HbEvery: 200 * time.Microsecond})
-	survivor := New(Config{Topology: topo, Seed: 2, Strict: true, KeepMembers: true,
+	survivor := New(Config{Topology: topo, Seed: 2, Verify: true,
 		Scheduler: s, HbEvery: 200 * time.Microsecond})
 
 	e := workload.Generate(workload.Config{Topology: topo, Rounds: 4, Seed: 31, PGlobal: 1})
@@ -128,7 +128,7 @@ func TestSharedSchedulerFailover(t *testing.T) {
 	defer s.Close()
 	topo := tree.Balanced(2, 2)
 	repaired := make(chan int, 8)
-	c := New(Config{Topology: topo, Seed: 3, Strict: true, KeepMembers: true,
+	c := New(Config{Topology: topo, Seed: 3, Verify: true,
 		Scheduler: s, HbEvery: 200 * time.Microsecond,
 		Events: testSink(nil, repaired)})
 	orphans := c.Kill(1)

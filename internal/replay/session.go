@@ -122,8 +122,7 @@ func startSession(spec sessionSpec) (*session, error) {
 	base.Seed = spec.deliverySeed
 	base.HbEvery = spec.hbEvery
 	base.SeekTimeout = spec.seekTimeout
-	base.Strict = true
-	base.KeepMembers = true
+	base.Verify = true
 	base.Events = spec.events
 
 	if len(spec.participants) <= 1 {

@@ -41,11 +41,10 @@ func BucketOf(tenantID string) int {
 	return int(h.Sum32() % BucketCount)
 }
 
-// WireID derives the default wire-level tenant tag for a tenant id: the
-// FNV-32a hash, remapped off zero because the zero tag is reserved for
-// untagged single-tenant traffic. Collisions across registered tenants are
-// detected at registration (see Multiplexer.RegisterPredicate); a colliding
-// tenant just supplies an explicit Spec.Wire.
+// WireID derives the wire-level tenant tag for a tenant id: the FNV-32a
+// hash, remapped off zero because the zero tag is reserved for untagged
+// single-tenant traffic. Collisions across registered tenants are refused at
+// registration (see Multiplexer.RegisterPredicate).
 func WireID(tenantID string) uint32 {
 	h := fnv.New32a()
 	h.Write([]byte(tenantID))

@@ -13,14 +13,14 @@ import (
 
 // TestSchedulerFairness pins the DRR contract of the shared substrate: a hot
 // tenant with a standing backlog on a deliberately small plane pool must not
-// starve a quiet tenant. The plane runs two workers with a small quantum and
-// a small mailbox bound, the hot tenant's feeders keep every one of its
-// shards saturated (they block at the bound for most of the run), and the
+// starve a quiet tenant. The plane runs two workers at the default quantum,
+// the hot tenant has a small mailbox bound and its feeders keep every one of
+// its shards saturated (they block at the bound for most of the run), and the
 // quiet tenant's observe→SolutionFound latency is measured round by round.
 // Under starvation the quiet tenant's round would wait for the hot tenant's
-// entire backlog — tens of seconds — so the per-round bound below catches
-// the failure mode with a wide margin over scheduler jitter, including under
-// the race detector.
+// entire backlog — tens of seconds — while one ring rotation is a 256-message
+// quantum, so the per-round bound below catches the failure mode with a wide
+// margin over scheduler jitter, including under the race detector.
 func TestSchedulerFairness(t *testing.T) {
 	const (
 		hotRounds   = 20000
@@ -30,11 +30,7 @@ func TestSchedulerFairness(t *testing.T) {
 	hotTopo := tree.Balanced(2, 3)   // 15 nodes
 	quietTopo := tree.Balanced(2, 2) // 7 nodes
 
-	plane, err := NewMultiplexer(Config{
-		Workers:          2,
-		SchedulerQuantum: 32,
-		MailboxBound:     64,
-	})
+	plane, err := NewMultiplexer(Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +39,7 @@ func TestSchedulerFairness(t *testing.T) {
 	quietExec := workload.Generate(workload.Config{Topology: quietTopo, Rounds: quietRounds, Seed: 11, PGlobal: 1})
 
 	hot, err := plane.RegisterPredicate("hot", Spec{
-		Topology: tree.Balanced(2, 3), Seed: 1,
+		Topology: tree.Balanced(2, 3), Seed: 1, MailboxBound: 64,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -154,7 +154,7 @@ const (
 // isolated references run livenet directly with the same values.
 func isoSpec(topo *tree.Topology) Spec {
 	return Spec{
-		Topology: topo, Seed: 29, Strict: true, KeepMembers: true,
+		Topology: topo, Seed: 29, Verify: true,
 		HbEvery:      2 * time.Millisecond,
 		StartupGrace: 20 * time.Millisecond,
 	}
@@ -172,18 +172,15 @@ func runIsolatedPair(t *testing.T, e *workload.Execution, kill bool) []livenet.D
 	tr1, tr2 := tcpPairFor(t, topo.AliveNodes(), nodes1)
 
 	repaired := make(chan int, 8)
-	spec := isoSpec(nil)
 	mkRef := func(tr *tcptransport.Transport, local []int) *livenet.Cluster {
-		return livenet.New(livenet.Config{
-			Topology: build(), Seed: spec.Seed, Strict: spec.Strict, KeepMembers: spec.KeepMembers,
-			HbEvery: spec.HbEvery, StartupGrace: spec.StartupGrace,
-			Transport: tr, LocalNodes: local,
-			Events: func(e obsv.Event) {
-				if e.Kind == obsv.RepairConcluded {
-					repaired <- e.Node
-				}
-			},
-		})
+		cfg := isoSpec(build())
+		cfg.Transport, cfg.LocalNodes = tr, local
+		cfg.Events = func(e obsv.Event) {
+			if e.Kind == obsv.RepairConcluded {
+				repaired <- e.Node
+			}
+		}
+		return livenet.New(cfg)
 	}
 	c1, c2 := mkRef(tr1, nodes1), mkRef(tr2, nodes2)
 	host := func(p int) *livenet.Cluster {
@@ -268,7 +265,7 @@ func TestCrossTenantIsolation(t *testing.T) {
 	mkPlane := func(tr *tcptransport.Transport, local []int, mon string) *Multiplexer {
 		p, err := NewMultiplexer(Config{
 			Transport: tr, LocalNodes: local,
-			Monitor: mon, Leases: tab, LeaseEvery: 10 * time.Millisecond,
+			Monitor: mon, Leases: tab,
 			Events: sink,
 		})
 		if err != nil {
@@ -405,7 +402,7 @@ func Test256TenantsSharedMesh(t *testing.T) {
 
 	spec := func(seed int64) Spec {
 		return Spec{
-			Topology: build(), Seed: seed, Strict: true, KeepMembers: true,
+			Topology: build(), Seed: seed, Verify: true,
 		}
 	}
 
@@ -416,13 +413,10 @@ func Test256TenantsSharedMesh(t *testing.T) {
 	for s := 0; s < seeds; s++ {
 		execs[s] = workload.Generate(workload.Config{Topology: build(), Rounds: rounds, Seed: int64(100 + s), PGlobal: 1})
 		net := transport.NewNetwork()
-		sp := spec(int64(100 + s))
 		mk := func(id int) *livenet.Cluster {
-			return livenet.New(livenet.Config{
-				Topology: build(), Seed: sp.Seed, Strict: sp.Strict, KeepMembers: sp.KeepMembers,
-				Workers:   1,
-				Transport: net.Endpoint(id), LocalNodes: []int{id},
-			})
+			cfg := spec(int64(100 + s))
+			cfg.Transport, cfg.LocalNodes = net.Endpoint(id), []int{id}
+			return livenet.New(cfg)
 		}
 		c0, c1 := mk(0), mk(1)
 		for k := 0; k < rounds; k++ {

@@ -13,15 +13,6 @@ type MonitorConfig struct {
 	ID string
 	// Table is the fleet's shared lease table (required).
 	Table *LeaseTable
-	// Every is the background tick period under Start (default TTL/4 —
-	// several renewals fit inside one TTL, so a single missed tick cannot
-	// expire a healthy monitor, and an expired peer's buckets are picked up
-	// within the TTL the acceptance criterion names).
-	Every time.Duration
-	// OnAcquire and OnLose run on the ticking goroutine once per bucket
-	// whose ownership changed hands, after the table already reflects it.
-	OnAcquire func(bucket int)
-	OnLose    func(bucket int)
 	// Events receives LeaseAcquired/LeaseLost (Monitor = ID, Node = bucket).
 	Events func(obsv.Event)
 }
@@ -49,9 +40,6 @@ func NewMonitor(cfg MonitorConfig) *Monitor {
 	}
 	if cfg.Table == nil {
 		panic("tenantplane: MonitorConfig.Table is required")
-	}
-	if cfg.Every <= 0 {
-		cfg.Every = cfg.Table.TTL() / 4
 	}
 	return &Monitor{cfg: cfg, stop: make(chan struct{}), done: make(chan struct{})}
 }
@@ -120,31 +108,28 @@ func (m *Monitor) dropLocked(b int) {
 	m.notifyLocked(b, false)
 }
 
-// notifyLocked emits the lease event and runs the matching callback. The
-// callbacks run under mu by design: they only flip plane-side ownership
-// flags, and ordering them with the owned set keeps Owns consistent with
-// the callback stream.
+// notifyLocked emits the lease event. It runs under mu, so the event stream
+// is ordered with the owned set Owns reads.
 func (m *Monitor) notifyLocked(b int, acquired bool) {
-	kind, cb := obsv.LeaseLost, m.cfg.OnLose
+	kind := obsv.LeaseLost
 	if acquired {
-		kind, cb = obsv.LeaseAcquired, m.cfg.OnAcquire
+		kind = obsv.LeaseAcquired
 	}
 	if m.cfg.Events != nil {
 		m.cfg.Events(obsv.Event{Kind: kind, Node: b, Peer: obsv.NoPeer, Count: 1, Monitor: m.cfg.ID})
 	}
-	if cb != nil {
-		cb(b)
-	}
 }
 
-// Start runs Tick on a background goroutine every MonitorConfig.Every until
-// Stop. The first tick runs immediately, so a freshly started monitor joins
-// the fleet without waiting a period.
+// Start runs Tick on a background goroutine every quarter of the table's TTL
+// until Stop: several renewals fit inside one TTL, so a single missed tick
+// cannot expire a healthy monitor, and an expired peer's buckets are picked
+// up within one TTL. The first tick runs immediately, so a freshly started
+// monitor joins the fleet without waiting a period.
 func (m *Monitor) Start() {
 	m.startOnce.Do(func() {
 		go func() {
 			defer close(m.done)
-			ticker := time.NewTicker(m.cfg.Every)
+			ticker := time.NewTicker(m.cfg.Table.TTL() / 4)
 			defer ticker.Stop()
 			m.Tick()
 			for {

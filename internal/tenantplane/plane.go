@@ -5,13 +5,11 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"hierdet/internal/interval"
 	"hierdet/internal/livenet"
 	"hierdet/internal/obsv"
 	"hierdet/internal/transport"
-	"hierdet/internal/tree"
 )
 
 // Config parameterizes a Multiplexer — the per-fleet-member state shared by
@@ -36,16 +34,6 @@ type Config struct {
 	// tenants, so the plane's steady-state goroutine count is independent of
 	// the tenant count. Zero means GOMAXPROCS.
 	Workers int
-	// MailboxBound is the plane-wide default per-node mailbox bound applied
-	// to each tenant's external producers. A tenant's Spec.MailboxBound
-	// overrides it; zero for both inherits livenet's default (4096).
-	MailboxBound int
-	// SchedulerQuantum is the deficit-round-robin quantum in messages: how
-	// many messages one tenant may drain before the shared pool rotates to
-	// the next backlogged tenant. Zero means 256. Smaller values tighten a
-	// quiet tenant's latency bound under a noisy neighbour at some rotation
-	// overhead; larger values favour throughput.
-	SchedulerQuantum int
 
 	// Monitor names this process in the active/active monitor fleet and,
 	// together with Leases, enables bucket ownership: the plane runs one
@@ -57,42 +45,17 @@ type Config struct {
 	// multi-process fleet puts the same semantics behind its coordination
 	// service.
 	Leases *LeaseTable
-	// LeaseEvery overrides the monitor's renewal period (default TTL/4).
-	LeaseEvery time.Duration
 }
 
 // Spec describes one tenant's predicate: its spanning tree plus the
-// per-cluster runtime knobs the tenant wants. Zero values inherit livenet's
-// defaults, so Spec{Topology: topo} is a complete registration.
-type Spec struct {
-	// Topology is the tenant's detection tree (required).
-	Topology *tree.Topology
-	// Seed drives the tenant cluster's delivery randomness.
-	Seed int64
-	// Strict and KeepMembers configure the detector nodes (see core.Config).
-	Strict, KeepMembers bool
-	// MaxDelay and AdaptiveFlush tune the tenant cluster's delivery plane
-	// (see livenet.Config). The worker pool is the plane's (Config.Workers),
-	// sized once for every tenant.
-	MaxDelay      time.Duration
-	AdaptiveFlush bool
-	// MailboxBound caps this tenant's per-node mailbox shards for external
-	// producers. Precedence: Spec.MailboxBound (nonzero) over
-	// Config.MailboxBound (nonzero) over livenet's default (4096).
-	MailboxBound int
-	// HbEvery, SeekTimeout, ResendLastOnAdopt and StartupGrace configure the
-	// tenant's failure handling (see livenet.Config).
-	HbEvery, SeekTimeout time.Duration
-	ResendLastOnAdopt    bool
-	StartupGrace         time.Duration
-	// Events, when set, receives this tenant's cluster events (annotated
-	// with Event.Tenant) in addition to the plane-level Config.Events sink.
-	Events func(obsv.Event)
-	// Wire overrides the tenant's wire id (default WireID(tenantID)). Use
-	// it to resolve a registration-time hash collision. Zero means derive;
-	// the zero id itself is reserved for untagged single-tenant traffic.
-	Wire uint32
-}
+// per-cluster knobs the tenant wants. It is the cluster configuration a
+// standalone cluster takes, so zero values inherit livenet's defaults and
+// Spec{Topology: topo} is a complete registration. Three fields belong to
+// the plane — Scheduler (its shared pool), Transport (a port on its shared
+// transport) and LocalNodes (Config.LocalNodes) — and a spec that sets one is
+// refused. Events, when set, receives this tenant's cluster events (annotated
+// with Event.Tenant) in addition to the plane-level Config.Events sink.
+type Spec = livenet.Config
 
 // Handle is one registered tenant: the live cluster plus its plane identity.
 type Handle struct {
@@ -212,7 +175,6 @@ func NewMultiplexer(cfg Config) (*Multiplexer, error) {
 		obsv.ExponentialBuckets(1e-6, 4, 10))
 	p.sched = livenet.NewSharedScheduler(livenet.SharedSchedulerConfig{
 		Workers:      cfg.Workers,
-		Quantum:      cfg.SchedulerQuantum,
 		WheelLagSink: wheelLag.Observe,
 	})
 	if cfg.Transport != nil {
@@ -232,7 +194,6 @@ func NewMultiplexer(cfg Config) (*Multiplexer, error) {
 		p.mon = NewMonitor(MonitorConfig{
 			ID:     cfg.Monitor,
 			Table:  cfg.Leases,
-			Every:  cfg.LeaseEvery,
 			Events: p.emit,
 		})
 		p.mon.Start()
@@ -302,19 +263,13 @@ func (p *Multiplexer) Events(sink func(obsv.Event)) (cancel func()) {
 
 // RegisterPredicate instantiates a detection tree for the tenant over the
 // shared fleet and returns its handle. The tenant id must be unique on this
-// plane; its derived wire id must not collide with a registered tenant's
-// (supply Spec.Wire to resolve a collision).
+// plane, and its wire id (WireID) must not collide with a registered
+// tenant's. A refused registration reserves nothing.
 func (p *Multiplexer) RegisterPredicate(tenantID string, spec Spec) (*Handle, error) {
-	if tenantID == "" {
-		return nil, fmt.Errorf("tenantplane: empty tenant id")
+	if err := p.checkSpec(tenantID, spec); err != nil {
+		return nil, err
 	}
-	if spec.Topology == nil {
-		return nil, fmt.Errorf("tenantplane: tenant %q: Spec.Topology is required", tenantID)
-	}
-	wid := spec.Wire
-	if wid == 0 {
-		wid = WireID(tenantID)
-	}
+	wid := WireID(tenantID)
 
 	p.mu.Lock()
 	if p.closed {
@@ -327,7 +282,7 @@ func (p *Multiplexer) RegisterPredicate(tenantID string, spec Spec) (*Handle, er
 	}
 	if other, dup := p.byWire[wid]; dup {
 		p.mu.Unlock()
-		return nil, fmt.Errorf("tenantplane: tenant %q wire id %d collides with tenant %q (set Spec.Wire)", tenantID, wid, other)
+		return nil, fmt.Errorf("tenantplane: tenant %q wire id %d collides with tenant %q", tenantID, wid, other)
 	}
 	// Reserve both names before building the cluster so a concurrent
 	// registration cannot race the same wire id.
@@ -336,47 +291,25 @@ func (p *Multiplexer) RegisterPredicate(tenantID string, spec Spec) (*Handle, er
 	p.byWire[wid] = tenantID
 	p.mu.Unlock()
 
-	var tr transport.Transport
+	cfg := spec
+	cfg.Scheduler = p.sched
+	cfg.LocalNodes = p.cfg.LocalNodes
 	if p.mux != nil {
 		port, err := p.mux.Port(wid)
 		if err != nil {
 			p.forget(h)
 			return nil, err
 		}
-		tr = port
+		cfg.Transport = port
 	}
-
-	events := func(e obsv.Event) {
+	cfg.Events = func(e obsv.Event) {
 		e.Tenant = tenantID
 		if spec.Events != nil {
 			spec.Events(e)
 		}
 		p.emit(e)
 	}
-	// The per-tenant mailbox bound is the one sizing knob that stays per
-	// cluster on the shared substrate: Spec over plane Config over livenet's
-	// default.
-	bound := spec.MailboxBound
-	if bound == 0 {
-		bound = p.cfg.MailboxBound
-	}
-	h.c = livenet.New(livenet.Config{
-		Topology:          spec.Topology,
-		MaxDelay:          spec.MaxDelay,
-		Seed:              spec.Seed,
-		Strict:            spec.Strict,
-		KeepMembers:       spec.KeepMembers,
-		MailboxBound:      bound,
-		AdaptiveFlush:     spec.AdaptiveFlush,
-		Scheduler:         p.sched,
-		HbEvery:           spec.HbEvery,
-		SeekTimeout:       spec.SeekTimeout,
-		ResendLastOnAdopt: spec.ResendLastOnAdopt,
-		StartupGrace:      spec.StartupGrace,
-		Events:            events,
-		Transport:         tr,
-		LocalNodes:        p.cfg.LocalNodes,
-	})
+	h.c = livenet.New(cfg)
 
 	p.registered.Inc()
 	p.emit(obsv.Event{
@@ -384,6 +317,32 @@ func (p *Multiplexer) RegisterPredicate(tenantID string, spec Spec) (*Handle, er
 		Peer: obsv.NoPeer, Count: 1, Monitor: p.ownerOf(h.bucket),
 	})
 	return h, nil
+}
+
+// checkSpec refuses, before anything is reserved, a registration livenet.New
+// would panic on or that sets a field the plane fills in.
+func (p *Multiplexer) checkSpec(tenantID string, spec Spec) error {
+	switch {
+	case tenantID == "":
+		return fmt.Errorf("tenantplane: empty tenant id")
+	case spec.Topology == nil:
+		return fmt.Errorf("tenantplane: tenant %q: Spec.Topology is required", tenantID)
+	case spec.Scheduler != nil:
+		return fmt.Errorf("tenantplane: tenant %q: Spec.Scheduler is the plane's shared pool; leave it nil", tenantID)
+	case spec.Transport != nil:
+		return fmt.Errorf("tenantplane: tenant %q: Spec.Transport is a port on the plane's transport; leave it nil", tenantID)
+	case spec.LocalNodes != nil:
+		return fmt.Errorf("tenantplane: tenant %q: Spec.LocalNodes is the plane's Config.LocalNodes; leave it nil", tenantID)
+	}
+	if p.mux == nil {
+		return nil // without a transport every tenant hosts its whole tree
+	}
+	for _, id := range p.cfg.LocalNodes {
+		if !spec.Topology.Alive(id) {
+			return fmt.Errorf("tenantplane: tenant %q: the plane hosts node %d, which is not an alive node of the tenant's topology", tenantID, id)
+		}
+	}
+	return nil
 }
 
 // ownerOf returns the bucket's current lease holder, if ownership is on.

@@ -1,20 +1,20 @@
 package tenantplane
 
 import (
+	"runtime"
 	"testing"
 
 	"hierdet/internal/livenet"
 	"hierdet/internal/tree"
 )
 
-// TestSizingPrecedence pins what is still decided about sizing on a plane.
-// Pool sizing is plane-level only — a tenant reports the plane pool's size,
-// there being nothing in its Spec to ask otherwise with — while the mailbox
-// bound stays per-tenant with the documented fallback chain:
-// Spec.MailboxBound over Config.MailboxBound over livenet's default.
-// Standalone clusters size their own substrate.
+// TestSizingPrecedence pins what is still decided about sizing. Pool sizing
+// is plane-level only — a tenant reports the plane pool's size, there being
+// nothing in its Spec to ask otherwise with — while the mailbox bound stays
+// per tenant: Spec.MailboxBound when set, livenet's default (4096) when not.
+// A standalone cluster sizes its own pool at GOMAXPROCS.
 func TestSizingPrecedence(t *testing.T) {
-	plane, err := NewMultiplexer(Config{Workers: 3, MailboxBound: 128})
+	plane, err := NewMultiplexer(Config{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,42 +38,20 @@ func TestSizingPrecedence(t *testing.T) {
 	if got := plain.Cluster().Workers(); got != 3 {
 		t.Errorf("tenant on a Workers=3 plane: Workers() = %d, want 3", got)
 	}
-	// Config.MailboxBound is the tenant default…
-	if got := plain.Cluster().MailboxBound(); got != 128 {
-		t.Errorf("tenant without Spec.MailboxBound: MailboxBound() = %d, want Config's 128", got)
+	if got := plain.Cluster().MailboxBound(); got != 4096 {
+		t.Errorf("tenant without Spec.MailboxBound: MailboxBound() = %d, want livenet default 4096", got)
 	}
-	// …and a nonzero Spec.MailboxBound overrides it per tenant.
 	tight := reg("tight", Spec{MailboxBound: 32})
 	if got := tight.Cluster().MailboxBound(); got != 32 {
-		t.Errorf("tenant with Spec.MailboxBound=32: MailboxBound() = %d, want 32 (Spec wins)", got)
+		t.Errorf("tenant with Spec.MailboxBound=32: MailboxBound() = %d, want 32", got)
 	}
 
-	// A bare plane falls through to livenet's default bound.
-	bare, err := NewMultiplexer(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bare.Close()
-	def, err := bare.RegisterPredicate("def", Spec{Topology: tree.Chain(2)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := def.Cluster().MailboxBound(); got != 4096 {
-		t.Errorf("tenant on a bare plane: MailboxBound() = %d, want livenet default 4096", got)
-	}
-
-	// Standalone clusters honor the per-cluster knobs.
-	solo := livenet.New(livenet.Config{
-		Topology: tree.Chain(2), Workers: 2, MailboxBound: 77,
-	})
+	solo := livenet.New(livenet.Config{Topology: tree.Chain(2)})
 	defer solo.Close()
 	if solo.Shared() {
 		t.Fatal("standalone cluster reports a shared substrate")
 	}
-	if got := solo.Workers(); got != 2 {
-		t.Errorf("standalone Workers() = %d, want 2", got)
-	}
-	if got := solo.MailboxBound(); got != 77 {
-		t.Errorf("standalone MailboxBound() = %d, want 77", got)
+	if got, want := solo.Workers(), runtime.GOMAXPROCS(0); got != want {
+		t.Errorf("standalone Workers() = %d, want GOMAXPROCS %d", got, want)
 	}
 }

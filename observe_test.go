@@ -30,10 +30,7 @@ func TestDistributedExpositionIncludesTransport(t *testing.T) {
 	for id := 0; id < 2; id++ {
 		clusters[id] = NewLiveCluster(LiveConfig{
 			Topology: topo, Seed: 3, Verify: true,
-			Distributed: LiveDistributedOptions{
-				Transport:  trs[id],
-				LocalNodes: []int{id},
-			},
+			Transport: trs[id], LocalNodes: []int{id},
 		})
 	}
 	for k := 0; k < 6; k++ {

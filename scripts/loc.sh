@@ -4,6 +4,10 @@
 # runtime") is held to, and below the total, on a line of its own and not part
 # of it, of internal/core (ROADMAP item 1's target for the detector). With a
 # git ref as argument, counts that commit instead of the working tree.
+#
+# The working tree's total is a ratchet: the script exits 1 when it exceeds
+# the number in scripts/loc_budget. A change that needs more lines raises the
+# budget in its own diff; one that removes lines should lower it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 ref=${1:-}
@@ -32,3 +36,10 @@ for path in internal/livenet internal/tenantplane internal/wire internal/replay 
 done
 printf '%-22s %6d\n' total "$total"
 printf '%-22s %6d\n' internal/core "$(lines internal/core)"
+if [ -z "$ref" ]; then
+    budget=$(cat scripts/loc_budget)
+    if [ "$total" -gt "$budget" ]; then
+        echo "loc.sh: total $total exceeds scripts/loc_budget ($budget)" >&2
+        exit 1
+    fi
+fi

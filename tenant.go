@@ -25,9 +25,10 @@ type TenantMultiplexer = tenantplane.Multiplexer
 // the monitor fleet.
 type TenantConfig = tenantplane.Config
 
-// TenantSpec describes one predicate registration: the tenant's spanning
-// tree plus per-cluster runtime tuning (zero values inherit the live
-// cluster's defaults).
+// TenantSpec describes one predicate registration. It is LiveConfig: the
+// tenant's spanning tree plus its per-cluster knobs, zero values inheriting
+// the live cluster's defaults. Scheduler, Transport and LocalNodes are the
+// plane's; RegisterPredicate refuses a spec that sets one.
 type TenantSpec = tenantplane.Spec
 
 // TenantHandle is one registered tenant: feed it intervals with Observe,
