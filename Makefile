@@ -48,7 +48,8 @@ profile:
 	$(GO) tool pprof -top -nodecount 40 $(PROFILE_OUT)/livenet.test $(PROFILE_OUT)/cpu.prof
 	$(GO) tool pprof -sample_index=alloc_space -top -nodecount 40 $(PROFILE_OUT)/livenet.test $(PROFILE_OUT)/mem.prof
 
-# Short fuzz passes over the wire codecs, the Less kernel and the span rule. Patterns are anchored: a bare
+# Short fuzz passes over the wire codecs, the Less kernel, the span rule and
+# the TCP acknowledgement stream. Patterns are anchored: a bare
 # FuzzDecodeReport would match both FuzzDecodeReport and FuzzDecodeReportV2,
 # and `go test -fuzz` refuses ambiguous patterns.
 fuzz:
@@ -63,6 +64,7 @@ fuzz:
 	$(GO) test -run FuzzDecodeHeartbeat -fuzz FuzzDecodeHeartbeat -fuzztime 30s ./internal/wire/
 	$(GO) test -run FuzzDecodeAttach -fuzz FuzzDecodeAttach -fuzztime 30s ./internal/wire/
 	$(GO) test -run FuzzDecodeTrace -fuzz FuzzDecodeTrace -fuzztime 30s ./internal/replay/
+	$(GO) test -run FuzzAckStream -fuzz FuzzAckStream -fuzztime 30s ./internal/transport/tcptransport/
 
 # Regenerate the paper's evaluation artifacts.
 figures:

@@ -86,8 +86,8 @@ func TestDetectionPathAllocBudget(t *testing.T) {
 // connection's buffer and decoded into a recycled batch whose clocks come out
 // of a pooled store, each report moved into a home beside them, the spans a
 // frame repeats shared. 500 rounds, 16 in flight: one pass of the benchmark's
-// tcp_split workload. Measured ≈ 2 330 B and 0.34–0.44 allocations per
-// interval, the count spread by the pools' garbage-collection drops alike with
+// tcp_split workload. Measured ≈ 2 080 B and 0.32 allocations per interval;
+// before acknowledgements (below) ≈ 2 330 B and 0.34–0.44, the count spread by the pools' garbage-collection drops alike with
 // and without references (≈ 2 320 when each solution set held a copy of the
 // decoded report instead of a reference to its home; ≈ 2 560 and 1.2 with a
 // span per decoded report and per-node chunks and logs; ≈ 2 780 and 1.7 with
@@ -95,11 +95,13 @@ func TestDetectionPathAllocBudget(t *testing.T) {
 // Interval and a span per aggregate); was ≈ 3 370 B and 4.3 with a copy per
 // Send, a payload per read, a result slice per frame and two clocks per report
 // each allocated on its own.
-// What remains over the in-process figure above is the decoded clocks
-// (≈ 1 000 B: the other process's clocks have to exist here too) and the
-// redelivery rings filling — 63 destinations × 64 frames is two thirds of the
-// frames a run this short sends; past that a Send allocates nothing
-// (tcptransport's TestSendAllocatesNothingInSteadyState).
+// What remains over the in-process figure above is mostly the decoded clocks
+// (≈ 1 000 B: the other process's clocks have to exist here too). A Send
+// takes a buffer a peer's acknowledgement gave back, so the transport keeps
+// only the frames in flight (tcptransport's
+// TestSendAllocatesNothingInSteadyState); the 64-frame redelivery ring per
+// destination that acknowledgements replaced filled 63 × 64 slots, two
+// thirds of the frames a run this short sends.
 func TestRemoteReportAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("see TestDetectionPathAllocBudget")

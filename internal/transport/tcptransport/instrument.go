@@ -33,12 +33,13 @@ func (t *Transport) Instrument(reg *obsv.Registry, events func(obsv.Event)) {
 	counter("hierdet_transport_frames_in_total", "Frames delivered from peers.", &t.framesIn)
 	counter("hierdet_transport_bytes_out_total", "Payload bytes written, after delta compression.", &t.bytesOut)
 	counter("hierdet_transport_bytes_in_total", "Payload bytes read, before delta reconstruction.", &t.bytesIn)
-	counter("hierdet_transport_redelivered_total", "Frames replayed from the redelivery window after reconnects.", &t.redelivered)
+	counter("hierdet_transport_redelivered_total", "Frames replayed from the links' unacknowledged logs after reconnects.", &t.redelivered)
 	counter("hierdet_transport_dials_total", "Successful outbound dials.", &t.dials)
 	counter("hierdet_transport_redials_total", "Reconnects among the successful dials.", &t.redials)
 	counter("hierdet_transport_backlog_dropped_total", "Frames dropped because a destination's queue overflowed MaxBacklog.", &t.backlogDropped)
 	counter("hierdet_transport_corrupt_frames_total", "Envelopes rejected by a reader (connection dropped).", &t.corruptFrames)
 	counter("hierdet_transport_flushes_total", "Coalesced writes (one flush may carry many frames).", &t.flushes)
+	counter("hierdet_transport_acks_out_total", "Acknowledgements written back to peers (8 bytes each, not in bytes_out).", &t.acksOut)
 
 	reg.Func("hierdet_transport_peers", "Outbound links with a live writer: one per peer address sent to.",
 		obsv.KindGauge, nil, func(emit func(float64, ...string)) {
@@ -54,14 +55,21 @@ func (t *Transport) Instrument(reg *obsv.Registry, events func(obsv.Event)) {
 			}
 			emit(float64(total))
 		})
-	reg.Func("hierdet_transport_redelivery_ring", "Frames held across all destinations' redelivery rings for replay.",
+	reg.Func("hierdet_transport_unacked_frames", "Frames written to peers and not yet acknowledged: what reconnects would replay.",
 		obsv.KindGauge, nil, func(emit func(float64, ...string)) {
-			total := int64(0)
-			for _, l := range t.snapshotLinks() {
-				total += l.ringLen.Load()
-			}
-			emit(float64(total))
+			emit(float64(t.unackedFrames()))
 		})
+}
+
+// unackedFrames is the length of every link's log, summed.
+func (t *Transport) unackedFrames() int {
+	total := 0
+	for _, l := range t.snapshotLinks() {
+		l.mu.Lock()
+		total += l.unackedLocked()
+		l.mu.Unlock()
+	}
+	return total
 }
 
 // emitRedial reports a successful reconnect to the installed sink, if any:

@@ -2,6 +2,7 @@ package tcptransport
 
 import (
 	"encoding/binary"
+	"math/rand"
 	"strconv"
 	"strings"
 	"sync"
@@ -54,17 +55,17 @@ func (l *destLog) total() int {
 
 // TestManyDestinationsShareOneLink: forty destination ids behind one address
 // are one link — one dial, one connection — with FIFO order per destination,
-// and a reconnect replays the last RedeliveryWindow frames of every one of
-// them, not the last RedeliveryWindow of the link.
+// and a reset replays every frame of every destination that the peer had not
+// acknowledged, and none that it had.
 func TestManyDestinationsShareOneLink(t *testing.T) {
-	const dests, perDest, window = 40, 50, 8
+	const dests, perDest = 40, 50
 	b := mustNew(t, Config{Listen: "127.0.0.1:0"})
 	peers := make(map[int]string, dests)
 	for to := 0; to < dests; to++ {
 		peers[100+to] = b.Addr()
 	}
 	a := mustNew(t, Config{
-		Listen: "127.0.0.1:0", Peers: peers, RedeliveryWindow: window,
+		Listen: "127.0.0.1:0", Peers: peers,
 		DialBackoff: time.Millisecond, DialBackoffMax: 10 * time.Millisecond,
 	})
 	t.Cleanup(func() { a.Close(); b.Close() })
@@ -76,11 +77,23 @@ func TestManyDestinationsShareOneLink(t *testing.T) {
 		redials = append(redials, ev)
 		evMu.Unlock()
 	})
+	// The receiver holds every frame past the first perDest of a
+	// destination in its callback until release: nothing past them is
+	// acknowledged.
+	hold := make(chan struct{})
+	var once sync.Once
+	release := func() { once.Do(func() { close(hold) }) }
+	t.Cleanup(release)
 	log := &destLog{t: t}
 	if err := a.Start(func(int, []byte) {}); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Start(log.recv); err != nil {
+	if err := b.Start(func(to int, frame []byte) {
+		if binary.BigEndian.Uint32(frame[8:]) >= perDest {
+			<-hold
+		}
+		log.recv(to, frame)
+	}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -113,46 +126,60 @@ func TestManyDestinationsShareOneLink(t *testing.T) {
 		}
 	}
 	log.mu.Unlock()
-	// The writer files a flush in the rings after writing it: the receiver
-	// can be ahead of the gauge by that flush.
-	waitFor(t, "full redelivery rings", func() bool {
-		return scrapeGauge(t, reg, "hierdet_transport_redelivery_ring") == dests*window
+	// The reader acknowledges once it runs dry, a moment after the last
+	// delivery.
+	waitFor(t, "every frame acknowledged", func() bool {
+		return scrapeGauge(t, reg, "hierdet_transport_unacked_frames") == 0
 	})
 	if links := scrapeGauge(t, reg, "hierdet_transport_peers"); links != 1 {
 		t.Fatalf("peers gauge %v, want 1 link", links)
 	}
 
-	// Sever the connection (through any destination: they share it) and send
-	// one more frame so the writer notices.
+	// One more frame to every destination, held by the receiver, then
+	// sever the connection (through any destination: they share it).
+	for to := 0; to < dests; to++ {
+		a.Send(100+to, destFrame(100+to, perDest))
+	}
+	waitFor(t, "the held frames in the log", func() bool {
+		return scrapeGauge(t, reg, "hierdet_transport_unacked_frames") == dests
+	})
 	a.DisconnectPeer(100 + 7)
-	a.Send(100, destFrame(100, perDest))
-	waitFor(t, "replay", func() bool { return log.total() == dests*perDest+dests*window+1 })
+	waitFor(t, "the redial", func() bool { return a.Stats().Redials == 1 })
+	release()
+	waitFor(t, "the held frames", func() bool {
+		log.mu.Lock()
+		defer log.mu.Unlock()
+		for to := 100; to < 100+dests; to++ {
+			if len(log.got[to]) <= perDest {
+				return false
+			}
+		}
+		return true
+	})
+	waitFor(t, "the replay acknowledged", func() bool {
+		return scrapeGauge(t, reg, "hierdet_transport_unacked_frames") == 0
+	})
 
-	waitFor(t, "the replay's count", func() bool { return a.Stats().Redelivered == dests*window })
-	if st := a.Stats(); st.Dials != 2 || st.Redials != 1 {
-		t.Fatalf("after one disconnect: %d dials, %d redials, want 2 and 1", st.Dials, st.Redials)
+	if st := a.Stats(); st.Dials != 2 || st.Redials != 1 || st.Redelivered != dests {
+		t.Fatalf("after one reset: %d dials, %d redials, %d frames replayed; want 2, 1 and the %d unacknowledged",
+			st.Dials, st.Redials, st.Redelivered, dests)
 	}
 	log.mu.Lock()
 	for to := 100; to < 100+dests; to++ {
-		replay := log.got[to][perDest:]
-		if to == 100 {
-			replay = replay[:len(replay)-1] // its new frame follows its replay
-		}
-		if len(replay) != window {
-			t.Fatalf("destination %d: %d frames replayed, want its last %d", to, len(replay), window)
-		}
-		for i, seq := range replay {
-			if seq != perDest-window+i {
-				t.Fatalf("destination %d: replay position %d is frame %d, want %d", to, i, seq, perDest-window+i)
+		// The first perDest were acknowledged: exactly once each, in
+		// order. The held frame arrives once from the replay and at most
+		// once more out of the reset connection's receive buffer.
+		seqs := log.got[to]
+		for i, seq := range seqs {
+			if want := min(i, perDest); seq != want {
+				t.Fatalf("destination %d: position %d is frame %d, want %d", to, i, seq, want)
 			}
+		}
+		if extra := len(seqs) - perDest; extra < 1 || extra > 2 {
+			t.Fatalf("destination %d: the held frame arrived %d times, want 1 or 2", to, extra)
 		}
 	}
 	log.mu.Unlock()
-	// Exact through the replay too: replayed frames are not filed twice, and
-	// the one new frame evicted one.
-	if ring := scrapeGauge(t, reg, "hierdet_transport_redelivery_ring"); ring != dests*window {
-		t.Fatalf("redelivery ring gauge %v after the replay, want %d", ring, dests*window)
-	}
 	evMu.Lock()
 	defer evMu.Unlock()
 	if len(redials) != 1 || redials[0].Kind != obsv.TransportRedial || redials[0].Node < 100 || redials[0].Node >= 100+dests {
@@ -286,14 +313,18 @@ func TestReparentedOriginStartsItsOwnChain(t *testing.T) {
 	}
 }
 
-// TestSendAllocatesNothingInSteadyState: once a destination's redelivery
-// ring is full, a Send takes the buffer the ring evicted, so neither Send nor
-// the writer allocate per frame.
+// TestSendAllocatesNothingInSteadyState: bursts of frames between 300 B and
+// 5 KiB to forty destinations behind one link. Once the link's stock of
+// buffers covers what is in flight, and each buffer the largest frame, a Send
+// takes a buffer an acknowledgement gave back: neither Send, the writer, the
+// reader nor the acknowledgements allocate per frame.
 func TestSendAllocatesNothingInSteadyState(t *testing.T) {
 	a, b := pair(t)
-	a.cfg.RedeliveryWindow = 4
-	const to = 70000 // not one of the small integers the runtime boxes for free
-	a.cfg.Peers[to] = b.Addr()
+	const dests = 40
+	const base = 70000 // not one of the small integers the runtime boxes for free
+	for i := 0; i < dests; i++ {
+		a.cfg.Peers[base+i] = b.Addr()
+	}
 	if err := a.Start(func(int, []byte) {}); err != nil {
 		t.Fatal(err)
 	}
@@ -301,16 +332,24 @@ func TestSendAllocatesNothingInSteadyState(t *testing.T) {
 	if err := b.Start(func(int, []byte) { delivered.Done() }); err != nil {
 		t.Fatal(err)
 	}
-	f := frame(9)
-	send := func() {
-		delivered.Add(1)
-		a.Send(to, f)
-		delivered.Wait() // one frame in flight: the writer is idle again, its evictee recycled
+	rng := rand.New(rand.NewSource(1))
+	frames := make([][]byte, 997)
+	for i := range frames {
+		frames[i] = make([]byte, 300+rng.Intn(5<<10-300+1))
 	}
-	for i := 0; i < 64; i++ {
-		send() // dial, fill the ring, grow the scratch buffers
+	next := 0
+	burst := func() {
+		delivered.Add(dests)
+		for i := 0; i < dests; i++ {
+			a.Send(base+i, frames[next%len(frames)])
+			next++
+		}
+		delivered.Wait()
 	}
-	if allocs := testing.AllocsPerRun(200, send); allocs > 0 {
-		t.Fatalf("%v allocations per Send in steady state, want 0", allocs)
+	for i := 0; i < 200; i++ {
+		burst() // dial, grow the stock and its buffers, the queues and the scratch buffers
+	}
+	if allocs := testing.AllocsPerRun(100, burst); allocs > 0 {
+		t.Fatalf("%v allocations per burst of %d Sends in steady state, want 0", allocs, dests)
 	}
 }

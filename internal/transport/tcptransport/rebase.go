@@ -16,8 +16,9 @@ package tcptransport
 //     the new one instead of continuing the old parent's chain (TCP keeps
 //     the connection FIFO, so the receiver sees the frames in the order the
 //     bases were chained);
-//   - the bases reset on every (re)dial, and the redelivery ring stores the
-//     original absolute frames, so replay after a reconnect restarts the
+//   - the bases reset on every (re)dial, and the link's log of
+//     unacknowledged frames stores the original absolute frames, so replay
+//     after a reconnect restarts the
 //     chain from an absolute frame — a receiver that lost its state can
 //     always resynchronize;
 //   - the reader mirrors the writer: it un-deltas basis-relative frames back

@@ -114,7 +114,7 @@ func TestDeltaChainingShrinksWire(t *testing.T) {
 }
 
 // TestDeltaChainingSurvivesReconnect severs the connection mid-stream: the
-// replayed frames come from the redelivery ring as absolute originals and
+// replayed frames come from the link's log as absolute originals and
 // restart the chain, so every report must still arrive intact even though
 // both ends threw their bases away.
 func TestDeltaChainingSurvivesReconnect(t *testing.T) {

@@ -28,29 +28,44 @@
 // that sees an implausible length (> MaxFrame) treats the stream as corrupt
 // and drops the connection; the peer redials.
 //
+// The reverse direction of each connection carries acknowledgements:
+//
+//	ack := consumed u64
+//
+// consumed is how many envelopes the reader has handed to the receive
+// callback or rejected on this connection, cumulative. The reader writes it
+// when its buffer runs dry, just before it would block for more, so an ack
+// costs at most one small write per read syscall. This is a wire change: both
+// ends of a connection must run a version that speaks it.
+//
 // # Reliability
 //
 // Sends are asynchronous: Send copies the frame into a recycled buffer,
 // enqueues it and returns; the link's writer goroutine dials lazily on first
 // use and reconnects with exponential backoff (plus jitter) after failures.
 // All frames queued at write time are written in one buffered flush — write
-// coalescing, so a burst of reports costs one syscall. Because a TCP write()
-// success does not mean delivery (data buffered in the kernel dies with a
-// reset connection), the writer keeps the last RedeliveryWindow frames it
-// wrote *to each destination id* and replays them after every reconnect.
-// Receivers absorb the duplicates: report streams are deduplicated by the
-// per-link resequencers, and the repair protocol is idempotent by request
-// id. Frames beyond the window on a connection that dies unnoticed are lost
-// — the residual asynchrony the paper's lossless-channel assumption hides;
-// deployments needing more can layer acknowledgements underneath without
-// touching the detector.
+// coalescing, so a burst of reports costs one syscall. A TCP write() success
+// does not mean delivery (data buffered in either kernel dies with a reset
+// connection), so each link keeps a log of the frames it has handed to the
+// current connection, in write order, until the peer acknowledges them; an
+// acknowledgement returns their buffers to Send. A reconnect replays the
+// whole log ahead of new traffic. Every frame the receiving process has not
+// read therefore survives any number of resets; receivers absorb the
+// duplicates (report streams are deduplicated by the per-link resequencers,
+// and the repair protocol is idempotent by request id). A frame the reader
+// rejects (over MaxFrame, or undecodable stream state) is acknowledged before
+// the connection drops, so it is never replayed.
 //
-// Frames to a destination whose process stays unreachable accumulate up to
-// MaxBacklog *per destination id* and then drop oldest-first: messages to a
-// crashed process are lost by the model, and the cap keeps a dead peer from
-// holding the sender's memory. Both bounds are per destination so that
-// sharing a link weakens neither: a chatty node can neither push a quiet
-// one's last frames out of the replay window nor its queued frames out of
+// The log needs no bound of its own: frames enter it only as they are
+// written, and the writer blocks in write() once both kernels' buffers are
+// full, so TCP flow control caps it at what the two kernels and the reader's
+// buffer hold, plus one flush. What still loses frames: a receiving process that crashes loses
+// whatever it had read but not yet handed on, and frames to a destination
+// whose process stays unreachable accumulate up to MaxBacklog *per
+// destination id* and then drop oldest-first — messages to a crashed process
+// are lost by the model, and the cap keeps a dead peer from holding the
+// sender's memory. The bound is per destination so that sharing a link does
+// not weaken it: a chatty node cannot push a quiet one's queued frames out of
 // the backlog. Per-destination FIFO holds; frames to different destinations
 // may overtake each other, which the contract (transport.Transport) allows.
 //
@@ -79,11 +94,19 @@ import (
 const readBufSize = 64 << 10
 
 // maxFreeFrames bounds a link's stock of recycled frame buffers. In steady
-// state buffers cycle — Send takes one, the writer hands it to a redelivery
-// ring, the ring's evictee comes back — and the stock stays at a flush's
-// worth; the bound is for the aftermath of a drained backlog, which would
-// otherwise stay allocated for good.
+// state buffers cycle — Send takes one, the writer files it in the link's
+// log, the peer's acknowledgement brings it back — and the stock stays at
+// what is in flight; the bound is for the aftermath of a drained backlog,
+// which would otherwise stay allocated for good.
 const maxFreeFrames = 256
+
+// ackSize is the length of an acknowledgement on the reverse direction of a
+// connection, and ackTimeout how long a reader waits to write one before it
+// drops the connection (a peer that does not read its acks).
+const (
+	ackSize    = 8
+	ackTimeout = 5 * time.Second
+)
 
 // Config parameterizes a TCP transport.
 type Config struct {
@@ -99,10 +122,6 @@ type Config struct {
 	// broken connection; it doubles per consecutive failure up to
 	// DialBackoffMax. Defaults: 10ms and 1s.
 	DialBackoff, DialBackoffMax time.Duration
-	// RedeliveryWindow is how many recently-written frames per destination
-	// id are replayed after a reconnect (default 64; 0 keeps the default,
-	// negative disables replay).
-	RedeliveryWindow int
 	// MaxBacklog caps the frames queued per destination id; beyond it the
 	// oldest are dropped (default 4096).
 	MaxBacklog int
@@ -118,7 +137,8 @@ type Stats struct {
 	// FramesOut and FramesIn count frames written and delivered
 	// (redeliveries included).
 	FramesOut, FramesIn int
-	// Redelivered counts frames replayed after a reconnect.
+	// Redelivered counts frames replayed from a link's log of
+	// unacknowledged frames after a reconnect.
 	Redelivered int
 	// Dials counts successful dials — one per peer address in a run without
 	// failures; Redials the reconnects among them.
@@ -138,6 +158,9 @@ type Stats struct {
 	// BytesIn counts payload bytes read (envelope headers excluded, before
 	// delta reconstruction) — the inbound counterpart of BytesOut.
 	BytesIn int
+	// AcksOut counts acknowledgements written back to peers, ackSize (8)
+	// bytes each and not in BytesOut.
+	AcksOut int
 }
 
 // Transport is a running TCP transport. Create with New, wire into a
@@ -166,6 +189,7 @@ type Transport struct {
 	dials, redials                   atomic.Int64
 	backlogDropped, corruptFrames    atomic.Int64
 	flushes, bytesOut, bytesIn       atomic.Int64
+	acksOut                          atomic.Int64
 
 	// events is the cluster's lifecycle sink, installed by Instrument before
 	// Start; nil when the transport runs unobserved. Guarded by mu.
@@ -180,9 +204,6 @@ func New(cfg Config) (*Transport, error) {
 	}
 	if cfg.DialBackoffMax <= 0 {
 		cfg.DialBackoffMax = time.Second
-	}
-	if cfg.RedeliveryWindow == 0 {
-		cfg.RedeliveryWindow = 64
 	}
 	if cfg.MaxBacklog <= 0 {
 		cfg.MaxBacklog = 4096
@@ -271,9 +292,6 @@ func (t *Transport) route(to int) *dest {
 		go l.writeLoop()
 	}
 	d := &dest{id: to, link: l}
-	l.mu.Lock()
-	l.dests = append(l.dests, d)
-	l.mu.Unlock()
 	t.routes.Store(to, d)
 	return d
 }
@@ -291,13 +309,14 @@ func (t *Transport) Stats() Stats {
 		Flushes:        int(t.flushes.Load()),
 		BytesOut:       int(t.bytesOut.Load()),
 		BytesIn:        int(t.bytesIn.Load()),
+		AcksOut:        int(t.acksOut.Load()),
 	}
 }
 
 // DisconnectPeer severs the current outbound connection to the process
 // hosting `to` — the link every id behind that address shares — with a hard
-// reset, as a failing network would. The writer notices on its next write,
-// reconnects with backoff and replays each destination's redelivery window.
+// reset, as a failing network would. The link notices at once, reconnects
+// with backoff and replays every frame the peer had not acknowledged.
 // A fault-injection hook for tests; harmless in production.
 func (t *Transport) DisconnectPeer(to int) {
 	if d, ok := t.routes.Load(to); ok {
@@ -363,7 +382,8 @@ func (t *Transport) readLoop(conn net.Conn, recv func(to int, frame []byte)) {
 		t.mu.Unlock()
 		t.readers.Done()
 	}()
-	br := bufio.NewReaderSize(conn, readBufSize)
+	ack := &acker{t: t, conn: conn}
+	br := bufio.NewReaderSize(ack, readBufSize)
 	var hdr [8]byte
 	var ub unbaser // per-connection delta state, mirroring the sender's
 	for {
@@ -373,7 +393,7 @@ func (t *Transport) readLoop(conn net.Conn, recv func(to int, frame []byte)) {
 		size := int(binary.BigEndian.Uint32(hdr[:4]))
 		to := int(binary.BigEndian.Uint32(hdr[4:]))
 		if size > t.cfg.MaxFrame {
-			t.corruptFrames.Add(1)
+			ack.reject()
 			return // stream corrupt: drop the connection, peer redials
 		}
 		// The payload is handed on where it lies in the read buffer, valid
@@ -392,7 +412,7 @@ func (t *Transport) readLoop(conn net.Conn, recv func(to int, frame []byte)) {
 			return
 		}
 		t.bytesIn.Add(int64(size))
-		if !t.deliver(recv, to, payload, &ub) {
+		if !t.deliver(recv, to, payload, &ub, ack) {
 			return
 		}
 		if inPlace {
@@ -404,13 +424,13 @@ func (t *Transport) readLoop(conn net.Conn, recv func(to int, frame []byte)) {
 // deliver runs one frame through the connection's delta state and hands it to
 // the receive callback, returning false when the connection must drop
 // (corrupt stream state or transport closed).
-func (t *Transport) deliver(recv func(to int, frame []byte), to int, frame []byte, ub *unbaser) bool {
+func (t *Transport) deliver(recv func(to int, frame []byte), to int, frame []byte, ub *unbaser, ack *acker) bool {
 	frame, err := ub.undelta(to, frame)
 	if err != nil {
 		// Undecodable stream state (e.g. a basis-relative frame whose basis
 		// was lost): same remedy as corruption — drop the connection; the
-		// peer redials with reset bases and replays.
-		t.corruptFrames.Add(1)
+		// peer redials with reset bases and replays what followed.
+		ack.reject()
 		return false
 	}
 	if t.closed.Load() {
@@ -418,25 +438,67 @@ func (t *Transport) deliver(recv func(to int, frame []byte), to int, frame []byt
 	}
 	t.framesIn.Add(1)
 	recv(to, frame)
+	ack.consumed++
 	return true
+}
+
+// acker is the reverse direction of an accepted connection. The reader's
+// bufio.Reader reads through it, so it sees the moment the buffer runs dry
+// and acknowledges what the reader consumed before blocking for more.
+type acker struct {
+	t        *Transport
+	conn     net.Conn
+	consumed uint64 // envelopes handed to the receive callback or rejected
+	acked    uint64 // the count last written back
+	buf      [ackSize]byte
+}
+
+// Read implements io.Reader for the connection's bufio.Reader, which calls it
+// only when its buffer cannot serve the next read.
+func (a *acker) Read(p []byte) (int, error) {
+	if err := a.flush(); err != nil {
+		return 0, err
+	}
+	return a.conn.Read(p)
+}
+
+// flush writes the consumed count if it moved since the last ack. A peer
+// that does not take it within ackTimeout fails the write, and with it the
+// connection. (A deadline that cannot be set means a closed connection,
+// which the write reports.)
+func (a *acker) flush() error {
+	if a.consumed == a.acked {
+		return nil
+	}
+	binary.BigEndian.PutUint64(a.buf[:], a.consumed)
+	a.conn.SetWriteDeadline(time.Now().Add(ackTimeout))
+	if _, err := a.conn.Write(a.buf[:]); err != nil {
+		return err
+	}
+	a.acked = a.consumed
+	a.t.acksOut.Add(1)
+	return nil
+}
+
+// reject counts a refused envelope as consumed and acknowledges it before the
+// reader drops the connection, so the sender's log lets go of it instead of
+// replaying it into every connection that follows.
+func (a *acker) reject() {
+	a.t.corruptFrames.Add(1)
+	a.consumed++
+	a.flush() // the connection drops either way; without the ack the next one refuses the frame again
 }
 
 // --- outbound path ---
 
 // dest is one destination id behind a link. The link moves its frames; the
-// bounds the transport promises per destination — MaxBacklog queued,
-// RedeliveryWindow replayed — are kept here.
+// MaxBacklog bound the transport promises per destination is kept here.
 type dest struct {
 	id   int
 	link *link
 
 	queue  [][]byte // frames awaiting a write, oldest first; guarded by link.mu
 	queued bool     // on link.ready; guarded by link.mu
-
-	// sent is the redelivery ring: the last RedeliveryWindow frames written,
-	// oldest at head once it is full. Owned by the link's writeLoop.
-	sent [][]byte
-	head int
 }
 
 // outFrame is one frame of a write: the bytes and the destination they are
@@ -446,9 +508,21 @@ type outFrame struct {
 	data []byte
 }
 
+// session is one outbound connection, from its dial until the goroutine
+// reading its acknowledgements exits.
+type session struct {
+	conn net.Conn
+	// written counts the envelopes handed to conn and acked those the peer
+	// has acknowledged: the link's log starts at envelope acked, and its
+	// first written-acked frames went out on this connection. Guarded by
+	// link.mu.
+	written, acked uint64
+	done           chan struct{} // closed when the ack reader exits
+}
+
 // link is the outbound half of one process pair: the queues of every
-// destination id behind one address, and the writer goroutine that owns the
-// connection.
+// destination id behind one address, the log of frames the peer has not
+// acknowledged, and the writer goroutine that owns the connection.
 type link struct {
 	t     *Transport
 	addr  string
@@ -456,26 +530,28 @@ type link struct {
 
 	mu     sync.Mutex
 	cond   *sync.Cond
-	dests  []*dest  // every destination routed over this link
-	ready  []*dest  // those with frames queued, in the order they became so
+	ready  []*dest  // destinations with frames queued, in the order they became so
 	depth  int      // frames queued across all destinations
 	free   [][]byte // recycled frame buffers (see maxFreeFrames)
 	closed bool
 	done   chan struct{} // closed with the link, wakes backoff sleeps
-	conn   net.Conn      // current connection, for abortConn; owned by writeLoop
+	sess   *session      // the live connection; nil until the writer (re)dials
 
-	ringLen atomic.Int64 // frames across the destinations' redelivery rings, for scrapes
-	rng     *rand.Rand
+	// log[logHead:] are the frames handed to a connection and not yet
+	// acknowledged, in write order: what a reconnect replays. Entries
+	// before logHead are spent, reused once they are half the array.
+	log     []outFrame
+	logHead int
+
+	rng *rand.Rand
 
 	// Write-path scratch, owned by writeLoop: the per-connection delta
 	// encoder (reset on every dial, so replayed absolute frames restart the
-	// chains), the frames of the write in progress, the coalescing buffer
-	// reused across flushes, and the buffers the rings evicted since the
-	// writer last held mu.
-	reb     rebaser
-	batch   []outFrame
-	wbuf    []byte
-	evicted [][]byte
+	// chains), the frames of the write in progress and the coalescing
+	// buffer reused across flushes.
+	reb   rebaser
+	batch []outFrame
+	wbuf  []byte
 }
 
 func newLink(t *Transport, addr string, first int) *link {
@@ -501,7 +577,14 @@ func (l *link) enqueue(d *dest, frame []byte) {
 	}
 	d.queue = append(d.queue, append(buf[:0], frame...))
 	l.depth++
-	l.boundBacklogLocked(d)
+	if over := len(d.queue) - l.t.cfg.MaxBacklog; over > 0 {
+		for _, f := range d.queue[:over] {
+			l.recycleLocked(f)
+		}
+		d.queue = d.queue[over:]
+		l.depth -= over
+		l.t.backlogDropped.Add(int64(over))
+	}
 	if !d.queued {
 		d.queued = true
 		l.ready = append(l.ready, d)
@@ -510,25 +593,15 @@ func (l *link) enqueue(d *dest, frame []byte) {
 	l.mu.Unlock()
 }
 
-// boundBacklogLocked drops d's oldest queued frames beyond MaxBacklog.
-func (l *link) boundBacklogLocked(d *dest) {
-	over := len(d.queue) - l.t.cfg.MaxBacklog
-	if over <= 0 {
-		return
+// recycleLocked returns a frame buffer to the free stock, up to its bound.
+func (l *link) recycleLocked(buf []byte) {
+	if len(l.free) < maxFreeFrames {
+		l.free = append(l.free, buf)
 	}
-	l.recycleLocked(d.queue[:over])
-	d.queue = d.queue[over:]
-	l.depth -= over
-	l.t.backlogDropped.Add(int64(over))
 }
 
-// recycleLocked returns frame buffers to the free stock, up to its bound.
-func (l *link) recycleLocked(bufs [][]byte) {
-	if room := maxFreeFrames - len(l.free); len(bufs) > room {
-		bufs = bufs[:max(room, 0)]
-	}
-	l.free = append(l.free, bufs...)
-}
+// unackedLocked is the log's length.
+func (l *link) unackedLocked() int { return len(l.log) - l.logHead }
 
 func (l *link) close() {
 	l.mu.Lock()
@@ -536,103 +609,89 @@ func (l *link) close() {
 		l.closed = true
 		close(l.done)
 	}
-	if l.conn != nil {
-		l.conn.Close()
+	if l.sess != nil {
+		l.sess.conn.Close()
 	}
 	l.cond.Broadcast()
 	l.mu.Unlock()
 }
 
 // abortConn hard-resets the current connection (SO_LINGER 0 ⇒ RST), so even
-// kernel-buffered data is lost — the failure mode the redelivery window
-// exists for.
+// kernel-buffered data is lost — the failure mode the log exists for.
 func (l *link) abortConn() {
 	l.mu.Lock()
-	conn := l.conn
+	s := l.sess
 	l.mu.Unlock()
-	if conn == nil {
+	if s == nil {
 		return
 	}
-	if tc, ok := conn.(*net.TCPConn); ok {
+	if tc, ok := s.conn.(*net.TCPConn); ok {
 		tc.SetLinger(0)
 	}
-	conn.Close()
+	s.conn.Close()
 }
 
-// writeLoop owns the link's connection: dial lazily with backoff, drain the
-// destinations' queues in coalesced flushes, replay the redelivery windows
-// after reconnects.
+// writeLoop owns the link's connections: dial lazily with backoff, replay
+// the log on every new connection, and move the destinations' queues through
+// the log onto the wire in coalesced flushes.
 func (l *link) writeLoop() {
 	defer l.t.writers.Done()
 	var failures int
 	dialed := false
 	for {
 		l.mu.Lock()
-		l.recycleLocked(l.evicted)
-		l.evicted = l.evicted[:0]
-		for len(l.ready) == 0 && !l.closed {
+		// Wake for queued frames, or for frames a dead connection left in
+		// the log: those are replayed without waiting for the next Send.
+		for !l.closed && len(l.ready) == 0 && (l.sess != nil || l.unackedLocked() == 0) {
 			l.cond.Wait()
 		}
 		if l.closed {
 			l.mu.Unlock()
 			return
 		}
-		// Take everything queued, destination by destination: each
-		// destination's frames stay in order and next to each other, which
-		// is also what lets runs of tenant-tagged frames pack.
-		batch := l.batch[:0]
-		for _, d := range l.ready {
-			for _, f := range d.queue {
-				batch = append(batch, outFrame{d, f})
-			}
-			d.queue, d.queued = d.queue[:0], false
-		}
-		l.ready, l.depth = l.ready[:0], 0
-		conn := l.conn
+		s := l.sess
 		l.mu.Unlock()
-		l.batch = batch
 
-		replayed := 0
-		if conn == nil {
-			var err error
-			conn, err = net.DialTimeout("tcp", l.addr, time.Second)
+		if s == nil {
+			conn, err := net.DialTimeout("tcp", l.addr, time.Second)
 			if err != nil {
-				l.requeueFront(batch)
 				if l.sleepBackoff(&failures) {
 					return
 				}
 				continue
 			}
-			l.t.dials.Add(1)
-			l.reb.reset() // new connection, new stream: bases start over
-			if dialed {
-				l.t.redials.Add(1)
-				l.t.emitRedial(l.first)
-				// The previous connection may have died with frames in
-				// the kernel buffer: replay every destination's window
-				// ahead of new traffic and let the receivers'
-				// resequencers dedup.
-				batch, replayed = l.withReplay(batch)
-			}
-			dialed = true
+			s = &session{conn: conn, done: make(chan struct{})}
 			l.mu.Lock()
 			if l.closed {
 				l.mu.Unlock()
 				conn.Close()
 				return
 			}
-			l.conn = conn
+			l.sess = s
+			replay := l.unackedLocked()
+			l.t.writers.Add(1)
 			l.mu.Unlock()
+			go l.readAcks(s)
+			l.t.dials.Add(1)
+			l.reb.reset() // new connection, new stream: bases start over
+			if dialed {
+				l.t.redials.Add(1)
+				l.t.emitRedial(l.first)
+			}
+			dialed = true
+			l.t.redelivered.Add(int64(replay))
 		}
 
-		// batch[:replayed] came out of the rings and stays there whatever
-		// happens; batch[replayed:] is new.
-		if err := l.writeBatch(conn, batch); err != nil {
-			l.mu.Lock()
-			l.conn = nil
-			l.mu.Unlock()
-			conn.Close()
-			l.requeueFront(batch[replayed:])
+		batch := l.take(s)
+		if len(batch) == 0 {
+			continue // the connection died first: redial
+		}
+		if err := l.writeBatch(s.conn, batch); err != nil {
+			// The batch stays in the log. Let the ack reader take in what
+			// the peer acknowledged before the failure, so the replay
+			// carries nothing it already consumed; then redial.
+			s.conn.SetReadDeadline(time.Now().Add(ackTimeout))
+			<-s.done
 			if l.sleepBackoff(&failures) {
 				return
 			}
@@ -641,45 +700,83 @@ func (l *link) writeLoop() {
 		failures = 0
 		l.t.flushes.Add(1)
 		l.t.framesOut.Add(int64(len(batch)))
-		l.t.redelivered.Add(int64(replayed))
-		l.remember(batch[replayed:])
 	}
 }
 
-// withReplay returns the frames of every destination's redelivery ring,
-// oldest first, followed by batch, and how many came from the rings.
-func (l *link) withReplay(batch []outFrame) ([]outFrame, int) {
+// take files everything queued at the log's tail, destination by
+// destination — each destination's frames stay in order and next to each
+// other — and returns the log's frames s has not been handed yet: on a
+// fresh connection, the whole log. Nil when s is no longer the link's
+// connection.
+func (l *link) take(s *session) []outFrame {
 	l.mu.Lock()
-	dests := append([]*dest(nil), l.dests...)
-	l.mu.Unlock()
-	var out []outFrame
-	for _, d := range dests {
-		for i := range d.sent {
-			out = append(out, outFrame{d, d.sent[(d.head+i)%len(d.sent)]})
-		}
+	defer l.mu.Unlock()
+	if l.sess != s {
+		return nil
 	}
-	replayed := len(out)
-	return append(out, batch...), replayed
+	for _, d := range l.ready {
+		for _, f := range d.queue {
+			if len(l.log) == cap(l.log) && l.logHead >= len(l.log)/2 {
+				n := copy(l.log, l.log[l.logHead:])
+				clear(l.log[n:])
+				l.log, l.logHead = l.log[:n], 0
+			}
+			l.log = append(l.log, outFrame{d, f})
+		}
+		clear(d.queue)
+		d.queue, d.queued = d.queue[:0], false
+	}
+	l.ready, l.depth = l.ready[:0], 0
+	l.batch = append(l.batch[:0], l.log[l.logHead+int(s.written-s.acked):]...)
+	s.written += uint64(len(l.batch))
+	return l.batch
 }
 
-// requeueFront puts an unwritten batch back ahead of anything enqueued since.
-func (l *link) requeueFront(batch []outFrame) {
-	l.mu.Lock()
-	for i := 0; i < len(batch); {
-		d := batch[i].dst
-		var front [][]byte
-		for ; i < len(batch) && batch[i].dst == d; i++ {
-			front = append(front, batch[i].data)
-		}
-		d.queue = append(front, d.queue...)
-		l.depth += len(front)
-		l.boundBacklogLocked(d)
-		if !d.queued {
-			d.queued = true
-			l.ready = append(l.ready, d)
+// readAcks reads s's acknowledgements until the connection fails or carries
+// a malformed one, then closes it and, if s is still the link's connection,
+// clears it and wakes the writer, which redials at once if the log holds
+// frames to replay.
+func (l *link) readAcks(s *session) {
+	defer l.t.writers.Done()
+	br := bufio.NewReaderSize(s.conn, 32*ackSize)
+	buf := make([]byte, ackSize)
+	for {
+		if _, err := io.ReadFull(br, buf); err != nil || !l.ack(s, binary.BigEndian.Uint64(buf)) {
+			break
 		}
 	}
+	s.conn.Close()
+	l.mu.Lock()
+	if l.sess == s {
+		l.sess = nil
+		l.cond.Signal()
+	}
 	l.mu.Unlock()
+	close(s.done)
+}
+
+// ack applies an acknowledgement read from s: the peer has consumed the
+// connection's first `consumed` envelopes, so the log lets go of them and
+// their buffers go back to Send. It returns false, and trims nothing, for a
+// malformed ack — behind the last one or past what was written — and for
+// one from a connection the link has moved on from.
+func (l *link) ack(s *session, consumed uint64) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.sess != s || consumed < s.acked || consumed > s.written {
+		return false
+	}
+	done := l.log[l.logHead : l.logHead+int(consumed-s.acked)]
+	for _, f := range done {
+		l.recycleLocked(f.data)
+	}
+	clear(done)
+	l.logHead += len(done)
+	s.acked = consumed
+	if l.logHead == len(l.log) {
+		l.log, l.logHead = l.log[:0], 0
+	}
+	return true
 }
 
 // sleepBackoff waits the current exponential backoff (with jitter),
@@ -700,33 +797,12 @@ func (l *link) sleepBackoff(failures *int) bool {
 	}
 }
 
-// remember moves a written batch into the destinations' redelivery rings. A
-// full ring overwrites its oldest frame in place; the buffer it held goes
-// back to Send through l.evicted.
-func (l *link) remember(batch []outFrame) {
-	w := l.t.cfg.RedeliveryWindow
-	for _, f := range batch {
-		d := f.dst
-		switch {
-		case w <= 0:
-			l.evicted = append(l.evicted, f.data)
-		case len(d.sent) < w:
-			d.sent = append(d.sent, f.data)
-			l.ringLen.Add(1)
-		default:
-			l.evicted = append(l.evicted, d.sent[d.head])
-			d.sent[d.head] = f.data
-			d.head = (d.head + 1) % w
-		}
-	}
-}
-
 // writeBatch writes every frame of a batch through one buffered flush,
 // delta-rebasing report frames against the connection's stream bases on the
 // way. Every frame travels in its own envelope, tenant-tagged or not. The
 // coalescing buffer is reused across flushes; the batch itself (the absolute
-// originals) is untouched, so requeueFront and the redelivery rings always
-// hold frames any fresh connection can decode.
+// originals) is untouched, so the log always holds frames any fresh
+// connection can decode.
 func (l *link) writeBatch(conn net.Conn, batch []outFrame) error {
 	buf := l.wbuf[:0]
 	var hdr [8]byte

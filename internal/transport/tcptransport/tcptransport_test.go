@@ -133,9 +133,10 @@ func TestLazyDialAndBackoffThenRecover(t *testing.T) {
 
 // TestDisconnectMidStreamRedelivers is the transport half of the
 // reconnect-redelivery contract: a hard connection reset mid-stream loses
-// kernel-buffered frames, the writer reconnects with backoff and replays
-// its redelivery window, and every payload still arrives (some twice — the
-// receiver's resequencer owns deduplication, see livenet's redelivery test).
+// kernel-buffered frames, the writer reconnects with backoff and replays the
+// frames the receiver had not acknowledged, and every payload still arrives.
+// Some arrive twice — the receiver's resequencer owns deduplication, see
+// livenet's redelivery test — but only frames the log held at the reset.
 func TestDisconnectMidStreamRedelivers(t *testing.T) {
 	a, b := pair(t)
 	a.cfg.DialBackoff = time.Millisecond
@@ -149,11 +150,15 @@ func TestDisconnectMidStreamRedelivers(t *testing.T) {
 	}
 
 	const total = 400
+	unackedAtReset := 0
 	for i := 0; i < total; i++ {
 		a.Send(1, frame(uint32(i)))
 		if i == 100 {
 			waitFor(t, "first frames", func() bool { return got.count() > 0 })
 			a.DisconnectPeer(1)
+			// Whatever the reset connection still delivers was handed
+			// to it, so it is in the log now: acks stopped with the reset.
+			unackedAtReset = a.unackedFrames()
 		}
 		if i%50 == 0 {
 			time.Sleep(time.Millisecond)
@@ -165,16 +170,16 @@ func TestDisconnectMidStreamRedelivers(t *testing.T) {
 	if st.Redials == 0 {
 		t.Error("no redial recorded after forced disconnect")
 	}
-	if st.Redelivered == 0 {
-		t.Error("no frames replayed after reconnect")
-	}
 	dup := 0
 	for _, n := range got.distinct() {
 		if n > 1 {
 			dup += n - 1
 		}
 	}
-	t.Logf("redials=%d redelivered=%d duplicates-at-receiver=%d", st.Redials, st.Redelivered, dup)
+	if dup > unackedAtReset {
+		t.Errorf("%d duplicates at the receiver, but the log held %d frames at the reset", dup, unackedAtReset)
+	}
+	t.Logf("redials=%d redelivered=%d unacked-at-reset=%d duplicates-at-receiver=%d", st.Redials, st.Redelivered, unackedAtReset, dup)
 }
 
 // TestBacklogBounded: frames to a peer that never listens stop accumulating

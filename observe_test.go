@@ -58,7 +58,7 @@ func TestDistributedExpositionIncludesTransport(t *testing.T) {
 		"hierdet_transport_bytes_in_total",
 		"hierdet_transport_bytes_out_total",
 		"hierdet_transport_dials_total",
-		"hierdet_transport_redelivery_ring",
+		"hierdet_transport_unacked_frames",
 		"hierdet_node_msgs_in_total",
 		"hierdet_sched_workers",
 	} {

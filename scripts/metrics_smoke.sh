@@ -198,6 +198,7 @@ hierdet_tenant_repairs_total
 hierdet_tenants
 hierdet_tenants_evicted_total
 hierdet_tenants_registered_total
+hierdet_transport_acks_out_total
 hierdet_transport_backlog_depth
 hierdet_transport_backlog_dropped_total
 hierdet_transport_bytes_in_total
@@ -209,8 +210,8 @@ hierdet_transport_frames_in_total
 hierdet_transport_frames_out_total
 hierdet_transport_peers
 hierdet_transport_redelivered_total
-hierdet_transport_redelivery_ring
 hierdet_transport_redials_total
+hierdet_transport_unacked_frames
 hierdet_wheel_entries
 hierdet_wheel_lag_seconds
 hierdet_wheel_tick_seconds
