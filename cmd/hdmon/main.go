@@ -219,7 +219,7 @@ func runLive(topo *hierdet.Topology, rounds int, pglobal, pgroup float64, seed i
 	sort.Slice(failures, func(i, j int) bool { return failures[i].At < failures[j].At })
 
 	repaired := make(chan hierdet.LiveRepair, topo.N())
-	cluster := hierdet.NewLiveCluster(hierdet.LiveConfig{
+	cluster, err := hierdet.NewLiveCluster(hierdet.LiveConfig{
 		Topology: topo, Seed: seed, Verify: true,
 		HbEvery: 500 * time.Microsecond, ResendLastOnAdopt: resend,
 		Events: func(e hierdet.Event) {
@@ -228,6 +228,10 @@ func runLive(topo *hierdet.Topology, rounds int, pglobal, pgroup float64, seed i
 			}
 		},
 	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "hdmon:", err)
+		os.Exit(1)
+	}
 	if metricsAddr != "" {
 		mux := http.NewServeMux()
 		mux.Handle("/metrics", cluster.Registry().Handler())

@@ -195,7 +195,7 @@ func runNode(path string, id int, gate string) error {
 		return runTenants(f, topo, tr, id, gate)
 	}
 
-	c := hierdet.NewLiveCluster(hierdet.LiveConfig{
+	c, err := hierdet.NewLiveCluster(hierdet.LiveConfig{
 		Topology:     topo,
 		Seed:         f.Seed + int64(id),
 		HbEvery:      time.Duration(f.HbEveryMs) * time.Millisecond,
@@ -211,6 +211,9 @@ func runNode(path string, id int, gate string) error {
 			}
 		},
 	})
+	if err != nil {
+		return err
+	}
 	// Mount Prometheus exposition next to the pprof handlers: with -pprof set
 	// the shared default mux already serves, so the scrape endpoint appears on
 	// the same address.

@@ -183,7 +183,7 @@ func reference() (full, survivor int, err error) {
 	topo := hierdet.BalancedTreeN(nodes, 2)
 	exec := hierdet.GenerateWorkload(topo, rounds, seed, 1, 0, 0)
 	repaired := make(chan int, 4)
-	c := hierdet.NewLiveCluster(hierdet.LiveConfig{
+	c, err := hierdet.NewLiveCluster(hierdet.LiveConfig{
 		Topology: topo, Seed: seed, Verify: true,
 		HbEvery: time.Millisecond,
 		Events: func(e hierdet.Event) {
@@ -192,6 +192,9 @@ func reference() (full, survivor int, err error) {
 			}
 		},
 	})
+	if err != nil {
+		return 0, 0, err
+	}
 	feed := func(lo, hi int) {
 		for k := lo; k < hi; k++ {
 			for p := 0; p < nodes; p++ {

@@ -14,6 +14,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 	"sync"
 	"time"
 
@@ -84,7 +85,7 @@ func main() {
 	// over the racing links while the workload keeps flowing.
 	const crashAfter = 8 // rounds fed before the kill
 	repaired := make(chan hierdet.LiveRepair, 4)
-	cluster := hierdet.NewLiveCluster(hierdet.LiveConfig{
+	cluster, err := hierdet.NewLiveCluster(hierdet.LiveConfig{
 		Topology: build(), Seed: 11, Verify: true,
 		HbEvery: 300 * time.Microsecond, ResendLastOnAdopt: true,
 		// The Events stream carries every repair (and much more); filter for
@@ -95,6 +96,9 @@ func main() {
 			}
 		},
 	})
+	if err != nil {
+		log.Fatal(err)
+	}
 	feed := func(lo, hi int) {
 		var wg sync.WaitGroup
 		for p := 0; p < build().N(); p++ {

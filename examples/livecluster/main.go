@@ -15,6 +15,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 	"sync"
 	"time"
 
@@ -29,12 +30,15 @@ func main() {
 	// the live cluster then races its delivery for real.
 	exec := hierdet.GenerateWorkload(topo, rounds, 99, 0.6, 0.2, 0)
 
-	cluster := hierdet.NewLiveCluster(hierdet.LiveConfig{
+	cluster, err := hierdet.NewLiveCluster(hierdet.LiveConfig{
 		Topology: topo,
 		Seed:     99,
 		Verify:   true,
 		MaxDelay: time.Millisecond, // force heavy reordering
 	})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	start := time.Now()
 	var wg sync.WaitGroup

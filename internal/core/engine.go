@@ -10,7 +10,7 @@ import (
 
 // This file implements the parallel detection engine: the same Algorithm 1
 // loop as detectSeq/eliminate/prune, with sources addressed by position
-// (nd.qs beside nd.srcs) instead of through the queue map, heads read where
+// (nd.srcs) instead of by id, heads read where
 // they are stored (the queues hold references), aggregate bounds and solution
 // sets carved from a Region, and comparisons decided on the components of a
 // span where those settle them (interval.SpanLess, DESIGN §10). Its
@@ -41,23 +41,25 @@ type cmpVerdict struct {
 // source positions, the aggregate materialized flat (interval.AggregateFlat)
 // instead of scratch aggregation plus a compact clone.
 //
-// The result is built in nd.detBuf, which the next call on this node reuses:
-// a fresh slice per call was 214 B per interval of garbage at p=127. The last
-// call's entries are cleared first, so the buffer never keeps a region's slab
-// reachable beyond that.
-func (nd *Node) detectPar(trigger []int) []Detection {
-	clear(nd.detBuf)
-	dets := nd.detBuf[:0]
-	updated := nd.scratchA[:0]
-	for _, src := range trigger {
-		updated = append(updated, nd.at(src))
+// The result is built in the region's buffer, which the next call into any
+// node carving from that region reuses: a fresh slice per call was 214 B per
+// interval of garbage at p=127. The last call's entries are cleared first, so
+// the buffer never keeps a slab reachable beyond that.
+func (nd *Node) detectPar(trigger int) []Detection {
+	r := nd.region()
+	dets := r.results()
+	updated := r.updated[:0]
+	for i := range nd.srcs {
+		if trigger < 0 || i == trigger {
+			updated = append(updated, i)
+		}
 	}
 	for {
 		nd.eliminatePar(updated)
 		sol, ok := nd.solutionPar()
 		if !ok {
-			nd.scratchA = updated[:0]
-			nd.detBuf = dets
+			r.updated = updated[:0]
+			r.dets = dets
 			return dets
 		}
 		dets = nd.publish(dets, sol)
@@ -67,8 +69,7 @@ func (nd *Node) detectPar(trigger []int) []Detection {
 
 // publish aggregates a solution set and appends its Detection.
 func (nd *Node) publish(dets []Detection, sol []*interval.Interval) []Detection {
-	agg := interval.AggregateRefs(nd.store, sol, nd.id, nd.aggSeq, nd.cfg.KeepMembers)
-	nd.aggSeq++
+	agg := interval.AggregateRefs(&nd.store, sol, nd.id, nd.stats.Detections, nd.cfg.KeepMembers)
 	nd.stats.Detections++
 	return append(dets, Detection{Node: nd.id, Set: sol, Agg: agg})
 }
@@ -86,20 +87,20 @@ func (nd *Node) passAlone(ivs []*interval.Interval) []Detection {
 	nd.stats.IntervalsIn += k
 	nd.stats.Pruned += k
 	// A run is all resident before its first detection, as after Enqueue.
-	if q := nd.qs[0]; q.HighWater < k {
+	if q := &nd.srcs[0].q; q.HighWater < k {
 		q.HighWater = k
 	}
 	if nd.residentHigh < k {
 		nd.residentHigh = k
 	}
-	clear(nd.detBuf)
-	dets := nd.detBuf[:0]
+	r := nd.region()
+	dets := r.results()
 	for _, iv := range ivs {
-		sol := nd.carve(1)
+		sol := r.sets.Carve(1)
 		sol[0] = iv
 		dets = nd.publish(dets, sol)
 	}
-	nd.detBuf = dets
+	r.dets = dets
 	return dets
 }
 
@@ -112,26 +113,27 @@ func (nd *Node) passAlone(ivs []*interval.Interval) []Detection {
 // what Algorithm 1 enumerates — and not evaluated: after a prune that exposed
 // several heads at once that is close to half the round.
 func (nd *Node) eliminatePar(trigger []int) {
-	cur := append(nd.scratchElimA[:0], trigger...)
-	next := nd.scratchElimB[:0]
-	qs := nd.qs
-	if len(nd.inRound) < len(qs) {
-		nd.inRound = make([]int32, len(qs))
+	r := nd.reg
+	cur := append(r.elimA[:0], trigger...)
+	next := r.elimB[:0]
+	srcs := nd.srcs
+	if len(r.inRound) < len(srcs) {
+		r.inRound = make([]int32, len(srcs))
 	}
-	inRound := nd.inRound
+	inRound := r.inRound[:len(srcs)]
 	for len(cur) > 0 {
 		next = next[:0]
 		for i, a := range cur {
 			inRound[a] = int32(i) + 1
 		}
-		pairs := nd.pairs[:0]
+		pairs := r.pairs[:0]
 		enumerated := 0
 		for i, a := range cur {
-			if qs[a].Empty() {
+			if srcs[a].q.Empty() {
 				continue
 			}
-			for b, qb := range qs {
-				if b == a || qb.Empty() {
+			for b := range srcs {
+				if b == a || srcs[b].q.Empty() {
 					continue
 				}
 				enumerated++
@@ -145,11 +147,11 @@ func (nd *Node) eliminatePar(trigger []int) {
 			inRound[a] = 0
 		}
 		nd.stats.VecComparisons += 2 * enumerated
-		if cap(nd.verdicts) < len(pairs) {
-			nd.verdicts = make([]cmpVerdict, len(pairs), 2*len(pairs))
+		if cap(r.verdicts) < len(pairs) {
+			r.verdicts = make([]cmpVerdict, len(pairs), 2*len(pairs))
 		}
-		verdicts := nd.verdicts[:len(pairs)]
-		calls := nd.sweep(pairs, verdicts)
+		verdicts := r.verdicts[:len(pairs)]
+		calls := nd.sweep(pairs, verdicts, inRound)
 		if sweepHook != nil {
 			sweepHook(nd, pairs, verdicts, calls)
 		}
@@ -161,9 +163,9 @@ func (nd *Node) eliminatePar(trigger []int) {
 				next = addUnique(next, int(p.a))
 			}
 		}
-		nd.pairs = pairs[:0]
+		r.pairs = pairs[:0]
 		for _, c := range next {
-			if q := qs[c]; !q.Empty() {
+			if q := &srcs[c].q; !q.Empty() {
 				q.DeleteHead()
 				nd.noteRemovals(1)
 				nd.stats.Eliminated++
@@ -171,7 +173,7 @@ func (nd *Node) eliminatePar(trigger []int) {
 		}
 		cur, next = next, cur
 	}
-	nd.scratchElimA, nd.scratchElimB = cur[:0], next[:0]
+	r.elimA, r.elimB = cur[:0], next[:0]
 }
 
 // verdict is min(x) < max(y) and min(y) < max(x), each decided on its span
@@ -223,15 +225,14 @@ func (nd *Node) checkClocks(a, b vclock.VC, span []int, less bool) {
 var sweepHook func(nd *Node, pairs []pair, verdicts []cmpVerdict, calls int)
 
 // sweep evaluates a round's pairs in pair order, skipping what cannot change
-// the deletion list. It marks each position an earlier pair of the round
-// condemned (inRound, zero at rest). A pair of two marked heads is not
+// the deletion list. It marks in dead each position an earlier pair of the
+// round condemned (the round's inRound, zero at rest). A pair of two marked heads is not
 // evaluated; with one marked head only the direction that can condemn the
 // other is (less); otherwise both are (verdict). A skipped direction reads
 // true — it condemns nothing — and its head is on the deletion list already,
 // so the list comes out as the all-pairs evaluation builds it (DESIGN §10).
 // Returns the comparison calls made.
-func (nd *Node) sweep(pairs []pair, verdicts []cmpVerdict) (calls int) {
-	dead := nd.inRound
+func (nd *Node) sweep(pairs []pair, verdicts []cmpVerdict, dead []int32) (calls int) {
 	for i, p := range pairs {
 		v := cmpVerdict{true, true}
 		da, db := dead[p.a] != 0, dead[p.b] != 0
@@ -239,7 +240,7 @@ func (nd *Node) sweep(pairs []pair, verdicts []cmpVerdict) (calls int) {
 			verdicts[i] = v
 			continue
 		}
-		x, y := nd.qs[p.a].Head(), nd.qs[p.b].Head()
+		x, y := nd.srcs[p.a].q.Head(), nd.srcs[p.b].q.Head()
 		switch {
 		case da:
 			v.xBeforeY = nd.less(x.Lo, y.Hi, x.Span)
@@ -268,17 +269,18 @@ func (nd *Node) sweep(pairs []pair, verdicts []cmpVerdict) (calls int) {
 // fresh allocation: solution sets escape into Detections, and at production
 // rates one make per detection was measurable.
 func (nd *Node) solutionPar() ([]*interval.Interval, bool) {
-	if len(nd.qs) == 0 {
+	srcs := nd.srcs
+	if len(srcs) == 0 {
 		return nil, false
 	}
-	for _, q := range nd.qs {
-		if q.Empty() {
+	for i := range srcs {
+		if srcs[i].q.Empty() {
 			return nil, false
 		}
 	}
-	sol := nd.carve(len(nd.qs))
-	for i, q := range nd.qs {
-		sol[i] = q.Head()
+	sol := nd.reg.sets.Carve(len(srcs))
+	for i := range srcs {
+		sol[i] = srcs[i].q.Head()
 	}
 	if nd.cfg.Strict && !interval.OverlapRefs(sol) {
 		panic(fmt.Sprintf("core: node %d: solution set fails pairwise overlap", nd.id))
@@ -290,16 +292,35 @@ func (nd *Node) solutionPar() ([]*interval.Interval, bool) {
 // exactly: the parallel engine's aggregate bounds (2n clock words a pair),
 // the one home of every interval a node took by value (OnInterval), solution
 // sets (a reference per member) and the Detection records a host keeps
-// (Keep). The live runtime gives each substrate worker one and hands it to
-// every node it runs for the drain (Use), so all of them share one part-used
-// slab per kind; a node never handed a region makes itself one when it
-// first needs it. The zero Region is ready to use; it is not safe for
-// concurrent use.
+// (Keep). Beside them it holds what a call into a node needs only while it
+// runs: a round's positions, pairs, verdicts and marks, the references
+// OnIntervals stages and the buffer results are returned in. The live
+// runtime gives each substrate worker one and hands it to every node it runs
+// for the drain (Use), so all of them share one part-used slab per kind and
+// one set of scratch, sized by the widest node the worker has run; a node
+// never handed a region makes itself one when it first needs it. The zero
+// Region is ready to use; it is not safe for concurrent use.
 type Region struct {
 	clocks vclock.Slab[uint32]
 	ivs    vclock.Slab[interval.Interval]
 	sets   vclock.Slab[*interval.Interval]
 	recs   vclock.Slab[Detection]
+
+	// A call's scratch. updated and the elim pair hold positions (detectPar,
+	// eliminatePar's cur/next); inRound is zero at rest (see sweep).
+	updated, elimA, elimB []int
+	pairs                 []pair
+	verdicts              []cmpVerdict
+	inRound               []int32
+	refs                  []*interval.Interval
+	dets                  []Detection
+}
+
+// results returns the result buffer emptied, the last call's entries
+// cleared so they keep nothing reachable.
+func (r *Region) results() []Detection {
+	clear(r.dets)
+	return r.dets[:0]
 }
 
 // Keep copies *d into a record carved from the region.
@@ -309,14 +330,14 @@ func (r *Region) Keep(d *Detection) *Detection {
 	return rec
 }
 
-// Use points the node's carving at r for the calls that follow; what is
-// already published stays where it was carved. The caller owns r for as long
-// as it calls into the node.
+// Use points the node's carving and its calls' scratch at r for the calls
+// that follow; what is already published stays where it was carved. Any
+// number of nodes may share r, one call at a time: the caller owns r for as
+// long as it calls into them, and a call's result lives until the next call
+// into any of them (see OnInterval).
 func (nd *Node) Use(r *Region) {
 	nd.reg = r
-	if nd.store != nil {
-		nd.store.CarveFrom(&r.clocks)
-	}
+	nd.store.CarveFrom(&r.clocks)
 }
 
 // region returns the region the node carves from, making one if it was
@@ -328,16 +349,11 @@ func (nd *Node) region() *Region {
 	return nd.reg
 }
 
-// carve returns room for a solution set of need members from the region.
-func (nd *Node) carve(need int) []*interval.Interval {
-	return nd.region().sets.Carve(need)
-}
-
 // prunePar is prune by position: every head's keep decision (pruneKeep)
 // taken before any head is deleted.
 func (nd *Node) prunePar(removable []int) []int {
-	qs := nd.qs
-	for a := range qs {
+	srcs := nd.srcs
+	for a := range srcs {
 		if !nd.pruneKeep(a) {
 			removable = append(removable, a)
 		}
@@ -346,13 +362,13 @@ func (nd *Node) prunePar(removable []int) []int {
 		panic(fmt.Sprintf("core: node %d: pruning found no removable interval (Theorem 4 violated)", nd.id))
 	}
 	for _, a := range removable {
-		qs[a].DeleteHead()
+		srcs[a].q.DeleteHead()
 		nd.noteRemovals(1)
 		nd.stats.Pruned++
 	}
 	// The sequential prune hands its sources on sorted by id; positions are
 	// in insertion order, which adoption can leave unsorted.
-	slices.SortFunc(removable, func(a, b int) int { return nd.srcs[a] - nd.srcs[b] })
+	slices.SortFunc(removable, func(a, b int) int { return srcs[a].id - srcs[b].id })
 	return removable
 }
 
@@ -365,11 +381,12 @@ func (nd *Node) prunePar(removable []int) []int {
 // and Less returns at the first eight-component block that refutes it
 // (vclock's early-exit kernel) instead of streaming all n components.
 func (nd *Node) pruneKeep(a int) bool {
-	xa := nd.qs[a].Head()
-	for b, qb := range nd.qs {
+	xa := nd.srcs[a].q.Head()
+	for b := range nd.srcs {
 		if b == a {
 			continue
 		}
+		qb := &nd.srcs[b].q
 		nd.stats.VecComparisons++
 		xb, span := qb.Head(), []int(nil)
 		if len(xb.Span) == 1 {

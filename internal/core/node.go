@@ -121,79 +121,72 @@ type Config struct {
 // queue is one source's FIFO: references to intervals, each stored once.
 type queue = interval.Ring[*interval.Interval]
 
-// Node is the per-process detector state machine.
+// source is one queue and the process id it is keyed by: the node's own id
+// for Q_0 when it hosts a local predicate, a child's id for that child's
+// queue.
+type source struct {
+	id int
+	q  queue
+}
+
+// Node is the per-process detector state machine. It holds what the node
+// must remember between calls — its queues, counters and aggregate store;
+// what a call needs only while it runs (a round's pairs and verdicts, the
+// result buffer) lives in the Region the node carves from, shared by every
+// node handed the same region.
 type Node struct {
 	id  int
 	cfg Config
 
-	// queues maps source id → pending intervals. The node's own id keys Q_0
-	// when the node hosts a local predicate; child ids key the child queues.
-	queues map[int]*queue
-	// srcs holds queue keys in deterministic (insertion) order; qs holds
-	// their queues, position for position, so ingestion and the parallel
-	// engine's rounds address a source without a map lookup.
-	srcs []int
-	qs   []*queue
+	// srcs holds the queues in deterministic (insertion) order, by value;
+	// ingestion and both engines address a source by its position.
+	srcs []source
 
-	// lastHi tracks, per source, the last accepted interval, for Strict
-	// succession checks.
-	lastHi map[int]*interval.Interval
-
-	aggSeq int
-	stats  Stats
-
-	// Scratch buffers reused across detection rounds; detection runs on the
-	// owner's goroutine only, so reuse is safe and keeps the per-interval
-	// hot path allocation-free (see BenchmarkNodeDetection). scratchA backs
-	// detect's updated/prune list; the elim pair backs eliminate's rounds;
-	// aggScratch holds each ⊓-aggregation while it is computed, so only the
-	// published Detection pays an allocation (one compact clone instead of
-	// two clock clones plus a span set). refs stages the references the
-	// value entries hand OnRefs.
-	scratchA                   []int
-	scratchElimA, scratchElimB []int
-	aggScratch                 interval.Interval
-	one                        [1]int
-	refs                       []*interval.Interval
+	stats Stats
 
 	// resident / residentHigh are the node-level interval residency and its
 	// true peak (see QueueSizes), maintained at every enqueue and deletion.
 	resident, residentHigh int
 
-	// The region the value entries' copies, solution sets and (with the
-	// flat bounds store) aggregate bounds carve from. Parallel-engine state
-	// (nil/empty under the sequential oracle): the store, the
-	// buffer detections are returned in (valid until the next call; see
-	// OnInterval), a round's pairs and verdicts, the
-	// per-position mark of which sources a round was triggered by (1 + index
-	// in its trigger list, 0 at rest) and, during a sweep, which heads the
-	// round has condemned.
-	store    *vclock.Store
-	reg      *Region
-	detBuf   []Detection
-	pairs    []pair
-	verdicts []cmpVerdict
-	inRound  []int32
+	// store carves the parallel engine's aggregate bounds from reg, the
+	// region that also keeps the value entries' copies, solution sets and a
+	// call's scratch (see Use).
+	store vclock.Store
+	reg   *Region
+
+	// off is what a node of the live runtime never builds: nil unless
+	// Parallel is off or Strict is on.
+	off *offPath
+}
+
+// offPath holds the sequential engine's own state (Parallel off) — the
+// aggregate each solution's ⊓ is built in, so only the published Detection
+// pays an allocation, and its round scratch — and, under Strict, each
+// position's last accepted interval for the succession check.
+type offPath struct {
+	agg                   interval.Interval
+	updated, elimA, elimB []int
+	lastHi                []*interval.Interval
 }
 
 // NewNode returns a detector for process id in an n-process system. If local
 // is true the node hosts a local predicate and owns a Q_0; nodes outside the
-// conjunction (pure relays) pass false.
-func NewNode(id int, cfg Config, local bool) *Node {
+// conjunction (pure relays) pass false. children, if any, are added as
+// AddChild would, in order, into queues allocated once for all of them.
+func NewNode(id int, cfg Config, local bool, children ...int) *Node {
 	if cfg.N <= 0 {
 		panic(fmt.Sprintf("core: invalid system size %d", cfg.N))
 	}
-	nd := &Node{
-		id:     id,
-		cfg:    cfg,
-		queues: make(map[int]*queue),
-		lastHi: make(map[int]*interval.Interval),
+	nd := &Node{id: id, cfg: cfg, store: *vclock.NewStore(cfg.N)}
+	if !cfg.Parallel || cfg.Strict {
+		nd.off = new(offPath)
 	}
-	if cfg.Parallel {
-		nd.store = vclock.NewStore(cfg.N)
-	}
+	nd.srcs = make([]source, 0, len(children)+1)
 	if local {
 		nd.addSource(id)
+	}
+	for _, child := range children {
+		nd.AddChild(child)
 	}
 	return nd
 }
@@ -216,9 +209,9 @@ func (nd *Node) QueueSizes() (current, highWater int) {
 // legitimately sum to more than the node-level high-water mark reported by
 // QueueSizes: a queue's peak is local to its own timeline.
 func (nd *Node) QueueHighWaters() map[int]int {
-	out := make(map[int]int, len(nd.queues))
-	for src, q := range nd.queues {
-		out[src] = q.HighWater
+	out := make(map[int]int, len(nd.srcs))
+	for i := range nd.srcs {
+		out[nd.srcs[i].id] = nd.srcs[i].q.HighWater
 	}
 	return out
 }
@@ -239,26 +232,28 @@ func (nd *Node) noteRemovals(k int) {
 // Sources returns the queue keys in deterministic order (the node's own id
 // first if it hosts a local predicate, then children in insertion order).
 func (nd *Node) Sources() []int {
-	return append([]int(nil), nd.srcs...)
+	out := make([]int, len(nd.srcs))
+	for i := range nd.srcs {
+		out[i] = nd.srcs[i].id
+	}
+	return out
 }
 
 // HasSource reports whether the node currently maintains a queue for src.
-func (nd *Node) HasSource(src int) bool {
-	_, ok := nd.queues[src]
-	return ok
-}
+func (nd *Node) HasSource(src int) bool { return nd.at(src) >= 0 }
 
 // addSource panics on an id outside [0, N): spans index clocks by it.
 func (nd *Node) addSource(src int) {
 	if src < 0 || src >= nd.cfg.N {
 		panic(fmt.Sprintf("core: node %d: source process id %d outside [0, %d)", nd.id, src, nd.cfg.N))
 	}
-	if _, ok := nd.queues[src]; ok {
+	if nd.at(src) >= 0 {
 		panic(fmt.Sprintf("core: node %d already has source %d", nd.id, src))
 	}
-	nd.queues[src] = new(queue)
-	nd.srcs = append(nd.srcs, src)
-	nd.qs = append(nd.qs, nd.queues[src])
+	nd.srcs = append(nd.srcs, source{id: src})
+	if nd.cfg.Strict {
+		nd.off.lastHi = append(nd.off.lastHi, nil)
+	}
 }
 
 // AddChild creates a queue for a (possibly newly adopted) child subtree. The
@@ -277,24 +272,24 @@ func (nd *Node) AddChild(child int) {
 // child may have been the only empty queue — so the node re-runs detection
 // over the remaining sources and returns any solutions found. This is
 // exactly how the algorithm keeps detecting the partial predicate over the
-// surviving processes (paper §III-F). The result's lifetime is OnInterval's.
+// surviving processes (paper §III-F). The result's lifetime is OnInterval's:
+// until the next call into any node of the same region.
 func (nd *Node) RemoveChild(child int) []Detection {
-	q, ok := nd.queues[child]
-	if !ok {
+	i := nd.at(child)
+	if i < 0 {
 		return nil
 	}
-	nd.noteRemovals(q.Len())
-	delete(nd.queues, child)
-	delete(nd.lastHi, child)
-	i := nd.at(child)
+	nd.noteRemovals(nd.srcs[i].q.Len())
 	nd.srcs = slices.Delete(nd.srcs, i, i+1)
-	nd.qs = slices.Delete(nd.qs, i, i+1)
+	if nd.cfg.Strict {
+		nd.off.lastHi = slices.Delete(nd.off.lastHi, i, i+1)
+	}
 	if len(nd.srcs) == 0 {
 		return nil
 	}
 	// Heads may never have been cross-compared while the removed queue
 	// blocked solutions; recheck everything.
-	return nd.detect(nd.srcs)
+	return nd.detect(-1)
 }
 
 // ResetSource discards everything queued from src and forgets its
@@ -306,16 +301,18 @@ func (nd *Node) RemoveChild(child int) []Detection {
 // stale entries is safe — it can only postpone detections, never falsify
 // one — and mirrors the other repair losses the paper accepts.
 func (nd *Node) ResetSource(src int) {
-	q, ok := nd.queues[src]
-	if !ok {
+	i := nd.at(src)
+	if i < 0 {
 		return
 	}
-	for !q.Empty() {
+	for q := &nd.srcs[i].q; !q.Empty(); {
 		q.DeleteHead()
 		nd.noteRemovals(1)
 		nd.stats.EpochDiscards++
 	}
-	delete(nd.lastHi, src)
+	if nd.cfg.Strict {
+		nd.off.lastHi[i] = nil
+	}
 }
 
 // OnInterval delivers the next interval from src — the node's own id for a
@@ -326,11 +323,12 @@ func (nd *Node) ResetSource(src int) {
 // entry that copies nothing).
 //
 // The returned slice is valid until the next OnInterval, OnIntervals, OnRefs
-// or RemoveChild on this node: the parallel engine builds it in a buffer the
-// node owns and reuses. Consume it or copy the Detection values out before
-// calling into the same node again; calling into another node is fine (an
-// upward cascade only ever does that), and the values themselves — solution
-// sets, aggregates, clocks — stay valid forever.
+// or RemoveChild on any node carving from the same region: the parallel
+// engine builds it in the region's result buffer and reuses it. A node never
+// handed a region (Use) has one of its own, so for it that is the next call
+// on this node. Consume the slice or copy the Detection values out before
+// calling into such a node again; the values themselves — solution sets,
+// aggregates, clocks — stay valid forever.
 func (nd *Node) OnInterval(src int, iv interval.Interval) []Detection {
 	return nd.OnIntervals(src, []interval.Interval{iv})
 }
@@ -349,17 +347,18 @@ func (nd *Node) OnInterval(src int, iv interval.Interval) []Detection {
 // classify a discarded interval differently (Eliminated vs Pruned vs still
 // resident), and ExactPrune's Eq. 9 successor peek sees batch-delivered
 // successors earlier. Like OnInterval it keeps copies; the result's lifetime
-// is OnInterval's.
+// is OnInterval's: until the next call into any node of the same region.
 func (nd *Node) OnIntervals(src int, ivs []interval.Interval) []Detection {
-	homes := nd.region().ivs.Carve(len(ivs))
+	r := nd.region()
+	homes := r.ivs.Carve(len(ivs))
 	copy(homes, ivs)
-	refs := nd.refs[:0]
+	refs := r.refs[:0]
 	for i := range homes {
 		refs = append(refs, &homes[i])
 	}
 	dets := nd.OnRefs(src, refs)
 	clear(refs)
-	nd.refs = refs[:0]
+	r.refs = refs[:0]
 	return dets
 }
 
@@ -367,7 +366,7 @@ func (nd *Node) OnIntervals(src int, ivs []interval.Interval) []Detection {
 // the pointers and publishes them in solution sets, so each *ivs[k] must
 // stay as it is for as long as any detection may be read — an interval's one
 // home (a detection record's Agg, a slot of a region). The result's lifetime
-// is OnInterval's.
+// is OnInterval's: until the next call into any node of the same region.
 func (nd *Node) OnRefs(src int, ivs []*interval.Interval) []Detection {
 	if len(ivs) == 0 {
 		return nil
@@ -377,10 +376,10 @@ func (nd *Node) OnRefs(src int, ivs []*interval.Interval) []Detection {
 		nd.stats.Dropped += len(ivs)
 		return nil
 	}
-	q := nd.qs[i]
+	q := &nd.srcs[i].q
 	if nd.cfg.Strict {
 		for _, iv := range ivs {
-			nd.checkSuccession(src, iv)
+			nd.checkSuccession(i, iv)
 		}
 	}
 	if nd.alone(q) {
@@ -397,16 +396,15 @@ func (nd *Node) OnRefs(src int, ivs []*interval.Interval) []Detection {
 	if !wasEmpty {
 		return nil
 	}
-	nd.one[0] = src
-	return nd.detect(nd.one[:])
+	return nd.detect(i)
 }
 
 // at returns src's position in srcs, or -1 when the node has no such queue.
 // A linear scan: the list is a node's fan-in plus one, and a leaf — most
 // nodes — finds itself at once.
 func (nd *Node) at(src int) int {
-	for i, s := range nd.srcs {
-		if s == src {
+	for i := range nd.srcs {
+		if nd.srcs[i].id == src {
 			return i
 		}
 	}
@@ -414,13 +412,13 @@ func (nd *Node) at(src int) int {
 }
 
 // checkSuccession is Strict's test that iv starts causally after the last
-// interval accepted from src ended.
-func (nd *Node) checkSuccession(src int, iv *interval.Interval) {
-	if prev, ok := nd.lastHi[src]; ok && !prev.Hi.Less(iv.Lo) {
+// interval accepted from the source at position i ended.
+func (nd *Node) checkSuccession(i int, iv *interval.Interval) {
+	if prev := nd.off.lastHi[i]; prev != nil && !prev.Hi.Less(iv.Lo) {
 		panic(fmt.Sprintf("core: node %d: succession violated on source %d: prev max %v, next min %v",
-			nd.id, src, prev.Hi, iv.Lo))
+			nd.id, nd.srcs[i].id, prev.Hi, iv.Lo))
 	}
-	nd.lastHi[src] = iv
+	nd.off.lastHi[i] = iv
 }
 
 // alone reports that q is this node's only queue and empty, under the
@@ -429,34 +427,48 @@ func (nd *Node) checkSuccession(src int, iv *interval.Interval) {
 // backlog left by either needs no special case — with a second source, or
 // anything still queued, the queue path runs.
 func (nd *Node) alone(q *queue) bool {
-	return nd.cfg.Parallel && len(nd.qs) == 1 && q.Empty()
+	return nd.cfg.Parallel && len(nd.srcs) == 1 && q.Empty()
 }
 
 // detect runs the elimination loop and, repeatedly, solution extraction and
-// pruning, starting from the queues named in trigger. It returns every
-// solution set found, in detection order. The parallel engine (engine.go)
-// runs the same loop by position, on spans, with flat aggregate storage;
-// this sequential body is kept verbatim as its property-test oracle.
-func (nd *Node) detect(trigger []int) []Detection {
+// pruning, starting from the queue at position trigger — or from every queue
+// when trigger is -1: a removed source may have blocked solutions among all
+// the others. It returns every solution set found, in detection order. The
+// parallel engine (engine.go) runs the same loop by position, on spans, with
+// flat aggregate storage; the sequential body is kept as its property-test
+// oracle, sources named by id and looked up by position (queue).
+func (nd *Node) detect(trigger int) []Detection {
 	if nd.cfg.Parallel {
 		return nd.detectPar(trigger)
 	}
 	return nd.detectSeq(trigger)
 }
 
-func (nd *Node) detectSeq(trigger []int) []Detection {
+// queue returns src's queue, or nil when the node has no such source.
+func (nd *Node) queue(src int) *queue {
+	if i := nd.at(src); i >= 0 {
+		return &nd.srcs[i].q
+	}
+	return nil
+}
+
+func (nd *Node) detectSeq(trigger int) []Detection {
 	var dets []Detection
-	updated := append(nd.scratchA[:0], trigger...)
+	updated := nd.off.updated[:0]
+	for i := range nd.srcs {
+		if trigger < 0 || i == trigger {
+			updated = append(updated, nd.srcs[i].id)
+		}
+	}
 	for {
 		nd.eliminate(updated)
 		sol, ok := nd.solution()
 		if !ok {
-			nd.scratchA = updated[:0]
+			nd.off.updated = updated[:0]
 			return dets
 		}
-		interval.AggregateInto(&nd.aggScratch, sol, nd.id, nd.aggSeq, nd.cfg.KeepMembers)
-		agg := nd.aggScratch.CompactClone()
-		nd.aggSeq++
+		interval.AggregateInto(&nd.off.agg, sol, nd.id, nd.stats.Detections, nd.cfg.KeepMembers)
+		agg := nd.off.agg.CompactClone()
 		nd.stats.Detections++
 		dets = append(dets, Detection{Node: nd.id, Set: sol, Agg: agg})
 		updated = nd.prune(updated[:0])
@@ -471,21 +483,21 @@ func (nd *Node) detectSeq(trigger []int) []Detection {
 func (nd *Node) eliminate(trigger []int) {
 	// Work on private buffers: cur/next swap roles each round, so they must
 	// never alias the caller's slice.
-	cur := append(nd.scratchElimA[:0], trigger...)
-	next := nd.scratchElimB[:0]
+	cur := append(nd.off.elimA[:0], trigger...)
+	next := nd.off.elimB[:0]
 	for len(cur) > 0 {
 		next = next[:0]
 		for _, a := range cur {
-			qa, ok := nd.queues[a]
-			if !ok || qa.Empty() {
+			qa := nd.queue(a)
+			if qa == nil || qa.Empty() {
 				continue
 			}
 			x := qa.Head()
-			for _, b := range nd.srcs {
+			for i := range nd.srcs {
+				b, qb := nd.srcs[i].id, &nd.srcs[i].q
 				if b == a {
 					continue
 				}
-				qb := nd.queues[b]
 				if qb.Empty() {
 					continue
 				}
@@ -503,7 +515,7 @@ func (nd *Node) eliminate(trigger []int) {
 			}
 		}
 		for _, c := range next {
-			if q := nd.queues[c]; !q.Empty() {
+			if q := nd.queue(c); !q.Empty() {
 				q.DeleteHead()
 				nd.noteRemovals(1)
 				nd.stats.Eliminated++
@@ -513,7 +525,7 @@ func (nd *Node) eliminate(trigger []int) {
 		// round's accumulator.
 		cur, next = next, cur
 	}
-	nd.scratchElimA, nd.scratchElimB = cur[:0], next[:0]
+	nd.off.elimA, nd.off.elimB = cur[:0], next[:0]
 }
 
 // addUnique appends v unless present; the sets here are bounded by the
@@ -537,14 +549,14 @@ func (nd *Node) solution() ([]*interval.Interval, bool) {
 	}
 	// Cheap emptiness pass first: most invocations find a blocked queue, and
 	// the hot path must not allocate for them.
-	for _, s := range nd.srcs {
-		if nd.queues[s].Empty() {
+	for i := range nd.srcs {
+		if nd.srcs[i].q.Empty() {
 			return nil, false
 		}
 	}
 	sol := make([]*interval.Interval, 0, len(nd.srcs))
-	for _, s := range nd.srcs {
-		sol = append(sol, nd.queues[s].Head())
+	for i := range nd.srcs {
+		sol = append(sol, nd.srcs[i].q.Head())
 	}
 	if nd.cfg.Strict && !interval.OverlapRefs(sol) {
 		// The elimination fixed point guarantees pairwise overlap; a
@@ -562,14 +574,14 @@ func (nd *Node) solution() ([]*interval.Interval, bool) {
 // element (Theorem 4, liveness). Returns the pruned sources so detection can
 // re-run on the freshly exposed heads.
 func (nd *Node) prune(removable []int) []int {
-	for _, a := range nd.srcs {
-		xa := nd.queues[a].Head()
+	for i := range nd.srcs {
+		a, xa := nd.srcs[i].id, nd.srcs[i].q.Head()
 		keep := false
-		for _, b := range nd.srcs {
+		for j := range nd.srcs {
+			b, qb := nd.srcs[j].id, &nd.srcs[j].q
 			if b == a {
 				continue
 			}
-			qb := nd.queues[b]
 			xb := qb.Head()
 			nd.stats.VecComparisons++
 			if !xb.Hi.Less(xa.Hi) {
@@ -595,7 +607,7 @@ func (nd *Node) prune(removable []int) []int {
 		panic(fmt.Sprintf("core: node %d: pruning found no removable interval (Theorem 4 violated)", nd.id))
 	}
 	for _, a := range removable {
-		nd.queues[a].DeleteHead()
+		nd.queue(a).DeleteHead()
 		nd.noteRemovals(1)
 		nd.stats.Pruned++
 	}

@@ -39,107 +39,165 @@ func widen(streams [][]interval.Interval) [][]interval.Interval {
 	return streams
 }
 
-// equivalent drives one sequential-oracle node and one parallel node through
-// an identical schedule — random per-source chunks of a chaotic execution of
-// n processes, interleaved RemoveChild, adoption and ResetSource
-// reconfigurations — and requires byte-identical detections and identical
-// Stats at every point where both have quiesced. Both run Strict, so every
-// verdict the parallel engine decides on a span is recomputed by the full scan.
+// equivalent drives, for each of three schedules — (seed, n) and two
+// companions of other widths — one sequential-oracle node, one parallel node
+// with a region of its own and one parallel node carving from a region all
+// three schedules share, the schedules interleaved pass by pass, the way a
+// substrate worker runs the nodes of many clusters through one region. Each
+// schedule is random per-source chunks of a chaotic execution of n processes,
+// with RemoveChild, adoption and ResetSource reconfigurations interleaved.
+// The three nodes of a schedule must end with byte-identical detections,
+// identical Stats and identical queue accounting. All run Strict, so every
+// verdict the parallel engine decides on a span is recomputed by the full
+// scan.
 func equivalent(t *testing.T, seed int64, n int, exact bool) bool {
-	streams := widen(workload.GenerateChaotic(workload.ChaoticConfig{
-		N: n, Steps: 50 * n, Seed: seed,
-	}).Streams)
-
-	seq := NewNode(99, Config{N: chaoticWidth, Strict: true, KeepMembers: true, ExactPrune: exact}, false)
-	par := NewNode(99, Config{N: chaoticWidth, Strict: true, KeepMembers: true, ExactPrune: exact,
-		Parallel: true}, false)
-	for p := 0; p < n; p++ {
-		seq.AddChild(p)
-		par.AddChild(p)
+	shared := new(Region)
+	lanes := []*lane{
+		newLane(seed, n, exact, shared),
+		newLane(seed^0x5eed, 2+(n+1)%5, exact, shared),
+		newLane(seed^0xfeed, 2+(n+3)%5, exact, shared),
 	}
-
-	rng := rand.New(rand.NewSource(seed ^ 0x9a11e1))
-	idx := make([]int, n)
-	ids := make([]int, n) // the child id stream p feeds
-	for p := range ids {
-		ids[p] = p
-	}
-	removed := make([]bool, n)
-	live := n
-	var seqDets, parDets []Detection
-	for {
-		progressed := false
-		for p := 0; p < n; p++ {
-			if removed[p] {
-				continue
-			}
-			// Reconfigurations, rarely: drop a source (keeping at least two
-			// live so detection stays possible) — for good, or adopted back
-			// under a fresh child id (p and the idle p+8 take turns) that
-			// carries on with the stream — or reset its stream as a repair
-			// epoch would: discard the queue, forget the succession
-			// baseline, keep feeding.
-			if live > 2 && rng.Intn(40) == 0 {
-				seqDets = append(seqDets, seq.RemoveChild(ids[p])...)
-				parDets = append(parDets, par.RemoveChild(ids[p])...)
-				progressed = true
-				if rng.Intn(2) == 0 {
-					ids[p] ^= 8
-					seq.AddChild(ids[p])
-					par.AddChild(ids[p])
-					continue
-				}
-				removed[p] = true
-				live--
-				continue
-			}
-			if rng.Intn(40) == 0 {
-				seq.ResetSource(ids[p])
-				par.ResetSource(ids[p])
-			}
-			left := len(streams[p]) - idx[p]
-			if left == 0 {
-				continue
-			}
-			k := 1 + rng.Intn(left)
-			run := streams[p][idx[p] : idx[p]+k]
-			idx[p] += k
-			progressed = true
-			seqDets = append(seqDets, seq.OnIntervals(ids[p], run)...)
-			parDets = append(parDets, par.OnIntervals(ids[p], run)...)
-		}
-		if !progressed {
-			break
+	for progressed := true; progressed; {
+		progressed = false
+		for _, l := range lanes {
+			progressed = l.pass() || progressed
 		}
 	}
-
-	// Stats (the Algorithm 1 counters) must be identical, and the two
-	// counters of the deleted pruning layers 0 on both engines.
-	ss, ps := seq.Stats(), par.Stats()
-	if ss != ps {
-		t.Logf("seed %d n %d: stats diverge:\n  seq %+v\n  par %+v", seed, n, ss, ps)
-		return false
-	}
-	if ss.FilteredComparisons != 0 || ss.MemoHits != 0 {
-		t.Logf("seed %d n %d: pruning-layer counters are not 0: %+v", seed, n, ss)
-		return false
-	}
-	sc, sh := seq.QueueSizes()
-	pc, ph := par.QueueSizes()
-	if sc != pc || sh != ph {
-		t.Logf("seed %d n %d: queue accounting diverges: seq %d/%d par %d/%d", seed, n, sc, sh, pc, ph)
-		return false
-	}
-	if !bytes.Equal(encodeDetections(seqDets), encodeDetections(parDets)) {
-		t.Logf("seed %d n %d: detection streams diverge (%d vs %d detections)",
-			seed, n, len(seqDets), len(parDets))
-		return false
+	for _, l := range lanes {
+		if !l.agree(t) {
+			return false
+		}
 	}
 	return true
 }
 
-// TestQuickParallelEquivalence checks the parity property: the engine
-// against detectSeq on the same schedule, detections and Stats alike.
+// lane is one schedule fed to its three nodes: nodes[0] the sequential
+// oracle, nodes[1] the parallel engine on a region of its own, nodes[2] the
+// parallel engine on the shared region.
+type lane struct {
+	seed    int64
+	n       int
+	streams [][]interval.Interval
+	nodes   [3]*Node
+	dets    [3][]Detection
+	rng     *rand.Rand
+	idx     []int
+	ids     []int // the child id stream p feeds
+	removed []bool
+	live    int
+}
+
+func newLane(seed int64, n int, exact bool, shared *Region) *lane {
+	l := &lane{
+		seed: seed, n: n,
+		streams: widen(workload.GenerateChaotic(workload.ChaoticConfig{
+			N: n, Steps: 50 * n, Seed: seed,
+		}).Streams),
+		rng:     rand.New(rand.NewSource(seed ^ 0x9a11e1)),
+		idx:     make([]int, n),
+		ids:     make([]int, n),
+		removed: make([]bool, n),
+		live:    n,
+	}
+	for i := range l.nodes {
+		l.nodes[i] = NewNode(99, Config{N: chaoticWidth, Strict: true, KeepMembers: true, ExactPrune: exact,
+			Parallel: i > 0}, false)
+	}
+	l.nodes[2].Use(shared)
+	for p := 0; p < n; p++ {
+		l.ids[p] = p
+		l.each(func(nd *Node) []Detection { nd.AddChild(p); return nil })
+	}
+	return l
+}
+
+// each makes one call on all three nodes, keeping each one's detections
+// before the next node is called: a shared region's result buffer is the
+// next call's.
+func (l *lane) each(call func(*Node) []Detection) {
+	for i, nd := range l.nodes {
+		l.dets[i] = append(l.dets[i], call(nd)...)
+	}
+}
+
+// pass feeds every live source one chunk, reconfiguring rarely, and reports
+// whether anything happened.
+func (l *lane) pass() bool {
+	progressed := false
+	for p := 0; p < l.n; p++ {
+		if l.removed[p] {
+			continue
+		}
+		// Reconfigurations, rarely: drop a source (keeping at least two live
+		// so detection stays possible) — for good, or adopted back under a
+		// fresh child id (p and the idle p+8 take turns) that carries on with
+		// the stream — or reset its stream as a repair epoch would: discard
+		// the queue, forget the succession baseline, keep feeding.
+		if l.live > 2 && l.rng.Intn(40) == 0 {
+			id := l.ids[p]
+			l.each(func(nd *Node) []Detection { return nd.RemoveChild(id) })
+			progressed = true
+			if l.rng.Intn(2) == 0 {
+				l.ids[p] ^= 8
+				id = l.ids[p]
+				l.each(func(nd *Node) []Detection { nd.AddChild(id); return nil })
+				continue
+			}
+			l.removed[p] = true
+			l.live--
+			continue
+		}
+		if l.rng.Intn(40) == 0 {
+			id := l.ids[p]
+			l.each(func(nd *Node) []Detection { nd.ResetSource(id); return nil })
+		}
+		left := len(l.streams[p]) - l.idx[p]
+		if left == 0 {
+			continue
+		}
+		k := 1 + l.rng.Intn(left)
+		run, id := l.streams[p][l.idx[p]:l.idx[p]+k], l.ids[p]
+		l.idx[p] += k
+		progressed = true
+		l.each(func(nd *Node) []Detection { return nd.OnIntervals(id, run) })
+	}
+	return progressed
+}
+
+// agree checks the three nodes against the oracle: Stats (the Algorithm 1
+// counters, the two counters of the deleted pruning layers 0), queue
+// accounting and the detection streams.
+func (l *lane) agree(t *testing.T) bool {
+	seq := l.nodes[0]
+	ss := seq.Stats()
+	if ss.FilteredComparisons != 0 || ss.MemoHits != 0 {
+		t.Logf("seed %d n %d: pruning-layer counters are not 0: %+v", l.seed, l.n, ss)
+		return false
+	}
+	sc, sh := seq.QueueSizes()
+	want := encodeDetections(l.dets[0])
+	for i, nd := range l.nodes[1:] {
+		which := [...]string{"own region", "shared region"}[i]
+		if ps := nd.Stats(); ss != ps {
+			t.Logf("seed %d n %d: stats diverge (%s):\n  seq %+v\n  par %+v", l.seed, l.n, which, ss, ps)
+			return false
+		}
+		if pc, ph := nd.QueueSizes(); sc != pc || sh != ph {
+			t.Logf("seed %d n %d: queue accounting diverges (%s): seq %d/%d par %d/%d", l.seed, l.n, which, sc, sh, pc, ph)
+			return false
+		}
+		if !bytes.Equal(want, encodeDetections(l.dets[i+1])) {
+			t.Logf("seed %d n %d: detection streams diverge (%s): %d vs %d detections",
+				l.seed, l.n, which, len(l.dets[0]), len(l.dets[i+1]))
+			return false
+		}
+	}
+	return true
+}
+
+// TestQuickParallelEquivalence checks the parity property: the engine, on a
+// region of its own and on one shared with other nodes, against detectSeq on
+// the same schedule, detections and Stats alike.
 func TestQuickParallelEquivalence(t *testing.T) {
 	f := func(seed int64, nSel uint8) bool { return parallelEquivalent(t, seed, nSel) }
 	if err := quick.Check(f, &quick.Config{MaxCount: 180}); err != nil {
@@ -216,8 +274,8 @@ func TestParallelEpochInterleaving(t *testing.T) {
 // TestDetectingCallAllocates pins what a detecting call of the parallel
 // engine allocates: clock pairs, solution sets and the copies OnInterval
 // keeps, all carved from the node's region a slab at a time, and nothing
-// else. The result slice is the node's own buffer (see
-// OnInterval), and a set of more than one member whose merged span equals
+// else. The result slice is the region's buffer (see OnInterval), and a
+// set of more than one member whose merged span equals
 // the previous aggregate's shares that slice (interval.AggregateRefs); built
 // fresh per call each was one more allocation.
 func TestDetectingCallAllocates(t *testing.T) {

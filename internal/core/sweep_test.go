@@ -39,7 +39,7 @@ func deletions(pairs []pair, verdicts []cmpVerdict) []int {
 func checkSweep(t *testing.T, nd *Node, pairs []pair, verdicts []cmpVerdict) {
 	all := make([]cmpVerdict, len(pairs))
 	for i, p := range pairs {
-		all[i] = nd.verdict(nd.qs[p.a].Head(), nd.qs[p.b].Head())
+		all[i] = nd.verdict(nd.srcs[p.a].q.Head(), nd.srcs[p.b].q.Head())
 	}
 	if got, want := deletions(pairs, verdicts), deletions(pairs, all); !slices.Equal(got, want) {
 		t.Fatalf("node %d: a round of %d pairs deletes positions %v, the all-pairs evaluation %v", nd.id, len(pairs), got, want)

@@ -60,6 +60,7 @@
 package livenet
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -250,10 +251,21 @@ type Cluster struct {
 	closeOnce sync.Once
 }
 
-// New builds and starts a cluster over the alive nodes of the topology.
+// New is Open, panicking on its error.
 func New(cfg Config) *Cluster {
+	c, err := Open(cfg)
+	if err != nil {
+		panic(err.Error())
+	}
+	return c
+}
+
+// Open builds and starts a cluster over the alive nodes of the topology (or
+// LocalNodes). It fails on a missing topology, a LocalNodes entry not alive in
+// it or a transport that fails to start, leaving nothing running.
+func Open(cfg Config) (*Cluster, error) {
 	if cfg.Topology == nil {
-		panic("livenet: Topology is required")
+		return nil, errors.New("livenet: Topology is required")
 	}
 	if cfg.MaxDelay == 0 {
 		cfg.MaxDelay = 200 * time.Microsecond
@@ -277,10 +289,10 @@ func New(cfg Config) *Cluster {
 	if cfg.Transport != nil && len(cfg.LocalNodes) > 0 {
 		hosted = cfg.LocalNodes
 	}
-	// Checked before anything is started, so the panic leaves nothing running.
+	// Checked before anything is started.
 	for _, id := range hosted {
 		if !cfg.Topology.Alive(id) {
-			panic(fmt.Sprintf("livenet: LocalNodes lists dead or unknown node %d", id))
+			return nil, fmt.Errorf("livenet: LocalNodes lists dead or unknown node %d", id)
 		}
 	}
 	sched := cfg.Scheduler
@@ -310,7 +322,7 @@ func New(cfg Config) *Cluster {
 		initLiveNode(&slab[i], c, id)
 		c.nodes[id] = &slab[i]
 	}
-	c.registerFamilies()
+	c.registerFamilies(len(hosted))
 	if c.remote {
 		// A transport that knows how to describe itself (tcptransport does)
 		// joins the cluster's registry and event stream before any traffic
@@ -322,7 +334,7 @@ func New(cfg Config) *Cluster {
 		}
 		if err := cfg.Transport.Start(c.onFrame); err != nil {
 			c.leaveSched()
-			panic(fmt.Sprintf("livenet: transport start: %v", err))
+			return nil, fmt.Errorf("livenet: transport start: %w", err)
 		}
 	}
 	if cfg.HbEvery > 0 {
@@ -332,7 +344,7 @@ func New(cfg Config) *Cluster {
 			c.sched.wheel.schedule(ln, message{kind: msgHbTick}, first, cfg.HbEvery)
 		}
 	}
-	return c
+	return c, nil
 }
 
 // hosted returns process p's node, or nil if this cluster does not host it.
@@ -703,31 +715,35 @@ type rxSlabs struct {
 // onFrame is the transport's receive callback: decode — nothing decoded
 // refers to frame, which is the transport's again once onFrame returns —
 // then hand the message to the addressed node through the same credited
-// post as local traffic.
-// Frames that fail to decode are counted and dropped — the wire package's
-// typed errors guarantee a corrupt frame cannot crash the node, one of the
-// satellite guarantees of the transport work.
+// post as local traffic. A frame that fails to decode is counted and dropped:
+// the wire package's typed errors keep a corrupt frame from crashing a node.
 func (c *Cluster) onFrame(to int, frame []byte) {
 	ln := c.hosted(to)
 	if ln == nil {
 		return // misrouted: addressed to a node another participant hosts
 	}
+	if msg, ok := c.decode(frame); ok {
+		c.post(to, msg, 0)
+	} else {
+		ln.m.badFrames.Add(1)
+	}
+}
+
+// decode turns a frame into the message it carries, or reports it bad: it
+// failed to decode, or it is validly framed but of a kind a bare cluster
+// does not consume (a tenant envelope that escaped its mux, or a future
+// addition) — dropped, not a zero-value message.
+func (c *Cluster) decode(frame []byte) (message, bool) {
 	kind, err := wire.FrameKind(frame)
 	if err != nil {
-		ln.m.badFrames.Add(1)
-		return
+		return message{}, false
 	}
-	var msg message
 	switch kind {
 	case wire.KindReport:
-		r, err := wire.DecodeReport(frame)
-		if err != nil {
-			ln.m.badFrames.Add(1)
-			return
-		}
 		// A node only reports aggregates it created, so the interval's
 		// origin identifies the sender.
-		msg = message{kind: msgReport, from: r.Iv.Origin, seq: r.LinkSeq, epoch: r.Epoch, agg: &r.Iv}
+		r, err := wire.DecodeReport(frame)
+		return message{kind: msgReport, from: r.Iv.Origin, seq: r.LinkSeq, epoch: r.Epoch, agg: &r.Iv}, err == nil
 	case wire.KindReportBatch:
 		// Decoded with its clocks carved from pooled slabs, each report moved
 		// into a home beside them, and referred to from a recycled batch (the
@@ -747,33 +763,18 @@ func (c *Cluster) onFrame(to int, frame []byte) {
 		c.rx.Put(rx)
 		if err != nil {
 			batch.recycle()
-			ln.m.badFrames.Add(1)
-			return
+			return message{}, false
 		}
-		msg = message{kind: msgReportBatch, from: batch.reps[0].Iv.Origin, batch: batch}
+		return message{kind: msgReportBatch, from: batch.reps[0].Iv.Origin, batch: batch}, true
 	case wire.KindHeartbeat:
 		hb, err := wire.DecodeHeartbeat(frame)
-		if err != nil {
-			ln.m.badFrames.Add(1)
-			return
-		}
-		msg = message{kind: msgHeartbeat, from: hb.Sender, epoch: hb.Epoch, born: c.now(),
-			ext: &msgExt{hb: hbInfo{rootSeeking: hb.RootSeeking, covered: hb.Covered}}}
+		return message{kind: msgHeartbeat, from: hb.Sender, epoch: hb.Epoch, born: c.now(),
+			ext: &msgExt{hb: hbInfo{rootSeeking: hb.RootSeeking, covered: hb.Covered}}}, err == nil
 	case wire.KindAttach:
 		a, err := wire.DecodeAttach(frame)
-		if err != nil {
-			ln.m.badFrames.Add(1)
-			return
-		}
-		msg = message{kind: msgAttach, from: a.From, ext: &msgExt{att: a.Msg}}
-	default:
-		// Valid framing of a kind a bare cluster does not consume (a tenant
-		// envelope that escaped its mux, or a future addition): dropped, not
-		// a zero-value message.
-		ln.m.badFrames.Add(1)
-		return
+		return message{kind: msgAttach, from: a.From, ext: &msgExt{att: a.Msg}}, err == nil
 	}
-	c.post(to, msg, 0)
+	return message{}, false
 }
 
 // rootSeekingLocked reports whether the root of id's current tree (per the

@@ -106,9 +106,9 @@ type nodeMetrics struct {
 // Runs on the node's goroutine, the only writer of reseq and the gauges.
 func (ln *liveNode) gaugeReseq() {
 	buffered, dropped := 0, 0
-	for _, cs := range ln.reseq {
-		buffered += cs.rs.Buffered()
-		dropped += cs.rs.Dropped()
+	for i := range ln.reseq {
+		buffered += ln.reseq[i].rs.Buffered()
+		dropped += ln.reseq[i].rs.Dropped()
 	}
 	ln.m.reseqBuffered.Store(int64(buffered))
 	if int64(buffered) > ln.m.reseqHigh.Load() {
@@ -356,16 +356,14 @@ func (c *Cluster) emitEvent(e obsv.Event) {
 // gauges (func-backed — the scrape reads the same atomics the snapshots do,
 // no hot-path double bookkeeping), the scheduler plane, the timer wheel, the
 // lifecycle ledger and the per-kind event counts. Called once from New.
-func (c *Cluster) registerFamilies() {
-	ids := c.NodeIDs()
-	labels := make([]string, len(ids))
-	for i, id := range ids {
-		labels[i] = strconv.Itoa(id)
-	}
+func (c *Cluster) registerFamilies(hosted int) {
+	// The node labels are formatted at scrape time: a tenant plane registers
+	// thousands of nodes that are rarely scraped.
+	byNode := []string{"node"}
 	perNode := func(name, help string, kind obsv.Kind, get func(ln *liveNode) float64) {
-		c.reg.Func(name, help, kind, []string{"node"}, func(emit func(float64, ...string)) {
-			for i, id := range ids {
-				emit(get(c.nodes[id]), labels[i])
+		c.reg.Func(name, help, kind, byNode, func(emit func(float64, ...string)) {
+			for id, ln := range c.each {
+				emit(get(ln), strconv.Itoa(id))
 			}
 		})
 	}
@@ -453,7 +451,7 @@ func (c *Cluster) registerFamilies() {
 		obsv.KindCounter, nil, func(emit func(float64, ...string)) { emit(float64(c.sched.wheel.ticksTotal.Load())) })
 
 	// Lifecycle ledger.
-	c.reg.Gauge("hierdet_cluster_nodes", "Detector nodes hosted by this cluster.").Set(float64(len(ids)))
+	c.reg.Gauge("hierdet_cluster_nodes", "Detector nodes hosted by this cluster.").Set(float64(hosted))
 	c.reg.Func("hierdet_cluster_pending_credits", "Outstanding message credits (0 = quiescent).",
 		obsv.KindGauge, nil, func(emit func(float64, ...string)) {
 			c.mu.Lock()

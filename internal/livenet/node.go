@@ -91,56 +91,32 @@ type liveNode struct {
 	lastAgg *interval.Interval // most recent aggregate, for resend-on-adopt; nil before the first
 
 	// log is every detection this node has found, in order, its records
-	// carved from reg, the draining worker's region. Worker-confined like
-	// everything below; teardown reads log once no worker runs the node.
+	// carved from the draining worker's region and its chunks from that
+	// worker's slab. Worker-confined like everything below; teardown reads
+	// log once no worker runs the node.
 	log detectionLog
-	reg *core.Region
+	// w is the worker draining the node — its region and the drain's
+	// staging, report buffer and stamps included — set at every drain and
+	// used only inside one.
+	w *staging
 
-	// Report coalescing state (Config.AdaptiveFlush). outBuf holds reports
-	// owed to the parent until the worker reaches the end of the current
-	// mailbox drain, when it leaves as the flush's message (nil from then to
-	// the next report). credits counts the ledger credits the drain holds
-	// until its end (runNode) — its messages', or the one emit took when it
-	// held none: they cover the buffer, and the flush leaves on one of them.
-	outBuf  *reportBatch
-	credits int
-	// born is the stamp of the message currently being handled (see
-	// message.born); bufBorn carries the oldest stamp among the reports
-	// sitting in outBuf, so a coalesced flush propagates the stamp of the
-	// observation that has been waiting longest. Worker-confined.
-	born    int64
-	bufBorn int64
-	// foundAt is the wall clock (UnixNano) read for the message currently
-	// being handled, 0 until its first detection asks: every detection of
-	// one handle is stamped with the same reading.
-	foundAt int64
-
-	ivScratch  []*interval.Interval // reused batch-ingestion staging
-	rdyScratch []repair.Ref         // reused resequencer release staging
-
-	reseq     []childSeq    // one per current child, in no order
-	epochs    repair.Epochs // value: the zero Epochs is ready to use
-	seeker    *repair.Seeker
-	adopter   *repair.Adopter
-	suspected map[int]bool
+	reseq  []childSeq    // one per current child, in no order
+	epochs repair.Epochs // value: the zero Epochs is ready to use
 
 	// Failure-detector state (worker-confined, like everything above): the
 	// parent and the current children, each with the estimate of its beat
 	// rhythm; empty without heartbeats.
 	watched repair.Links
-	// Distributed mode only, fed by heartbeat messages: the covered set each
-	// child last reported, this node's own (built on demand, nil when stale,
-	// never modified once handed out), and whether the parent said this
-	// tree's root is seeking.
-	covered       map[int][]int
-	ownCov        []int
-	rootSeekingHB bool
+	// rep is the repair and distributed-mode failure-detector state, nil
+	// until first needed (getRep): a healthy node never pays for it.
+	rep *repairState
 
-	// rng drives this node's delivery-delay jitter. PCG rather than the
-	// classic rand.Source: seeding the latter costs ~20µs of warmup per
-	// node, which at p≥512 turns into >10ms of pure startup overhead per
-	// cluster.
-	rng *rand.Rand
+	// rng drives this node's delivery-delay jitter, held by value with its
+	// source. PCG rather than the classic rand.Source: seeding the latter
+	// costs ~20µs of warmup per node, which at p≥512 turns into >10ms of
+	// pure startup overhead per cluster.
+	pcg rand.PCG
+	rng rand.Rand
 
 	m nodeMetrics
 	// lastPruned is the detector's Pruned count as of the last syncCoreStats,
@@ -148,19 +124,40 @@ type liveNode struct {
 	lastPruned int
 }
 
-// childSeq is one child's resequencer. A node has a handful of children and
-// looks one up on every report message, so a slice scan beats a map.
+// repairState is what only repair touches: the state machines (each built
+// on first use), the suspects, and in distributed mode, fed by beats, each
+// child's covered set, this node's own (nil when stale, never modified once
+// handed out) and whether the parent said this tree's root is seeking.
+type repairState struct {
+	seeker        *repair.Seeker
+	adopter       *repair.Adopter
+	suspected     map[int]bool
+	covered       map[int][]int
+	ownCov        []int
+	rootSeekingHB bool
+}
+
+// getRep returns the node's repair state, building it on first use.
+func (ln *liveNode) getRep() *repairState {
+	if ln.rep == nil {
+		ln.rep = &repairState{suspected: make(map[int]bool), covered: make(map[int][]int)}
+	}
+	return ln.rep
+}
+
+// childSeq is one child's resequencer, by value (the zero one expects 0). A
+// node looks one up among a handful on every report: a scan beats a map.
 type childSeq struct {
 	child int
-	rs    *repair.Resequencer[repair.Ref]
+	rs    repair.Resequencer[repair.Ref]
 }
 
 // resequencer returns child's resequencer, or nil if child is not a current
-// child.
+// child; the pointer lives until a child is added or dropped.
 func (ln *liveNode) resequencer(child int) *repair.Resequencer[repair.Ref] {
-	for _, cs := range ln.reseq {
-		if cs.child == child {
-			return cs.rs
+	for i := range ln.reseq {
+		if ln.reseq[i].child == child {
+			return &ln.reseq[i].rs
 		}
 	}
 	return nil
@@ -185,36 +182,45 @@ func (b *reportBatch) recycle() {
 }
 
 // detectionLog is one node's detections in the order it found them: 24-byte
-// entries pointing at records carved from the worker's region. The node's
-// worker is the only writer, so recording takes no lock; teardown lays the
-// logs end to end (concatLogs). Chunks double from detLogMin entries up to
-// detLogMax: a tenant plane has thousands of nodes that find a few dozen
-// detections each, and a fixed large chunk apiece is megabytes, while a busy
-// node soon allocates detLogMax at a time. No entry is ever moved.
+// entries pointing at records carved from the worker's region, in a chain of
+// 8-entry chunks (200 bytes) carved from the worker's slab (deliver), so a
+// node costs what it found plus one chunk's tail. The node's worker is the
+// only writer, so recording takes no lock; teardown lays the logs end to end
+// (concatLogs). No entry is ever moved.
 type detectionLog struct {
-	full [][]Detection // filled chunks, oldest first
-	cur  []Detection   // the chunk being filled
-	n    int           // entries in all
+	head, tail *logChunk
+	n, slots   int // entries in all, and room in the chunks linked
 }
 
-const (
-	detLogMin = 4
-	detLogMax = 64 // the unfilled tail of a busy node's last chunk is the log's only waste
-)
+const detLogChunk = 8
 
+type logChunk struct {
+	next *logChunk
+	ents [detLogChunk]Detection
+}
+
+// add appends d, linking a chunk of its own if none was linked for it.
 func (l *detectionLog) add(d Detection) {
-	if len(l.cur) == cap(l.cur) {
-		if l.cur != nil {
-			l.full = append(l.full, l.cur)
-		}
-		l.cur = make([]Detection, 0, min(max(2*cap(l.cur), detLogMin), detLogMax))
+	if l.n == l.slots {
+		l.link(new(logChunk))
 	}
-	l.cur = append(l.cur, d)
+	l.tail.ents[l.n%detLogChunk] = d
 	l.n++
 }
 
+func (l *detectionLog) link(c *logChunk) {
+	if l.tail == nil {
+		l.head = c
+	} else {
+		l.tail.next = c
+	}
+	l.tail = c
+	l.slots += detLogChunk
+}
+
 // concatLogs empties the logs into one exactly-sized list, log after log —
-// entries, not records: each record stays where it was carved. The caller
+// entries, not records: each record stays where it was carved. A chunk shares
+// a slab with other nodes', so it is cleared as it is copied. The caller
 // passes the logs in node-id order and each is in its node's Agg.Seq order
 // already (a node numbers its aggregates as it finds them), which makes the
 // result the list sorted by (node, Agg.Seq); a run found out of order is
@@ -227,10 +233,11 @@ func concatLogs(logs []*detectionLog) []Detection {
 	out := make([]Detection, 0, total)
 	for _, l := range logs {
 		begin := len(out)
-		for _, chunk := range l.full {
-			out = append(out, chunk...)
+		for c, left := l.head, l.n; c != nil; c, left = c.next, left-detLogChunk {
+			ents := c.ents[:min(left, detLogChunk)]
+			out = append(out, ents...)
+			clear(ents)
 		}
-		out = append(out, l.cur...)
 		*l = detectionLog{}
 		run := out[begin:]
 		bySeq := func(i, j int) bool { return run[i].Det.Agg.Seq < run[j].Det.Agg.Seq }
@@ -253,21 +260,18 @@ func initLiveNode(ln *liveNode, c *Cluster, id int) {
 	}
 	ln.c = c
 	ln.id = id
-	ln.node = core.NewNode(id, coreCfg, true)
+	children := c.topo.Children(id)
+	ln.node = core.NewNode(id, coreCfg, true, children...)
 	ln.parent = c.topo.Parent(id)
-	ln.rng = rand.New(rand.NewPCG(uint64(c.cfg.Seed), uint64(id)<<17|1))
+	ln.pcg = *rand.NewPCG(uint64(c.cfg.Seed), uint64(id)<<17|1)
+	ln.rng = *rand.New(&ln.pcg)
 	ln.mb.init()
-	// The failure-detector maps (suspected, covered) and the repair state
-	// machines (seeker, adopter) build lazily on first touch: a
-	// healthy node never pays for them, which at hundreds of tenants is a
-	// visible slice of registration's allocation bill. All of them are
-	// worker-confined, so first-touch construction needs no lock.
 	if ln.parent != tree.None {
 		ln.watched.Add(ln.parent, c.cfg.HbEvery, c.now())
 	}
-	for _, child := range c.topo.Children(id) {
-		ln.node.AddChild(child)
-		ln.reseq = append(ln.reseq, childSeq{child, repair.NewResequencer[repair.Ref]()})
+	ln.reseq = make([]childSeq, 0, len(children))
+	for _, child := range children {
+		ln.reseq = append(ln.reseq, childSeq{child: child})
 		ln.watched.Add(child, c.cfg.HbEvery, c.now())
 		if c.remote {
 			// Seed each child's covered set from the initial topology (every
@@ -279,7 +283,7 @@ func initLiveNode(ln *liveNode, c *Cluster, id int) {
 
 // handle runs one message; a msgLocal's seq indexes the drain's locals.
 func (ln *liveNode) handle(msg *message, locals []interval.Interval) {
-	ln.born, ln.foundAt = msg.born, 0
+	ln.w.born, ln.w.foundAt = msg.born, 0
 	switch msg.kind {
 	case msgLocal:
 		ln.c.emitEvent(obsv.Event{Kind: obsv.IntervalObserved, Node: ln.id, Peer: obsv.NoPeer, Count: 1})
@@ -287,40 +291,36 @@ func (ln *liveNode) handle(msg *message, locals []interval.Interval) {
 	case msgLocalBatch:
 		ln.c.emitEvent(obsv.Event{Kind: obsv.IntervalObserved, Node: ln.id, Peer: obsv.NoPeer, Count: len(msg.ext.ivs)})
 		ln.deliver(ln.node.OnIntervals(ln.id, msg.ext.ivs))
-	case msgReport:
+	case msgReport, msgReportBatch:
 		ln.m.msgsIn.Add(1)
 		ln.alive(msg.from)
+		one := [1]repair.Ref{{Iv: msg.agg, LinkSeq: msg.seq, Epoch: msg.epoch}}
+		reps := one[:]
+		if msg.batch != nil {
+			reps = msg.batch.reps
+		}
 		rs := ln.resequencer(msg.from)
 		if rs == nil {
-			// Report from a process that is no longer our child (in flight
-			// across a repair); it belongs to the new parent's stream now.
-			ln.m.stale.Add(1)
+			// Reports from a process that is no longer our child (in flight
+			// across a repair); they belong to the new parent's stream now.
+			ln.m.stale.Add(int64(len(reps)))
 			return
 		}
-		ln.c.emitEvent(obsv.Event{Kind: obsv.ReportRecv, Node: ln.id, Peer: msg.from, Seq: msg.seq, Count: 1})
-		ln.rdyScratch = rs.AcceptInto(&repair.Ref{Iv: msg.agg, LinkSeq: msg.seq, Epoch: msg.epoch}, ln.rdyScratch[:0])
-		ln.ingest(msg.from, ln.rdyScratch)
-		ln.gaugeReseq()
-	case msgReportBatch:
-		ln.m.msgsIn.Add(1)
-		ln.alive(msg.from)
-		rs := ln.resequencer(msg.from)
-		if rs == nil {
-			ln.m.stale.Add(int64(len(msg.batch.reps)))
-			return
-		}
-		reps := msg.batch.reps
 		ln.c.emitEvent(obsv.Event{Kind: obsv.ReportRecv, Node: ln.id, Peer: msg.from,
 			Seq: reps[0].LinkSeq, Count: len(reps)})
+		w := ln.w
 		for i := range reps {
 			if rs.AcceptNext(reps[i].LinkSeq) {
 				ln.ingest(msg.from, reps[i:i+1]) // in order: straight from the batch
 				continue
 			}
-			ln.rdyScratch = rs.AcceptInto(&reps[i], ln.rdyScratch[:0])
-			ln.ingest(msg.from, ln.rdyScratch)
+			w.rdy = rs.AcceptInto(&reps[i], w.rdy[:0])
+			ln.ingest(msg.from, w.rdy)
+			clear(w.rdy)
 		}
-		msg.batch.recycle()
+		if msg.batch != nil {
+			msg.batch.recycle()
+		}
 		ln.gaugeReseq()
 	case msgAttach:
 		ln.m.msgsIn.Add(1)
@@ -332,17 +332,17 @@ func (ln *liveNode) handle(msg *message, locals []interval.Interval) {
 			w.Beat(msg.born)
 		}
 		hb := &msg.ext.hb
-		if msg.from == ln.parent {
-			ln.rootSeekingHB = hb.rootSeeking
+		if msg.from == ln.parent && (hb.rootSeeking || ln.rep != nil) {
+			ln.getRep().rootSeekingHB = hb.rootSeeking
 		}
 		if hb.covered != nil && ln.resequencer(msg.from) != nil {
 			ln.setCovered(msg.from, hb.covered)
 		}
 	case msgHbTick:
-		ln.born = 0 // no observation's stamp: a child drop may deliver detections
+		ln.w.born = 0 // no observation's stamp: a child drop may deliver detections
 		ln.heartbeat(msg.born)
 	case msgHbCheck:
-		ln.born = 0
+		ln.w.born = 0
 		if w := ln.watched.Of(msg.from); w != nil {
 			ln.check(w, msg.born+1, 0)
 		}
@@ -365,30 +365,33 @@ func (ln *liveNode) ingest(from int, ready []repair.Ref) {
 		if ln.epochs.Observe(from, ready[i].Epoch) {
 			ln.node.ResetSource(from)
 		}
-		ivs := ln.ivScratch[:0]
+		ivs := ln.w.ivs[:0]
 		j := i
 		for ; j < len(ready) && ready[j].Epoch == ready[i].Epoch; j++ {
 			ivs = append(ivs, ready[j].Iv)
 		}
 		ln.deliver(ln.node.OnRefs(from, ivs))
 		clear(ivs)
-		ln.ivScratch = ivs[:0]
+		ln.w.ivs = ivs[:0]
 		i = j
 	}
 }
 
 // deliver logs a batch of detections, tells the sink — on this node's worker,
 // so SolutionFound events keep the node's causal order — and reports each
-// aggregate upward. dets is the detector's own buffer (core.Node.OnInterval):
-// each Detection is copied out here once, into a record carved from the
-// worker's region, before the node is called again; the report and the
-// parent's queue refer to the record's Agg.
+// aggregate upward. dets is the worker region's result buffer
+// (core.Node.OnInterval): each Detection is copied out here once, into a
+// record carved from that region, before any node is called again; the
+// report and the parent's queue refer to the record's Agg.
 func (ln *liveNode) deliver(dets []core.Detection) {
 	for i := range dets {
-		rec := ln.reg.Keep(&dets[i])
+		rec := ln.w.reg.Keep(&dets[i])
 		atRoot := ln.parent == tree.None
 		ln.m.detections.Add(1)
 		ln.noteLatency()
+		if ln.log.n == ln.log.slots {
+			ln.log.link(&ln.w.chunks.Carve(1)[0])
+		}
 		ln.log.add(Detection{Node: ln.id, AtRoot: atRoot, Det: rec})
 		ln.c.emitEvent(obsv.Event{Kind: obsv.SolutionFound, Node: ln.id, Peer: obsv.NoPeer,
 			Seq: rec.Agg.Seq, Count: 1, AtRoot: atRoot, Agg: rec.Agg, Set: rec.Set})
@@ -400,18 +403,18 @@ func (ln *liveNode) deliver(dets []core.Detection) {
 
 // noteLatency records one observe→SolutionFound measurement: a detection was
 // just found whose triggering cascade began with an Observe stamped at
-// ln.born (UnixNano). The clock is read once per handled message, not per
+// the drain's born (UnixNano). The clock is read once per handled message, not per
 // detection — a handle's detections are microseconds apart, and the read was
 // 3 % of a wide node's CPU.
 func (ln *liveNode) noteLatency() {
-	h := ln.c.latHist
-	if h == nil || ln.born <= 0 {
+	h, w := ln.c.latHist, ln.w
+	if h == nil || w.born <= 0 {
 		return
 	}
-	if ln.foundAt == 0 {
-		ln.foundAt = time.Now().UnixNano()
+	if w.foundAt == 0 {
+		w.foundAt = time.Now().UnixNano()
 	}
-	if d := ln.foundAt - ln.born; d > 0 {
+	if d := w.foundAt - w.born; d > 0 {
 		h.Observe(float64(d) / 1e9)
 	}
 }
@@ -445,25 +448,26 @@ func (ln *liveNode) emit(agg *interval.Interval) {
 	if !ln.c.cfg.AdaptiveFlush {
 		ln.m.msgsOut.Add(1)
 		ln.c.emitEvent(obsv.Event{Kind: obsv.ReportSent, Node: ln.id, Peer: ln.parent, Seq: pl.LinkSeq, Count: 1})
-		ln.c.send(ln.parent, message{kind: msgReport, from: ln.id, seq: pl.LinkSeq, epoch: pl.Epoch, agg: pl.Iv, born: ln.born}, ln.delay())
+		ln.c.send(ln.parent, message{kind: msgReport, from: ln.id, seq: pl.LinkSeq, epoch: pl.Epoch, agg: pl.Iv, born: ln.w.born}, ln.delay())
 		return
 	}
-	ln.bufferBorn()
-	if ln.outBuf == nil {
-		ln.outBuf = batchPool.Get().(*reportBatch)
+	w := ln.w
+	w.bufferBorn()
+	if w.outBuf == nil {
+		w.outBuf = batchPool.Get().(*reportBatch)
 	}
-	ln.outBuf.reps = append(ln.outBuf.reps, pl)
-	if ln.credits == 0 && ln.c.credit() {
-		ln.credits = 1
+	w.outBuf.reps = append(w.outBuf.reps, pl)
+	if w.credits == 0 && ln.c.credit() {
+		w.credits = 1
 	}
 }
 
 // bufferBorn folds the current handle's observation stamp into the buffered
 // flush's: a coalesced batch carries the oldest stamp among its reports, so
 // latency attribution never flatters coalescing.
-func (ln *liveNode) bufferBorn() {
-	if ln.born > 0 && (ln.bufBorn == 0 || ln.born < ln.bufBorn) {
-		ln.bufBorn = ln.born
+func (w *staging) bufferBorn() {
+	if w.born > 0 && (w.bufBorn == 0 || w.born < w.bufBorn) {
+		w.bufBorn = w.born
 	}
 }
 
@@ -473,17 +477,16 @@ func (ln *liveNode) bufferBorn() {
 // drain, and synchronously before a parent switch — buffered sequence
 // numbers belong to the old link, so they must go (or be lost) there.
 func (ln *liveNode) flushReports(held bool) (spent bool) {
-	batch := ln.outBuf
+	w := ln.w
+	batch, born := w.outBuf, w.bufBorn
 	if batch == nil {
 		return false
 	}
-	ln.outBuf = nil
+	w.outBuf, w.bufBorn = nil, 0
 	if ln.parent == tree.None {
 		batch.recycle()
 		return false
 	}
-	born := ln.bufBorn
-	ln.bufBorn = 0
 	ln.m.msgsOut.Add(1)
 	ln.m.batchFlushes.Add(1)
 	ln.c.emitEvent(obsv.Event{Kind: obsv.ReportSent, Node: ln.id, Peer: ln.parent,
@@ -495,8 +498,10 @@ func (ln *liveNode) flushReports(held bool) (spent bool) {
 // detections the removal unblocked.
 func (ln *liveNode) dropChild(child int) []core.Detection {
 	ln.reseq = slices.DeleteFunc(ln.reseq, func(s childSeq) bool { return s.child == child })
-	delete(ln.covered, child)
-	ln.ownCov = nil
+	if ln.rep != nil {
+		delete(ln.rep.covered, child)
+		ln.rep.ownCov = nil
+	}
 	ln.watched.Drop(child)
 	ln.epochs.Forget(child)
 	ln.epochs.Bump()
@@ -538,7 +543,7 @@ func (ln *liveNode) heartbeat(due int64) {
 	now := c.now()
 	if c.remote {
 		beat := message{kind: msgHeartbeat, from: ln.id, epoch: ln.epochs.Peek(), born: now,
-			ext: &msgExt{hb: hbInfo{rootSeeking: ln.rootSeekingHB || ln.seeking(), covered: ln.ownCovered()}}}
+			ext: &msgExt{hb: hbInfo{rootSeeking: ln.rep != nil && ln.rep.rootSeekingHB || ln.seeking(), covered: ln.ownCovered()}}}
 		for i := range ln.watched {
 			c.send(ln.watched[i].Peer, beat, 0)
 		}
@@ -590,7 +595,7 @@ func (ln *liveNode) unvouched(w *repair.Watched) int64 {
 // ahead of it in the mailbox. w may be gone from the list on return.
 func (ln *liveNode) check(w *repair.Watched, asOf, next int64) {
 	c := ln.c
-	if ln.suspected[w.Peer] {
+	if ln.rep != nil && ln.rep.suspected[w.Peer] {
 		return
 	}
 	if pn := c.hosted(w.Peer); !c.remote && pn != nil {
@@ -610,15 +615,16 @@ func (ln *liveNode) check(w *repair.Watched, asOf, next int64) {
 // bookkeeping. Beats and attach requests carry the slice to other nodes, so a
 // change builds a new one.
 func (ln *liveNode) ownCovered() []int {
-	if ln.ownCov == nil {
+	rep := ln.getRep()
+	if rep.ownCov == nil {
 		out := []int{ln.id}
-		for _, cov := range ln.covered {
+		for _, cov := range rep.covered {
 			out = append(out, cov...)
 		}
 		sort.Ints(out)
-		ln.ownCov = slices.Compact(out)
+		rep.ownCov = slices.Compact(out)
 	}
-	return ln.ownCov
+	return rep.ownCov
 }
 
 // suspect handles a stale beacon or heartbeat silence. For a peer this
@@ -648,10 +654,7 @@ func (ln *liveNode) suspect(peer int) {
 		c.seeking[ln.id] = true
 		c.mu.Unlock()
 	}
-	if ln.suspected == nil {
-		ln.suspected = make(map[int]bool)
-	}
-	ln.suspected[peer] = true
+	ln.getRep().suspected[peer] = true
 	ln.c.emitEvent(obsv.Event{Kind: obsv.NodeSuspected, Node: ln.id, Peer: peer, Count: 1})
 	switch {
 	case peer == ln.parent:
@@ -665,39 +668,37 @@ func (ln *liveNode) suspect(peer int) {
 	}
 }
 
-// getSeeker returns the node's orphan-root state machine, building it on
-// first use (see initLiveNode: repair state is lazy).
+// getSeeker and getAdopter return the node's orphan-root and candidate state
+// machines, building each on first use.
 func (ln *liveNode) getSeeker() *repair.Seeker {
-	if ln.seeker == nil {
-		ln.seeker = repair.NewSeeker(ln.id, ln)
+	if rep := ln.getRep(); rep.seeker == nil {
+		rep.seeker = repair.NewSeeker(ln.id, ln)
 	}
-	return ln.seeker
+	return ln.rep.seeker
 }
 
-// getAdopter returns the node's candidate state machine, building it on
-// first use.
 func (ln *liveNode) getAdopter() *repair.Adopter {
-	if ln.adopter == nil {
-		ln.adopter = repair.NewAdopter(ln.id, ln)
+	if rep := ln.getRep(); rep.adopter == nil {
+		rep.adopter = repair.NewAdopter(ln.id, ln)
 	}
-	return ln.adopter
+	return ln.rep.adopter
 }
 
 // seeking reports whether this node is renegotiating a parent, without
 // forcing the seeker into existence.
-func (ln *liveNode) seeking() bool { return ln.seeker != nil && ln.seeker.Seeking() }
+func (ln *liveNode) seeking() bool {
+	return ln.rep != nil && ln.rep.seeker != nil && ln.rep.seeker.Seeking()
+}
 
-// setCovered records a child's covered set, building the map on first use. A
-// beat that repeats the last one — nearly every beat — changes nothing.
+// setCovered records a child's covered set. A beat that repeats the last one
+// — nearly every beat — changes nothing.
 func (ln *liveNode) setCovered(peer int, cov []int) {
-	if old, ok := ln.covered[peer]; ok && slices.Equal(old, cov) {
+	rep := ln.getRep()
+	if old, ok := rep.covered[peer]; ok && slices.Equal(old, cov) {
 		return
 	}
-	if ln.covered == nil {
-		ln.covered = make(map[int][]int)
-	}
-	ln.covered[peer] = cov
-	ln.ownCov = nil
+	rep.covered[peer] = cov
+	rep.ownCov = nil
 }
 
 // delay draws a random per-message delivery delay, on the node's worker.

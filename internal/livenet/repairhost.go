@@ -35,7 +35,7 @@ func (ln *liveNode) onAttach(from int, msg repair.Msg) {
 		if c.remote {
 			// Heartbeat-fed, like the simulator: the parent's beats say
 			// whether this tree's root is still renegotiating a parent.
-			rootSeeking = ln.rootSeekingHB
+			rootSeeking = ln.rep != nil && ln.rep.rootSeekingHB
 		} else {
 			c.mu.Lock()
 			rootSeeking = c.rootSeekingLocked(ln.id)
@@ -77,7 +77,7 @@ func (ln *liveNode) Candidates() []int {
 	}
 	var out []int
 	for _, nb := range c.topo.Neighbors(ln.id) {
-		if !covered[nb] && !c.killed[nb] && !ln.suspected[nb] {
+		if !covered[nb] && !c.killed[nb] && !(ln.rep != nil && ln.rep.suspected[nb]) {
 			out = append(out, nb)
 		}
 	}
@@ -141,7 +141,7 @@ func (ln *liveNode) ArmBackoff(round int) {
 func (ln *liveNode) TryAttach(granter int) bool {
 	c := ln.c
 	if c.remote {
-		if ln.suspected[granter] {
+		if ln.rep.suspected[granter] { // a seeker's node has its repair state
 			return false
 		}
 		for _, p := range ln.ownCovered() {
@@ -156,7 +156,7 @@ func (ln *liveNode) TryAttach(granter int) bool {
 		}
 		delete(c.seeking, ln.id)
 		c.mu.Unlock()
-		ln.rootSeekingHB = false // refreshed by the new parent's beats
+		ln.rep.rootSeekingHB = false // refreshed by the new parent's beats
 		ln.reparent(granter)
 		return true
 	}
@@ -201,7 +201,7 @@ func (ln *liveNode) Partitioned() {
 	c.mu.Lock()
 	delete(c.seeking, ln.id)
 	c.mu.Unlock()
-	ln.rootSeekingHB = false // this node is the root now, and it is done seeking
+	ln.rep.rootSeekingHB = false // this node is the root now, and it is done seeking
 	ln.reparent(tree.None)
 	c.notifyRepair(ln.id, tree.None)
 }
@@ -214,7 +214,7 @@ func (ln *liveNode) HasSource(child int) bool { return ln.node.HasSource(child) 
 // for the new child (its own heartbeats refresh both entries).
 func (ln *liveNode) Adopt(child int, covered []int) {
 	ln.node.AddChild(child)
-	ln.reseq = append(ln.reseq, childSeq{child, repair.NewResequencer[repair.Ref]()})
+	ln.reseq = append(ln.reseq, childSeq{child: child})
 	ln.watched.Add(child, ln.c.cfg.HbEvery, ln.c.now())
 	if ln.c.remote {
 		ln.setCovered(child, covered)

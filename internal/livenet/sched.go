@@ -6,39 +6,26 @@ import (
 	"hierdet/internal/interval"
 )
 
-// sched.go — the delivery plane's mailbox shards and their drain.
+// sched.go — the delivery plane's mailbox shards and their drain (DESIGN §7).
 //
-// Every node owns one bounded mailbox shard: a mutex-guarded slice the
-// producers append to and a worker drains in one swap. A node is "scheduled"
-// — queued under its cluster's seat on the substrate (shared.go) — while its
-// shard is non-empty, and at most one worker runs a node at a time, so all
-// per-node detector state stays single-writer as if each node had its own
-// goroutine — but the steady-state goroutine count is the substrate's worker
-// pool plus the timer wheel, independent of both p and the number of
-// in-flight messages.
-//
-// Backpressure is asymmetric on purpose. External producers (Observe,
-// ObserveBatch) block while the destination shard is at its bound — the
-// cluster pushes back on the workload instead of buffering it without limit.
-// Internal cascade traffic never blocks: a worker that blocked appending to
-// a sibling's full shard could deadlock the pool, and cascade volume is
-// bounded by the detection math (each accepted interval triggers a bounded
-// report cascade), so the shards stay near the bound even under stress.
+// Every node owns one bounded mailbox shard that producers append to and a
+// worker drains in one swap. A node with mail is "scheduled" — queued under
+// its cluster's seat on the substrate (shared.go) — and one worker runs it at
+// a time, so its state stays single-writer with no goroutine of its own.
+// External producers (Observe, ObserveBatch) block at the bound; internal
+// cascade traffic never does: a worker blocked on a sibling's full shard
+// could deadlock the pool, and the detection math bounds the cascade.
 
 // mailbox is one node's delivery shard. A msgLocal's interval goes into
 // locals, not into the message (whose seq indexes it), so the messages stay
-// one cache line each; a drain swaps locals out with buf.
+// one cache line each; a drain swaps both for its worker's spares (staging).
 type mailbox struct {
-	mu      sync.Mutex
-	notFull sync.Cond
-	buf     []message
-	locals  []interval.Interval
-	// spare and spareLocals are the worker-owned swap buffers, recycled
-	// every drain.
-	spare       []message
-	spareLocals []interval.Interval
-	scheduled   bool
-	high        int // high-water mark of len(buf), for Metrics
+	mu        sync.Mutex
+	notFull   sync.Cond
+	buf       []message
+	locals    []interval.Interval
+	scheduled bool
+	high      int // high-water mark of len(buf), for Metrics
 }
 
 func (mb *mailbox) init() { mb.notFull.L = &mb.mu }
@@ -75,13 +62,13 @@ func (c *Cluster) enqueue(ln *liveNode, msg message, local *interval.Interval, e
 // returning the number of messages handled (the substrate counts the drain
 // and charges it against the cluster's round-robin deficit). The scheduled
 // flag stays set from the pop until the shard is observed empty, so no second
-// worker can claim the node concurrently.
+// worker can claim the node concurrently. The worker swaps its spares in for
+// the shard's arrays and keeps those, cleared, for the next node it runs.
 func (c *Cluster) runNode(ln *liveNode) int {
-	mb := &ln.mb
+	mb, w := &ln.mb, ln.w
 	mb.mu.Lock()
 	batch, locals := mb.buf, mb.locals
-	mb.buf, mb.locals = mb.spare[:0], mb.spareLocals[:0]
-	mb.spare, mb.spareLocals = nil, nil
+	mb.buf, mb.locals = w.spare, w.spareLocals
 	mb.mu.Unlock()
 	mb.notFull.Broadcast()
 
@@ -94,10 +81,10 @@ func (c *Cluster) runNode(ln *liveNode) int {
 	// The drain's credits go back together, after its flush and the counter
 	// mirror: an empty ledger means Metrics shows everything every drain did.
 	// Until then they cover whatever the handlers buffer (emit).
-	ln.credits = 0
+	w.credits = 0
 	for i := range batch {
 		if creditedKind(batch[i].kind) {
-			ln.credits++
+			w.credits++
 		}
 	}
 	down := ln.down.Load()
@@ -116,27 +103,22 @@ func (c *Cluster) runNode(ln *liveNode) int {
 	// one of the drain's credits, which it keeps instead of returning. A
 	// node that crashed mid-drain loses its buffer, like any of its in-flight
 	// messages.
-	credits := ln.credits
-	if ln.outBuf != nil {
+	credits := w.credits
+	if w.outBuf != nil {
 		if down || stopped {
-			ln.outBuf = nil
+			w.outBuf, w.bufBorn = nil, 0
 		} else if ln.flushReports(credits > 0) {
 			credits--
 		}
 	}
-	ln.credits = 0
+	w.credits = 0
 	ln.syncCoreStats()
 	if credits > 0 {
 		c.done(credits)
 	}
 
+	w.spare, w.spareLocals = batch[:0], locals[:0]
 	mb.mu.Lock()
-	if mb.spare == nil || cap(batch) > cap(mb.spare) {
-		mb.spare = batch[:0]
-	}
-	if mb.spareLocals == nil || cap(locals) > cap(mb.spareLocals) {
-		mb.spareLocals = locals[:0]
-	}
 	requeue := len(mb.buf) > 0
 	if !requeue {
 		mb.scheduled = false

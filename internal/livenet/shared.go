@@ -7,26 +7,25 @@ import (
 	"time"
 
 	"hierdet/internal/core"
+	"hierdet/internal/interval"
 	"hierdet/internal/obsv"
+	"hierdet/internal/repair"
+	"hierdet/internal/vclock"
 )
 
-// shared.go — the scheduler substrate. One worker pool and one timer wheel
-// serve any number of clusters — one, for a standalone cluster, which builds
-// its own (see New) — so a tenant plane's steady-state goroutine count is the
-// pool plus the wheel, independent of the tenant count: the same collapse the
-// mailbox shards perform for the process count inside one cluster. Each
-// worker owns a core.Region and hands it to every node it drains: what
-// detections keep is carved, with no lock, from one slab per worker and kind,
-// whichever cluster the node belongs to.
+// shared.go — the scheduler substrate (DESIGN §12). One worker pool and one
+// timer wheel serve any number of clusters — one, for a standalone cluster,
+// which builds its own (see Open) — so a tenant plane's steady-state
+// goroutine count is the pool plus the wheel, whatever the tenant count. Each
+// worker lends every node it drains, of any cluster, its staging: a region
+// detections carve from with no lock, and what the drain needs while it runs.
 //
 // Fairness is deficit round robin over clusters: each cluster with scheduled
-// nodes is one client on an active ring, a worker serves the ring head while
-// its deficit lasts and rotates it to the back when the quantum is spent, and
-// each drain's message count is charged against the deficit. A hot tenant
-// flooding its mailboxes therefore costs a quiet tenant at most one ring
-// rotation of latency, not a starvation wait behind the hot tenant's entire
-// backlog. With a single seat the ring has one member and the discipline is
-// plain FIFO over that cluster's scheduled nodes.
+// nodes is one client on an active ring, served while its deficit lasts and
+// rotated to the back when the quantum is spent, each drain's message count
+// charged against it. A hot tenant costs a quiet one at most one ring
+// rotation of latency, never a wait behind its whole backlog; with one seat
+// the ring is plain FIFO.
 
 // SharedSchedulerConfig parameterizes a substrate.
 type SharedSchedulerConfig struct {
@@ -270,12 +269,31 @@ func (s *SharedScheduler) detach(cl *schedClient) {
 	s.mu.Unlock()
 }
 
+// staging is what a worker lends every node it drains, of any cluster: its
+// region, mailbox spares (runNode), ingestion scratch, the log-chunk slab and
+// the drain in progress. Its arrays are cleared between nodes.
+type staging struct {
+	reg         core.Region
+	spare       []message
+	spareLocals []interval.Interval
+	ivs         []*interval.Interval // ingest's batch
+	rdy         []repair.Ref         // a resequencer's released run
+	chunks      vclock.Slab[logChunk]
+	// outBuf holds the reports owed to the parent until the drain's end
+	// (AdaptiveFlush), covered by its credits (runNode; emit takes one if it
+	// holds none). born is the handled message's stamp, bufBorn the oldest in
+	// outBuf, foundAt the clock read for the handled message's detections.
+	outBuf                 *reportBatch
+	credits                int
+	born, bufBorn, foundAt int64
+}
+
 // worker is one shared pool goroutine: pop a node off the DRR ring, hand it
-// the worker's region, drain it through its own cluster, and charge the drain
-// with the next pop.
+// the worker's staging and region, drain it through its own cluster, and
+// charge the drain with the next pop.
 func (s *SharedScheduler) worker() {
 	defer s.wg.Done()
-	reg := new(core.Region)
+	w := new(staging)
 	var cl *schedClient
 	msgs := 0
 	for {
@@ -283,8 +301,8 @@ func (s *SharedScheduler) worker() {
 		if cl, ln = s.next(cl, msgs); ln == nil {
 			return
 		}
-		ln.reg = reg
-		ln.node.Use(reg)
+		ln.w = w
+		ln.node.Use(&w.reg)
 		msgs = ln.c.runNode(ln)
 	}
 }

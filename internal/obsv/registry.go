@@ -112,7 +112,6 @@ func (r *Registry) lookup(name, help string, kind Kind, labelNames []string, buc
 		name: name, help: help, kind: kind,
 		labelNames: append([]string(nil), labelNames...),
 		buckets:    append([]float64(nil), buckets...),
-		series:     make(map[string]*series),
 	}
 	r.families[name] = f
 	return f
@@ -133,6 +132,9 @@ func (f *family) with(labelValues []string) *series {
 	s := &series{labelValues: append([]string(nil), labelValues...)}
 	if f.kind == KindHistogram {
 		s.bucketCounts = make([]atomic.Int64, len(f.buckets)+1)
+	}
+	if f.series == nil {
+		f.series = make(map[string]*series) // a func-backed family never has one
 	}
 	f.series[key] = s
 	return s

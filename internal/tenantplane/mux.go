@@ -40,8 +40,8 @@ func NewMux(inner transport.Transport) *Mux {
 
 // Start begins delivery on the shared transport. It is idempotent and may
 // also happen implicitly when the first port starts; a Multiplexer calls it
-// eagerly so a listen failure surfaces as an error instead of a panic inside
-// livenet.New.
+// eagerly so a listen failure surfaces at NewMultiplexer, not at a tenant's
+// registration.
 func (m *Mux) Start() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -309,7 +309,15 @@ func (p *Multiplexer) RegisterPredicate(tenantID string, spec Spec) (*Handle, er
 		}
 		p.emit(e)
 	}
-	h.c = livenet.New(cfg)
+	c, err := livenet.Open(cfg)
+	if err != nil {
+		if cfg.Transport != nil {
+			cfg.Transport.Close() // a port never started: gives the wire id back
+		}
+		p.forget(h)
+		return nil, fmt.Errorf("tenantplane: tenant %q: %w", tenantID, err)
+	}
+	h.c = c
 
 	p.registered.Inc()
 	p.emit(obsv.Event{
@@ -319,8 +327,8 @@ func (p *Multiplexer) RegisterPredicate(tenantID string, spec Spec) (*Handle, er
 	return h, nil
 }
 
-// checkSpec refuses, before anything is reserved, a registration livenet.New
-// would panic on or that sets a field the plane fills in.
+// checkSpec refuses, before anything is reserved, a spec without a topology
+// or that sets a field the plane fills in; livenet.Open judges the rest.
 func (p *Multiplexer) checkSpec(tenantID string, spec Spec) error {
 	switch {
 	case tenantID == "":
@@ -333,14 +341,6 @@ func (p *Multiplexer) checkSpec(tenantID string, spec Spec) error {
 		return fmt.Errorf("tenantplane: tenant %q: Spec.Transport is a port on the plane's transport; leave it nil", tenantID)
 	case spec.LocalNodes != nil:
 		return fmt.Errorf("tenantplane: tenant %q: Spec.LocalNodes is the plane's Config.LocalNodes; leave it nil", tenantID)
-	}
-	if p.mux == nil {
-		return nil // without a transport every tenant hosts its whole tree
-	}
-	for _, id := range p.cfg.LocalNodes {
-		if !spec.Topology.Alive(id) {
-			return fmt.Errorf("tenantplane: tenant %q: the plane hosts node %d, which is not an alive node of the tenant's topology", tenantID, id)
-		}
 	}
 	return nil
 }

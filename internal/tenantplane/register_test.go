@@ -48,9 +48,10 @@ func TestRegisterRefusesPlaneOwnedFields(t *testing.T) {
 
 // TestRegisterRefusesForeignLocalNodes: a plane on a transport hosts
 // Config.LocalNodes of every tenant's tree. A tenant whose topology lacks one
-// of them is refused before its id, wire id or mux port is reserved — the
-// plane is left as it was, closes cleanly, and takes the id again once the
-// topology has the node.
+// of them is refused (livenet.Open's error) and what the registration had
+// reserved — its id, wire id and mux port — is given back: the plane is left
+// as it was, closes cleanly, and takes the id again once the topology has the
+// node.
 func TestRegisterRefusesForeignLocalNodes(t *testing.T) {
 	p, err := NewMultiplexer(Config{Transport: transport.NewNetwork().Endpoint(5), LocalNodes: []int{5}})
 	if err != nil {

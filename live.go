@@ -52,7 +52,7 @@ type LiveRepair = livenet.RepairEvent
 // concurrent calls, and must not call Close.
 type LiveConfig = livenet.Config
 
-// NewLiveCluster builds and starts a live cluster. Feed completed local
-// intervals with Observe (safe from one goroutine per process), then Close it
-// to drain and read the detections with Detections.
-func NewLiveCluster(cfg LiveConfig) *LiveCluster { return livenet.New(cfg) }
+// NewLiveCluster builds and starts a live cluster, or fails, leaving nothing
+// running, on a missing Topology, a dead LocalNodes entry or a transport that
+// fails to start. Feed it with Observe, then Close it and read Detections.
+func NewLiveCluster(cfg LiveConfig) (*LiveCluster, error) { return livenet.Open(cfg) }

@@ -28,10 +28,14 @@ func TestDistributedExpositionIncludesTransport(t *testing.T) {
 	exec := GenerateWorkload(topo, 6, 3, 1, 0, 0)
 	clusters := make([]*LiveCluster, 2)
 	for id := 0; id < 2; id++ {
-		clusters[id] = NewLiveCluster(LiveConfig{
+		c, err := NewLiveCluster(LiveConfig{
 			Topology: topo, Seed: 3, Verify: true,
 			Transport: trs[id], LocalNodes: []int{id},
 		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		clusters[id] = c
 	}
 	for k := 0; k < 6; k++ {
 		for id := 0; id < 2; id++ {
