@@ -49,7 +49,7 @@ func reportRun(b *testing.B, res *SimResult) {
 	}
 	b.ReportMetric(float64(worstSpace), "worst-node-ivls/run")
 	b.ReportMetric(float64(len(res.RootDetections())), "detections/run")
-	// Byte volume under both wire framings: fixed-width v1 and delta-varint
+	// Byte volume under both wire framings: fixed-width v1 and delta-encoded
 	// v2 with per-link basis chaining. The ratio is the wire saving a TCP
 	// deployment sees after the codec change.
 	b.ReportMetric(float64(res.WireBytesV1), "bytes-v1/run")

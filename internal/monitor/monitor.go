@@ -184,9 +184,10 @@ type Result struct {
 	// sender's death mid-stream).
 	BufferedReports int
 	// WireBytesV1 and WireBytesV2 total the run's traffic under the two wire
-	// framings: fixed-width v1 frames, and v2 delta-varint frames with
-	// per-link basis chaining (each report's Lo charged against the previous
-	// report's Hi on the same link, as the TCP transport encodes them).
+	// framings: fixed-width v1 frames, and v2 delta frames (each clock in the
+	// shorter of its two forms) with per-link basis chaining (each report's
+	// Lo charged against the previous report's Hi on the same link, as the
+	// TCP transport encodes them).
 	// Heartbeats and attach frames cost the same in both. These are parallel
 	// accountings of the same message sequence — Net.Bytes remains the
 	// simulator's configured charging (v1, or the differential encoding when

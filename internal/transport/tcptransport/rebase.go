@@ -4,10 +4,11 @@ package tcptransport
 //
 // Successive reports from one origin are near-monotone (Theorem 2: the next
 // interval starts causally after the previous one ended), so encoding each
-// report's Lo against the previous report's Hi collapses most clock
-// components to one or two bytes. That basis is stream state — a frame
-// encoded against it is only decodable by a receiver that saw the previous
-// frame — so the chaining lives entirely inside one TCP connection:
+// report's Lo against the previous report's Hi collapses it to a few runs of
+// equal differences, mostly one copy (vclock.AppendDelta). That basis is
+// stream state — a frame encoded against it is only decodable by a receiver
+// that saw the previous frame — so the chaining lives entirely inside one TCP
+// connection:
 //
 //   - the writer rebases outbound v2 report frames against a per-connection
 //     basis map keyed by (destination, tenant, origin): a connection carries

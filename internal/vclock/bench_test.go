@@ -106,47 +106,69 @@ func BenchmarkCompareLess(b *testing.B) {
 	}
 }
 
-// BenchmarkAppendDelta measures the v2 codec on the workload it is built
-// for: a near-monotone step from its basis clock. bytes/frame makes the
-// compression visible next to v1's fixed 4+8n.
-func BenchmarkAppendDelta(b *testing.B) {
-	for _, n := range []int{8, 64, 512} {
-		base := make(VC, n)
-		v := make(VC, n)
-		for i := range base {
-			base[i] = uint32(1000 + i)
-			v[i] = base[i] + uint32(i%3)
+// deltaShapes are the clocks the delta codec meets, each against base:
+// "copy" equals it but for one component (a chained Lo), "step" is one
+// difference throughout but for one component (a Hi against its Lo), and
+// "mixed" moves each component by 0, 1 or 2 in turn, which the runs form
+// cannot shorten (the per-component fallback, after a runs pass).
+func deltaShapes(n int) (base VC, shapes []struct {
+	name string
+	v    VC
+}) {
+	base = make(VC, n)
+	for i := range base {
+		base[i] = uint32(1000 + 13*i)
+	}
+	add := func(name string, f func(i int) uint32) {
+		v := base.Clone()
+		for i := range v {
+			v[i] += f(i)
 		}
-		buf := make([]byte, 0, WireSize(n))
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				buf = v.AppendDelta(buf[:0], base)
-			}
-			b.ReportMetric(float64(len(buf)), "bytes/frame")
-		})
+		shapes = append(shapes, struct {
+			name string
+			v    VC
+		}{name, v})
+	}
+	add("copy", func(i int) uint32 { return uint32(b2i(i == n/3)) * 3 })
+	add("step", func(i int) uint32 { return 2 + uint32(b2i(i == 2*n/3))*5 })
+	add("mixed", func(i int) uint32 { return uint32(i % 3) })
+	return base, shapes
+}
+
+// BenchmarkAppendDelta measures the v2 codec on the clocks it is built for.
+// bytes/frame makes the compression visible next to v1's fixed 4+8n.
+func BenchmarkAppendDelta(b *testing.B) {
+	for _, n := range []int{8, 127, 512} {
+		base, shapes := deltaShapes(n)
+		for _, sh := range shapes {
+			buf := make([]byte, 0, WireSize(n))
+			b.Run(fmt.Sprintf("n=%d/%s", n, sh.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					buf = sh.v.AppendDelta(buf[:0], base)
+				}
+				b.ReportMetric(float64(len(buf)), "bytes/frame")
+			})
+		}
 	}
 }
 
 func BenchmarkConsumeDelta(b *testing.B) {
-	for _, n := range []int{8, 64, 512} {
-		base := make(VC, n)
-		v := make(VC, n)
-		for i := range base {
-			base[i] = uint32(1000 + i)
-			v[i] = base[i] + uint32(i%3)
-		}
-		data := v.AppendDelta(nil, base)
-		dst := make(VC, n)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			b.SetBytes(int64(len(data)))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := ConsumeDelta(data, &dst, base); err != nil {
-					b.Fatal(err)
+	for _, n := range []int{8, 127, 512} {
+		base, shapes := deltaShapes(n)
+		for _, sh := range shapes {
+			data := sh.v.AppendDelta(nil, base)
+			dst := make(VC, n)
+			b.Run(fmt.Sprintf("n=%d/%s", n, sh.name), func(b *testing.B) {
+				b.SetBytes(int64(len(data)))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := ConsumeDelta(data, &dst, base); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 

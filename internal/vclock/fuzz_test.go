@@ -30,12 +30,15 @@ func FuzzUnmarshalBinary(f *testing.F) {
 	})
 }
 
-// refAppendDelta and refConsumeDelta are the codec as it stood before the
-// single-byte fast path: one binary.AppendVarint / binary.Varint per
-// component, nothing else. They stay here as the reference the production
-// codec is pinned to — the wire format did not change, so the two must agree
-// on every input, byte for byte and error for error.
-func refAppendDelta(v VC, buf []byte, base VC) []byte {
+// refAppendPlain and refConsumePlain are the per-component codec as it
+// stood before the single-byte fast path and before the runs form: one
+// binary.AppendVarint / binary.Varint per component, nothing else — so
+// refConsumePlain is also what a decoder without the runs form does with one.
+// refAppendDelta and refConsumeDelta add the runs form as plainly as it can
+// be written (group equal differences, size both, keep the shorter), and are
+// the reference the production codec is pinned to: the two must agree on
+// every input, byte for byte and error for error.
+func refAppendPlain(v VC, buf []byte, base VC) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(v)))
 	for k, c := range v {
 		var b uint32
@@ -47,7 +50,7 @@ func refAppendDelta(v VC, buf []byte, base VC) []byte {
 	return buf
 }
 
-func refConsumeDelta(data []byte, dst *VC, base VC) (rest []byte, err error) {
+func refConsumePlain(data []byte, dst *VC, base VC) (rest []byte, err error) {
 	n64, sz := binary.Uvarint(data)
 	if sz <= 0 {
 		return nil, varintErr(sz, "component count")
@@ -84,6 +87,59 @@ func refConsumeDelta(data []byte, dst *VC, base VC) (rest []byte, err error) {
 	return data, nil
 }
 
+func refAppendDelta(v VC, buf []byte, base VC) []byte {
+	plain := refAppendPlain(v, nil, base)
+	if len(v) == 0 || base == nil {
+		return append(buf, plain...)
+	}
+	runs := []byte{0}
+	for start := 0; start < len(v); {
+		d, k := int64(v[start])-int64(base[start]), start+1
+		for k < len(v) && int64(v[k])-int64(base[k]) == d {
+			k++
+		}
+		runs = binary.AppendVarint(binary.AppendUvarint(runs, uint64(k-start)), d)
+		start = k
+	}
+	if len(runs) < len(plain) {
+		return append(buf, runs...)
+	}
+	return append(buf, plain...)
+}
+
+func refConsumeDelta(data []byte, dst *VC, base VC) (rest []byte, err error) {
+	if len(data) == 0 || data[0] != 0 || len(base) == 0 {
+		return refConsumePlain(data, dst, base)
+	}
+	data = data[1:]
+	out := make(VC, len(base))
+	for k := 0; k < len(out); {
+		run, sz := binary.Uvarint(data)
+		if sz <= 0 {
+			return nil, varintErr(sz, "run length")
+		}
+		data = data[sz:]
+		if run == 0 || run > uint64(len(out)-k) {
+			return nil, ErrCorrupt
+		}
+		d, sz := binary.Varint(data)
+		if sz <= 0 {
+			return nil, varintErr(sz, "run difference")
+		}
+		data = data[sz:]
+		for ; run > 0; run-- {
+			c := int64(base[k]) + d
+			if c < 0 || c > maxComponent {
+				return nil, ErrCorrupt
+			}
+			out[k] = uint32(c)
+			k++
+		}
+	}
+	*dst = append((*dst)[:0], out...)
+	return data, nil
+}
+
 // sentinelOf names the codec sentinel an error wraps ("" for nil).
 func sentinelOf(t *testing.T, err error) string {
 	switch {
@@ -102,7 +158,9 @@ func sentinelOf(t *testing.T, err error) string {
 // scalar reference above. Decoding arbitrary bytes against an arbitrary base
 // must give the same clock, remaining slice and error sentinel,
 // with dst fresh and with dst aliasing base (the in-place patch); encoding
-// the clock the input's bytes spell must give the same bytes.
+// the clock the input's bytes spell, against that base and against one it
+// differs from in runs, must give the same bytes, DeltaSize must count them,
+// and they must decode back to the clock.
 func FuzzDeltaCodecMatchesReference(f *testing.F) {
 	const n = 9
 	base := make(VC, n)
@@ -138,6 +196,16 @@ func FuzzDeltaCodecMatchesReference(f *testing.F) {
 			f.Add(enc, baseBytes)
 			f.Add(enc[:len(enc)-(n-pos)], baseBytes) // and cut inside the wide varint's tail
 		}
+	}
+	// The runs form: one copy, one difference throughout, a run that ends
+	// past the base, a zero-length run, a difference that lands outside the
+	// clock domain, a cut, and a zero count that is not the one-byte marker.
+	for _, enc := range [][]byte{
+		{0, n, 0}, {0, n, 6}, {0, 2, 1, n - 2, 0}, {0, 2, 1, n, 0}, {0, 0, 0, n, 0},
+		binary.AppendVarint([]byte{0, 1, 0, 1}, -2000), {0, 4, 0}, {0x80, 0, 0, n, 0},
+	} {
+		f.Add(enc, baseBytes)
+		f.Add(enc, []byte{})
 	}
 	f.Add([]byte{}, []byte{})
 	f.Add([]byte{3, 0x80}, []byte{})
@@ -185,11 +253,29 @@ func FuzzDeltaCodecMatchesReference(f *testing.F) {
 		if base != nil && base.Len() != v.Len() {
 			base = nil
 		}
-		prefix := []byte("prefix")
-		got := v.AppendDelta(append([]byte(nil), prefix...), base)
-		want := refAppendDelta(v, append([]byte(nil), prefix...), base)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("AppendDelta(%v, base %v) = %x, reference %x", v, base, got, want)
+		// And against a base that differs from v by repeated amounts, as
+		// a report's Hi from its Lo: each component moved by the byte below
+		// it when that is even, kept when odd — runs of both kinds.
+		near := v.Clone()
+		for k := range near {
+			if b := data[4*k]; b%2 == 0 {
+				near[k] -= uint32(b)
+			}
+		}
+		for _, base := range []VC{base, near} {
+			prefix := []byte("prefix")
+			got := v.AppendDelta(append([]byte(nil), prefix...), base)
+			want := refAppendDelta(v, append([]byte(nil), prefix...), base)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("AppendDelta(%v, base %v) = %x, reference %x", v, base, got, want)
+			}
+			if size := v.DeltaSize(base); size != len(got)-len(prefix) {
+				t.Fatalf("DeltaSize = %d, encoding is %d bytes", size, len(got)-len(prefix))
+			}
+			var back VC
+			if rest, err := ConsumeDelta(got[len(prefix):], &back, base); err != nil || len(rest) != 0 || !back.Equal(v) {
+				t.Fatalf("round trip of %v against %v: %v, %d bytes left, %v", v, base, back, len(rest), err)
+			}
 		}
 	})
 }

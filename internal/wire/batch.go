@@ -13,11 +13,10 @@ package wire
 // Each element is a complete, length-prefixed v2 report frame. The first
 // report's Lo is absolute; every later report is delta-chained against its
 // predecessor's Hi *inside the frame* — successive reports of one flush sit
-// on the same near-monotone stream (Theorem 2 succession), so the chaining
-// wins the same bytes per-connection delta chaining does, but the frame
-// stays fully self-contained: no stream basis, no connection state, safe
-// through any transport (the TCP transport's rebaser only touches
-// single-report frames and passes batches through untouched).
+// on the same near-monotone stream (Theorem 2 succession), so a chained Lo is
+// mostly one copy run of that Hi — but the frame stays fully self-contained:
+// no stream basis, no connection state, safe through any transport (the TCP
+// transport's rebaser only touches single-report frames).
 //
 // Batch frames are v2-only. A v1 receiver has never seen KindReportBatch and
 // rejects the frame as corrupt, which is the correct rollout behaviour: a
@@ -120,10 +119,14 @@ const minBatchElement = 1 + 4 + 5 + 2
 // decoded). On error the returned slice is dst as it came: nothing of a
 // rejected frame is delivered.
 //
-// What a frame can make the decoder allocate is bounded by the frame's own
-// size: the result grows by at most one report per minBatchElement bytes
-// present whatever count the header claims, and a clock is only made when
-// the bytes that would fill it are there.
+// What a frame can make the decoder allocate is bounded by the frame's size
+// and the store's width: the result grows by at most one report per
+// minBatchElement bytes present whatever count the header claims, each
+// carving at most one pair of the store's width, and a clock of any other
+// width is only made when the bytes that would fill it are there (a runs-form
+// Lo of another width is refused: its basis, not the frame, would back it).
+// Without a store a runs-form clock costs its basis's width, the previous
+// report's: decode frames from the network with a store.
 func AppendDecodedReportBatch(dst []repair.Report, data []byte, clocks *vclock.Store) ([]repair.Report, error) {
 	out, err := appendDecodedBatch(dst, data, clocks)
 	if err != nil {

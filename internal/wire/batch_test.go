@@ -27,41 +27,50 @@ func windowReports(n int) []repair.Report {
 	return out
 }
 
+// TestReportBatchRoundTrip runs batches of reports whose clocks take the
+// per-component form (windowReports) and the runs form (runsReports).
 func TestReportBatchRoundTrip(t *testing.T) {
 	for _, n := range []int{1, 2, 7, 64} {
-		reps := windowReports(n)
-		data := AppendReportBatch(nil, reps)
-		if len(data) != ReportBatchSize(reps) {
-			t.Fatalf("n=%d: encoded %d bytes, ReportBatchSize says %d", n, len(data), ReportBatchSize(reps))
+		for _, reps := range [][]repair.Report{windowReports(n), runsReports(127, n)} {
+			roundTripBatch(t, n, reps)
 		}
-		if k, err := FrameKind(data); err != nil || k != KindReportBatch {
-			t.Fatalf("n=%d: FrameKind = %d, %v", n, k, err)
-		}
-		if ver, err := FrameVersion(data); err != nil || ver != Version2 {
-			t.Fatalf("n=%d: FrameVersion = %d, %v", n, ver, err)
-		}
-		// Batch frames are self-contained: the intra-frame delta chain must
-		// not look like connection-scoped state to a transport.
-		if IsReportV2(data) || ReportIsDelta(data) {
-			t.Fatalf("n=%d: batch frame classified as a single v2 report", n)
-		}
-		back, err := DecodeReportBatch(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(back) != n {
-			t.Fatalf("decoded %d reports, want %d", len(back), n)
-		}
-		for i := range back {
-			sameReport(t, Report{Iv: back[i].Iv, LinkSeq: back[i].LinkSeq, Epoch: back[i].Epoch},
-				Report{Iv: reps[i].Iv, LinkSeq: reps[i].LinkSeq, Epoch: reps[i].Epoch}, "batch element")
-		}
+	}
+}
+
+func roundTripBatch(t *testing.T, n int, reps []repair.Report) {
+	t.Helper()
+	data := AppendReportBatch(nil, reps)
+	if len(data) != ReportBatchSize(reps) {
+		t.Fatalf("n=%d: encoded %d bytes, ReportBatchSize says %d", n, len(data), ReportBatchSize(reps))
+	}
+	if k, err := FrameKind(data); err != nil || k != KindReportBatch {
+		t.Fatalf("n=%d: FrameKind = %d, %v", n, k, err)
+	}
+	if ver, err := FrameVersion(data); err != nil || ver != Version2 {
+		t.Fatalf("n=%d: FrameVersion = %d, %v", n, ver, err)
+	}
+	// Batch frames are self-contained: the intra-frame delta chain must
+	// not look like connection-scoped state to a transport.
+	if IsReportV2(data) || ReportIsDelta(data) {
+		t.Fatalf("n=%d: batch frame classified as a single v2 report", n)
+	}
+	back, err := DecodeReportBatch(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(back) != n {
+		t.Fatalf("decoded %d reports, want %d", len(back), n)
+	}
+	for i := range back {
+		sameReport(t, asReport(back[i]), asReport(reps[i]), "batch element")
 	}
 }
 
 // TestReportBatchChainingWins: a batch of near-monotone reports must cost
 // less on the wire than the same reports as separate absolute frames — the
-// intra-frame delta chain is the point of the format.
+// intra-frame delta chain is the point of the format — and a stream shaped
+// like the reports between two processes, a few bytes a report, not one or
+// more a component.
 func TestReportBatchChainingWins(t *testing.T) {
 	reps := windowReports(16)
 	separate := 0
@@ -70,6 +79,9 @@ func TestReportBatchChainingWins(t *testing.T) {
 	}
 	if batched := len(AppendReportBatch(nil, reps)); batched >= separate {
 		t.Fatalf("batch frame %d bytes >= %d as separate absolute frames", batched, separate)
+	}
+	if size := len(AppendReportBatch(nil, runsReports(127, 64))); size > 64*30 {
+		t.Fatalf("64 reports over 127 processes cost %d bytes", size)
 	}
 }
 
@@ -308,23 +320,59 @@ func TestAppendReportBatchPanicsOnEmpty(t *testing.T) {
 	AppendReportBatch(nil, nil)
 }
 
+// FuzzDecodeReportBatch hardens the batch decoder, with and without a store
+// to carve clocks from: arbitrary bytes must never panic, rejections must be
+// typed, an accepted batch must re-encode to a frame ReportBatchSize counts
+// and that decodes to the same reports, and what a frame makes the decoder
+// allocate must stay within what its reports can cost — a 176-byte report
+// per minBatchElement bytes present, a pair of the store's width for each,
+// and four bytes of clock of any other width per byte present.
 func FuzzDecodeReportBatch(f *testing.F) {
 	f.Add(AppendReportBatch(nil, windowReports(1)))
 	f.Add(AppendReportBatch(nil, windowReports(5)))
 	f.Add([]byte{magic, verV2, KindReportBatch, 0, 1, 0})
+	f.Add(AppendReportBatch(nil, goldenReports()))
+	f.Add(AppendReportBatch(nil, runsReports(6, 12)))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		reps, err := DecodeReportBatch(data)
-		if err != nil {
-			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrTruncated) {
-				t.Fatalf("untyped decode error: %v", err)
+		const storeN = 6 // goldenReports' and runsReports' width
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		carved, err := AppendDecodedReportBatch(nil, data, vclock.NewStore(storeN))
+		runtime.ReadMemStats(&after)
+		reports := uint64(len(data) / minBatchElement)
+		// The store's slabs at most double what is carved; the constant is
+		// the fuzzing worker's own allocations, which land in the same count.
+		limit := 20*uint64(len(data)) + reports*2*8*storeN + 32<<10
+		if grew := after.TotalAlloc - before.TotalAlloc; !raceEnabled && grew > limit {
+			t.Fatalf("decoding %d bytes allocated %d, limit %d (err %v)", len(data), grew, limit, err)
+		}
+		// A store refuses only runs-form clocks of another width.
+		reps, err2 := DecodeReportBatch(data)
+		otherWidth := slices.ContainsFunc(reps, func(r repair.Report) bool { return r.Iv.Lo.Len() != storeN })
+		if (err == nil) != (err2 == nil) && !(err2 == nil && otherWidth) {
+			t.Fatalf("with a store: %v, without: %v", err, err2)
+		}
+		if err2 != nil {
+			if !errors.Is(err2, ErrCorrupt) && !errors.Is(err2, ErrTruncated) {
+				t.Fatalf("untyped decode error: %v", err2)
 			}
 			return
 		}
-		// Whatever decodes must re-encode to a decodable frame of the same
-		// length (canonical encoding).
+		if err == nil {
+			for i := range carved {
+				sameReport(t, asReport(carved[i]), asReport(reps[i]), "carved report")
+			}
+		}
 		again := AppendReportBatch(nil, reps)
-		if _, err := DecodeReportBatch(again); err != nil {
-			t.Fatalf("re-encode of decoded batch does not decode: %v", err)
+		if size := ReportBatchSize(reps); size != len(again) {
+			t.Fatalf("ReportBatchSize = %d, frame is %d bytes", size, len(again))
+		}
+		back, err := DecodeReportBatch(again)
+		if err != nil || len(back) != len(reps) {
+			t.Fatalf("re-encode of decoded batch does not decode: %d reports, %v", len(back), err)
+		}
+		for i := range reps {
+			sameReport(t, asReport(back[i]), asReport(reps[i]), "re-encoded report")
 		}
 	})
 }

@@ -1,20 +1,16 @@
 package wire
 
-// Wire format v2 for interval reports: delta-varint clocks instead of v1's
-// fixed 8 bytes per component.
+// Wire format v2 for interval reports: delta-encoded clocks instead of v1's
+// fixed 8 bytes per component (DESIGN §8).
 //
-// The paper's cost model (Table I, Eq. 11) counts messages; what a deployment
-// actually pays is bytes, and v1 ships 4+8n bytes per clock no matter how
-// small the entries are. Clock entries are small integers and successive
-// reports on one link are near-monotone (Theorem 2 succession: the next
-// interval starts causally after the previous one ended), so v2 encodes
-//
-//   - Hi as a zig-zag varint delta from Lo (an interval is a short duration:
-//     Hi−Lo is small in every component), and
-//   - Lo either absolutely (varints of the raw components) or — when a
-//     transport supplies a stream basis — as a delta from the previous
-//     report's Hi on the same link, which collapses a near-monotone step to
-//     one or two bytes per component.
+// Clock entries are small integers and successive reports on one link are
+// near-monotone (Theorem 2 succession: the next interval starts causally
+// after the previous one ended), so v2 encodes Hi against Lo (an interval is
+// short: Hi−Lo is small, and mostly one difference repeated), and Lo either
+// absolutely or — when a transport or a batch frame supplies a stream basis —
+// against the previous report's Hi on the same stream, which it mostly
+// copies. Each clock takes whichever of vclock.AppendDelta's two forms is
+// shorter: a varint per component, or runs of equal differences.
 //
 // Layout (varints little-endian per Go's encoding/binary, everything else
 // as in v1):
@@ -29,9 +25,7 @@ package wire
 // tenant.go — tenant 0 is always encoded untagged).
 // verV2 (0x56) occupies the byte where v1 frames carry their kind; kinds stop
 // below 0x10, so one byte disambiguates every frame version on the wire and
-// mixed-version clusters decode each other's traffic during a rollout
-// (DecodeReport accepts both forms; heartbeats and attach frames are small
-// and stay v1-only).
+// DecodeReport accepts both (heartbeats and attach frames stay v1-only).
 //
 // A basis-relative frame is only decodable by a receiver that holds the same
 // basis, so bases are strictly connection-scoped state: the TCP transport
@@ -262,10 +256,11 @@ func DecodeReportInto(data []byte, r *Report, basis vclock.VC) error {
 // decodeReport is DecodeReportInto on an interval and the rest apart. With a
 // non-nil clocks, a v2 report whose clocks have the store's width gets its
 // Lo/Hi pair carved from it (adjacent, like the bounds the detector
-// aggregates itself) instead of two allocations; anything else falls back to
-// iv's own storage. A v2 span whose ids equal prev's is prev itself (a batch
-// passes its previous element's, nearly always the same processes); any other
-// gets storage of its own. On error iv and the returned meta hold garbage.
+// aggregates itself) instead of two allocations; other widths fall back to
+// iv's own storage and refuse a runs-form Lo. A v2 span whose ids equal
+// prev's is prev itself (a batch passes its previous element's, nearly always
+// the same processes); any other gets storage of its own. On error iv and the
+// returned meta hold garbage.
 func decodeReport(data []byte, iv *interval.Interval, basis vclock.VC, clocks *vclock.Store, prev []int) (m reportMeta, err error) {
 	ver, err := FrameVersion(data)
 	if err != nil {
@@ -356,11 +351,13 @@ func decodeReport(data []byte, iv *interval.Interval, basis vclock.VC, clocks *v
 		loBase = basis
 	}
 	if clocks != nil {
-		// Carve only what the frame can back: two clocks of n components are
-		// at least 2n bytes, so a pair costs a corrupt frame at most four
-		// times its own size.
-		if n, sz := binary.Uvarint(rest); sz > 0 && n == uint64(clocks.N()) && uint64(len(rest)) >= 2*n {
+		// Carve only at the store's width, one pair a report; a runs-form Lo
+		// of another width would be backed by its basis, not by the frame.
+		switch n, runs := vclock.DeltaLen(rest, loBase); {
+		case n == clocks.N() && (runs || len(rest) > n):
 			iv.Lo, iv.Hi = clocks.AllocPair()
+		case runs:
+			return m, fmt.Errorf("wire: runs-form clock of %d components beside a %d-wide store: %w", n, clocks.N(), ErrCorrupt)
 		}
 	}
 	rest, err = consumeDelta(rest, &iv.Lo, loBase)

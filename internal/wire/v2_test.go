@@ -258,7 +258,8 @@ func TestGoldenV1Corpus(t *testing.T) {
 
 // FuzzDecodeReportV2 hardens the v2 report decoder: arbitrary bytes (with
 // and without a stream basis) must never panic, rejections must be typed,
-// and accepted frames must survive a v2 encode/decode round trip.
+// and accepted frames must survive a v2 encode/decode round trip, with
+// ReportSizeV2 counting the frames re-encoded with and without the basis.
 func FuzzDecodeReportV2(f *testing.F) {
 	rep := v2Report(1, 2, 7, 1, vclock.Of(1, 0, 3), vclock.Of(4, 5, 6))
 	f.Add(EncodeReportV2(rep), false)
@@ -274,6 +275,9 @@ func FuzzDecodeReportV2(f *testing.F) {
 	f.Add([]byte{magic, verV2, KindReport, flagTenant, 0x80}, false)
 	f.Add([]byte{magic, verV2, KindReport, 0}, false)
 	f.Add([]byte{}, false)
+	// Runs form: Hi one difference above Lo, Lo a copy of the basis.
+	runs := v2Report(1, 2, 7, 1, vclock.Of(1, 0, 2), vclock.Of(3, 2, 4))
+	f.Add(AppendReportV2(nil, runs, vclock.Of(1, 0, 2)), true)
 	f.Fuzz(func(t *testing.T, data []byte, withBasis bool) {
 		var basis vclock.VC
 		if withBasis {
@@ -285,6 +289,12 @@ func FuzzDecodeReportV2(f *testing.F) {
 			return
 		}
 		out := AppendReportV2(nil, r, nil)
+		if size := ReportSizeV2(r, nil); size != len(out) {
+			t.Fatalf("ReportSizeV2 = %d, frame is %d bytes", size, len(out))
+		}
+		if size, chained := ReportSizeV2(r, basis), AppendReportV2(nil, r, basis); size != len(chained) {
+			t.Fatalf("ReportSizeV2 against the basis = %d, frame is %d bytes", size, len(chained))
+		}
 		var r2 Report
 		if err := DecodeReportInto(out, &r2, nil); err != nil {
 			t.Fatalf("re-decode failed: %v", err)
